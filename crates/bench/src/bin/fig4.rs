@@ -6,90 +6,12 @@
 //!
 //! Usage: `cargo run -p vmr-bench --release --bin fig4`
 
-use vmr_bench::calibrated_sizing;
-use vmr_bench::run_or_exit;
-use vmr_core::{ExperimentConfig, MrMode};
-use vmr_desim::SimTime;
-
 fn main() {
-    let mut cfg = ExperimentConfig::table1(15, 15, 3, MrMode::ServerRelay);
-    cfg.sizing = calibrated_sizing();
-    cfg.record_timeline = true;
-    // Seed chosen so a clear backoff straggler appears (several do).
-    cfg.seed = 0xF164;
-    let out = run_or_exit(&cfg);
-    assert!(out.all_done);
-    let r = &out.reports[0];
-
-    println!("# Fig. 4 — map application makespan, 15 map WUs (30 results)");
-    println!(
-        "# map phase {:.0} s (without slowest node: {}), reduce {:.0} s, total {:.0} s\n",
-        r.map_s,
-        r.map_no_slowest_s
-            .map(|v| format!("{v:.0} s"))
-            .unwrap_or_else(|| "—".into()),
-        r.reduce_s,
-        r.total_s
-    );
-
-    // Per-node map completion vs report instants (the bar pairs of the
-    // original figure).
-    let reduce_start = out
-        .timeline
-        .points()
-        .iter()
-        .find(|p| p.detail == "reduce-start")
-        .map(|p| p.at);
-    println!(
-        "{:<9} {:>12} {:>12} {:>12}   (report delayed by backoff → straggler)",
-        "node", "exec done", "reported", "delay s"
-    );
-    let mut rows: Vec<(String, SimTime, SimTime)> = Vec::new();
-    for actor in out.timeline.actors() {
-        if !actor.starts_with("node-") {
-            continue;
-        }
-        // Last map exec span end + last report point on this lane during
-        // the map phase.
-        let map_end = out
-            .timeline
-            .lane(&actor)
-            .iter()
-            .filter(|s| s.kind == "exec" || s.kind == "upload")
-            .map(|s| s.end)
-            .filter(|t| reduce_start.map(|rs| *t <= rs).unwrap_or(true))
-            .max();
-        let report = out
-            .timeline
-            .points()
-            .iter()
-            .filter(|p| p.actor == actor && p.kind == "report")
-            .map(|p| p.at)
-            .filter(|t| reduce_start.map(|rs| *t <= rs).unwrap_or(true))
-            .max();
-        if let (Some(e), Some(rep)) = (map_end, report) {
-            rows.push((actor, e, rep));
+    match vmr_bench::paper::fig4_text() {
+        Ok(text) => print!("{text}"),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
     }
-    rows.sort_by_key(|(_, _, rep)| *rep);
-    for (actor, done, rep) in &rows {
-        let delay = rep.saturating_since(*done).as_secs_f64();
-        let flag = if delay > 60.0 {
-            "  ← backoff straggler"
-        } else {
-            ""
-        };
-        println!(
-            "{actor:<9} {:>11.1}s {:>11.1}s {:>11.1}{flag}",
-            done.as_secs_f64(),
-            rep.as_secs_f64(),
-            delay
-        );
-    }
-    if let Some(rs) = reduce_start {
-        println!("\nreduce phase began at {:.1} s", rs.as_secs_f64());
-    }
-
-    println!("\nper-node map-phase timeline (d=download e=exec u=upload):");
-    print!("{}", out.timeline.render_ascii(110));
 }

@@ -20,8 +20,7 @@
 //! pre-extraction transfer path (the check.sh shuffle smoke diffs it
 //! against the default, strategy-driven baseline).
 
-use vmr_bench::{calibrated_sizing, row_config, run_or_exit, table1_rows};
-use vmr_core::{format_row, MrMode};
+use vmr_bench::paper::{table1_text, Table1Opts};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -56,94 +55,19 @@ fn main() {
             }
         })
         .unwrap_or_default();
-    let sizing = calibrated_sizing();
-    println!("# Table I — word count makespan (1 GB input, replication 2, quorum 2, 100 Mbit)");
-    if mixed {
-        println!("# node fleet: half pc3001, half quad-core pcr200 (--mixed)");
-    }
-    println!(
-        "# sizing calibrated on real word count: expansion={:.3}, final output={} KiB",
-        sizing.expansion,
-        sizing.reduce_output_total_bytes >> 10
-    );
-    println!(
-        "{:>5} | {:>5} | {:>4} | {:^12} | {:^12} | {:^12} || {:^22}",
-        "Nodes", "Map", "Red", "Map Time", "Reduce Time", "Total Time", "paper (map/red/total)"
-    );
-    println!("{}", "-".repeat(104));
-    let rows = if quick {
-        // One row per scheduling mode: the smallest ServerRelay
-        // geometry plus the InterClient row.
-        let all = table1_rows();
-        let mut picked = Vec::new();
-        for mode in [MrMode::ServerRelay, MrMode::InterClient] {
-            if let Some(r) = all.iter().find(|r| r.mode == mode) {
-                picked.push(*r);
-            }
-        }
-        println!(
-            "# quick subset (--quick): {} of {} rows",
-            picked.len(),
-            all.len()
-        );
-        picked
-    } else {
-        table1_rows()
+    let opts = Table1Opts {
+        mixed,
+        quick,
+        durable,
+        shards,
+        shuffle,
+        metrics: metrics_path.is_some(),
     };
-    let mut row_metrics: Vec<String> = Vec::new();
-    let mut prev_mode = None;
-    for row in rows {
-        if prev_mode != Some(row.mode) {
-            println!("--- {} ---", row.mode);
-            prev_mode = Some(row.mode);
-        }
-        let mut cfg = row_config(&row, sizing);
-        cfg.shards = shards;
-        cfg.shuffle = shuffle.clone();
-        if durable {
-            cfg.durable = vmr_durable::DurabilityPlan::new(300.0);
-        }
-        if mixed {
-            // §IV.A used two node types; split the fleet half/half.
-            cfg.nodes = vmr_core::NodeMix {
-                pc3001: row.nodes / 2,
-                pcr200: row.nodes - row.nodes / 2,
-            };
-        }
-        let out = run_or_exit(&cfg);
-        assert!(out.all_done, "row did not complete");
-        if let Some(wal) = &out.wal {
-            let snap = out.obs.snapshot();
-            println!(
-                "# wal: {} records, {} KiB, {} snapshots",
-                snap.counter("dur.wal_records"),
-                wal.len() >> 10,
-                snap.histogram("dur.snapshot_us").count,
-            );
-        }
-        if metrics_path.is_some() {
-            row_metrics.push(format!(
-                "{{\"nodes\":{},\"n_maps\":{},\"n_reduces\":{},\"mode\":\"{}\",\"metrics\":{}}}",
-                row.nodes,
-                row.n_maps,
-                row.n_reduces,
-                row.mode,
-                out.obs.to_json()
-            ));
-        }
-        let r = &out.reports[0];
-        let paper = |p: (f64, Option<f64>)| match p.1 {
-            Some(d) => format!("{:.0}[{:.0}]", p.0, d),
-            None => format!("{:.0}", p.0),
-        };
-        println!(
-            "{} || {} / {} / {}",
-            format_row(row.nodes, row.n_maps, row.n_reduces, r),
-            paper(row.paper_map),
-            paper(row.paper_reduce),
-            paper(row.paper_total),
-        );
-    }
+    let (text, row_metrics) = table1_text(&opts).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    print!("{text}");
     if let Some(path) = metrics_path {
         std::fs::write(&path, format!("[{}]\n", row_metrics.join(",")))
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));

@@ -3,6 +3,7 @@
 //! the flow-churn workload for the netsim engine benchmarks.
 
 pub mod churn;
+pub mod paper;
 pub mod report;
 
 use vmr_core::{ExperimentConfig, ExperimentOutcome, MrMode, SizingModel};

@@ -251,6 +251,8 @@ mod tests {
         let sp = vmr_netsim::ScalePolicy::internet();
         assert_eq!(i.net.coalesce_threshold, sp.coalesce_threshold);
         assert_eq!(i.net.quantum_bits, sp.quantum_mantissa_bits);
+        // Pinned: what `with_internet_net()` set while it existed.
+        assert_eq!((i.net.coalesce_threshold, i.net.quantum_bits), (256, 6));
         #[allow(deprecated)]
         let legacy = ProjectConfig::default().with_internet_net();
         assert_eq!(legacy.net.coalesce_threshold, i.net.coalesce_threshold);

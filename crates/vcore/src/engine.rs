@@ -2943,6 +2943,17 @@ mod tests {
             )
         };
         assert_eq!(run(true), run(false));
+        // The same run, pinned: recorded through the legacy sequence.
+        let (now, rpcs, grants, reports, db, credit, assim, wal) = run(true);
+        let pin = |b: &[u8]| (b.len(), vmr_durable::crc::crc32(b));
+        assert_eq!(
+            (now.as_micros(), rpcs, grants, reports),
+            (61_394_172, 12, 8, 8)
+        );
+        assert_eq!(pin(&db), (856, 2_718_603_776), "db state");
+        assert_eq!(pin(&credit), (148, 408_817_123), "credit state");
+        assert_eq!(pin(&assim), (184, 3_439_022_447), "assimilator state");
+        assert_eq!(pin(&wal), (2141, 1_888_182_884), "WAL bytes");
     }
 
     /// `.population(spec)` puts the generated hosts behind their ISP
