@@ -7,11 +7,5 @@
 //! Usage: `cargo run -p vmr-bench --release --bin fig4`
 
 fn main() {
-    match vmr_bench::paper::fig4_text() {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+    print!("{}", vmr_bench::or_exit(vmr_bench::paper::fig4_text()));
 }

@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run -p vmr-bench --release --bin table1 \
 //!     [--mixed] [--quick] [--durable] [--shards <n>] [--metrics <path>] \
-//!     [--shuffle <baseline|legacy|swarm|coded>]`
+//!     [--shuffle <baseline|swarm|coded>]`
 //!
 //! Prints, for every row, the simulated map/reduce/total times with the
 //! "slowest node discarded" derivation in brackets, next to the paper's
@@ -16,60 +16,100 @@
 //! `--shards 1` by construction (the check.sh shard smoke diffs the
 //! two). `--metrics <path>` additionally
 //! dumps every row's obs metrics snapshot to `path` as a JSON array;
-//! stdout is unchanged by it. `--shuffle legacy` runs the preserved
-//! pre-extraction transfer path (the check.sh shuffle smoke diffs it
-//! against the default, strategy-driven baseline).
+//! stdout is unchanged by it. A malformed command line prints one
+//! usage line and exits 2.
 
 use vmr_bench::paper::{table1_text, Table1Opts};
+use vmr_core::ShuffleConfig;
+
+const USAGE: &str = "usage: table1 [--mixed] [--quick] [--durable] [--shards <n>] \
+                     [--metrics <path>] [--shuffle <baseline|swarm|coded>]";
+
+/// Parses the command line into the table options and the `--metrics`
+/// path; `Err` carries the one-line reason.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Table1Opts, Option<String>), String> {
+    let mut opts = Table1Opts::default();
+    let mut metrics_path = None;
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--mixed" => opts.mixed = true,
+            "--quick" => opts.quick = true,
+            "--durable" => opts.durable = true,
+            "--metrics" => metrics_path = Some(value()?),
+            "--shards" => {
+                let v = value()?;
+                opts.shards = v
+                    .parse()
+                    .map_err(|_| format!("--shards takes an integer, got {v:?}"))?;
+            }
+            "--shuffle" => {
+                opts.shuffle = match value()?.as_str() {
+                    "baseline" => ShuffleConfig::default(),
+                    "swarm" => ShuffleConfig::swarm(),
+                    "coded" => ShuffleConfig::coded(2),
+                    other => return Err(format!("unknown --shuffle strategy: {other}")),
+                }
+            }
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    opts.metrics = metrics_path.is_some();
+    Ok((opts, metrics_path))
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mixed = args.iter().any(|a| a == "--mixed");
-    let quick = args.iter().any(|a| a == "--quick");
-    let durable = args.iter().any(|a| a == "--durable");
-    let metrics_path = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .map(|i| args.get(i + 1).expect("--metrics needs a path").clone());
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--shards needs a count")
-                .parse()
-                .expect("--shards takes an integer")
-        })
-        .unwrap_or(1);
-    let shuffle = args
-        .iter()
-        .position(|a| a == "--shuffle")
-        .map(|i| {
-            let name = args.get(i + 1).expect("--shuffle needs a strategy");
-            match name.as_str() {
-                "baseline" => vmr_core::ShuffleConfig::default(),
-                "legacy" => vmr_core::ShuffleConfig::legacy_reference(),
-                "swarm" => vmr_core::ShuffleConfig::swarm(),
-                "coded" => vmr_core::ShuffleConfig::coded(2),
-                other => panic!("unknown --shuffle strategy: {other}"),
-            }
-        })
-        .unwrap_or_default();
-    let opts = Table1Opts {
-        mixed,
-        quick,
-        durable,
-        shards,
-        shuffle,
-        metrics: metrics_path.is_some(),
-    };
-    let (text, row_metrics) = table1_text(&opts).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    let (opts, metrics_path) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
     });
+    let (text, row_metrics) = vmr_bench::or_exit(table1_text(&opts));
     print!("{text}");
     if let Some(path) = metrics_path {
         std::fs::write(&path, format!("[{}]\n", row_metrics.join(",")))
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Table1Opts, Option<String>), String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_land_in_the_options() {
+        let (opts, metrics) = parse(&[
+            "--quick",
+            "--shards",
+            "4",
+            "--shuffle",
+            "coded",
+            "--metrics",
+            "m.json",
+        ])
+        .unwrap();
+        assert!(opts.quick && opts.metrics && !opts.durable);
+        assert_eq!(opts.shards, 4);
+        assert_eq!(opts.shuffle.strategy, vmr_core::StrategyKind::Coded);
+        assert_eq!(metrics.as_deref(), Some("m.json"));
+    }
+
+    #[test]
+    fn malformed_command_lines_are_errors_not_panics() {
+        for bad in [
+            &["--shuffle", "legacy"][..],
+            &["--shuffle"],
+            &["--shards", "four"],
+            &["--shards"],
+            &["--metrics"],
+            &["--frobnicate"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

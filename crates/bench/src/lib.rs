@@ -29,14 +29,19 @@ pub struct Table1Row {
     pub paper_total: (f64, Option<f64>),
 }
 
-/// Runs an experiment for a benchmark binary: invalid configurations
-/// and WAL-sink failures print a one-line error and exit nonzero
-/// instead of unwinding with a backtrace.
-pub fn run_or_exit(cfg: &ExperimentConfig) -> ExperimentOutcome {
-    vmr_core::run_experiment(cfg).unwrap_or_else(|e| {
+/// Unwraps a harness result for a benchmark binary: invalid
+/// configurations and WAL-sink failures print a one-line error and
+/// exit nonzero instead of unwinding with a backtrace.
+pub fn or_exit<T>(result: Result<T, vmr_core::ConfigError>) -> T {
+    result.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     })
+}
+
+/// Runs an experiment for a benchmark binary (see [`or_exit`]).
+pub fn run_or_exit(cfg: &ExperimentConfig) -> ExperimentOutcome {
+    or_exit(vmr_core::run_experiment(cfg))
 }
 
 /// The nine measured rows of Table I (the 10-node/1-WU row is blank in

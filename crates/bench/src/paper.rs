@@ -47,15 +47,9 @@ impl Default for Table1Opts {
 pub fn table1_text(opts: &Table1Opts) -> Result<(String, Vec<String>), ConfigError> {
     let sizing = calibrated_sizing();
     let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "# Table I — word count makespan (1 GB input, replication 2, quorum 2, 100 Mbit)"
-    );
+    s.push_str("# Table I — word count makespan (1 GB input, replication 2, quorum 2, 100 Mbit)\n");
     if opts.mixed {
-        let _ = writeln!(
-            s,
-            "# node fleet: half pc3001, half quad-core pcr200 (--mixed)"
-        );
+        s.push_str("# node fleet: half pc3001, half quad-core pcr200 (--mixed)\n");
     }
     let _ = writeln!(
         s,
@@ -161,10 +155,7 @@ pub fn fig4_text() -> Result<String, ConfigError> {
     let r = &out.reports[0];
 
     let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "# Fig. 4 — map application makespan, 15 map WUs (30 results)"
-    );
+    s.push_str("# Fig. 4 — map application makespan, 15 map WUs (30 results)\n");
     let _ = writeln!(
         s,
         "# map phase {:.0} s (without slowest node: {}), reduce {:.0} s, total {:.0} s\n",
@@ -189,6 +180,7 @@ pub fn fig4_text() -> Result<String, ConfigError> {
         "{:<9} {:>12} {:>12} {:>12}   (report delayed by backoff → straggler)",
         "node", "exec done", "reported", "delay s"
     );
+    let in_map_phase = |t: &SimTime| reduce_start.map(|rs| *t <= rs).unwrap_or(true);
     let mut rows: Vec<(String, SimTime, SimTime)> = Vec::new();
     for actor in out.timeline.actors() {
         if !actor.starts_with("node-") {
@@ -202,7 +194,7 @@ pub fn fig4_text() -> Result<String, ConfigError> {
             .iter()
             .filter(|s| s.kind == "exec" || s.kind == "upload")
             .map(|s| s.end)
-            .filter(|t| reduce_start.map(|rs| *t <= rs).unwrap_or(true))
+            .filter(in_map_phase)
             .max();
         let report = out
             .timeline
@@ -210,7 +202,7 @@ pub fn fig4_text() -> Result<String, ConfigError> {
             .iter()
             .filter(|p| p.actor == actor && p.kind == "report")
             .map(|p| p.at)
-            .filter(|t| reduce_start.map(|rs| *t <= rs).unwrap_or(true))
+            .filter(in_map_phase)
             .max();
         if let (Some(e), Some(rep)) = (map_end, report) {
             rows.push((actor, e, rep));
@@ -236,10 +228,7 @@ pub fn fig4_text() -> Result<String, ConfigError> {
         let _ = writeln!(s, "\nreduce phase began at {:.1} s", rs.as_secs_f64());
     }
 
-    let _ = writeln!(
-        s,
-        "\nper-node map-phase timeline (d=download e=exec u=upload):"
-    );
+    s.push_str("\nper-node map-phase timeline (d=download e=exec u=upload):\n");
     s.push_str(&out.timeline.render_ascii(110));
     Ok(s)
 }

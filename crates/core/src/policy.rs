@@ -165,7 +165,7 @@ impl MrPolicy {
         // Journal the plan only when it deviates from baseline so default
         // runs keep the pre-shuffle WAL byte stream (the baseline plan is
         // the JobState default and needs no record to replay).
-        if !matches!(kind, StrategyKind::Baseline | StrategyKind::Legacy) {
+        if kind != StrategyKind::Baseline {
             eng.durable().append(&StateChange::MrShufflePlanned {
                 job: job_idx as u32,
                 strategy: kind.wire_tag(),
@@ -187,7 +187,7 @@ impl MrPolicy {
         let job = &mut self.tracker.jobs[job_idx];
         job.reduce_wus = new_wus.clone();
         job.phase = Phase::Reduce;
-        if !matches!(kind, StrategyKind::Baseline | StrategyKind::Legacy) {
+        if kind != StrategyKind::Baseline {
             job.shuffle_strategy = kind.wire_tag();
             job.shuffle_group = group as u32;
         }

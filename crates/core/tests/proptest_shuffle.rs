@@ -1,11 +1,11 @@
 //! The Baseline shuffle strategy against the recorded runs of the
 //! transfer path it was extracted from.
 //!
-//! The engine used to carry that path verbatim (`legacy_peer_download`)
-//! and this test compared the two live. The twin is gone; what it
-//! produced is not. `golden/shuffle_fingerprints.txt` holds, recorded
-//! through the twin at the last commit that had it, the fingerprint of
-//! the six configurations this test samples — both transfer modes, with
+//! The engine used to carry that path as a verbatim twin of the
+//! strategy-driven one, and this test compared the two live. The twin
+//! is gone; what it produced is not. `golden/shuffle_fingerprints.txt`
+//! holds, recorded through the twin at the last commit that had it,
+//! the fingerprint of the six configurations this test samples — both transfer modes, with
 //! and without byzantine hosts, dropouts and 30 % flaky peer transfers:
 //! the Table I row, phase-time f64 bits, engine counters, the
 //! `shuffle.*` byte counters, the simulated finish time, and the full

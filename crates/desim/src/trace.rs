@@ -2,8 +2,9 @@
 //!
 //! Experiments record *spans* (named intervals attached to an actor, e.g.
 //! "node-7 executes map result 12") and *points* (instant markers, e.g.
-//! "reduce phase starts"). The Fig. 4 reproduction renders one lane per
-//! node from these spans.
+//! "reduce phase starts") through [`vmr_obs::Journal`]; a [`Timeline`]
+//! is the queryable view built from that journal. The Fig. 4
+//! reproduction renders one lane per node from these spans.
 
 use crate::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -48,44 +49,16 @@ pub struct Point {
 pub struct Timeline {
     spans: Vec<Span>,
     points: Vec<Point>,
-    enabled: bool,
 }
 
 impl Timeline {
-    /// A recording timeline.
-    pub fn new() -> Self {
-        Timeline {
-            spans: Vec::new(),
-            points: Vec::new(),
-            enabled: true,
-        }
-    }
-
-    /// A timeline that drops everything (zero overhead for sweeps).
-    pub fn disabled() -> Self {
-        Timeline {
-            spans: Vec::new(),
-            points: Vec::new(),
-            enabled: false,
-        }
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Rebuilds a timeline from the span/point events retained in an
+    /// Builds a timeline from the span/point events retained in an
     /// observability journal, preserving recording order. This is how
-    /// the Fig. 4 lanes are produced now: components write spans and
+    /// the Fig. 4 lanes are produced: components write spans and
     /// points through [`vmr_obs::Journal`] and the experiment harness
     /// reconstructs the `Timeline` for rendering.
     pub fn from_journal(journal: &vmr_obs::Journal) -> Timeline {
-        let mut tl = Timeline {
-            spans: Vec::new(),
-            points: Vec::new(),
-            enabled: journal.is_enabled(),
-        };
+        let mut tl = Timeline::default();
         for ev in journal.events() {
             match ev.kind {
                 vmr_obs::EventKind::Span {
@@ -114,54 +87,6 @@ impl Timeline {
             }
         }
         tl
-    }
-
-    /// Records a span.
-    #[deprecated(
-        since = "0.1.0",
-        note = "record through vmr_obs::Journal::span and rebuild with Timeline::from_journal"
-    )]
-    pub fn span(
-        &mut self,
-        actor: impl Into<String>,
-        kind: impl Into<String>,
-        detail: impl Into<String>,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.spans.push(Span {
-            actor: actor.into(),
-            kind: kind.into(),
-            detail: detail.into(),
-            start,
-            end,
-        });
-    }
-
-    /// Records a point marker.
-    #[deprecated(
-        since = "0.1.0",
-        note = "record through vmr_obs::Journal::point and rebuild with Timeline::from_journal"
-    )]
-    pub fn point(
-        &mut self,
-        actor: impl Into<String>,
-        kind: impl Into<String>,
-        detail: impl Into<String>,
-        at: SimTime,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.points.push(Point {
-            actor: actor.into(),
-            kind: kind.into(),
-            detail: detail.into(),
-            at,
-        });
     }
 
     /// All recorded spans, in recording order.
@@ -247,7 +172,6 @@ impl Timeline {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -255,33 +179,67 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// A timeline over `spans` (actor, kind, start s, end s), recorded
+    /// through a journal the way the engine does.
+    fn timeline(spans: &[(&str, &str, u64, u64)]) -> Timeline {
+        let journal = vmr_obs::Journal::new();
+        for &(actor, kind, start, end) in spans {
+            journal.span(actor, kind, "", t(start).as_micros(), t(end).as_micros());
+        }
+        Timeline::from_journal(&journal)
+    }
+
     #[test]
-    fn records_spans_and_points() {
-        let mut tl = Timeline::new();
-        tl.span("n1", "exec", "wu0", t(1), t(5));
-        tl.point("", "phase", "reduce-start", t(6));
-        assert_eq!(tl.spans().len(), 1);
-        assert_eq!(tl.points().len(), 1);
+    fn from_journal_keeps_spans_and_points_only() {
+        let journal = vmr_obs::Journal::new();
+        journal.span("n1", "exec", "wu0", t(1).as_micros(), t(5).as_micros());
+        journal.point("", "phase", "reduce-start", t(6).as_micros());
+        journal.record_with(7, || vmr_obs::EventKind::FlowStart { id: 1, bytes: 2 });
+        let tl = Timeline::from_journal(&journal);
+        if !cfg!(feature = "record") {
+            assert!(tl.spans().is_empty() && tl.points().is_empty());
+            return;
+        }
+        assert_eq!(
+            tl.spans(),
+            [Span {
+                actor: "n1".into(),
+                kind: "exec".into(),
+                detail: "wu0".into(),
+                start: t(1),
+                end: t(5),
+            }]
+        );
+        assert_eq!(
+            tl.points(),
+            [Point {
+                actor: "".into(),
+                kind: "phase".into(),
+                detail: "reduce-start".into(),
+                at: t(6),
+            }]
+        );
         assert_eq!(tl.spans()[0].duration(), SimDuration::from_secs(4));
         assert_eq!(tl.end_time(), t(6));
     }
 
     #[test]
-    fn disabled_timeline_drops_everything() {
-        let mut tl = Timeline::disabled();
-        tl.span("n1", "exec", "", t(0), t(1));
-        tl.point("n1", "x", "", t(0));
+    fn disabled_journal_yields_an_empty_timeline() {
+        let journal = vmr_obs::Journal::new();
+        journal.set_enabled(false);
+        journal.span("n1", "exec", "", 0, 1);
+        journal.point("n1", "x", "", 0);
+        let tl = Timeline::from_journal(&journal);
         assert!(tl.spans().is_empty());
         assert!(tl.points().is_empty());
-        assert!(!tl.is_enabled());
     }
 
     #[test]
     fn lanes_are_sorted_and_filtered() {
-        let mut tl = Timeline::new();
-        tl.span("b", "x", "", t(5), t(6));
-        tl.span("a", "x", "", t(3), t(4));
-        tl.span("b", "y", "", t(1), t(2));
+        if !cfg!(feature = "record") {
+            return;
+        }
+        let tl = timeline(&[("b", "x", 5, 6), ("a", "x", 3, 4), ("b", "y", 1, 2)]);
         let lane_b = tl.lane("b");
         assert_eq!(lane_b.len(), 2);
         assert!(lane_b[0].start < lane_b[1].start);
@@ -289,29 +247,11 @@ mod tests {
     }
 
     #[test]
-    fn from_journal_round_trips_spans_and_points() {
-        let journal = vmr_obs::Journal::new();
-        journal.span("n1", "exec", "wu0", t(1).as_micros(), t(5).as_micros());
-        journal.point("", "phase", "reduce-start", t(6).as_micros());
-        journal.record_with(7, || vmr_obs::EventKind::FlowStart { id: 1, bytes: 2 });
-        let tl = Timeline::from_journal(&journal);
-        let mut direct = Timeline::new();
-        direct.span("n1", "exec", "wu0", t(1), t(5));
-        direct.point("", "phase", "reduce-start", t(6));
-        if cfg!(feature = "record") {
-            assert_eq!(tl.spans(), direct.spans());
-            assert_eq!(tl.points(), direct.points());
-            assert_eq!(tl.end_time(), t(6));
-        } else {
-            assert!(tl.spans().is_empty());
-        }
-    }
-
-    #[test]
     fn ascii_render_contains_lanes() {
-        let mut tl = Timeline::new();
-        tl.span("node-1", "exec", "", t(0), t(50));
-        tl.span("node-2", "download", "", t(50), t(100));
+        if !cfg!(feature = "record") {
+            return;
+        }
+        let tl = timeline(&[("node-1", "exec", 0, 50), ("node-2", "download", 50, 100)]);
         let art = tl.render_ascii(40);
         assert!(art.contains("node-1"));
         assert!(art.contains("node-2"));

@@ -15,7 +15,6 @@
 
 use crate::fetch::{fetch_with_fallback_obs, FetchObs, FetchPolicy, FetchSource};
 use crate::pollserver::{PollServer, PollServerConfig};
-use crate::server::PeerServer;
 use crate::store::OutputStore;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -50,11 +49,6 @@ pub struct ClusterConfig {
     /// Whether mappers also push outputs to the coordinator (the
     /// fall-back copy). Must be true if `kill_after_map` is non-empty.
     pub map_outputs_to_server: bool,
-    /// Serve with the nonblocking poll-loop runtime
-    /// ([`crate::pollserver::PollServer`]) instead of the
-    /// thread-per-connection [`PeerServer`]. Same protocol, same
-    /// §III.C semantics — the differential suite keeps them honest.
-    pub poll_runtime: bool,
 }
 
 impl ClusterConfig {
@@ -69,50 +63,6 @@ impl ClusterConfig {
             byzantine: Vec::new(),
             kill_after_map: Vec::new(),
             map_outputs_to_server: true,
-            poll_runtime: false,
-        }
-    }
-}
-
-/// A serving endpoint under either runtime — the cluster plumbing is
-/// agnostic to which one answers the sockets.
-enum VolunteerServer {
-    Threaded(PeerServer),
-    Poll(PollServer),
-}
-
-impl VolunteerServer {
-    fn start_with_obs(
-        store: Arc<OutputStore>,
-        max_connections: usize,
-        obs: &vmr_obs::Obs,
-        poll_runtime: bool,
-    ) -> std::io::Result<VolunteerServer> {
-        if poll_runtime {
-            let cfg = PollServerConfig::new(max_connections);
-            Ok(VolunteerServer::Poll(PollServer::start_with_obs(
-                store, cfg, obs,
-            )?))
-        } else {
-            Ok(VolunteerServer::Threaded(PeerServer::start_with_obs(
-                store,
-                max_connections,
-                obs,
-            )?))
-        }
-    }
-
-    fn addr(&self) -> SocketAddr {
-        match self {
-            VolunteerServer::Threaded(s) => s.addr(),
-            VolunteerServer::Poll(s) => s.addr(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            VolunteerServer::Threaded(s) => s.shutdown(),
-            VolunteerServer::Poll(s) => s.shutdown(),
         }
     }
 }
@@ -281,7 +231,7 @@ where
 
     // The coordinator's fall-back store + server (the "data server").
     let server_store = Arc::new(OutputStore::new());
-    let server = VolunteerServer::start_with_obs(server_store.clone(), 64, obs, cfg.poll_runtime)
+    let server = PollServer::start_with_obs(server_store.clone(), PollServerConfig::new(64), obs)
         .expect("server start");
     let server_addr = server.addr();
 
@@ -303,7 +253,6 @@ where
             server_addr,
             server_store: cfg.map_outputs_to_server.then(|| server_store.clone()),
             max_serving: cfg.max_serving_connections,
-            poll_runtime: cfg.poll_runtime,
             stats: stats.clone(),
             obs: obs.clone(),
             cobs: cobs.clone(),
@@ -464,7 +413,6 @@ struct WorkerCtx<A: MapReduceApp> {
     server_addr: SocketAddr,
     server_store: Option<Arc<OutputStore>>,
     max_serving: usize,
-    poll_runtime: bool,
     stats: Arc<ClusterStats>,
     obs: vmr_obs::Obs,
     cobs: ClusterObs,
@@ -473,9 +421,12 @@ struct WorkerCtx<A: MapReduceApp> {
 fn worker_main<A: MapReduceApp<K = String>>(ctx: WorkerCtx<A>) {
     // Each volunteer runs its own serving endpoint.
     let store = Arc::new(OutputStore::new());
-    let server =
-        VolunteerServer::start_with_obs(store.clone(), ctx.max_serving, &ctx.obs, ctx.poll_runtime)
-            .expect("peer server");
+    let server = PollServer::start_with_obs(
+        store.clone(),
+        PollServerConfig::new(ctx.max_serving),
+        &ctx.obs,
+    )
+    .expect("peer server");
     // "Communication always starts from the client": the volunteer
     // announces its serving endpoint in its first message.
     let _ = ctx.to_coord.send(ToCoord::Register {
@@ -624,19 +575,6 @@ mod tests {
             + report.stats.local_reads.load(Ordering::Relaxed)
             + report.stats.fallback_fetches.load(Ordering::Relaxed);
         assert_eq!(moved, 4 * 2 * 2, "4 maps × 2 reduce replicas × 2 reducers");
-    }
-
-    #[test]
-    fn cluster_matches_oracle_on_poll_runtime() {
-        let data = corpus();
-        let mut cfg = ClusterConfig::new(5, JobSpec::new("wc", 4, 2));
-        cfg.poll_runtime = true;
-        let report = run_cluster(Arc::new(WordCount), data.clone(), &cfg);
-        let oracle = run_sequential(&WordCount, &[&data[..]]);
-        assert_eq!(
-            report.output, oracle,
-            "poll-loop runtime must compute the same job"
-        );
     }
 
     #[test]

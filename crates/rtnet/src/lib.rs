@@ -9,8 +9,9 @@
 //!   timeout reset, and job-completion cleanup.
 //! * [`server`] — the volunteer's serving endpoint: accept gating and
 //!   the max-inter-client-connection threshold, one thread per
-//!   connection. Kept as the executable spec the poll runtime is
-//!   differentially tested against.
+//!   connection. Not a serving runtime of [`cluster`] any more: kept
+//!   as the reference the poll runtime is differentially tested
+//!   against (`differential_server.rs`, `proptest_rtnet.rs`, the soak).
 //! * [`poll`] — stub-level `mio`: a rebuilt-per-tick readiness set
 //!   over `poll(2)`.
 //! * [`pollserver`] — rtnet v2's runtime: every peer multiplexed on
@@ -25,8 +26,7 @@
 //! * [`cluster`] — `run_cluster`: a complete word-count (or any
 //!   [`vmr_mapreduce::MapReduceApp`]) job over loopback TCP with
 //!   pull-model scheduling, replication + quorum, byzantine workers,
-//!   mapper-failure fall-back, and either serving runtime
-//!   ([`ClusterConfig::poll_runtime`]).
+//!   mapper-failure fall-back, every endpoint served by [`pollserver`].
 //! * [`wait`] — deadline-bounded condition polling for real-socket
 //!   tests (no bare sleeps).
 

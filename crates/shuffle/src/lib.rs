@@ -15,7 +15,8 @@
 //! - [`Baseline`] — the paper's transfer path: whole-file pull from one
 //!   validated holder per attempt, server fallback after
 //!   `peer_retry_limit` failures. Decision-for-decision identical to
-//!   the pre-strategy monolith (proven bit-identical by proptest).
+//!   the pre-strategy monolith (its recorded runs are pinned by
+//!   `proptest_shuffle.rs`).
 //! - [`SwarmStrategy`] — map outputs split into fixed-size chunks,
 //!   fetched from multiple sources at once with rarest-first piece
 //!   selection, per-source concurrency caps and the server as seeder
@@ -56,10 +57,6 @@ pub enum StrategyKind {
     Swarm,
     /// Repetition-coded placement at redundancy `r`, grouped reducers.
     Coded,
-    /// The pre-strategy monolithic transfer path, preserved verbatim as
-    /// an executable spec. Only used by differential tests and the
-    /// `SHUFFLE_SMOKE` byte-diff; behaves exactly like [`Baseline`].
-    Legacy,
 }
 
 impl StrategyKind {
@@ -69,7 +66,6 @@ impl StrategyKind {
             StrategyKind::Baseline => 0,
             StrategyKind::Swarm => 1,
             StrategyKind::Coded => 2,
-            StrategyKind::Legacy => 3,
         }
     }
 
@@ -79,7 +75,6 @@ impl StrategyKind {
             0 => StrategyKind::Baseline,
             1 => StrategyKind::Swarm,
             2 => StrategyKind::Coded,
-            3 => StrategyKind::Legacy,
             _ => return None,
         })
     }
@@ -90,7 +85,6 @@ impl StrategyKind {
             StrategyKind::Baseline => "baseline",
             StrategyKind::Swarm => "swarm",
             StrategyKind::Coded => "coded",
-            StrategyKind::Legacy => "legacy",
         }
     }
 }
@@ -148,18 +142,10 @@ impl ShuffleConfig {
         }
     }
 
-    /// The preserved pre-strategy transfer path (differential tests).
-    pub fn legacy_reference() -> Self {
-        ShuffleConfig {
-            strategy: StrategyKind::Legacy,
-            ..ShuffleConfig::default()
-        }
-    }
-
     /// Builds the strategy object this configuration selects.
     pub fn build(&self) -> Box<dyn ShuffleStrategy + Send + Sync> {
         match self.strategy {
-            StrategyKind::Baseline | StrategyKind::Legacy => Box::new(Baseline),
+            StrategyKind::Baseline => Box::new(Baseline),
             StrategyKind::Swarm => Box::new(SwarmStrategy {
                 chunk_bytes: self.chunk_bytes.max(1),
             }),
@@ -639,10 +625,11 @@ mod tests {
             StrategyKind::Baseline,
             StrategyKind::Swarm,
             StrategyKind::Coded,
-            StrategyKind::Legacy,
         ] {
             assert_eq!(StrategyKind::from_wire_tag(k.wire_tag()), Some(k));
         }
+        // Tag 3 was the retired `Legacy` twin; it must stay unassigned.
+        assert_eq!(StrategyKind::from_wire_tag(3), None);
         assert_eq!(StrategyKind::from_wire_tag(99), None);
     }
 

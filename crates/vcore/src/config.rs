@@ -179,8 +179,7 @@ impl Default for ProjectConfig {
 }
 
 impl ProjectConfig {
-    /// A named preset: the general form of the old ad-hoc
-    /// `with_internet_net()` tuning constructor.
+    /// A named preset.
     pub fn preset(p: Preset) -> Self {
         let mut cfg = ProjectConfig::default();
         match p {
@@ -209,15 +208,6 @@ impl ProjectConfig {
             coalesce_threshold: self.net.coalesce_threshold,
             quantum_mantissa_bits: self.net.quantum_bits,
         }
-    }
-
-    /// Returns a copy tuned for internet-scale host populations.
-    #[deprecated(note = "use ProjectConfig::preset(Preset::Internet) or set cfg.net directly")]
-    pub fn with_internet_net(mut self) -> Self {
-        let p = vmr_netsim::ScalePolicy::internet();
-        self.net.coalesce_threshold = p.coalesce_threshold;
-        self.net.quantum_bits = p.quantum_mantissa_bits;
-        self
     }
 }
 
@@ -251,12 +241,8 @@ mod tests {
         let sp = vmr_netsim::ScalePolicy::internet();
         assert_eq!(i.net.coalesce_threshold, sp.coalesce_threshold);
         assert_eq!(i.net.quantum_bits, sp.quantum_mantissa_bits);
-        // Pinned: what `with_internet_net()` set while it existed.
+        // Pinned: the values the retired ad-hoc tuning constructor set.
         assert_eq!((i.net.coalesce_threshold, i.net.quantum_bits), (256, 6));
-        #[allow(deprecated)]
-        let legacy = ProjectConfig::default().with_internet_net();
-        assert_eq!(legacy.net.coalesce_threshold, i.net.coalesce_threshold);
-        assert_eq!(legacy.net.quantum_bits, i.net.quantum_bits);
     }
 
     /// Serde support is attribute-level with the vendored stub (no

@@ -1,0 +1,1440 @@
+//! The middleware engine: server daemons + client state machines wired
+//! to the discrete-event kernel and the network model.
+//!
+//! One [`Engine`] simulates one BOINC project: a server host (scheduler,
+//! data server, transitioner, validator, feeder) plus N volunteer
+//! clients. Everything follows the paper's **pull model** — every
+//! interaction starts with a client RPC; the server never contacts a
+//! client.
+//!
+//! Project-specific behaviour (the MapReduce orchestration of vmr-core)
+//! plugs in through the [`Policy`] trait, whose hooks fire on work-unit
+//! validation, task execution, report arrival, and custom events.
+//!
+//! This module sequences events; the layers own mechanism. It keeps the
+//! [`Engine`] struct, its accessors, the event loop and the server
+//! daemon cadence. `client` is the volunteer state machine, `transfer`
+//! starts and finishes every network flow, `fetch` decides where a
+//! peer-held input is pulled from, `builder` is the construction
+//! surface.
+
+use crate::config::ProjectConfig;
+use crate::db::Db;
+use crate::fault::{FaultIndex, FaultPlan};
+use crate::host::{HostProfile, ValidationCounts};
+use crate::transition::{transition_wu, Transition};
+use crate::types::{ClientId, OutputFingerprint, ResultId, WuId};
+use crate::workunit::{ResultState, WorkUnitSpec};
+use std::collections::HashMap;
+use vmr_desim::{EventId, RngStream, SimDuration, SimTime, Simulation, Tally};
+use vmr_durable::{Journal, Sections};
+use vmr_netsim::{AggregateNetwork, FlowId, HostId, TraversalPolicy, TraversalStats};
+use vmr_obs::EventKind;
+use vmr_shuffle::{FetchObs, ShuffleStrategy, SwarmIndex, SwarmTransfer};
+use vmr_trust::{Outcome as TrustOutcome, ReplicationDecision, ReplicationPolicy, TrustLedger};
+
+mod builder;
+mod client;
+mod fetch;
+mod transfer;
+
+pub use builder::{BuildError, EngineBuilder};
+pub use transfer::RelayChoice;
+
+use client::Client;
+use transfer::{FlowPurpose, InputSlot};
+
+/// Events driving the middleware simulation.
+#[derive(Debug)]
+pub enum Ev {
+    /// The network has something to report (flow completion/setup end).
+    NetWake,
+    /// A client's scheduled RPC instant arrived.
+    ClientWake(ClientId),
+    /// A task finished executing on a client.
+    ExecDone(ClientId, ResultId),
+    /// A result's report deadline may have passed.
+    DeadlineCheck(ResultId),
+    /// Periodic server daemon pass (feeder refill).
+    DaemonTick,
+    /// Retry a peer download: (client, result, input index).
+    PeerRetry(ClientId, ResultId, usize),
+    /// A client permanently disappears (churn injection).
+    Dropout(ClientId),
+    /// The host's owner starts using the machine: execution pauses.
+    Suspend(ClientId),
+    /// The host becomes idle again: execution resumes.
+    Resume(ClientId),
+    /// Policy-defined event.
+    Custom(u64),
+}
+
+/// A file a client is willing to serve to peers (BOINC-MR map outputs).
+#[derive(Debug, Clone)]
+pub struct ServedFile {
+    /// Size served to each downloader.
+    pub bytes: u64,
+    /// Serving window end; `None` = no timeout.
+    pub until: Option<SimTime>,
+}
+
+/// Aggregate counters the experiment harness reads after a run.
+#[derive(Debug, Default, Clone)]
+pub struct EngineStats {
+    /// Scheduler RPCs served.
+    pub rpcs: u64,
+    /// RPCs that requested work and got none (trigger backoff).
+    pub empty_replies: u64,
+    /// Results granted to clients.
+    pub grants: u64,
+    /// Reports received.
+    pub reports: u64,
+    /// Upload-finished → report-accepted gap, seconds (the §IV.B delay).
+    pub report_delay: Tally,
+    /// Peer download attempts that failed (connection/fault).
+    pub peer_failures: u64,
+    /// Inputs that fell back to the data server after peer retries.
+    pub server_fallbacks: u64,
+    /// Peer download attempts deferred because the serving peer was at
+    /// its connection cap.
+    pub busy_deferrals: u64,
+    /// NAT traversal outcomes for peer connections.
+    pub traversal: TraversalStats,
+    /// Bytes uploaded to the server (all flows into the server host).
+    pub bytes_via_server: f64,
+}
+
+/// Project-specific orchestration hooks (implemented by vmr-core).
+#[allow(unused_variables)]
+pub trait Policy {
+    /// A work unit reached quorum. `agreeing` lists the clients whose
+    /// outputs matched the canonical fingerprint (they hold the data).
+    fn on_wu_validated(&mut self, eng: &mut Engine, wu: WuId, agreeing: &[ClientId]) {}
+    /// A work unit exhausted its retry budget.
+    fn on_wu_failed(&mut self, eng: &mut Engine, wu: WuId) {}
+    /// The scheduler handed `rid` to `client` (task assignment — phase
+    /// starts are timestamped from this hook).
+    fn on_task_granted(&mut self, eng: &mut Engine, client: ClientId, rid: ResultId) {}
+    /// A client finished *executing* a task (before upload/report).
+    fn on_task_executed(&mut self, eng: &mut Engine, client: ClientId, rid: ResultId) {}
+    /// The server accepted a report for `rid`.
+    fn on_result_reported(&mut self, eng: &mut Engine, rid: ResultId) {}
+    /// A custom event fired.
+    fn on_custom(&mut self, eng: &mut Engine, tag: u64) {}
+    /// Contribute extra named sections to a durability snapshot
+    /// (vmr-core serializes its JobTracker here). Sections must be
+    /// canonical: equal policy states must append equal bytes.
+    fn durable_sections(&self, out: &mut Vec<(String, Vec<u8>)>) {}
+}
+
+/// A no-op policy: plain BOINC with no project hooks.
+pub struct NullPolicy;
+impl Policy for NullPolicy {}
+
+/// The BOINC-like middleware simulation.
+pub struct Engine {
+    sim: Simulation<Ev>,
+    net: AggregateNetwork,
+    /// The project database (public: policies inspect it freely).
+    pub db: Db,
+    /// Configuration knobs.
+    pub cfg: ProjectConfig,
+    /// Fault-injection plan.
+    pub fault: FaultPlan,
+    /// NAT traversal policy for inter-client connections.
+    pub traversal: TraversalPolicy,
+    /// Observability bundle: metrics registry, event journal (the
+    /// Fig. 4 source — rebuild lanes with `Timeline::from_journal`),
+    /// profiling scopes. Shared with the network engine and the sim.
+    pub obs: vmr_obs::Obs,
+    /// Aggregate counters.
+    pub stats: EngineStats,
+    /// Credit / reliability ledger (BOINC's volunteer incentive).
+    pub credit: crate::credit::CreditLedger,
+    /// Assimilator: ordered sink of validated canonical results.
+    pub assimilator: crate::assimilate::Assimilator,
+    /// Relay-node selection for NAT-relayed transfers.
+    pub relay: RelayChoice,
+    /// Host reputation ledger driving adaptive replication. Observes
+    /// validation outcomes only when `cfg.trust.enabled`; its WAL
+    /// section is always part of snapshots (a pristine ledger encodes
+    /// deterministically).
+    pub trust: TrustLedger,
+    server_host: HostId,
+    clients: Vec<Client>,
+    flows: HashMap<FlowId, FlowPurpose>,
+    /// Pending NetWake event and the time it targets. The time is kept
+    /// so re-arming at the same instant preserves the original event
+    /// (and its queue tie-break rank) instead of cancel+reschedule —
+    /// required for stepped/resumed runs to match continuous ones.
+    net_wake: Option<(EventId, SimTime)>,
+    feeder: crate::sched::Feeder,
+    /// Worker pool for daemon passes, sized from `cfg.shard`.
+    pool: crate::shard::WorkerPool,
+    rng: RngStream,
+    /// Dedicated stream for spot-check draws: it is consumed only for
+    /// trusted hosts with trust enabled, so disabling trust leaves
+    /// every other stream's draw sequence untouched (bit-identical
+    /// baseline runs).
+    trust_rng: RngStream,
+    /// Per-client validation outcome tallies, kept even when the trust
+    /// subsystem is disabled (satellite observability).
+    host_outcomes: Vec<ValidationCounts>,
+    dropouts_armed: bool,
+    /// Compiled fault lookups, built from `fault` at run start.
+    fidx: FaultIndex,
+    /// Write-ahead log handle (disabled unless the builder attached one).
+    durable: Journal,
+    eobs: EngineObs,
+    /// Shuffle strategy object built from `cfg.shuffle` — owns the
+    /// *decisions* of the transfer path (source pick, chunking, coded
+    /// planning); all mechanics stay in the `transfer` module.
+    shuffle: Box<dyn ShuffleStrategy + Send + Sync>,
+    /// Per-chunk sibling seeds of swarmed files.
+    swarm_index: SwarmIndex,
+    /// In-progress swarmed transfers, keyed (client, result, input).
+    swarm: HashMap<(u32, u32, u32), SwarmTransfer>,
+    /// Pre-resolved `shuffle.*` counters.
+    fobs: FetchObs,
+}
+
+/// Pre-resolved metric handles for the scheduler hot paths. These
+/// mirror the cumulative [`EngineStats`] fields into the shared
+/// registry so one snapshot covers every crate; resolving them once at
+/// construction keeps per-event cost to an atomic bump.
+struct EngineObs {
+    rpcs: vmr_obs::Counter,
+    empty_replies: vmr_obs::Counter,
+    grants: vmr_obs::Counter,
+    reports: vmr_obs::Counter,
+    peer_failures: vmr_obs::Counter,
+    server_fallbacks: vmr_obs::Counter,
+    busy_deferrals: vmr_obs::Counter,
+    wu_validated: vmr_obs::Counter,
+    wu_failed: vmr_obs::Counter,
+    report_delay_s: vmr_obs::Histo,
+    feeder_occupancy: vmr_obs::TimeGauge,
+    transitioner_scope: vmr_obs::Scope,
+    host_valid: vmr_obs::Counter,
+    host_invalid: vmr_obs::Counter,
+    host_error: vmr_obs::Counter,
+    error_escapes: vmr_obs::Counter,
+    trust_spot_checks: vmr_obs::Counter,
+    trust_spot_check_failures: vmr_obs::Counter,
+    trust_replication_saved: vmr_obs::Counter,
+    trust_hosts_trusted: vmr_obs::TimeGauge,
+}
+
+impl EngineObs {
+    fn attach(obs: &vmr_obs::Obs) -> Self {
+        EngineObs {
+            rpcs: obs.counter("vcore.rpcs"),
+            empty_replies: obs.counter("vcore.empty_replies"),
+            grants: obs.counter("vcore.grants"),
+            reports: obs.counter("vcore.reports"),
+            peer_failures: obs.counter("vcore.peer_failures"),
+            server_fallbacks: obs.counter("vcore.server_fallbacks"),
+            busy_deferrals: obs.counter("vcore.busy_deferrals"),
+            wu_validated: obs.counter_labeled("vcore.wu_outcomes", &[("outcome", "validated")]),
+            wu_failed: obs.counter_labeled("vcore.wu_outcomes", &[("outcome", "failed")]),
+            report_delay_s: obs.histogram("vcore.report_delay_s"),
+            feeder_occupancy: obs.time_gauge("vcore.feeder_occupancy"),
+            transitioner_scope: obs.scope("vcore.transitioner_sweep"),
+            host_valid: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "valid")]),
+            host_invalid: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "invalid")]),
+            host_error: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "error")]),
+            error_escapes: obs.counter("vcore.error_escapes"),
+            trust_spot_checks: obs.counter("trust.spot_checks"),
+            trust_spot_check_failures: obs.counter("trust.spot_check_failures"),
+            trust_replication_saved: obs.counter("trust.replication_saved"),
+            trust_hosts_trusted: obs.time_gauge("trust.hosts_trusted"),
+        }
+    }
+}
+
+impl Engine {
+    /// Starts a fluent [`EngineBuilder`] — the single construction
+    /// surface for engines: configuration, shard count, durability,
+    /// synthetic populations and ad-hoc clients in one pass.
+    pub fn builder(seed: u64) -> EngineBuilder {
+        EngineBuilder::new(seed)
+    }
+
+    /// The engine's metric registry rendered in Prometheus exposition
+    /// format — the same text the rtnet poll runtime serves on its
+    /// `GET /metrics` endpoint, so simulated and real runs are scraped
+    /// identically.
+    pub fn metrics_text(&self) -> String {
+        vmr_obs::render_prometheus(&self.obs.snapshot())
+    }
+
+    /// A one-shot human-readable dashboard of the engine's registry
+    /// (counters, gauges, latency summaries).
+    pub fn dashboard_text(&self) -> String {
+        vmr_obs::render_dashboard(&self.obs.snapshot(), "vcore engine")
+    }
+
+    /// Inserts a work unit; it becomes schedulable at the next daemon
+    /// tick (feeder pass).
+    pub fn insert_workunit(&mut self, spec: WorkUnitSpec) -> WuId {
+        self.db.insert_workunit(spec, self.sim.now())
+    }
+
+    // ----- accessors -------------------------------------------------------
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.sim.now()
+    }
+
+    /// The server's network host id.
+    pub fn server_host(&self) -> HostId {
+        self.server_host
+    }
+
+    /// Number of clients.
+    pub fn n_clients(&self) -> usize {
+        self.clients.len()
+    }
+
+    /// The network host of a client.
+    pub fn client_host(&self, c: ClientId) -> HostId {
+        self.clients[c.0 as usize].host
+    }
+
+    /// The profile of a client.
+    pub fn client_profile(&self, c: ClientId) -> &HostProfile {
+        &self.clients[c.0 as usize].profile
+    }
+
+    /// Has this client dropped out?
+    pub fn client_dropped(&self, c: ClientId) -> bool {
+        self.clients[c.0 as usize].dropped
+    }
+
+    /// Validation outcome tallies for a client. Maintained regardless
+    /// of whether the trust subsystem is enabled, so operators can see
+    /// the raw material a reputation system would consume.
+    pub fn host_outcomes(&self, c: ClientId) -> ValidationCounts {
+        self.host_outcomes[c.0 as usize]
+    }
+
+    /// Schedules a policy-defined event.
+    pub fn schedule_custom(&mut self, delay: SimDuration, tag: u64) {
+        self.sim.schedule_in(delay, Ev::Custom(tag));
+    }
+
+    /// Marks `name` as served by `client` for peers to download
+    /// (BOINC-MR: a mapper starts serving its outputs after execution).
+    pub fn register_served_file(
+        &mut self,
+        client: ClientId,
+        name: impl Into<String>,
+        bytes: u64,
+        until: Option<SimTime>,
+    ) {
+        self.clients[client.0 as usize]
+            .served
+            .insert(name.into(), ServedFile { bytes, until });
+    }
+
+    /// Stops serving `name` from `client` (job finished). Sibling
+    /// seeds of the file are dropped with it: once the job stops
+    /// serving a map output, nobody swarms its chunks any more.
+    pub fn unregister_served_file(&mut self, client: ClientId, name: &str) {
+        self.clients[client.0 as usize].served.remove(name);
+        self.swarm_index.drop_file(name);
+    }
+
+    /// Extends/reset the serving window of a file ("the map outputs'
+    /// timeout is reset … and the file becomes available for upload").
+    pub fn reset_serving_timeout(&mut self, client: ClientId, name: &str, until: Option<SimTime>) {
+        if let Some(f) = self.clients[client.0 as usize].served.get_mut(name) {
+            f.until = until;
+        }
+    }
+
+    /// The engine's WAL handle (disabled unless the builder attached one).
+    pub fn durable(&self) -> &Journal {
+        &self.durable
+    }
+
+    /// The shuffle strategy in effect — policies consult it for map
+    /// placement and reduce-input fetch planning.
+    pub fn shuffle_strategy(&self) -> &(dyn ShuffleStrategy + Send + Sync) {
+        self.shuffle.as_ref()
+    }
+
+    /// Pre-resolved `shuffle.*` counters (policies account planned
+    /// coded sends here; the engine accounts transfer bytes).
+    pub fn shuffle_obs(&self) -> &FetchObs {
+        &self.fobs
+    }
+
+    /// The vcore-owned snapshot sections (db, credit, assimilator) —
+    /// the prefix [`Engine::live_sections`] emits before the policy and
+    /// trust ledger add theirs.
+    pub fn state_sections(&self) -> Vec<(String, Vec<u8>)> {
+        use vmr_durable::section;
+        vec![
+            (section::NAMES[section::DB].into(), self.db.encode_state()),
+            (
+                section::NAMES[section::CREDIT].into(),
+                self.credit.encode_state(),
+            ),
+            (
+                section::NAMES[section::ASSIM].into(),
+                self.assimilator.encode_state(),
+            ),
+        ]
+    }
+
+    /// Every snapshot section in canonical order: the vcore-owned
+    /// trio, then whatever the policy contributes, then the trust
+    /// ledger (always present — a pristine ledger still encodes its
+    /// config deterministically). The recovery audit compares these
+    /// against a recovered image byte-for-byte.
+    pub fn live_sections<P: Policy>(&self, policy: &P) -> Vec<(String, Vec<u8>)> {
+        use vmr_durable::section;
+        let mut entries = self.state_sections();
+        policy.durable_sections(&mut entries);
+        entries.push((
+            section::NAMES[section::TRUST].into(),
+            self.trust.encode_state(),
+        ));
+        entries
+    }
+
+    // ----- main loop --------------------------------------------------------
+
+    /// Runs until `stop` returns true, the event queue drains, or `horizon`
+    /// passes. Returns the number of events processed.
+    pub fn run_until<P: Policy>(
+        &mut self,
+        policy: &mut P,
+        horizon: SimTime,
+        mut stop: impl FnMut(&Engine) -> bool,
+    ) -> u64 {
+        let mut n = 0;
+        self.arm_dropouts();
+        self.arm_net_wake();
+        // Construction-time records (WU inserts before the first run)
+        // belong to a transaction of their own.
+        self.durable.advance_to(self.sim.now().as_micros());
+        self.durable.commit();
+        loop {
+            // A crashed journal models a dead server: stop consuming
+            // events; whatever memory holds past this point is lost.
+            if self.durable.crashed() {
+                break;
+            }
+            if stop(self) {
+                break;
+            }
+            if self.sim.peek_time().map(|t| t > horizon).unwrap_or(true) {
+                break;
+            }
+            let ev = match self.sim.next_event() {
+                Some(e) => e,
+                None => break,
+            };
+            n += 1;
+            self.dispatch(policy, ev.payload);
+            // One dispatched event = one WAL transaction.
+            self.durable.commit();
+            self.arm_net_wake();
+        }
+        n
+    }
+
+    fn dispatch<P: Policy>(&mut self, policy: &mut P, ev: Ev) {
+        self.durable.advance_to(self.sim.now().as_micros());
+        match ev {
+            Ev::NetWake => self.on_net_wake(),
+            Ev::ClientWake(c) => self.client_rpc(policy, c),
+            Ev::ExecDone(c, rid) => self.on_exec_done(policy, c, rid),
+            Ev::DeadlineCheck(rid) => self.on_deadline(policy, rid),
+            Ev::DaemonTick => self.on_daemon_tick(policy),
+            Ev::PeerRetry(client, rid, idx) => {
+                self.start_input_download(InputSlot { client, rid, idx })
+            }
+            Ev::Dropout(c) => self.on_dropout(c),
+            Ev::Suspend(c) => self.on_suspend(c),
+            Ev::Resume(c) => self.on_resume(c),
+            Ev::Custom(tag) => policy.on_custom(self, tag),
+        }
+    }
+
+    fn arm_net_wake(&mut self) {
+        let target = match self.net.next_event_time() {
+            Some(t) if t < SimTime::MAX => Some(t.max(self.sim.now())),
+            _ => None,
+        };
+        // Keep a pending wake aimed at the same instant: cancelling and
+        // rescheduling would give it a fresh (younger) tie-break rank
+        // among same-time events, so a run stepped in short run_until
+        // segments could diverge from one continuous run.
+        if let (Some((ev, armed_at)), Some(t)) = (self.net_wake, target) {
+            if armed_at == t && self.sim.is_pending(ev) {
+                return;
+            }
+        }
+        if let Some((ev, _)) = self.net_wake.take() {
+            self.sim.cancel(ev);
+        }
+        if let Some(t) = target {
+            self.net_wake = Some((self.sim.schedule_at(t, Ev::NetWake), t));
+        }
+    }
+
+    // ----- server daemons ---------------------------------------------------
+
+    fn on_daemon_tick<P: Policy>(&mut self, policy: &mut P) {
+        // Periodic snapshot (full or incremental — the journal picks
+        // from its dirty bits), before the feeder refill so the
+        // snapshot captures the same state replay would rebuild. A
+        // `None` return means an incremental found nothing dirty and
+        // was skipped entirely.
+        if self.durable.snapshot_due() {
+            // Section order is fixed, so equal states produce
+            // byte-identical snapshots.
+            let sections = Sections {
+                entries: self.live_sections(policy),
+            };
+            if let Some(bytes) = self.durable.write_snapshot(&sections) {
+                let records = self.durable.records();
+                self.obs
+                    .journal
+                    .record_with(self.sim.now().as_micros(), || EventKind::SnapshotTaken {
+                        records,
+                        bytes: bytes as u64,
+                    });
+            }
+        }
+        // Feeder refill: copy unsent results (FIFO) into the cache,
+        // one id-ordered segment per shard (pool-parallel scan).
+        self.feeder
+            .refill(&self.db, self.cfg.feeder_slots, &self.pool);
+        self.eobs
+            .feeder_occupancy
+            .set(self.sim.now().as_micros(), self.feeder.len() as f64);
+        let period = SimDuration::from_secs_f64(self.cfg.server_daemon_period_s.max(0.1));
+        self.sim.schedule_in(period, Ev::DaemonTick);
+    }
+
+    fn after_report_transition<P: Policy>(&mut self, policy: &mut P, wu: WuId) {
+        let now = self.sim.now();
+        let transition = {
+            let _sweep = self.eobs.transitioner_scope.enter();
+            transition_wu(&mut self.db, wu, now)
+        };
+        match transition {
+            Transition::Validated {
+                canonical,
+                agreeing,
+            } => {
+                let clients: Vec<ClientId> = agreeing
+                    .iter()
+                    .filter_map(|&rid| self.db.result(rid).client)
+                    .collect();
+                // Credit: quorum members are granted; dissenting
+                // successes are flagged.
+                let dissenting: Vec<ClientId> = self
+                    .db
+                    .results_of(wu)
+                    .iter()
+                    .filter(|&&rid| {
+                        let r = self.db.result(rid);
+                        r.is_success() && r.fingerprint != Some(canonical)
+                    })
+                    .filter_map(|&rid| self.db.result(rid).client)
+                    .collect();
+                let flops = self.db.wu(wu).spec.flops;
+                // Error escape: a wrong fingerprint became canonical
+                // (colluders outvoted the honest hosts, or an
+                // unreplicated result was wrong). Tracked always — the
+                // fixed-quorum baseline rows need it too.
+                if canonical != honest_fingerprint(&self.db.wu(wu).spec.name) {
+                    self.eobs.error_escapes.inc();
+                }
+                // Per-host outcome tallies, kept even with trust off.
+                for &c in &clients {
+                    self.host_outcomes[c.0 as usize].valid += 1;
+                    self.eobs.host_valid.inc();
+                }
+                for &c in &dissenting {
+                    self.host_outcomes[c.0 as usize].invalid += 1;
+                    self.eobs.host_invalid.inc();
+                }
+                if self.cfg.trust.enabled {
+                    for &c in &dissenting {
+                        // A trusted host caught dissenting is a failed
+                        // spot-check: the whole point of keeping the
+                        // occasional replicated WU for trusted hosts.
+                        if self.trust.is_trusted(c.0) {
+                            self.eobs.trust_spot_check_failures.inc();
+                        }
+                        self.trust.observe(c.0, TrustOutcome::Mismatch);
+                    }
+                    for &c in &clients {
+                        self.trust.observe(c.0, TrustOutcome::Agree);
+                    }
+                    self.eobs
+                        .trust_hosts_trusted
+                        .set(now.as_micros(), self.trust.trusted_count() as f64);
+                }
+                // Credit: an unreplicated validation (trusted host,
+                // quorum overridden to one) is granted pro-rata to the
+                // host's reliability; full quorums grant as before.
+                let unreplicated = self.db.wu(wu).effective_quorum() == 1 && clients.len() == 1;
+                if self.cfg.trust.enabled && unreplicated {
+                    let scale = self.trust.reliability(clients[0].0);
+                    self.credit
+                        .on_wu_validated_scaled(&clients, &dissenting, flops, scale);
+                } else {
+                    self.credit.on_wu_validated(&clients, &dissenting, flops);
+                }
+                self.assimilator.assimilate(crate::assimilate::Assimilated {
+                    wu,
+                    wu_name: self.db.wu(wu).spec.name.clone(),
+                    app: self.db.wu(wu).spec.app.clone(),
+                    canonical,
+                    holders: clients.clone(),
+                    at: now,
+                });
+                self.eobs.wu_validated.inc();
+                self.journal_wu_transition(wu, "validated", "validated");
+                policy.on_wu_validated(self, wu, &clients);
+            }
+            Transition::Failed => {
+                self.eobs.wu_failed.inc();
+                self.journal_wu_transition(wu, "failed", "wu-failed");
+                policy.on_wu_failed(self, wu);
+            }
+            // Retried: the new replicas become schedulable at the next
+            // feeder pass; deadlines attach when they are sent.
+            Transition::Retried { .. } | Transition::None => {}
+        }
+    }
+
+    /// Journals a work unit's terminal transition, as the typed event
+    /// and as the `server`-lane timeline point.
+    fn journal_wu_transition(&self, wu: WuId, to: &str, point_kind: &str) {
+        let now = self.sim.now().as_micros();
+        self.obs
+            .journal
+            .record_with(now, || EventKind::WuTransition {
+                wu: wu.to_string(),
+                to: to.into(),
+            });
+        self.obs
+            .journal
+            .point("server", point_kind, wu.to_string(), now);
+    }
+
+    /// A result of `c` errored or timed out: the credit ledger, the
+    /// per-host tallies and (when enabled) the trust ledger all hear.
+    fn note_host_error(&mut self, c: ClientId) {
+        self.credit.on_error(c);
+        self.host_outcomes[c.0 as usize].errors += 1;
+        self.eobs.host_error.inc();
+        if self.cfg.trust.enabled {
+            self.trust.observe(c.0, TrustOutcome::Error);
+        }
+    }
+
+    /// Adaptive replication: re-evaluates a WU's replication level at
+    /// the moment a replica is handed to `cid` (the one point where the
+    /// scheduler knows both the WU and the host).
+    ///
+    /// * Granting to an **untrusted** host always restores the spec
+    ///   quorum, so a relaxed quorum can never be inherited by a retry
+    ///   landing on an unknown host.
+    /// * Granting the WU's **first live attempt** to a trusted host
+    ///   drops the quorum to one and cancels the spare replicas —
+    ///   unless a randomized spot-check keeps full replication to keep
+    ///   trusted hosts honest.
+    ///
+    /// No-op (and no rng draws) when `cfg.trust.enabled` is false.
+    fn adapt_replication(&mut self, cid: ClientId, rid: ResultId) {
+        if !self.cfg.trust.enabled {
+            return;
+        }
+        let wu = self.db.result(rid).wu;
+        if !self.trust.is_trusted(cid.0) {
+            // `set_quorum_override` is a no-op (no WAL record) when the
+            // override is already clear.
+            self.db.set_quorum_override(wu, None);
+            return;
+        }
+        // Only the WU's first live attempt is eligible for relaxation:
+        // every sibling replica must still be unsent (no reports,
+        // retries or in-flight copies a quorum change could strand).
+        let eligible = self
+            .db
+            .results_of(wu)
+            .iter()
+            .all(|&r| r == rid || self.db.result(r).state == ResultState::Unsent);
+        if !eligible {
+            return;
+        }
+        let decision = {
+            let policy = ReplicationPolicy::new(self.cfg.trust.clone());
+            let rng = &mut self.trust_rng;
+            policy.decide(true, |p| rng.chance(p))
+        };
+        match decision {
+            ReplicationDecision::Single => {
+                let spares: Vec<ResultId> = self
+                    .db
+                    .results_of(wu)
+                    .iter()
+                    .copied()
+                    .filter(|&r| r != rid)
+                    .collect();
+                for r in spares {
+                    if self.db.cancel_unsent(r) {
+                        self.feeder.remove(r);
+                        self.eobs.trust_replication_saved.inc();
+                    }
+                }
+                self.db.set_quorum_override(wu, Some(1));
+            }
+            ReplicationDecision::SpotCheck => {
+                self.trust.record_spot_check(cid.0);
+                self.eobs.trust_spot_checks.inc();
+                self.db.set_quorum_override(wu, None);
+            }
+            ReplicationDecision::Full => {
+                self.db.set_quorum_override(wu, None);
+            }
+        }
+    }
+
+    /// Lane name used in the timeline for a client.
+    pub fn client_name(&self, c: ClientId) -> String {
+        format!("node-{:02}", c.0)
+    }
+}
+
+/// The honest output fingerprint of a work unit (FNV-1a of its name).
+pub fn honest_fingerprint(wu_name: &str) -> OutputFingerprint {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in wu_name.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    OutputFingerprint(h)
+}
+
+/// The wrong-but-agreed fingerprint a colluding clique emits for a WU:
+/// derived from the honest fingerprint and the clique tag only, so
+/// every member produces the same value without coordination. The
+/// low bit is forced on, matching the random-corruption convention
+/// (never equal to the honest output).
+pub fn clique_fingerprint(honest: OutputFingerprint, tag: u64) -> OutputFingerprint {
+    // splitmix64 finalizer decorrelates nearby tags.
+    let mut z = tag.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    OutputFingerprint(honest.0 ^ z | 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::Corruption;
+    use crate::types::{FileRef, FileSource};
+    use vmr_netsim::HostLink;
+
+    fn small_engine(n_clients: usize) -> Engine {
+        Engine::builder(42)
+            .clients((0..n_clients).map(|_| {
+                (
+                    HostProfile::pc3001(),
+                    HostLink::symmetric_mbit(100.0, 0.000_5),
+                )
+            }))
+            .build()
+    }
+
+    fn wu_spec(name: &str, input_bytes: u64, output_bytes: u64) -> WorkUnitSpec {
+        let mut s = WorkUnitSpec::basic(name, "app", 2e9); // ~1.3 s on pc3001
+        if input_bytes > 0 {
+            s.inputs = vec![FileRef::on_server(format!("{name}_in"), input_bytes)];
+        }
+        s.output_bytes = output_bytes;
+        s
+    }
+
+    #[test]
+    fn single_wu_validates_end_to_end() {
+        let mut eng = small_engine(3);
+        let wu = eng.insert_workunit(wu_spec("w0", 1_000_000, 100_000));
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(4000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
+        assert_eq!(
+            eng.db.wu(wu).canonical,
+            Some(honest_fingerprint("w0")),
+            "canonical fingerprint is the honest one"
+        );
+        assert!(eng.stats.reports >= 2);
+        assert!(eng.stats.grants >= 2);
+        // Replicas must have landed on distinct clients.
+        let holders: Vec<_> = eng
+            .db
+            .results_of(wu)
+            .iter()
+            .filter_map(|&r| eng.db.result(r).client)
+            .collect();
+        let mut dedup = holders.clone();
+        dedup.sort();
+        dedup.dedup();
+        assert_eq!(holders.len(), dedup.len());
+    }
+
+    #[test]
+    fn ops_surface_renders_engine_registry() {
+        let mut eng = small_engine(2);
+        eng.insert_workunit(wu_spec("w0", 0, 1_000));
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(4000), |e| {
+            e.db.all_wus_terminal()
+        });
+        let text = eng.metrics_text();
+        let dash = eng.dashboard_text();
+        assert!(dash.contains("vcore engine"), "dashboard carries its title");
+        if cfg!(feature = "record") {
+            assert!(
+                text.contains("vcore_rpcs"),
+                "scrape must expose the engine counters:\n{text}"
+            );
+            assert!(text.contains("# TYPE vcore_rpcs counter"));
+        } else {
+            assert!(!text.contains("vcore_rpcs"), "recorder compiled out");
+        }
+    }
+
+    #[test]
+    fn byzantine_minority_is_outvoted() {
+        let mut eng = small_engine(4);
+        eng.fault = FaultPlan {
+            byzantine: vec![ClientId(0)],
+            corruption_prob: 1.0,
+            ..FaultPlan::default()
+        };
+        let mut spec = wu_spec("w0", 0, 0);
+        spec.target_nresults = 3;
+        spec.min_quorum = 2;
+        let wu = eng.insert_workunit(spec);
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(40_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
+        assert_eq!(eng.db.wu(wu).canonical, Some(honest_fingerprint("w0")));
+    }
+
+    #[test]
+    fn all_clients_byzantine_fails_wu() {
+        // 5 clients so the retry replicas can actually be placed (the
+        // one-replica-per-host rule would otherwise strand them unsent).
+        let mut eng = small_engine(5);
+        eng.fault = FaultPlan {
+            byzantine: (0..5).map(ClientId).collect(),
+            corruption_prob: 1.0,
+            ..FaultPlan::default()
+        };
+        let mut spec = wu_spec("w0", 0, 0);
+        spec.max_total_results = 4;
+        let wu = eng.insert_workunit(spec);
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(100_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        // Either failed outright, or stuck inconclusive forever — with
+        // corruption_prob 1.0 and random fingerprints, quorum is
+        // (essentially) impossible, and budget 4 must exhaust.
+        assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Failed);
+    }
+
+    #[test]
+    fn empty_reply_triggers_backoff_growth() {
+        let mut eng = small_engine(1);
+        // No work at all: the lone client polls and backs off.
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(3600), |_| false);
+        assert!(eng.stats.empty_replies >= 3);
+        // RPC count is bounded by backoff growth: within an hour with a
+        // 600 s cap the client cannot poll more than ~20 times.
+        assert!(eng.stats.rpcs < 25, "rpcs={}", eng.stats.rpcs);
+    }
+
+    #[test]
+    fn peer_download_via_served_file() {
+        let mut eng = small_engine(2);
+        // Client 1 serves a file; a WU downloads it from peers.
+        eng.register_served_file(ClientId(1), "part0", 1_000_000, None);
+        let mut spec = wu_spec("w0", 0, 0);
+        spec.target_nresults = 1;
+        spec.min_quorum = 1;
+        spec.inputs = vec![FileRef {
+            name: "part0".into(),
+            bytes: 1_000_000,
+            source: FileSource::Peers(vec![ClientId(1)]),
+        }];
+        let wu = eng.insert_workunit(spec);
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(4000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
+        assert_eq!(eng.stats.server_fallbacks, 0);
+        assert_eq!(eng.stats.peer_failures, 0);
+    }
+
+    #[test]
+    fn missing_peer_file_falls_back_to_server() {
+        let mut eng = small_engine(2);
+        // No served file registered → every attempt fails → fallback.
+        let mut spec = wu_spec("w0", 0, 0);
+        spec.target_nresults = 1;
+        spec.min_quorum = 1;
+        spec.inputs = vec![FileRef {
+            name: "missing".into(),
+            bytes: 500_000,
+            source: FileSource::Peers(vec![ClientId(1)]),
+        }];
+        let wu = eng.insert_workunit(spec);
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(4000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
+        assert!(eng.stats.peer_failures >= eng.cfg.peer_retry_limit as u64);
+        assert_eq!(eng.stats.server_fallbacks, 1);
+    }
+
+    #[test]
+    fn dropout_before_report_times_out_and_retries() {
+        let mut eng = small_engine(3);
+        eng.fault = FaultPlan {
+            dropouts: vec![(ClientId(0), SimDuration::from_secs(5))],
+            ..FaultPlan::default()
+        };
+        // Make dropout matter: long compute so c0 holds a task at t=5.
+        let mut spec = wu_spec("w0", 0, 0);
+        spec.flops = 100.0 * 1.5e9; // ~100 s on pc3001
+        spec.delay_bound = SimDuration::from_secs(300);
+        let wu = eng.insert_workunit(spec);
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(100_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
+        assert!(eng.client_dropped(ClientId(0)));
+    }
+
+    #[test]
+    fn report_delay_measured_for_idle_tail() {
+        // One client, one tiny WU (quorum 1): after finishing, the client
+        // reports at its next RPC — delay should be recorded.
+        let mut eng = small_engine(1);
+        let mut spec = wu_spec("w0", 0, 0);
+        spec.target_nresults = 1;
+        spec.min_quorum = 1;
+        eng.insert_workunit(spec);
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(4000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert_eq!(eng.stats.report_delay.count(), 1);
+    }
+
+    #[test]
+    fn availability_pauses_execution() {
+        // Dedicated host vs a 50% duty-cycle volunteer, same 200 s task.
+        let run = |avail: bool| {
+            let mut prof = HostProfile::pc3001();
+            if avail {
+                prof = prof.with_availability(60.0, 60.0);
+            }
+            let mut eng = Engine::builder(123)
+                .client(prof, HostLink::symmetric_mbit(100.0, 0.000_5))
+                .build();
+            let mut spec = wu_spec("w0", 0, 0);
+            spec.flops = 200.0 * 1.5e9;
+            spec.target_nresults = 1;
+            spec.min_quorum = 1;
+            eng.insert_workunit(spec);
+            let mut policy = NullPolicy;
+            eng.run_until(&mut policy, SimTime::from_secs(100_000), |e| {
+                e.db.all_wus_terminal()
+            });
+            assert!(eng.db.all_wus_terminal(), "avail={avail} did not finish");
+            eng.db.wu(crate::types::WuId(0)).finished_at.unwrap()
+        };
+        let dedicated = run(false);
+        let volunteer = run(true);
+        assert!(
+            volunteer > dedicated,
+            "suspensions must stretch completion: {volunteer:?} <= {dedicated:?}"
+        );
+    }
+
+    #[test]
+    fn credit_granted_to_quorum_and_denied_to_byzantine() {
+        let mut eng = small_engine(4);
+        eng.fault = FaultPlan {
+            byzantine: vec![ClientId(0)],
+            corruption_prob: 1.0,
+            ..FaultPlan::default()
+        };
+        let mut spec = wu_spec("w0", 0, 0);
+        spec.target_nresults = 3;
+        spec.min_quorum = 2;
+        eng.insert_workunit(spec);
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(40_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        let total = eng.credit.total_granted();
+        assert!(total > 0.0, "quorum members must earn credit");
+        let cheat = eng.credit.account(ClientId(0));
+        assert_eq!(cheat.granted, 0.0, "byzantine host earns nothing");
+        // The cheater either dissented (invalid) or wasn't picked at all.
+        let board = eng.credit.leaderboard();
+        assert!(board.iter().all(|(c, g)| *c != ClientId(0) || *g == 0.0));
+    }
+
+    #[test]
+    fn quarantine_starves_unreliable_host() {
+        let mut eng = small_engine(4);
+        eng.cfg.max_host_error_rate = Some(0.5);
+        eng.fault = FaultPlan {
+            byzantine: vec![ClientId(0)],
+            corruption_prob: 1.0,
+            ..FaultPlan::default()
+        };
+        // Many quorum-2 WUs: the byzantine host keeps dissenting, its
+        // error rate climbs, and the scheduler cuts it off.
+        for i in 0..8 {
+            let mut spec = wu_spec(&format!("w{i}"), 0, 0);
+            spec.target_nresults = 3;
+            spec.min_quorum = 2;
+            eng.insert_workunit(spec);
+        }
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(100_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert!(eng.db.all_wus_terminal());
+        let cheat = eng.credit.account(ClientId(0));
+        assert!(
+            cheat.invalid_results >= 1,
+            "cheater must have dissented at least once"
+        );
+        assert!(
+            cheat.error_rate() > 0.5,
+            "ledger must reflect the cheating: {}",
+            cheat.error_rate()
+        );
+        // After quarantine kicks in, honest hosts do (almost) all work:
+        // the cheater's share of grants stays well below fair share.
+        let cheat_tasks = cheat.valid_results + cheat.invalid_results;
+        let honest_tasks: u64 = (1..4)
+            .map(|c| {
+                let a = eng.credit.account(ClientId(c));
+                a.valid_results + a.invalid_results
+            })
+            .sum();
+        assert!(
+            cheat_tasks * 3 < honest_tasks,
+            "quarantine should starve the cheater: {cheat_tasks} vs {honest_tasks}"
+        );
+    }
+
+    #[test]
+    fn locality_scheduling_prefers_local_candidate() {
+        // Two WUs are available; the lone requesting client serves the
+        // input of the *second* one. FIFO matchmaking grants the first;
+        // locality matchmaking must grant the second (local data).
+        fn in_progress(eng: &Engine, wu: WuId) -> bool {
+            eng.db
+                .results_of(wu)
+                .iter()
+                .any(|&r| eng.db.result(r).client.is_some())
+        }
+        let run = |locality: bool| -> WuId {
+            let mut eng = small_engine(1);
+            eng.cfg.locality_scheduling = locality;
+            eng.cfg.client_buffer_slots = 1; // one grant per RPC
+            eng.register_served_file(ClientId(0), "partB", 2_000_000, None);
+            let mut a = wu_spec("wA", 0, 0);
+            a.target_nresults = 1;
+            a.min_quorum = 1;
+            let mut b = wu_spec("wB", 0, 0);
+            b.target_nresults = 1;
+            b.min_quorum = 1;
+            b.inputs = vec![crate::types::FileRef {
+                name: "partB".into(),
+                bytes: 2_000_000,
+                source: FileSource::Peers(vec![ClientId(0)]),
+            }];
+            let wu_a = eng.insert_workunit(a);
+            let wu_b = eng.insert_workunit(b);
+            let mut policy = NullPolicy;
+            // Stop at the first grant.
+            eng.run_until(&mut policy, SimTime::from_secs(4000), |e| {
+                e.stats.grants >= 1
+            });
+            [wu_a, wu_b]
+                .into_iter()
+                .find(|&wu| in_progress(&eng, wu))
+                .expect("one WU must be granted")
+        };
+        assert_eq!(run(false), WuId(0), "FIFO grants the oldest WU");
+        assert_eq!(run(true), WuId(1), "locality grants the WU with local data");
+    }
+
+    #[test]
+    fn deterministic_runs() {
+        let run = |seed| {
+            let mut eng = Engine::builder(seed)
+                .clients((0..5).map(|_| {
+                    (
+                        HostProfile::pc3001(),
+                        HostLink::symmetric_mbit(100.0, 0.000_5),
+                    )
+                }))
+                .build();
+            for i in 0..4 {
+                eng.insert_workunit(wu_spec(&format!("w{i}"), 500_000, 100_000));
+            }
+            let mut policy = NullPolicy;
+            eng.run_until(&mut policy, SimTime::from_secs(40_000), |e| {
+                e.db.all_wus_terminal()
+            });
+            (
+                eng.now(),
+                eng.stats.rpcs,
+                eng.stats.reports,
+                eng.stats.grants,
+            )
+        };
+        assert_eq!(run(7), run(7));
+        // Different seeds: at least the run completes (values may differ).
+        let _ = run(8);
+    }
+
+    /// A built engine's run, pinned: the values were recorded through
+    /// the `testbed` + `add_client` loop + `attach_durable` sequence
+    /// the builder replaced, at the last commit that had it — same
+    /// stats, same canonical state encodings, same WAL bytes.
+    #[test]
+    fn builder_reproduces_recorded_legacy_construction() {
+        let link = || HostLink::symmetric_mbit(100.0, 0.000_5);
+        let mut eng = Engine::builder(99)
+            .config(ProjectConfig::default())
+            .durability(vmr_durable::DurabilityPlan::new(0.0))
+            .clients((0..4).map(|_| (HostProfile::pc3001(), link())))
+            .build();
+        for i in 0..4 {
+            eng.insert_workunit(wu_spec(&format!("w{i}"), 300_000, 60_000));
+        }
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(40_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert!(eng.db.all_wus_terminal());
+        assert_eq!(
+            (
+                eng.now().as_micros(),
+                eng.stats.rpcs,
+                eng.stats.grants,
+                eng.stats.reports
+            ),
+            (61_394_172, 12, 8, 8)
+        );
+        let pin = |b: &[u8]| (b.len(), vmr_durable::crc::crc32(b));
+        assert_eq!(pin(&eng.db.encode_state()), (856, 2_718_603_776));
+        assert_eq!(pin(&eng.credit.encode_state()), (148, 408_817_123));
+        assert_eq!(pin(&eng.assimilator.encode_state()), (184, 3_439_022_447));
+        assert_eq!(pin(&eng.durable().log_bytes()), (2141, 1_888_182_884));
+    }
+
+    /// `.population(spec)` puts the generated hosts behind their ISP
+    /// tiers in the *engine's* topology and registers each as a client
+    /// with its generated profile; the server stays on the core.
+    #[test]
+    fn builder_population_becomes_clients_behind_tiers() {
+        let spec = crate::population::PopulationSpec::internet(64, 5);
+        let standalone = spec.generate();
+        let mut eng = Engine::builder(5).population(spec).build();
+        assert_eq!(eng.n_clients(), 64);
+        // One WU drives the full loop over the hierarchical network.
+        let mut s = wu_spec("w0", 100_000, 10_000);
+        s.target_nresults = 2;
+        s.min_quorum = 2;
+        s.delay_bound = SimDuration::from_secs(50_000);
+        let wu = eng.insert_workunit(s);
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(200_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
+        // Generated profiles carried over verbatim, tiers preserved.
+        for (i, want) in standalone.hosts.iter().enumerate() {
+            let c = ClientId(i as u32);
+            assert_eq!(eng.client_profile(c).model, want.profile.model);
+            assert_eq!(
+                eng.client_profile(c).flops_per_sec.to_bits(),
+                want.profile.flops_per_sec.to_bits()
+            );
+            assert_eq!(
+                eng.net.topology().tier_of(eng.client_host(c)),
+                Some(want.tier)
+            );
+        }
+        assert_eq!(eng.net.topology().tier_of(eng.server_host()), None);
+        assert!(eng.net.topology().is_hierarchical());
+    }
+
+    // ----- trust / adaptive replication -------------------------------------
+
+    /// A trust config that trusts quickly and never spot-checks, so the
+    /// adaptive path is deterministic in tests.
+    fn eager_trust() -> vmr_trust::TrustConfig {
+        let mut t = vmr_trust::TrustConfig::enabled();
+        t.probation_results = 2;
+        t.spot_check_rate = 0.0;
+        t
+    }
+
+    fn trust_engine(n_clients: usize, trust: vmr_trust::TrustConfig) -> Engine {
+        let cfg = ProjectConfig {
+            trust,
+            ..ProjectConfig::default()
+        };
+        Engine::builder(42)
+            .config(cfg)
+            .clients((0..n_clients).map(|_| {
+                (
+                    HostProfile::pc3001(),
+                    HostLink::symmetric_mbit(100.0, 0.000_5),
+                )
+            }))
+            .build()
+    }
+
+    #[test]
+    fn trusted_hosts_graduate_to_single_replication() {
+        let mut eng = trust_engine(2, eager_trust());
+        for i in 0..10 {
+            eng.insert_workunit(wu_spec(&format!("w{i}"), 0, 0));
+        }
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(100_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert!(eng.db.all_wus_terminal());
+        assert_eq!(eng.trust.trusted_count(), 2, "both hosts graduate");
+        // Once trusted, later WUs validate from a single result.
+        let relaxed = (0..10)
+            .filter(|&i| eng.db.wu(WuId(i)).quorum_override == Some(1))
+            .count();
+        assert!(relaxed >= 4, "only {relaxed} WUs ran unreplicated");
+        // Every WU still validated with the honest canonical output.
+        for i in 0..10 {
+            assert_eq!(
+                eng.db.wu(WuId(i)).state,
+                crate::workunit::WuState::Validated
+            );
+            assert_eq!(
+                eng.db.wu(WuId(i)).canonical,
+                Some(honest_fingerprint(&format!("w{i}")))
+            );
+        }
+        // Redundant work was actually saved: fewer reports than the
+        // 2-per-WU fixed-quorum baseline.
+        assert!(
+            eng.stats.reports < 20,
+            "reports={} should be below 2/WU",
+            eng.stats.reports
+        );
+    }
+
+    #[test]
+    fn spot_checks_keep_full_replication() {
+        let mut t = eager_trust();
+        t.spot_check_rate = 1.0; // every trusted grant is a spot-check
+        let mut eng = trust_engine(2, t);
+        for i in 0..8 {
+            eng.insert_workunit(wu_spec(&format!("w{i}"), 0, 0));
+        }
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(100_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert!(eng.db.all_wus_terminal());
+        assert_eq!(eng.trust.trusted_count(), 2);
+        for i in 0..8 {
+            assert_eq!(
+                eng.db.wu(WuId(i)).quorum_override,
+                None,
+                "spot-checks must never relax the quorum"
+            );
+        }
+        let checks: u64 = (0..2).map(|c| eng.trust.host(c).spot_checks).sum();
+        assert!(checks > 0, "spot-checks must be recorded in the ledger");
+        assert_eq!(eng.stats.reports, 16, "full 2-way replication kept");
+    }
+
+    #[test]
+    fn dissent_revokes_trust() {
+        // One host turns byzantine after building trust (a sleeper
+        // waking mid-run). Spot-checks must catch it: without them an
+        // unreplicated wrong result simply *becomes* canonical.
+        let mut t = eager_trust();
+        t.spot_check_rate = 0.5;
+        let mut eng = trust_engine(3, t);
+        eng.fault = FaultPlan::trust_poisoning(3, 0.34, 1.0, SimDuration::from_secs(30), 9);
+        let member = (0..3)
+            .map(ClientId)
+            .find(|&c| {
+                matches!(
+                    eng.fault.index().corruption_now(
+                        c,
+                        SimTime::from_secs(31),
+                        &mut RngStream::new(1)
+                    ),
+                    Corruption::Random
+                )
+            })
+            .expect("one sleeper member");
+        for i in 0..24 {
+            let mut spec = wu_spec(&format!("w{i}"), 0, 0);
+            spec.flops = 7.5e9; // ~5 s on pc3001: the run outlives the wake
+            eng.insert_workunit(spec);
+        }
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(200_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert!(eng.db.all_wus_terminal());
+        assert!(
+            !eng.trust.is_trusted(member.0),
+            "the sleeper must lose trust after defecting"
+        );
+        assert!(
+            eng.host_outcomes(member).invalid > 0,
+            "dissents must be tallied"
+        );
+    }
+
+    #[test]
+    fn host_outcome_tallies_without_trust() {
+        // Trust disabled: the per-host validation ledger still fills.
+        let mut eng = small_engine(3);
+        eng.fault = FaultPlan {
+            byzantine: vec![ClientId(0)],
+            corruption_prob: 1.0,
+            ..FaultPlan::default()
+        };
+        for i in 0..4 {
+            let mut spec = wu_spec(&format!("w{i}"), 0, 0);
+            spec.target_nresults = 3;
+            spec.min_quorum = 2;
+            eng.insert_workunit(spec);
+        }
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(100_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        let honest: u64 = (1..3).map(|c| eng.host_outcomes(ClientId(c)).valid).sum();
+        assert!(honest > 0, "honest hosts tally valids");
+        assert!(
+            eng.host_outcomes(ClientId(0)).invalid > 0,
+            "byzantine host tallies invalids"
+        );
+        assert_eq!(eng.trust.trusted_count(), 0, "ledger untouched when off");
+    }
+
+    #[test]
+    fn trust_disabled_knobs_do_not_change_behavior() {
+        // With `enabled: false`, the other trust knobs must not leak
+        // into the run: stats and journaled state stay bit-identical
+        // to the default config.
+        let run = |trust: vmr_trust::TrustConfig| {
+            let cfg = ProjectConfig {
+                trust,
+                ..ProjectConfig::default()
+            };
+            let mut eng = Engine::builder(7)
+                .config(cfg)
+                .clients((0..4).map(|_| {
+                    (
+                        HostProfile::pc3001(),
+                        HostLink::symmetric_mbit(100.0, 0.000_5),
+                    )
+                }))
+                .build();
+            for i in 0..4 {
+                eng.insert_workunit(wu_spec(&format!("w{i}"), 200_000, 50_000));
+            }
+            let mut policy = NullPolicy;
+            eng.run_until(&mut policy, SimTime::from_secs(40_000), |e| {
+                e.db.all_wus_terminal()
+            });
+            (
+                eng.now(),
+                eng.stats.rpcs,
+                eng.stats.grants,
+                eng.stats.reports,
+                eng.db.encode_state(),
+                eng.credit.encode_state(),
+            )
+        };
+        let weird = vmr_trust::TrustConfig {
+            trust_threshold: 0.9,
+            probation_results: 0,
+            spot_check_rate: 1.0,
+            ..Default::default()
+        };
+        assert!(!weird.enabled);
+        assert_eq!(run(vmr_trust::TrustConfig::default()), run(weird));
+    }
+
+    #[test]
+    fn colluding_clique_fingerprints_agree() {
+        let honest = honest_fingerprint("w0");
+        let a = clique_fingerprint(honest, 77);
+        let b = clique_fingerprint(honest, 77);
+        assert_eq!(a, b, "members derive the same wrong answer");
+        assert_ne!(a, honest);
+        assert_ne!(a, clique_fingerprint(honest, 78));
+    }
+
+    #[test]
+    fn clique_quorum_escapes_validation() {
+        // Both replicas land on clique members → their shared wrong
+        // fingerprint reaches quorum and escapes as canonical.
+        let mut eng = small_engine(2);
+        eng.fault = FaultPlan::colluding_clique(2, 1.0, 5, 11);
+        let wu = eng.insert_workunit(wu_spec("w0", 0, 0));
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(40_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
+        assert_eq!(
+            eng.db.wu(wu).canonical,
+            Some(clique_fingerprint(honest_fingerprint("w0"), 5)),
+            "the clique's agreed-on wrong answer becomes canonical"
+        );
+    }
+}

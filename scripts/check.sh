@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints (warnings are errors), the
 # full test suite, the observability feature matrix, and a bench smoke
-# that refreshes BENCH_netsim.json. Run before sending a change.
+# that refreshes BENCH_netsim.json and diffs Table I / Fig. 4 against
+# the committed goldens. Run before sending a change.
 #
 # Usage: scripts/check.sh [--no-test] [--no-bench]
 
@@ -40,7 +41,7 @@ fi
 
 if [ "$NO_BENCH" -eq 0 ]; then
     echo "==> bench smoke: flow_churn (refreshes BENCH_netsim.json)"
-    cargo build --offline --release -p vmr-bench --bin flow_churn --bin table1
+    cargo build --offline --release -p vmr-bench --bin flow_churn --bin table1 --bin fig4
     ./target/release/flow_churn \
         | sed -n 's/^BENCH_netsim\.json //p' > BENCH_netsim.json
     [ -s BENCH_netsim.json ] || { echo "flow_churn emitted no BENCH line" >&2; exit 1; }
@@ -50,9 +51,13 @@ if [ "$NO_BENCH" -eq 0 ]; then
         ./target/release/flow_churn --scale-smoke
     fi
 
-    echo "==> bench smoke: table1 --quick (with metrics dump)"
-    ./target/release/table1 --quick --metrics /tmp/table1_quick_metrics.json > /dev/null
+    echo "==> bench smoke: table1 --quick (with metrics dump) and fig4 vs the committed goldens"
+    ./target/release/table1 --quick --metrics /tmp/table1_quick_metrics.json \
+        | diff tests/golden/table1_quick.txt - \
+        || { echo "table1 --quick diverged from tests/golden/table1_quick.txt" >&2; exit 1; }
     [ -s /tmp/table1_quick_metrics.json ] || { echo "table1 --metrics wrote nothing" >&2; exit 1; }
+    ./target/release/fig4 | diff tests/golden/fig4.txt - \
+        || { echo "fig4 diverged from tests/golden/fig4.txt" >&2; exit 1; }
 
     echo "==> crash-replay smoke: crash mid-run, resume from the WAL mirror, byte-diff"
     echo "    (single-log plan, then sharded + incremental + compacted)"
@@ -64,9 +69,7 @@ if [ "$NO_BENCH" -eq 0 ]; then
 
     if [ "${SHARD_SMOKE:-0}" = "1" ]; then
         echo "==> shard smoke: 4-shard table1 --quick byte-diffed vs 1 shard (SHARD_SMOKE=1)"
-        ./target/release/table1 --quick > /tmp/table1_quick_1shard.txt
-        ./target/release/table1 --quick --shards 4 > /tmp/table1_quick_4shard.txt
-        diff /tmp/table1_quick_1shard.txt /tmp/table1_quick_4shard.txt \
+        ./target/release/table1 --quick --shards 4 | diff tests/golden/table1_quick.txt - \
             || { echo "4-shard table1 output diverged from 1 shard" >&2; exit 1; }
 
         echo "==> shard smoke: serve-loop scaling (refreshes BENCH_shard.json, >=2.5x floor)"
@@ -83,12 +86,6 @@ if [ "$NO_BENCH" -eq 0 ]; then
         ./target/release/shuffle_ablation --smoke \
             | sed -n 's/^BENCH_shuffle\.json //p' > BENCH_shuffle.json
         [ -s BENCH_shuffle.json ] || { echo "shuffle_ablation emitted no BENCH line" >&2; exit 1; }
-
-        echo "==> shuffle smoke: table1 --quick byte-diffed, baseline vs legacy transfer path"
-        ./target/release/table1 --quick > /tmp/table1_quick_baseline.txt
-        ./target/release/table1 --quick --shuffle legacy > /tmp/table1_quick_legacy.txt
-        diff /tmp/table1_quick_baseline.txt /tmp/table1_quick_legacy.txt \
-            || { echo "baseline shuffle diverged from the legacy transfer path" >&2; exit 1; }
     fi
 
     if [ "${TRUST_SMOKE:-0}" = "1" ]; then
