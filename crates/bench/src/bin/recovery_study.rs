@@ -18,6 +18,14 @@
 //! a second table compares plan shapes (full snapshots, incremental,
 //! sharded) at a fixed cadence.
 //!
+//! A third table prices every `DurabilityPlan` switch at the shape of
+//! `benchmark/`'s `wal_cycle` workload (500 hosts × 25 work units,
+//! 300 s snapshots, file mirror): run time as a median over rotated
+//! rounds with its quartile spread, bytes logged / mirrored / left
+//! after compaction, and the time to recover the server from what the
+//! mirror holds — each recovered image checked section by section
+//! against the live engine.
+//!
 //! `--smoke` is the check.sh gate: crash one run at a fixed record
 //! count, mirror its WAL through a file sink, resume from the mirrored
 //! bytes, and byte-compare the Table I row against an uninterrupted
@@ -29,7 +37,10 @@
 use std::time::Instant;
 use vmr_bench::{calibrated_sizing, row_config, run_or_exit, table1_rows};
 use vmr_core::{format_row, resume_experiment, ExperimentConfig, MrMode, RecoveredServerState};
+use vmr_desim::SimTime;
 use vmr_durable::{compact, sink_image, CompactionPolicy, CrashPlan, DurabilityPlan};
+use vmr_netsim::HostLink;
+use vmr_vcore::{Engine, HostProfile, NullPolicy, WorkUnitSpec};
 
 fn study_config(full: bool) -> ExperimentConfig {
     let row = table1_rows()[0];
@@ -175,6 +186,119 @@ fn sweep(full: bool) {
     }
 }
 
+/// `(q1, median, q3)` of `xs` (nearest-rank on the sorted sample).
+fn quartiles(xs: &mut [f64]) -> (f64, f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+    (at(0.25), at(0.5), at(0.75))
+}
+
+/// Every plan switch priced at the `wal_cycle` shape. Rounds rotate the
+/// plan order so no plan always runs first (cold) or last.
+fn wal_cycle_table() {
+    const ROUNDS: usize = 7;
+    const HOSTS: u32 = 500;
+    const WUS_PER_HOST: u32 = 25;
+    let mib4 = CompactionPolicy::max_mirror_bytes(4 << 20);
+    let base = || DurabilityPlan::new(300.0);
+    let plans: [(&str, DurabilityPlan); 8] = [
+        ("plain", base()),
+        ("inc(4)", base().with_incremental(4)),
+        ("sharded", base().with_sharding()),
+        ("sharded+inc(4)", base().with_incremental(4).with_sharding()),
+        ("group(8)", base().with_group_commit(8)),
+        ("group(64)", base().with_group_commit(64)),
+        ("inline 4MiB", base().with_compaction(mib4)),
+        (
+            "background 4MiB",
+            base().with_compaction(mib4).with_background_compaction(),
+        ),
+    ];
+
+    let dir = std::env::temp_dir().join(format!("vmr-recovery-study-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let mut run_ms: Vec<Vec<f64>> = vec![Vec::new(); plans.len()];
+    let mut recov_ms: Vec<Vec<f64>> = vec![Vec::new(); plans.len()];
+    // (log, mirror, compacted) bytes and replayed records: counts, the
+    // same every round.
+    let mut sizes = vec![(0usize, 0usize, 0usize, 0u64); plans.len()];
+    for round in 0..ROUNDS {
+        for k in 0..plans.len() {
+            let i = (k + round) % plans.len();
+            let plan = plans[i].1.clone().with_sink(dir.join("wal.mirror"));
+            let mut eng = Engine::builder(1)
+                .durability(plan.clone())
+                .clients((0..HOSTS).map(|_| {
+                    (
+                        HostProfile::pc3001(),
+                        HostLink::symmetric_mbit(100.0, 0.000_5),
+                    )
+                }))
+                .build();
+            for w in 0..HOSTS * WUS_PER_HOST {
+                eng.insert_workunit(WorkUnitSpec::basic(format!("w{w}"), "app", 2e9));
+            }
+            let t0 = Instant::now();
+            eng.run_until(&mut NullPolicy, SimTime::from_secs(500_000), |e| {
+                e.db.all_wus_terminal()
+            });
+            eng.durable().flush_sink();
+            run_ms[i].push(t0.elapsed().as_secs_f64() * 1e3);
+
+            let disk = sink_image(&plan).expect("WAL mirror missing");
+            let t1 = Instant::now();
+            let rec = RecoveredServerState::from_log(&disk).expect("recovery failed");
+            recov_ms[i].push(t1.elapsed().as_secs_f64() * 1e3);
+            let got = rec.encode_sections();
+            for (name, live) in eng.state_sections() {
+                let found = got.iter().find(|(n, _)| *n == name).map(|(_, b)| b);
+                assert!(
+                    found == Some(&live),
+                    "{}: recovered section `{name}` differs from the live engine",
+                    plans[i].0
+                );
+            }
+            let mirror: usize = plan
+                .sink_paths()
+                .iter()
+                .map(|p| std::fs::metadata(p).map_or(0, |m| m.len() as usize))
+                .sum();
+            let compacted = compact(&disk).expect("compaction failed").len();
+            sizes[i] = (eng.durable().log_len(), mirror, compacted, rec.replayed);
+            for p in plan.sink_paths() {
+                std::fs::remove_file(p).ok();
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    println!();
+    println!(
+        "# plan switches at the wal_cycle shape: {HOSTS} hosts x {WUS_PER_HOST} WUs, 300 s \
+         snapshots, file mirror; median of {ROUNDS} rotated rounds (KB = 1000 B)"
+    );
+    println!(
+        "{:>16} | {:>8} | {:>9} | {:>9} | {:>9} | {:>9} | {:>8} | {:>8}",
+        "plan", "run_ms", "spread_ms", "log_KB", "mirror_KB", "cmpct_KB", "recov_ms", "replay"
+    );
+    for (i, (name, _)) in plans.iter().enumerate() {
+        let (q1, med, q3) = quartiles(&mut run_ms[i]);
+        let (_, recov, _) = quartiles(&mut recov_ms[i]);
+        let (log, mirror, compacted, replayed) = sizes[i];
+        println!(
+            "{:>16} | {:>8.1} | {:>9.1} | {:>9.1} | {:>9.1} | {:>9.1} | {:>8.1} | {:>8}",
+            name,
+            med,
+            q3 - q1,
+            log as f64 / 1e3,
+            mirror as f64 / 1e3,
+            compacted as f64 / 1e3,
+            recov,
+            replayed,
+        );
+    }
+}
+
 /// Crash → mirror → resume → byte-compare. Returns false on mismatch.
 fn smoke() -> bool {
     let mut cfg = ExperimentConfig::table1(5, 3, 2, MrMode::InterClient);
@@ -294,4 +418,5 @@ fn main() {
         return;
     }
     sweep(args.iter().any(|a| a == "--full"));
+    wal_cycle_table();
 }

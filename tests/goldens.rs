@@ -2,8 +2,8 @@
 //! output the repository promises to keep byte-identical is pinned here
 //! against files generated once and never regenerated casually:
 //! Table I (quick and full), Fig. 4, and the WAL byte stream of one
-//! journaled Table I row. The text is built by the same
-//! `vmr_bench::paper` calls the `table1` / `fig4` binaries print with
+//! journaled Table I row, raw and compacted. The text is built by the
+//! same `vmr_bench::paper` calls the `table1` / `fig4` binaries print with
 //! (`scripts/check.sh` also diffs the binaries' stdout against the same
 //! files).
 //!
@@ -15,7 +15,7 @@
 use vmr_bench::paper::{fig4_text, table1_text, Table1Opts};
 use vmr_bench::{calibrated_sizing, row_config, table1_rows};
 use vmr_core::{run_experiment, MrMode};
-use vmr_durable::DurabilityPlan;
+use vmr_durable::{compact, DurabilityPlan};
 use vmr_mapreduce::hashes::{sha256, to_hex};
 
 /// Points at the first differing line instead of dumping two tables.
@@ -78,7 +78,15 @@ fn durable_row_wal_matches_golden() {
         (WAL_LEN, WAL_SHA256),
         "WAL byte stream of the journaled BOINC-MR row moved"
     );
+    let compacted = compact(&wal).expect("an intact log compacts");
+    assert_eq!(
+        (compacted.len(), to_hex(&sha256(&compacted)).as_str()),
+        (COMPACTED_LEN, COMPACTED_SHA256),
+        "compacted image of the journaled BOINC-MR row moved"
+    );
 }
 
 const WAL_LEN: usize = 35816;
 const WAL_SHA256: &str = "0290f1f38d0c59a256f9129529fc1c2fc99ff3159ce44f6c46c1e9946a9ca54e";
+const COMPACTED_LEN: usize = 13387;
+const COMPACTED_SHA256: &str = "00c8e6a8a5a9f5343a75195bb002a38952a363b2ac054c3beee74693f9c90557";
