@@ -21,16 +21,6 @@ fn bench_wal_overhead(c: &mut Criterion) {
         ("off", DurabilityPlan::disabled()),
         ("wal-only", DurabilityPlan::new(0.0)),
         ("wal+snap60s", DurabilityPlan::new(60.0)),
-        (
-            "wal+snap60s-inc4",
-            DurabilityPlan::new(60.0).with_incremental(4),
-        ),
-        (
-            "wal+snap60s-sharded",
-            DurabilityPlan::new(60.0)
-                .with_incremental(4)
-                .with_sharding(),
-        ),
     ];
     for (name, plan) in plans {
         let mut cfg = small();
@@ -54,16 +44,6 @@ fn bench_recovery(c: &mut Criterion) {
     for (name, plan) in [
         ("wal-only", DurabilityPlan::new(0.0)),
         ("wal+snap60s", DurabilityPlan::new(60.0)),
-        (
-            "wal+snap60s-inc4",
-            DurabilityPlan::new(60.0).with_incremental(4),
-        ),
-        (
-            "wal+snap60s-sharded",
-            DurabilityPlan::new(60.0)
-                .with_incremental(4)
-                .with_sharding(),
-        ),
     ] {
         let mut cfg = small();
         cfg.durable = plan;

@@ -14,31 +14,30 @@
 //!
 //! The sweep also reports the **compacted** image size per cadence
 //! (`cmpct_KiB`): what the on-disk mirror shrinks to once frames
-//! superseded by the latest committed full snapshot are dropped — and
-//! a second table compares plan shapes (full snapshots, incremental,
-//! sharded) at a fixed cadence.
+//! superseded by the latest committed snapshot are dropped.
 //!
-//! A third table prices every `DurabilityPlan` switch at the shape of
-//! `benchmark/`'s `wal_cycle` workload (500 hosts × 25 work units,
-//! 300 s snapshots, file mirror): run time as a median over rotated
-//! rounds with its quartile spread, bytes logged / mirrored / left
-//! after compaction, and the time to recover the server from what the
-//! mirror holds — each recovered image checked section by section
-//! against the live engine.
+//! A second table prices inline mirror compaction against the plain
+//! plan at the shape of `benchmark/`'s `wal_cycle` workload (500 hosts
+//! × 25 work units, 300 s snapshots, file mirror): run time as a median
+//! over rotated rounds with its quartile spread, bytes logged /
+//! mirrored / left after compaction, and the time to recover the
+//! server from what the mirror holds — each recovered image checked
+//! section by section against the live engine. (EXPERIMENTS.md keeps
+//! the rows of the plan switches this table priced before they were
+//! deleted.)
 //!
 //! `--smoke` is the check.sh gate: crash one run at a fixed record
 //! count, mirror its WAL through a file sink, resume from the mirrored
 //! bytes, and byte-compare the Table I row against an uninterrupted
-//! run — exit 1 on any divergence. Runs twice: once with the classic
-//! single-log plan, once with sharding + incremental snapshots +
-//! mirror compaction all enabled, resuming from the compacted
-//! per-section files on disk.
+//! run — exit 1 on any divergence. Runs twice: once with the plain
+//! plan, once with inline mirror compaction, resuming from the
+//! compacted file on disk.
 
 use std::time::Instant;
 use vmr_bench::{calibrated_sizing, row_config, run_or_exit, table1_rows};
 use vmr_core::{format_row, resume_experiment, ExperimentConfig, MrMode, RecoveredServerState};
 use vmr_desim::SimTime;
-use vmr_durable::{compact, sink_image, CompactionPolicy, CrashPlan, DurabilityPlan};
+use vmr_durable::{compact, CompactionPolicy, CrashPlan, DurabilityPlan};
 use vmr_netsim::HostLink;
 use vmr_vcore::{Engine, HostProfile, NullPolicy, WorkUnitSpec};
 
@@ -140,50 +139,6 @@ fn sweep(full: bool) {
             "journaling changed the simulation"
         );
     }
-
-    // Plan shapes at one cadence: full snapshots vs incremental vs
-    // sharded. Same workload, same 60 s checkpoint interval.
-    println!();
-    println!("# plan shapes at 60 s cadence");
-    println!(
-        "{:>16} | {:>9} | {:>9} | {:>8} | {:>8}",
-        "plan", "wal_KiB", "cmpct_KiB", "replay", "recov_us"
-    );
-    let shapes: [(&str, DurabilityPlan); 4] = [
-        ("full", DurabilityPlan::new(60.0)),
-        ("inc(k=4)", DurabilityPlan::new(60.0).with_incremental(4)),
-        ("sharded", DurabilityPlan::new(60.0).with_sharding()),
-        (
-            "sharded+inc(4)",
-            DurabilityPlan::new(60.0)
-                .with_incremental(4)
-                .with_sharding(),
-        ),
-    ];
-    for (name, plan) in shapes {
-        let mut c = cfg.clone();
-        c.durable = plan;
-        let out = run_or_exit(&c);
-        assert!(out.all_done && !out.crashed);
-        let wal = out.wal.as_ref().unwrap();
-        let compacted = compact(wal).expect("compaction failed");
-        let t1 = Instant::now();
-        let rec = RecoveredServerState::from_log(wal).expect("recovery failed");
-        let recov_us = t1.elapsed().as_secs_f64() * 1e6;
-        println!(
-            "{:>16} | {:>9.1} | {:>9.1} | {:>8} | {:>8.0}",
-            name,
-            wal.len() as f64 / 1024.0,
-            compacted.len() as f64 / 1024.0,
-            rec.replayed,
-            recov_us,
-        );
-        assert_eq!(
-            out.reports[0].total_s.to_bits(),
-            base.reports[0].total_s.to_bits(),
-            "plan shape changed the simulation"
-        );
-    }
 }
 
 /// `(q1, median, q3)` of `xs` (nearest-rank on the sorted sample).
@@ -193,25 +148,18 @@ fn quartiles(xs: &mut [f64]) -> (f64, f64, f64) {
     (at(0.25), at(0.5), at(0.75))
 }
 
-/// Every plan switch priced at the `wal_cycle` shape. Rounds rotate the
-/// plan order so no plan always runs first (cold) or last.
+/// Inline mirror compaction priced against the plain plan at the
+/// `wal_cycle` shape. Rounds rotate the plan order so no plan always
+/// runs first (cold) or last.
 fn wal_cycle_table() {
     const ROUNDS: usize = 7;
     const HOSTS: u32 = 500;
     const WUS_PER_HOST: u32 = 25;
-    let mib4 = CompactionPolicy::max_mirror_bytes(4 << 20);
-    let base = || DurabilityPlan::new(300.0);
-    let plans: [(&str, DurabilityPlan); 8] = [
-        ("plain", base()),
-        ("inc(4)", base().with_incremental(4)),
-        ("sharded", base().with_sharding()),
-        ("sharded+inc(4)", base().with_incremental(4).with_sharding()),
-        ("group(8)", base().with_group_commit(8)),
-        ("group(64)", base().with_group_commit(64)),
-        ("inline 4MiB", base().with_compaction(mib4)),
+    let plans: [(&str, DurabilityPlan); 2] = [
+        ("plain", DurabilityPlan::new(300.0)),
         (
-            "background 4MiB",
-            base().with_compaction(mib4).with_background_compaction(),
+            "inline 4MiB",
+            DurabilityPlan::new(300.0).with_compaction(CompactionPolicy::max_mirror_bytes(4 << 20)),
         ),
     ];
 
@@ -225,9 +173,10 @@ fn wal_cycle_table() {
     for round in 0..ROUNDS {
         for k in 0..plans.len() {
             let i = (k + round) % plans.len();
-            let plan = plans[i].1.clone().with_sink(dir.join("wal.mirror"));
+            let sink = dir.join("wal.mirror");
+            let plan = plans[i].1.clone().with_sink(&sink);
             let mut eng = Engine::builder(1)
-                .durability(plan.clone())
+                .durability(plan)
                 .clients((0..HOSTS).map(|_| {
                     (
                         HostProfile::pc3001(),
@@ -245,7 +194,7 @@ fn wal_cycle_table() {
             eng.durable().flush_sink();
             run_ms[i].push(t0.elapsed().as_secs_f64() * 1e3);
 
-            let disk = sink_image(&plan).expect("WAL mirror missing");
+            let disk = std::fs::read(&sink).expect("WAL mirror missing");
             let t1 = Instant::now();
             let rec = RecoveredServerState::from_log(&disk).expect("recovery failed");
             recov_ms[i].push(t1.elapsed().as_secs_f64() * 1e3);
@@ -258,23 +207,15 @@ fn wal_cycle_table() {
                     plans[i].0
                 );
             }
-            let mirror: usize = plan
-                .sink_paths()
-                .iter()
-                .map(|p| std::fs::metadata(p).map_or(0, |m| m.len() as usize))
-                .sum();
             let compacted = compact(&disk).expect("compaction failed").len();
-            sizes[i] = (eng.durable().log_len(), mirror, compacted, rec.replayed);
-            for p in plan.sink_paths() {
-                std::fs::remove_file(p).ok();
-            }
+            sizes[i] = (eng.durable().log_len(), disk.len(), compacted, rec.replayed);
         }
     }
     std::fs::remove_dir_all(&dir).ok();
 
     println!();
     println!(
-        "# plan switches at the wal_cycle shape: {HOSTS} hosts x {WUS_PER_HOST} WUs, 300 s \
+        "# mirror compaction at the wal_cycle shape: {HOSTS} hosts x {WUS_PER_HOST} WUs, 300 s \
          snapshots, file mirror; median of {ROUNDS} rotated rounds (KB = 1000 B)"
     );
     println!(
@@ -299,14 +240,15 @@ fn wal_cycle_table() {
     }
 }
 
-/// Crash → mirror → resume → byte-compare. Returns false on mismatch.
-fn smoke() -> bool {
+/// Crash → mirror → resume → byte-compare under `plan`. Returns false
+/// on mismatch.
+fn smoke(name: &str, plan: DurabilityPlan) -> bool {
     let mut cfg = ExperimentConfig::table1(5, 3, 2, MrMode::InterClient);
     cfg.input_bytes = 32 << 20;
-    cfg.durable = DurabilityPlan::new(120.0);
+    cfg.durable = plan;
 
     let base = run_or_exit(&cfg);
-    assert!(base.all_done, "smoke baseline did not complete");
+    assert!(base.all_done, "{name} smoke baseline did not complete");
     let committed = RecoveredServerState::from_log(base.wal.as_ref().unwrap())
         .expect("baseline log unreadable")
         .committed_records;
@@ -324,6 +266,15 @@ fn smoke() -> bool {
     assert!(dead.crashed && !dead.all_done, "crash plan never fired");
     let disk = std::fs::read(&sink).expect("WAL mirror missing");
     std::fs::remove_file(&sink).ok();
+    let mem_committed = RecoveredServerState::from_log(dead.wal.as_ref().unwrap())
+        .expect("in-memory image unreadable")
+        .committed_bytes;
+    if !cfg.durable.compaction.is_never() {
+        assert!(
+            disk.len() < mem_committed,
+            "the policy never rewrote the mirror"
+        );
+    }
 
     let resumed = resume_experiment(&crashed_cfg, &disk).expect("resume failed");
     let want = format_row(5, 3, 2, &base.reports[0]);
@@ -334,75 +285,16 @@ fn smoke() -> bool {
         && resumed.wal == base.wal;
     if ok {
         println!(
-            "recovery smoke OK: crashed at record {} of {}, resumed run is byte-identical",
-            committed / 2,
-            committed
-        );
-        println!("  row: {got}");
-    } else {
-        eprintln!("recovery smoke FAILED");
-        eprintln!("  baseline: {want} (finished {:?})", base.finished_at);
-        eprintln!("  resumed:  {got} (finished {:?})", resumed.finished_at);
-    }
-    ok
-}
-
-/// Same crash → resume → byte-compare gate with every durability
-/// feature on: incremental snapshots, a sharded per-section WAL, and
-/// mirror compaction — resuming from the compacted files on disk.
-fn smoke_sharded_compacted() -> bool {
-    let mut cfg = ExperimentConfig::table1(5, 3, 2, MrMode::InterClient);
-    cfg.input_bytes = 32 << 20;
-    cfg.durable = DurabilityPlan::new(120.0)
-        .with_incremental(3)
-        .with_sharding()
-        .with_compaction(CompactionPolicy::max_mirror_bytes(4096));
-
-    let base = run_or_exit(&cfg);
-    assert!(base.all_done, "sharded smoke baseline did not complete");
-    let committed = RecoveredServerState::from_log(base.wal.as_ref().unwrap())
-        .expect("baseline log unreadable")
-        .committed_records;
-
-    let sink = std::env::temp_dir().join(format!(
-        "vmr-recovery-smoke-sharded-{}.wal",
-        std::process::id()
-    ));
-    let mut crashed_cfg = cfg.clone();
-    crashed_cfg.durable = cfg
-        .durable
-        .clone()
-        .with_crash(CrashPlan::after_records(committed / 2))
-        .with_sink(&sink);
-    let dead = run_or_exit(&crashed_cfg);
-    assert!(dead.crashed && !dead.all_done, "crash plan never fired");
-    // Reassemble the per-section mirror files into one bundle image —
-    // exactly what a restarted server would read off disk.
-    let disk = sink_image(&crashed_cfg.durable).expect("WAL shard mirrors missing");
-    let mem_committed = RecoveredServerState::from_log(dead.wal.as_ref().unwrap())
-        .expect("in-memory image unreadable")
-        .committed_bytes;
-    for p in crashed_cfg.durable.sink_paths() {
-        std::fs::remove_file(p).ok();
-    }
-
-    let resumed = resume_experiment(&crashed_cfg, &disk).expect("sharded resume failed");
-    let want = format_row(5, 3, 2, &base.reports[0]);
-    let got = format_row(5, 3, 2, &resumed.reports[0]);
-    let ok = resumed.all_done
-        && got == want
-        && resumed.finished_at == base.finished_at
-        && resumed.wal == base.wal;
-    if ok {
-        println!(
-            "sharded+inc+compacted smoke OK: {} B compacted mirror vs {} B committed log, \
+            "{name} smoke OK: crashed at record {} of {}, {} B mirror vs {} B committed log, \
              resumed run is byte-identical",
+            committed / 2,
+            committed,
             disk.len(),
             mem_committed,
         );
         println!("  row: {got}");
     } else {
-        eprintln!("sharded+inc+compacted smoke FAILED");
+        eprintln!("{name} smoke FAILED");
         eprintln!("  baseline: {want} (finished {:?})", base.finished_at);
         eprintln!("  resumed:  {got} (finished {:?})", resumed.finished_at);
     }
@@ -412,7 +304,12 @@ fn smoke_sharded_compacted() -> bool {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--smoke") {
-        if !smoke() || !smoke_sharded_compacted() {
+        // The 20 s cadence puts several snapshots, and so a rewrite of
+        // the 4 KiB mirror, ahead of the crash.
+        let compacting =
+            DurabilityPlan::new(20.0).with_compaction(CompactionPolicy::max_mirror_bytes(4096));
+        if !smoke("recovery", DurabilityPlan::new(120.0)) || !smoke("compacted-mirror", compacting)
+        {
             std::process::exit(1);
         }
         return;

@@ -316,10 +316,10 @@ pub(crate) fn build_testbed(cfg: &ExperimentConfig, journal: Journal) -> (Engine
 /// back half of [`run_experiment`] and
 /// [`crate::recover::resume_experiment`].
 pub(crate) fn finish(eng: Engine, pol: MrPolicy) -> ExperimentOutcome {
-    // Clean run end: force the group-commit tail out of the mirror so
-    // the on-disk image matches the committed log. A crashed journal
-    // refuses (the dead server cannot flush), which is exactly the
-    // image recovery should see.
+    // Clean run end: give a mirror write that failed earlier one more
+    // try, so the on-disk image matches the committed log. A crashed
+    // journal refuses (the dead server cannot write), which is exactly
+    // the image recovery should see.
     eng.durable().flush_sink();
     let reports = pol
         .tracker

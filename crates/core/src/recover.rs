@@ -93,8 +93,8 @@ pub struct RecoveredServerState {
     /// Byte length of the committed log prefix.
     pub committed_bytes: usize,
     /// Sequence number of the boundary commit. Unlike frame or byte
-    /// counts this survives compaction and sharding unchanged, so the
-    /// resume path re-drives to this target.
+    /// counts this survives compaction unchanged, so the resume path
+    /// re-drives to this target.
     pub committed_seq: u64,
 }
 
@@ -214,7 +214,7 @@ pub fn resume_experiment(
     // The target is the commit *sequence*, not a frame count: the
     // image may be a compacted mirror whose frame and byte counts are
     // smaller than what the live re-run accumulates, but the commit
-    // sequence is invariant under compaction and sharding.
+    // sequence is invariant under compaction.
     if rec.committed_seq > 0 {
         let target = rec.committed_seq;
         eng.run_until(&mut pol, horizon(), |e| {

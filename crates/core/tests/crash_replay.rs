@@ -17,7 +17,7 @@ use vmr_core::experiment::{format_row, run_experiment, ExperimentConfig, Experim
 use vmr_core::recover::{resume_experiment, RecoveredServerState};
 use vmr_core::MrPolicy;
 use vmr_desim::{SimDuration, SimTime};
-use vmr_durable::{frame_ends, sink_image, CompactionPolicy, CrashPlan, DurabilityPlan, Journal};
+use vmr_durable::{frame_ends, CompactionPolicy, CrashPlan, DurabilityPlan, Journal};
 use vmr_netsim::HostLink;
 use vmr_vcore::{ClientId, Engine, FaultPlan, HostProfile, TrustConfig};
 
@@ -192,27 +192,24 @@ fn resumed_experiment_is_bit_identical_to_uninterrupted() {
     }
 }
 
-/// Resume bit-identity with all three durability features on at once —
-/// incremental snapshots, a sharded WAL and mirror compaction — and
-/// from *both* crash artifacts: the in-memory log and the compacted
-/// on-disk mirror a real crashed server would actually be left with.
+/// Resume bit-identity with inline mirror compaction on, from *both*
+/// crash artifacts: the in-memory log and the compacted on-disk mirror
+/// a real crashed server would actually be left with. The 20 s cadence
+/// puts several snapshots (and so a rewrite of the 4 KiB mirror) ahead
+/// of both crash points of this 135 s run.
 #[test]
-fn resume_bit_identical_with_sharding_incremental_and_compaction() {
+fn resume_bit_identical_from_the_compacted_mirror() {
     let dir = std::env::temp_dir().join(format!("vmr-crash-replay-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
     let mut cfg = ExperimentConfig::table1(5, 3, 2, MrMode::InterClient);
     cfg.input_bytes = 32 << 20;
-    cfg.durable = DurabilityPlan::new(120.0)
-        .with_incremental(3)
-        .with_sharding()
-        .with_compaction(CompactionPolicy::max_mirror_bytes(4096));
+    cfg.durable =
+        DurabilityPlan::new(20.0).with_compaction(CompactionPolicy::max_mirror_bytes(4096));
 
     let base = run_experiment(&cfg).expect("valid experiment config");
     assert!(base.all_done && !base.crashed);
-    let base_log = base.wal.as_ref().unwrap();
-    assert!(vmr_durable::frame::is_bundle(base_log), "sharded = bundle");
-    let full = RecoveredServerState::from_log(base_log).unwrap();
+    let full = RecoveredServerState::from_log(base.wal.as_ref().unwrap()).unwrap();
     assert!(full.committed_seq > 0);
 
     let crashes = [
@@ -220,12 +217,9 @@ fn resume_bit_identical_with_sharding_incremental_and_compaction() {
         CrashPlan::at_us(base.finished_at.as_micros() / 2),
     ];
     for (i, crash) in crashes.into_iter().enumerate() {
+        let sink = dir.join(format!("crash-{i}.wal"));
         let mut crashed_cfg = cfg.clone();
-        crashed_cfg.durable = cfg
-            .durable
-            .clone()
-            .with_crash(crash)
-            .with_sink(dir.join(format!("crash-{i}.wal")));
+        crashed_cfg.durable = cfg.durable.clone().with_crash(crash).with_sink(&sink);
         let dead = run_experiment(&crashed_cfg).expect("valid experiment config");
         assert!(dead.crashed, "{crash:?} never fired");
         let mem = dead.wal.as_ref().unwrap();
@@ -234,90 +228,20 @@ fn resume_bit_identical_with_sharding_incremental_and_compaction() {
         let resumed = resume_experiment(&crashed_cfg, mem).unwrap();
         assert_bit_identical(&resumed, &base, &format!("{crash:?} (memory image)"));
 
-        // …and from the on-disk mirror: sharded per-section files,
-        // compacted behind committed snapshots. Same boundary, same
-        // bit-identical outcome, despite holding fewer frames.
-        let disk = sink_image(&crashed_cfg.durable).unwrap();
-        assert!(vmr_durable::frame::is_bundle(&disk));
+        // …and from the on-disk mirror, compacted behind committed
+        // snapshots. Same boundary, same bit-identical outcome,
+        // despite holding fewer frames.
+        let disk = std::fs::read(&sink).unwrap();
         let from_mem = RecoveredServerState::from_log(mem).unwrap();
         let from_disk = RecoveredServerState::from_log(&disk).unwrap();
         assert_eq!(from_disk.committed_seq, from_mem.committed_seq);
         assert!(
-            from_disk.committed_bytes <= from_mem.committed_bytes,
-            "compacted mirror cannot be larger than the live log"
+            from_disk.committed_bytes < from_mem.committed_bytes,
+            "{crash:?}: the policy must have rewritten the mirror before the crash"
         );
         let resumed_disk = resume_experiment(&crashed_cfg, &disk).unwrap();
         assert_bit_identical(&resumed_disk, &base, &format!("{crash:?} (disk mirror)"));
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Group-commit crash semantics: with coalesced mirror flushes the
-/// on-disk image a crashed server leaves behind lags the in-memory
-/// log by up to one flush group (the dead server cannot run the final
-/// `flush_sink`), recovery from that lagging image lands exactly on
-/// the last *flushed* commit boundary — and resuming from either
-/// artifact is still bit-identical to an uninterrupted run.
-#[test]
-fn group_commit_crash_recovers_to_last_flushed_group() {
-    let dir = std::env::temp_dir().join(format!("vmr-group-commit-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let mut cfg = ExperimentConfig::table1(5, 3, 2, MrMode::InterClient);
-    cfg.input_bytes = 32 << 20;
-    cfg.durable = DurabilityPlan::new(120.0).with_group_commit(8);
-
-    let base = run_experiment(&cfg).expect("valid experiment config");
-    assert!(base.all_done && !base.crashed);
-    let full = RecoveredServerState::from_log(base.wal.as_ref().unwrap()).unwrap();
-    assert!(full.committed_records > 0);
-
-    let crashes = [
-        CrashPlan::after_records(full.committed_records / 2),
-        CrashPlan::at_us(base.finished_at.as_micros() / 2),
-    ];
-    let mut disk_lagged = 0u32;
-    for (i, crash) in crashes.into_iter().enumerate() {
-        let mut crashed_cfg = cfg.clone();
-        crashed_cfg.durable = cfg
-            .durable
-            .clone()
-            .with_crash(crash)
-            .with_sink(dir.join(format!("crash-{i}.wal")));
-        let dead = run_experiment(&crashed_cfg).expect("valid experiment config");
-        assert!(dead.crashed, "{crash:?} never fired");
-        let mem = dead.wal.as_ref().unwrap();
-
-        // The in-memory image holds everything committed up to the
-        // crash; resume from it is the usual bit-identity.
-        let resumed = resume_experiment(&crashed_cfg, mem).unwrap();
-        assert_bit_identical(&resumed, &base, &format!("group-commit {crash:?} (memory)"));
-
-        // The disk mirror only holds flushed groups: it recovers to a
-        // commit boundary no later than the in-memory one, and unless
-        // the crash landed exactly on a group boundary, strictly
-        // earlier.
-        let disk = sink_image(&crashed_cfg.durable).unwrap();
-        let from_mem = RecoveredServerState::from_log(mem).unwrap();
-        let from_disk = RecoveredServerState::from_log(&disk).unwrap();
-        assert!(
-            from_disk.committed_records <= from_mem.committed_records,
-            "mirror cannot be ahead of the log"
-        );
-        if from_disk.committed_records < from_mem.committed_records {
-            disk_lagged += 1;
-        }
-        let resumed_disk = resume_experiment(&crashed_cfg, &disk).unwrap();
-        assert_bit_identical(
-            &resumed_disk,
-            &base,
-            &format!("group-commit {crash:?} (disk)"),
-        );
-    }
-    assert!(
-        disk_lagged > 0,
-        "an 8-commit flush group should leave at least one crash image lagging"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -423,9 +347,7 @@ fn crash_on_a_fault_event_resumes_bit_identically() {
         dropouts: vec![(ClientId(4), SimDuration::from_secs(dropout_s))],
         ..FaultPlan::none()
     };
-    cfg.durable = DurabilityPlan::new(60.0)
-        .with_incremental(2)
-        .with_sharding();
+    cfg.durable = DurabilityPlan::new(60.0);
 
     let base = run_experiment(&cfg).expect("valid experiment config");
     assert!(base.all_done && !base.crashed, "faulted base must finish");

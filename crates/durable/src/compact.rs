@@ -1,21 +1,17 @@
 //! Log compaction: dropping frames superseded by a committed snapshot.
 //!
-//! A committed **full** snapshot makes every earlier frame redundant —
-//! recovery reads the last full snapshot, layers later incremental
-//! snapshots, and replays the changes after them; nothing before the
-//! full snapshot's frame is ever consulted. [`compact`] rewrites an
-//! image down to exactly the bytes recovery can use:
+//! A committed snapshot makes every earlier frame redundant — recovery
+//! reads the last snapshot and replays the changes after it; nothing
+//! before the snapshot's frame is ever consulted. [`compact`] rewrites
+//! an image down to exactly the bytes recovery can use:
 //!
 //! * the magic header,
-//! * everything from the start of the last committed full snapshot
-//!   frame (or the header, if none) through the last commit frame.
+//! * everything from the start of the last committed snapshot frame
+//!   (or the header, if none) through the last commit frame.
 //!
 //! The uncommitted tail is dropped too: a mirror only ever holds
 //! committed bytes, so compacting an in-memory image (which may carry
-//! crash debris) to the same form keeps the two comparable. For a
-//! sharded bundle each shard is compacted independently — any shard
-//! snapshot fully covers its single section, so per shard every
-//! snapshot frame starts a chain.
+//! crash debris) to the same form keeps the two comparable.
 //!
 //! This is the pure counterpart of the journal's mirror rewrite
 //! ([`crate::CompactionPolicy`]): `compact(log_bytes())` equals the
@@ -24,16 +20,31 @@
 //! the authoritative append-only image so a resumed run can reproduce
 //! it bit-for-bit.
 
-use crate::frame::{self, FRAME_COMMIT, FRAME_SNAPSHOT};
+use crate::frame::{self, FRAME_CHANGE, FRAME_COMMIT, FRAME_SNAPSHOT};
 use crate::recover::RecoverError;
 
-fn compact_log(log: &[u8]) -> Result<Vec<u8>, RecoverError> {
+/// Rewrites `log` without the frames superseded by the last committed
+/// snapshot. Recovery from the result yields the same sections, tail,
+/// boundary sequence and sim-time as from the original — only
+/// frame/byte counts shrink. An image [`crate::recover`] would reject
+/// for its magic or a frame kind is rejected here the same way, never
+/// rewritten.
+pub fn compact(log: &[u8]) -> Result<Vec<u8>, RecoverError> {
     let scan = frame::scan(log).map_err(|_| RecoverError::BadMagic)?;
     let last_commit = match scan.frames.iter().rposition(|f| f.kind == FRAME_COMMIT) {
         Some(i) => i,
         None => return Ok(frame::MAGIC.to_vec()), // nothing committed
     };
     let committed = &scan.frames[..=last_commit];
+    if let Some(i) = committed
+        .iter()
+        .position(|f| !matches!(f.kind, FRAME_CHANGE | FRAME_SNAPSHOT | FRAME_COMMIT))
+    {
+        return Err(RecoverError::UnknownFrameKind {
+            frame: i as u64,
+            kind: committed[i].kind,
+        });
+    }
     let chain_start = committed
         .iter()
         .rposition(|f| f.kind == FRAME_SNAPSHOT)
@@ -43,27 +54,6 @@ fn compact_log(log: &[u8]) -> Result<Vec<u8>, RecoverError> {
     out.extend_from_slice(frame::MAGIC);
     out.extend_from_slice(&log[chain_start..committed[last_commit].end]);
     Ok(out)
-}
-
-/// Rewrites `image` (a single log or a sharded bundle) without the
-/// frames superseded by committed snapshots. Recovery from the result
-/// yields the same sections, tail, boundary sequence and sim-time as
-/// from the original — only frame/byte counts shrink.
-pub fn compact(image: &[u8]) -> Result<Vec<u8>, RecoverError> {
-    if frame::is_bundle(image) {
-        let entries = frame::parse_bundle(image).map_err(RecoverError::BadBundle)?;
-        let mut compacted = Vec::with_capacity(entries.len());
-        for (name, log) in &entries {
-            compacted.push((name.clone(), compact_log(log)?));
-        }
-        let refs: Vec<(&str, &[u8])> = compacted
-            .iter()
-            .map(|(n, l)| (n.as_str(), l.as_slice()))
-            .collect();
-        Ok(frame::bundle(&refs))
-    } else {
-        compact_log(image)
-    }
 }
 
 #[cfg(test)]
@@ -119,10 +109,9 @@ mod tests {
     }
 
     #[test]
-    fn compacted_single_log_recovers_identically() {
-        for (snap_every, inc) in [(0, 1), (2, 1), (2, 3), (3, 2)] {
-            let plan = DurabilityPlan::new(0.0).with_incremental(inc);
-            let j = Journal::new(&plan).unwrap();
+    fn compacted_log_recovers_identically() {
+        for snap_every in [0, 2, 3] {
+            let j = Journal::new(&DurabilityPlan::new(0.0)).unwrap();
             drive(&j, snap_every);
             let img = j.log_bytes();
             assert_equiv(&img);
@@ -130,16 +119,6 @@ mod tests {
                 assert!(compact(&img).unwrap().len() < img.len());
             }
         }
-    }
-
-    #[test]
-    fn compacted_bundle_recovers_identically() {
-        let plan = DurabilityPlan::new(0.0).with_sharding().with_incremental(2);
-        let j = Journal::new(&plan).unwrap();
-        drive(&j, 2);
-        let img = j.log_bytes();
-        assert_equiv(&img);
-        assert!(compact(&img).unwrap().len() < img.len());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Physical log layout: a magic header followed by length-prefixed,
-//! CRC-framed records — plus the sharded-bundle container.
+//! CRC-framed records.
 //!
 //! ```text
 //! log      := MAGIC frame*
@@ -8,51 +8,36 @@
 //! payload  := kind:u8 body                   (crc = CRC-32(payload))
 //! ```
 //!
-//! `kind` distinguishes [`FRAME_CHANGE`] (a global record sequence
-//! number followed by one encoded `StateChange`), [`FRAME_SNAPSHOT`]
-//! (a full `Sections` dump), [`FRAME_SNAPSHOT_INC`] (an incremental
-//! dump holding only sections dirtied since the previous snapshot) and
-//! [`FRAME_COMMIT`] (a transaction boundary carrying the commit
-//! sim-time and a monotonic commit sequence). The scanner is tolerant
-//! of a *torn tail* — a final frame cut short or failing its CRC is
-//! dropped, along with everything after it, exactly as a real WAL
-//! discards a partial write after a crash. A bad CRC is never an error
-//! at this layer; corruption that survives CRC (a buggy writer)
-//! surfaces later when the payload fails to decode.
-//!
-//! A **sharded** WAL ([`crate::DurabilityPlan::sharded`]) is one such
-//! log per state section. Its single-image form is a *bundle*: the
-//! [`BUNDLE_MAGIC`] followed by a wire-encoded list of
-//! `(section name, shard log)` pairs, each shard log being a complete
-//! standalone `VMRWAL02` image. [`crate::recover`] dispatches on the
-//! leading magic.
+//! `kind` distinguishes [`FRAME_CHANGE`] (a record sequence number
+//! followed by one encoded `StateChange`), [`FRAME_SNAPSHOT`] (a
+//! `Sections` dump of the whole server state) and [`FRAME_COMMIT`] (a
+//! transaction boundary carrying the commit sim-time and a monotonic
+//! commit sequence). The scanner is tolerant of a *torn tail* — a
+//! final frame cut short or failing its CRC is dropped, along with
+//! everything after it, exactly as a real WAL discards a partial write
+//! after a crash. A bad CRC is never an error at this layer;
+//! corruption that survives CRC (a buggy writer) surfaces later when
+//! the payload fails to decode.
 
 use crate::crc::Crc32;
-use crate::wire::{Dec, Enc, WireError};
 use bytes::{BufMut, BytesMut};
 
 /// Log format magic + version. Bump the trailing digits on any layout
 /// change — there is no in-place migration. `02` added the record /
-/// commit sequence numbers and incremental snapshot frames.
+/// commit sequence numbers.
 pub const MAGIC: &[u8; 8] = b"VMRWAL02";
 
-/// Sharded-bundle magic: the image is a list of per-section shard
-/// logs, not a single frame stream.
-pub const BUNDLE_MAGIC: &[u8; 8] = b"VMRSHRD1";
-
 /// Frame kind: one encoded [`crate::StateChange`], prefixed by its
-/// global record sequence number (`u64` BE) — the merge key sharded
-/// recovery interleaves shard tails by.
+/// record sequence number (`u64` BE), which recovery checks is
+/// strictly increasing.
 pub const FRAME_CHANGE: u8 = 0;
 /// Frame kind: a full state snapshot ([`crate::Sections`]).
 pub const FRAME_SNAPSHOT: u8 = 1;
 /// Frame kind: a commit (transaction boundary), body = sim-time µs
 /// (`u64` BE) + monotonic commit sequence (`u64` BE).
 pub const FRAME_COMMIT: u8 = 2;
-/// Frame kind: an incremental snapshot — only the sections dirtied
-/// since the previous snapshot ([`crate::Sections`] subset). Recovery
-/// layers it over the last full snapshot.
-pub const FRAME_SNAPSHOT_INC: u8 = 3;
+// Kind 3 was the incremental snapshot of an earlier `VMRWAL02` writer;
+// it stays unassigned so such a log is rejected, not misread.
 
 /// Appends the magic header to an empty log buffer.
 pub fn put_magic(buf: &mut BytesMut) {
@@ -142,51 +127,6 @@ pub fn scan(log: &[u8]) -> Result<Scan, BadMagic> {
     Ok(out)
 }
 
-/// True when `image` carries the sharded-bundle magic.
-pub fn is_bundle(image: &[u8]) -> bool {
-    image.len() >= BUNDLE_MAGIC.len() && &image[..BUNDLE_MAGIC.len()] == BUNDLE_MAGIC
-}
-
-/// Assembles a sharded bundle image from `(section name, shard log)`
-/// pairs, in the order given.
-pub fn bundle(entries: &[(&str, &[u8])]) -> Vec<u8> {
-    let mut e = Enc::with_capacity(
-        BUNDLE_MAGIC.len()
-            + 8
-            + entries
-                .iter()
-                .map(|(n, b)| n.len() + b.len() + 8)
-                .sum::<usize>(),
-    );
-    e.u32(entries.len() as u32);
-    for (name, log) in entries {
-        e.str(name);
-        e.bytes(log);
-    }
-    let mut out = Vec::with_capacity(BUNDLE_MAGIC.len() + e.len());
-    out.extend_from_slice(BUNDLE_MAGIC);
-    out.extend_from_slice(&e.into_vec());
-    out
-}
-
-/// Splits a bundle image back into `(section name, shard log)` pairs.
-/// Fails with [`WireError`] when the container itself is corrupt or
-/// truncated (the bundle is written atomically; a torn *shard* is
-/// normal crash debris, a torn *container* is not).
-pub fn parse_bundle(image: &[u8]) -> Result<Vec<(String, Vec<u8>)>, WireError> {
-    debug_assert!(is_bundle(image));
-    let mut d = Dec::new(&image[BUNDLE_MAGIC.len()..]);
-    let n = d.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(16));
-    for _ in 0..n {
-        let name = d.str()?;
-        let log = d.bytes()?;
-        out.push((name, log));
-    }
-    d.finish()?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,33 +184,5 @@ mod tests {
         // A torn magic prefix is fine (empty log being created).
         assert!(scan(&MAGIC[..3]).unwrap().frames.is_empty());
         assert!(scan(b"").unwrap().frames.is_empty());
-    }
-
-    #[test]
-    fn bundle_round_trips() {
-        let a = sample_log().to_vec();
-        let b = {
-            let mut l = BytesMut::new();
-            put_magic(&mut l);
-            l.to_vec()
-        };
-        let img = bundle(&[("db", &a), ("credit", &b)]);
-        assert!(is_bundle(&img));
-        assert!(!is_bundle(&a));
-        let back = parse_bundle(&img).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].0, "db");
-        assert_eq!(back[0].1, a);
-        assert_eq!(back[1].0, "credit");
-        assert_eq!(back[1].1, b);
-    }
-
-    #[test]
-    fn torn_bundle_container_is_a_wire_error() {
-        let a = sample_log().to_vec();
-        let img = bundle(&[("db", &a)]);
-        for cut in BUNDLE_MAGIC.len()..img.len() {
-            assert!(parse_bundle(&img[..cut]).is_err(), "cut at {cut}");
-        }
     }
 }

@@ -19,29 +19,23 @@
 //! Recovery discards any records after the last commit frame — a
 //! crash mid-event can never expose a half-applied transition.
 //!
-//! **Sharding.** With [`DurabilityPlan::sharded`], the journal keeps
-//! one log per state section ([`crate::section`]); a change record
-//! routes to its section's shard under that shard's own lock, so
-//! appends to different sections never contend — the append path
-//! touches only atomics plus one shard mutex. Each commit writes the
-//! same `(sim-time, commit seq)` boundary to *every* shard, which
-//! makes the recoverable boundary of a set of independently torn
-//! shards simply the minimum of their last commit sequences; recovery
-//! merges shard tails back into the global order by the per-record
-//! sequence number ([`crate::recover`]).
+//! **Snapshots.** [`Journal::write_snapshot`] frames the whole server
+//! state ([`Sections`]) into the log at the plan's cadence. Once the
+//! commit after it lands, recovery starts from that snapshot and
+//! replays only the records behind it.
 //!
-//! **Incremental snapshots.** Applying a change sets its section's
-//! dirty bit; [`Journal::write_snapshot`] encodes only dirty sections
-//! (an incremental frame), forcing a full snapshot every
-//! [`DurabilityPlan::full_snapshot_every`]-th one. An incremental
-//! snapshot with nothing dirty is skipped entirely.
+//! **The file mirror.** With [`DurabilityPlan::sink`] set, every commit
+//! appends the bytes it just committed to that file with one
+//! `write(2)`. There is no `fsync`: when `commit` returns the bytes
+//! are in the kernel's page cache, which outlives this process but not
+//! a power loss. Uncommitted bytes never reach the file.
 //!
-//! **Compaction.** A committed full snapshot supersedes every earlier
-//! frame; when the [`CompactionPolicy`] triggers, the file mirror is
-//! rewritten (temp file + atomic rename) to start at that snapshot.
-//! The in-memory log is never compacted — it stays the authoritative,
-//! append-only image (`log_bytes` of a resumed run must reproduce the
-//! original bytes bit-for-bit).
+//! **Compaction.** A committed snapshot supersedes every earlier
+//! frame; when the [`CompactionPolicy`] triggers, the commit that
+//! notices rewrites the mirror (temp file + atomic rename) to start at
+//! that snapshot. The in-memory log is never compacted — it stays the
+//! authoritative, append-only image (`log_bytes` of a resumed run must
+//! reproduce the original bytes bit-for-bit).
 //!
 //! **Crash injection.** A [`CrashPlan`] deterministically kills the
 //! log: after the Nth change record, or at the first event boundary
@@ -56,13 +50,12 @@
 
 use crate::frame;
 use crate::record::StateChange;
-use crate::section;
 use crate::snapshot::Sections;
 use crate::wire::Enc;
 use bytes::BytesMut;
 use parking_lot::Mutex;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use vmr_obs::{Counter, Histo, Obs};
@@ -113,7 +106,7 @@ pub struct CompactionPolicy {
     /// Rewrite when the mirror file reaches this many bytes.
     pub max_mirror_bytes: Option<u64>,
     /// Rewrite when this many superseded change records sit in the
-    /// mirror (records before the last committed chain-start snapshot).
+    /// mirror (records before the last committed snapshot).
     pub max_superseded_records: Option<u64>,
 }
 
@@ -160,33 +153,14 @@ pub struct DurabilityPlan {
     /// Snapshot cadence in sim-seconds; `<= 0` disables snapshots
     /// (recovery then replays the whole log).
     pub snapshot_every_s: f64,
-    /// Every Kth snapshot is full; the K−1 between are incremental
-    /// (dirty sections only). `0` or `1` = every snapshot is full.
-    pub full_snapshot_every: u32,
-    /// One log per state section instead of a single shared log.
-    pub sharded: bool,
     /// Mirror-rewrite policy; [`CompactionPolicy::never`] by default.
     pub compaction: CompactionPolicy,
     /// Deterministic crash point, if any.
     pub crash: CrashPlan,
-    /// Optional file mirror: committed bytes are appended (and
-    /// flushed) at every commit. Sharded plans mirror each shard to
-    /// `{path}.{section}` (see [`DurabilityPlan::sink_paths`]).
+    /// Optional file mirror: every commit appends the bytes it
+    /// committed to this file. A restarted server reads it back and
+    /// hands it to [`crate::recover`].
     pub sink: Option<PathBuf>,
-    /// Group-commit: the mirror is written and flushed every Nth
-    /// commit instead of every commit, coalescing the accumulated
-    /// committed bytes into one write + fsync per interval. `0` or `1`
-    /// is the historical flush-per-commit behaviour. The in-memory log
-    /// and its commit frames are unaffected — only mirror I/O is
-    /// deferred, so a crash between flushes loses at most the last
-    /// N−1 committed events *from the mirror* (the recoverable
-    /// boundary moves back to the last flushed commit).
-    pub flush_every_commits: u64,
-    /// Drive mirror compaction from a detached background thread
-    /// (nudged at each commit) instead of inline on the commit path.
-    /// Rewrites are mirror-only, so this never affects simulation
-    /// state — it only moves the rewrite cost off the hot path.
-    pub background_compaction: bool,
 }
 
 impl DurabilityPlan {
@@ -200,13 +174,7 @@ impl DurabilityPlan {
         DurabilityPlan {
             enabled: true,
             snapshot_every_s,
-            full_snapshot_every: 1,
-            sharded: false,
-            compaction: CompactionPolicy::never(),
-            crash: CrashPlan::none(),
-            sink: None,
-            flush_every_commits: 1,
-            background_compaction: false,
+            ..DurabilityPlan::default()
         }
     }
 
@@ -222,81 +190,11 @@ impl DurabilityPlan {
         self
     }
 
-    /// Makes every Kth snapshot full and the rest incremental.
-    pub fn with_incremental(mut self, full_every: u32) -> Self {
-        self.full_snapshot_every = full_every;
-        self
-    }
-
-    /// Switches to one log per state section.
-    pub fn with_sharding(mut self) -> Self {
-        self.sharded = true;
-        self
-    }
-
     /// Sets the mirror compaction policy.
     pub fn with_compaction(mut self, policy: CompactionPolicy) -> Self {
         self.compaction = policy;
         self
     }
-
-    /// Group-commit: flush the mirror every `n` commits (see
-    /// [`DurabilityPlan::flush_every_commits`]).
-    pub fn with_group_commit(mut self, n: u64) -> Self {
-        self.flush_every_commits = n;
-        self
-    }
-
-    /// Runs mirror compaction on a background thread.
-    pub fn with_background_compaction(mut self) -> Self {
-        self.background_compaction = true;
-        self
-    }
-
-    /// The mirror file paths this plan writes: `[sink]` for a single
-    /// log, `{sink}.{section}` per section when sharded, empty without
-    /// a sink.
-    pub fn sink_paths(&self) -> Vec<PathBuf> {
-        match &self.sink {
-            None => Vec::new(),
-            Some(p) if !self.sharded => vec![p.clone()],
-            Some(p) => section::NAMES
-                .iter()
-                .map(|n| {
-                    let mut os = p.clone().into_os_string();
-                    os.push(format!(".{n}"));
-                    PathBuf::from(os)
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Reads a plan's mirror file(s) back into one recoverable image —
-/// the single log, or the shard bundle assembled from the per-section
-/// mirrors. This is what a restarted server hands to
-/// [`crate::recover`].
-pub fn sink_image(plan: &DurabilityPlan) -> std::io::Result<Vec<u8>> {
-    let paths = plan.sink_paths();
-    if paths.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::NotFound,
-            "plan has no sink",
-        ));
-    }
-    if !plan.sharded {
-        return std::fs::read(&paths[0]);
-    }
-    let mut logs = Vec::with_capacity(paths.len());
-    for p in &paths {
-        logs.push(std::fs::read(p)?);
-    }
-    let entries: Vec<(&str, &[u8])> = section::NAMES
-        .iter()
-        .zip(&logs)
-        .map(|(n, l)| (*n, l.as_slice()))
-        .collect();
-    Ok(frame::bundle(&entries))
 }
 
 /// Pre-resolved metric handles (no-ops without the `record` feature).
@@ -316,147 +214,129 @@ struct Watermark {
     records: u64,
 }
 
-/// One log (the only one, or one section's).
-struct Shard {
-    log: BytesMut,
+/// The file mirror of the committed log.
+struct Mirror {
+    file: std::fs::File,
+    path: PathBuf,
+    /// In-memory offset mirrored so far.
+    pos: usize,
+    /// In-memory offset where the file's content (after its magic)
+    /// begins; grows at each compaction.
+    from: usize,
+    /// Current file length.
+    len: u64,
+    /// Superseded records already dropped by past compactions.
+    dropped: u64,
+}
+
+impl Mirror {
+    fn create(path: &Path) -> std::io::Result<Self> {
+        Ok(Mirror {
+            file: std::fs::File::create(path)?,
+            path: path.to_path_buf(),
+            pos: 0,
+            from: frame::MAGIC.len(),
+            len: 0,
+            dropped: 0,
+        })
+    }
+}
+
+/// The log and everything that moves with it, behind one lock.
+struct Log {
+    bytes: BytesMut,
     /// Frames appended (changes + snapshots + commits).
     frames: u64,
-    /// Change records appended.
+    /// Change records appended — also the last record sequence number.
     records: u64,
+    /// Last commit sequence written (0 = nothing committed yet).
+    commit_seq: u64,
+    next_snapshot_us: u64,
     committed: Watermark,
     /// Offset of the frame the committed log is self-contained from:
-    /// the last committed chain-start snapshot, else the magic header.
+    /// the last committed snapshot, else the magic header.
     chain_start: usize,
     /// Change records superseded by `chain_start`.
     superseded: u64,
     /// Snapshot written but not yet committed:
-    /// `(frame offset, records at write, starts a chain)`.
-    pending_snap: Option<(usize, u64, bool)>,
-    sink: Option<std::fs::File>,
-    sink_path: Option<PathBuf>,
-    /// In-memory offset mirrored so far.
-    sink_pos: usize,
-    /// In-memory offset where the mirror's content (after its magic)
-    /// begins; grows at each compaction.
-    sink_from: usize,
-    /// Current mirror file length.
-    mirror_len: u64,
-    /// Superseded records already dropped by past compactions.
-    dropped: u64,
-    /// Commits since the mirror was last flushed (group-commit).
-    unflushed_commits: u64,
+    /// `(frame offset, records at write)`.
+    pending_snap: Option<(usize, u64)>,
+    mirror: Option<Mirror>,
 }
 
-impl Shard {
-    fn new(sink_path: Option<PathBuf>) -> std::io::Result<Self> {
-        let mut log = BytesMut::with_capacity(4096);
-        frame::put_magic(&mut log);
-        let sink = match &sink_path {
-            Some(p) => Some(std::fs::File::create(p)?),
-            None => None,
-        };
-        Ok(Shard {
-            log,
-            frames: 0,
-            records: 0,
-            committed: Watermark::default(),
-            chain_start: frame::MAGIC.len(),
-            superseded: 0,
-            pending_snap: None,
-            sink,
-            sink_path,
-            sink_pos: 0,
-            sink_from: frame::MAGIC.len(),
-            mirror_len: 0,
-            dropped: 0,
-            unflushed_commits: 0,
-        })
-    }
-
+impl Log {
     fn append_frame(&mut self, kind: u8, body: &[u8]) -> usize {
-        let n = frame::append_frame(&mut self.log, kind, body);
+        let n = frame::append_frame(&mut self.bytes, kind, body);
         self.frames += 1;
         n
     }
 
-    /// Mirrors newly committed bytes, honouring group-commit: the
-    /// write + flush happens only every `flush_every`-th commit, so
-    /// the accumulated committed bytes of the whole interval coalesce
-    /// into one syscall pair. Inline compaction (when not delegated to
-    /// the background thread) runs after a real flush.
-    fn mirror(
-        &mut self,
-        policy: &CompactionPolicy,
-        flush_every: u64,
-        background: bool,
-        obs: Option<&DurObs>,
-    ) {
-        if self.sink.is_none() {
-            return;
-        }
-        self.unflushed_commits += 1;
-        if self.unflushed_commits < flush_every.max(1) {
-            return; // defer to the group boundary
-        }
-        self.flush_to_committed();
-        if !background {
-            self.maybe_compact(policy, obs);
-        }
-    }
-
-    /// Appends everything committed-but-unmirrored to the sink and
-    /// flushes it. Mirror failure is non-fatal: the in-memory log
-    /// stays authoritative; the mirror is best-effort.
-    fn flush_to_committed(&mut self) {
-        self.unflushed_commits = 0;
-        let Some(sink) = self.sink.as_mut() else {
+    /// Appends everything committed-but-unmirrored to the mirror file.
+    /// Mirror failure is non-fatal: the in-memory log stays
+    /// authoritative; the mirror is best-effort.
+    fn mirror_committed(&mut self) {
+        let Log {
+            bytes,
+            committed,
+            mirror: Some(m),
+            ..
+        } = self
+        else {
             return;
         };
-        let end = self.committed.bytes;
-        if end > self.sink_pos {
-            let chunk = self.log[self.sink_pos..end].to_vec();
-            if sink.write_all(&chunk).and_then(|_| sink.flush()).is_ok() {
-                self.sink_pos = end;
-                self.mirror_len += chunk.len() as u64;
-            }
-        }
-    }
-
-    /// Rewrites the mirror if the compaction policy triggers and the
-    /// mirrored prefix already contains the chain-start snapshot.
-    fn maybe_compact(&mut self, policy: &CompactionPolicy, obs: Option<&DurObs>) {
-        if self.chain_start > self.sink_from
-            && self.sink_pos >= self.chain_start
-            && policy.triggered(self.mirror_len, self.superseded - self.dropped)
+        let end = committed.bytes;
+        // `flush` is a no-op on a `File`: the one syscall per commit is
+        // the `write(2)` inside `write_all`.
+        if end > m.pos
+            && m.file
+                .write_all(&bytes[m.pos..end])
+                .and_then(|_| m.file.flush())
+                .is_ok()
         {
-            self.compact_mirror(obs);
+            m.len += (end - m.pos) as u64;
+            m.pos = end;
         }
     }
 
-    /// Rewrites the mirror as `MAGIC + log[chain_start..sink_pos]` via
-    /// a temp file and atomic rename, then reopens it for appending.
-    fn compact_mirror(&mut self, obs: Option<&DurObs>) {
-        let Some(path) = self.sink_path.clone() else {
+    /// If the compaction policy triggers and the mirrored prefix
+    /// already contains the last committed snapshot, rewrites the
+    /// mirror as `MAGIC + log[chain_start..mirrored]` via a temp file
+    /// and atomic rename, then reopens it for appending.
+    fn maybe_compact(&mut self, policy: &CompactionPolicy, obs: Option<&DurObs>) {
+        let Log {
+            bytes,
+            chain_start,
+            superseded,
+            mirror: Some(m),
+            ..
+        } = self
+        else {
             return;
         };
-        let mut content = Vec::with_capacity(frame::MAGIC.len() + self.sink_pos - self.chain_start);
+        let due = *chain_start > m.from
+            && m.pos >= *chain_start
+            && policy.triggered(m.len, *superseded - m.dropped);
+        if !due {
+            return;
+        }
+        let mut content = Vec::with_capacity(frame::MAGIC.len() + m.pos - *chain_start);
         content.extend_from_slice(frame::MAGIC);
-        content.extend_from_slice(&self.log[self.chain_start..self.sink_pos]);
+        content.extend_from_slice(&bytes[*chain_start..m.pos]);
         let tmp = {
-            let mut os = path.clone().into_os_string();
+            let mut os = m.path.clone().into_os_string();
             os.push(".tmp");
             PathBuf::from(os)
         };
         let rewritten = std::fs::write(&tmp, &content)
-            .and_then(|_| std::fs::rename(&tmp, &path))
-            .and_then(|_| std::fs::OpenOptions::new().append(true).open(&path));
+            .and_then(|_| std::fs::rename(&tmp, &m.path))
+            .and_then(|_| std::fs::OpenOptions::new().append(true).open(&m.path));
         match rewritten {
             Ok(f) => {
-                let reclaimed = self.mirror_len.saturating_sub(content.len() as u64);
-                self.mirror_len = content.len() as u64;
-                self.sink_from = self.chain_start;
-                self.dropped = self.superseded;
-                self.sink = Some(f);
+                let reclaimed = m.len.saturating_sub(content.len() as u64);
+                m.len = content.len() as u64;
+                m.from = *chain_start;
+                m.dropped = *superseded;
+                m.file = f;
                 if let Some(o) = obs {
                     o.compactions.inc();
                     o.compact_reclaimed.add(reclaimed);
@@ -469,41 +349,18 @@ impl Shard {
     }
 }
 
-/// Commit-side bookkeeping, touched once per committed event.
-struct Ctl {
-    /// Last allocated commit sequence (0 = nothing committed yet).
-    commit_seq: u64,
-    /// Snapshots written (drives the full/incremental cycle).
-    snap_counter: u64,
-    next_snapshot_us: u64,
-}
-
 struct Core {
-    sharded: bool,
-    /// Every Kth snapshot is full (`<= 1` = always full).
-    full_every: u64,
     /// Snapshot cadence, microseconds; 0 = never.
     snapshot_every_us: u64,
     compaction: CompactionPolicy,
-    /// Mirror flush interval in commits (group-commit; 1 = every).
-    flush_every: u64,
-    /// Nudge channel to the background compaction thread, when one
-    /// runs. `std::sync::mpsc::Sender` is `!Sync`, hence the mutex.
-    compact_tx: Option<Mutex<std::sync::mpsc::Sender<()>>>,
     crash_after: Option<u64>,
     crash_at: Option<u64>,
-    /// One shard per section when sharded, else a single shard.
-    shards: Vec<Mutex<Shard>>,
     /// Sim-time of the event being dispatched, microseconds.
     now_us: AtomicU64,
-    /// Change records appended (doubles as the record-sequence source).
-    records: AtomicU64,
     crashed: AtomicBool,
     /// Anything appended (records or snapshots) since the last commit.
     any_pending: AtomicBool,
-    /// Per-section dirty bits for incremental snapshots.
-    dirty: [AtomicBool; section::COUNT],
-    ctl: Mutex<Ctl>,
+    log: Mutex<Log>,
     obs: OnceLock<DurObs>,
 }
 
@@ -517,8 +374,7 @@ impl std::fmt::Debug for Journal {
             None => write!(f, "Journal(disabled)"),
             Some(core) => write!(
                 f,
-                "Journal(shards={}, frames={}, records={}, bytes={}, crashed={})",
-                core.shards.len(),
+                "Journal(frames={}, records={}, bytes={}, crashed={})",
                 self.frames(),
                 self.records(),
                 self.log_len(),
@@ -535,7 +391,7 @@ impl Journal {
     }
 
     /// Builds a journal from a plan. A disabled plan yields the no-op
-    /// handle; an enabled one starts a fresh log (and file mirrors).
+    /// handle; an enabled one starts a fresh log (and file mirror).
     pub fn new(plan: &DurabilityPlan) -> std::io::Result<Self> {
         if !plan.enabled {
             return Ok(Journal(None));
@@ -545,63 +401,31 @@ impl Journal {
         } else {
             0
         };
-        let sink_paths = plan.sink_paths();
-        let shard_count = if plan.sharded { section::COUNT } else { 1 };
-        let mut shards = Vec::with_capacity(shard_count);
-        for i in 0..shard_count {
-            shards.push(Mutex::new(Shard::new(sink_paths.get(i).cloned())?));
-        }
-        let background =
-            plan.background_compaction && plan.sink.is_some() && !plan.compaction.is_never();
-        let (compact_tx, compact_rx) = if background {
-            let (tx, rx) = std::sync::mpsc::channel();
-            (Some(Mutex::new(tx)), Some(rx))
-        } else {
-            (None, None)
-        };
-        let core = Arc::new(Core {
-            sharded: plan.sharded,
-            full_every: plan.full_snapshot_every.max(1) as u64,
+        let mut bytes = BytesMut::with_capacity(4096);
+        frame::put_magic(&mut bytes);
+        let mirror = plan.sink.as_deref().map(Mirror::create).transpose()?;
+        Ok(Journal(Some(Arc::new(Core {
             snapshot_every_us: every_us,
             compaction: plan.compaction,
-            flush_every: plan.flush_every_commits.max(1),
-            compact_tx,
             crash_after: plan.crash.after_records,
             crash_at: plan.crash.at_us,
-            shards,
             now_us: AtomicU64::new(0),
-            records: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
             any_pending: AtomicBool::new(false),
-            dirty: Default::default(),
-            ctl: Mutex::new(Ctl {
+            log: Mutex::new(Log {
+                bytes,
+                frames: 0,
+                records: 0,
                 commit_seq: 0,
-                snap_counter: 0,
                 next_snapshot_us: every_us,
+                committed: Watermark::default(),
+                chain_start: frame::MAGIC.len(),
+                superseded: 0,
+                pending_snap: None,
+                mirror,
             }),
             obs: OnceLock::new(),
-        });
-        if let Some(rx) = compact_rx {
-            // Detached worker holding only a weak ref: it exits when
-            // the last Journal handle drops (channel disconnects) or
-            // the core is gone by the time a nudge arrives. Rewrites
-            // are mirror-only, so the worker never touches sim state.
-            let weak = Arc::downgrade(&core);
-            std::thread::Builder::new()
-                .name("vmr-wal-compact".into())
-                .spawn(move || {
-                    while rx.recv().is_ok() {
-                        // Coalesce queued nudges into one sweep.
-                        while rx.try_recv().is_ok() {}
-                        let Some(core) = weak.upgrade() else { break };
-                        for m in &core.shards {
-                            m.lock().maybe_compact(&core.compaction, core.obs.get());
-                        }
-                    }
-                })
-                .ok();
-        }
-        Ok(Journal(Some(core)))
+        }))))
     }
 
     /// Resolves the `dur.*` metric handles against `obs`.
@@ -622,11 +446,6 @@ impl Journal {
         self.0.is_some()
     }
 
-    /// True when this journal keeps one log per state section.
-    pub fn sharded(&self) -> bool {
-        self.0.as_ref().is_some_and(|c| c.sharded)
-    }
-
     /// Advances the journal's sim-clock to the event being dispatched
     /// and trips a time-based crash at that boundary.
     pub fn advance_to(&self, now_us: u64) {
@@ -637,34 +456,26 @@ impl Journal {
         }
     }
 
-    /// Appends one change record at the current event's sim-time,
-    /// routing it to its section's shard. No-op when disabled or
-    /// crashed; flips to crashed per the [`CrashPlan`].
+    /// Appends one change record at the current event's sim-time.
+    /// No-op when disabled or crashed; flips to crashed per the
+    /// [`CrashPlan`].
     pub fn append(&self, change: &StateChange) {
         let Some(core) = &self.0 else { return };
         if core.crashed.load(Ordering::Acquire) {
             return;
         }
-        let sec = change.section_index();
-        let shard = if core.sharded { sec } else { 0 };
-        let seq = {
-            let mut s = core.shards[shard].lock();
-            // Allocate the global record sequence under the shard lock
-            // so each shard's records carry strictly increasing
-            // sequences (the invariant recovery validates).
-            let seq = core.records.fetch_add(1, Ordering::AcqRel) + 1;
-            let mut body = Enc::with_capacity(48);
-            body.u64(seq);
-            change.encode(&mut body);
-            let n = s.append_frame(frame::FRAME_CHANGE, &body.into_vec());
-            s.records += 1;
-            if let Some(o) = core.obs.get() {
-                o.wal_records.inc();
-                o.wal_bytes.add(n as u64);
-            }
-            seq
-        };
-        core.dirty[sec].store(true, Ordering::Release);
+        let mut log = core.log.lock();
+        let seq = log.records + 1;
+        let mut body = Enc::with_capacity(48);
+        body.u64(seq);
+        change.encode(&mut body);
+        let n = log.append_frame(frame::FRAME_CHANGE, &body.into_vec());
+        log.records = seq;
+        drop(log);
+        if let Some(o) = core.obs.get() {
+            o.wal_records.inc();
+            o.wal_bytes.add(n as u64);
+        }
         core.any_pending.store(true, Ordering::Release);
         if core.crash_after == Some(seq) {
             core.crashed.store(true, Ordering::Release);
@@ -672,9 +483,9 @@ impl Journal {
     }
 
     /// Writes a commit frame closing the current transaction (the
-    /// event being dispatched) — to every shard when sharded, so the
-    /// global boundary is the minimum of the shards' last commit
-    /// sequences. No-op when nothing is pending.
+    /// event being dispatched), mirrors the committed bytes and, when
+    /// the policy says so, compacts the mirror. No-op when nothing is
+    /// pending.
     pub fn commit(&self) {
         let Some(core) = &self.0 else { return };
         if core.crashed.load(Ordering::Acquire) {
@@ -683,55 +494,39 @@ impl Journal {
         if !core.any_pending.swap(false, Ordering::AcqRel) {
             return;
         }
-        let mut ctl = core.ctl.lock();
-        ctl.commit_seq += 1;
-        let seq = ctl.commit_seq;
-        let now = core.now_us.load(Ordering::Acquire);
+        let mut log = core.log.lock();
+        log.commit_seq += 1;
         let mut body = [0u8; 16];
-        body[..8].copy_from_slice(&now.to_be_bytes());
-        body[8..].copy_from_slice(&seq.to_be_bytes());
-        for m in &core.shards {
-            let mut s = m.lock();
-            let n = s.append_frame(frame::FRAME_COMMIT, &body);
-            if let Some(o) = core.obs.get() {
-                o.wal_bytes.add(n as u64);
-            }
-            if let Some((off, recs, starts_chain)) = s.pending_snap.take() {
-                if starts_chain {
-                    s.chain_start = off;
-                    s.superseded = recs;
-                }
-            }
-            s.committed = Watermark {
-                bytes: s.log.len(),
-                frames: s.frames,
-                records: s.records,
-            };
-            s.mirror(
-                &core.compaction,
-                core.flush_every,
-                core.compact_tx.is_some(),
-                core.obs.get(),
-            );
+        body[..8].copy_from_slice(&core.now_us.load(Ordering::Acquire).to_be_bytes());
+        body[8..].copy_from_slice(&log.commit_seq.to_be_bytes());
+        let n = log.append_frame(frame::FRAME_COMMIT, &body);
+        if let Some(o) = core.obs.get() {
+            o.wal_bytes.add(n as u64);
         }
-        if let Some(tx) = &core.compact_tx {
-            let _ = tx.lock().send(());
+        if let Some((off, recs)) = log.pending_snap.take() {
+            log.chain_start = off;
+            log.superseded = recs;
         }
+        log.committed = Watermark {
+            bytes: log.bytes.len(),
+            frames: log.frames,
+            records: log.records,
+        };
+        log.mirror_committed();
+        log.maybe_compact(&core.compaction, core.obs.get());
     }
 
-    /// Forces any committed-but-unflushed mirror bytes out (the tail
-    /// of a group-commit interval). Called at clean run end so the
-    /// mirror captures the final commits; no-op when disabled or
-    /// crashed — a crashed journal's mirror must stay exactly what the
-    /// "dead server" left behind.
+    /// Retries mirroring whatever an earlier failed write left
+    /// committed but unmirrored; with a healthy sink every commit has
+    /// already written its bytes and this does nothing. Called at clean
+    /// run end; no-op when disabled or crashed — a crashed journal's
+    /// mirror must stay exactly what the "dead server" left behind.
     pub fn flush_sink(&self) {
         let Some(core) = &self.0 else { return };
         if core.crashed.load(Ordering::Acquire) {
             return;
         }
-        for m in &core.shards {
-            m.lock().flush_to_committed();
-        }
+        core.log.lock().mirror_committed();
     }
 
     /// True when a snapshot is due at the current event's sim-time.
@@ -740,108 +535,36 @@ impl Journal {
         if core.crashed.load(Ordering::Acquire) || core.snapshot_every_us == 0 {
             return false;
         }
-        core.now_us.load(Ordering::Acquire) >= core.ctl.lock().next_snapshot_us
+        core.now_us.load(Ordering::Acquire) >= core.log.lock().next_snapshot_us
     }
 
-    /// Writes a snapshot and schedules the next one. Every
-    /// [`DurabilityPlan::full_snapshot_every`]-th snapshot encodes all
-    /// sections (full); the rest encode only sections dirtied since
-    /// the last snapshot (incremental) — skipped entirely, returning
-    /// `None`, when nothing is dirty. Also `None` when disabled or
-    /// crashed; otherwise the total encoded snapshot size.
+    /// Frames `sections` into the log as a snapshot and schedules the
+    /// next one. `None` when disabled or crashed; otherwise the encoded
+    /// snapshot size.
     pub fn write_snapshot(&self, sections: &Sections) -> Option<usize> {
         let core = self.0.as_ref()?;
         if core.crashed.load(Ordering::Acquire) {
             return None;
         }
         let t0 = std::time::Instant::now();
-        let mut ctl = core.ctl.lock();
+        let body = sections.to_bytes();
+        let mut log = core.log.lock();
         if core.snapshot_every_us > 0 {
             let now = core.now_us.load(Ordering::Acquire);
-            while ctl.next_snapshot_us <= now {
-                ctl.next_snapshot_us += core.snapshot_every_us;
+            while log.next_snapshot_us <= now {
+                log.next_snapshot_us += core.snapshot_every_us;
             }
         }
-        let full = core.full_every <= 1 || ctl.snap_counter % core.full_every == 0;
-        let covered: Vec<bool> = sections
-            .entries
-            .iter()
-            .map(|(name, _)| {
-                full || section::index_of(name)
-                    .is_none_or(|i| core.dirty[i].load(Ordering::Acquire))
-            })
-            .collect();
-        if !full && !covered.iter().any(|&c| c) {
-            return None; // incremental with nothing dirty: skip
-        }
-        let written = if core.sharded {
-            let mut total = 0usize;
-            for ((name, bytes), &cov) in sections.entries.iter().zip(&covered) {
-                if !cov {
-                    continue;
-                }
-                let Some(idx) = section::index_of(name) else {
-                    debug_assert!(false, "unknown section {name:?} in sharded snapshot");
-                    continue;
-                };
-                let mut one = Sections::new();
-                one.push(name, bytes.clone());
-                let body = one.to_bytes();
-                let mut s = core.shards[idx].lock();
-                let off = s.log.len();
-                // Per shard the snapshot always covers its whole (single)
-                // section, so every sharded snapshot frame is full and
-                // starts a new compaction chain.
-                let n = s.append_frame(frame::FRAME_SNAPSHOT, &body);
-                s.pending_snap = Some((off, s.records, true));
-                if let Some(o) = core.obs.get() {
-                    o.wal_bytes.add(n as u64);
-                }
-                total += body.len();
-            }
-            total
-        } else {
-            let subset = if full {
-                sections.clone()
-            } else {
-                let mut sub = Sections::new();
-                for ((name, bytes), &cov) in sections.entries.iter().zip(&covered) {
-                    if cov {
-                        sub.push(name, bytes.clone());
-                    }
-                }
-                sub
-            };
-            let body = subset.to_bytes();
-            let kind = if full {
-                frame::FRAME_SNAPSHOT
-            } else {
-                frame::FRAME_SNAPSHOT_INC
-            };
-            let mut s = core.shards[0].lock();
-            let off = s.log.len();
-            let n = s.append_frame(kind, &body);
-            // Only a full snapshot is self-contained; incrementals
-            // extend the chain of the last full one.
-            s.pending_snap = Some((off, s.records, full));
-            if let Some(o) = core.obs.get() {
-                o.wal_bytes.add(n as u64);
-            }
-            body.len()
-        };
-        for ((name, _), &cov) in sections.entries.iter().zip(&covered) {
-            if cov {
-                if let Some(i) = section::index_of(name) {
-                    core.dirty[i].store(false, Ordering::Release);
-                }
-            }
-        }
-        ctl.snap_counter += 1;
+        let off = log.bytes.len();
+        let n = log.append_frame(frame::FRAME_SNAPSHOT, &body);
+        log.pending_snap = Some((off, log.records));
+        drop(log);
         core.any_pending.store(true, Ordering::Release);
         if let Some(o) = core.obs.get() {
+            o.wal_bytes.add(n as u64);
             o.snapshot_us.record(t0.elapsed().as_micros() as f64);
         }
-        Some(written)
+        Some(body.len())
     }
 
     /// True once the crash plan has fired.
@@ -851,78 +574,47 @@ impl Journal {
             .is_some_and(|c| c.crashed.load(Ordering::Acquire))
     }
 
-    /// Frames appended so far across all shards.
+    /// Frames appended so far.
     pub fn frames(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |c| c.shards.iter().map(|m| m.lock().frames).sum())
+        self.0.as_ref().map_or(0, |c| c.log.lock().frames)
     }
 
     /// Change records appended so far.
     pub fn records(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |c| c.records.load(Ordering::Acquire))
+        self.0.as_ref().map_or(0, |c| c.log.lock().records)
     }
 
-    /// Frames up to and including the last commit frame (summed
-    /// across shards).
+    /// Frames up to and including the last commit frame.
     pub fn committed_frames(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| {
-            c.shards.iter().map(|m| m.lock().committed.frames).sum()
-        })
+        self.0.as_ref().map_or(0, |c| c.log.lock().committed.frames)
     }
 
     /// Change records covered by the last commit frame.
     pub fn committed_records(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| {
-            c.shards.iter().map(|m| m.lock().committed.records).sum()
-        })
+        self.0
+            .as_ref()
+            .map_or(0, |c| c.log.lock().committed.records)
     }
 
     /// Sequence number of the last commit (0 = nothing committed).
-    /// Unlike frame or byte counts this is invariant under compaction
-    /// and sharding, which is why resume targets it.
+    /// Unlike frame or byte counts this is invariant under compaction,
+    /// which is why resume targets it.
     pub fn committed_seq(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.ctl.lock().commit_seq)
+        self.0.as_ref().map_or(0, |c| c.log.lock().commit_seq)
     }
 
     /// Total log length in bytes (including any uncommitted tail) —
     /// exactly `log_bytes().len()`.
     pub fn log_len(&self) -> usize {
-        let Some(core) = &self.0 else { return 0 };
-        if !core.sharded {
-            return core.shards[0].lock().log.len();
-        }
-        // Bundle container: magic + u32 count + per shard
-        // (u32+name, u32+log).
-        frame::BUNDLE_MAGIC.len()
-            + 4
-            + core
-                .shards
-                .iter()
-                .zip(section::NAMES)
-                .map(|(m, n)| 8 + n.len() + m.lock().log.len())
-                .sum::<usize>()
+        self.0.as_ref().map_or(0, |c| c.log.lock().bytes.len())
     }
 
     /// A copy of the log image, including any uncommitted tail — what
-    /// a crashed server's disk would hold. Sharded journals return the
-    /// bundle form ([`frame::bundle`]).
+    /// a crashed server's disk would hold.
     pub fn log_bytes(&self) -> Vec<u8> {
-        let Some(core) = &self.0 else {
-            return Vec::new();
-        };
-        if !core.sharded {
-            return core.shards[0].lock().log.to_vec();
-        }
-        let logs: Vec<Vec<u8>> = core.shards.iter().map(|m| m.lock().log.to_vec()).collect();
-        let entries: Vec<(&str, &[u8])> = section::NAMES
-            .iter()
-            .zip(&logs)
-            .map(|(n, l)| (*n, l.as_slice()))
-            .collect();
-        frame::bundle(&entries)
+        self.0
+            .as_ref()
+            .map_or_else(Vec::new, |c| c.log.lock().bytes.to_vec())
     }
 }
 
@@ -930,13 +622,10 @@ impl Journal {
 mod tests {
     use super::*;
     use crate::recover::recover;
+    use crate::section;
 
     fn change(rid: u32) -> StateChange {
         StateChange::ResultCreated { rid, wu: 0 }
-    }
-
-    fn tracker_change(job: u32) -> StateChange {
-        StateChange::MrReduceValidated { job }
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -952,7 +641,6 @@ mod tests {
         j.append(&change(0));
         j.commit();
         assert!(!j.enabled());
-        assert!(!j.sharded());
         assert_eq!(j.records(), 0);
         assert_eq!(j.committed_seq(), 0);
         assert!(j.log_bytes().is_empty());
@@ -1050,85 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_snapshots_cover_only_dirty_sections() {
-        let plan = DurabilityPlan::new(0.0).with_incremental(3);
-        let j = Journal::new(&plan).unwrap();
-        j.advance_to(1);
-        j.append(&change(0)); // dirties db
-        j.commit();
-        // Snapshot 0 of the cycle: full, despite only db being dirty.
-        assert!(j.write_snapshot(&all_sections(1)).is_some());
-        j.commit();
-        let r = recover(&j.log_bytes()).unwrap();
-        assert_eq!(r.sections.entries.len(), section::COUNT);
-
-        // Snapshot 1: incremental; only the tracker is dirty now.
-        j.advance_to(2);
-        j.append(&tracker_change(0));
-        j.commit();
-        assert!(j.write_snapshot(&all_sections(2)).is_some());
-        j.commit();
-        let r = recover(&j.log_bytes()).unwrap();
-        // Layered: tracker from the increment, the rest from the full.
-        assert_eq!(r.sections.get("tracker"), Some(&[2u8][..]));
-        assert_eq!(r.sections.get("db"), Some(&[1u8][..]));
-        assert!(r.tail.is_empty());
-
-        // Snapshot 2 with nothing dirty: skipped entirely.
-        assert_eq!(j.write_snapshot(&all_sections(3)), None);
-    }
-
-    #[test]
-    fn every_kth_snapshot_is_full() {
-        let plan = DurabilityPlan::new(0.0).with_incremental(2);
-        let j = Journal::new(&plan).unwrap();
-        let mut sizes = Vec::new();
-        for i in 0..4u32 {
-            j.advance_to(i as u64 + 1);
-            j.append(&change(i)); // dirty db each round
-            j.commit();
-            sizes.push(j.write_snapshot(&all_sections(i as u8)).unwrap());
-            j.commit();
-        }
-        // Cycle of 2: full, inc, full, inc — incs (db only) are smaller.
-        assert_eq!(sizes[0], sizes[2]);
-        assert!(sizes[1] < sizes[0]);
-        assert_eq!(sizes[1], sizes[3]);
-        let r = recover(&j.log_bytes()).unwrap();
-        assert_eq!(r.sections.get("db"), Some(&[3u8][..]));
-        assert_eq!(r.sections.get("tracker"), Some(&[2u8][..]));
-    }
-
-    #[test]
-    fn sharded_journal_routes_by_section_and_bundles() {
-        let plan = DurabilityPlan::new(0.0).with_sharding();
-        let j = Journal::new(&plan).unwrap();
-        assert!(j.sharded());
-        j.advance_to(7);
-        j.append(&change(0));
-        j.append(&tracker_change(1));
-        j.commit();
-        let img = j.log_bytes();
-        assert_eq!(img.len(), j.log_len());
-        assert!(frame::is_bundle(&img));
-        let shards = frame::parse_bundle(&img).unwrap();
-        assert_eq!(
-            shards.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
-            section::NAMES
-        );
-        // Every shard got the commit frame; only db/tracker got a record.
-        let counts: Vec<usize> = shards
-            .iter()
-            .map(|(_, log)| frame::scan(log).unwrap().frames.len())
-            .collect();
-        assert_eq!(counts, vec![2, 1, 1, 2, 1]);
-        let r = recover(&img).unwrap();
-        assert_eq!(r.committed_seq, 1);
-        assert_eq!(r.tail, vec![change(0), tracker_change(1)]);
-        assert_eq!(r.committed_at_us, 7);
-    }
-
-    #[test]
     fn compaction_shrinks_the_mirror_and_preserves_recovery() {
         let dir = temp_dir("compact");
         let path = dir.join("wal.bin");
@@ -1176,123 +785,27 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_defers_mirror_flush_to_the_interval() {
-        let dir = temp_dir("group");
+    fn crashed_journal_never_touches_the_sink_again() {
+        let dir = temp_dir("sink-crash");
         let path = dir.join("wal.bin");
         let plan = DurabilityPlan::new(0.0)
             .with_sink(&path)
-            .with_group_commit(3);
-        let j = Journal::new(&plan).unwrap();
-        // Two committed events: still inside the group window → the
-        // mirror holds nothing yet.
-        for i in 0..2u32 {
-            j.advance_to(i as u64 + 1);
-            j.append(&change(i));
-            j.commit();
-        }
-        assert_eq!(std::fs::read(&path).unwrap().len(), 0, "flush must defer");
-        // Third commit closes the group: one write covers all three.
-        j.advance_to(3);
-        j.append(&change(2));
-        j.commit();
-        let flushed = std::fs::read(&path).unwrap();
-        assert_eq!(flushed.len(), j.log_len());
-        let r = recover(&flushed).unwrap();
-        assert_eq!(r.committed_seq, 3);
-        assert_eq!(r.tail.len(), 3);
-        // A dangling commit inside the next window is recovered only
-        // up to the last *flushed* group boundary...
-        j.advance_to(4);
-        j.append(&change(3));
-        j.commit();
-        let partial = recover(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(partial.committed_seq, 3);
-        // ...until a clean shutdown forces the tail out.
-        j.flush_sink();
-        let r = recover(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(r.committed_seq, 4);
-        assert_eq!(r.tail.len(), 4);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn crashed_journal_never_flushes_the_sink() {
-        let dir = temp_dir("group-crash");
-        let path = dir.join("wal.bin");
-        let plan = DurabilityPlan::new(0.0)
-            .with_sink(&path)
-            .with_group_commit(10)
             .with_crash(CrashPlan::after_records(2));
         let j = Journal::new(&plan).unwrap();
         j.advance_to(1);
         j.append(&change(0));
         j.commit();
+        let committed = j.log_len();
         j.append(&change(1)); // trips the crash
         assert!(j.crashed());
+        j.commit();
         j.flush_sink();
-        // The deferred commit died with the "server": the mirror holds
+        // The open transaction died with the "server": the mirror holds
         // exactly what a real crashed process would have left.
-        assert_eq!(std::fs::read(&path).unwrap().len(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn background_compaction_thread_rewrites_the_mirror() {
-        let dir = temp_dir("bg-compact");
-        let path = dir.join("wal.bin");
-        let plan = DurabilityPlan::new(0.0)
-            .with_sink(&path)
-            .with_compaction(CompactionPolicy::max_superseded_records(4))
-            .with_background_compaction();
-        let j = Journal::new(&plan).unwrap();
-        for i in 0..6u32 {
-            j.advance_to(i as u64 + 1);
-            j.append(&change(i));
-            j.commit();
-        }
-        j.write_snapshot(&all_sections(9)).unwrap();
-        j.commit();
-        // The rewrite happens off-thread; wait for it (bounded).
-        let mut compacted = Vec::new();
-        for _ in 0..500 {
-            compacted = std::fs::read(&path).unwrap();
-            if !compacted.is_empty() && compacted.len() < j.log_len() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert!(
-            compacted.len() < j.log_len(),
-            "background compaction never ran: mirror {} vs log {}",
-            compacted.len(),
-            j.log_len()
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            j.log_bytes()[..committed].to_vec()
         );
-        // The compacted mirror recovers to the same state and boundary.
-        let a = recover(&compacted).unwrap();
-        let b = recover(&j.log_bytes()).unwrap();
-        assert_eq!(a.sections, b.sections);
-        assert_eq!(a.tail, b.tail);
-        assert_eq!(a.committed_seq, b.committed_seq);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_sink_paths_and_image() {
-        let dir = temp_dir("shard-sink");
-        let path = dir.join("wal.bin");
-        let plan = DurabilityPlan::new(0.0).with_sharding().with_sink(&path);
-        assert_eq!(plan.sink_paths().len(), section::COUNT);
-        assert!(plan.sink_paths()[0].to_string_lossy().ends_with(".db"));
-        let j = Journal::new(&plan).unwrap();
-        j.advance_to(3);
-        j.append(&change(0));
-        j.append(&tracker_change(1));
-        j.commit();
-        let disk = sink_image(&plan).unwrap();
-        assert_eq!(disk, j.log_bytes());
-        let r = recover(&disk).unwrap();
-        assert_eq!(r.committed_seq, 1);
-        assert_eq!(r.tail.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,26 +9,25 @@
 //! recovery = load-latest-snapshot + replay-tail.
 //!
 //! * [`StateChange`] — the typed change vocabulary; one variant per
-//!   server-state mutator in `vcore`/`core`, each owned by one state
-//!   [`section`] ([`record`](crate::record)).
-//! * [`Journal`] — the clonable log handle the `Engine` owns and hands
-//!   to each mutator; commit frames carrying `(sim-time, commit seq)`
-//!   mark event-granularity transactions. Optionally **sharded**: one
-//!   log per section, appends contending only per shard
+//!   server-state mutator in `vcore`/`core`
+//!   ([`record`](crate::record)).
+//! * [`Journal`] — the clonable handle to the one log the `Engine`
+//!   owns and hands to each mutator; commit frames carrying
+//!   `(sim-time, commit seq)` mark event-granularity transactions, and
+//!   an optional file mirror receives each commit's bytes
 //!   ([`journal`](crate::journal)).
-//! * [`Sections`] — named opaque snapshot sections, encoded by the
-//!   state-owning crates. Snapshots are **full** or **incremental**
-//!   (dirty sections only, layered at recovery)
-//!   ([`snapshot`](crate::snapshot)).
+//! * [`Sections`] — named opaque snapshot sections ([`section`]),
+//!   encoded by the state-owning crates; every snapshot holds the
+//!   whole server state ([`snapshot`](crate::snapshot)).
 //! * [`CompactionPolicy`] / [`compact`](crate::compact::compact) — the
 //!   file mirror is rewritten to drop frames superseded by a committed
 //!   snapshot ([`compact`](crate::compact)).
 //! * [`CrashPlan`] / [`DurabilityPlan`] — deterministic crash-point
 //!   injection and run configuration.
-//! * [`recover`] — torn-tail-tolerant recovery over a single log or a
-//!   sharded bundle, merging shard tails back into global order by
-//!   record sequence and turning any structural anomaly into a typed
-//!   [`RecoverError`] ([`recover`](crate::recover)).
+//! * [`recover`] — torn-tail-tolerant recovery of the last committed
+//!   snapshot plus the change tail after it, turning any structural
+//!   anomaly into a typed [`RecoverError`]
+//!   ([`recover`](crate::recover)).
 //!
 //! This is a leaf crate like `vmr-obs`: it knows nothing of the
 //! structs it persists. Ids are raw integers and crate-specific
@@ -66,7 +65,7 @@ pub mod snapshot;
 pub mod wire;
 
 pub use compact::compact;
-pub use journal::{sink_image, CompactionPolicy, CrashPlan, DurabilityPlan, Journal};
+pub use journal::{CompactionPolicy, CrashPlan, DurabilityPlan, Journal};
 pub use record::StateChange;
 pub use recover::{frame_ends, recover, RecoverError, Recovered};
 pub use snapshot::Sections;
@@ -106,45 +105,5 @@ mod tests {
             );
             assert_eq!(r.committed_records, r.tail.len() as u64);
         }
-    }
-
-    /// The same event stream through a single log and a sharded bundle
-    /// recovers to identical sections + tail at the final boundary.
-    #[test]
-    fn sharded_and_single_recover_identically() {
-        let drive = |j: &Journal| {
-            for i in 0..8u32 {
-                j.advance_to(i as u64 * 5);
-                j.append(&StateChange::ResultCreated { rid: i, wu: 0 });
-                if i % 2 == 0 {
-                    j.append(&StateChange::CreditError { client: i });
-                }
-                if i % 3 == 0 {
-                    j.append(&StateChange::MrReduceValidated { job: i });
-                }
-                j.commit();
-                if i == 4 {
-                    let mut s = Sections::new();
-                    for name in section::NAMES {
-                        s.push(name, vec![i as u8]);
-                    }
-                    j.write_snapshot(&s);
-                    j.commit();
-                }
-            }
-        };
-        let single = Journal::new(&DurabilityPlan::new(0.0)).unwrap();
-        let sharded = Journal::new(&DurabilityPlan::new(0.0).with_sharding()).unwrap();
-        drive(&single);
-        drive(&sharded);
-        let a = recover(&single.log_bytes()).unwrap();
-        let b = recover(&sharded.log_bytes()).unwrap();
-        assert_eq!(a.tail, b.tail);
-        assert_eq!(a.committed_seq, b.committed_seq);
-        assert_eq!(a.committed_at_us, b.committed_at_us);
-        assert_eq!(a.committed_records, b.committed_records);
-        // Section content matches (single-log order is writer-chosen
-        // but both used canonical order here).
-        assert_eq!(a.sections, b.sections);
     }
 }

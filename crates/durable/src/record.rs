@@ -254,37 +254,6 @@ const T_TRUST_CONFIGURED: u8 = 20;
 const T_MR_SHUFFLE_PLANNED: u8 = 21;
 
 impl StateChange {
-    /// The canonical state section this change mutates (see
-    /// [`crate::section`]) — the shard it routes to in a sharded WAL
-    /// and the dirty bit it sets for incremental snapshots.
-    pub fn section_index(&self) -> usize {
-        use crate::section;
-        match self {
-            StateChange::WuInserted { .. }
-            | StateChange::ResultCreated { .. }
-            | StateChange::ResultSent { .. }
-            | StateChange::ResultReported { .. }
-            | StateChange::ResultCancelled { .. }
-            | StateChange::WuValidated { .. }
-            | StateChange::WuFailed { .. }
-            | StateChange::WuQuorumOverride { .. } => section::DB,
-            StateChange::CreditGranted { .. }
-            | StateChange::CreditError { .. }
-            | StateChange::CreditGrantedScaled { .. } => section::CREDIT,
-            StateChange::Assimilated { .. } => section::ASSIM,
-            StateChange::MrJobSubmitted { .. }
-            | StateChange::MrWuIndexed { .. }
-            | StateChange::MrMapValidated { .. }
-            | StateChange::MrReduceValidated { .. }
-            | StateChange::MrPhase { .. }
-            | StateChange::MrStamp { .. }
-            | StateChange::MrShufflePlanned { .. } => section::TRACKER,
-            StateChange::TrustObserved { .. }
-            | StateChange::TrustSpotCheck { .. }
-            | StateChange::TrustConfigured { .. } => section::TRUST,
-        }
-    }
-
     /// Append the wire form to `e`.
     pub fn encode(&self, e: &mut Enc) {
         match self {
@@ -687,20 +656,6 @@ mod tests {
             assert_eq!(StateChange::decode(&mut d).unwrap(), c);
             d.finish().unwrap();
         }
-    }
-
-    #[test]
-    fn every_variant_has_a_section() {
-        use crate::section;
-        let counts = all_variants().iter().fold([0usize; 5], |mut acc, c| {
-            acc[c.section_index()] += 1;
-            acc
-        });
-        assert_eq!(counts[section::DB], 8);
-        assert_eq!(counts[section::CREDIT], 3);
-        assert_eq!(counts[section::ASSIM], 1);
-        assert_eq!(counts[section::TRACKER], 7);
-        assert_eq!(counts[section::TRUST], 3);
     }
 
     #[test]

@@ -1,44 +1,26 @@
-//! Recovery: load-latest-snapshot + replay-tail, for single logs and
-//! sharded bundles.
+//! Recovery: load-latest-snapshot + replay-tail.
 //!
-//! [`recover`] turns a (possibly torn) log image back into the inputs
-//! a server needs to rebuild its state. For a single `VMRWAL02` log:
+//! [`recover`] turns a (possibly torn) `VMRWAL02` log image back into
+//! the inputs a server needs to rebuild its state:
 //!
 //! 1. Scan frames, dropping the torn tail ([`crate::frame::scan`]).
 //! 2. Truncate to the last **commit** frame — records past it belong
 //!    to an event that never finished, so they are discarded.
-//! 3. Within that committed prefix, decode the last **full** snapshot
-//!    and layer every later **incremental** snapshot over it.
-//! 4. Collect every change record after the last snapshot frame (of
-//!    either kind) as the replay tail, in order. Dirty-bit tracking in
-//!    the journal guarantees no change between a section's last
-//!    covering snapshot and the last snapshot frame, so the tail is
-//!    complete for every section.
-//!
-//! For a sharded bundle ([`crate::frame::bundle`]), each shard is
-//! recovered the same way, except the commit boundary is chosen
-//! globally: every commit writes its `(sim-time, seq)` frame to every
-//! shard, so the last event durable across *all* shards is the
-//! minimum of the shards' last commit sequences. Each shard is cut at
-//! that sequence's commit frame and the shard tails are merged back
-//! into the exact global replay order by their per-record sequence
-//! numbers.
+//! 3. Within that committed prefix, decode the last **snapshot**.
+//! 4. Collect every change record after that snapshot as the replay
+//!    tail, in order.
 //!
 //! The caller (in `core::recover`) materializes the sections, applies
 //! the tail, and audits the result against a deterministic re-run.
-//! Errors here are *structural* — a foreign file, a CRC-valid frame
-//! that fails to decode, a sequence-number anomaly (duplicated or
-//! reordered tails), a record in the wrong shard, or a shard
-//! compacted past the global boundary — never a torn tail, which is
-//! normal crash debris. The validation exists so that corrupt input
-//! becomes a typed error *before* replay reaches the panicky state
-//! appliers upstream.
+//! Errors here are *structural* — a foreign file or retired format, a
+//! CRC-valid frame that fails to decode or carries a kind this version
+//! does not write, a sequence-number anomaly (duplicated or reordered
+//! frames) — never a torn tail, which is normal crash debris. The
+//! validation exists so that corrupt input becomes a typed error
+//! *before* replay reaches the panicky state appliers upstream.
 
-use crate::frame::{
-    self, RawFrame, FRAME_CHANGE, FRAME_COMMIT, FRAME_SNAPSHOT, FRAME_SNAPSHOT_INC,
-};
+use crate::frame::{self, FRAME_CHANGE, FRAME_COMMIT, FRAME_SNAPSHOT};
 use crate::record::StateChange;
-use crate::section;
 use crate::snapshot::Sections;
 use crate::wire::{Dec, WireError};
 
@@ -62,49 +44,14 @@ pub enum RecoverError {
         /// The unknown kind.
         kind: u8,
     },
-    /// The sharded-bundle container itself failed to parse (it is
-    /// written atomically, so this is never crash debris).
-    BadBundle(WireError),
-    /// The bundle did not hold exactly the canonical shard set, in
-    /// order, or a snapshot carried a section foreign to its shard.
-    BadShards(String),
-    /// Commit or record sequence numbers were not strictly increasing
-    /// (a duplicated or reordered tail), or a record sequence appeared
-    /// in more than one shard.
+    /// Commit sequence numbers were not strictly increasing or record
+    /// sequence numbers not consecutive (a duplicated, reordered or
+    /// missing stretch of the log).
     CorruptSequence {
-        /// Shard name (`"log"` for a single log, `"merge"` across shards).
-        shard: String,
-        /// Index of the offending frame within its shard.
+        /// Index of the offending frame.
         frame: u64,
         /// What was wrong.
         detail: &'static str,
-    },
-    /// A change record sat in a shard that does not own its section.
-    ForeignRecord {
-        /// Shard name.
-        shard: String,
-        /// The record's sequence number.
-        seq: u64,
-    },
-    /// An incremental snapshot appeared with no full snapshot to layer
-    /// it over.
-    IncrementalWithoutFull {
-        /// Index of the offending frame.
-        frame: u64,
-    },
-    /// A shard holds no commit frame for the global boundary sequence
-    /// — typically a mirror compacted past what another (torn) shard
-    /// can still reach.
-    ShardGap {
-        /// Shard name.
-        shard: String,
-        /// The unreachable boundary sequence.
-        seq: u64,
-    },
-    /// Shards disagree on the sim-time of the boundary commit.
-    InconsistentCommit {
-        /// The boundary sequence.
-        seq: u64,
     },
 }
 
@@ -118,27 +65,8 @@ impl std::fmt::Display for RecoverError {
             RecoverError::UnknownFrameKind { frame, kind } => {
                 write!(f, "frame {frame}: unknown frame kind {kind:#04x}")
             }
-            RecoverError::BadBundle(err) => write!(f, "shard bundle failed to parse: {err}"),
-            RecoverError::BadShards(detail) => write!(f, "bad shard set: {detail}"),
-            RecoverError::CorruptSequence {
-                shard,
-                frame,
-                detail,
-            } => write!(f, "{shard} frame {frame}: {detail}"),
-            RecoverError::ForeignRecord { shard, seq } => {
-                write!(f, "record {seq} sits in foreign shard `{shard}`")
-            }
-            RecoverError::IncrementalWithoutFull { frame } => {
-                write!(
-                    f,
-                    "frame {frame}: incremental snapshot without a preceding full one"
-                )
-            }
-            RecoverError::ShardGap { shard, seq } => {
-                write!(f, "shard `{shard}` cannot reach commit boundary {seq}")
-            }
-            RecoverError::InconsistentCommit { seq } => {
-                write!(f, "shards disagree on the sim-time of commit {seq}")
+            RecoverError::CorruptSequence { frame, detail } => {
+                write!(f, "frame {frame}: {detail}")
             }
         }
     }
@@ -149,320 +77,97 @@ impl std::error::Error for RecoverError {}
 /// Everything recovery extracts from a log image.
 #[derive(Clone, Debug, Default)]
 pub struct Recovered {
-    /// State sections at the committed boundary: the last committed
-    /// full snapshot with later incremental snapshots layered over it
-    /// (merged across shards for a bundle, in canonical section
-    /// order). Empty when the log committed no snapshot — replay then
-    /// starts from genesis.
+    /// State sections of the last committed snapshot. Empty when the
+    /// log committed no snapshot — replay then starts from genesis.
     pub sections: Sections,
     /// True when a committed snapshot was found.
     pub from_snapshot: bool,
-    /// Change records to replay on top of the snapshot, in global
-    /// record-sequence order.
+    /// Change records to replay on top of the snapshot, in log order.
     pub tail: Vec<StateChange>,
-    /// Frames in the committed prefix (including the final commit),
-    /// summed across shards for a bundle.
+    /// Frames in the committed prefix (including the final commit).
     pub committed_frames: u64,
     /// Change records in the committed prefix.
     pub committed_records: u64,
     /// Sim-time of the boundary commit, microseconds.
     pub committed_at_us: u64,
-    /// Byte length of the committed prefix (summed across shards).
+    /// Byte length of the committed prefix.
     pub committed_bytes: usize,
     /// Sequence number of the boundary commit (0 = nothing committed).
-    /// Invariant under compaction and sharding — the resume target.
+    /// Invariant under compaction — the resume target.
     pub committed_seq: u64,
 }
 
-/// One parsed commit frame.
-#[derive(Clone, Copy, Debug)]
-struct Commit {
-    idx: usize,
-    seq: u64,
-    now_us: u64,
-}
+/// Recovers snapshot + replay tail from a log image. See the module
+/// docs for the exact semantics.
+pub fn recover(log: &[u8]) -> Result<Recovered, RecoverError> {
+    let scan = frame::scan(log).map_err(|_| RecoverError::BadMagic)?;
+    let Some(last_commit) = scan.frames.iter().rposition(|f| f.kind == FRAME_COMMIT) else {
+        return Ok(Recovered::default());
+    };
+    let prefix = &scan.frames[..=last_commit];
+    let last_snap = prefix.iter().rposition(|f| f.kind == FRAME_SNAPSHOT);
 
-/// Extracts and validates every commit frame of one log.
-fn parse_commits(
-    log: &[u8],
-    frames: &[RawFrame],
-    shard: &str,
-) -> Result<Vec<Commit>, RecoverError> {
-    let mut out: Vec<Commit> = Vec::new();
-    for (i, f) in frames.iter().enumerate() {
-        if f.kind != FRAME_COMMIT {
-            continue;
+    let mut out = Recovered {
+        from_snapshot: last_snap.is_some(),
+        committed_frames: prefix.len() as u64,
+        committed_bytes: prefix[last_commit].end,
+        ..Recovered::default()
+    };
+    // One log numbers its records 1, 2, 3… and compaction only drops
+    // what a snapshot supersedes. So a log without a snapshot starts at
+    // record 1, one with a snapshot may start anywhere, and from there
+    // every sequence is its predecessor's plus one — a repeat, a swap
+    // or a hole must not reach replay.
+    let mut expected_seq = if last_snap.is_none() { Some(1) } else { None };
+    for (i, f) in prefix.iter().enumerate() {
+        let frame = i as u64;
+        let bad = |err| RecoverError::BadPayload { frame, err };
+        let mut d = Dec::new(&log[f.body.0..f.body.1]);
+        match f.kind {
+            FRAME_CHANGE => {
+                out.committed_records += 1;
+                let seq = d.u64().map_err(bad)?;
+                if seq == 0 || expected_seq.is_some_and(|e| seq != e) {
+                    return Err(RecoverError::CorruptSequence {
+                        frame,
+                        detail: "record sequence not consecutive",
+                    });
+                }
+                // Wraps to 0 after `u64::MAX`, which no record may carry.
+                expected_seq = Some(seq.wrapping_add(1));
+                if last_snap.is_none_or(|s| i > s) {
+                    let change = StateChange::decode(&mut d).map_err(bad)?;
+                    d.finish().map_err(bad)?;
+                    out.tail.push(change);
+                }
+            }
+            FRAME_SNAPSHOT => {
+                if last_snap == Some(i) {
+                    out.sections = Sections::decode(&mut d).map_err(bad)?;
+                    d.finish().map_err(bad)?;
+                }
+            }
+            FRAME_COMMIT => {
+                let now_us = d.u64().map_err(bad)?;
+                let seq = d.u64().map_err(bad)?;
+                d.finish().map_err(bad)?;
+                if seq <= out.committed_seq {
+                    return Err(RecoverError::CorruptSequence {
+                        frame,
+                        detail: "commit sequence not strictly increasing",
+                    });
+                }
+                out.committed_seq = seq;
+                out.committed_at_us = now_us;
+            }
+            kind => return Err(RecoverError::UnknownFrameKind { frame, kind }),
         }
-        let (a, b) = f.body;
-        let mut d = Dec::new(&log[a..b]);
-        let parsed = (|| {
-            let now_us = d.u64()?;
-            let seq = d.u64()?;
-            Ok::<_, WireError>((now_us, seq))
-        })();
-        let (now_us, seq) = parsed.map_err(|err| RecoverError::BadPayload {
-            frame: i as u64,
-            err,
-        })?;
-        if d.remaining() != 0 {
-            return Err(RecoverError::BadPayload {
-                frame: i as u64,
-                err: WireError::TrailingBytes,
-            });
-        }
-        if seq == 0 || out.last().is_some_and(|c| c.seq >= seq) {
-            return Err(RecoverError::CorruptSequence {
-                shard: shard.to_string(),
-                frame: i as u64,
-                detail: "commit sequence not strictly increasing",
-            });
-        }
-        out.push(Commit {
-            idx: i,
-            seq,
-            now_us,
-        });
     }
     Ok(out)
 }
 
-/// State recovered from one log's committed prefix.
-struct Part {
-    sections: Sections,
-    from_snapshot: bool,
-    /// `(record seq, change)` pairs after the last snapshot frame.
-    tail: Vec<(u64, StateChange)>,
-    records: u64,
-}
-
-/// Recovers one committed prefix: layered snapshots + sequence-checked
-/// tail. `expect_section` enforces shard affinity for bundle shards.
-fn replay_prefix(
-    log: &[u8],
-    prefix: &[RawFrame],
-    expect_section: Option<usize>,
-    shard: &str,
-) -> Result<Part, RecoverError> {
-    let last_full = prefix.iter().rposition(|f| f.kind == FRAME_SNAPSHOT);
-    if last_full.is_none() {
-        if let Some(i) = prefix.iter().position(|f| f.kind == FRAME_SNAPSHOT_INC) {
-            return Err(RecoverError::IncrementalWithoutFull { frame: i as u64 });
-        }
-    }
-    let last_snap = prefix
-        .iter()
-        .rposition(|f| matches!(f.kind, FRAME_SNAPSHOT | FRAME_SNAPSHOT_INC));
-
-    let decode_sections = |i: usize| -> Result<Sections, RecoverError> {
-        let (a, b) = prefix[i].body;
-        let mut d = Dec::new(&log[a..b]);
-        let s = Sections::decode(&mut d)
-            .and_then(|s| d.finish().map(|_| s))
-            .map_err(|err| RecoverError::BadPayload {
-                frame: i as u64,
-                err,
-            })?;
-        if let Some(sec) = expect_section {
-            for (n, _) in &s.entries {
-                if n != section::NAMES[sec] {
-                    return Err(RecoverError::BadShards(format!(
-                        "snapshot carries section `{n}` inside shard `{shard}`"
-                    )));
-                }
-            }
-        }
-        Ok(s)
-    };
-
-    let mut sections = match last_full {
-        Some(i) => decode_sections(i)?,
-        None => Sections::default(),
-    };
-    for (i, f) in prefix.iter().enumerate() {
-        if f.kind == FRAME_SNAPSHOT_INC && last_full.is_some_and(|lf| i > lf) {
-            let inc = decode_sections(i)?;
-            for (name, bytes) in inc.entries {
-                match sections.entries.iter_mut().find(|(n, _)| *n == name) {
-                    Some(e) => e.1 = bytes,
-                    None => sections.entries.push((name, bytes)),
-                }
-            }
-        }
-    }
-
-    let mut tail = Vec::new();
-    let mut records = 0u64;
-    let mut last_seq = 0u64;
-    for (i, f) in prefix.iter().enumerate() {
-        match f.kind {
-            FRAME_CHANGE => {
-                records += 1;
-                let (a, b) = f.body;
-                let mut d = Dec::new(&log[a..b]);
-                let seq = d.u64().map_err(|err| RecoverError::BadPayload {
-                    frame: i as u64,
-                    err,
-                })?;
-                if seq <= last_seq {
-                    return Err(RecoverError::CorruptSequence {
-                        shard: shard.to_string(),
-                        frame: i as u64,
-                        detail: "record sequence not strictly increasing",
-                    });
-                }
-                last_seq = seq;
-                if last_snap.is_none_or(|s| i > s) {
-                    let c = StateChange::decode(&mut d)
-                        .and_then(|c| d.finish().map(|_| c))
-                        .map_err(|err| RecoverError::BadPayload {
-                            frame: i as u64,
-                            err,
-                        })?;
-                    if let Some(sec) = expect_section {
-                        if c.section_index() != sec {
-                            return Err(RecoverError::ForeignRecord {
-                                shard: shard.to_string(),
-                                seq,
-                            });
-                        }
-                    }
-                    tail.push((seq, c));
-                }
-            }
-            FRAME_SNAPSHOT | FRAME_SNAPSHOT_INC | FRAME_COMMIT => {}
-            kind => {
-                return Err(RecoverError::UnknownFrameKind {
-                    frame: i as u64,
-                    kind,
-                })
-            }
-        }
-    }
-
-    Ok(Part {
-        sections,
-        from_snapshot: last_full.is_some(),
-        tail,
-        records,
-    })
-}
-
-fn recover_single(log: &[u8]) -> Result<Recovered, RecoverError> {
-    let scan = frame::scan(log).map_err(|_| RecoverError::BadMagic)?;
-    let commits = parse_commits(log, &scan.frames, "log")?;
-    let Some(&last) = commits.last() else {
-        return Ok(Recovered::default());
-    };
-    let prefix = &scan.frames[..=last.idx];
-    let part = replay_prefix(log, prefix, None, "log")?;
-    Ok(Recovered {
-        sections: part.sections,
-        from_snapshot: part.from_snapshot,
-        tail: part.tail.into_iter().map(|(_, c)| c).collect(),
-        committed_frames: (last.idx + 1) as u64,
-        committed_records: part.records,
-        committed_at_us: last.now_us,
-        committed_bytes: prefix[last.idx].end,
-        committed_seq: last.seq,
-    })
-}
-
-fn recover_bundle(image: &[u8]) -> Result<Recovered, RecoverError> {
-    let entries = frame::parse_bundle(image).map_err(RecoverError::BadBundle)?;
-    let names: Vec<&str> = entries.iter().map(|(n, _)| n.as_str()).collect();
-    if names != section::NAMES {
-        return Err(RecoverError::BadShards(format!(
-            "expected shards {:?}, found {names:?}",
-            section::NAMES
-        )));
-    }
-
-    // Scan each shard and pick the global boundary: the minimum of the
-    // shards' last commit sequences (every commit frame reaches every
-    // shard, so a lower maximum means that shard's tail was torn).
-    let mut scans = Vec::with_capacity(entries.len());
-    let mut boundary = u64::MAX;
-    for (name, log) in &entries {
-        let scan = frame::scan(log).map_err(|_| RecoverError::BadMagic)?;
-        let commits = parse_commits(log, &scan.frames, name)?;
-        boundary = boundary.min(commits.last().map_or(0, |c| c.seq));
-        scans.push((scan, commits));
-    }
-    if boundary == 0 {
-        return Ok(Recovered::default());
-    }
-
-    let mut merged = Sections::default();
-    let mut from_snapshot = false;
-    let mut tails: Vec<(u64, StateChange)> = Vec::new();
-    let mut committed_frames = 0u64;
-    let mut committed_records = 0u64;
-    let mut committed_bytes = 0usize;
-    let mut committed_at_us = None;
-    for (sec_idx, ((name, log), (scan, commits))) in entries.iter().zip(&scans).enumerate() {
-        let cut = match commits.iter().find(|c| c.seq == boundary) {
-            Some(c) => c,
-            None => {
-                return Err(RecoverError::ShardGap {
-                    shard: name.clone(),
-                    seq: boundary,
-                })
-            }
-        };
-        match committed_at_us {
-            None => committed_at_us = Some(cut.now_us),
-            Some(t) if t != cut.now_us => {
-                return Err(RecoverError::InconsistentCommit { seq: boundary })
-            }
-            Some(_) => {}
-        }
-        let prefix = &scan.frames[..=cut.idx];
-        let part = replay_prefix(log, prefix, Some(sec_idx), name)?;
-        merged.entries.extend(part.sections.entries);
-        from_snapshot |= part.from_snapshot;
-        tails.extend(part.tail);
-        committed_frames += (cut.idx + 1) as u64;
-        committed_records += part.records;
-        committed_bytes += prefix[cut.idx].end;
-    }
-
-    // Interleave shard tails back into the global append order.
-    tails.sort_by_key(|(seq, _)| *seq);
-    if tails.windows(2).any(|w| w[0].0 == w[1].0) {
-        return Err(RecoverError::CorruptSequence {
-            shard: "merge".to_string(),
-            frame: 0,
-            detail: "record sequence appears in more than one shard",
-        });
-    }
-
-    Ok(Recovered {
-        sections: merged,
-        from_snapshot,
-        tail: tails.into_iter().map(|(_, c)| c).collect(),
-        committed_frames,
-        committed_records,
-        committed_at_us: committed_at_us.unwrap_or(0),
-        committed_bytes,
-        committed_seq: boundary,
-    })
-}
-
-/// Recovers snapshot + replay tail from a log image — a single
-/// `VMRWAL02` log or a `VMRSHRD1` bundle, dispatched on the leading
-/// magic. See the module docs for the exact semantics.
-pub fn recover(image: &[u8]) -> Result<Recovered, RecoverError> {
-    if frame::is_bundle(image) {
-        recover_bundle(image)
-    } else {
-        recover_single(image)
-    }
-}
-
 /// End offsets of the magic header and every structurally valid frame
 /// — the legal crash cut points a boundary-exhaustive test iterates.
-/// Single logs only; a bundle image is assembled atomically and has no
-/// meaningful byte-level crash cuts.
 pub fn frame_ends(log: &[u8]) -> Result<Vec<usize>, RecoverError> {
     let scan = frame::scan(log).map_err(|_| RecoverError::BadMagic)?;
     let mut v = Vec::with_capacity(scan.frames.len() + 1);
@@ -474,6 +179,7 @@ pub fn frame_ends(log: &[u8]) -> Result<Vec<usize>, RecoverError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compact::compact;
     use crate::journal::{DurabilityPlan, Journal};
 
     fn change(rid: u32) -> StateChange {
@@ -552,8 +258,8 @@ mod tests {
         );
     }
 
-    /// Duplicating a committed span (a replayed-twice shard tail)
-    /// yields a typed sequence error, never double-applied state.
+    /// Duplicating a committed span (a tail written twice) yields a
+    /// typed sequence error, never double-applied state.
     #[test]
     fn duplicated_tail_is_a_corrupt_sequence() {
         let log = build_log(None);
@@ -568,121 +274,76 @@ mod tests {
         }
     }
 
-    /// A torn bundle container is a typed error (it is written
-    /// atomically; only shard interiors see crash debris).
+    /// Lifting a committed record out of the middle of the log leaves a
+    /// hole in the sequence: typed, never a replay that skips a change.
     #[test]
-    fn torn_bundle_is_typed() {
-        let j = Journal::new(&DurabilityPlan::new(0.0).with_sharding()).unwrap();
-        j.advance_to(1);
-        j.append(&change(0));
-        j.commit();
-        let img = j.log_bytes();
-        for cut in frame::BUNDLE_MAGIC.len()..img.len() {
-            match recover(&img[..cut]) {
-                Err(RecoverError::BadBundle(_)) | Err(RecoverError::BadShards(_)) => {}
-                other => panic!("cut {cut}: expected typed bundle error, got {other:?}"),
-            }
+    fn missing_record_is_a_corrupt_sequence() {
+        let log = build_log(None);
+        let ends = frame_ends(&log).unwrap();
+        // Frames: change, commit, change, commit… — drop the 2nd change,
+        // so the 3rd (now frame 3) follows the 1st.
+        let mut holed = log[..ends[2]].to_vec();
+        holed.extend_from_slice(&log[ends[3]..]);
+        match recover(&holed) {
+            Err(RecoverError::CorruptSequence { frame: 3, .. }) => {}
+            other => panic!("expected CorruptSequence at frame 3, got {other:?}"),
         }
     }
 
-    /// Tearing one shard's tail rolls every shard back to the global
-    /// boundary — the minimum surviving commit sequence.
+    /// Without a snapshot replay starts from genesis, so the log must
+    /// start at record 1: a log that lost its head is typed.
     #[test]
-    fn torn_shard_rolls_back_to_min_commit() {
-        let j = Journal::new(&DurabilityPlan::new(0.0).with_sharding()).unwrap();
-        for i in 0..3u32 {
-            j.advance_to(i as u64);
-            j.append(&change(i)); // db shard
-            j.append(&StateChange::CreditError { client: i }); // credit shard
-            j.commit();
+    fn headless_log_is_a_corrupt_sequence() {
+        let log = build_log(None);
+        let ends = frame_ends(&log).unwrap();
+        let mut headless = log[..ends[0]].to_vec();
+        headless.extend_from_slice(&log[ends[1]..]);
+        match recover(&headless) {
+            Err(RecoverError::CorruptSequence { frame: 1, .. }) => {}
+            other => panic!("expected CorruptSequence at frame 1, got {other:?}"),
         }
-        let full = recover(&j.log_bytes()).unwrap();
-        assert_eq!(full.committed_seq, 3);
-        assert_eq!(full.tail.len(), 6);
-
-        // Tear the credit shard back to its first commit.
-        let mut shards = frame::parse_bundle(&j.log_bytes()).unwrap();
-        let credit_ends = frame_ends(&shards[section::CREDIT].1).unwrap();
-        shards[section::CREDIT].1.truncate(credit_ends[2]); // record+commit of event 0
-        let entries: Vec<(&str, &[u8])> = shards
-            .iter()
-            .map(|(n, l)| (n.as_str(), l.as_slice()))
-            .collect();
-        let torn = recover(&frame::bundle(&entries)).unwrap();
-        assert_eq!(torn.committed_seq, 1);
-        assert_eq!(torn.committed_at_us, 0);
+        // Behind a snapshot the same cut is what compaction leaves.
+        let compacted = compact(&build_log(Some(1))).unwrap();
         assert_eq!(
-            torn.tail,
-            vec![change(0), StateChange::CreditError { client: 0 }]
+            recover(&compacted).unwrap().tail,
+            vec![change(2), change(3)]
         );
     }
 
-    /// A shard compacted past what the rest can reach is a typed gap.
+    /// The retired sharded-bundle container (`VMRSHRD1`) is a foreign
+    /// file to this version: typed, from recovery and compaction alike.
     #[test]
-    fn over_compacted_shard_is_a_gap() {
-        let j = Journal::new(&DurabilityPlan::new(0.0).with_sharding()).unwrap();
-        for i in 0..3u32 {
-            j.advance_to(i as u64);
-            j.append(&change(i));
-            j.commit();
-        }
-        let mut shards = frame::parse_bundle(&j.log_bytes()).unwrap();
-        // Drop the db shard's first two events entirely (as an
-        // over-eager compaction without a covering snapshot would).
-        let db_ends = frame_ends(&shards[section::DB].1).unwrap();
-        let keep_from = db_ends[4]; // after record+commit ×2
-        let mut rebuilt = frame::MAGIC.to_vec();
-        rebuilt.extend_from_slice(&shards[section::DB].1[keep_from..]);
-        shards[section::DB].1 = rebuilt;
-        // Tear the credit shard so the global boundary is seq 2,
-        // which the compacted db shard no longer holds.
-        let credit_ends = frame_ends(&shards[section::CREDIT].1).unwrap();
-        shards[section::CREDIT].1.truncate(credit_ends[2]);
-        let entries: Vec<(&str, &[u8])> = shards
-            .iter()
-            .map(|(n, l)| (n.as_str(), l.as_slice()))
-            .collect();
-        match recover(&frame::bundle(&entries)) {
-            Err(RecoverError::ShardGap { shard, seq }) => {
-                assert_eq!(shard, "db");
-                assert_eq!(seq, 2);
-            }
-            other => panic!("expected ShardGap, got {other:?}"),
-        }
+    fn retired_bundle_image_is_bad_magic() {
+        let shard = build_log(None);
+        let mut e = crate::wire::Enc::new();
+        e.u32(1);
+        e.str("db");
+        e.bytes(&shard);
+        let mut image = b"VMRSHRD1".to_vec();
+        image.extend_from_slice(&e.into_vec());
+        assert_eq!(recover(&image).unwrap_err(), RecoverError::BadMagic);
+        assert_eq!(compact(&image).unwrap_err(), RecoverError::BadMagic);
     }
 
-    /// A record framed into the wrong shard is typed, not replayed.
+    /// A CRC-valid frame of the retired incremental-snapshot kind (3)
+    /// inside a committed `VMRWAL02` prefix is typed, never skipped and
+    /// never rewritten into a compacted image.
     #[test]
-    fn foreign_record_is_typed() {
-        let j = Journal::new(&DurabilityPlan::new(0.0).with_sharding()).unwrap();
+    fn retired_incremental_frame_is_an_unknown_kind() {
+        let j = Journal::new(&DurabilityPlan::new(0.0)).unwrap();
         j.advance_to(1);
         j.append(&change(0));
         j.commit();
-        let mut shards = frame::parse_bundle(&j.log_bytes()).unwrap();
-        // Move the db shard's content into the credit shard.
-        shards[section::CREDIT].1 = shards[section::DB].1.clone();
-        let mut empty = bytes::BytesMut::new();
-        frame::put_magic(&mut empty);
-        let mut db_log = empty.to_vec();
-        // Keep db's commit frame so the boundary still exists there.
-        let db_scan = frame::scan(&shards[section::DB].1).unwrap();
-        let commit = db_scan
-            .frames
-            .iter()
-            .find(|f| f.kind == FRAME_COMMIT)
-            .unwrap();
-        db_log.extend_from_slice(&shards[section::DB].1[commit.start()..commit.end]);
-        shards[section::DB].1 = db_log;
-        let entries: Vec<(&str, &[u8])> = shards
-            .iter()
-            .map(|(n, l)| (n.as_str(), l.as_slice()))
-            .collect();
-        match recover(&frame::bundle(&entries)) {
-            Err(RecoverError::ForeignRecord { shard, seq }) => {
-                assert_eq!(shard, "credit");
-                assert_eq!(seq, 1);
-            }
-            other => panic!("expected ForeignRecord, got {other:?}"),
-        }
+        let mut log = bytes::BytesMut::from(&j.log_bytes()[..]);
+        let mut inc = Sections::new();
+        inc.push("db", vec![7]);
+        frame::append_frame(&mut log, 3, &inc.to_bytes());
+        let mut commit = [0u8; 16];
+        commit[..8].copy_from_slice(&2u64.to_be_bytes());
+        commit[8..].copy_from_slice(&2u64.to_be_bytes());
+        frame::append_frame(&mut log, FRAME_COMMIT, &commit);
+        let want = RecoverError::UnknownFrameKind { frame: 2, kind: 3 };
+        assert_eq!(recover(&log).unwrap_err(), want);
+        assert_eq!(compact(&log).unwrap_err(), want);
     }
 }

@@ -1,21 +1,14 @@
-//! The canonical state-section vocabulary shared by snapshots and the
-//! sharded WAL.
+//! The canonical state-section vocabulary of snapshots.
 //!
 //! Server state is partitioned into five named sections — the project
 //! database, the credit ledger, the assimilator, the MapReduce
 //! JobTracker and the host trust ledger. Snapshot frames carry them by
-//! name
-//! ([`crate::Sections`]); the sharded journal keys one log per section
-//! ([`crate::DurabilityPlan::sharded`]); and every
-//! [`crate::StateChange`] variant maps to exactly one section
-//! ([`crate::StateChange::section_index`]), which is what routes a
-//! change record to its shard and sets that shard's dirty bit for
-//! incremental snapshots.
+//! name ([`crate::Sections`]).
 //!
-//! The list is append-only and its order is canonical: recovery
-//! assembles merged sections in this order, so two equal server states
-//! recovered through different paths (single log, sharded bundle,
-//! compacted mirror) compare byte-identical.
+//! The list is append-only and its order is canonical: the engine
+//! snapshots its sections in this order and recovery re-encodes them in
+//! the same one, so two equal server states reached through different
+//! paths (live run, full log, compacted mirror) compare byte-identical.
 
 /// Index of the project-database section.
 pub const DB: usize = 0;
@@ -31,26 +24,16 @@ pub const TRUST: usize = 4;
 /// Canonical section names, in canonical order.
 pub const NAMES: [&str; 5] = ["db", "credit", "assim", "tracker", "trust"];
 
-/// Number of sections (= number of shards in a sharded WAL).
-pub const COUNT: usize = NAMES.len();
-
-/// Resolves a section name to its canonical index.
-pub fn index_of(name: &str) -> Option<usize> {
-    NAMES.iter().position(|&n| n == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn names_and_indices_agree() {
-        assert_eq!(index_of("db"), Some(DB));
-        assert_eq!(index_of("credit"), Some(CREDIT));
-        assert_eq!(index_of("assim"), Some(ASSIM));
-        assert_eq!(index_of("tracker"), Some(TRACKER));
-        assert_eq!(index_of("trust"), Some(TRUST));
-        assert_eq!(index_of("ghost"), None);
-        assert_eq!(COUNT, 5);
+        assert_eq!(NAMES[DB], "db");
+        assert_eq!(NAMES[CREDIT], "credit");
+        assert_eq!(NAMES[ASSIM], "assim");
+        assert_eq!(NAMES[TRACKER], "tracker");
+        assert_eq!(NAMES[TRUST], "trust");
     }
 }

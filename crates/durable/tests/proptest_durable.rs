@@ -1,13 +1,9 @@
-//! Property tests for the durability layer's newest moving parts:
-//! mirror compaction, incremental snapshots and the sharded WAL merge.
+//! Property test for mirror compaction.
 //!
-//! * **Differential compaction**: for any scripted journal run,
-//!   `compact(image)` recovers to exactly the same state as the
-//!   uncompacted image — same sections, same replay tail, same commit
-//!   boundary — and compaction is idempotent.
-//! * **Shard-merge equivalence**: the same event stream driven through
-//!   a single-log journal and a sharded journal recovers identically
-//!   at *every* commit boundary, not just the final one.
+//! **Differential compaction**: for any scripted journal run,
+//! `compact(image)` recovers to exactly the same state as the
+//! uncompacted image — same sections, same replay tail, same commit
+//! boundary — and compaction is idempotent.
 
 use proptest::prelude::*;
 use vmr_durable::{
@@ -17,17 +13,17 @@ use vmr_durable::{
 /// One scripted journal operation.
 #[derive(Clone, Debug)]
 enum Op {
-    /// Append a state change (routes to a section-owned shard).
+    /// Append a state change.
     Change(StateChange),
     /// Commit the open transaction.
     Commit,
-    /// Write a snapshot (full or incremental per the plan) + commit.
+    /// Write a snapshot + commit.
     Snapshot,
 }
 
-/// Maps a raw `(kind, a, b)` triple to an op. Changes cover all four
-/// state sections so sharded runs exercise every shard; recovery does
-/// not re-apply them to live state, so ids need not be replay-valid.
+/// Maps a raw `(kind, a, b)` triple to an op. Changes cover four state
+/// sections; recovery does not re-apply them to live state, so ids
+/// need not be replay-valid.
 fn op(kind: u8, a: u32, b: u32) -> Op {
     match kind {
         0 => Op::Change(StateChange::ResultCreated { rid: a, wu: b }),
@@ -65,8 +61,7 @@ fn op(kind: u8, a: u32, b: u32) -> Op {
 }
 
 /// Drives one journal through the script. Section payloads are a
-/// deterministic function of the step index, so two journals driven
-/// with the same script snapshot identical content.
+/// deterministic function of the step index.
 fn drive(j: &Journal, ops: &[Op]) {
     for (step, o) in ops.iter().enumerate() {
         j.advance_to(step as u64 * 11);
@@ -85,7 +80,7 @@ fn drive(j: &Journal, ops: &[Op]) {
     }
 }
 
-/// Sorted sections, replay tail, commit seq, commit sim-time, seeded.
+/// Sections, replay tail, commit seq, commit sim-time, seeded.
 type Digest = (Vec<(String, Vec<u8>)>, Vec<StateChange>, u64, u64, bool);
 
 /// The recovery-observable state of an image that is invariant under
@@ -94,17 +89,8 @@ type Digest = (Vec<(String, Vec<u8>)>, Vec<StateChange>, u64, u64, bool);
 /// included — they count what the image physically holds, which
 /// compaction legitimately shrinks.)
 fn digest(r: &Recovered) -> Digest {
-    let mut sections: Vec<(String, Vec<u8>)> = r
-        .sections
-        .entries
-        .iter()
-        .map(|(n, b)| (n.clone(), b.clone()))
-        .collect();
-    // Single-log snapshots store sections in writer order, bundles in
-    // canonical order; compare order-insensitively.
-    sections.sort();
     (
-        sections,
+        r.sections.entries.clone(),
         r.tail.clone(),
         r.committed_seq,
         r.committed_at_us,
@@ -113,21 +99,14 @@ fn digest(r: &Recovered) -> Digest {
 }
 
 proptest! {
-    /// A compacted image recovers byte-identically to the original —
-    /// for single logs and sharded bundles, full and incremental
-    /// snapshot plans alike — and `compact` is a fixpoint.
+    /// A compacted image recovers byte-identically to the original and
+    /// `compact` is a fixpoint.
     #[test]
     fn compacted_image_recovers_identically(
         raw in proptest::collection::vec((0u8..10, 0u32..40, 0u32..40), 1..80),
-        full_every in 0u32..4,
-        sharded in proptest::prelude::any::<bool>(),
     ) {
         let ops: Vec<Op> = raw.into_iter().map(|(k, a, b)| op(k, a, b)).collect();
-        let mut plan = DurabilityPlan::new(0.0).with_incremental(full_every);
-        if sharded {
-            plan = plan.with_sharding();
-        }
-        let j = Journal::new(&plan).unwrap();
+        let j = Journal::new(&DurabilityPlan::new(0.0)).unwrap();
         drive(&j, &ops);
         let image = j.log_bytes();
 
@@ -138,58 +117,5 @@ proptest! {
         prop_assert_eq!(digest(&a), digest(&b));
         // Idempotence: compacting a compacted image changes nothing.
         prop_assert_eq!(&compact(&compacted).unwrap(), &compacted);
-    }
-
-    /// Sharded recovery equals single-log recovery at every commit
-    /// boundary: same sections, same merged tail in global record
-    /// order, same commit sequence and sim-time.
-    #[test]
-    fn sharded_recovery_matches_single_log_at_every_boundary(
-        raw in proptest::collection::vec((0u8..10, 0u32..40, 0u32..40), 1..60),
-        full_every in 0u32..4,
-    ) {
-        let ops: Vec<Op> = raw.into_iter().map(|(k, a, b)| op(k, a, b)).collect();
-        let single = Journal::new(
-            &DurabilityPlan::new(0.0).with_incremental(full_every),
-        ).unwrap();
-        let sharded = Journal::new(
-            &DurabilityPlan::new(0.0).with_incremental(full_every).with_sharding(),
-        ).unwrap();
-
-        // Drive both journals in lockstep, capturing each image at
-        // every commit boundary.
-        let mut boundaries: Vec<(Vec<u8>, Vec<u8>)> = vec![];
-        for (step, o) in ops.iter().enumerate() {
-            for j in [&single, &sharded] {
-                j.advance_to(step as u64 * 11);
-                match o {
-                    Op::Change(c) => j.append(c),
-                    Op::Commit => j.commit(),
-                    Op::Snapshot => {
-                        let mut s = Sections::new();
-                        for (i, name) in section::NAMES.iter().enumerate() {
-                            s.push(name, vec![step as u8, i as u8, 0xA5]);
-                        }
-                        j.write_snapshot(&s);
-                        j.commit();
-                    }
-                }
-            }
-            if !matches!(o, Op::Change(_)) {
-                boundaries.push((single.log_bytes(), sharded.log_bytes()));
-            }
-        }
-
-        for (i, (s_img, b_img)) in boundaries.iter().enumerate() {
-            let a = recover(s_img).unwrap();
-            let b = recover(b_img).unwrap();
-            prop_assert_eq!(digest(&a), digest(&b), "boundary {}", i);
-            // Neither image is compacted, so the physical record count
-            // must agree too.
-            prop_assert_eq!(
-                a.committed_records, b.committed_records,
-                "record count at boundary {}", i
-            );
-        }
     }
 }

@@ -11,8 +11,11 @@
 //! 1. truncation at every byte offset (a strided sample under
 //!    `TORTURE_SMOKE=1`),
 //! 2. single-bit flips in headers, payloads and CRCs,
-//! 3. duplicated / reordered / cross-planted shard tail frames in
-//!    sharded bundles.
+//! 3. duplicated / reordered / transplanted CRC-valid frames.
+//!
+//! A hand-built corpus of *retired* formats (the sharded bundle, the
+//! incremental-snapshot frame kind) must come back as typed errors
+//! from every entry point.
 //!
 //! The fuzzer RNG is a fixed-seed xorshift, so a failure reproduces
 //! exactly by rerunning the test.
@@ -22,8 +25,8 @@ use std::sync::OnceLock;
 use vmr_core::config::MrMode;
 use vmr_core::experiment::{run_experiment, ExperimentConfig};
 use vmr_core::recover::RecoveredServerState;
-use vmr_durable::frame::{bundle, is_bundle, parse_bundle};
-use vmr_durable::{compact, frame_ends, recover, DurabilityPlan};
+use vmr_durable::frame::{append_frame, scan, FRAME_COMMIT, FRAME_SNAPSHOT};
+use vmr_durable::{compact, recover, CompactionPolicy, DurabilityPlan, RecoverError, Sections};
 
 /// xorshift64*: deterministic, dependency-free fuzzing RNG.
 struct XorShift(u64);
@@ -62,26 +65,34 @@ fn quick_wal(plan: DurabilityPlan) -> Vec<u8> {
     out.wal.expect("durability was enabled")
 }
 
-/// The corpus: real journals across every plan shape, plus their
-/// compacted mirrors. Recorded once per test binary.
+/// The corpus: real journals with and without snapshots, their
+/// compacted images, and a mirror the journal's own `CompactionPolicy`
+/// rewrote mid-run. Recorded once per test binary.
 fn corpus() -> &'static Vec<(&'static str, Vec<u8>)> {
     static CORPUS: OnceLock<Vec<(&'static str, Vec<u8>)>> = OnceLock::new();
     CORPUS.get_or_init(|| {
-        let single = quick_wal(DurabilityPlan::new(45.0));
-        let inc = quick_wal(DurabilityPlan::new(45.0).with_incremental(3));
-        let sharded = quick_wal(
+        let single = quick_wal(DurabilityPlan::new(0.0));
+        let snapshots = quick_wal(DurabilityPlan::new(45.0));
+        let single_compacted = compact(&single).expect("intact image compacts");
+        let snapshots_compacted = compact(&snapshots).expect("intact image compacts");
+        let sink = std::env::temp_dir().join(format!("vmr-torture-{}.wal", std::process::id()));
+        quick_wal(
             DurabilityPlan::new(45.0)
-                .with_incremental(3)
-                .with_sharding(),
+                .with_sink(&sink)
+                .with_compaction(CompactionPolicy::max_mirror_bytes(4096)),
         );
-        let inc_compacted = compact(&inc).expect("intact image compacts");
-        let sharded_compacted = compact(&sharded).expect("intact bundle compacts");
+        let mirror = std::fs::read(&sink).expect("the run mirrored its WAL");
+        std::fs::remove_file(&sink).ok();
+        assert!(
+            mirror.len() < snapshots.len(),
+            "the policy must have rewritten the mirror"
+        );
         vec![
             ("single", single),
-            ("incremental", inc),
-            ("incremental-compacted", inc_compacted),
-            ("sharded", sharded),
-            ("sharded-compacted", sharded_compacted),
+            ("snapshots", snapshots),
+            ("single-compacted", single_compacted),
+            ("snapshots-compacted", snapshots_compacted),
+            ("policy-compacted-mirror", mirror),
         ]
     })
 }
@@ -164,74 +175,117 @@ fn single_bit_flips_never_panic() {
     }
 }
 
-/// Splits one shard log into its magic prefix and per-frame byte
-/// ranges. Shard logs inside a bundle are standalone WAL images, so
-/// `frame_ends` applies directly.
-fn shard_frames(log: &[u8]) -> Vec<(usize, usize)> {
-    let ends = frame_ends(log).expect("intact shard scans");
-    let mut frames = vec![];
-    let mut start = 8; // past magic
-    for end in ends {
-        frames.push((start, end));
-        start = end;
-    }
-    frames
+/// Byte ranges of an intact log's change and commit frames. Snapshot
+/// frames are left out of the surgery: a snapshot does not record its
+/// own log position, so one displaced among CRC-valid frames cannot be
+/// told from a genuine one by any check short of a format change.
+fn tamperable_frames(log: &[u8]) -> Vec<(usize, usize)> {
+    scan(log)
+        .expect("intact log scans")
+        .frames
+        .iter()
+        .filter(|f| f.kind != FRAME_SNAPSHOT)
+        .map(|f| (f.start(), f.end))
+        .collect()
 }
 
 #[test]
-fn duplicated_and_reordered_shard_tails() {
+fn duplicated_reordered_and_transplanted_frames() {
     let mut rng = XorShift::new(0x5EED_CAFE);
     for (name, image) in corpus() {
-        if !is_bundle(image) {
-            continue;
-        }
-        let baseline = recover(image).expect("intact bundle recovers");
-        let shards = parse_bundle(image).expect("intact bundle parses");
+        let baseline = recover(image).expect("intact image recovers");
+        let frames = tamperable_frames(image);
         let cases = if smoke() { 60 } else { 600 };
         for case in 0..cases {
-            let mut mutated: Vec<(String, Vec<u8>)> = shards.clone();
-            let si = rng.below(mutated.len());
-            let frames = shard_frames(&mutated[si].1);
-            if frames.is_empty() {
-                continue;
-            }
-            match case % 3 {
+            let mutated = match case % 3 {
                 0 => {
-                    // Duplicate a frame onto its shard's tail.
+                    // Duplicate a frame onto the tail.
                     let (s, e) = frames[rng.below(frames.len())];
-                    let dup = mutated[si].1[s..e].to_vec();
-                    mutated[si].1.extend_from_slice(&dup);
+                    let mut out = image.clone();
+                    out.extend_from_slice(&image[s..e]);
+                    out
                 }
                 1 => {
-                    // Reorder: swap two frames within one shard.
+                    // Reorder: swap two frames.
                     let (a, b) = (rng.below(frames.len()), rng.below(frames.len()));
                     let (fa, fb) = (frames[a.min(b)], frames[a.max(b)]);
                     if fa == fb {
                         continue;
                     }
-                    let log = &mutated[si].1;
-                    let mut out = log[..fa.0].to_vec();
-                    out.extend_from_slice(&log[fb.0..fb.1]);
-                    out.extend_from_slice(&log[fa.1..fb.0]);
-                    out.extend_from_slice(&log[fa.0..fa.1]);
-                    out.extend_from_slice(&log[fb.1..]);
-                    mutated[si].1 = out;
+                    let mut out = image[..fa.0].to_vec();
+                    out.extend_from_slice(&image[fb.0..fb.1]);
+                    out.extend_from_slice(&image[fa.1..fb.0]);
+                    out.extend_from_slice(&image[fa.0..fa.1]);
+                    out.extend_from_slice(&image[fb.1..]);
+                    out
                 }
                 _ => {
-                    // Cross-plant: append one shard's frame to another
-                    // (wrong-section records must be typed, not applied).
-                    let ti = rng.below(mutated.len());
+                    // Transplant: plant a copy of one frame at another
+                    // frame's boundary, mid-log.
                     let (s, e) = frames[rng.below(frames.len())];
-                    let moved = mutated[si].1[s..e].to_vec();
-                    mutated[ti].1.extend_from_slice(&moved);
+                    let at = frames[rng.below(frames.len())].1;
+                    let mut out = image[..at].to_vec();
+                    out.extend_from_slice(&image[s..e]);
+                    out.extend_from_slice(&image[at..]);
+                    out
                 }
-            }
-            let entries: Vec<(&str, &[u8])> = mutated
-                .iter()
-                .map(|(n, b)| (n.as_str(), b.as_slice()))
-                .collect();
-            let rebundled = bundle(&entries);
-            assert_survives(name, &rebundled, baseline.committed_seq, "shard tamper");
+            };
+            // A repeated or out-of-place record or commit breaks its
+            // sequence (`CorruptSequence`); what still recovers stops at
+            // a boundary the intact image had committed.
+            assert_survives(name, &mutated, baseline.committed_seq, "frame tamper");
+        }
+    }
+}
+
+/// Images in formats this version no longer reads, built by hand the
+/// way their writers laid them out.
+fn retired_corpus() -> Vec<(&'static str, Vec<u8>, RecoverError)> {
+    let (_, single) = &corpus()[0];
+    // `VMRSHRD1`: magic, u32 shard count, then (name, log) pairs.
+    let mut bundle = b"VMRSHRD1".to_vec();
+    bundle.extend_from_slice(&1u32.to_be_bytes());
+    bundle.extend_from_slice(&2u32.to_be_bytes());
+    bundle.extend_from_slice(b"db");
+    bundle.extend_from_slice(&(single.len() as u32).to_be_bytes());
+    bundle.extend_from_slice(single);
+    // A `VMRWAL02` log whose committed prefix holds a kind-3
+    // (incremental snapshot) frame.
+    let intact = recover(single).expect("intact image recovers");
+    let mut inc = bytes::BytesMut::from(&single[..intact.committed_bytes]);
+    let mut sections = Sections::new();
+    sections.push("db", vec![1, 2, 3]);
+    append_frame(&mut inc, 3, &sections.to_bytes());
+    let mut commit = [0u8; 16];
+    commit[..8].copy_from_slice(&(intact.committed_at_us + 1).to_be_bytes());
+    commit[8..].copy_from_slice(&(intact.committed_seq + 1).to_be_bytes());
+    append_frame(&mut inc, FRAME_COMMIT, &commit);
+    vec![
+        ("retired-bundle", bundle, RecoverError::BadMagic),
+        (
+            "retired-incremental",
+            inc.to_vec(),
+            RecoverError::UnknownFrameKind {
+                frame: intact.committed_frames,
+                kind: 3,
+            },
+        ),
+    ]
+}
+
+#[test]
+fn retired_formats_are_typed_errors_everywhere() {
+    for (name, image, want) in retired_corpus() {
+        assert_eq!(recover(&image).unwrap_err(), want, "{name}: recover");
+        assert_eq!(compact(&image).unwrap_err(), want, "{name}: compact");
+        match RecoveredServerState::from_log(&image) {
+            Err(vmr_core::recover::RecoveryError::Log(e)) => assert_eq!(e, want, "{name}"),
+            Err(e) => panic!("{name}: from_log returned {e}, expected {want}"),
+            Ok(_) => panic!("{name}: from_log accepted a retired format"),
+        }
+        // And under truncation they stay typed or torn, never a panic.
+        for cut in (0..image.len()).step_by(97) {
+            assert_survives(name, &image[..cut], u64::MAX, "retired truncation");
         }
     }
 }

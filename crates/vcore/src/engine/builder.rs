@@ -111,7 +111,7 @@ impl std::error::Error for BuildError {
 /// let eng = Engine::builder(seed)
 ///     .config(cfg)
 ///     .shards(4)
-///     .durability(DurabilityPlan::new().with_group_commit(64))
+///     .durability(DurabilityPlan::new(300.0).with_sink("server.wal"))
 ///     .population(PopulationSpec::internet(1_000, seed))
 ///     .build();
 /// ```

@@ -490,11 +490,8 @@ impl Engine {
     // ----- server daemons ---------------------------------------------------
 
     fn on_daemon_tick<P: Policy>(&mut self, policy: &mut P) {
-        // Periodic snapshot (full or incremental — the journal picks
-        // from its dirty bits), before the feeder refill so the
-        // snapshot captures the same state replay would rebuild. A
-        // `None` return means an incremental found nothing dirty and
-        // was skipped entirely.
+        // Periodic snapshot, before the feeder refill so the snapshot
+        // captures the same state replay would rebuild.
         if self.durable.snapshot_due() {
             // Section order is fixed, so equal states produce
             // byte-identical snapshots.

@@ -60,7 +60,7 @@ if [ "$NO_BENCH" -eq 0 ]; then
         || { echo "fig4 diverged from tests/golden/fig4.txt" >&2; exit 1; }
 
     echo "==> crash-replay smoke: crash mid-run, resume from the WAL mirror, byte-diff"
-    echo "    (single-log plan, then sharded + incremental + compacted)"
+    echo "    (plain plan, then inline compaction resumed from the compacted mirror)"
     cargo build --offline --release -p vmr-bench --bin recovery_study
     ./target/release/recovery_study --smoke
 
