@@ -25,6 +25,12 @@
 //! drift from live state. Snapshots serialize only the two row tables
 //! ([`Db::encode_state`]) in global id order; the secondary indexes are
 //! derived data and are rebuilt on decode.
+//!
+//! **Completion check.** `Engine::run_until` evaluates
+//! [`Db::all_wus_terminal`] before every event, so it must not touch
+//! the table: the database keeps a work-unit count per [`WuState`],
+//! moved by the three appliers that set a work unit's state and rebuilt
+//! from the rows on decode — derived data like the indexes above.
 
 use crate::types::{ClientId, FileRef, OutputFingerprint, ResultId, WuId};
 use crate::workunit::{ResultOutcome, ResultRec, ResultState, WorkUnit, WorkUnitSpec, WuState};
@@ -56,6 +62,9 @@ pub struct Db {
     n_wus: usize,
     /// Total results ever created (next global result id).
     n_results: usize,
+    /// Work units per [`WuState`] (indexed by `state as usize`). Derived
+    /// from the rows; a table-level total, so `reshard` leaves it alone.
+    wu_tally: [usize; 3],
     /// WAL handle (disabled by default — a no-op on every append).
     journal: Journal,
 }
@@ -80,6 +89,7 @@ impl Db {
             shards: (0..n).map(|_| DbShard::default()).collect(),
             n_wus: 0,
             n_results: 0,
+            wu_tally: [0; 3],
             journal: Journal::disabled(),
         }
     }
@@ -225,10 +235,23 @@ impl Db {
         &self.shards[s].wus[l]
     }
 
-    /// Mutable work unit row.
-    pub fn wu_mut(&mut self, id: WuId) -> &mut WorkUnit {
+    /// Mutable work unit row. Private: `state` may only change through
+    /// [`Db::set_wu_state`], which keeps the per-state tally in step.
+    fn wu_mut(&mut self, id: WuId) -> &mut WorkUnit {
         let (s, l) = self.wu_slot(id);
         &mut self.shards[s].wus[l]
+    }
+
+    /// Moves `id` to state `to`, carrying its tally entry along — out of
+    /// whatever state the row is in, so re-marking an already terminal
+    /// work unit cannot count it twice.
+    fn set_wu_state(&mut self, id: WuId, to: WuState) -> &mut WorkUnit {
+        let (s, l) = self.wu_slot(id);
+        let w = &mut self.shards[s].wus[l];
+        self.wu_tally[w.state as usize] -= 1;
+        self.wu_tally[to as usize] += 1;
+        w.state = to;
+        w
     }
 
     /// All work unit ids.
@@ -419,6 +442,7 @@ impl Db {
             quorum_override: None,
         });
         self.n_wus += 1;
+        self.wu_tally[WuState::Active as usize] += 1;
     }
 
     fn raw_create_result(&mut self, wu: WuId) {
@@ -484,15 +508,13 @@ impl Db {
     }
 
     fn raw_mark_wu_validated(&mut self, wu: WuId, canonical: OutputFingerprint, now: SimTime) {
-        let w = self.wu_mut(wu);
-        w.state = WuState::Validated;
+        let w = self.set_wu_state(wu, WuState::Validated);
         w.canonical = Some(canonical);
         w.finished_at = Some(now);
     }
 
     fn raw_mark_wu_failed(&mut self, wu: WuId, now: SimTime) {
-        let w = self.wu_mut(wu);
-        w.state = WuState::Failed;
+        let w = self.set_wu_state(wu, WuState::Failed);
         w.finished_at = Some(now);
     }
 
@@ -668,12 +690,17 @@ impl Db {
                 ResultState::Over => {}
             }
         }
+        let mut wu_tally = [0; 3];
+        for w in &wus {
+            wu_tally[w.state as usize] += 1;
+        }
         shard.wus = wus;
         shard.results = results;
         Ok(Db {
             n_shards: 1,
             n_wus: shard.wus.len(),
             n_results: shard.results.len(),
+            wu_tally,
             shards: vec![shard],
             journal: Journal::disabled(),
         })
@@ -685,21 +712,15 @@ impl Db {
         &self.wu(wu).spec.inputs
     }
 
-    /// True when every WU is validated or failed.
+    /// True when every WU is validated or failed (vacuously so for an
+    /// empty table). O(1): this is `run_until`'s per-event stop check.
     pub fn all_wus_terminal(&self) -> bool {
-        self.shards.iter().all(|s| {
-            s.wus
-                .iter()
-                .all(|w| matches!(w.state, WuState::Validated | WuState::Failed))
-        })
+        self.wu_tally[WuState::Active as usize] == 0
     }
 
-    /// Count of WUs in a given state.
+    /// Count of WUs in a given state. O(1).
     pub fn count_state(&self, state: WuState) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.wus.iter().filter(|w| w.state == state).count())
-            .sum()
+        self.wu_tally[state as usize]
     }
 }
 
@@ -831,12 +852,33 @@ mod tests {
 
     #[test]
     fn terminal_tracking() {
+        let counts = |db: &Db| {
+            [WuState::Active, WuState::Validated, WuState::Failed].map(|s| db.count_state(s))
+        };
         let mut db = Db::new();
-        let wu = db.insert_workunit(spec("a"), SimTime::ZERO);
+        assert!(db.all_wus_terminal(), "an empty table is vacuously done");
+        let a = db.insert_workunit(spec("a"), SimTime::ZERO);
+        let b = db.insert_workunit(spec("b"), SimTime::ZERO);
+        let c = db.insert_workunit(spec("c"), SimTime::ZERO);
         assert!(!db.all_wus_terminal());
-        db.wu_mut(wu).state = WuState::Validated;
+        assert_eq!(counts(&db), [3, 0, 0]);
+        db.mark_wu_validated(a, OutputFingerprint(7), SimTime::from_secs(1));
+        db.mark_wu_failed(b, SimTime::from_secs(2));
+        assert!(!db.all_wus_terminal(), "c is still live");
+        assert_eq!(counts(&db), [1, 1, 1]);
+        // Re-marking a terminal work unit moves it, never counts it twice.
+        db.mark_wu_validated(a, OutputFingerprint(7), SimTime::from_secs(3));
+        db.mark_wu_failed(b, SimTime::from_secs(3));
+        assert_eq!(counts(&db), [1, 1, 1]);
+        db.mark_wu_failed(a, SimTime::from_secs(4));
+        assert_eq!(counts(&db), [1, 0, 2]);
+        db.mark_wu_validated(c, OutputFingerprint(9), SimTime::from_secs(5));
         assert!(db.all_wus_terminal());
-        assert_eq!(db.count_state(WuState::Validated), 1);
+        assert_eq!(counts(&db), [0, 1, 2]);
+        // A work unit inserted after completion reopens the table.
+        db.insert_workunit(spec("d"), SimTime::from_secs(6));
+        assert!(!db.all_wus_terminal());
+        assert_eq!(counts(&db), [1, 1, 2]);
     }
 
     /// Drives `db` through every journaled mutator.
@@ -957,10 +999,9 @@ mod tests {
                 );
             }
             assert_eq!(sharded.all_wus_terminal(), base.all_wus_terminal());
-            assert_eq!(
-                sharded.count_state(WuState::Validated),
-                base.count_state(WuState::Validated)
-            );
+            for s in [WuState::Active, WuState::Validated, WuState::Failed] {
+                assert_eq!(sharded.count_state(s), base.count_state(s), "{s:?}");
+            }
         }
     }
 

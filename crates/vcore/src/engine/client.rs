@@ -4,7 +4,7 @@
 //! deadlines and permanent dropout.
 
 use super::transfer::InputSlot;
-use super::{clique_fingerprint, honest_fingerprint, Engine, Ev, Policy, ServedFile};
+use super::{clique_fingerprint, honest_fingerprint, Engine, Ev, Lane, Policy, ServedFile};
 use crate::backoff::Backoff;
 use crate::fault::Corruption;
 use crate::host::{HostProfile, ValidationCounts};
@@ -165,7 +165,7 @@ impl Engine {
         };
         self.obs
             .journal
-            .point(self.client_name(cid), "suspend", "", now.as_micros());
+            .point(Lane(cid), "suspend", "", now.as_micros());
         self.sim.schedule_in(off, Ev::Resume(cid));
     }
 
@@ -192,7 +192,7 @@ impl Engine {
         }
         self.obs
             .journal
-            .point(self.client_name(cid), "resume", "", now.as_micros());
+            .point(Lane(cid), "resume", "", now.as_micros());
         let on = {
             let av = self.clients[cid.0 as usize].profile.availability.unwrap();
             let c = &mut self.clients[cid.0 as usize];
@@ -252,12 +252,9 @@ impl Engine {
                     self.stats.report_delay.record(delay_s);
                     self.eobs.report_delay_s.record(delay_s);
                 }
-                self.obs.journal.point(
-                    self.client_name(cid),
-                    "report",
-                    rid.to_string(),
-                    now.as_micros(),
-                );
+                self.obs
+                    .journal
+                    .point(Lane(cid), "report", rid, now.as_micros());
                 reported_wus.push(self.db.result(rid).wu);
                 policy.on_result_reported(self, rid);
             }
@@ -535,13 +532,9 @@ impl Engine {
             t.exec_done_at = Some(now);
             t.fingerprint = fp;
             t.errored = errored;
-            self.obs.journal.span(
-                self.client_name(cid),
-                "exec",
-                rid.to_string(),
-                start.as_micros(),
-                now.as_micros(),
-            );
+            self.obs
+                .journal
+                .span(Lane(cid), "exec", rid, start.as_micros(), now.as_micros());
         }
         policy.on_task_executed(self, cid, rid);
 
@@ -590,12 +583,9 @@ impl Engine {
         if let Some(ev) = c.wake.take() {
             self.sim.cancel(ev);
         }
-        self.obs.journal.point(
-            self.client_name(cid),
-            "dropout",
-            "",
-            self.sim.now().as_micros(),
-        );
+        self.obs
+            .journal
+            .point(Lane(cid), "dropout", "", self.sim.now().as_micros());
         self.abort_flows_of(cid);
         // Swarm bookkeeping: the dropped host stops seeding, and its
         // own in-progress transfers die with it.

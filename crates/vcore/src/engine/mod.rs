@@ -409,6 +409,12 @@ impl Engine {
 
     /// Runs until `stop` returns true, the event queue drains, or `horizon`
     /// passes. Returns the number of events processed.
+    ///
+    /// `stop` runs before **every** event, so it must be O(1): anything
+    /// that walks a table turns the run into O(events × rows). The
+    /// intended predicate is `|e| e.db.all_wus_terminal()`
+    /// ([`Db::all_wus_terminal`]), a counter read, optionally combined
+    /// with `e.now()` or a policy flag.
     pub fn run_until<P: Policy>(
         &mut self,
         policy: &mut P,
@@ -624,9 +630,7 @@ impl Engine {
                 wu: wu.to_string(),
                 to: to.into(),
             });
-        self.obs
-            .journal
-            .point("server", point_kind, wu.to_string(), now);
+        self.obs.journal.point("server", point_kind, wu, now);
     }
 
     /// A result of `c` errored or timed out: the credit ledger, the
@@ -710,7 +714,17 @@ impl Engine {
 
     /// Lane name used in the timeline for a client.
     pub fn client_name(&self, c: ClientId) -> String {
-        format!("node-{:02}", c.0)
+        Lane(c).to_string()
+    }
+}
+
+/// A client's timeline lane name (`node-07`), as a `Display` value so
+/// it is formatted only when an enabled journal records the event.
+struct Lane(ClientId);
+
+impl std::fmt::Display for Lane {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "node-{:02}", self.0 .0)
     }
 }
 

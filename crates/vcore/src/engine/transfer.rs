@@ -7,7 +7,7 @@
 
 use super::client::TaskState;
 use super::fetch::SERVER_SEED;
-use super::{Engine, Ev};
+use super::{Engine, Ev, Lane};
 use crate::types::{ClientId, FileSource, ResultId};
 use vmr_desim::SimDuration;
 use vmr_netsim::{connect, FlowId, FlowSpec, HostId, Path, Priority};
@@ -329,7 +329,6 @@ impl Engine {
                 return;
             }
         }
-        let name = self.client_name(client);
         let c = &mut self.clients[client.0 as usize];
         let mut became_ready = None;
         if let Some(t) = c.tasks.get_mut(&rid) {
@@ -345,9 +344,9 @@ impl Engine {
             // task is finished.
             self.swarm.retain(|k, _| !(k.0 == client.0 && k.1 == rid.0));
             self.obs.journal.span(
-                name,
+                Lane(client),
                 "download",
-                rid.to_string(),
+                rid,
                 assigned_at.as_micros(),
                 now.as_micros(),
             );
@@ -369,9 +368,9 @@ impl Engine {
             let start = t.exec_done_at.unwrap_or(now);
             c.ready_to_report.push((rid, fp, err));
             self.obs.journal.span(
-                self.client_name(client),
+                Lane(client),
                 "upload",
-                rid.to_string(),
+                rid,
                 start.as_micros(),
                 now.as_micros(),
             );

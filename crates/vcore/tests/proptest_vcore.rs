@@ -2,14 +2,96 @@
 //! machine and the backoff policy.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use vmr_desim::{RngStream, SimDuration, SimTime};
+use vmr_durable::{recover, DurabilityPlan, Journal};
 use vmr_vcore::transition::{transition_wu, Transition};
 use vmr_vcore::{
-    check_quorum, Backoff, ClientId, Db, OutputFingerprint, ResultOutcome, Verdict, WorkUnitSpec,
-    WuState,
+    check_quorum, Backoff, ClientId, Db, OutputFingerprint, ResultId, ResultOutcome, Verdict,
+    WorkUnitSpec, WuId, WuState,
 };
 
+/// The O(1) reads (`count_state`, `all_wus_terminal`) against the full
+/// table scan they replaced.
+fn tally_matches_scan(db: &Db, what: &str) -> Result<(), TestCaseError> {
+    for s in [WuState::Active, WuState::Validated, WuState::Failed] {
+        let scanned = db.wu_ids().filter(|&w| db.wu(w).state == s).count();
+        prop_assert_eq!(db.count_state(s), scanned, "{}: count_state({:?})", what, s);
+    }
+    let scanned = db.wu_ids().all(|w| db.wu(w).state != WuState::Active);
+    prop_assert_eq!(db.all_wus_terminal(), scanned, "{}: all_wus_terminal", what);
+    Ok(())
+}
+
 proptest! {
+    /// The per-state work-unit tally equals a scan of the table after
+    /// every step of a random mutator sequence (terminal work units get
+    /// re-marked, results get reported against them, new work arrives
+    /// after completion), at any shard count, and on every other way a
+    /// `Db` comes to exist: snapshot decode, reshard, and WAL replay
+    /// record by record.
+    #[test]
+    fn wu_tally_equals_table_scan(
+        ops in proptest::collection::vec((0u8..12, 0u32..1000), 1..60),
+        n_shards in 1usize..=8,
+        reshard_to in 1usize..=8,
+    ) {
+        let journal = Journal::new(&DurabilityPlan::new(0.0)).unwrap();
+        let mut db = Db::with_shards(n_shards);
+        db.set_journal(journal.clone());
+        tally_matches_scan(&db, "empty")?;
+        for (step, (op, pick)) in ops.into_iter().enumerate() {
+            let now = SimTime::from_secs(step as u64);
+            let wu = WuId(pick % db.n_wus().max(1) as u32);
+            let rid = ResultId(pick % db.n_results().max(1) as u32);
+            match op {
+                0 | 1 => {
+                    db.insert_workunit(WorkUnitSpec::basic(format!("w{step}"), "app", 1e9), now);
+                }
+                _ if db.n_wus() == 0 => {}
+                2 => {
+                    let unsent: Vec<_> = db.unsent_results().collect();
+                    if let Some(&r) = unsent.get(pick as usize % unsent.len().max(1)) {
+                        db.mark_sent(r, ClientId(pick % 5), now, now + SimDuration::from_secs(50));
+                    }
+                }
+                3 => {
+                    db.mark_reported(rid, ResultOutcome::Success, Some(OutputFingerprint(7)), now);
+                }
+                4 => {
+                    db.mark_timed_out(rid, now);
+                }
+                5 => {
+                    db.cancel_unsent(rid);
+                }
+                6 => {
+                    db.create_result(wu);
+                }
+                7 => db.set_quorum_override(wu, Some(1 + pick % 3)),
+                // Whatever state `wu` is in, terminal ones included.
+                8 | 9 => db.mark_wu_validated(wu, OutputFingerprint(pick as u64), now),
+                _ => db.mark_wu_failed(wu, now),
+            }
+            tally_matches_scan(&db, "live")?;
+
+            let decoded = Db::decode_state(&db.encode_state()).unwrap();
+            tally_matches_scan(&decoded, "decode_state")?;
+            let mut resharded = decoded;
+            resharded.reshard(reshard_to);
+            tally_matches_scan(&resharded, "reshard")?;
+        }
+
+        journal.commit();
+        let tail = recover(&journal.log_bytes()).unwrap().tail;
+        let mut replayed = Db::with_shards(reshard_to);
+        for c in &tail {
+            prop_assert!(replayed.apply_change(c).unwrap(), "unhandled {:?}", c);
+            tally_matches_scan(&replayed, "apply_change")?;
+        }
+        // Same rows, and each side's tally equals its own scan.
+        prop_assert_eq!(replayed.encode_state(), db.encode_state());
+    }
+
     /// The quorum verdict is permutation-invariant in the *canonical
     /// choice* and always internally consistent: agreeing results all
     /// share the canonical fingerprint, dissenting ones never do, and

@@ -2,7 +2,9 @@
 # Repo-wide hygiene gate: formatting, lints (warnings are errors), the
 # full test suite, the observability feature matrix, and a bench smoke
 # that refreshes BENCH_netsim.json and diffs Table I / Fig. 4 against
-# the committed goldens. Run before sending a change.
+# the committed goldens, and the benchmark's own smoke (all six
+# BENCHMARK.json workloads at ~1/20 size, every check on). Run before
+# sending a change.
 #
 # Usage: scripts/check.sh [--no-test] [--no-bench]
 
@@ -66,6 +68,10 @@ if [ "$NO_BENCH" -eq 0 ]; then
 
     echo "==> durability torture smoke: seeded corruption fuzzer over recorded journals"
     TORTURE_SMOKE=1 cargo test --offline --release -p vmr-durable --test torture --quiet
+
+    echo "==> benchmark smoke: all six workloads at ~1/20 size, checks on, both bins, fmt + clippy"
+    echo "    (a broken workload check or a vmr-bench-trace that no longer compiles fails here)"
+    bash benchmark/run.sh --smoke
 
     if [ "${SHARD_SMOKE:-0}" = "1" ]; then
         echo "==> shard smoke: 4-shard table1 --quick byte-diffed vs 1 shard (SHARD_SMOKE=1)"
