@@ -3,12 +3,11 @@
 //! Drives the standalone serve loop — feeder refill, batched scheduler
 //! RPCs, transitioner passes — against the same database partitioned
 //! into 1/2/4/8 `wu_id mod n` shards, and measures wall-clock
-//! throughput per shard count. The machine has one core, so this is
-//! *not* a thread-scaling study: the RPC speedup comes from the
-//! algorithmic win sharding buys, the O(feeder/n) segment-local
-//! eviction on every grant (a 1-shard feeder pays an O(feeder) retain
-//! per granted result). Transitioner throughput has no such term and
-//! stays flat — reported as-is.
+//! throughput per shard count. The serve loop always runs inline, so
+//! its column is *not* a thread-scaling study: it prices what the
+//! partitioning itself costs or buys per grant now that eviction is a
+//! binary search in an ordered segment. The transitioner pass is timed
+//! twice, inline and on one worker per shard.
 //!
 //! Every shard count must grant the *same results to the same clients
 //! in the same order* (the engine's bit-identity contract); the run
@@ -19,8 +18,7 @@
 //! deterministic, so repeat spread is pure machine noise). Emits one
 //! machine-readable line, `BENCH_shard.json`, with every row plus the
 //! headline 4-shard RPC speedup (check.sh redirects it into the
-//! repo-root file). `--smoke` shrinks the workload to one iteration
-//! and skips the speedup floor (for CI boxes with noisy clocks).
+//! repo-root file). `--smoke` shrinks the workload to one iteration.
 
 use std::time::Instant;
 use vmr_desim::SimTime;
@@ -49,10 +47,17 @@ struct Row {
 /// Best-of-`iters` wrapper: the serve loop is deterministic, so wall
 /// time differences between repeats are pure machine noise — the
 /// minimum is the honest estimate.
-fn run_best_of(iters: u32, shards: usize, n_wus: usize, feeder_slots: usize, clients: u32) -> Row {
+fn run_best_of(
+    iters: u32,
+    shards: usize,
+    n_wus: usize,
+    feeder_slots: usize,
+    clients: u32,
+    pooled: bool,
+) -> Row {
     let mut best: Option<Row> = None;
     for _ in 0..iters {
-        let r = run(shards, n_wus, feeder_slots, clients);
+        let r = run(shards, n_wus, feeder_slots, clients, pooled);
         best = Some(match best {
             None => r,
             Some(b) => {
@@ -70,8 +75,15 @@ fn run_best_of(iters: u32, shards: usize, n_wus: usize, feeder_slots: usize, cli
     best.expect("at least one iteration")
 }
 
-fn run(shards: usize, n_wus: usize, feeder_slots: usize, clients: u32) -> Row {
+fn run(shards: usize, n_wus: usize, feeder_slots: usize, clients: u32, pooled: bool) -> Row {
     let pool = WorkerPool::sequential();
+    // The serve loop is always inline; `pooled` puts the whole-table
+    // transitioner pass on one worker per shard.
+    let trans_pool = if pooled {
+        WorkerPool::new(shards)
+    } else {
+        pool
+    };
     let mut db = Db::with_shards(shards);
     for i in 0..n_wus {
         db.insert_workunit(
@@ -134,7 +146,7 @@ fn run(shards: usize, n_wus: usize, feeder_slots: usize, clients: u32) -> Row {
         }
     }
     let trans_start = Instant::now();
-    let transitions = run_transition_pass(&mut db, SimTime::from_secs(3), &pool).len() as u64;
+    let transitions = run_transition_pass(&mut db, SimTime::from_secs(3), &trans_pool).len() as u64;
     let trans_wall_s = trans_start.elapsed().as_secs_f64();
     for &wu in &wus {
         assert_eq!(
@@ -176,10 +188,20 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for shards in [1usize, 2, 4, 8] {
-        let r = run_best_of(iters, shards, n_wus, feeder_slots, clients);
+        let r = run_best_of(iters, shards, n_wus, feeder_slots, clients, false);
+        let p = run_best_of(iters, shards, n_wus, feeder_slots, clients, true);
+        assert_eq!(p.fingerprint, r.fingerprint);
         println!(
-            "{:>6} | {:>8} | {:>8} | {:>10.3} | {:>11.0} | {:>11} | {:>13.0}",
-            r.shards, r.rpcs, r.grants, r.serve_wall_s, r.rpcs_per_s, r.transitions, r.trans_per_s
+            "{:>6} | {:>8} | {:>8} | {:>10.3} | {:>11.0} | {:>11} | {:>13.0} | pooled({} workers) {:.0}/s",
+            r.shards,
+            r.rpcs,
+            r.grants,
+            r.serve_wall_s,
+            r.rpcs_per_s,
+            r.transitions,
+            r.trans_per_s,
+            shards,
+            p.trans_per_s
         );
         rows.push(r);
     }
@@ -212,14 +234,6 @@ fn main() {
         rows.iter().find(|r| r.shards == 4).unwrap().trans_per_s
             / rows.iter().find(|r| r.shards == 1).unwrap().trans_per_s
     );
-    if !smoke {
-        assert!(
-            speedup(4) >= 2.5,
-            "4-shard serve loop must be >=2.5x the 1-shard feeder, got {:.2}x",
-            speedup(4)
-        );
-    }
-
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {

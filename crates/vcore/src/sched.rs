@@ -12,6 +12,7 @@
 use crate::db::Db;
 use crate::shard::WorkerPool;
 use crate::types::{ClientId, ResultId};
+use std::collections::VecDeque;
 
 /// A client's work request, as seen by the scheduler.
 #[derive(Clone, Copy, Debug)]
@@ -67,12 +68,11 @@ pub fn pick_results(
 /// in id order; removals preserve order), so the merged candidate
 /// stream ([`Feeder::candidates`]) reproduces the single-shard feeder's
 /// FIFO order exactly — sharding never changes which results a grant
-/// picks. What it changes is cost: evicting a granted result touches
-/// only its own segment (O(capacity / n) instead of O(capacity)), the
-/// per-grant hot path this partitioning exists for.
+/// picks. Evicting a granted result is a binary search in its own
+/// segment plus a `VecDeque::remove`.
 #[derive(Debug)]
 pub struct Feeder {
-    segments: Vec<Vec<ResultId>>,
+    segments: Vec<VecDeque<ResultId>>,
 }
 
 impl Feeder {
@@ -80,7 +80,7 @@ impl Feeder {
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "feeder shard count must be at least 1");
         Feeder {
-            segments: (0..n).map(|_| Vec::new()).collect(),
+            segments: (0..n).map(|_| VecDeque::new()).collect(),
         }
     }
 
@@ -91,12 +91,12 @@ impl Feeder {
 
     /// Cached results across all segments.
     pub fn len(&self) -> usize {
-        self.segments.iter().map(Vec::len).sum()
+        self.segments.iter().map(VecDeque::len).sum()
     }
 
     /// True when no results are cached.
     pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(Vec::is_empty)
+        self.segments.iter().all(VecDeque::is_empty)
     }
 
     /// Drops everything from the cache.
@@ -147,15 +147,19 @@ impl Feeder {
         }
         for (s, mut prefix) in prefixes.into_iter().enumerate() {
             prefix.truncate(take[s]);
-            self.segments[s] = prefix;
+            self.segments[s] = prefix.into();
         }
     }
 
-    /// Evicts `rid` from the cache (granted or cancelled). Touches only
-    /// the result's own segment: O(len / n_shards).
+    /// Evicts `rid` from the cache (granted or cancelled); a no-op when
+    /// it is not cached. Segments are ascending, so this is a binary
+    /// search, not a scan.
     pub fn remove(&mut self, rid: ResultId) {
         let s = rid.0 as usize % self.segments.len();
-        self.segments[s].retain(|&r| r != rid);
+        let seg = &mut self.segments[s];
+        if let Ok(i) = seg.binary_search(&rid) {
+            seg.remove(i);
+        }
     }
 
     /// The cached results in global id order — an id-order merge of the
