@@ -18,8 +18,8 @@
 //! scaling table.
 //!
 //! Usage: `cargo run -p vmr-bench --release --bin flow_churn`
-//! (`--scale-smoke` runs only a quick 20k-host leg, for the
-//! `NETSIM_SCALE_SMOKE=1` gate in `scripts/check.sh`).
+//! (`--scale-smoke` runs only a quick 20k-host leg, for
+//! `scripts/check.sh --full`).
 
 use std::time::Instant;
 use vmr_bench::churn::{

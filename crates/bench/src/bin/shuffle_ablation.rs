@@ -17,8 +17,8 @@
 //! `BENCH_shuffle.json` line.
 //!
 //! Usage: `cargo run -p vmr-bench --release --bin shuffle_ablation`
-//! (`--smoke` shrinks the job geometry for the `SHUFFLE_SMOKE=1` gate
-//! in `scripts/check.sh`; same legs, same assertions).
+//! (`--smoke` shrinks the job geometry for `scripts/check.sh --full`;
+//! same legs, same assertions).
 
 use std::time::Instant;
 use vmr_core::{MrJobConfig, MrMode, MrPolicy, Phase, ShuffleConfig};

@@ -1,7 +1,7 @@
 //! Regenerates the paper's **Table I** (word-count makespans).
 //!
 //! Usage: `cargo run -p vmr-bench --release --bin table1 \
-//!     [--mixed] [--quick] [--durable] [--shards <n>] [--metrics <path>] \
+//!     [--mixed] [--quick] [--durable] [--metrics <path>] \
 //!     [--shuffle <baseline|swarm|coded>]`
 //!
 //! Prints, for every row, the simulated map/reduce/total times with the
@@ -11,10 +11,7 @@
 //! `--quick` runs only the first row of each scheduling mode (the
 //! check.sh bench smoke). `--durable` journals every row's server
 //! state (WAL + 300 s snapshots) and prints a `# wal:` footer — the
-//! numbers themselves must not move. `--shards <n>` runs every row on
-//! an n-way sharded server core; output is byte-identical to
-//! `--shards 1` by construction (the check.sh shard smoke diffs the
-//! two). `--metrics <path>` additionally
+//! numbers themselves must not move. `--metrics <path>` additionally
 //! dumps every row's obs metrics snapshot to `path` as a JSON array;
 //! stdout is unchanged by it. A malformed command line prints one
 //! usage line and exits 2.
@@ -22,8 +19,8 @@
 use vmr_bench::paper::{table1_text, Table1Opts};
 use vmr_core::ShuffleConfig;
 
-const USAGE: &str = "usage: table1 [--mixed] [--quick] [--durable] [--shards <n>] \
-                     [--metrics <path>] [--shuffle <baseline|swarm|coded>]";
+const USAGE: &str = "usage: table1 [--mixed] [--quick] [--durable] [--metrics <path>] \
+                     [--shuffle <baseline|swarm|coded>]";
 
 /// Parses the command line into the table options and the `--metrics`
 /// path; `Err` carries the one-line reason.
@@ -39,12 +36,6 @@ fn parse_args(
             "--quick" => opts.quick = true,
             "--durable" => opts.durable = true,
             "--metrics" => metrics_path = Some(value()?),
-            "--shards" => {
-                let v = value()?;
-                opts.shards = v
-                    .parse()
-                    .map_err(|_| format!("--shards takes an integer, got {v:?}"))?;
-            }
             "--shuffle" => {
                 opts.shuffle = match value()?.as_str() {
                     "baseline" => ShuffleConfig::default(),
@@ -83,18 +74,9 @@ mod tests {
 
     #[test]
     fn flags_land_in_the_options() {
-        let (opts, metrics) = parse(&[
-            "--quick",
-            "--shards",
-            "4",
-            "--shuffle",
-            "coded",
-            "--metrics",
-            "m.json",
-        ])
-        .unwrap();
+        let (opts, metrics) =
+            parse(&["--quick", "--shuffle", "coded", "--metrics", "m.json"]).unwrap();
         assert!(opts.quick && opts.metrics && !opts.durable);
-        assert_eq!(opts.shards, 4);
         assert_eq!(opts.shuffle.strategy, vmr_core::StrategyKind::Coded);
         assert_eq!(metrics.as_deref(), Some("m.json"));
     }
@@ -104,8 +86,6 @@ mod tests {
         for bad in [
             &["--shuffle", "legacy"][..],
             &["--shuffle"],
-            &["--shards", "four"],
-            &["--shards"],
             &["--metrics"],
             &["--frobnicate"],
         ] {

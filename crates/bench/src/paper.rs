@@ -11,7 +11,7 @@ use vmr_core::{
 use vmr_desim::SimTime;
 
 /// What the `table1` binary was asked to run (one field per flag).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Table1Opts {
     /// `--mixed`: half pc3001, half quad-core pcr200.
     pub mixed: bool,
@@ -20,25 +20,10 @@ pub struct Table1Opts {
     /// `--durable`: journal every row (WAL + 300 s snapshots) and print
     /// a `# wal:` footer per row.
     pub durable: bool,
-    /// `--shards <n>`: server-core shard count.
-    pub shards: usize,
     /// `--shuffle <name>`: the shuffle strategy of every row.
     pub shuffle: ShuffleConfig,
     /// `--metrics <path>`: also collect each row's obs snapshot.
     pub metrics: bool,
-}
-
-impl Default for Table1Opts {
-    fn default() -> Self {
-        Table1Opts {
-            mixed: false,
-            quick: false,
-            durable: false,
-            shards: 1,
-            shuffle: ShuffleConfig::default(),
-            metrics: false,
-        }
-    }
 }
 
 /// Runs the Table I rows `opts` selects. Returns the table text and,
@@ -91,7 +76,6 @@ pub fn table1_text(opts: &Table1Opts) -> Result<(String, Vec<String>), ConfigErr
             prev_mode = Some(row.mode);
         }
         let mut cfg = row_config(&row, sizing);
-        cfg.shards = opts.shards;
         cfg.shuffle = opts.shuffle.clone();
         if opts.durable {
             cfg.durable = vmr_durable::DurabilityPlan::new(300.0);

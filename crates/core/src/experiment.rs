@@ -99,9 +99,6 @@ pub struct ExperimentConfig {
     /// Map-output distribution strategy (Baseline = the paper's
     /// point-to-point pull with server fall-back).
     pub shuffle: vmr_vcore::ShuffleConfig,
-    /// Server-state shards (work-unit tables, feeder, ledgers). `1` is
-    /// the sequential layout; any count produces bit-identical runs.
-    pub shards: usize,
 }
 
 /// Why an experiment configuration was rejected (or failed to start).
@@ -118,8 +115,6 @@ pub enum ConfigError {
         /// Configured reduce count.
         reduces: usize,
     },
-    /// `shards == 0` — the shard layout needs at least one shard.
-    ZeroShards,
     /// Opening the durability plan's WAL file sink failed.
     WalSink(std::io::Error),
 }
@@ -132,7 +127,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "n_reduces ({reduces}) exceeds n_maps ({maps}): every reducer needs map output"
             ),
-            ConfigError::ZeroShards => write!(f, "shards must be >= 1"),
             ConfigError::WalSink(e) => write!(f, "WAL sink init failed: {e}"),
         }
     }
@@ -175,7 +169,6 @@ impl ExperimentConfig {
             durable: DurabilityPlan::disabled(),
             trust: TrustConfig::default(),
             shuffle: vmr_vcore::ShuffleConfig::default(),
-            shards: 1,
         }
     }
 
@@ -190,9 +183,6 @@ impl ExperimentConfig {
                 maps: self.n_maps,
                 reduces: self.n_reduces,
             });
-        }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
         }
         Ok(())
     }
@@ -283,7 +273,6 @@ pub(crate) fn build_testbed(cfg: &ExperimentConfig, journal: Journal) -> (Engine
         .collect();
     let mut eng = Engine::builder(cfg.seed)
         .config(pc)
-        .shards(cfg.shards.max(1))
         .journal(journal)
         .clients(volunteers)
         .build();

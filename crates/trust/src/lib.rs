@@ -146,61 +146,24 @@ impl HostTrust {
     }
 }
 
-/// Per-host reputation ledger, WAL-journaled like the credit ledger
-/// and partitioned by `host_id % n` to match the server-core sharding.
-/// Lookups route by id and aggregate views iterate in globally sorted
-/// id order, so shard count never changes observable state.
+/// Per-host reputation ledger, WAL-journaled like the credit ledger.
+/// Snapshots iterate in sorted id order, so equal ledgers encode to
+/// identical bytes whatever order the map hashes them in.
 #[derive(Debug)]
 pub struct TrustLedger {
     cfg: TrustConfig,
-    shards: Vec<HashMap<u32, HostTrust>>,
+    hosts: HashMap<u32, HostTrust>,
     /// WAL handle (disabled by default).
     journal: Journal,
 }
 
 impl TrustLedger {
-    /// An empty single-shard ledger under `cfg`.
+    /// An empty ledger under `cfg`.
     pub fn new(cfg: TrustConfig) -> Self {
-        TrustLedger::with_shards(cfg, 1)
-    }
-
-    /// An empty ledger under `cfg`, partitioned into `n` shards.
-    pub fn with_shards(cfg: TrustConfig, n: usize) -> Self {
-        let n = n.max(1);
         TrustLedger {
             cfg,
-            shards: (0..n).map(|_| HashMap::new()).collect(),
+            hosts: HashMap::new(),
             journal: Journal::disabled(),
-        }
-    }
-
-    /// Number of host shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Repartitions the hosts into `n` shards (used after restoring a
-    /// snapshot, which always decodes single-shard).
-    pub fn reshard(&mut self, n: usize) {
-        let n = n.max(1);
-        if n == self.shards.len() {
-            return;
-        }
-        let mut shards: Vec<HashMap<u32, HostTrust>> = (0..n).map(|_| HashMap::new()).collect();
-        for shard in self.shards.drain(..) {
-            for (h, t) in shard {
-                shards[h as usize % n].insert(h, t);
-            }
-        }
-        self.shards = shards;
-    }
-
-    #[inline]
-    fn shard_of(&self, h: u32) -> usize {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            h as usize % self.shards.len()
         }
     }
 
@@ -232,7 +195,7 @@ impl TrustLedger {
 
     /// The record of `h` (a fresh prior when never observed).
     pub fn host(&self, h: u32) -> HostTrust {
-        self.shards[self.shard_of(h)]
+        self.hosts
             .get(&h)
             .cloned()
             .unwrap_or_else(|| HostTrust::fresh(self.cfg.init_error_rate))
@@ -256,8 +219,7 @@ impl TrustLedger {
 
     fn entry(&mut self, h: u32) -> &mut HostTrust {
         let init = self.cfg.init_error_rate;
-        let s = self.shard_of(h);
-        self.shards[s]
+        self.hosts
             .entry(h)
             .or_insert_with(|| HostTrust::fresh(init))
     }
@@ -289,7 +251,7 @@ impl TrustLedger {
     /// threshold. Pure trust math — callers gate on
     /// [`TrustConfig::enabled`].
     pub fn is_trusted(&self, h: u32) -> bool {
-        match self.shards[self.shard_of(h)].get(&h) {
+        match self.hosts.get(&h) {
             Some(t) => {
                 t.validated >= self.cfg.probation_results
                     && t.error_rate <= self.cfg.trust_threshold
@@ -306,11 +268,7 @@ impl TrustLedger {
 
     /// Number of currently-trusted hosts.
     pub fn trusted_count(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(HashMap::keys)
-            .filter(|&&h| self.is_trusted(h))
-            .count() as u64
+        self.hosts.keys().filter(|&&h| self.is_trusted(h)).count() as u64
     }
 
     /// Applies one replayed change record; `Ok(false)` when the record
@@ -353,12 +311,7 @@ impl TrustLedger {
     /// by id with the estimate as raw f64 bits — equal ledgers encode
     /// to byte-identical vectors.
     pub fn encode_state(&self) -> Vec<u8> {
-        let mut ids: Vec<u32> = self
-            .shards
-            .iter()
-            .flat_map(HashMap::keys)
-            .copied()
-            .collect();
+        let mut ids: Vec<u32> = self.hosts.keys().copied().collect();
         ids.sort_unstable();
         let mut e = Enc::with_capacity(64 + ids.len() * 44);
         e.bool(self.cfg.enabled);
@@ -370,7 +323,7 @@ impl TrustLedger {
         e.f64(self.cfg.spot_check_rate);
         e.u32(ids.len() as u32);
         for h in ids {
-            let t = &self.shards[self.shard_of(h)][&h];
+            let t = &self.hosts[&h];
             e.u32(h);
             e.f64(t.error_rate);
             e.u64(t.validated);
@@ -412,7 +365,7 @@ impl TrustLedger {
         d.finish()?;
         Ok(TrustLedger {
             cfg,
-            shards: vec![hosts],
+            hosts,
             journal: Journal::disabled(),
         })
     }
@@ -577,45 +530,6 @@ mod tests {
             back.host(1).error_rate.to_bits(),
             l.host(1).error_rate.to_bits()
         );
-    }
-
-    #[test]
-    fn sharded_ledger_is_bit_identical_to_single_shard() {
-        let drive = |l: &mut TrustLedger| {
-            for h in 0..24u32 {
-                for _ in 0..(h % 5 + 1) {
-                    l.observe(h, Outcome::Agree);
-                }
-                if h % 4 == 0 {
-                    l.observe(h, Outcome::Mismatch);
-                }
-                if h % 7 == 0 {
-                    l.record_spot_check(h);
-                }
-            }
-        };
-        let mut base = TrustLedger::new(TrustConfig::enabled());
-        drive(&mut base);
-        for n in [1usize, 2, 4, 8] {
-            let mut l = TrustLedger::with_shards(TrustConfig::enabled(), n);
-            assert_eq!(l.n_shards(), n);
-            drive(&mut l);
-            assert_eq!(
-                l.encode_state(),
-                base.encode_state(),
-                "diverged at {n} shards"
-            );
-            assert_eq!(l.trusted_count(), base.trusted_count());
-            for h in 0..24 {
-                assert_eq!(l.is_trusted(h), base.is_trusted(h));
-                assert_eq!(l.reliability(h).to_bits(), base.reliability(h).to_bits());
-            }
-            let mut back = TrustLedger::decode_state(&l.encode_state()).unwrap();
-            assert_eq!(back.n_shards(), 1);
-            back.reshard(n);
-            assert_eq!(back.n_shards(), n);
-            assert_eq!(back.encode_state(), base.encode_state());
-        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Project/client configuration knobs.
 //!
 //! The config is grouped into nested sub-structs per subsystem
-//! ([`NetConfig`], [`ShardConfig`], [`vmr_trust::TrustConfig`]) so new
-//! subsystems stop flat-growing the top level. Serialization stays
-//! backward-compatible: the sub-structs are `#[serde(flatten)]`ed and
-//! their fields keep the historical flat names (`net_coalesce_threshold`
-//! etc.), and every new group carries `#[serde(default)]`.
+//! ([`NetConfig`], [`vmr_trust::TrustConfig`]) so new subsystems stop
+//! flat-growing the top level. Serialization stays backward-compatible:
+//! the sub-structs are `#[serde(flatten)]`ed and their fields keep the
+//! historical flat names (`net_coalesce_threshold` etc.), and every new
+//! group carries `#[serde(default)]`.
 
 use serde::{Deserialize, Serialize};
 use vmr_desim::SimDuration;
@@ -32,35 +32,6 @@ impl Default for NetConfig {
         NetConfig {
             coalesce_threshold: usize::MAX,
             quantum_bits: 52,
-        }
-    }
-}
-
-/// Server-core sharding knobs.
-///
-/// The engine partitions its hot state (workunit/result tables, feeder
-/// cache, credit/trust ledgers) into `n` shards keyed by
-/// `wu_id % n` / `host_id % n`. Shard merges are deterministic (global
-/// id order), so any shard count produces bit-identical runs; `n = 1`
-/// is exactly the historical single-shard engine.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-#[serde(default)]
-pub struct ShardConfig {
-    /// Number of server-state shards (≥ 1).
-    #[serde(rename = "shard_n")]
-    pub n: usize,
-    /// Run daemon passes (transitioner planning, feeder refill) on a
-    /// worker pool fanned out over shards. Plans are applied in global
-    /// id order, so this does not affect results — only wall-clock.
-    #[serde(rename = "shard_parallel_daemons")]
-    pub parallel_daemons: bool,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig {
-            n: 1,
-            parallel_daemons: false,
         }
     }
 }
@@ -136,9 +107,6 @@ pub struct ProjectConfig {
     /// Network-engine scale knobs.
     #[serde(flatten)]
     pub net: NetConfig,
-    /// Server-core sharding knobs.
-    #[serde(flatten)]
-    pub shard: ShardConfig,
     /// Host reputation / adaptive replication knobs (`vmr-trust`).
     /// Disabled by default — the engine is then bit-identical to the
     /// fixed-quorum baseline.
@@ -171,7 +139,6 @@ impl Default for ProjectConfig {
             locality_scheduling: false,
             max_host_error_rate: None,
             net: NetConfig::default(),
-            shard: ShardConfig::default(),
             trust: vmr_trust::TrustConfig::default(),
             shuffle: vmr_shuffle::ShuffleConfig::default(),
         }
@@ -222,7 +189,6 @@ mod tests {
         assert!(!c.report_results_immediately);
         assert_eq!(c.peer_retry_limit, 3);
         assert!(!c.trust.enabled, "trust is opt-in");
-        assert_eq!(c.shard.n, 1, "single shard is the baseline");
     }
 
     #[test]
@@ -248,7 +214,7 @@ mod tests {
     /// Serde support is attribute-level with the vendored stub (no
     /// runtime format crate exists offline): the sub-structs keep the
     /// historical flat wire names via `#[serde(flatten)]` + `rename`,
-    /// and carry `#[serde(default)]` so pre-shard configs deserialize
+    /// and carry `#[serde(default)]` so older configs deserialize
     /// under real serde. Here we verify the derives compile and the
     /// nested groups are value-preserved through a clone.
     #[test]
@@ -256,12 +222,10 @@ mod tests {
         fn serializable<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
         serializable::<ProjectConfig>();
         serializable::<NetConfig>();
-        serializable::<ShardConfig>();
         let mut c = ProjectConfig::default();
         c.net.quantum_bits = 6;
-        c.shard.n = 4;
         let d = c.clone();
         assert_eq!(format!("{c:?}"), format!("{d:?}"));
-        assert_eq!(d.shard.n, 4);
+        assert_eq!(d.net.quantum_bits, 6);
     }
 }

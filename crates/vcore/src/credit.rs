@@ -14,24 +14,17 @@ use crate::types::ClientId;
 use std::collections::HashMap;
 use vmr_durable::{Dec, Enc, Journal, StateChange, WireError};
 
-/// Credit and reliability ledger for the volunteer population,
-/// partitioned by `client_id % n` to match the server-core sharding.
+/// Credit and reliability ledger for the volunteer population.
 ///
-/// Sharding is invisible in every observable: lookups route by id, and
-/// all aggregate views (`encode_state`, `leaderboard`, `total_granted`,
-/// `unreliable_hosts`) iterate in globally sorted order, so a sharded
-/// ledger is byte-identical to the historical single-map one.
-#[derive(Debug)]
+/// Every aggregate view (`encode_state`, `leaderboard`,
+/// `total_granted`, `unreliable_hosts`) iterates in sorted client
+/// order, so equal ledgers are byte-identical whatever order the map
+/// hashes them in.
+#[derive(Debug, Default)]
 pub struct CreditLedger {
-    shards: Vec<HashMap<ClientId, HostAccount>>,
+    accounts: HashMap<ClientId, HostAccount>,
     /// WAL handle (disabled by default).
     journal: Journal,
-}
-
-impl Default for CreditLedger {
-    fn default() -> Self {
-        CreditLedger::with_shards(1)
-    }
 }
 
 /// One volunteer's record.
@@ -71,49 +64,9 @@ pub fn claimed_credit(flops: f64) -> f64 {
 }
 
 impl CreditLedger {
-    /// An empty single-shard ledger.
+    /// An empty ledger.
     pub fn new() -> Self {
         CreditLedger::default()
-    }
-
-    /// An empty ledger partitioned into `n` shards (`n ≥ 1`).
-    pub fn with_shards(n: usize) -> Self {
-        let n = n.max(1);
-        CreditLedger {
-            shards: (0..n).map(|_| HashMap::new()).collect(),
-            journal: Journal::disabled(),
-        }
-    }
-
-    /// Number of account shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Repartitions the accounts into `n` shards (used after restoring
-    /// a snapshot, which always decodes single-shard).
-    pub fn reshard(&mut self, n: usize) {
-        let n = n.max(1);
-        if n == self.shards.len() {
-            return;
-        }
-        let mut shards: Vec<HashMap<ClientId, HostAccount>> =
-            (0..n).map(|_| HashMap::new()).collect();
-        for shard in self.shards.drain(..) {
-            for (c, a) in shard {
-                shards[c.0 as usize % n].insert(c, a);
-            }
-        }
-        self.shards = shards;
-    }
-
-    #[inline]
-    fn shard_of(&self, c: ClientId) -> usize {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            c.0 as usize % self.shards.len()
-        }
     }
 
     /// Attaches the engine's WAL handle; subsequent grants and error
@@ -124,20 +77,11 @@ impl CreditLedger {
 
     /// The account of `c` (created on first touch).
     pub fn account(&self, c: ClientId) -> HostAccount {
-        self.shards[self.shard_of(c)]
-            .get(&c)
-            .cloned()
-            .unwrap_or_default()
+        self.accounts.get(&c).cloned().unwrap_or_default()
     }
 
     fn entry(&mut self, c: ClientId) -> &mut HostAccount {
-        let s = self.shard_of(c);
-        self.shards[s].entry(c).or_default()
-    }
-
-    /// All (client, account) pairs, unordered.
-    fn iter(&self) -> impl Iterator<Item = (&ClientId, &HostAccount)> {
-        self.shards.iter().flat_map(HashMap::iter)
+        self.accounts.entry(c).or_default()
     }
 
     /// A work unit validated: the agreeing replicas each receive the
@@ -251,12 +195,12 @@ impl CreditLedger {
     /// Canonical snapshot: accounts sorted by client id, credit as raw
     /// f64 bits, so equal ledgers encode to byte-identical vectors.
     pub fn encode_state(&self) -> Vec<u8> {
-        let mut ids: Vec<ClientId> = self.iter().map(|(&c, _)| c).collect();
+        let mut ids: Vec<ClientId> = self.accounts.keys().copied().collect();
         ids.sort_unstable();
         let mut e = Enc::with_capacity(16 + ids.len() * 40);
         e.u32(ids.len() as u32);
         for c in ids {
-            let a = &self.shards[self.shard_of(c)][&c];
+            let a = &self.accounts[&c];
             e.u32(c.0);
             e.f64(a.granted);
             e.u64(a.valid_results);
@@ -286,15 +230,16 @@ impl CreditLedger {
         }
         d.finish()?;
         Ok(CreditLedger {
-            shards: vec![accounts],
+            accounts,
             journal: Journal::disabled(),
         })
     }
 
     /// Total credit granted across all hosts. Summed in sorted client
-    /// order so the f64 accumulation is shard-count-invariant.
+    /// order so the f64 accumulation does not depend on hash order.
     pub fn total_granted(&self) -> f64 {
-        let mut v: Vec<(ClientId, f64)> = self.iter().map(|(&c, a)| (c, a.granted)).collect();
+        let mut v: Vec<(ClientId, f64)> =
+            self.accounts.iter().map(|(&c, a)| (c, a.granted)).collect();
         v.sort_unstable_by_key(|&(c, _)| c);
         v.into_iter().map(|(_, g)| g).sum()
     }
@@ -302,7 +247,8 @@ impl CreditLedger {
     /// Hosts ordered by granted credit, descending (the leaderboard
     /// every BOINC project publishes).
     pub fn leaderboard(&self) -> Vec<(ClientId, f64)> {
-        let mut v: Vec<(ClientId, f64)> = self.iter().map(|(&c, a)| (c, a.granted)).collect();
+        let mut v: Vec<(ClientId, f64)> =
+            self.accounts.iter().map(|(&c, a)| (c, a.granted)).collect();
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         v
     }
@@ -311,6 +257,7 @@ impl CreditLedger {
     /// increased replication / quarantine).
     pub fn unreliable_hosts(&self, threshold: f64) -> Vec<ClientId> {
         let mut v: Vec<ClientId> = self
+            .accounts
             .iter()
             .filter(|(_, a)| a.error_rate() > threshold)
             .map(|(&c, _)| c)
@@ -417,44 +364,6 @@ mod tests {
             replayed.account(ClientId(2)).granted.to_bits(),
             live.account(ClientId(2)).granted.to_bits()
         );
-    }
-
-    #[test]
-    fn sharded_ledger_is_bit_identical_to_single_shard() {
-        let drive = |l: &mut CreditLedger| {
-            for i in 0..20u32 {
-                l.on_wu_validated(&[ClientId(i), ClientId(i + 3)], &[ClientId(i + 7)], 1.1e9);
-                if i % 3 == 0 {
-                    l.on_error(ClientId(i));
-                }
-                l.on_wu_validated_scaled(&[ClientId(i)], &[], 0.7e9, 0.93);
-            }
-        };
-        let mut base = CreditLedger::new();
-        drive(&mut base);
-        for n in [1usize, 2, 4, 8] {
-            let mut l = CreditLedger::with_shards(n);
-            assert_eq!(l.n_shards(), n);
-            drive(&mut l);
-            assert_eq!(
-                l.encode_state(),
-                base.encode_state(),
-                "diverged at {n} shards"
-            );
-            assert_eq!(
-                l.total_granted().to_bits(),
-                base.total_granted().to_bits(),
-                "f64 accumulation order changed at {n} shards"
-            );
-            assert_eq!(l.leaderboard(), base.leaderboard());
-            assert_eq!(l.unreliable_hosts(0.5), base.unreliable_hosts(0.5));
-            // decode is single-shard; reshard restores the partitioning.
-            let mut back = CreditLedger::decode_state(&l.encode_state()).unwrap();
-            assert_eq!(back.n_shards(), 1);
-            back.reshard(n);
-            assert_eq!(back.n_shards(), n);
-            assert_eq!(back.encode_state(), base.encode_state());
-        }
     }
 
     #[test]

@@ -1,20 +1,9 @@
-//! In-memory project database, partitioned into shards.
+//! In-memory project database.
 //!
 //! Mirrors the tables a BOINC server keeps in MySQL: `workunit` and
 //! `result`, with the secondary indexes the daemons use (unsent results
-//! per app, results per WU, live results per client).
-//!
-//! **Sharding.** The tables are split across `N` shard structs — work
-//! units by `wu_id % N`, results by `rid % N`, per-client tallies by
-//! `client_id % N` — mirroring production BOINC's `wu_id mod n` daemon
-//! partitioning. Ids stay global and dense (`local index = id / N`), so
-//! row lookup is O(1) arithmetic, and every cross-shard iteration
-//! ([`Db::unsent_results`], [`Db::encode_state`]) merges shards in
-//! global id order. That merge order makes the sharding invisible:
-//! **any shard count produces byte-identical snapshots and identical
-//! iteration order**, and `N = 1` is exactly the historical layout.
-//! The per-shard split is what the worker-pool daemon passes
-//! (`crate::shard`) and the scheduler's sharded feeder fan out over.
+//! in id order, results per WU, live results per client). Ids are dense
+//! and double as row indexes, so row lookup is one bounds-checked load.
 //!
 //! **Durability.** Every public mutator is journaled: it appends a
 //! typed [`StateChange`] to the engine-owned WAL *before* applying the
@@ -23,7 +12,7 @@
 //! [`Db::apply_change`], which routes each record to the same private
 //! `raw_*` appliers the live mutators use — so replayed state cannot
 //! drift from live state. Snapshots serialize only the two row tables
-//! ([`Db::encode_state`]) in global id order; the secondary indexes are
+//! ([`Db::encode_state`]) in id order; the secondary indexes are
 //! derived data and are rebuilt on decode.
 //!
 //! **Completion check.** `Engine::run_until` evaluates
@@ -38,115 +27,30 @@ use std::collections::{BTreeSet, HashMap};
 use vmr_desim::SimTime;
 use vmr_durable::{Dec, Enc, Journal, StateChange, WireError};
 
-/// One partition of the project database (rows whose id is congruent
-/// to this shard's index modulo the shard count).
-#[derive(Default, Debug)]
-struct DbShard {
-    /// Work units of this shard, local index = `wu_id / n_shards`.
-    wus: Vec<WorkUnit>,
-    /// Results of this shard, local index = `rid / n_shards`.
-    results: Vec<ResultRec>,
-    /// Unsent results of this shard, ordered by id.
-    unsent: BTreeSet<ResultId>,
-    /// Results per WU, for WUs of this shard.
-    by_wu: HashMap<WuId, Vec<ResultId>>,
-    /// Live result count per client, for clients of this shard.
-    live_by_client: HashMap<ClientId, u32>,
-}
-
 /// The project database.
+#[derive(Default)]
 pub struct Db {
-    n_shards: usize,
-    shards: Vec<DbShard>,
-    /// Total work units ever inserted (next global WU id).
-    n_wus: usize,
-    /// Total results ever created (next global result id).
-    n_results: usize,
+    /// Work units, indexed by `WuId`.
+    wus: Vec<WorkUnit>,
+    /// Results, indexed by `ResultId`.
+    results: Vec<ResultRec>,
+    /// Unsent results, ordered by id.
+    unsent: BTreeSet<ResultId>,
+    /// Results per WU, in creation order.
+    by_wu: HashMap<WuId, Vec<ResultId>>,
+    /// Live result count per client.
+    live_by_client: HashMap<ClientId, u32>,
     /// Work units per [`WuState`] (indexed by `state as usize`). Derived
-    /// from the rows; a table-level total, so `reshard` leaves it alone.
+    /// from the rows.
     wu_tally: [usize; 3],
     /// WAL handle (disabled by default — a no-op on every append).
     journal: Journal,
 }
 
-impl Default for Db {
-    fn default() -> Self {
-        Db::with_shards(1)
-    }
-}
-
 impl Db {
-    /// An empty single-shard database.
+    /// An empty database.
     pub fn new() -> Self {
         Db::default()
-    }
-
-    /// An empty database partitioned into `n` shards (`n ≥ 1`).
-    pub fn with_shards(n: usize) -> Self {
-        assert!(n >= 1, "shard count must be at least 1");
-        Db {
-            n_shards: n,
-            shards: (0..n).map(|_| DbShard::default()).collect(),
-            n_wus: 0,
-            n_results: 0,
-            wu_tally: [0; 3],
-            journal: Journal::disabled(),
-        }
-    }
-
-    /// Number of shards the tables are partitioned into.
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// Re-partitions the tables into `n` shards, preserving all rows
-    /// and ids (used when recovering a snapshot into an engine built
-    /// with a different shard count).
-    pub fn reshard(&mut self, n: usize) {
-        assert!(n >= 1, "shard count must be at least 1");
-        if n == self.n_shards {
-            return;
-        }
-        // Collect every row back into dense global-id order.
-        let mut wus: Vec<Option<WorkUnit>> = (0..self.n_wus).map(|_| None).collect();
-        let mut results: Vec<Option<ResultRec>> = (0..self.n_results).map(|_| None).collect();
-        for shard in self.shards.drain(..) {
-            for w in shard.wus {
-                let i = w.id.0 as usize;
-                wus[i] = Some(w);
-            }
-            for r in shard.results {
-                let i = r.id.0 as usize;
-                results[i] = Some(r);
-            }
-        }
-        self.n_shards = n;
-        self.shards = (0..n).map(|_| DbShard::default()).collect();
-        for w in wus.into_iter().map(Option::unwrap) {
-            let s = w.id.0 as usize % n;
-            self.shards[s].wus.push(w);
-        }
-        // Distributing in global id order keeps each shard's rows and
-        // the rebuilt per-WU lists in id/creation order.
-        for r in results.into_iter().map(Option::unwrap) {
-            let ws = r.wu.0 as usize % n;
-            self.shards[ws].by_wu.entry(r.wu).or_default().push(r.id);
-            match r.state {
-                ResultState::Unsent => {
-                    self.shards[r.id.0 as usize % n].unsent.insert(r.id);
-                }
-                ResultState::InProgress => {
-                    if let Some(c) = r.client {
-                        *self.shards[c.0 as usize % n]
-                            .live_by_client
-                            .entry(c)
-                            .or_insert(0) += 1;
-                    }
-                }
-                ResultState::Over => {}
-            }
-            self.shards[r.id.0 as usize % n].results.push(r);
-        }
     }
 
     /// Attaches the engine's WAL handle; subsequent mutations append
@@ -155,55 +59,12 @@ impl Db {
         self.journal = journal;
     }
 
-    #[inline]
-    fn wu_slot(&self, id: WuId) -> (usize, usize) {
-        let i = id.0 as usize;
-        if self.n_shards == 1 {
-            (0, i)
-        } else {
-            (i % self.n_shards, i / self.n_shards)
-        }
-    }
-
-    #[inline]
-    fn rid_slot(&self, id: ResultId) -> (usize, usize) {
-        let i = id.0 as usize;
-        if self.n_shards == 1 {
-            (0, i)
-        } else {
-            (i % self.n_shards, i / self.n_shards)
-        }
-    }
-
-    #[inline]
-    fn client_shard(&self, c: ClientId) -> usize {
-        if self.n_shards == 1 {
-            0
-        } else {
-            c.0 as usize % self.n_shards
-        }
-    }
-
-    fn all_results_in_id_order(&self) -> impl Iterator<Item = &ResultRec> + '_ {
-        (0..self.n_results).map(move |i| {
-            let (s, l) = self.rid_slot(ResultId(i as u32));
-            &self.shards[s].results[l]
-        })
-    }
-
-    fn all_wus_in_id_order(&self) -> impl Iterator<Item = &WorkUnit> + '_ {
-        (0..self.n_wus).map(move |i| {
-            let (s, l) = self.wu_slot(WuId(i as u32));
-            &self.shards[s].wus[l]
-        })
-    }
-
     // ----- work units -----------------------------------------------------
 
     /// Inserts a work unit and creates its initial `target_nresults`
     /// result instances. Returns the new WU id.
     pub fn insert_workunit(&mut self, spec: WorkUnitSpec, now: SimTime) -> WuId {
-        let id = WuId(self.n_wus as u32);
+        let id = WuId(self.wus.len() as u32);
         let target = spec.target_nresults;
         self.journal.append(&StateChange::WuInserted {
             wu: id.0,
@@ -220,7 +81,7 @@ impl Db {
     /// Creates one more result instance for `wu` (transitioner retry
     /// path). Respects no cap — callers check `max_total_results`.
     pub fn create_result(&mut self, wu: WuId) -> ResultId {
-        let id = ResultId(self.n_results as u32);
+        let id = ResultId(self.results.len() as u32);
         self.journal.append(&StateChange::ResultCreated {
             rid: id.0,
             wu: wu.0,
@@ -231,23 +92,20 @@ impl Db {
 
     /// The work unit row.
     pub fn wu(&self, id: WuId) -> &WorkUnit {
-        let (s, l) = self.wu_slot(id);
-        &self.shards[s].wus[l]
+        &self.wus[id.0 as usize]
     }
 
     /// Mutable work unit row. Private: `state` may only change through
     /// [`Db::set_wu_state`], which keeps the per-state tally in step.
     fn wu_mut(&mut self, id: WuId) -> &mut WorkUnit {
-        let (s, l) = self.wu_slot(id);
-        &mut self.shards[s].wus[l]
+        &mut self.wus[id.0 as usize]
     }
 
     /// Moves `id` to state `to`, carrying its tally entry along — out of
     /// whatever state the row is in, so re-marking an already terminal
     /// work unit cannot count it twice.
     fn set_wu_state(&mut self, id: WuId, to: WuState) -> &mut WorkUnit {
-        let (s, l) = self.wu_slot(id);
-        let w = &mut self.shards[s].wus[l];
+        let w = &mut self.wus[id.0 as usize];
         self.wu_tally[w.state as usize] -= 1;
         self.wu_tally[to as usize] += 1;
         w.state = to;
@@ -256,75 +114,44 @@ impl Db {
 
     /// All work unit ids.
     pub fn wu_ids(&self) -> impl Iterator<Item = WuId> + '_ {
-        (0..self.n_wus as u32).map(WuId)
-    }
-
-    /// Work unit ids belonging to shard `s`, in id order.
-    pub fn shard_wu_ids(&self, s: usize) -> impl Iterator<Item = WuId> + '_ {
-        let n = self.n_shards;
-        ((s as u32)..self.n_wus as u32)
-            .step_by(n)
-            .map(WuId)
-            .take(self.shards[s].wus.len())
+        (0..self.wus.len() as u32).map(WuId)
     }
 
     /// Number of work units.
     pub fn n_wus(&self) -> usize {
-        self.n_wus
+        self.wus.len()
     }
 
     /// Number of results ever created.
     pub fn n_results(&self) -> usize {
-        self.n_results
+        self.results.len()
     }
 
     // ----- results --------------------------------------------------------
 
     /// The result row.
     pub fn result(&self, id: ResultId) -> &ResultRec {
-        let (s, l) = self.rid_slot(id);
-        &self.shards[s].results[l]
+        &self.results[id.0 as usize]
     }
 
     /// Result ids belonging to `wu`.
     pub fn results_of(&self, wu: WuId) -> &[ResultId] {
-        let s = wu.0 as usize % self.n_shards;
-        self.shards[s]
-            .by_wu
-            .get(&wu)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.by_wu.get(&wu).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Unsent results, in global id order (an id-order merge of the
-    /// per-shard ordered sets — identical to the single-shard scan).
+    /// Unsent results, in id order.
     pub fn unsent_results(&self) -> impl Iterator<Item = ResultId> + '_ {
-        MergeIds::new(
-            self.shards
-                .iter()
-                .map(|s| s.unsent.iter().copied().peekable())
-                .collect(),
-        )
-    }
-
-    /// Unsent results belonging to shard `s` (rids congruent to `s`
-    /// modulo the shard count), in id order.
-    pub fn shard_unsent(&self, s: usize) -> impl Iterator<Item = ResultId> + '_ {
-        self.shards[s].unsent.iter().copied()
+        self.unsent.iter().copied()
     }
 
     /// Number of unsent results.
     pub fn n_unsent(&self) -> usize {
-        self.shards.iter().map(|s| s.unsent.len()).sum()
+        self.unsent.len()
     }
 
     /// Live results currently assigned to `client`.
     pub fn live_count(&self, client: ClientId) -> u32 {
-        self.shards[self.client_shard(client)]
-            .live_by_client
-            .get(&client)
-            .copied()
-            .unwrap_or(0)
+        self.live_by_client.get(&client).copied().unwrap_or(0)
     }
 
     /// Does `client` already hold (or has it ever held) a result of
@@ -429,10 +256,8 @@ impl Db {
     // ----- raw appliers (shared by live mutators and WAL replay) ----------
 
     fn raw_insert_workunit(&mut self, spec: WorkUnitSpec, now: SimTime) {
-        let id = WuId(self.n_wus as u32);
-        let (s, _) = self.wu_slot(id);
-        self.shards[s].wus.push(WorkUnit {
-            id,
+        self.wus.push(WorkUnit {
+            id: WuId(self.wus.len() as u32),
             spec,
             state: WuState::Active,
             canonical: None,
@@ -441,14 +266,12 @@ impl Db {
             finished_at: None,
             quorum_override: None,
         });
-        self.n_wus += 1;
         self.wu_tally[WuState::Active as usize] += 1;
     }
 
     fn raw_create_result(&mut self, wu: WuId) {
-        let id = ResultId(self.n_results as u32);
-        let (s, _) = self.rid_slot(id);
-        self.shards[s].results.push(ResultRec {
+        let id = ResultId(self.results.len() as u32);
+        self.results.push(ResultRec {
             id,
             wu,
             state: ResultState::Unsent,
@@ -459,23 +282,19 @@ impl Db {
             outcome: None,
             fingerprint: None,
         });
-        self.shards[s].unsent.insert(id);
-        self.n_results += 1;
-        let ws = wu.0 as usize % self.n_shards;
-        self.shards[ws].by_wu.entry(wu).or_default().push(id);
+        self.unsent.insert(id);
+        self.by_wu.entry(wu).or_default().push(id);
         self.wu_mut(wu).results_created += 1;
     }
 
     fn raw_mark_sent(&mut self, rid: ResultId, client: ClientId, now: SimTime, deadline: SimTime) {
-        let (s, l) = self.rid_slot(rid);
-        let r = &mut self.shards[s].results[l];
+        let r = &mut self.results[rid.0 as usize];
         r.state = ResultState::InProgress;
         r.client = Some(client);
         r.sent_at = Some(now);
         r.report_deadline = Some(deadline);
-        self.shards[s].unsent.remove(&rid);
-        let cs = self.client_shard(client);
-        *self.shards[cs].live_by_client.entry(client).or_insert(0) += 1;
+        self.unsent.remove(&rid);
+        *self.live_by_client.entry(client).or_insert(0) += 1;
     }
 
     fn raw_mark_reported(
@@ -485,26 +304,23 @@ impl Db {
         fingerprint: Option<OutputFingerprint>,
         now: SimTime,
     ) {
-        let (s, l) = self.rid_slot(rid);
-        let r = &mut self.shards[s].results[l];
+        let r = &mut self.results[rid.0 as usize];
         r.state = ResultState::Over;
         r.outcome = Some(outcome);
         r.fingerprint = fingerprint;
         r.reported_at = Some(now);
         if let Some(c) = r.client {
-            let cs = self.client_shard(c);
-            if let Some(n) = self.shards[cs].live_by_client.get_mut(&c) {
+            if let Some(n) = self.live_by_client.get_mut(&c) {
                 *n = n.saturating_sub(1);
             }
         }
     }
 
     fn raw_cancel_unsent(&mut self, rid: ResultId) {
-        let (s, l) = self.rid_slot(rid);
-        let r = &mut self.shards[s].results[l];
+        let r = &mut self.results[rid.0 as usize];
         r.state = ResultState::Over;
         r.outcome = Some(ResultOutcome::WuDone);
-        self.shards[s].unsent.remove(&rid);
+        self.unsent.remove(&rid);
     }
 
     fn raw_mark_wu_validated(&mut self, wu: WuId, canonical: OutputFingerprint, now: SimTime) {
@@ -587,14 +403,14 @@ impl Db {
         Ok(true)
     }
 
-    /// Canonical snapshot of the two row tables, iterated in global id
-    /// order. The secondary indexes are derived and excluded, so two
-    /// equal databases encode to byte-identical vectors **at any shard
-    /// count** (the recovery audit's comparison).
+    /// Canonical snapshot of the two row tables, iterated in id order.
+    /// The secondary indexes are derived and excluded, so two equal
+    /// databases encode to byte-identical vectors (the recovery audit's
+    /// comparison).
     pub fn encode_state(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(64 + self.n_wus * 64 + self.n_results * 32);
-        e.u32(self.n_wus as u32);
-        for w in self.all_wus_in_id_order() {
+        let mut e = Enc::with_capacity(64 + self.wus.len() * 64 + self.results.len() * 32);
+        e.u32(self.wus.len() as u32);
+        for w in &self.wus {
             e.bytes(&w.spec.to_bytes());
             e.u8(w.state.to_wire());
             e.opt_u64(w.canonical.map(|f| f.0));
@@ -603,8 +419,8 @@ impl Db {
             e.opt_u64(w.finished_at.map(SimTime::as_micros));
             e.opt_u32(w.quorum_override);
         }
-        e.u32(self.n_results as u32);
-        for r in self.all_results_in_id_order() {
+        e.u32(self.results.len() as u32);
+        for r in &self.results {
             e.u32(r.wu.0);
             e.u8(r.state.to_wire());
             e.opt_u32(r.client.map(|c| c.0));
@@ -623,10 +439,9 @@ impl Db {
         e.into_vec()
     }
 
-    /// Rebuilds a single-shard database from an [`Db::encode_state`]
-    /// snapshot section, reconstructing every secondary index (call
-    /// [`Db::reshard`] afterwards to adopt an engine's shard count).
-    /// The journal handle starts disabled.
+    /// Rebuilds a database from an [`Db::encode_state`] snapshot
+    /// section, reconstructing every secondary index. The journal
+    /// handle starts disabled.
     pub fn decode_state(b: &[u8]) -> Result<Db, WireError> {
         let mut d = Dec::new(b);
         let n_wus = d.u32()? as usize;
@@ -675,35 +490,27 @@ impl Db {
 
         // Rebuild the derived indexes. Iterating results in id order
         // reproduces the per-WU creation order `by_wu` accumulated live.
-        let mut shard = DbShard::default();
+        let mut db = Db::default();
         for r in &results {
-            shard.by_wu.entry(r.wu).or_default().push(r.id);
+            db.by_wu.entry(r.wu).or_default().push(r.id);
             match r.state {
                 ResultState::Unsent => {
-                    shard.unsent.insert(r.id);
+                    db.unsent.insert(r.id);
                 }
                 ResultState::InProgress => {
                     if let Some(c) = r.client {
-                        *shard.live_by_client.entry(c).or_insert(0) += 1;
+                        *db.live_by_client.entry(c).or_insert(0) += 1;
                     }
                 }
                 ResultState::Over => {}
             }
         }
-        let mut wu_tally = [0; 3];
         for w in &wus {
-            wu_tally[w.state as usize] += 1;
+            db.wu_tally[w.state as usize] += 1;
         }
-        shard.wus = wus;
-        shard.results = results;
-        Ok(Db {
-            n_shards: 1,
-            n_wus: shard.wus.len(),
-            n_results: shard.results.len(),
-            wu_tally,
-            shards: vec![shard],
-            journal: Journal::disabled(),
-        })
+        db.wus = wus;
+        db.results = results;
+        Ok(db)
     }
 
     /// Input files of a result's work unit.
@@ -721,38 +528,6 @@ impl Db {
     /// Count of WUs in a given state. O(1).
     pub fn count_state(&self, state: WuState) -> usize {
         self.wu_tally[state as usize]
-    }
-}
-
-/// K-way merge of per-shard ascending id iterators into one global
-/// ascending stream. Shard counts are small (≤ a few dozen), so a
-/// linear scan over the heads beats a heap.
-struct MergeIds<I: Iterator<Item = ResultId>> {
-    heads: Vec<std::iter::Peekable<I>>,
-}
-
-impl<I: Iterator<Item = ResultId>> MergeIds<I> {
-    fn new(heads: Vec<std::iter::Peekable<I>>) -> Self {
-        MergeIds { heads }
-    }
-}
-
-impl<I: Iterator<Item = ResultId>> Iterator for MergeIds<I> {
-    type Item = ResultId;
-    fn next(&mut self) -> Option<ResultId> {
-        if self.heads.len() == 1 {
-            return self.heads[0].next();
-        }
-        let mut best: Option<(usize, ResultId)> = None;
-        for (i, it) in self.heads.iter_mut().enumerate() {
-            if let Some(&id) = it.peek() {
-                if best.map(|(_, b)| id < b).unwrap_or(true) {
-                    best = Some((i, id));
-                }
-            }
-        }
-        let (i, _) = best?;
-        self.heads[i].next()
     }
 }
 
@@ -967,76 +742,5 @@ mod tests {
         let mut back = back;
         let c = back.create_result(WuId(0));
         assert!(back.cancel_unsent(c));
-    }
-
-    /// The sharded database is indistinguishable from the single-shard
-    /// one: same ids, same iteration order, byte-identical snapshots.
-    #[test]
-    fn sharded_db_is_bit_identical_to_single_shard() {
-        for n in [1usize, 2, 3, 4, 8] {
-            let mut base = Db::new();
-            let mut sharded = Db::with_shards(n);
-            exercise(&mut base);
-            exercise(&mut sharded);
-            assert_eq!(
-                sharded.encode_state(),
-                base.encode_state(),
-                "snapshot differs at {n} shards"
-            );
-            assert_eq!(
-                sharded.unsent_results().collect::<Vec<_>>(),
-                base.unsent_results().collect::<Vec<_>>(),
-                "unsent order differs at {n} shards"
-            );
-            assert_eq!(sharded.n_unsent(), base.n_unsent());
-            for wu in base.wu_ids() {
-                assert_eq!(sharded.results_of(wu), base.results_of(wu));
-            }
-            for c in [1u32, 2, 3] {
-                assert_eq!(
-                    sharded.live_count(ClientId(c)),
-                    base.live_count(ClientId(c))
-                );
-            }
-            assert_eq!(sharded.all_wus_terminal(), base.all_wus_terminal());
-            for s in [WuState::Active, WuState::Validated, WuState::Failed] {
-                assert_eq!(sharded.count_state(s), base.count_state(s), "{s:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn reshard_preserves_everything() {
-        let mut db = Db::new();
-        exercise(&mut db);
-        for n in [4usize, 2, 8, 1, 3] {
-            let enc = db.encode_state();
-            let unsent: Vec<_> = db.unsent_results().collect();
-            db.reshard(n);
-            assert_eq!(db.n_shards(), n);
-            assert_eq!(db.encode_state(), enc, "reshard({n}) changed the snapshot");
-            assert_eq!(db.unsent_results().collect::<Vec<_>>(), unsent);
-            assert_eq!(db.live_count(ClientId(1)), 0);
-            // Mutators still work after resharding.
-            let extra = db.create_result(WuId(0));
-            assert!(db.cancel_unsent(extra));
-        }
-    }
-
-    #[test]
-    fn shard_wu_ids_partition_the_id_space() {
-        let mut db = Db::with_shards(3);
-        for i in 0..10 {
-            db.insert_workunit(spec(&format!("w{i}")), SimTime::ZERO);
-        }
-        let mut all: Vec<u32> = Vec::new();
-        for s in 0..3 {
-            let ids: Vec<u32> = db.shard_wu_ids(s).map(|w| w.0).collect();
-            assert!(ids.iter().all(|i| *i as usize % 3 == s));
-            assert!(ids.windows(2).all(|w| w[0] < w[1]));
-            all.extend(ids);
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<u32>>());
     }
 }

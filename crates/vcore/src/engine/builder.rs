@@ -22,25 +22,23 @@ impl Engine {
         let mut sim = Simulation::new(seed);
         let rng = sim.fork_rng("engine");
         let trust_rng = sim.fork_rng("trust");
-        let trust = TrustLedger::with_shards(cfg.trust.clone(), cfg.shard.n.max(1));
+        let trust = TrustLedger::new(cfg.trust.clone());
         let obs = vmr_obs::Obs::new();
         sim.attach_obs(&obs);
         let eobs = EngineObs::attach(&obs);
         let policy = cfg.scale_policy();
-        let n_shards = cfg.shard.n.max(1);
-        let pool = crate::shard::WorkerPool::from_config(&cfg.shard);
         let shuffle = cfg.shuffle.build();
         let fobs = FetchObs::attach(&obs);
         let mut eng = Engine {
             sim,
             net: AggregateNetwork::with_policy(topo, &obs, policy),
-            db: Db::with_shards(n_shards),
+            db: Db::new(),
             cfg,
             fault: FaultPlan::none(),
             traversal: TraversalPolicy::direct_only(),
             obs,
             stats: EngineStats::default(),
-            credit: crate::credit::CreditLedger::with_shards(n_shards),
+            credit: crate::credit::CreditLedger::new(),
             assimilator: crate::assimilate::Assimilator::new(),
             relay: RelayChoice::default(),
             trust,
@@ -48,8 +46,7 @@ impl Engine {
             clients: Vec::new(),
             flows: HashMap::new(),
             net_wake: None,
-            feeder: crate::sched::Feeder::new(n_shards),
-            pool,
+            feeder: crate::sched::Feeder::default(),
             rng,
             trust_rng,
             host_outcomes: Vec::new(),
@@ -104,13 +101,11 @@ impl std::error::Error for BuildError {
 }
 
 /// Fluent constructor for [`Engine`] — the one place an engine's
-/// configuration, shard layout, durability, population and clients come
-/// together:
+/// configuration, durability, population and clients come together:
 ///
 /// ```ignore
 /// let eng = Engine::builder(seed)
 ///     .config(cfg)
-///     .shards(4)
 ///     .durability(DurabilityPlan::new(300.0).with_sink("server.wal"))
 ///     .population(PopulationSpec::internet(1_000, seed))
 ///     .build();
@@ -146,20 +141,6 @@ impl EngineBuilder {
     /// [`ProjectConfig::default`]).
     pub fn config(mut self, cfg: ProjectConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Sets the server-state shard count (overrides `cfg.shard.n`).
-    /// `1` — the default — is the bit-identical sequential layout.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.cfg.shard.n = n;
-        self
-    }
-
-    /// Enables the shard worker pool for daemon passes (overrides
-    /// `cfg.shard.parallel_daemons`).
-    pub fn parallel_daemons(mut self, on: bool) -> Self {
-        self.cfg.shard.parallel_daemons = on;
         self
     }
 

@@ -307,9 +307,8 @@ impl Engine {
                     self.cfg.max_results_per_rpc,
                 )
             } else {
-                // The merged candidate stream is lazy: the grant fills
-                // after a handful of results, so the feeder shards past
-                // the cut-off are never scanned.
+                // The candidate stream is lazy: the grant fills after
+                // a handful of results and the rest is never scanned.
                 pick_results(
                     &self.db,
                     self.feeder.candidates(),

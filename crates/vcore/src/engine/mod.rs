@@ -169,8 +169,6 @@ pub struct Engine {
     /// required for stepped/resumed runs to match continuous ones.
     net_wake: Option<(EventId, SimTime)>,
     feeder: crate::sched::Feeder,
-    /// Worker pool for daemon passes, sized from `cfg.shard`.
-    pool: crate::shard::WorkerPool,
     rng: RngStream,
     /// Dedicated stream for spot-check draws: it is consumed only for
     /// trusted hosts with trust enabled, so disabling trust leaves
@@ -254,8 +252,8 @@ impl EngineObs {
 
 impl Engine {
     /// Starts a fluent [`EngineBuilder`] — the single construction
-    /// surface for engines: configuration, shard count, durability,
-    /// synthetic populations and ad-hoc clients in one pass.
+    /// surface for engines: configuration, durability, synthetic
+    /// populations and ad-hoc clients in one pass.
     pub fn builder(seed: u64) -> EngineBuilder {
         EngineBuilder::new(seed)
     }
@@ -514,10 +512,12 @@ impl Engine {
                     });
             }
         }
-        // Feeder refill: copy unsent results (FIFO) into the cache,
-        // one id-ordered segment per shard (pool-parallel scan).
-        self.feeder
-            .refill(&self.db, self.cfg.feeder_slots, &self.pool);
+        // Feeder refill: copy unsent results (FIFO) into the cache.
+        self.feeder.refill(
+            &self.db,
+            self.cfg.feeder_slots,
+            &crate::sched::WorkerPool::sequential(),
+        );
         self.eobs
             .feeder_occupancy
             .set(self.sim.now().as_micros(), self.feeder.len() as f64);

@@ -32,7 +32,6 @@ pub mod fault;
 pub mod host;
 pub mod population;
 pub mod sched;
-pub mod shard;
 pub mod transition;
 pub mod types;
 pub mod validate;
@@ -40,7 +39,7 @@ pub mod workunit;
 
 pub use assimilate::{Assimilated, Assimilator};
 pub use backoff::Backoff;
-pub use config::{NetConfig, Preset, ProjectConfig, ShardConfig};
+pub use config::{NetConfig, Preset, ProjectConfig};
 pub use credit::{claimed_credit, CreditLedger, HostAccount};
 pub use db::Db;
 pub use engine::{
@@ -51,9 +50,8 @@ pub use engine::{BuildError, EngineBuilder};
 pub use fault::{Corruption, FaultIndex, FaultPlan};
 pub use host::{Availability, HostProfile, ValidationCounts};
 pub use population::{GeneratedHost, HostPopulation, PopulationSpec, VolunteerClass};
-pub use sched::Feeder;
-pub use shard::{run_transition_pass, serve_batch, BatchGrant, WorkerPool};
-pub use transition::{apply_transition, plan_transition, Transition, TransitionPlan};
+pub use sched::{serve_batch, BatchGrant, Feeder, WorkerPool};
+pub use transition::{run_transition_pass, Transition};
 pub use types::{ClientId, FileRef, FileSource, OutputFingerprint, ResultId, WuId};
 pub use validate::{check_quorum, Verdict};
 pub use vmr_shuffle::{FetchObs, ShuffleConfig, ShuffleStrategy, StrategyKind};

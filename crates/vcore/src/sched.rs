@@ -10,9 +10,9 @@
 //! the engine applies its choices to the database.
 
 use crate::db::Db;
-use crate::shard::WorkerPool;
 use crate::types::{ClientId, ResultId};
 use std::collections::VecDeque;
+use vmr_desim::SimTime;
 
 /// A client's work request, as seen by the scheduler.
 #[derive(Clone, Copy, Debug)]
@@ -27,8 +27,7 @@ pub struct WorkRequest {
 /// from the feeder's candidate stream, skipping work units the client
 /// already holds a replica of. Candidates are consumed in order
 /// (feeder order == creation order, BOINC's FIFO default) and lazily —
-/// the stream is abandoned once the grant fills, so a merged per-shard
-/// feeder never materializes candidates it won't inspect.
+/// the stream is abandoned once the grant fills.
 pub fn pick_results(
     db: &Db,
     candidates: impl IntoIterator<Item = ResultId>,
@@ -61,150 +60,122 @@ pub fn pick_results(
     picked
 }
 
-/// The feeder's shared-memory cache of ready-to-send results, sharded
-/// by `rid % n` to match the database partitioning.
-///
-/// Each shard's segment is kept in ascending rid order (refills insert
-/// in id order; removals preserve order), so the merged candidate
-/// stream ([`Feeder::candidates`]) reproduces the single-shard feeder's
-/// FIFO order exactly — sharding never changes which results a grant
-/// picks. Evicting a granted result is a binary search in its own
-/// segment plus a `VecDeque::remove`.
-#[derive(Debug)]
+/// The feeder's shared-memory cache of ready-to-send results: the
+/// first `slots` unsent results, in ascending id order (== creation
+/// order, BOINC's FIFO default). Refills copy a prefix of the
+/// database's ordered unsent set and evictions keep the order, so
+/// evicting is a binary search, not a scan.
+#[derive(Debug, Default)]
 pub struct Feeder {
-    segments: Vec<VecDeque<ResultId>>,
+    cache: VecDeque<ResultId>,
 }
 
 impl Feeder {
-    /// An empty feeder partitioned into `n` shards (`n ≥ 1`).
+    /// An empty feeder. `n` must be 1 (see [`WorkerPool`]).
     pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "feeder shard count must be at least 1");
-        Feeder {
-            segments: (0..n).map(|_| VecDeque::new()).collect(),
-        }
+        assert_eq!(n, 1, "the feeder is one cache");
+        Feeder::default()
     }
 
-    /// Number of feeder shards.
-    pub fn n_shards(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Cached results across all segments.
+    /// Cached results.
     pub fn len(&self) -> usize {
-        self.segments.iter().map(VecDeque::len).sum()
+        self.cache.len()
     }
 
     /// True when no results are cached.
     pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(VecDeque::is_empty)
-    }
-
-    /// Drops everything from the cache.
-    pub fn clear(&mut self) {
-        for seg in &mut self.segments {
-            seg.clear();
-        }
+        self.cache.is_empty()
     }
 
     /// One feeder pass: replaces the cache with the first `slots`
-    /// unsent results in global id order. With a worker pool, each
-    /// shard's candidate prefix is scanned concurrently and the global
-    /// cutoff is found by an id-order merge — bit-identical to the
-    /// sequential scan at any shard count.
-    pub fn refill(&mut self, db: &Db, slots: usize, pool: &WorkerPool) {
-        let n = self.segments.len();
-        if n == 1 {
-            let seg = &mut self.segments[0];
-            seg.clear();
-            seg.extend(db.unsent_results().take(slots));
-            return;
-        }
-        debug_assert_eq!(n, db.n_shards(), "feeder/db shard counts must match");
-        // Per-shard candidate prefixes: the global first-`slots` cut
-        // cannot take more than `slots` from any one shard.
-        let prefixes: Vec<Vec<ResultId>> =
-            pool.map(n, |s| db.shard_unsent(s).take(slots).collect());
-        // Merge in id order to find how many of each prefix make the
-        // global cut; each shard's share is a prefix of its candidates.
-        let mut take = vec![0usize; n];
-        let mut heads = vec![0usize; n];
-        for _ in 0..slots {
-            let mut best: Option<(usize, ResultId)> = None;
-            for s in 0..n {
-                if let Some(&rid) = prefixes[s].get(heads[s]) {
-                    if best.map(|(_, b)| rid < b).unwrap_or(true) {
-                        best = Some((s, rid));
-                    }
-                }
-            }
-            match best {
-                Some((s, _)) => {
-                    heads[s] += 1;
-                    take[s] += 1;
-                }
-                None => break,
-            }
-        }
-        for (s, mut prefix) in prefixes.into_iter().enumerate() {
-            prefix.truncate(take[s]);
-            self.segments[s] = prefix.into();
-        }
+    /// unsent results in id order.
+    pub fn refill(&mut self, db: &Db, slots: usize, _pool: &WorkerPool) {
+        self.cache.clear();
+        self.cache.extend(db.unsent_results().take(slots));
+        debug_assert!(
+            self.cache
+                .iter()
+                .zip(self.cache.iter().skip(1))
+                .all(|(a, b)| a < b),
+            "feeder cache must be strictly ascending: remove() binary-searches it"
+        );
     }
 
     /// Evicts `rid` from the cache (granted or cancelled); a no-op when
-    /// it is not cached. Segments are ascending, so this is a binary
-    /// search, not a scan.
+    /// it is not cached.
     pub fn remove(&mut self, rid: ResultId) {
-        let s = rid.0 as usize % self.segments.len();
-        let seg = &mut self.segments[s];
-        if let Ok(i) = seg.binary_search(&rid) {
-            seg.remove(i);
+        if let Ok(i) = self.cache.binary_search(&rid) {
+            self.cache.remove(i);
         }
     }
 
-    /// The cached results in global id order — an id-order merge of the
-    /// per-shard segments, lazily evaluated.
+    /// The cached results in id order.
     pub fn candidates(&self) -> impl Iterator<Item = ResultId> + '_ {
-        MergeSegments {
-            heads: self
-                .segments
-                .iter()
-                .map(|seg| seg.iter().copied().peekable())
-                .collect(),
-        }
+        self.cache.iter().copied()
     }
 }
 
-/// K-way id-order merge over the per-shard segments (shard counts are
-/// small, so a linear head scan beats a heap).
-struct MergeSegments<I: Iterator<Item = ResultId>> {
-    heads: Vec<std::iter::Peekable<I>>,
+/// Benchmark compatibility, kept in this one place: the frozen
+/// `benchmark/` trace leg was written against the deleted `id mod n`
+/// sharded core and still calls `Feeder::new(1)`,
+/// `Feeder::refill(.., &WorkerPool::sequential())` and
+/// `run_transition_pass(.., &WorkerPool)`. There is one cache and no
+/// pool; `n` and this type are vestigial arguments, to be dropped with
+/// the trace leg's next revision (ROADMAP).
+#[derive(Clone, Copy, Debug)]
+pub struct WorkerPool;
+
+impl WorkerPool {
+    /// The only pool there is: everything runs on the calling thread.
+    pub fn sequential() -> Self {
+        WorkerPool
+    }
 }
 
-impl<I: Iterator<Item = ResultId>> Iterator for MergeSegments<I> {
-    type Item = ResultId;
-    fn next(&mut self) -> Option<ResultId> {
-        if self.heads.len() == 1 {
-            return self.heads[0].next();
+/// One granted work request out of a batch.
+#[derive(Clone, Debug)]
+pub struct BatchGrant {
+    /// The requesting client.
+    pub client: ClientId,
+    /// Results granted to it (possibly empty).
+    pub granted: Vec<ResultId>,
+}
+
+/// Serves a batch of scheduler work requests in submission order: per
+/// request, candidates are the feeder's cache, grants are applied to
+/// the database immediately (`mark_sent` with `deadline_of` the
+/// per-result report deadline) and evicted from the feeder.
+///
+/// Submission order *is* the serialization order, so the outcome is
+/// identical to one RPC event per request through the engine.
+pub fn serve_batch(
+    db: &mut Db,
+    feeder: &mut Feeder,
+    requests: &[WorkRequest],
+    max_per_rpc: u32,
+    now: SimTime,
+    mut deadline_of: impl FnMut(&Db, ResultId) -> SimTime,
+) -> Vec<BatchGrant> {
+    let mut out = Vec::with_capacity(requests.len());
+    for &req in requests {
+        let picked = pick_results(db, feeder.candidates(), req, max_per_rpc);
+        for &rid in &picked {
+            let deadline = deadline_of(db, rid);
+            db.mark_sent(rid, req.client, now, deadline);
+            feeder.remove(rid);
         }
-        let mut best: Option<(usize, ResultId)> = None;
-        for (i, it) in self.heads.iter_mut().enumerate() {
-            if let Some(&id) = it.peek() {
-                if best.map(|(_, b)| id < b).unwrap_or(true) {
-                    best = Some((i, id));
-                }
-            }
-        }
-        let (i, _) = best?;
-        self.heads[i].next()
+        out.push(BatchGrant {
+            client: req.client,
+            granted: picked,
+        });
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workunit::WorkUnitSpec;
-    use vmr_desim::SimTime;
 
     fn db_with(n_wus: usize) -> Db {
         let mut db = Db::new();
@@ -363,5 +334,45 @@ mod tests {
             10,
         );
         assert!(picked.is_empty());
+    }
+
+    /// The frozen benchmark trace leg serves through `serve_batch`; it
+    /// must grant exactly what one `pick_results` + `mark_sent` +
+    /// `remove` per request grants.
+    #[test]
+    fn serve_batch_matches_per_request_serving() {
+        let reqs: Vec<WorkRequest> = (0..6)
+            .map(|c| WorkRequest {
+                client: ClientId(c),
+                slots_wanted: 2,
+            })
+            .collect();
+        let deadline = SimTime::from_secs(1000);
+
+        let mut db = db_with(5);
+        let mut feeder = Feeder::new(1);
+        feeder.refill(&db, 100, &WorkerPool::sequential());
+        let grants = serve_batch(&mut db, &mut feeder, &reqs, 4, SimTime::ZERO, |_, _| {
+            deadline
+        });
+
+        let mut ref_db = db_with(5);
+        let mut ref_feeder = Feeder::new(1);
+        ref_feeder.refill(&ref_db, 100, &WorkerPool::sequential());
+        for (req, got) in reqs.iter().zip(&grants) {
+            let picked = pick_results(&ref_db, ref_feeder.candidates(), *req, 4);
+            for &rid in &picked {
+                ref_db.mark_sent(rid, req.client, SimTime::ZERO, deadline);
+                ref_feeder.remove(rid);
+            }
+            assert_eq!(got.client, req.client);
+            assert_eq!(got.granted, picked);
+        }
+        assert_eq!(grants.iter().map(|g| g.granted.len()).sum::<usize>(), 10);
+        assert_eq!(db.encode_state(), ref_db.encode_state());
+        assert_eq!(
+            feeder.candidates().collect::<Vec<_>>(),
+            ref_feeder.candidates().collect::<Vec<_>>()
+        );
     }
 }

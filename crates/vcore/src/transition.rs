@@ -14,6 +14,7 @@
 //! a WU riding on a single trusted host validates from that one result.
 
 use crate::db::Db;
+use crate::sched::WorkerPool;
 use crate::types::{OutputFingerprint, ResultId, WuId};
 use crate::validate::{check_quorum, Verdict};
 use crate::workunit::{ResultState, WuState};
@@ -41,44 +42,13 @@ pub enum Transition {
     Failed,
 }
 
-/// A transitioner decision computed read-only against the database —
-/// the *plan* half of the plan/apply split. Plans for distinct WUs are
-/// independent (a WU's plan reads only its own rows), so the worker
-/// pool ([`crate::shard::run_transition_pass`]) computes them in
-/// parallel per shard and applies them sequentially in global WU-id
-/// order, which keeps result-id allocation and the WAL record stream
-/// bit-identical to a sequential pass.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TransitionPlan {
-    /// Nothing to do.
-    None,
-    /// Quorum reached: validate with `canonical`, credit `agreeing`,
-    /// cancel the still-unsent replicas in `cancel`.
-    Validate {
-        /// Canonical output fingerprint.
-        canonical: OutputFingerprint,
-        /// Results whose outputs matched the canonical fingerprint.
-        agreeing: Vec<ResultId>,
-        /// Unsent replicas made redundant by the validation.
-        cancel: Vec<ResultId>,
-    },
-    /// Create `n_new` fresh replicas to replace errors/disagreements.
-    Retry {
-        /// How many results to create.
-        n_new: u32,
-    },
-    /// Retry budget exhausted: fail the WU permanently.
-    Fail,
-}
-
-/// Computes the transitioner's decision for `wu` without touching the
-/// database. Pure with respect to `db`: safe to evaluate for many WUs
-/// concurrently over a shared `&Db`.
-pub fn plan_transition(db: &Db, wu: WuId) -> TransitionPlan {
+/// Runs one transitioner pass over `wu`. Mutates the database and
+/// returns what changed so the engine can fire policy hooks.
+pub fn transition_wu(db: &mut Db, wu: WuId, now: SimTime) -> Transition {
     if db.wu(wu).state != WuState::Active {
-        return TransitionPlan::None;
+        return Transition::None;
     }
-    let rids = db.results_of(wu);
+    let rids = db.results_of(wu).to_vec();
     // Successful reports awaiting validation.
     let successes: Vec<ResultId> = rids
         .iter()
@@ -102,17 +72,17 @@ pub fn plan_transition(db: &Db, wu: WuId) -> TransitionPlan {
     } = check_quorum(&fingerprints, min_quorum)
     {
         let agreeing: Vec<ResultId> = agreeing.into_iter().map(|i| successes[i]).collect();
+        db.mark_wu_validated(wu, canonical, now);
         // Unsent replicas are redundant once the WU validates;
         // in-progress ones will report as WuDone.
-        let cancel: Vec<ResultId> = rids
-            .iter()
-            .copied()
-            .filter(|&r| db.result(r).state == ResultState::Unsent)
-            .collect();
-        return TransitionPlan::Validate {
+        for rid in rids {
+            if db.result(rid).state == ResultState::Unsent {
+                db.cancel_unsent(rid);
+            }
+        }
+        return Transition::Validated {
             canonical,
             agreeing,
-            cancel,
         };
     }
 
@@ -130,57 +100,39 @@ pub fn plan_transition(db: &Db, wu: WuId) -> TransitionPlan {
     };
     let potential = live + max_group;
     if potential >= min_quorum {
-        return TransitionPlan::None;
+        return Transition::None;
     }
     let deficit = min_quorum - potential;
     let spec_max = db.wu(wu).spec.max_total_results;
     let created = db.wu(wu).results_created;
     let budget = spec_max.saturating_sub(created);
     if budget == 0 {
-        return TransitionPlan::Fail;
+        db.mark_wu_failed(wu, now);
+        return Transition::Failed;
     }
-    TransitionPlan::Retry {
-        n_new: deficit.min(budget),
-    }
+    let n_new = deficit.min(budget);
+    let new_results: Vec<ResultId> = (0..n_new).map(|_| db.create_result(wu)).collect();
+    Transition::Retried { new_results }
 }
 
-/// Applies a previously computed plan to the database, journaling every
-/// mutation, and returns the [`Transition`] the engine's policy hooks
-/// consume.
-pub fn apply_transition(db: &mut Db, wu: WuId, plan: TransitionPlan, now: SimTime) -> Transition {
-    match plan {
-        TransitionPlan::None => Transition::None,
-        TransitionPlan::Validate {
-            canonical,
-            agreeing,
-            cancel,
-        } => {
-            db.mark_wu_validated(wu, canonical, now);
-            for rid in cancel {
-                db.cancel_unsent(rid);
-            }
-            Transition::Validated {
-                canonical,
-                agreeing,
-            }
-        }
-        TransitionPlan::Retry { n_new } => {
-            let new_results: Vec<ResultId> = (0..n_new).map(|_| db.create_result(wu)).collect();
-            Transition::Retried { new_results }
-        }
-        TransitionPlan::Fail => {
-            db.mark_wu_failed(wu, now);
-            Transition::Failed
+/// One transitioner pass over every work unit, in id order. Returns the
+/// non-trivial transitions in that order. The engine never needs a
+/// whole-table pass (it runs [`transition_wu`] on a work unit at each
+/// report); the `_pool` argument is vestigial — see
+/// [`crate::sched::WorkerPool`].
+pub fn run_transition_pass(
+    db: &mut Db,
+    now: SimTime,
+    _pool: &WorkerPool,
+) -> Vec<(WuId, Transition)> {
+    let mut out = Vec::new();
+    for wu in (0..db.n_wus() as u32).map(WuId) {
+        match transition_wu(db, wu, now) {
+            Transition::None => {}
+            t => out.push((wu, t)),
         }
     }
-}
-
-/// Runs one transitioner pass over `wu`. Mutates the database and
-/// returns what changed so the engine can fire policy hooks.
-/// Equivalent to [`plan_transition`] followed by [`apply_transition`].
-pub fn transition_wu(db: &mut Db, wu: WuId, now: SimTime) -> Transition {
-    let plan = plan_transition(db, wu);
-    apply_transition(db, wu, plan, now)
+    out
 }
 
 #[cfg(test)]
@@ -363,5 +315,70 @@ mod tests {
             Transition::None
         );
         assert_eq!(db.results_of(wu).len(), 2, "no spurious extra replicas");
+    }
+
+    /// The frozen benchmark trace leg drives the transitioner through
+    /// the whole-table pass: it must be `transition_wu` over every WU
+    /// in id order, returning the non-trivial transitions in that order.
+    #[test]
+    fn pass_matches_sequential_transition_wu() {
+        let now = SimTime::from_secs(20);
+        // A mix of outcomes: agreeing quorum, disagreement (retry),
+        // out of budget (fail), and nothing to do.
+        let build = || {
+            let mut db = Db::new();
+            for i in 0..17u32 {
+                let mut spec = WorkUnitSpec::basic(format!("wu{i}"), "app", 1e9);
+                if i % 4 == 2 {
+                    spec.max_total_results = 2;
+                }
+                let wu = db.insert_workunit(spec, SimTime::ZERO);
+                let rids = db.results_of(wu).to_vec();
+                match i % 4 {
+                    0 => {
+                        send_and_report(&mut db, rids[0], 0, 42);
+                        send_and_report(&mut db, rids[1], 1, 42);
+                    }
+                    1 => {
+                        send_and_report(&mut db, rids[0], 0, 100);
+                        send_and_report(&mut db, rids[1], 1, 101);
+                    }
+                    2 => {
+                        for (k, rid) in rids.iter().enumerate() {
+                            db.mark_sent(
+                                *rid,
+                                ClientId(k as u32),
+                                SimTime::ZERO,
+                                SimTime::from_secs(10),
+                            );
+                            db.mark_timed_out(*rid, SimTime::from_secs(10));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            db
+        };
+        let mut reference = build();
+        let mut expected = Vec::new();
+        for wu in reference.wu_ids().collect::<Vec<_>>() {
+            match transition_wu(&mut reference, wu, now) {
+                Transition::None => {}
+                t => expected.push((wu, t)),
+            }
+        }
+        let mut db = build();
+        let got = run_transition_pass(&mut db, now, &WorkerPool::sequential());
+        assert_eq!(got, expected);
+        assert_eq!(got.len(), 13, "every fourth work unit has nothing to do");
+        assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "WU-id order");
+        assert!(got
+            .iter()
+            .any(|(_, t)| matches!(t, Transition::Validated { .. })));
+        assert!(got
+            .iter()
+            .any(|(_, t)| matches!(t, Transition::Retried { .. })));
+        assert!(got.iter().any(|(_, t)| *t == Transition::Failed));
+        assert_eq!(db.encode_state(), reference.encode_state());
     }
 }

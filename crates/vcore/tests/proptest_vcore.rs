@@ -3,12 +3,13 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::collections::HashSet;
 use vmr_desim::{RngStream, SimDuration, SimTime};
 use vmr_durable::{recover, DurabilityPlan, Journal};
 use vmr_vcore::transition::{transition_wu, Transition};
 use vmr_vcore::{
-    check_quorum, Backoff, ClientId, Db, OutputFingerprint, ResultId, ResultOutcome, Verdict,
-    WorkUnitSpec, WuId, WuState,
+    check_quorum, Backoff, ClientId, Db, Feeder, OutputFingerprint, ResultId, ResultOutcome,
+    Verdict, WorkUnitSpec, WorkerPool, WuId, WuState,
 };
 
 /// The O(1) reads (`count_state`, `all_wus_terminal`) against the full
@@ -27,17 +28,14 @@ proptest! {
     /// The per-state work-unit tally equals a scan of the table after
     /// every step of a random mutator sequence (terminal work units get
     /// re-marked, results get reported against them, new work arrives
-    /// after completion), at any shard count, and on every other way a
-    /// `Db` comes to exist: snapshot decode, reshard, and WAL replay
-    /// record by record.
+    /// after completion), and on every other way a `Db` comes to exist:
+    /// snapshot decode, and WAL replay record by record.
     #[test]
     fn wu_tally_equals_table_scan(
         ops in proptest::collection::vec((0u8..12, 0u32..1000), 1..60),
-        n_shards in 1usize..=8,
-        reshard_to in 1usize..=8,
     ) {
         let journal = Journal::new(&DurabilityPlan::new(0.0)).unwrap();
-        let mut db = Db::with_shards(n_shards);
+        let mut db = Db::new();
         db.set_journal(journal.clone());
         tally_matches_scan(&db, "empty")?;
         for (step, (op, pick)) in ops.into_iter().enumerate() {
@@ -76,20 +74,80 @@ proptest! {
 
             let decoded = Db::decode_state(&db.encode_state()).unwrap();
             tally_matches_scan(&decoded, "decode_state")?;
-            let mut resharded = decoded;
-            resharded.reshard(reshard_to);
-            tally_matches_scan(&resharded, "reshard")?;
         }
 
         journal.commit();
         let tail = recover(&journal.log_bytes()).unwrap().tail;
-        let mut replayed = Db::with_shards(reshard_to);
+        let mut replayed = Db::new();
         for c in &tail {
             prop_assert!(replayed.apply_change(c).unwrap(), "unhandled {:?}", c);
             tally_matches_scan(&replayed, "apply_change")?;
         }
         // Same rows, and each side's tally equals its own scan.
         prop_assert_eq!(replayed.encode_state(), db.encode_state());
+    }
+
+    /// The feeder cache against its model: the `take(slots)` prefix of
+    /// the unsent set as of the last refill, minus every id evicted
+    /// since (the cache is allowed to lag the database in between).
+    /// Strictly ascending after every step — the invariant `remove`'s
+    /// binary search relies on — and evicting an id that is not cached
+    /// changes nothing.
+    #[test]
+    fn feeder_cache_matches_model(
+        ops in proptest::collection::vec((0u8..8, 0u32..1000), 1..80),
+    ) {
+        let pool = WorkerPool::sequential();
+        let mut db = Db::new();
+        let mut feeder = Feeder::new(1);
+        let mut snapshot: Vec<ResultId> = Vec::new();
+        let mut evicted: HashSet<ResultId> = HashSet::new();
+        for (step, (op, pick)) in ops.into_iter().enumerate() {
+            let now = SimTime::from_secs(step as u64);
+            let unsent: Vec<ResultId> = db.unsent_results().collect();
+            let some_unsent = unsent.get(pick as usize % unsent.len().max(1)).copied();
+            match op {
+                0 | 1 => {
+                    db.insert_workunit(WorkUnitSpec::basic(format!("w{step}"), "app", 1e9), now);
+                }
+                2 => {
+                    if let Some(r) = some_unsent {
+                        db.mark_sent(r, ClientId(pick % 5), now, now + SimDuration::from_secs(50));
+                    }
+                }
+                3 => {
+                    if let Some(r) = some_unsent {
+                        db.cancel_unsent(r);
+                    }
+                }
+                4 | 5 => {
+                    let slots = pick as usize % 12;
+                    feeder.refill(&db, slots, &pool);
+                    snapshot = unsent.into_iter().take(slots).collect();
+                    evicted.clear();
+                }
+                _ => {
+                    // Any id: cached, already evicted, or never created.
+                    let rid = ResultId(pick % (db.n_results() as u32 + 3));
+                    let before: Vec<ResultId> = feeder.candidates().collect();
+                    feeder.remove(rid);
+                    if !before.contains(&rid) {
+                        prop_assert_eq!(&feeder.candidates().collect::<Vec<_>>(), &before);
+                    }
+                    evicted.insert(rid);
+                }
+            }
+            let cache: Vec<ResultId> = feeder.candidates().collect();
+            prop_assert!(cache.windows(2).all(|w| w[0] < w[1]), "not ascending: {:?}", cache);
+            let model: Vec<ResultId> = snapshot
+                .iter()
+                .copied()
+                .filter(|r| !evicted.contains(r))
+                .collect();
+            prop_assert_eq!(&cache, &model);
+            prop_assert_eq!(feeder.len(), model.len());
+            prop_assert_eq!(feeder.is_empty(), model.is_empty());
+        }
     }
 
     /// The quorum verdict is permutation-invariant in the *canonical

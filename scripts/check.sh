@@ -6,17 +6,26 @@
 # BENCHMARK.json workloads at ~1/20 size, every check on). Run before
 # sending a change.
 #
-# Usage: scripts/check.sh [--no-test] [--no-bench]
+# Usage: scripts/check.sh [--no-test] [--no-bench] [--full]
+#
+#   --no-test   skip the workspace test suite
+#   --no-bench  skip every bench smoke (overrides --full)
+#   --full      also run the slow smokes: the 20k-host netsim scale leg,
+#               the shuffle strategy ablation (refreshes
+#               BENCH_shuffle.json), the trust ablation, and the 10k
+#               rtnet soak (refreshes BENCH_rtnet.json)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 NO_TEST=0
 NO_BENCH=0
+FULL=0
 for arg in "$@"; do
     case "$arg" in
         --no-test) NO_TEST=1 ;;
         --no-bench) NO_BENCH=1 ;;
+        --full) FULL=1 ;;
         *) echo "unknown argument: $arg" >&2; exit 2 ;;
     esac
 done
@@ -48,8 +57,8 @@ if [ "$NO_BENCH" -eq 0 ]; then
         | sed -n 's/^BENCH_netsim\.json //p' > BENCH_netsim.json
     [ -s BENCH_netsim.json ] || { echo "flow_churn emitted no BENCH line" >&2; exit 1; }
 
-    if [ "${NETSIM_SCALE_SMOKE:-0}" = "1" ]; then
-        echo "==> netsim scale smoke: 20k-host aggregate leg (NETSIM_SCALE_SMOKE=1)"
+    if [ "$FULL" -eq 1 ]; then
+        echo "==> netsim scale smoke: 20k-host aggregate leg (--full)"
         ./target/release/flow_churn --scale-smoke
     fi
 
@@ -73,35 +82,19 @@ if [ "$NO_BENCH" -eq 0 ]; then
     echo "    (a broken workload check or a vmr-bench-trace that no longer compiles fails here)"
     bash benchmark/run.sh --smoke
 
-    if [ "${SHARD_SMOKE:-0}" = "1" ]; then
-        echo "==> shard smoke: 4-shard table1 --quick byte-diffed vs 1 shard (SHARD_SMOKE=1)"
-        ./target/release/table1 --quick --shards 4 | diff tests/golden/table1_quick.txt - \
-            || { echo "4-shard table1 output diverged from 1 shard" >&2; exit 1; }
-
-        echo "==> shard smoke: serve-loop scaling (refreshes BENCH_shard.json, >=2.5x floor)"
-        cargo build --offline --release -p vmr-bench --bin shard_scaling
-        ./target/release/shard_scaling \
-            | sed -n 's/^BENCH_shard\.json //p' > BENCH_shard.json
-        [ -s BENCH_shard.json ] || { echo "shard_scaling emitted no BENCH line" >&2; exit 1; }
-    fi
-
-    if [ "${SHUFFLE_SMOKE:-0}" = "1" ]; then
-        echo "==> shuffle smoke: strategy ablation, 40/2k/100k legs (SHUFFLE_SMOKE=1)"
+    if [ "$FULL" -eq 1 ]; then
+        echo "==> shuffle smoke: strategy ablation, 40/2k/100k legs (--full)"
         echo "    (refreshes BENCH_shuffle.json; coded >=25% byte cut at 2000 hosts)"
         cargo build --offline --release -p vmr-bench --bin shuffle_ablation
         ./target/release/shuffle_ablation --smoke \
             | sed -n 's/^BENCH_shuffle\.json //p' > BENCH_shuffle.json
         [ -s BENCH_shuffle.json ] || { echo "shuffle_ablation emitted no BENCH line" >&2; exit 1; }
-    fi
 
-    if [ "${TRUST_SMOKE:-0}" = "1" ]; then
-        echo "==> trust smoke: adaptive-replication ablation, 40-host legs (TRUST_SMOKE=1)"
+        echo "==> trust smoke: adaptive-replication ablation, 40-host legs (--full)"
         cargo build --offline --release -p vmr-bench --bin trust_study
         ./target/release/trust_study --smoke > /dev/null
-    fi
 
-    if [ "${SOAK_SMOKE:-0}" = "1" ]; then
-        echo "==> rtnet soak smoke: 10k concurrent volunteers vs the poll runtime (SOAK_SMOKE=1)"
+        echo "==> rtnet soak smoke: 10k concurrent volunteers vs the poll runtime (--full)"
         echo "    (two-process harness; zero lost requests, exact busy accounting, bounded p99)"
         SOAK_SMOKE=1 cargo test --offline --release -p volunteer-mr \
             --test soak_rtnet soak_10k_volunteers -- --nocapture
