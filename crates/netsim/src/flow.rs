@@ -17,20 +17,32 @@
 //!   at its `anchor` instant (the last time its rate changed); bytes at
 //!   any later time follow from `bytes_at_anchor - rate · Δt`. Settling
 //!   to a new instant is O(1) — no per-flow integration pass.
-//! * **Lazy completion index.** A min-heap holds projected completion
-//!   instants, tagged with a per-flow generation. A reallocation that
-//!   changes a flow's rate bumps its generation and pushes a fresh
-//!   entry; stale entries are discarded when they surface. While a
-//!   flow's rate is unchanged its projection is invariant, so nothing
-//!   is recomputed. `next_event_time` is an O(1) peek.
+//! * **Cached due instants, found by scanning.** Each flow caches the
+//!   instant it is `due` to complete, recomputed only when its rate
+//!   changes (while the rate is unchanged the projection is invariant).
+//!   A reallocation wave already walks every flow to apply the new
+//!   rates, so the same walk tracks the minimum `due`;
+//!   `next_event_time` reads that minimum, and [`Network::advance`]
+//!   collects the flows due at an instant with one in-order walk of
+//!   the id-ordered map. There is no completion heap: on a shared
+//!   bottleneck every arrival or departure changes every rate, so a
+//!   heap of `(due, flow)` entries grows by one stale entry per flow
+//!   per wave and popping them costs more than the allocator does.
 //! * **Setup boundary heap.** Pending setup completions live in their
 //!   own min-heap; [`Network::advance`] only reallocates when a
 //!   boundary was actually crossed, instead of on every settle.
 //! * **Batched completions.** All flows finishing at the same instant
 //!   are retired under a single reallocation.
-//! * **Zero-clone reallocation.** Demands are handed to the
+//! * **One walk, one solve, one apply.** Demands are handed to the
 //!   [`Allocator`] as borrowed dense-index paths in ascending `FlowId`
-//!   order (a `BTreeMap` walk — no key sort, no path clones).
+//!   order, built together with the id list in a single `BTreeMap`
+//!   walk (no key sort, no path clones, no per-demand look-up).
+//! * **An unchanged demand set is solved once.** Flow specs, paths and
+//!   the topology are immutable, so the allocation is a pure function
+//!   of the demand id list; when a wave finds the list it last solved
+//!   for (every `start_flow` of a flow still in its setup phase), the
+//!   retained rates are reused. Debug builds re-solve and assert the
+//!   rates are bit-equal.
 //!
 //! Call instants must be non-decreasing across `start_flow` /
 //! `abort_flow` / `advance` (event-driven callers do this naturally);
@@ -97,9 +109,11 @@ struct ActiveFlow {
     starts_at: SimTime,
     created_at: SimTime,
     rate: f64,
-    /// Bumped on every rate change; completion-heap entries carrying an
-    /// older generation are stale.
-    generation: u64,
+    /// Cached completion instant: `completion_at_anchor()` as of the
+    /// last rate change, `SimTime::MAX` while there is none (setup
+    /// phase, starved). Kept when the flow leaves the demand set with
+    /// its bytes exhausted, so `advance` still harvests it.
+    due: SimTime,
 }
 
 impl ActiveFlow {
@@ -165,18 +179,20 @@ pub struct Network {
     /// Completed-transfer duration statistics for background flows.
     pub bg_durations: Tally,
     bytes_delivered: f64,
-    /// Min-heap of (projected completion, flow, generation); entries
-    /// with a stale generation are discarded lazily. The top entry is
-    /// kept valid (see `prune_completion_heap`) so peeks need `&self`.
-    completion_heap: BinaryHeap<Reverse<(SimTime, FlowId, u64)>>,
+    /// Earliest cached `due` over all flows, `SimTime::MAX` when no flow
+    /// has one. Refreshed by every reallocation wave, which every
+    /// mutation of `flows` ends in.
+    min_due: SimTime,
     /// Min-heap of pending setup boundaries (starts_at, flow).
     setup_heap: BinaryHeap<Reverse<(SimTime, FlowId)>>,
     /// Reusable progressive-filling state.
     alloc: Allocator,
+    /// Demand ids `rates` were solved for, ascending.
+    solved_ids: Vec<FlowId>,
+    /// Max–min fair rates matching `solved_ids`.
+    rates: Vec<f64>,
     /// Scratch: demand ids of the current reallocation, ascending.
     scratch_ids: Vec<FlowId>,
-    /// Scratch: rates matching `scratch_ids`.
-    scratch_rates: Vec<f64>,
     /// Scratch: flows completing at one instant.
     batch_ids: Vec<FlowId>,
     /// Pre-resolved observability handles (a detached sink by default).
@@ -192,8 +208,9 @@ impl Network {
 
     /// Wraps a topology, recording flow counters (`netsim.flows_*`,
     /// `netsim.bytes_delivered`, `netsim.realloc_waves`), journal
-    /// flow-start/complete events and the `netsim.realloc_wave`
-    /// profiling scope into `obs`.
+    /// flow-start/complete events and the `netsim.start_flow`,
+    /// `netsim.advance` and (nested in both) `netsim.realloc_wave`
+    /// profiling scopes into `obs`.
     pub fn with_obs(topo: Topology, obs: &vmr_obs::Obs) -> Self {
         Network {
             topo,
@@ -203,11 +220,12 @@ impl Network {
             fg_durations: Tally::new(),
             bg_durations: Tally::new(),
             bytes_delivered: 0.0,
-            completion_heap: BinaryHeap::new(),
+            min_due: SimTime::MAX,
             setup_heap: BinaryHeap::new(),
             alloc: Allocator::new(),
+            solved_ids: Vec::new(),
+            rates: Vec::new(),
             scratch_ids: Vec::new(),
-            scratch_rates: Vec::new(),
             batch_ids: Vec::new(),
             obs: NetObs::attach(obs),
         }
@@ -236,6 +254,8 @@ impl Network {
     /// Starts a transfer at `now`. Returns its id; completions are later
     /// reported by [`Network::advance`].
     pub fn start_flow(&mut self, now: SimTime, spec: FlowSpec) -> FlowId {
+        let scope = self.obs.start_flow_scope.clone();
+        let _timed = scope.enter();
         self.settle(now);
         let id = FlowId(self.next_id);
         self.next_id += 1;
@@ -245,29 +265,30 @@ impl Network {
         let setup =
             SimDuration::from_secs_f64(spec.setup_s + self.topo.latency(spec.src, spec.dst));
         let starts_at = now + setup;
+        let bytes_at_anchor = spec.bytes as f64;
         let flow = ActiveFlow {
             links,
-            bytes_at_anchor: spec.bytes as f64,
+            bytes_at_anchor,
             anchor: self.last_advance,
             starts_at,
             created_at: now,
             rate: 0.0,
-            generation: 0,
+            // Zero-byte flows never enter the demand set, so no rate
+            // change will ever set this: due as soon as setup ends.
+            due: if bytes_at_anchor <= 1e-9 {
+                starts_at.max(self.last_advance)
+            } else {
+                SimTime::MAX
+            },
             spec,
         };
-        if flow.bytes_at_anchor <= 1e-9 {
-            // Zero-byte flows never enter the demand set; their (only)
-            // completion entry is due as soon as setup ends.
-            self.completion_heap
-                .push(Reverse((starts_at.max(self.last_advance), id, 0)));
-        }
         if starts_at > now && starts_at > self.last_advance {
             self.setup_heap.push(Reverse((starts_at, id)));
         }
         let flow_bytes = flow.spec.bytes;
         self.flows.insert(id, flow);
         self.reallocate(now);
-        self.prune_heaps();
+        self.prune_setup_heap();
         self.obs.started.inc();
         self.obs
             .journal
@@ -287,59 +308,41 @@ impl Network {
             self.reallocate(now);
             self.obs.aborted.inc();
         }
-        self.prune_heaps();
+        self.prune_setup_heap();
         existed
     }
 
     /// Advances the network to `now` and returns every flow that has
     /// completed by then (possibly several).
     pub fn advance(&mut self, now: SimTime) -> Vec<Completion> {
+        let scope = self.obs.advance_scope.clone();
+        let _timed = scope.enter();
         let mut done = Vec::new();
         // Completing flows frees capacity and speeds up the others, so
-        // walk the completion index until no flow completes before `now`.
-        loop {
-            self.prune_completion_heap();
-            let Some(&Reverse((t_raw, _, _))) = self.completion_heap.peek() else {
-                break;
-            };
-            let t = t_raw.max(self.last_advance);
+        // follow the earliest due instant until none falls before `now`.
+        while self.min_due < SimTime::MAX {
+            let t = self.min_due.max(self.last_advance);
             if t > now {
                 break;
             }
             // Setup boundaries crossed by `t` may reallocate and move
-            // projections, so settle first and re-examine the index.
+            // projections, so settle first and re-examine.
             self.settle(t);
-            self.prune_completion_heap();
-            let Some(&Reverse((t2_raw, _, _))) = self.completion_heap.peek() else {
-                continue;
-            };
-            if t2_raw.max(self.last_advance) > t {
+            if self.min_due > t {
                 continue;
             }
-            // Retire every flow due at exactly `t` in ascending id order
-            // (the reference engine's tie order) under one reallocation;
-            // no simulated time passes between them, so the intermediate
-            // reallocations the reference performs are unobservable.
+            // Retire every flow due by `t` in ascending id order (the
+            // map's own order, and the reference engine's tie order)
+            // under one reallocation; no simulated time passes between
+            // them, so the intermediate reallocations the reference
+            // performs are unobservable.
             self.batch_ids.clear();
-            while let Some(&Reverse((tc_raw, id, generation))) = self.completion_heap.peek() {
-                let valid = self
-                    .flows
-                    .get(&id)
-                    .is_some_and(|f| f.generation == generation);
-                if !valid {
-                    self.completion_heap.pop();
-                    continue;
-                }
-                if tc_raw.max(self.last_advance) > t {
-                    break;
-                }
-                self.completion_heap.pop();
-                self.batch_ids.push(id);
-            }
-            if self.batch_ids.is_empty() {
-                continue;
-            }
-            self.batch_ids.sort_unstable();
+            self.batch_ids.extend(
+                self.flows
+                    .iter()
+                    .filter(|(_, f)| f.due <= t)
+                    .map(|(&id, _)| id),
+            );
             for k in 0..self.batch_ids.len() {
                 let id = self.batch_ids[k];
                 let f = self.flows.remove(&id).expect("completing unknown flow");
@@ -372,7 +375,7 @@ impl Network {
             self.reallocate(t);
         }
         self.settle(now);
-        self.prune_heaps();
+        self.prune_setup_heap();
         done
     }
 
@@ -383,19 +386,15 @@ impl Network {
         if self.flows.is_empty() {
             return None;
         }
-        let completion = self
-            .completion_heap
+        // Both are `SimTime::MAX` when absent: flows exist but none can
+        // make progress (e.g. background flows starved by foreground
+        // traffic), so there is no self-event.
+        let completion = self.min_due.max(self.last_advance);
+        let setup_end = self
+            .setup_heap
             .peek()
-            .map(|&Reverse((t, _, _))| t.max(self.last_advance));
-        let setup_end = self.setup_heap.peek().map(|&Reverse((t, _))| t);
-        Some(match (completion, setup_end) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            // Flows exist but none can make progress (e.g. background
-            // flows starved by foreground traffic): no self-event.
-            (None, None) => SimTime::MAX,
-        })
+            .map_or(SimTime::MAX, |&Reverse((t, _))| t);
+        Some(completion.min(setup_end))
     }
 
     /// Projected completion instant of a specific flow under current
@@ -444,86 +443,75 @@ impl Network {
     }
 
     /// Recomputes max–min fair rates for all flows past their setup
-    /// phase. Flows whose rate actually changed are re-anchored at
-    /// `last_advance` and get a fresh completion-heap entry.
+    /// phase: one walk to build the demand set, one solve (skipped when
+    /// the set is the one last solved), one walk to apply. Flows whose
+    /// rate actually changed are re-anchored at `last_advance` and get a
+    /// fresh `due`; the apply walk also refreshes `min_due`.
     fn reallocate(&mut self, now: SimTime) {
         self.obs.realloc_waves.inc();
         let _wave = self.obs.realloc_scope.enter();
         let anchor = self.last_advance;
-        let mut ids = std::mem::take(&mut self.scratch_ids);
-        let mut rates = std::mem::take(&mut self.scratch_rates);
-        ids.clear();
+        self.scratch_ids.clear();
+        let mut demands: Vec<RouteDemand<'_>> = Vec::with_capacity(self.solved_ids.len() + 1);
         for (&id, f) in self.flows.iter() {
             if f.starts_at <= now && f.bytes_left_at(anchor) > 0.0 {
-                ids.push(id);
+                self.scratch_ids.push(id);
+                demands.push(RouteDemand {
+                    links: &f.links,
+                    priority: f.spec.priority,
+                    rate_cap: f.spec.rate_cap,
+                });
             }
         }
-        {
-            let flows = &self.flows;
-            let demands: Vec<RouteDemand<'_>> = ids
-                .iter()
-                .map(|id| {
-                    let f = &flows[id];
-                    RouteDemand {
-                        links: &f.links,
-                        priority: f.spec.priority,
-                        rate_cap: f.spec.rate_cap,
-                    }
-                })
-                .collect();
-            self.alloc.allocate_into(&self.topo, &demands, &mut rates);
+        if self.scratch_ids == self.solved_ids {
+            // Specs, paths and the topology are immutable, so the rates
+            // are a pure function of the id list: keep the retained ones.
+            debug_assert!(
+                {
+                    let mut resolved = Vec::new();
+                    self.alloc
+                        .allocate_into(&self.topo, &demands, &mut resolved);
+                    resolved
+                        .iter()
+                        .map(|r| r.to_bits())
+                        .eq(self.rates.iter().map(|r| r.to_bits()))
+                },
+                "skipped solve would have changed a rate"
+            );
+        } else {
+            self.alloc
+                .allocate_into(&self.topo, &demands, &mut self.rates);
+            std::mem::swap(&mut self.scratch_ids, &mut self.solved_ids);
         }
         // Apply: walk flows and the (ascending) demand list in tandem.
         let mut k = 0usize;
+        let mut min_due = SimTime::MAX;
         for (&id, f) in self.flows.iter_mut() {
-            if k < ids.len() && ids[k] == id {
-                let r = rates[k];
+            if self.solved_ids.get(k) == Some(&id) {
+                let r = self.rates[k];
                 k += 1;
                 if r != f.rate {
                     f.bytes_at_anchor = f.bytes_left_at(anchor);
                     f.anchor = anchor;
                     f.rate = r;
-                    f.generation += 1;
-                    let due = f.completion_at_anchor();
-                    if due < SimTime::MAX {
-                        self.completion_heap.push(Reverse((due, id, f.generation)));
-                    }
+                    f.due = f.completion_at_anchor();
                 }
             } else if f.rate != 0.0 {
                 // Left the demand set (bytes exhausted but not yet
                 // harvested by `advance`): release its capacity claim.
-                // Its generation is kept, so the completion entry that
-                // led here stays valid for the eventual harvest.
+                // Its `due` is kept for the eventual harvest.
                 f.bytes_at_anchor = f.bytes_left_at(anchor);
                 f.anchor = anchor;
                 f.rate = 0.0;
             }
+            min_due = min_due.min(f.due);
         }
-        self.scratch_ids = ids;
-        self.scratch_rates = rates;
+        self.min_due = min_due;
     }
 
-    /// Discards dead/stale entries from the top of both heaps so that
-    /// `&self` peeks (`next_event_time`) see valid tops. Called at the
-    /// end of every public mutator.
-    fn prune_heaps(&mut self) {
-        self.prune_completion_heap();
-        self.prune_setup_heap();
-    }
-
-    fn prune_completion_heap(&mut self) {
-        while let Some(&Reverse((_, id, generation))) = self.completion_heap.peek() {
-            let valid = self
-                .flows
-                .get(&id)
-                .is_some_and(|f| f.generation == generation);
-            if valid {
-                break;
-            }
-            self.completion_heap.pop();
-        }
-    }
-
+    /// Discards entries of aborted or completed flows from the top of
+    /// the setup heap so that `&self` peeks (`next_event_time`) see a
+    /// live top. Called at the end of every public mutator.
     fn prune_setup_heap(&mut self) {
         while let Some(&Reverse((_, id))) = self.setup_heap.peek() {
             if self.flows.contains_key(&id) {

@@ -10,6 +10,10 @@ pub(crate) struct NetObs {
     pub bytes: vmr_obs::Counter,
     pub realloc_waves: vmr_obs::Counter,
     pub realloc_scope: vmr_obs::Scope,
+    /// Whole `Network::start_flow` / `Network::advance` calls (exact
+    /// engine only); the reallocation waves they run nest inside.
+    pub start_flow_scope: vmr_obs::Scope,
+    pub advance_scope: vmr_obs::Scope,
     pub journal: vmr_obs::Journal,
     /// Flow-class pools currently coalescing ≥ 2 flows (scale regime).
     pub aggregates: vmr_obs::Gauge,
@@ -30,6 +34,8 @@ impl NetObs {
             bytes: obs.counter("netsim.bytes_delivered"),
             realloc_waves: obs.counter("netsim.realloc_waves"),
             realloc_scope: obs.scope("netsim.realloc_wave"),
+            start_flow_scope: obs.scope("netsim.start_flow"),
+            advance_scope: obs.scope("netsim.advance"),
             journal: obs.journal.clone(),
             aggregates: obs.gauge("net.aggregates_active"),
             coalesce_hits: obs.counter("net.coalesce_hits"),

@@ -362,6 +362,180 @@ fn pinned_mixed_script_matches_naive() {
     }
 }
 
+/// One scripted step of the star script below.
+enum StarStep {
+    /// `advance` to the instant, then start the flow.
+    Start(FlowSpec),
+    /// Start the flow *without* advancing first and without waking for
+    /// any network event since the previous step: flows whose due
+    /// instant passed in between sit unharvested through this
+    /// `start_flow`'s reallocation.
+    StartUnharvested(FlowSpec),
+    /// `advance`, then abort the flow the given earlier step started.
+    Abort(usize),
+}
+
+const STAR_CLIENTS: u32 = 64;
+const STAR_SETUP_S: f64 = 0.25;
+
+/// The shape `volunteers2k_files` runs: every client pulls 4 MB from
+/// one server and pushes 1 MB back when the download completes, so
+/// every arrival and departure moves every rate on the server's links.
+/// Starts are 10 ms apart with a 250 ms set-up phase, so most
+/// `start_flow` calls see an unchanged demand set (the solve-once
+/// shortcut), first an empty one and then a populated one.
+fn star_script() -> Vec<(SimTime, StarStep)> {
+    let server = HostId(0);
+    let spec = |src, dst, bytes, setup_s| {
+        let mut s = FlowSpec::simple(src, dst, bytes);
+        s.setup_s = setup_s;
+        s
+    };
+    let mut script: Vec<(SimTime, StarStep)> = (1..=STAR_CLIENTS)
+        .map(|c| {
+            (
+                SimTime::from_millis(10 * c as u64),
+                StarStep::Start(spec(server, HostId(c), 4_000_000, STAR_SETUP_S)),
+            )
+        })
+        .collect();
+    // A zero-byte flow: never in the demand set, due when set-up ends.
+    script.push((
+        SimTime::from_millis(655),
+        StarStep::Start(spec(HostId(5), server, 0, STAR_SETUP_S)),
+    ));
+    // Aborted while still in its set-up phase.
+    let victim = script.len();
+    script.push((
+        SimTime::from_millis(660),
+        StarStep::Start(spec(server, HostId(7), 4_000_000, 2.0)),
+    ));
+    script.push((SimTime::from_millis(900), StarStep::Abort(victim)));
+    // A 1 kB flow between two zero-latency clients, due within a
+    // millisecond of its start, then half a blind second in the thick
+    // of the download completions: it and every download that finishes
+    // meanwhile are past their due instants when the next flow starts.
+    script.push((
+        SimTime::from_millis(16_500),
+        StarStep::Start(spec(HostId(9), HostId(13), 1_000, 0.0)),
+    ));
+    script.push((
+        SimTime::from_secs(17),
+        StarStep::StartUnharvested(spec(server, HostId(11), 4_000_000, STAR_SETUP_S)),
+    ));
+    // After the star has drained: a flow due at 200.1 s and one whose
+    // set-up ends at 200.05 s on a ten times slower path, with no wake
+    // before 200.2 s. That wave's demand set is the previous one with
+    // one flow swapped for another: same length, different rates.
+    let t = SimTime::from_secs(200);
+    script.push((
+        t,
+        StarStep::Start(spec(HostId(1), HostId(5), 1_250_000, 0.0)),
+    ));
+    script.push((
+        t,
+        StarStep::Start(spec(HostId(9), HostId(2), 1_250_000, 0.05)),
+    ));
+    script.push((
+        SimTime::from_millis(200_200),
+        StarStep::StartUnharvested(spec(HostId(13), HostId(17), 1_000, STAR_SETUP_S)),
+    ));
+    script
+}
+
+/// Event-driven replay of [`star_script`]: wakes at every
+/// `next_event_time`, like the engine's network wake-up, and starts a
+/// client's upload at the instant its download is reported.
+macro_rules! star_runner {
+    ($name:ident, $engine:ty) => {
+        fn $name() -> (Vec<(u64, u64, u64)>, u64, [u64; 4]) {
+            let mut topo = Topology::new();
+            let server = topo.add_host(HostLink::symmetric_mbit(100.0, 0.0));
+            for c in 0..STAR_CLIENTS {
+                topo.add_host(host_link(c as u8));
+            }
+            let obs = vmr_obs::Obs::new();
+            let mut net = <$engine>::with_obs(topo, &obs);
+            let script = star_script();
+            let mut started = Vec::new();
+            let mut downloads = std::collections::BTreeMap::new();
+            let mut out = Vec::new();
+            let mut step = 0;
+            loop {
+                let scripted = script.get(step).map(|(t, _)| *t);
+                let blind = matches!(script.get(step), Some((_, StarStep::StartUnharvested(_))));
+                let wake = net
+                    .next_event_time()
+                    .filter(|&t| t < SimTime::MAX && !blind);
+                let (now, run_step) = match (scripted, wake) {
+                    (Some(s), Some(w)) if w < s => (w, false),
+                    (Some(s), _) => (s, true),
+                    (None, Some(w)) => (w, false),
+                    (None, None) => break,
+                };
+                if !blind {
+                    for c in net.advance(now) {
+                        out.push((c.id.0, c.at.as_micros(), c.duration.as_micros()));
+                        if let Some(client) = downloads.remove(&c.id) {
+                            let mut up = FlowSpec::simple(client, server, 1_000_000);
+                            up.setup_s = STAR_SETUP_S;
+                            net.start_flow(now, up);
+                        }
+                    }
+                }
+                if run_step {
+                    match &script[step].1 {
+                        StarStep::Start(spec) | StarStep::StartUnharvested(spec) => {
+                            let id = net.start_flow(now, spec.clone());
+                            if spec.src == server {
+                                downloads.insert(id, spec.dst);
+                            }
+                            started.push(Some(id));
+                        }
+                        StarStep::Abort(victim) => {
+                            let id = started[*victim].expect("victim step started a flow");
+                            assert!(net.abort_flow(now, id), "victim already gone");
+                            downloads.remove(&id);
+                            started.push(None);
+                        }
+                    }
+                    step += 1;
+                }
+                assert!(out.len() < 10_000, "star script did not converge");
+            }
+            (out, net.bytes_delivered().to_bits(), obs_counters(&obs))
+        }
+    };
+}
+
+star_runner!(run_star_incremental, Network);
+star_runner!(run_star_naive, NaiveNetwork);
+
+/// The server-bottleneck star the benchmark runs, pinned: the cases a
+/// cached due instant, the tracked minimum and the solve-once shortcut
+/// can get wrong (see [`star_script`]).
+#[test]
+fn pinned_star_script_matches_naive() {
+    let (inc, inc_bytes, inc_obs) = run_star_incremental();
+    let (nai, nai_bytes, nai_obs) = run_star_naive();
+    assert_eq!(stream_divergence(&inc, &nai), None);
+    assert_eq!(inc_bytes, nai_bytes);
+    assert_eq!(inc_obs, nai_obs, "obs counters diverge");
+    // 64 + 1 downloads and their uploads, the zero-byte flow, the
+    // 1 kB flow and the closing three complete; the aborted download
+    // does neither.
+    let completed = 2 * (STAR_CLIENTS as usize + 1) + 2 + 3;
+    assert_eq!(inc.len(), completed);
+    if cfg!(feature = "record") {
+        let bytes = (STAR_CLIENTS as u64 + 1) * 5_000_000 + 2 * 1_000 + 2 * 1_250_000;
+        assert_eq!(inc_obs, [completed as u64 + 1, completed as u64, 1, bytes]);
+    }
+    // The blind window really left flows unharvested: the 1 kB flow
+    // and a batch of downloads are all reported at its end.
+    let blind_end = SimTime::from_secs(17).as_micros();
+    assert!(inc.iter().filter(|c| c.1 == blind_end).count() >= 10);
+}
+
 proptest! {
     /// The incremental allocator reproduces the reference bit-for-bit
     /// (same shares, same freeze order, same float operation sequence),

@@ -382,7 +382,7 @@ impl Engine {
     /// A surviving downloader whose source vanished retries against
     /// another peer.
     pub(super) fn abort_flows_of(&mut self, cid: ClientId) {
-        let involved: Vec<FlowId> = self
+        let mut involved: Vec<FlowId> = self
             .flows
             .iter()
             .filter(|(_, p)| match p {
@@ -391,6 +391,10 @@ impl Engine {
             })
             .map(|(&f, _)| f)
             .collect();
+        // `flows` is a std `HashMap`: its iteration order differs between
+        // engines in one process, and the abort order decides the
+        // `PeerRetry` tie-break order and the retries' `FlowId`s.
+        involved.sort_unstable();
         let now = self.sim.now();
         for fid in involved {
             let purpose = self.flows.remove(&fid);
