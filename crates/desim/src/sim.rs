@@ -49,6 +49,7 @@ pub struct Fired<E> {
 struct SimObs {
     events: vmr_obs::Counter,
     queue_depth: vmr_obs::Gauge,
+    next_event_scope: vmr_obs::Scope,
 }
 
 /// A single deterministic simulation run.
@@ -75,11 +76,14 @@ impl<E> Simulation<E> {
     }
 
     /// Attaches an observability bundle: the kernel then maintains the
-    /// `desim.events_delivered` counter and `desim.queue_depth` gauge.
+    /// `desim.events_delivered` counter and `desim.queue_depth` gauge,
+    /// and times the queue's share of each delivery under the
+    /// `desim.next_event` profiling scope.
     pub fn attach_obs(&mut self, obs: &vmr_obs::Obs) {
         self.obs = Some(SimObs {
             events: obs.counter("desim.events_delivered"),
             queue_depth: obs.gauge("desim.queue_depth"),
+            next_event_scope: obs.scope("desim.next_event"),
         });
     }
 
@@ -150,11 +154,18 @@ impl<E> Simulation<E> {
     /// when the queue is exhausted or the next event lies beyond the
     /// horizon.
     pub fn next_event(&mut self) -> Option<Fired<E>> {
-        let at = self.queue.peek_time()?;
-        if at > self.horizon {
-            return None;
-        }
-        let (at, id, payload) = self.queue.pop()?;
+        self.next_event_before(SimTime::MAX)
+    }
+
+    /// [`Simulation::next_event`] with a per-call limit on top of the
+    /// horizon: an event later than `limit` stays queued. One settling
+    /// of the queue head per delivered event.
+    pub fn next_event_before(&mut self, limit: SimTime) -> Option<Fired<E>> {
+        let popped = {
+            let _t = self.obs.as_ref().map(|o| o.next_event_scope.enter());
+            self.queue.pop_due(limit.min(self.horizon))
+        };
+        let (at, id, payload) = popped?;
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
         self.delivered += 1;

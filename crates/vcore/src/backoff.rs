@@ -68,7 +68,15 @@ impl Backoff {
 
     /// The delay implied by the current failure count, with jitter.
     pub fn current_delay(&self, rng: &mut RngStream) -> SimDuration {
-        let exp = self.failures.saturating_sub(1).min(32);
+        self.delay_after(self.failures, rng)
+    }
+
+    /// The jittered delay after `failures` consecutive empty replies
+    /// under these bounds, whatever this value's own count — for
+    /// callers that keep the count themselves and one `Backoff` as the
+    /// project's bounds.
+    pub fn delay_after(&self, failures: u32, rng: &mut RngStream) -> SimDuration {
+        let exp = failures.saturating_sub(1).min(32);
         let base = self.min.saturating_mul(1u64 << exp).min(self.max);
         let jitter = rng.uniform_f64(self.jitter_floor, 1.0);
         SimDuration::from_secs_f64(base.as_secs_f64() * jitter).max(SimDuration::from_secs(1))

@@ -29,6 +29,8 @@ impl Engine {
         let policy = cfg.scale_policy();
         let shuffle = cfg.shuffle.build();
         let fobs = FetchObs::attach(&obs);
+        let (backoff_min, backoff_max) = cfg.backoff_bounds();
+        let backoff = crate::backoff::Backoff::with_bounds(backoff_min, backoff_max);
         let mut eng = Engine {
             sim,
             net: AggregateNetwork::with_policy(topo, &obs, policy),
@@ -44,6 +46,8 @@ impl Engine {
             trust,
             server_host,
             clients: Vec::new(),
+            hot: Vec::new(),
+            backoff,
             flows: HashMap::new(),
             net_wake: None,
             feeder: crate::sched::Feeder::default(),
@@ -214,6 +218,7 @@ impl EngineBuilder {
         // Attach before any work units exist so genesis records land in
         // the log; a disabled journal makes every hook a no-op branch.
         eng.set_durable(journal);
+        eng.reserve_clients(placed.len());
         for (profile, host) in placed {
             eng.push_client(profile, host);
         }

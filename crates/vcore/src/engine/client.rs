@@ -5,7 +5,6 @@
 
 use super::transfer::InputSlot;
 use super::{clique_fingerprint, honest_fingerprint, Engine, Ev, Lane, Policy, ServedFile};
-use crate::backoff::Backoff;
 use crate::fault::Corruption;
 use crate::host::{HostProfile, ValidationCounts};
 use crate::sched::{pick_results, WorkRequest};
@@ -44,25 +43,52 @@ pub(super) struct TaskProgress {
     pub(super) errored: bool,
 }
 
-/// One volunteer host.
-pub(super) struct Client {
-    pub(super) host: HostId,
-    pub(super) profile: HostProfile,
+/// What a scheduler RPC with an empty reply reads and writes — the
+/// simulator's dominant event at internet scale — kept apart from the
+/// rest of the [`Client`] and sized to one cache line, so that an idle
+/// client's wake costs one memory access on the client side, not one
+/// per field scattered over a 300-byte record in a 30 MB array.
+#[repr(align(64))]
+pub(super) struct ClientHot {
     pub(super) rng: RngStream,
-    pub(super) tasks: HashMap<ResultId, TaskProgress>,
-    pub(super) run_queue: VecDeque<ResultId>,
-    pub(super) running: Vec<ResultId>,
-    pub(super) ready_to_report: Vec<(ResultId, Option<OutputFingerprint>, bool)>, // (rid, fp, errored)
-    pub(super) backoff: Backoff,
     pub(super) next_rpc_at: SimTime,
     pub(super) wake: Option<EventId>,
-    pub(super) served: HashMap<String, ServedFile>,
-    pub(super) serving_now: u32,
+    /// Consecutive empty replies: the client's whole back-off state
+    /// (the bounds are the project's, `Engine::backoff`).
+    pub(super) backoff_failures: u32,
+    /// Holds at least one task, i.e. [`Client::tasks`] is non-empty and
+    /// [`Client::ready_to_report`] (a subset of them) may be.
+    pub(super) busy: bool,
     pub(super) dropped: bool,
     pub(super) suspended: bool,
 }
 
+/// One volunteer host: everything but its [`ClientHot`].
+pub(super) struct Client {
+    pub(super) host: HostId,
+    pub(super) profile: HostProfile,
+    /// Tasks held, at most `client_buffer_slots` of them: looked up by
+    /// id, never iterated, so order carries no meaning.
+    pub(super) tasks: Vec<(ResultId, TaskProgress)>,
+    pub(super) run_queue: VecDeque<ResultId>,
+    pub(super) running: Vec<ResultId>,
+    pub(super) ready_to_report: Vec<(ResultId, Option<OutputFingerprint>, bool)>, // (rid, fp, errored)
+    pub(super) served: HashMap<String, ServedFile>,
+    pub(super) serving_now: u32,
+}
+
 impl Client {
+    pub(super) fn task(&self, rid: ResultId) -> Option<&TaskProgress> {
+        self.tasks.iter().find(|(r, _)| *r == rid).map(|(_, t)| t)
+    }
+
+    pub(super) fn task_mut(&mut self, rid: ResultId) -> Option<&mut TaskProgress> {
+        self.tasks
+            .iter_mut()
+            .find(|(r, _)| *r == rid)
+            .map(|(_, t)| t)
+    }
+
     /// Is this client serving `name` to peers at `now` — registered,
     /// and inside its serving window (§III.C's mapper-side timeout)?
     pub(super) fn serves(&self, name: &str, now: SimTime) -> bool {
@@ -74,35 +100,44 @@ impl Client {
 }
 
 impl Engine {
+    /// Sizes the per-client arrays for `n` clients up front: at 100 000
+    /// hosts their growth by doubling is a third of slack plus a
+    /// transient copy, both visible in peak resident memory.
+    pub(super) fn reserve_clients(&mut self, n: usize) {
+        self.clients.reserve_exact(n);
+        self.hot.reserve_exact(n);
+        self.host_outcomes.reserve_exact(n);
+    }
+
     /// Registers a client over an already-placed network host (the
     /// builder path: hosts go into the topology before the network
     /// engine exists, so no rebuild is needed).
     pub(super) fn push_client(&mut self, profile: HostProfile, host: HostId) -> ClientId {
         let id = ClientId(self.clients.len() as u32);
-        let rng = self.rng.fork(&format!("client-{}", id.0));
-        let (bmin, bmax) = self.cfg.backoff_bounds();
-        let mut c = Client {
+        let mut rng = self.rng.fork(&format!("client-{}", id.0));
+        // Stagger initial contact to avoid a lockstep thundering herd.
+        let stagger = SimDuration::from_secs_f64(rng.uniform_f64(0.0, 3.0));
+        let next_rpc_at = SimTime::ZERO + stagger;
+        let wake = self.sim.schedule_at(next_rpc_at, Ev::ClientWake(id));
+        self.hot.push(ClientHot {
+            rng,
+            next_rpc_at,
+            wake: Some(wake),
+            backoff_failures: 0,
+            busy: false,
+            dropped: false,
+            suspended: false,
+        });
+        self.clients.push(Client {
             host,
             profile,
-            rng,
-            tasks: HashMap::new(),
+            tasks: Vec::new(),
             run_queue: VecDeque::new(),
             running: Vec::new(),
             ready_to_report: Vec::new(),
-            backoff: Backoff::with_bounds(bmin, bmax),
-            next_rpc_at: SimTime::ZERO,
-            wake: None,
             served: HashMap::new(),
             serving_now: 0,
-            dropped: false,
-            suspended: false,
-        };
-        // Stagger initial contact to avoid a lockstep thundering herd.
-        let stagger = SimDuration::from_secs_f64(c.rng.uniform_f64(0.0, 3.0));
-        c.next_rpc_at = SimTime::ZERO + stagger;
-        let ev = self.sim.schedule_at(c.next_rpc_at, Ev::ClientWake(id));
-        c.wake = Some(ev);
-        self.clients.push(c);
+        });
         self.host_outcomes.push(ValidationCounts::default());
         id
     }
@@ -122,10 +157,8 @@ impl Engine {
                 self.sim.schedule_at(SimTime::ZERO + after, Ev::Dropout(id));
             }
             if let Some(av) = self.clients[i].profile.availability {
-                let first_on = {
-                    let c = &mut self.clients[i];
-                    SimDuration::from_secs_f64(c.rng.exponential(av.on_mean_s))
-                };
+                let first_on =
+                    SimDuration::from_secs_f64(self.hot[i].rng.exponential(av.on_mean_s));
                 self.sim.schedule_in(first_on, Ev::Suspend(id));
             }
         }
@@ -136,13 +169,13 @@ impl Engine {
     /// activity in the background by default).
     pub(super) fn on_suspend(&mut self, cid: ClientId) {
         let now = self.sim.now();
-        if self.clients[cid.0 as usize].dropped || self.clients[cid.0 as usize].suspended {
+        if self.hot[cid.0 as usize].dropped || self.hot[cid.0 as usize].suspended {
             return;
         }
-        self.clients[cid.0 as usize].suspended = true;
+        self.hot[cid.0 as usize].suspended = true;
         let running: Vec<ResultId> = self.clients[cid.0 as usize].running.clone();
         for rid in running {
-            if let Some(t) = self.clients[cid.0 as usize].tasks.get_mut(&rid) {
+            if let Some(t) = self.clients[cid.0 as usize].task_mut(rid) {
                 if let (Some(ev), Some(started), Some(total)) =
                     (t.exec_ev.take(), t.exec_started, t.exec_remaining)
                 {
@@ -150,18 +183,18 @@ impl Engine {
                     let done = now.saturating_since(started);
                     let left = total.saturating_sub(done);
                     // Restore into the slot the resume handler reads.
-                    let t = self.clients[cid.0 as usize].tasks.get_mut(&rid).unwrap();
+                    let t = self.clients[cid.0 as usize].task_mut(rid).unwrap();
                     t.exec_remaining = Some(left);
                 }
             }
         }
-        if let Some(ev) = self.clients[cid.0 as usize].wake.take() {
+        if let Some(ev) = self.hot[cid.0 as usize].wake.take() {
             self.sim.cancel(ev);
         }
         let off = {
             let av = self.clients[cid.0 as usize].profile.availability.unwrap();
-            let c = &mut self.clients[cid.0 as usize];
-            SimDuration::from_secs_f64(c.rng.exponential(av.off_mean_s).max(1.0))
+            let rng = &mut self.hot[cid.0 as usize].rng;
+            SimDuration::from_secs_f64(rng.exponential(av.off_mean_s).max(1.0))
         };
         self.obs
             .journal
@@ -173,19 +206,18 @@ impl Engine {
     /// polling the scheduler.
     pub(super) fn on_resume(&mut self, cid: ClientId) {
         let now = self.sim.now();
-        if self.clients[cid.0 as usize].dropped {
+        if self.hot[cid.0 as usize].dropped {
             return;
         }
-        self.clients[cid.0 as usize].suspended = false;
+        self.hot[cid.0 as usize].suspended = false;
         let running: Vec<ResultId> = self.clients[cid.0 as usize].running.clone();
         for rid in running {
             let left = self.clients[cid.0 as usize]
-                .tasks
-                .get(&rid)
+                .task(rid)
                 .and_then(|t| t.exec_remaining);
             if let Some(left) = left {
                 let ev = self.sim.schedule_in(left, Ev::ExecDone(cid, rid));
-                let t = self.clients[cid.0 as usize].tasks.get_mut(&rid).unwrap();
+                let t = self.clients[cid.0 as usize].task_mut(rid).unwrap();
                 t.exec_ev = Some(ev);
                 t.exec_started = Some(now);
             }
@@ -195,12 +227,12 @@ impl Engine {
             .point(Lane(cid), "resume", "", now.as_micros());
         let on = {
             let av = self.clients[cid.0 as usize].profile.availability.unwrap();
-            let c = &mut self.clients[cid.0 as usize];
-            SimDuration::from_secs_f64(c.rng.exponential(av.on_mean_s).max(1.0))
+            let rng = &mut self.hot[cid.0 as usize].rng;
+            SimDuration::from_secs_f64(rng.exponential(av.on_mean_s).max(1.0))
         };
         self.sim.schedule_in(on, Ev::Suspend(cid));
-        self.clients[cid.0 as usize].next_rpc_at =
-            now.max(self.clients[cid.0 as usize].next_rpc_at);
+        let h = &mut self.hot[cid.0 as usize];
+        h.next_rpc_at = h.next_rpc_at.max(now);
         self.maybe_contact_server(cid);
         self.try_start_tasks(cid);
     }
@@ -209,25 +241,30 @@ impl Engine {
 
     pub(super) fn client_rpc<P: Policy>(&mut self, policy: &mut P, cid: ClientId) {
         let now = self.sim.now();
-        {
-            let c = &mut self.clients[cid.0 as usize];
-            c.wake = None;
-            if c.dropped || c.suspended {
+        let busy = {
+            let h = &mut self.hot[cid.0 as usize];
+            h.wake = None;
+            if h.dropped || h.suspended {
                 return;
             }
-            if now < c.next_rpc_at {
+            if now < h.next_rpc_at {
                 // Woken early (stale event); re-arm at the right time.
-                let t = c.next_rpc_at;
-                let ev = self.sim.schedule_at(t, Ev::ClientWake(cid));
-                self.clients[cid.0 as usize].wake = Some(ev);
+                h.wake = Some(self.sim.schedule_at(h.next_rpc_at, Ev::ClientWake(cid)));
                 return;
             }
-        }
+            h.busy
+        };
         self.stats.rpcs += 1;
         self.eobs.rpcs.inc();
 
-        // 1. Deliver reports.
-        let reports = std::mem::take(&mut self.clients[cid.0 as usize].ready_to_report);
+        // 1. Deliver reports. A client holding no task has none (and
+        // the rest of its record stays untouched).
+        let reports = if busy {
+            std::mem::take(&mut self.clients[cid.0 as usize].ready_to_report)
+        } else {
+            debug_assert!(self.clients[cid.0 as usize].ready_to_report.is_empty());
+            Vec::new()
+        };
         let mut reported_wus = Vec::new();
         for (rid, fp, errored) in reports {
             let outcome = if errored {
@@ -244,8 +281,7 @@ impl Engine {
                 // The §IV.B gap: upload finished at exec/upload time; the
                 // server only *learns* of it now.
                 if let Some(t) = self.clients[cid.0 as usize]
-                    .tasks
-                    .get(&rid)
+                    .task(rid)
                     .and_then(|t| t.exec_done_at)
                 {
                     let delay_s = now.saturating_since(t).as_secs_f64();
@@ -258,14 +294,18 @@ impl Engine {
                 reported_wus.push(self.db.result(rid).wu);
                 policy.on_result_reported(self, rid);
             }
-            self.clients[cid.0 as usize].tasks.remove(&rid);
+            self.drop_task(cid, rid);
         }
         for wu in reported_wus {
             self.after_report_transition(policy, wu);
         }
 
         // 2. Work request.
-        let live = self.clients[cid.0 as usize].tasks.len() as u32;
+        let live = if busy {
+            self.clients[cid.0 as usize].tasks.len() as u32
+        } else {
+            0
+        };
         let mut slots_wanted = self.cfg.client_buffer_slots.saturating_sub(live);
         // Quarantine: unreliable hosts get no work (BOINC-style host
         // punishment driven by the validation ledger).
@@ -345,9 +385,10 @@ impl Engine {
             self.stats.empty_replies += 1;
             self.eobs.empty_replies.inc();
             let delay = {
-                let c = &mut self.clients[cid.0 as usize];
-                let d = c.backoff.on_empty_reply(&mut c.rng);
-                c.next_rpc_at = now + d;
+                let h = &mut self.hot[cid.0 as usize];
+                h.backoff_failures = h.backoff_failures.saturating_add(1);
+                let d = self.backoff.delay_after(h.backoff_failures, &mut h.rng);
+                h.next_rpc_at = now + d;
                 d
             };
             self.obs
@@ -361,33 +402,31 @@ impl Engine {
             // respect next_rpc_at).
             self.schedule_rpc_wake(cid);
         } else if got_work {
-            let c = &mut self.clients[cid.0 as usize];
-            c.backoff.on_work_received();
-            c.next_rpc_at = now;
+            let h = &mut self.hot[cid.0 as usize];
+            h.backoff_failures = 0;
+            h.next_rpc_at = now;
         }
     }
 
-    /// Schedules (or keeps) a ClientWake at `max(now, next_rpc_at)`.
+    /// Arms the client's one ClientWake at `max(now, next_rpc_at)`,
+    /// replacing a pending one — also when that one was aimed at the
+    /// same instant, so the wake takes a fresh tie-break rank each time.
     pub(super) fn schedule_rpc_wake(&mut self, cid: ClientId) {
-        let now = self.sim.now();
-        let t = self.clients[cid.0 as usize].next_rpc_at.max(now);
-        if let Some(ev) = self.clients[cid.0 as usize].wake {
-            if self.sim.is_pending(ev) {
-                // Keep the earlier of the two.
-                self.sim.cancel(ev);
-            }
+        let h = &mut self.hot[cid.0 as usize];
+        if let Some(ev) = h.wake {
+            self.sim.cancel(ev);
         }
-        let ev = self.sim.schedule_at(t, Ev::ClientWake(cid));
-        self.clients[cid.0 as usize].wake = Some(ev);
+        let t = h.next_rpc_at.max(self.sim.now());
+        h.wake = Some(self.sim.schedule_at(t, Ev::ClientWake(cid)));
     }
 
     /// A client state change that may warrant contacting the server:
     /// reports pending or free slots. Respects the backoff gate.
     pub(super) fn maybe_contact_server(&mut self, cid: ClientId) {
-        let c = &self.clients[cid.0 as usize];
-        if c.dropped {
+        if self.hot[cid.0 as usize].dropped {
             return;
         }
+        let c = &self.clients[cid.0 as usize];
         let wants =
             !c.ready_to_report.is_empty() || (c.tasks.len() as u32) < self.cfg.client_buffer_slots;
         if wants {
@@ -400,12 +439,21 @@ impl Engine {
         self.maybe_contact_server(cid);
         if self.cfg.report_results_immediately {
             // §IV.C mitigation: bypass the backoff gate.
-            self.clients[cid.0 as usize].next_rpc_at = self.sim.now();
+            self.hot[cid.0 as usize].next_rpc_at = self.sim.now();
             self.schedule_rpc_wake(cid);
         }
     }
 
     // ----- client: task lifecycle --------------------------------------------
+
+    /// Forgets `rid` on `cid` (reported, or timed out).
+    fn drop_task(&mut self, cid: ClientId, rid: ResultId) {
+        let tasks = &mut self.clients[cid.0 as usize].tasks;
+        if let Some(i) = tasks.iter().position(|(r, _)| *r == rid) {
+            tasks.swap_remove(i);
+        }
+        self.hot[cid.0 as usize].busy = !tasks.is_empty();
+    }
 
     fn grant_task(&mut self, cid: ClientId, rid: ResultId) {
         let now = self.sim.now();
@@ -427,7 +475,10 @@ impl Engine {
             fingerprint: None,
             errored: false,
         };
-        self.clients[cid.0 as usize].tasks.insert(rid, progress);
+        let c = &mut self.clients[cid.0 as usize];
+        debug_assert!(c.task(rid).is_none(), "a result is granted once");
+        c.tasks.push((rid, progress));
+        self.hot[cid.0 as usize].busy = true;
         if inputs.is_empty() {
             self.clients[cid.0 as usize].run_queue.push_back(rid);
             self.try_start_tasks(cid);
@@ -445,17 +496,17 @@ impl Engine {
     pub(super) fn try_start_tasks(&mut self, cid: ClientId) {
         let now = self.sim.now();
         loop {
-            let c = &mut self.clients[cid.0 as usize];
-            if c.dropped {
+            if self.hot[cid.0 as usize].dropped {
                 return;
             }
+            let c = &mut self.clients[cid.0 as usize];
             if c.running.len() >= c.profile.slots as usize {
                 return;
             }
             let Some(rid) = c.run_queue.pop_front() else {
                 return;
             };
-            let Some(t) = c.tasks.get_mut(&rid) else {
+            let Some(t) = c.task_mut(rid) else {
                 continue;
             };
             t.state = TaskState::Running;
@@ -464,25 +515,23 @@ impl Engine {
             let jitter = {
                 let j = self.cfg.compute_jitter;
                 if j > 0.0 {
-                    self.clients[cid.0 as usize]
-                        .rng
-                        .uniform_f64(1.0 - j, 1.0 + j)
+                    self.hot[cid.0 as usize].rng.uniform_f64(1.0 - j, 1.0 + j)
                 } else {
                     1.0
                 }
             };
             let secs = self.clients[cid.0 as usize].profile.compute_seconds(flops) * jitter;
             let dur = SimDuration::from_secs_f64(secs);
-            if self.clients[cid.0 as usize].suspended {
+            if self.hot[cid.0 as usize].suspended {
                 // Owner is using the machine: the task is queued with
                 // its full compute debt; it starts at resume.
-                let t = self.clients[cid.0 as usize].tasks.get_mut(&rid).unwrap();
+                let t = self.clients[cid.0 as usize].task_mut(rid).unwrap();
                 t.exec_started = Some(now);
                 t.exec_remaining = Some(dur);
                 continue;
             }
             let ev = self.sim.schedule_in(dur, Ev::ExecDone(cid, rid));
-            let t = self.clients[cid.0 as usize].tasks.get_mut(&rid).unwrap();
+            let t = self.clients[cid.0 as usize].task_mut(rid).unwrap();
             t.exec_ev = Some(ev);
             t.exec_started = Some(now);
             t.exec_remaining = Some(dur);
@@ -491,14 +540,11 @@ impl Engine {
 
     pub(super) fn on_exec_done<P: Policy>(&mut self, policy: &mut P, cid: ClientId, rid: ResultId) {
         let now = self.sim.now();
-        {
-            let c = &mut self.clients[cid.0 as usize];
-            if c.dropped {
-                return;
-            }
-            c.running.retain(|&r| r != rid);
+        if self.hot[cid.0 as usize].dropped {
+            return;
         }
-        let exists = self.clients[cid.0 as usize].tasks.contains_key(&rid);
+        self.clients[cid.0 as usize].running.retain(|&r| r != rid);
+        let exists = self.clients[cid.0 as usize].task(rid).is_some();
         if !exists {
             self.try_start_tasks(cid);
             return;
@@ -508,15 +554,15 @@ impl Engine {
         let wu = self.db.result(rid).wu;
         let honest = honest_fingerprint(&self.db.wu(wu).spec.name);
         let (errored, fp) = {
-            let c = &mut self.clients[cid.0 as usize];
-            if self.fault.task_errors_now(&mut c.rng) {
+            let rng = &mut self.hot[cid.0 as usize].rng;
+            if self.fault.task_errors_now(rng) {
                 (true, None)
             } else {
-                match self.fidx.corruption_now(cid, now, &mut c.rng) {
+                match self.fidx.corruption_now(cid, now, rng) {
                     Corruption::None => (false, Some(honest)),
                     Corruption::Random => (
                         false,
-                        Some(OutputFingerprint(honest.0 ^ c.rng.next_u64() | 1)),
+                        Some(OutputFingerprint(honest.0 ^ rng.next_u64() | 1)),
                     ),
                     // Colluders emit the clique's shared wrong answer —
                     // identical across members, so they can outvote an
@@ -526,7 +572,7 @@ impl Engine {
             }
         };
         {
-            let t = self.clients[cid.0 as usize].tasks.get_mut(&rid).unwrap();
+            let t = self.clients[cid.0 as usize].task_mut(rid).unwrap();
             let start = t.dl_done_at.unwrap_or(t.assigned_at);
             t.exec_done_at = Some(now);
             t.fingerprint = fp;
@@ -562,10 +608,13 @@ impl Engine {
             self.db.mark_timed_out(rid, now);
             if let Some(c) = client {
                 self.note_host_error(c);
+                self.drop_task(c, rid);
                 let cl = &mut self.clients[c.0 as usize];
-                cl.tasks.remove(&rid);
                 cl.run_queue.retain(|&x| x != rid);
                 cl.running.retain(|&x| x != rid);
+                // Its report, if one was waiting, would be ignored as
+                // late; dropping it keeps reports a subset of tasks.
+                cl.ready_to_report.retain(|r| r.0 != rid);
                 self.swarm.retain(|k, _| !(k.0 == c.0 && k.1 == rid.0));
             }
             self.after_report_transition(policy, wu);
@@ -574,12 +623,13 @@ impl Engine {
 
     pub(super) fn on_dropout(&mut self, cid: ClientId) {
         let c = &mut self.clients[cid.0 as usize];
-        c.dropped = true;
         c.served.clear();
         c.run_queue.clear();
         c.running.clear();
         c.ready_to_report.clear();
-        if let Some(ev) = c.wake.take() {
+        let h = &mut self.hot[cid.0 as usize];
+        h.dropped = true;
+        if let Some(ev) = h.wake.take() {
             self.sim.cancel(ev);
         }
         self.obs
@@ -590,5 +640,18 @@ impl Engine {
         // own in-progress transfers die with it.
         self.swarm_index.drop_client(cid.0);
         self.swarm.retain(|k, _| k.0 != cid.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The point of [`ClientHot`]: one cache line, and never straddling
+    /// two.
+    #[test]
+    fn client_hot_is_one_cache_line() {
+        assert!(std::mem::size_of::<ClientHot>() <= 64);
+        assert_eq!(std::mem::align_of::<ClientHot>(), 64);
     }
 }

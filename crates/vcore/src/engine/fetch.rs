@@ -43,7 +43,10 @@ impl Engine {
             idx,
         } = slot;
         let now = self.sim.now();
-        let attempts = self.clients[cid.0 as usize].tasks[&rid].attempts[idx];
+        let attempts = self.clients[cid.0 as usize]
+            .task(rid)
+            .expect("input slot of a held task")
+            .attempts[idx];
 
         // Fall back to the data server after the retry budget.
         if peers.is_empty() || attempts >= self.cfg.peer_retry_limit {
@@ -58,7 +61,7 @@ impl Engine {
         // The strategy picks the source for this attempt.
         let peer = peers[self.shuffle.pick_source(peers.len(), attempts, cid.0)];
         let bump_and_retry = |eng: &mut Engine| {
-            if let Some(t) = eng.clients[cid.0 as usize].tasks.get_mut(&rid) {
+            if let Some(t) = eng.clients[cid.0 as usize].task_mut(rid) {
                 t.attempts[idx] += 1;
             }
             eng.schedule_peer_retry(slot, eng.cfg.peer_retry_delay_s);
@@ -66,8 +69,9 @@ impl Engine {
 
         // Peer alive and still serving the file?
         let p = &self.clients[peer.0 as usize];
-        if p.dropped || !p.serves(name, now) {
-            let window_expired = !p.dropped && p.served.contains_key(name);
+        let p_dropped = self.hot[peer.0 as usize].dropped;
+        if p_dropped || !p.serves(name, now) {
+            let window_expired = !p_dropped && p.served.contains_key(name);
             self.count_peer_failure();
             if window_expired {
                 self.obs
@@ -101,7 +105,8 @@ impl Engine {
         let now = self.sim.now();
         let cid = slot.client;
         let key = slot.swarm_key();
-        if self.clients[cid.0 as usize].tasks[&slot.rid].state != TaskState::Downloading {
+        let task = self.clients[cid.0 as usize].task(slot.rid);
+        if task.expect("input slot of a held task").state != TaskState::Downloading {
             return; // stale retry after the task became ready
         }
         if !self.swarm.contains_key(&key) {
@@ -158,7 +163,7 @@ impl Engine {
                     }
                     continue;
                 }
-                if p.dropped {
+                if self.hot[scid as usize].dropped {
                     continue;
                 }
                 // Holders must be inside their serving window; sibling

@@ -41,7 +41,7 @@ mod transfer;
 pub use builder::{BuildError, EngineBuilder};
 pub use transfer::RelayChoice;
 
-use client::Client;
+use client::{Client, ClientHot};
 use transfer::{FlowPurpose, InputSlot};
 
 /// Events driving the middleware simulation.
@@ -162,6 +162,11 @@ pub struct Engine {
     pub trust: TrustLedger,
     server_host: HostId,
     clients: Vec<Client>,
+    /// `hot[i]` belongs to `clients[i]`.
+    hot: Vec<ClientHot>,
+    /// The project's back-off bounds (each client keeps only its count
+    /// of consecutive empty replies).
+    backoff: crate::backoff::Backoff,
     flows: HashMap<FlowId, FlowPurpose>,
     /// Pending NetWake event and the time it targets. The time is kept
     /// so re-arming at the same instant preserves the original event
@@ -213,6 +218,7 @@ struct EngineObs {
     report_delay_s: vmr_obs::Histo,
     feeder_occupancy: vmr_obs::TimeGauge,
     transitioner_scope: vmr_obs::Scope,
+    client_wake_scope: vmr_obs::Scope,
     host_valid: vmr_obs::Counter,
     host_invalid: vmr_obs::Counter,
     host_error: vmr_obs::Counter,
@@ -238,6 +244,7 @@ impl EngineObs {
             report_delay_s: obs.histogram("vcore.report_delay_s"),
             feeder_occupancy: obs.time_gauge("vcore.feeder_occupancy"),
             transitioner_scope: obs.scope("vcore.transitioner_sweep"),
+            client_wake_scope: obs.scope("vcore.client_wake"),
             host_valid: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "valid")]),
             host_invalid: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "invalid")]),
             host_error: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "error")]),
@@ -307,7 +314,7 @@ impl Engine {
 
     /// Has this client dropped out?
     pub fn client_dropped(&self, c: ClientId) -> bool {
-        self.clients[c.0 as usize].dropped
+        self.hot[c.0 as usize].dropped
     }
 
     /// Validation outcome tallies for a client. Maintained regardless
@@ -426,6 +433,9 @@ impl Engine {
         // belong to a transaction of their own.
         self.durable.advance_to(self.sim.now().as_micros());
         self.durable.commit();
+        // Cloned once per call: a guard borrowed from `self.eobs` could
+        // not live across the `&mut self` dispatch it times.
+        let wake_scope = self.eobs.client_wake_scope.clone();
         loop {
             // A crashed journal models a dead server: stop consuming
             // events; whatever memory holds past this point is lost.
@@ -435,15 +445,14 @@ impl Engine {
             if stop(self) {
                 break;
             }
-            if self.sim.peek_time().map(|t| t > horizon).unwrap_or(true) {
+            let Some(ev) = self.sim.next_event_before(horizon) else {
                 break;
-            }
-            let ev = match self.sim.next_event() {
-                Some(e) => e,
-                None => break,
             };
             n += 1;
-            self.dispatch(policy, ev.payload);
+            {
+                let _wake = matches!(ev.payload, Ev::ClientWake(_)).then(|| wake_scope.enter());
+                self.dispatch(policy, ev.payload);
+            }
             // One dispatched event = one WAL transaction.
             self.durable.commit();
             self.arm_net_wake();

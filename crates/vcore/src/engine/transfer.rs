@@ -69,7 +69,7 @@ impl Engine {
     /// Starts (or retries) the download of one input file.
     pub(super) fn start_input_download(&mut self, slot: InputSlot) {
         let c = &self.clients[slot.client.0 as usize];
-        if c.dropped || !c.tasks.contains_key(&slot.rid) {
+        if self.hot[slot.client.0 as usize].dropped || c.task(slot.rid).is_none() {
             return; // client or task gone (deadline hit, etc.)
         }
         let file = self.db.inputs_of(slot.rid)[slot.idx].clone();
@@ -166,10 +166,9 @@ impl Engine {
     ) -> bool {
         let cid = slot.client;
         // Transient transfer fault?
-        let fails = {
-            let c = &mut self.clients[cid.0 as usize];
-            self.fault.peer_attempt_fails(&mut c.rng)
-        };
+        let fails = self
+            .fault
+            .peer_attempt_fails(&mut self.hot[cid.0 as usize].rng);
         if fails {
             self.count_peer_failure();
             return false;
@@ -179,10 +178,8 @@ impl Engine {
             self.clients[cid.0 as usize].profile.nat,
             self.clients[src.0 as usize].profile.nat,
         );
-        let outcome = {
-            let c = &mut self.clients[cid.0 as usize];
-            connect(req_nat, srv_nat, &self.traversal, &mut c.rng)
-        };
+        let rng = &mut self.hot[cid.0 as usize].rng;
+        let outcome = connect(req_nat, srv_nat, &self.traversal, rng);
         self.stats.traversal.record(outcome);
         let Some(outcome) = outcome else {
             self.count_peer_failure();
@@ -241,17 +238,13 @@ impl Engine {
             RelayChoice::Supernodes(nodes) => {
                 let alive: Vec<HostId> = nodes
                     .iter()
-                    .filter(|n| !self.clients[n.0 as usize].dropped)
+                    .filter(|n| !self.hot[n.0 as usize].dropped)
                     .map(|n| self.clients[n.0 as usize].host)
                     .collect();
                 if alive.is_empty() {
                     self.server_host
                 } else {
-                    let idx = {
-                        let c = &mut self.clients[cid.0 as usize];
-                        c.rng.pick(alive.len())
-                    };
-                    alive[idx]
+                    alive[self.hot[cid.0 as usize].rng.pick(alive.len())]
                 }
             }
         }
@@ -310,7 +303,7 @@ impl Engine {
                 self.fobs.chunks_swarmed.inc();
             }
         }
-        if self.clients[client.0 as usize].dropped {
+        if self.hot[client.0 as usize].dropped {
             return;
         }
         // A swarm chunk: update the transfer state machine;
@@ -331,7 +324,7 @@ impl Engine {
         }
         let c = &mut self.clients[client.0 as usize];
         let mut became_ready = None;
-        if let Some(t) = c.tasks.get_mut(&rid) {
+        if let Some(t) = c.task_mut(rid) {
             t.downloads_pending = t.downloads_pending.saturating_sub(1);
             if t.downloads_pending == 0 && t.state == TaskState::Downloading {
                 t.state = TaskState::Queued;
@@ -358,11 +351,11 @@ impl Engine {
     fn finish_output_upload(&mut self, client: ClientId, rid: ResultId, bytes: u64) {
         let now = self.sim.now();
         self.stats.bytes_via_server += bytes as f64;
-        let c = &mut self.clients[client.0 as usize];
-        if c.dropped {
+        if self.hot[client.0 as usize].dropped {
             return;
         }
-        if let Some(t) = c.tasks.get_mut(&rid) {
+        let c = &mut self.clients[client.0 as usize];
+        if let Some(t) = c.task_mut(rid) {
             t.state = TaskState::Uploading; // terminal client-side
             let (fp, err) = (t.fingerprint, t.errored);
             let start = t.exec_done_at.unwrap_or(now);
@@ -412,17 +405,14 @@ impl Engine {
             p.serving_now = p.serving_now.saturating_sub(1);
             // The downloading side (if it wasn't the dropped one)
             // retries against another peer.
-            if slot.client != cid && !self.clients[slot.client.0 as usize].dropped {
+            if slot.client != cid && !self.hot[slot.client.0 as usize].dropped {
                 self.count_peer_failure();
                 if let Some(k) = chunk {
                     // Swarm chunk: return it to the pool and repump.
                     if let Some(t) = self.swarm.get_mut(&slot.swarm_key()) {
                         t.fail(k, Some(peer.0));
                     }
-                } else if let Some(t) = self.clients[slot.client.0 as usize]
-                    .tasks
-                    .get_mut(&slot.rid)
-                {
+                } else if let Some(t) = self.clients[slot.client.0 as usize].task_mut(slot.rid) {
                     t.attempts[slot.idx] += 1;
                 }
                 self.schedule_peer_retry(slot, self.cfg.peer_retry_delay_s);

@@ -9,13 +9,15 @@
 //! class (always [`NatType::Open`] on the testbed).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use vmr_netsim::NatType;
 
 /// Static performance/connectivity description of a volunteer machine.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct HostProfile {
-    /// Human-readable type name.
-    pub model: String,
+    /// Human-readable type name (borrowed for the built-in classes, so
+    /// generating a population allocates nothing per host).
+    pub model: Cow<'static, str>,
     /// Sustained FLOPS for project workloads.
     pub flops_per_sec: f64,
     /// Concurrent tasks the client runs (≈ cores BOINC is allowed).

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene gate: formatting, lints (warnings are errors), the
-# full test suite, the observability feature matrix, and a bench smoke
+# Repo-wide hygiene gate: formatting, the hash-collection grep gate,
+# lints (warnings are errors), the full test suite, the observability
+# feature matrix, and a bench smoke
 # that refreshes BENCH_netsim.json and diffs Table I / Fig. 4 against
 # the committed goldens, and the benchmark's own smoke (all six
 # BENCHMARK.json workloads at ~1/20 size, every check on). Run before
@@ -32,6 +33,15 @@ done
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> determinism gate: no std hash collections in crates/desim/src"
+# Iteration order of a std HashMap / HashSet differs per instance; the
+# kernel everything replays on has no use for one (ROADMAP item 3b: the
+# other deterministic crates join this list as they are converted).
+if grep -rnE 'Hash(Map|Set)' crates/desim/src; then
+    echo "std hash collection in crates/desim/src (use a Vec, slab or BTreeMap)" >&2
+    exit 1
+fi
 
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
