@@ -12,9 +12,6 @@ use vmr_obs::HistogramSummary;
 
 /// The scheduler report-delay distribution of one run, in seconds,
 /// from the obs snapshot metric `vcore.report_delay_s`.
-///
-/// With `--no-default-features` (recording compiled out) the summary
-/// is all zeros.
 pub fn report_delay(out: &ExperimentOutcome) -> HistogramSummary {
     out.obs.snapshot().histogram("vcore.report_delay_s")
 }
@@ -60,9 +57,7 @@ mod tests {
         write_metrics_json(&path, &obs).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.starts_with('{') && body.ends_with("}\n"));
-        if cfg!(feature = "record") {
-            assert!(body.contains("\"t.count\":3"));
-        }
+        assert!(body.contains("\"t.count\":3"));
         std::fs::remove_file(&path).unwrap();
     }
 }

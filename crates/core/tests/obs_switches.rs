@@ -1,0 +1,90 @@
+//! Observability never perturbs a run.
+//!
+//! The recorder has two runtime switches, `Journal::set_enabled` and
+//! `Obs::set_profiling`. Neither may change what the simulation
+//! computes: the same seeded 40-host BOINC-MR job under the defaults,
+//! with the journal off, and with the profiling scopes on must finish
+//! every work unit at the same instant and count the same RPCs, flows
+//! and shuffle bytes. What each switch does control is checked beside
+//! it: the journal is empty only when disabled, the `prof.*_us`
+//! histograms are fed only when profiling is on.
+
+mod common;
+
+use common::Outcome;
+use vmr_core::{MrJobConfig, MrMode, MrPolicy};
+use vmr_desim::SimTime;
+use vmr_netsim::HostLink;
+use vmr_obs::{MetricValue, Obs};
+use vmr_vcore::{Engine, HostProfile};
+
+struct Run {
+    outcome: Outcome,
+    journal_events: usize,
+    prof_samples: u64,
+}
+
+fn run(switches: impl FnOnce(&Obs)) -> Run {
+    let volunteer = |_| {
+        (
+            HostProfile::pc3001(),
+            HostLink::symmetric_mbit(100.0, 0.000_5),
+        )
+    };
+    let mut eng = Engine::builder(11).clients((0..40).map(volunteer)).build();
+    switches(&eng.obs);
+    let mut pol = MrPolicy::new();
+    pol.submit_job(
+        &mut eng,
+        MrJobConfig::paper_wordcount(20, 5, MrMode::InterClient),
+    );
+    let events = eng.run_until(&mut pol, SimTime::from_secs(180_000), |e| {
+        e.db.all_wus_terminal()
+    });
+    assert!(pol.all_done(), "the job finishes");
+    let prof_samples = eng
+        .obs
+        .snapshot()
+        .entries
+        .iter()
+        .filter(|(name, _)| name.starts_with("prof."))
+        .map(|(_, v)| match v {
+            MetricValue::Histogram(h) => h.count,
+            _ => 0,
+        })
+        .sum();
+    Run {
+        outcome: Outcome::of(&eng, events),
+        journal_events: eng.obs.journal.len(),
+        prof_samples,
+    }
+}
+
+#[test]
+fn journal_and_profiling_switches_leave_the_run_unchanged() {
+    let defaults = run(|_| {});
+    let journal_off = run(|obs| obs.journal.set_enabled(false));
+    let profiling_on = run(|obs| obs.set_profiling(true));
+
+    for prefix in ["vcore.", "netsim.", "shuffle."] {
+        let counters = &defaults.outcome.counters;
+        assert!(
+            counters
+                .iter()
+                .any(|(k, n)| k.starts_with(prefix) && *n > 0),
+            "no {prefix}* counter moved: the comparison below would be vacuous"
+        );
+    }
+    // Completion instants, the makespan (`now`), the event count and
+    // every counter in the registry.
+    assert_eq!(journal_off.outcome, defaults.outcome, "journal off");
+    assert_eq!(profiling_on.outcome, defaults.outcome, "profiling on");
+
+    assert!(defaults.journal_events > 0);
+    assert_eq!(journal_off.journal_events, 0);
+    assert_eq!(profiling_on.journal_events, defaults.journal_events);
+
+    assert_eq!(defaults.prof_samples, 0);
+    assert_eq!(journal_off.prof_samples, 0);
+    assert!(profiling_on.prof_samples > 0);
+}

@@ -30,6 +30,6 @@ pub mod trace;
 pub use queue::{EventId, EventQueue};
 pub use rng::RngStream;
 pub use sim::{Fired, Simulation};
-pub use stats::{Histogram, Tally, TimeWeighted};
+pub use stats::Tally;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Point, Span, Timeline};

@@ -26,11 +26,6 @@ impl RngStream {
         }
     }
 
-    /// The seed this stream was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent child stream identified by `label`.
     ///
     /// The child seed is `fnv1a(parent_seed || label)`, so the same

@@ -145,11 +145,6 @@ impl<E> Simulation<E> {
         self.queue.is_pending(id)
     }
 
-    /// Time of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Advances the clock to the next event and returns it, or `None`
     /// when the queue is exhausted or the next event lies beyond the
     /// horizon.

@@ -1,10 +1,7 @@
-//! Run statistics: counters, tallies, time-weighted means, histograms.
-//!
-//! These accumulators are deliberately streaming (O(1) memory per sample
-//! except the reservoir quantile sketch) so experiment sweeps can record
-//! millions of samples without blowing up.
+//! Run statistics: a streaming scalar tally (O(1) memory per sample).
+//! Histograms and time-weighted gauges live in `vmr-obs`.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Streaming tally of scalar samples: count / mean / min / max / variance
 /// (Welford's algorithm).
@@ -85,11 +82,6 @@ impl Tally {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merges another tally into this one (parallel-merge form of
     /// Welford/Chan).
     pub fn merge(&mut self, other: &Tally) {
@@ -110,161 +102,6 @@ impl Tally {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal, e.g. "number of
-/// concurrent transfers" or "feeder occupancy".
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    last_v: f64,
-    area: f64,
-    start: SimTime,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `t0` with initial value `v0`.
-    pub fn new(t0: SimTime, v0: f64) -> Self {
-        TimeWeighted {
-            last_t: t0,
-            last_v: v0,
-            area: 0.0,
-            start: t0,
-            max: v0,
-        }
-    }
-
-    /// Sets the signal to `v` at time `t` (t must not precede the last
-    /// update; equal times are fine and just replace the value).
-    pub fn set(&mut self, t: SimTime, v: f64) {
-        debug_assert!(t >= self.last_t, "TimeWeighted updates must be ordered");
-        let dt = t.saturating_since(self.last_t).as_secs_f64();
-        self.area += self.last_v * dt;
-        self.last_t = t;
-        self.last_v = v;
-        self.max = self.max.max(v);
-    }
-
-    /// Adds `dv` to the current value at time `t`.
-    pub fn add(&mut self, t: SimTime, dv: f64) {
-        let v = self.last_v + dv;
-        self.set(t, v);
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.last_v
-    }
-
-    /// Largest value seen.
-    pub fn max_value(&self) -> f64 {
-        self.max
-    }
-
-    /// Time-weighted mean over `[start, t]`.
-    pub fn mean_until(&self, t: SimTime) -> f64 {
-        let total = t.saturating_since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.last_v;
-        }
-        let tail = t.saturating_since(self.last_t).as_secs_f64();
-        (self.area + self.last_v * tail) / total
-    }
-}
-
-/// Fixed-bucket histogram over `[0, limit)` seconds with an overflow
-/// bucket; used for task latency and backoff-delay distributions.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    width: f64,
-    overflow: u64,
-    tally: Tally,
-}
-
-impl Histogram {
-    /// `n_buckets` equal-width buckets spanning `[0, limit)`.
-    pub fn new(limit: f64, n_buckets: usize) -> Self {
-        assert!(limit > 0.0 && n_buckets > 0);
-        Histogram {
-            buckets: vec![0; n_buckets],
-            width: limit / n_buckets as f64,
-            overflow: 0,
-            tally: Tally::new(),
-        }
-    }
-
-    /// Records one sample (negative samples clamp into bucket 0).
-    pub fn record(&mut self, x: f64) {
-        self.tally.record(x);
-        let x = x.max(0.0);
-        let idx = (x / self.width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.tally.count()
-    }
-
-    /// Samples beyond the histogram limit.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Underlying scalar tally (mean/min/max/stddev).
-    pub fn tally(&self) -> &Tally {
-        &self.tally
-    }
-
-    /// Approximate quantile (0..=1) by walking the buckets; returns the
-    /// bucket upper edge containing the q-th sample. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some((i as f64 + 1.0) * self.width);
-            }
-        }
-        // In the overflow region: report the observed max.
-        self.tally.max()
-    }
-
-    /// The one obs snapshot shape every consumer uses: count, mean and
-    /// p50/p95/p99/max, in this histogram's sample unit. Replaces the
-    /// per-binary quantile plumbing the bench binaries used to carry.
-    pub fn summary(&self) -> vmr_obs::HistogramSummary {
-        vmr_obs::HistogramSummary {
-            count: self.count(),
-            mean: self.tally.mean(),
-            p50: self.quantile(0.50).unwrap_or(0.0),
-            p95: self.quantile(0.95).unwrap_or(0.0),
-            p99: self.quantile(0.99).unwrap_or(0.0),
-            max: self.tally.max().unwrap_or(0.0),
-        }
-    }
-
-    /// Bucket counts (for rendering).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Bucket width in the sample unit.
-    pub fn bucket_width(&self) -> f64 {
-        self.width
     }
 }
 
@@ -323,71 +160,5 @@ mod tests {
         let empty = Tally::new();
         a.merge(&empty);
         assert_eq!(a.count(), 1);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime::from_secs(10), 2.0); // 0 for 10s
-        tw.set(SimTime::from_secs(20), 4.0); // 2 for 10s
-                                             // up to t=30: 4 for 10s → area = 0*10 + 2*10 + 4*10 = 60 over 30s
-        assert!((tw.mean_until(SimTime::from_secs(30)) - 2.0).abs() < 1e-12);
-        assert_eq!(tw.current(), 4.0);
-        assert_eq!(tw.max_value(), 4.0);
-    }
-
-    #[test]
-    fn time_weighted_add() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.add(SimTime::from_secs(5), 2.0);
-        assert_eq!(tw.current(), 3.0);
-        tw.add(SimTime::from_secs(5), -1.0);
-        assert_eq!(tw.current(), 2.0);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        assert_eq!(h.count(), 100);
-        let med = h.quantile(0.5).unwrap();
-        assert!((45.0..=55.0).contains(&med), "median {med}");
-        assert_eq!(h.quantile(0.0).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn histogram_overflow_and_clamp() {
-        let mut h = Histogram::new(10.0, 10);
-        h.record(-5.0); // clamps into bucket 0
-        h.record(50.0); // overflow
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(1.0), Some(50.0));
-    }
-
-    #[test]
-    fn histogram_empty_quantile() {
-        let h = Histogram::new(10.0, 10);
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_summary_matches_quantiles() {
-        let mut h = Histogram::new(100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        let s = h.summary();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50, h.quantile(0.5).unwrap());
-        assert_eq!(s.p95, h.quantile(0.95).unwrap());
-        assert_eq!(s.p99, h.quantile(0.99).unwrap());
-        assert_eq!(s.max, 99.5);
-        assert!((s.mean - 50.0).abs() < 1e-9);
-        let empty = Histogram::new(10.0, 10).summary();
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.p99, 0.0);
     }
 }

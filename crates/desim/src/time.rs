@@ -104,16 +104,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// True when the duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(rhs.0))
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
@@ -258,10 +248,6 @@ mod tests {
             SimDuration::ZERO
         );
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
-        assert_eq!(
-            SimDuration::MAX.saturating_add(SimDuration::from_secs(1)),
-            SimDuration::MAX
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! is the queryable view built from that journal. The Fig. 4
 //! reproduction renders one lane per node from these spans.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::fmt::Write as _;
 
 /// A named interval on some actor's lane.
@@ -22,13 +22,6 @@ pub struct Span {
     pub start: SimTime,
     /// Interval end.
     pub end: SimTime,
-}
-
-impl Span {
-    /// Span length.
-    pub fn duration(&self) -> SimDuration {
-        self.end.saturating_since(self.start)
-    }
 }
 
 /// An instantaneous marker.
@@ -196,10 +189,6 @@ mod tests {
         journal.point("", "phase", "reduce-start", t(6).as_micros());
         journal.record_with(7, || vmr_obs::EventKind::FlowStart { id: 1, bytes: 2 });
         let tl = Timeline::from_journal(&journal);
-        if !cfg!(feature = "record") {
-            assert!(tl.spans().is_empty() && tl.points().is_empty());
-            return;
-        }
         assert_eq!(
             tl.spans(),
             [Span {
@@ -219,7 +208,6 @@ mod tests {
                 at: t(6),
             }]
         );
-        assert_eq!(tl.spans()[0].duration(), SimDuration::from_secs(4));
         assert_eq!(tl.end_time(), t(6));
     }
 
@@ -236,9 +224,6 @@ mod tests {
 
     #[test]
     fn lanes_are_sorted_and_filtered() {
-        if !cfg!(feature = "record") {
-            return;
-        }
         let tl = timeline(&[("b", "x", 5, 6), ("a", "x", 3, 4), ("b", "y", 1, 2)]);
         let lane_b = tl.lane("b");
         assert_eq!(lane_b.len(), 2);
@@ -248,9 +233,6 @@ mod tests {
 
     #[test]
     fn ascii_render_contains_lanes() {
-        if !cfg!(feature = "record") {
-            return;
-        }
         let tl = timeline(&[("node-1", "exec", 0, 50), ("node-2", "download", 50, 100)]);
         let art = tl.render_ascii(40);
         assert!(art.contains("node-1"));

@@ -91,16 +91,11 @@ impl CrashPlan {
             at_us: Some(t),
         }
     }
-
-    /// True when no crash is scheduled.
-    pub fn is_none(&self) -> bool {
-        self.after_records.is_none() && self.at_us.is_none()
-    }
 }
 
 /// When to rewrite the file mirror so frames superseded by a committed
-/// snapshot are dropped. The default ([`CompactionPolicy::never`])
-/// keeps the mirror append-only.
+/// snapshot are dropped. The default (no trigger set) keeps the mirror
+/// append-only.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CompactionPolicy {
     /// Rewrite when the mirror file reaches this many bytes.
@@ -111,11 +106,6 @@ pub struct CompactionPolicy {
 }
 
 impl CompactionPolicy {
-    /// Never compact (the default).
-    pub fn never() -> Self {
-        CompactionPolicy::default()
-    }
-
     /// Compact when the mirror reaches `n` bytes.
     pub fn max_mirror_bytes(n: u64) -> Self {
         CompactionPolicy {
@@ -153,7 +143,7 @@ pub struct DurabilityPlan {
     /// Snapshot cadence in sim-seconds; `<= 0` disables snapshots
     /// (recovery then replays the whole log).
     pub snapshot_every_s: f64,
-    /// Mirror-rewrite policy; [`CompactionPolicy::never`] by default.
+    /// Mirror-rewrite policy; no trigger by default.
     pub compaction: CompactionPolicy,
     /// Deterministic crash point, if any.
     pub crash: CrashPlan,
@@ -197,7 +187,7 @@ impl DurabilityPlan {
     }
 }
 
-/// Pre-resolved metric handles (no-ops without the `record` feature).
+/// Pre-resolved metric handles.
 struct DurObs {
     wal_records: Counter,
     wal_bytes: Counter,

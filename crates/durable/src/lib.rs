@@ -37,9 +37,8 @@
 //!
 //! Metrics (`dur.wal_records`, `dur.wal_bytes`, `dur.snapshot_us`,
 //! `dur.compactions`, `dur.compact_reclaimed_bytes`) flow through
-//! `vmr-obs` and compile out with `--no-default-features`; the log
-//! itself is **not** feature-gated. See DESIGN.md §3.9 for the format
-//! and the recovery invariants.
+//! `vmr-obs`. See DESIGN.md §3.9 for the format and the recovery
+//! invariants.
 //!
 //! ```
 //! use vmr_durable::{DurabilityPlan, Journal, StateChange, recover};

@@ -128,16 +128,6 @@ impl Enc {
         }
     }
 
-    /// Encoded length so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been encoded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The encoded bytes.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf.to_vec()

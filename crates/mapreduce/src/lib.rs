@@ -19,7 +19,6 @@
 
 pub mod api;
 pub mod apps;
-pub mod bloom;
 pub mod corpus;
 pub mod hashes;
 pub mod local;
@@ -27,7 +26,6 @@ pub mod partition;
 pub mod record;
 
 pub use api::{InputFormat, JobSpec, MapReduceApp};
-pub use bloom::{BloomFilter, BloomGrep};
 pub use corpus::{CorpusGen, CorpusSpec};
 pub use hashes::{fnv1a, sha256, Sha256};
 pub use local::{

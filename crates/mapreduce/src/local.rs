@@ -46,16 +46,6 @@ pub struct MapOutput<A: MapReduceApp> {
 }
 
 impl<A: MapReduceApp> MapOutput<A> {
-    /// Size in bytes of partition `p` under the app's text encoding —
-    /// what the simulator charges the network for.
-    pub fn partition_bytes(&self, app: &A, p: usize) -> u64 {
-        let mut s = String::new();
-        for (k, v) in &self.partitions[p] {
-            app.encode(k, v, &mut s);
-        }
-        s.len() as u64
-    }
-
     /// Renders partition `p` in the app's line format (what actually
     /// crosses the wire in the real runtime).
     pub fn encode_partition(&self, app: &A, p: usize) -> String {
@@ -269,7 +259,6 @@ mod tests {
         let text = mo.encode_partition(&WordCount, 0);
         let decoded = decode_partition(&WordCount, &text);
         assert_eq!(decoded, mo.partitions[0]);
-        assert_eq!(mo.partition_bytes(&WordCount, 0), text.len() as u64);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! tasks – modulo the number of reducers."
 
 use crate::hashes::fnv1a;
-use std::hash::Hash;
 
 /// Assigns keys to reduce partitions by FNV-1a hash modulo `n_reduces`.
 #[derive(Clone, Copy, Debug)]
@@ -31,13 +30,6 @@ impl HashPartitioner {
     /// Partition of a raw key encoding.
     pub fn partition_bytes(&self, key: &[u8]) -> usize {
         (fnv1a(key) % self.n_reduces as u64) as usize
-    }
-
-    /// Partition of any hashable key via its `Debug`-stable byte form is
-    /// unreliable; callers with typed keys use [`Self::partition_with`]
-    /// and supply the canonical encoding.
-    pub fn partition_with<K: Hash>(&self, key: &K, encode: impl Fn(&K) -> Vec<u8>) -> usize {
-        self.partition_bytes(&encode(key))
     }
 
     /// Partition of a string key (the common case: words, URLs, terms).

@@ -898,11 +898,6 @@ impl AggregateNetwork {
         }
     }
 
-    /// The active scale policy.
-    pub fn policy(&self) -> ScalePolicy {
-        self.policy
-    }
-
     /// True once the engine has ratcheted into the aggregated regime.
     pub fn is_scale_regime(&self) -> bool {
         matches!(self.regime, Regime::Scale(_))

@@ -92,12 +92,6 @@ impl NatMix {
         NatMix { weights }
     }
 
-    /// Every volunteer publicly reachable (the Emulab cluster situation —
-    /// the experiments in §IV effectively assume this).
-    pub fn all_open() -> Self {
-        NatMix::new(vec![(NatType::Open, 1.0)])
-    }
-
     /// A rough residential-Internet mix (majority behind some NAT; a
     /// meaningful symmetric fraction), for the §III.D ablation.
     pub fn internet_2011() -> Self {

@@ -355,11 +355,6 @@ impl Topology {
             from = to;
         }
     }
-
-    /// All host ids.
-    pub fn host_ids(&self) -> impl Iterator<Item = HostId> + '_ {
-        (0..self.hosts.len() as u32).map(HostId)
-    }
 }
 
 #[cfg(test)]
@@ -391,8 +386,6 @@ mod tests {
         assert_eq!(b, HostId(1));
         assert!((t.latency(a, b) - 0.006).abs() < 1e-12);
         assert_eq!(t.latency(a, a), 0.0);
-        let ids: Vec<_> = t.host_ids().collect();
-        assert_eq!(ids, vec![a, b]);
     }
 
     #[test]

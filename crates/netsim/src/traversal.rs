@@ -227,15 +227,6 @@ impl TraversalStats {
             self.successes() as f64 / total as f64
         }
     }
-
-    /// Mean setup time over successful attempts, seconds.
-    pub fn mean_setup_s(&self) -> f64 {
-        if self.successes() == 0 {
-            0.0
-        } else {
-            self.setup_total_s / self.successes() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -349,6 +340,5 @@ mod tests {
         s.record(None);
         assert_eq!(s.successes(), 2);
         assert!((s.success_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((s.mean_setup_s() - 0.6).abs() < 1e-12);
     }
 }

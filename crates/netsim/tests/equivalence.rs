@@ -246,17 +246,15 @@ fn run_aggregate_on(
     };
     // The vmr-obs wiring (`net.aggregates_active` gauge,
     // `net.coalesce_hits` / `net.splits` counters) must agree with the
-    // engine's own statistics whenever recording is compiled in.
-    if cfg!(feature = "record") {
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("net.coalesce_hits"), stats.coalesce_hits);
-        assert_eq!(snap.counter("net.splits"), stats.splits);
-        let gauge = match snap.get("net.aggregates_active") {
-            Some(vmr_obs::MetricValue::Gauge(v)) => *v,
-            _ => 0.0,
-        };
-        assert_eq!(gauge, stats.aggregates_active as f64);
-    }
+    // engine's own statistics.
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("net.coalesce_hits"), stats.coalesce_hits);
+    assert_eq!(snap.counter("net.splits"), stats.splits);
+    let gauge = match snap.get("net.aggregates_active") {
+        Some(vmr_obs::MetricValue::Gauge(v)) => *v,
+        _ => 0.0,
+    };
+    assert_eq!(gauge, stats.aggregates_active as f64);
     (
         out,
         net.bytes_delivered(),
@@ -357,9 +355,7 @@ fn pinned_mixed_script_matches_naive() {
     assert_eq!(stream_divergence(&inc, &nai), None);
     assert_eq!(inc_bytes.to_bits(), nai_bytes.to_bits());
     assert_eq!(inc_obs, nai_obs, "obs counters diverge");
-    if cfg!(feature = "record") {
-        assert!(inc_obs[0] > 0, "script started no flows");
-    }
+    assert!(inc_obs[0] > 0, "script started no flows");
 }
 
 /// One scripted step of the star script below.
@@ -526,10 +522,8 @@ fn pinned_star_script_matches_naive() {
     // does neither.
     let completed = 2 * (STAR_CLIENTS as usize + 1) + 2 + 3;
     assert_eq!(inc.len(), completed);
-    if cfg!(feature = "record") {
-        let bytes = (STAR_CLIENTS as u64 + 1) * 5_000_000 + 2 * 1_000 + 2 * 1_250_000;
-        assert_eq!(inc_obs, [completed as u64 + 1, completed as u64, 1, bytes]);
-    }
+    let bytes = (STAR_CLIENTS as u64 + 1) * 5_000_000 + 2 * 1_000 + 2 * 1_250_000;
+    assert_eq!(inc_obs, [completed as u64 + 1, completed as u64, 1, bytes]);
     // The blind window really left flows unharvested: the 1 kB flow
     // and a batch of downloads are all reported at its end.
     let blind_end = SimTime::from_secs(17).as_micros();
@@ -615,10 +609,8 @@ proptest! {
         // Differential obs check: both engines must have recorded the
         // same started/completed/aborted/bytes counters.
         prop_assert_eq!(inc_obs, naive_obs);
-        if cfg!(feature = "record") {
-            prop_assert!(inc_obs[0] >= inc_obs[1] + inc_obs[2]);
-            prop_assert_eq!(inc_obs[1], inc.len() as u64);
-        }
+        prop_assert!(inc_obs[0] >= inc_obs[1] + inc_obs[2]);
+        prop_assert_eq!(inc_obs[1], inc.len() as u64);
     }
 
     /// Two runs of the incremental engine over the same script are

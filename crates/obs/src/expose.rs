@@ -1,8 +1,7 @@
 //! Text exposition of a metrics [`Snapshot`] — the live operations
 //! surface behind `GET /metrics` and `GET /dash`.
 //!
-//! Two renderers, both pure functions of a [`Snapshot`] so they work
-//! identically in the `record` and no-op builds:
+//! Two renderers, both pure functions of a [`Snapshot`]:
 //!
 //! * [`render_prometheus`] — the plaintext exposition format scrapers
 //!   understand (`# TYPE` headers, `name{label="value"} value` samples,

@@ -23,12 +23,10 @@
 //!   plaintext scrape format and a periodic operator dashboard; the
 //!   rtnet poll server mounts both on its operations endpoint.
 //!
-//! The whole recorder is behind the **`record`** feature (on by
-//! default). With `--no-default-features` every handle is a zero-sized
-//! struct with empty method bodies: increments, journal appends and
-//! scope timers compile to nothing, and snapshots come back empty.
-//! Plain-data types ([`HistogramSummary`], [`Event`], [`Snapshot`])
-//! exist in both modes so downstream APIs do not change shape.
+//! The recorder is always compiled in. What a run pays for is chosen
+//! at runtime by two switches, [`Journal::set_enabled`] and
+//! [`Obs::set_profiling`]; neither may change what a simulation
+//! computes (pinned by `crates/core/tests/obs_switches.rs`).
 //!
 //! Metric naming scheme: `"<crate>.<subject>[_<unit>]{label=value}"`,
 //! e.g. `netsim.flows_started`, `vcore.report_delay_s`,
@@ -45,27 +43,15 @@
 #![warn(missing_docs)]
 
 mod expose;
+mod journal;
+mod metrics;
+mod prof;
 mod types;
 pub use expose::{render_dashboard, render_prometheus, Dashboard};
-pub use types::{Event, EventKind, HistogramSummary, MetricValue, Snapshot};
-
-#[cfg(feature = "record")]
-mod journal;
-#[cfg(feature = "record")]
-mod metrics;
-#[cfg(feature = "record")]
-mod prof;
-#[cfg(feature = "record")]
 pub use journal::Journal;
-#[cfg(feature = "record")]
 pub use metrics::{Counter, Gauge, Histo, Registry, TimeGauge};
-#[cfg(feature = "record")]
 pub use prof::{Prof, Scope, ScopeGuard};
-
-#[cfg(not(feature = "record"))]
-mod noop;
-#[cfg(not(feature = "record"))]
-pub use noop::{Counter, Gauge, Histo, Journal, Prof, Registry, Scope, ScopeGuard, TimeGauge};
+pub use types::{Event, EventKind, HistogramSummary, MetricValue, Snapshot};
 
 /// The observability bundle one component hands around: a metrics
 /// registry, an event journal and a profiling switch. Cloning is cheap
@@ -164,15 +150,10 @@ mod tests {
         obs.journal.span("a", "k", "d", 7, 9);
         let snap = obs.snapshot();
         let json = snap.to_json();
-        if cfg!(feature = "record") {
-            assert_eq!(snap.counter("t.count"), 5);
-            assert!(json.contains("\"t.gauge\""));
-            assert_eq!(obs.journal.len(), 2);
-            assert!(obs.journal.to_jsonl().lines().count() == 2);
-        } else {
-            assert_eq!(snap.counter("t.count"), 0);
-            assert_eq!(obs.journal.len(), 0);
-        }
+        assert_eq!(snap.counter("t.count"), 5);
+        assert!(json.contains("\"t.gauge\""));
+        assert_eq!(obs.journal.len(), 2);
+        assert!(obs.journal.to_jsonl().lines().count() == 2);
     }
 
     #[test]
@@ -185,7 +166,6 @@ mod tests {
         assert!(!obs.journal.is_enabled());
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn labeled_counters_are_distinct() {
         let obs = Obs::new();
@@ -196,7 +176,6 @@ mod tests {
         assert_eq!(snap.counter("c{dir=down}"), 2);
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn scope_records_when_enabled_only() {
         let obs = Obs::new();
@@ -208,7 +187,6 @@ mod tests {
         assert_eq!(obs.histogram("prof.unit.test_us").count(), 1);
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn journal_ring_is_bounded() {
         let obs = Obs::new();

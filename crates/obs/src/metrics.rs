@@ -66,8 +66,8 @@ struct TgState {
 }
 
 /// A time-weighted gauge: callers time-stamp each `set`, the snapshot
-/// reports last value, time-weighted mean and peak. Mirrors
-/// `desim::stats::TimeWeighted` but is shareable and registry-hosted.
+/// reports last value, time-weighted mean and peak. Shareable and
+/// registry-hosted.
 #[derive(Clone, Debug)]
 pub struct TimeGauge(Arc<Mutex<TgState>>);
 

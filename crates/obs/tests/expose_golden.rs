@@ -1,7 +1,7 @@
 //! Full-string golden test of the exposition renderer.
 //!
-//! `render_prometheus` is a pure function of a [`Snapshot`] (plain data
-//! in both the `record` and no-op builds), and the snapshot's key order
+//! `render_prometheus` is a pure function of a [`Snapshot`] (plain
+//! data), and the snapshot's key order
 //! is deterministic — so the entire scrape body can be pinned byte for
 //! byte. Anything that would silently change what operators' scrapers
 //! ingest (name sanitization, label escaping, `# TYPE` deduplication,

@@ -78,15 +78,6 @@ impl StrategyKind {
             _ => return None,
         })
     }
-
-    /// Short lowercase label for tables and bench JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            StrategyKind::Baseline => "baseline",
-            StrategyKind::Swarm => "swarm",
-            StrategyKind::Coded => "coded",
-        }
-    }
 }
 
 /// Shuffle tunables, embedded in the project configuration.

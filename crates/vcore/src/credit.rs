@@ -17,9 +17,8 @@ use vmr_durable::{Dec, Enc, Journal, StateChange, WireError};
 /// Credit and reliability ledger for the volunteer population.
 ///
 /// Every aggregate view (`encode_state`, `leaderboard`,
-/// `total_granted`, `unreliable_hosts`) iterates in sorted client
-/// order, so equal ledgers are byte-identical whatever order the map
-/// hashes them in.
+/// `total_granted`) iterates in sorted client order, so equal ledgers
+/// are byte-identical whatever order the map hashes them in.
 #[derive(Debug, Default)]
 pub struct CreditLedger {
     accounts: HashMap<ClientId, HostAccount>,
@@ -48,11 +47,6 @@ impl HostAccount {
         let total = (self.valid_results + self.invalid_results + self.errors) as f64;
         let bad = (self.invalid_results + self.errors) as f64;
         (bad + 0.1) / (total + 1.0)
-    }
-
-    /// Reliability = 1 − error rate.
-    pub fn reliability(&self) -> f64 {
-        1.0 - self.error_rate()
     }
 }
 
@@ -252,19 +246,6 @@ impl CreditLedger {
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         v
     }
-
-    /// Hosts whose error rate exceeds `threshold` (candidates for
-    /// increased replication / quarantine).
-    pub fn unreliable_hosts(&self, threshold: f64) -> Vec<ClientId> {
-        let mut v: Vec<ClientId> = self
-            .accounts
-            .iter()
-            .filter(|(_, a)| a.error_rate() > threshold)
-            .map(|(&c, _)| c)
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -295,14 +276,12 @@ mod tests {
         assert_eq!(cheat.invalid_results, 10);
         assert!(cheat.error_rate() > 0.9);
         assert!(honest.error_rate() < 0.05);
-        assert_eq!(l.unreliable_hosts(0.5), vec![ClientId(7)]);
     }
 
     #[test]
     fn new_hosts_start_mildly_distrusted() {
         let a = HostAccount::default();
         assert!((a.error_rate() - 0.1).abs() < 1e-9);
-        assert!((a.reliability() - 0.9).abs() < 1e-9);
     }
 
     #[test]

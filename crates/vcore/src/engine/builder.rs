@@ -148,12 +148,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Replaces the server's access link (default: symmetric 100 Mbit).
-    pub fn server_link(mut self, link: HostLink) -> Self {
-        self.server_link = link;
-        self
-    }
-
     /// Opens a write-ahead log from `plan` at build time and attaches
     /// it. Sink I/O failures surface from [`EngineBuilder::try_build`].
     /// Ignored when an explicit [`EngineBuilder::journal`] is also set.

@@ -720,11 +720,6 @@ impl Engine {
             }
         }
     }
-
-    /// Lane name used in the timeline for a client.
-    pub fn client_name(&self, c: ClientId) -> String {
-        Lane(c).to_string()
-    }
 }
 
 /// A client's timeline lane name (`node-07`), as a `Display` value so
@@ -828,15 +823,11 @@ mod tests {
         let text = eng.metrics_text();
         let dash = eng.dashboard_text();
         assert!(dash.contains("vcore engine"), "dashboard carries its title");
-        if cfg!(feature = "record") {
-            assert!(
-                text.contains("vcore_rpcs"),
-                "scrape must expose the engine counters:\n{text}"
-            );
-            assert!(text.contains("# TYPE vcore_rpcs counter"));
-        } else {
-            assert!(!text.contains("vcore_rpcs"), "recorder compiled out");
-        }
+        assert!(
+            text.contains("vcore_rpcs"),
+            "scrape must expose the engine counters:\n{text}"
+        );
+        assert!(text.contains("# TYPE vcore_rpcs counter"));
     }
 
     #[test]

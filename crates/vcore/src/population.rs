@@ -263,16 +263,6 @@ impl PopulationSpec {
 }
 
 impl HostPopulation {
-    /// Number of generated hosts.
-    pub fn len(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
-    }
-
     /// Host count per class index.
     pub fn class_counts(&self, n_classes: usize) -> Vec<usize> {
         let mut counts = vec![0usize; n_classes];
@@ -280,14 +270,6 @@ impl HostPopulation {
             counts[h.class] += 1;
         }
         counts
-    }
-
-    /// Mean access downlink across the population, megabit/s.
-    pub fn mean_down_mbit(&self) -> f64 {
-        if self.hosts.is_empty() {
-            return 0.0;
-        }
-        self.hosts.iter().map(|h| h.down_mbit).sum::<f64>() / self.hosts.len() as f64
     }
 }
 

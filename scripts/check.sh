@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene gate: formatting, the hash-collection grep gate,
-# lints (warnings are errors), the full test suite, the observability
-# feature matrix, and a bench smoke
-# that refreshes BENCH_netsim.json and diffs Table I / Fig. 4 against
-# the committed goldens, and the benchmark's own smoke (all six
-# BENCHMARK.json workloads at ~1/20 size, every check on). Run before
-# sending a change.
+# Repo-wide hygiene gate. Runs, in order: `cargo fmt --check`; the
+# hash-collection grep gate on crates/desim/src; clippy on the
+# workspace, all targets, warnings as errors; the examples build; the
+# workspace test suite; then the bench smokes — flow_churn (asserts its
+# `BENCH_netsim.json` line appeared), `table1 --quick` and `fig4`
+# diffed against tests/golden/, the crash-replay smoke, the durability
+# torture smoke, and the benchmark's own smoke (all six BENCHMARK.json
+# workloads at ~1/20 size, every check on). It writes nothing into the
+# tree: `git status --porcelain` must read the same at the end as at
+# the start. Run before sending a change.
 #
 # Usage: scripts/check.sh [--no-test] [--no-bench] [--full]
 #
 #   --no-test   skip the workspace test suite
 #   --no-bench  skip every bench smoke (overrides --full)
 #   --full      also run the slow smokes: the 20k-host netsim scale leg,
-#               the shuffle strategy ablation (refreshes
-#               BENCH_shuffle.json), the trust ablation, and the 10k
-#               rtnet soak (refreshes BENCH_rtnet.json)
+#               the shuffle strategy ablation, the trust ablation, and
+#               the 10k rtnet soak with the threaded-vs-poll ladder
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,6 +33,17 @@ for arg in "$@"; do
     esac
 done
 
+tree_before="$(git status --porcelain)"
+
+# Runs a study bin; fails unless it exits 0 and printed its `$1 {...}`
+# line (no `grep -q`: an early exit would SIGPIPE the bin under pipefail).
+expect_json_line() {
+    local tag="$1"
+    shift
+    "$@" | grep "^$tag {" > /dev/null \
+        || { echo "$* failed or emitted no $tag line" >&2; exit 1; }
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -46,12 +59,6 @@ fi
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> feature matrix: vmr-obs recorder compiled out (--no-default-features)"
-cargo build --offline -p vmr-bench --no-default-features
-cargo build --offline -p vmr-durable --no-default-features
-cargo build --offline -p vmr-trust --no-default-features
-cargo build --offline -p vmr-shuffle --no-default-features
-
 echo "==> examples build (EngineBuilder construction surface)"
 cargo build --offline --examples
 
@@ -61,11 +68,9 @@ if [ "$NO_TEST" -eq 0 ]; then
 fi
 
 if [ "$NO_BENCH" -eq 0 ]; then
-    echo "==> bench smoke: flow_churn (refreshes BENCH_netsim.json)"
+    echo "==> bench smoke: flow_churn"
     cargo build --offline --release -p vmr-bench --bin flow_churn --bin table1 --bin fig4
-    ./target/release/flow_churn \
-        | sed -n 's/^BENCH_netsim\.json //p' > BENCH_netsim.json
-    [ -s BENCH_netsim.json ] || { echo "flow_churn emitted no BENCH line" >&2; exit 1; }
+    expect_json_line BENCH_netsim.json ./target/release/flow_churn
 
     if [ "$FULL" -eq 1 ]; then
         echo "==> netsim scale smoke: 20k-host aggregate leg (--full)"
@@ -94,27 +99,29 @@ if [ "$NO_BENCH" -eq 0 ]; then
 
     if [ "$FULL" -eq 1 ]; then
         echo "==> shuffle smoke: strategy ablation, 40/2k/100k legs (--full)"
-        echo "    (refreshes BENCH_shuffle.json; coded >=25% byte cut at 2000 hosts)"
+        echo "    (coded >=25% byte cut at 2000 hosts)"
         cargo build --offline --release -p vmr-bench --bin shuffle_ablation
-        ./target/release/shuffle_ablation --smoke \
-            | sed -n 's/^BENCH_shuffle\.json //p' > BENCH_shuffle.json
-        [ -s BENCH_shuffle.json ] || { echo "shuffle_ablation emitted no BENCH line" >&2; exit 1; }
+        expect_json_line BENCH_shuffle.json ./target/release/shuffle_ablation --smoke
 
         echo "==> trust smoke: adaptive-replication ablation, 40-host legs (--full)"
         cargo build --offline --release -p vmr-bench --bin trust_study
-        ./target/release/trust_study --smoke > /dev/null
+        expect_json_line BENCH_trust.json ./target/release/trust_study --smoke
 
         echo "==> rtnet soak smoke: 10k concurrent volunteers vs the poll runtime (--full)"
         echo "    (two-process harness; zero lost requests, exact busy accounting, bounded p99)"
         SOAK_SMOKE=1 cargo test --offline --release -p volunteer-mr \
             --test soak_rtnet soak_10k_volunteers -- --nocapture
 
-        echo "==> rtnet soak smoke: threaded-vs-poll ladder (refreshes BENCH_rtnet.json)"
+        echo "==> rtnet soak smoke: threaded-vs-poll ladder"
         cargo build --offline --release -p vmr-bench --bin rtnet_soak
-        ./target/release/rtnet_soak --smoke \
-            | sed -n 's/^BENCH_rtnet\.json //p' > BENCH_rtnet.json
-        [ -s BENCH_rtnet.json ] || { echo "rtnet_soak emitted no BENCH line" >&2; exit 1; }
+        expect_json_line BENCH_rtnet.json ./target/release/rtnet_soak --smoke
     fi
+fi
+
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+    echo "check.sh changed the working tree:" >&2
+    diff <(echo "$tree_before") <(git status --porcelain) >&2 || true
+    exit 1
 fi
 
 echo "==> OK"
