@@ -24,7 +24,10 @@
 //! server from what the mirror holds — each recovered image checked
 //! section by section against the live engine. (EXPERIMENTS.md keeps
 //! the rows of the plan switches this table priced before they were
-//! deleted.)
+//! deleted.) One more run per plan, with `Obs::set_profiling(true)`,
+//! reads the durable layer's own share of that run off its `prof`
+//! scopes — `durable.snapshot` and `durable.mirror_write` — beside
+//! `dur.wal_records` / `dur.wal_bytes`.
 //!
 //! `--smoke` is the check.sh gate: crash one run at a fixed record
 //! count, mirror its WAL through a file sink, resume from the mirrored
@@ -170,29 +173,35 @@ fn wal_cycle_table() {
     // (log, mirror, compacted) bytes and replayed records: counts, the
     // same every round.
     let mut sizes = vec![(0usize, 0usize, 0usize, 0u64); plans.len()];
+    let sink = dir.join("wal.mirror");
+    // One journaled run of the cycle's shape; returns the engine and
+    // the run's wall time, mirror flushed.
+    let cycle = |plan: &DurabilityPlan, profiling: bool| {
+        let mut eng = Engine::builder(1)
+            .durability(plan.clone().with_sink(&sink))
+            .clients((0..HOSTS).map(|_| {
+                (
+                    HostProfile::pc3001(),
+                    HostLink::symmetric_mbit(100.0, 0.000_5),
+                )
+            }))
+            .build();
+        eng.obs.set_profiling(profiling);
+        for w in 0..HOSTS * WUS_PER_HOST {
+            eng.insert_workunit(WorkUnitSpec::basic(format!("w{w}"), "app", 2e9));
+        }
+        let t0 = Instant::now();
+        eng.run_until(&mut NullPolicy, SimTime::from_secs(500_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        eng.durable().flush_sink();
+        (eng, t0.elapsed().as_secs_f64() * 1e3)
+    };
     for round in 0..ROUNDS {
         for k in 0..plans.len() {
             let i = (k + round) % plans.len();
-            let sink = dir.join("wal.mirror");
-            let plan = plans[i].1.clone().with_sink(&sink);
-            let mut eng = Engine::builder(1)
-                .durability(plan)
-                .clients((0..HOSTS).map(|_| {
-                    (
-                        HostProfile::pc3001(),
-                        HostLink::symmetric_mbit(100.0, 0.000_5),
-                    )
-                }))
-                .build();
-            for w in 0..HOSTS * WUS_PER_HOST {
-                eng.insert_workunit(WorkUnitSpec::basic(format!("w{w}"), "app", 2e9));
-            }
-            let t0 = Instant::now();
-            eng.run_until(&mut NullPolicy, SimTime::from_secs(500_000), |e| {
-                e.db.all_wus_terminal()
-            });
-            eng.durable().flush_sink();
-            run_ms[i].push(t0.elapsed().as_secs_f64() * 1e3);
+            let (eng, ms) = cycle(&plans[i].1, false);
+            run_ms[i].push(ms);
 
             let disk = std::fs::read(&sink).expect("WAL mirror missing");
             let t1 = Instant::now();
@@ -211,6 +220,32 @@ fn wal_cycle_table() {
             sizes[i] = (eng.durable().log_len(), disk.len(), compacted, rec.replayed);
         }
     }
+    // The durable layer's share of one run, from its own scopes.
+    let shares: Vec<String> = plans
+        .iter()
+        .map(|(name, plan)| {
+            let (eng, ms) = cycle(plan, true);
+            let snap = eng.obs.snapshot();
+            let total_ms = |scope: &str| {
+                let h = snap.histogram(&format!("prof.{scope}_us"));
+                (h.count, h.count as f64 * h.mean / 1e3)
+            };
+            let (snaps, snap_ms) = total_ms("durable.snapshot");
+            let (writes, write_ms) = total_ms("durable.mirror_write");
+            format!(
+                "{:>16} | {:>8.1} | {:>9} | {:>9.1} | {:>5} | {:>7.1} | {:>9} | {:>8.1} | {:>6.1}%",
+                name,
+                ms,
+                snap.counter("dur.wal_records"),
+                snap.counter("dur.wal_bytes") as f64 / 1e3,
+                snaps,
+                snap_ms,
+                writes,
+                write_ms,
+                100.0 * (snap_ms + write_ms) / ms,
+            )
+        })
+        .collect();
     std::fs::remove_dir_all(&dir).ok();
 
     println!();
@@ -237,6 +272,19 @@ fn wal_cycle_table() {
             recov,
             replayed,
         );
+    }
+
+    println!();
+    println!(
+        "# the durable layer's share of one profiled run (prof.durable.snapshot: encoding and \
+         framing a snapshot; prof.durable.mirror_write: the write(2) per commit)"
+    );
+    println!(
+        "{:>16} | {:>8} | {:>9} | {:>9} | {:>5} | {:>7} | {:>9} | {:>8} | {:>7}",
+        "plan", "run_ms", "records", "wal_KB", "snaps", "snap_ms", "writes", "write_ms", "share"
+    );
+    for row in shares {
+        println!("{row}");
     }
 }
 

@@ -298,10 +298,16 @@ impl JobTracker {
     /// vectors keep submission order and timestamps are raw micros.
     pub fn encode_state(&self) -> Vec<u8> {
         let mut e = Enc::with_capacity(64 + self.jobs.len() * 256);
+        self.encode_state_into(&mut e);
+        e.into_vec()
+    }
+
+    /// Appends [`JobTracker::encode_state`]'s bytes to `e`.
+    pub fn encode_state_into(&self, e: &mut Enc) {
         let ot = |e: &mut Enc, v: Option<SimTime>| e.opt_u64(v.map(|t| t.as_micros()));
         e.u32(self.jobs.len() as u32);
         for j in &self.jobs {
-            j.cfg.encode(&mut e);
+            j.cfg.encode(e);
             e.vec_u32(&j.map_wus.iter().map(|w| w.0).collect::<Vec<_>>());
             e.vec_u32(&j.reduce_wus.iter().map(|w| w.0).collect::<Vec<_>>());
             e.u32(j.holders.len() as u32);
@@ -314,14 +320,13 @@ impl JobTracker {
             e.opt_u32(j.last_validated_map.map(|m| m as u32));
             e.u8(j.shuffle_strategy);
             e.u32(j.shuffle_group);
-            ot(&mut e, j.first_map_assign);
-            ot(&mut e, j.last_map_report);
-            ot(&mut e, j.map_phase_validated_at);
-            ot(&mut e, j.first_reduce_assign);
-            ot(&mut e, j.last_reduce_report);
-            ot(&mut e, j.done_at);
+            ot(e, j.first_map_assign);
+            ot(e, j.last_map_report);
+            ot(e, j.map_phase_validated_at);
+            ot(e, j.first_reduce_assign);
+            ot(e, j.last_reduce_report);
+            ot(e, j.done_at);
         }
-        e.into_vec()
     }
 
     /// Rebuilds a tracker from a [`JobTracker::encode_state`] snapshot

@@ -17,7 +17,7 @@
 use crate::config::{MrJobConfig, MrMode};
 use crate::jobtracker::{stamp, JobState, JobTracker, Phase, TaskKind};
 use vmr_desim::SimDuration;
-use vmr_durable::StateChange;
+use vmr_durable::{SectionWriter, StateChange};
 use vmr_shuffle::coded_groups;
 use vmr_vcore::{
     ClientId, Engine, FileRef, FileSource, Policy, ResultId, StrategyKind, WorkUnitSpec, WuId,
@@ -395,12 +395,11 @@ impl Policy for MrPolicy {
         }
     }
 
-    fn durable_sections(&self, out: &mut Vec<(String, Vec<u8>)>) {
+    fn durable_sections(&self, out: &mut SectionWriter<'_>) {
         use vmr_durable::section;
-        out.push((
-            section::NAMES[section::TRACKER].to_string(),
-            self.tracker.encode_state(),
-        ));
+        out.section(section::NAMES[section::TRACKER], |e| {
+            self.tracker.encode_state_into(e)
+        });
     }
 }
 

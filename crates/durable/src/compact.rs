@@ -20,8 +20,8 @@
 //! the authoritative append-only image so a resumed run can reproduce
 //! it bit-for-bit.
 
-use crate::frame::{self, FRAME_CHANGE, FRAME_COMMIT, FRAME_SNAPSHOT};
-use crate::recover::RecoverError;
+use crate::frame;
+use crate::recover::{committed_prefix, RecoverError};
 
 /// Rewrites `log` without the frames superseded by the last committed
 /// snapshot. Recovery from the result yields the same sections, tail,
@@ -30,29 +30,16 @@ use crate::recover::RecoverError;
 /// for its magic or a frame kind is rejected here the same way, never
 /// rewritten.
 pub fn compact(log: &[u8]) -> Result<Vec<u8>, RecoverError> {
-    let scan = frame::scan(log).map_err(|_| RecoverError::BadMagic)?;
-    let last_commit = match scan.frames.iter().rposition(|f| f.kind == FRAME_COMMIT) {
-        Some(i) => i,
-        None => return Ok(frame::MAGIC.to_vec()), // nothing committed
+    let Some(prefix) = committed_prefix(log)? else {
+        return Ok(frame::MAGIC.to_vec()); // nothing committed
     };
-    let committed = &scan.frames[..=last_commit];
-    if let Some(i) = committed
-        .iter()
-        .position(|f| !matches!(f.kind, FRAME_CHANGE | FRAME_SNAPSHOT | FRAME_COMMIT))
-    {
-        return Err(RecoverError::UnknownFrameKind {
-            frame: i as u64,
-            kind: committed[i].kind,
-        });
+    if let Some((frame, kind)) = prefix.unknown {
+        return Err(RecoverError::UnknownFrameKind { frame, kind });
     }
-    let chain_start = committed
-        .iter()
-        .rposition(|f| f.kind == FRAME_SNAPSHOT)
-        .map(|i| committed[i].start())
-        .unwrap_or(frame::MAGIC.len());
-    let mut out = Vec::with_capacity(frame::MAGIC.len() + committed[last_commit].end - chain_start);
+    let chain_start = prefix.last_snap.map_or(frame::MAGIC.len(), |(_, at)| at);
+    let mut out = Vec::with_capacity(frame::MAGIC.len() + prefix.end - chain_start);
     out.extend_from_slice(frame::MAGIC);
-    out.extend_from_slice(&log[chain_start..committed[last_commit].end]);
+    out.extend_from_slice(&log[chain_start..prefix.end]);
     Ok(out)
 }
 

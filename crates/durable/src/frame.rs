@@ -12,15 +12,25 @@
 //! followed by one encoded `StateChange`), [`FRAME_SNAPSHOT`] (a
 //! `Sections` dump of the whole server state) and [`FRAME_COMMIT`] (a
 //! transaction boundary carrying the commit sim-time and a monotonic
-//! commit sequence). The scanner is tolerant of a *torn tail* — a
+//! commit sequence).
+//!
+//! There is one writer, [`write_frame`]: it reserves the eight header
+//! bytes at the end of the log, lets the caller encode the body right
+//! behind them, then patches `len` and `crc` — a frame's bytes are
+//! written once, where they stay. There is one reader, [`frames`], a
+//! walk that hands out one [`RawFrame`] at a time; [`scan`] collects it
+//! for callers that want every frame at once.
+//!
+//! The walk is tolerant of a *torn tail* — a
 //! final frame cut short or failing its CRC is dropped, along with
 //! everything after it, exactly as a real WAL discards a partial write
 //! after a crash. A bad CRC is never an error at this layer;
 //! corruption that survives CRC (a buggy writer) surfaces later when
 //! the payload fails to decode.
 
-use crate::crc::Crc32;
-use bytes::{BufMut, BytesMut};
+use crate::crc::crc32;
+use crate::wire::Enc;
+use bytes::BytesMut;
 
 /// Log format magic + version. Bump the trailing digits on any layout
 /// change — there is no in-place migration. `02` added the record /
@@ -39,25 +49,34 @@ pub const FRAME_COMMIT: u8 = 2;
 // Kind 3 was the incremental snapshot of an earlier `VMRWAL02` writer;
 // it stays unassigned so such a log is rejected, not misread.
 
-/// Appends the magic header to an empty log buffer.
-pub fn put_magic(buf: &mut BytesMut) {
-    buf.put_slice(MAGIC);
+/// Bytes of a frame before its payload: `len` and `crc`.
+pub(crate) const HEADER: usize = 8;
+
+/// Appends one frame to `log`, its body encoded in place by `body`;
+/// returns the number of bytes written. A `body` that panics leaves a
+/// zero `len` behind, which every reader takes for a torn tail.
+pub fn write_frame(log: &mut Enc, kind: u8, body: impl FnOnce(&mut Enc)) -> usize {
+    let at = log.len();
+    log.u64(0); // len and crc, patched once the body is in place
+    log.u8(kind);
+    body(log);
+    let len = log.len() - at - HEADER;
+    let crc = crc32(&log.as_slice()[at + HEADER..]);
+    log.patch_u32(at, len as u32);
+    log.patch_u32(at + 4, crc);
+    HEADER + len
 }
 
-/// Appends one frame; returns the number of bytes written.
+/// [`write_frame`] for a body that already exists as bytes, onto a bare
+/// buffer — how tests hand-build log images.
 pub fn append_frame(buf: &mut BytesMut, kind: u8, body: &[u8]) -> usize {
-    let len = 1 + body.len();
-    let mut crc = Crc32::new();
-    crc.update(&[kind]);
-    crc.update(body);
-    buf.put_u32(len as u32);
-    buf.put_u32(crc.finish());
-    buf.put_u8(kind);
-    buf.put_slice(body);
-    8 + len
+    let mut log = Enc::from(std::mem::take(buf));
+    let n = write_frame(&mut log, kind, |e| e.raw(body));
+    *buf = log.into();
+    n
 }
 
-/// One frame located in a scanned log.
+/// One frame located in a log.
 #[derive(Clone, Copy, Debug)]
 pub struct RawFrame {
     /// Frame kind byte.
@@ -89,42 +108,81 @@ pub struct Scan {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BadMagic;
 
-/// Walks the frames of `log`, stopping (without error) at the first
-/// torn or CRC-invalid frame. An empty or magic-prefix-only log scans
-/// to zero frames.
-pub fn scan(log: &[u8]) -> Result<Scan, BadMagic> {
+/// A walk over the frames of a log image, in log order; ends (without
+/// error) at the first torn or CRC-invalid frame.
+#[derive(Clone, Debug)]
+pub struct Frames<'a> {
+    log: &'a [u8],
+    /// Offset one past the last frame yielded.
+    off: usize,
+    verify: bool,
+}
+
+impl<'a> Frames<'a> {
+    /// Walks `log[..end]` again, where `end` is [`Frames::valid_len`] or
+    /// the `end` of a frame an earlier walk of this `log` yielded: the
+    /// checksums held then, so this walk only follows the lengths.
+    pub(crate) fn rewalk(log: &'a [u8], end: usize) -> Self {
+        Frames {
+            log: &log[..end],
+            off: MAGIC.len().min(end),
+            verify: false,
+        }
+    }
+
+    /// Length of the valid prefix walked so far; once the walk has
+    /// ended, bytes past this are the torn tail.
+    pub fn valid_len(&self) -> usize {
+        self.off
+    }
+}
+
+impl Iterator for Frames<'_> {
+    type Item = RawFrame;
+
+    fn next(&mut self) -> Option<RawFrame> {
+        let rest = self.log.get(self.off..)?;
+        let (len, rest) = rest.split_first_chunk::<4>()?;
+        let (crc, rest) = rest.split_first_chunk::<4>()?;
+        // A zero length or one past the end of the image: torn tail.
+        let payload = rest.get(..u32::from_be_bytes(*len) as usize)?;
+        let kind = *payload.first()?;
+        if self.verify && crc32(payload) != u32::from_be_bytes(*crc) {
+            return None; // bit rot or a partially overwritten frame
+        }
+        let end = self.off + HEADER + payload.len();
+        let frame = RawFrame {
+            kind,
+            body: (self.off + HEADER + 1, end),
+            end,
+        };
+        self.off = end;
+        Some(frame)
+    }
+}
+
+/// Walks the frames of `log`. An empty or magic-prefix-only log has
+/// none.
+pub fn frames(log: &[u8]) -> Result<Frames<'_>, BadMagic> {
     let head = log.len().min(MAGIC.len());
     if log[..head] != MAGIC[..head] {
         return Err(BadMagic);
     }
-    let mut out = Scan {
-        frames: Vec::new(),
-        valid_len: head,
-    };
-    if log.len() < MAGIC.len() {
-        return Ok(out);
-    }
-    let mut off = MAGIC.len();
-    while log.len() - off >= 8 {
-        let len = u32::from_be_bytes(log[off..off + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_be_bytes(log[off + 4..off + 8].try_into().unwrap());
-        if len == 0 || log.len() - off - 8 < len {
-            break; // torn tail
-        }
-        let payload = &log[off + 8..off + 8 + len];
-        if crate::crc::crc32(payload) != crc {
-            break; // bit rot or a partially overwritten frame
-        }
-        let end = off + 8 + len;
-        out.frames.push(RawFrame {
-            kind: payload[0],
-            body: (off + 9, end),
-            end,
-        });
-        out.valid_len = end;
-        off = end;
-    }
-    Ok(out)
+    Ok(Frames {
+        log,
+        off: head,
+        verify: true,
+    })
+}
+
+/// Every frame of `log` at once, and where its valid prefix ends.
+pub fn scan(log: &[u8]) -> Result<Scan, BadMagic> {
+    let mut walk = frames(log)?;
+    let frames = walk.by_ref().collect();
+    Ok(Scan {
+        frames,
+        valid_len: walk.valid_len(),
+    })
 }
 
 #[cfg(test)]
@@ -132,8 +190,7 @@ mod tests {
     use super::*;
 
     fn sample_log() -> BytesMut {
-        let mut b = BytesMut::new();
-        put_magic(&mut b);
+        let mut b = BytesMut::from(&MAGIC[..]);
         append_frame(&mut b, FRAME_CHANGE, b"alpha");
         append_frame(&mut b, FRAME_COMMIT, &7u64.to_be_bytes());
         append_frame(&mut b, FRAME_SNAPSHOT, b"snap");

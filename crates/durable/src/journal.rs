@@ -19,10 +19,16 @@
 //! Recovery discards any records after the last commit frame — a
 //! crash mid-event can never expose a half-applied transition.
 //!
-//! **Snapshots.** [`Journal::write_snapshot`] frames the whole server
-//! state ([`Sections`]) into the log at the plan's cadence. Once the
-//! commit after it lands, recovery starts from that snapshot and
-//! replays only the records behind it.
+//! **Snapshots.** [`Journal::write_snapshot_with`] frames the whole
+//! server state into the log at the plan's cadence, each section
+//! encoded by its owner straight into the frame
+//! ([`Journal::write_snapshot`] takes sections that already exist as
+//! bytes). Once the commit after it lands, recovery starts from that
+//! snapshot and replays only the records behind it.
+//!
+//! **One copy.** The log is an [`Enc`]: every frame — change, commit,
+//! snapshot — is encoded at its end by [`frame::write_frame`], so a
+//! byte is written once and checksummed once on its way in.
 //!
 //! **The file mirror.** With [`DurabilityPlan::sink`] set, every commit
 //! appends the bytes it just committed to that file with one
@@ -50,15 +56,14 @@
 
 use crate::frame;
 use crate::record::StateChange;
-use crate::snapshot::Sections;
+use crate::snapshot::{SectionWriter, Sections};
 use crate::wire::Enc;
-use bytes::BytesMut;
 use parking_lot::Mutex;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use vmr_obs::{Counter, Histo, Obs};
+use vmr_obs::{Counter, Histo, Obs, Scope};
 
 /// Deterministic crash point for the durability layer.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -194,6 +199,10 @@ struct DurObs {
     snapshot_us: Histo,
     compactions: Counter,
     compact_reclaimed: Counter,
+    /// `prof` scope: encoding and framing one snapshot.
+    snapshot_scope: Scope,
+    /// `prof` scope: the `write(2)` that mirrors one commit.
+    mirror_write_scope: Scope,
 }
 
 /// Log position of the last commit frame.
@@ -234,7 +243,8 @@ impl Mirror {
 
 /// The log and everything that moves with it, behind one lock.
 struct Log {
-    bytes: BytesMut,
+    /// The log image; frames are encoded at its end, in place.
+    bytes: Enc,
     /// Frames appended (changes + snapshots + commits).
     frames: u64,
     /// Change records appended — also the last record sequence number.
@@ -255,8 +265,8 @@ struct Log {
 }
 
 impl Log {
-    fn append_frame(&mut self, kind: u8, body: &[u8]) -> usize {
-        let n = frame::append_frame(&mut self.bytes, kind, body);
+    fn write_frame(&mut self, kind: u8, body: impl FnOnce(&mut Enc)) -> usize {
+        let n = frame::write_frame(&mut self.bytes, kind, body);
         self.frames += 1;
         n
     }
@@ -264,7 +274,7 @@ impl Log {
     /// Appends everything committed-but-unmirrored to the mirror file.
     /// Mirror failure is non-fatal: the in-memory log stays
     /// authoritative; the mirror is best-effort.
-    fn mirror_committed(&mut self) {
+    fn mirror_committed(&mut self, obs: Option<&DurObs>) {
         let Log {
             bytes,
             committed,
@@ -275,13 +285,16 @@ impl Log {
             return;
         };
         let end = committed.bytes;
+        if end <= m.pos {
+            return;
+        }
+        let _write = obs.map(|o| o.mirror_write_scope.enter());
         // `flush` is a no-op on a `File`: the one syscall per commit is
         // the `write(2)` inside `write_all`.
-        if end > m.pos
-            && m.file
-                .write_all(&bytes[m.pos..end])
-                .and_then(|_| m.file.flush())
-                .is_ok()
+        if m.file
+            .write_all(&bytes.as_slice()[m.pos..end])
+            .and_then(|_| m.file.flush())
+            .is_ok()
         {
             m.len += (end - m.pos) as u64;
             m.pos = end;
@@ -311,7 +324,7 @@ impl Log {
         }
         let mut content = Vec::with_capacity(frame::MAGIC.len() + m.pos - *chain_start);
         content.extend_from_slice(frame::MAGIC);
-        content.extend_from_slice(&bytes[*chain_start..m.pos]);
+        content.extend_from_slice(&bytes.as_slice()[*chain_start..m.pos]);
         let tmp = {
             let mut os = m.path.clone().into_os_string();
             os.push(".tmp");
@@ -391,8 +404,8 @@ impl Journal {
         } else {
             0
         };
-        let mut bytes = BytesMut::with_capacity(4096);
-        frame::put_magic(&mut bytes);
+        let mut bytes = Enc::with_capacity(4096);
+        bytes.raw(frame::MAGIC);
         let mirror = plan.sink.as_deref().map(Mirror::create).transpose()?;
         Ok(Journal(Some(Arc::new(Core {
             snapshot_every_us: every_us,
@@ -427,6 +440,8 @@ impl Journal {
                 snapshot_us: obs.histogram("dur.snapshot_us"),
                 compactions: obs.counter("dur.compactions"),
                 compact_reclaimed: obs.counter("dur.compact_reclaimed_bytes"),
+                snapshot_scope: obs.scope("durable.snapshot"),
+                mirror_write_scope: obs.scope("durable.mirror_write"),
             });
         }
     }
@@ -456,10 +471,10 @@ impl Journal {
         }
         let mut log = core.log.lock();
         let seq = log.records + 1;
-        let mut body = Enc::with_capacity(48);
-        body.u64(seq);
-        change.encode(&mut body);
-        let n = log.append_frame(frame::FRAME_CHANGE, &body.into_vec());
+        let n = log.write_frame(frame::FRAME_CHANGE, |e| {
+            e.u64(seq);
+            change.encode(e);
+        });
         log.records = seq;
         drop(log);
         if let Some(o) = core.obs.get() {
@@ -486,10 +501,11 @@ impl Journal {
         }
         let mut log = core.log.lock();
         log.commit_seq += 1;
-        let mut body = [0u8; 16];
-        body[..8].copy_from_slice(&core.now_us.load(Ordering::Acquire).to_be_bytes());
-        body[8..].copy_from_slice(&log.commit_seq.to_be_bytes());
-        let n = log.append_frame(frame::FRAME_COMMIT, &body);
+        let (now_us, seq) = (core.now_us.load(Ordering::Acquire), log.commit_seq);
+        let n = log.write_frame(frame::FRAME_COMMIT, |e| {
+            e.u64(now_us);
+            e.u64(seq);
+        });
         if let Some(o) = core.obs.get() {
             o.wal_bytes.add(n as u64);
         }
@@ -502,7 +518,7 @@ impl Journal {
             frames: log.frames,
             records: log.records,
         };
-        log.mirror_committed();
+        log.mirror_committed(core.obs.get());
         log.maybe_compact(&core.compaction, core.obs.get());
     }
 
@@ -516,7 +532,7 @@ impl Journal {
         if core.crashed.load(Ordering::Acquire) {
             return;
         }
-        core.log.lock().mirror_committed();
+        core.log.lock().mirror_committed(core.obs.get());
     }
 
     /// True when a snapshot is due at the current event's sim-time.
@@ -532,12 +548,20 @@ impl Journal {
     /// next one. `None` when disabled or crashed; otherwise the encoded
     /// snapshot size.
     pub fn write_snapshot(&self, sections: &Sections) -> Option<usize> {
+        self.write_snapshot_with(|w| sections.write(w))
+    }
+
+    /// [`Journal::write_snapshot`] of the sections `write` encodes,
+    /// straight into the snapshot frame. `write` runs under the log's
+    /// lock (and not at all when disabled or crashed): it must not call
+    /// back into this journal.
+    pub fn write_snapshot_with(&self, write: impl FnOnce(&mut SectionWriter<'_>)) -> Option<usize> {
         let core = self.0.as_ref()?;
         if core.crashed.load(Ordering::Acquire) {
             return None;
         }
         let t0 = std::time::Instant::now();
-        let body = sections.to_bytes();
+        let _snapshot = core.obs.get().map(|o| o.snapshot_scope.enter());
         let mut log = core.log.lock();
         if core.snapshot_every_us > 0 {
             let now = core.now_us.load(Ordering::Acquire);
@@ -546,7 +570,7 @@ impl Journal {
             }
         }
         let off = log.bytes.len();
-        let n = log.append_frame(frame::FRAME_SNAPSHOT, &body);
+        let n = log.write_frame(frame::FRAME_SNAPSHOT, |e| write(&mut SectionWriter::new(e)));
         log.pending_snap = Some((off, log.records));
         drop(log);
         core.any_pending.store(true, Ordering::Release);
@@ -554,7 +578,7 @@ impl Journal {
             o.wal_bytes.add(n as u64);
             o.snapshot_us.record(t0.elapsed().as_micros() as f64);
         }
-        Some(body.len())
+        Some(n - frame::HEADER - 1)
     }
 
     /// True once the crash plan has fired.
@@ -604,7 +628,7 @@ impl Journal {
     pub fn log_bytes(&self) -> Vec<u8> {
         self.0
             .as_ref()
-            .map_or_else(Vec::new, |c| c.log.lock().bytes.to_vec())
+            .map_or_else(Vec::new, |c| c.log.lock().bytes.as_slice().to_vec())
     }
 }
 

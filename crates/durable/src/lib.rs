@@ -16,9 +16,10 @@
 //!   `(sim-time, commit seq)` mark event-granularity transactions, and
 //!   an optional file mirror receives each commit's bytes
 //!   ([`journal`](crate::journal)).
-//! * [`Sections`] — named opaque snapshot sections ([`section`]),
-//!   encoded by the state-owning crates; every snapshot holds the
-//!   whole server state ([`snapshot`](crate::snapshot)).
+//! * [`Sections`] / [`SectionWriter`] — named opaque snapshot
+//!   sections ([`section`]), encoded by the state-owning crates
+//!   straight into the snapshot frame; every snapshot holds the whole
+//!   server state ([`snapshot`](crate::snapshot)).
 //! * [`CompactionPolicy`] / [`compact`](crate::compact::compact) — the
 //!   file mirror is rewritten to drop frames superseded by a committed
 //!   snapshot ([`compact`](crate::compact)).
@@ -37,8 +38,10 @@
 //!
 //! Metrics (`dur.wal_records`, `dur.wal_bytes`, `dur.snapshot_us`,
 //! `dur.compactions`, `dur.compact_reclaimed_bytes`) flow through
-//! `vmr-obs`. See DESIGN.md §3.9 for the format and the recovery
-//! invariants.
+//! `vmr-obs`, and under `Obs::set_profiling(true)` the `prof` scopes
+//! `durable.snapshot` (encoding and framing a snapshot) and
+//! `durable.mirror_write` (the `write(2)` that mirrors a commit). See
+//! DESIGN.md §3.9 for the format and the recovery invariants.
 //!
 //! ```
 //! use vmr_durable::{DurabilityPlan, Journal, StateChange, recover};
@@ -67,7 +70,7 @@ pub use compact::compact;
 pub use journal::{CompactionPolicy, CrashPlan, DurabilityPlan, Journal};
 pub use record::StateChange;
 pub use recover::{frame_ends, recover, RecoverError, Recovered};
-pub use snapshot::Sections;
+pub use snapshot::{SectionWriter, Sections};
 pub use wire::{Dec, Enc, WireError};
 
 #[cfg(test)]

@@ -3,12 +3,17 @@
 //! [`recover`] turns a (possibly torn) `VMRWAL02` log image back into
 //! the inputs a server needs to rebuild its state:
 //!
-//! 1. Scan frames, dropping the torn tail ([`crate::frame::scan`]).
+//! 1. Walk the frames, checking each checksum and dropping the torn
+//!    tail ([`crate::frame::frames`]).
 //! 2. Truncate to the last **commit** frame — records past it belong
 //!    to an event that never finished, so they are discarded.
 //! 3. Within that committed prefix, decode the last **snapshot**.
 //! 4. Collect every change record after that snapshot as the replay
 //!    tail, in order.
+//!
+//! Step 1 keeps three numbers, not a frame table (`committed_prefix`,
+//! which compaction shares); steps 3–4 walk the committed prefix a
+//! second time by its lengths alone.
 //!
 //! The caller (in `core::recover`) materializes the sections, applies
 //! the tail, and audits the result against a deterministic re-run.
@@ -19,7 +24,7 @@
 //! validation exists so that corrupt input becomes a typed error
 //! *before* replay reaches the panicky state appliers upstream.
 
-use crate::frame::{self, FRAME_CHANGE, FRAME_COMMIT, FRAME_SNAPSHOT};
+use crate::frame::{self, Frames, FRAME_CHANGE, FRAME_COMMIT, FRAME_SNAPSHOT};
 use crate::record::StateChange;
 use crate::snapshot::Sections;
 use crate::wire::{Dec, WireError};
@@ -97,20 +102,57 @@ pub struct Recovered {
     pub committed_seq: u64,
 }
 
+/// The committed prefix of an image: everything through its last
+/// commit frame.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Prefix {
+    /// Frames in it, the final commit included.
+    pub frames: u64,
+    /// Its byte length.
+    pub end: usize,
+    /// Index and start offset of the last snapshot frame in it.
+    pub last_snap: Option<(u64, usize)>,
+    /// Index and kind of the first frame in it of a kind this version
+    /// does not write.
+    pub unknown: Option<(u64, u8)>,
+}
+
+/// One checksummed walk over `log`; `None` when nothing was committed.
+pub(crate) fn committed_prefix(log: &[u8]) -> Result<Option<Prefix>, RecoverError> {
+    let mut prefix = None;
+    let mut snap = None;
+    let mut unknown = None;
+    let walk = frame::frames(log).map_err(|_| RecoverError::BadMagic)?;
+    for (i, f) in (0u64..).zip(walk) {
+        match f.kind {
+            FRAME_CHANGE => {}
+            FRAME_SNAPSHOT => snap = Some((i, f.start())),
+            FRAME_COMMIT => {
+                prefix = Some(Prefix {
+                    frames: i + 1,
+                    end: f.end,
+                    last_snap: snap,
+                    unknown,
+                })
+            }
+            kind => unknown = unknown.or(Some((i, kind))),
+        }
+    }
+    Ok(prefix)
+}
+
 /// Recovers snapshot + replay tail from a log image. See the module
 /// docs for the exact semantics.
 pub fn recover(log: &[u8]) -> Result<Recovered, RecoverError> {
-    let scan = frame::scan(log).map_err(|_| RecoverError::BadMagic)?;
-    let Some(last_commit) = scan.frames.iter().rposition(|f| f.kind == FRAME_COMMIT) else {
+    let Some(prefix) = committed_prefix(log)? else {
         return Ok(Recovered::default());
     };
-    let prefix = &scan.frames[..=last_commit];
-    let last_snap = prefix.iter().rposition(|f| f.kind == FRAME_SNAPSHOT);
+    let last_snap = prefix.last_snap.map(|(i, _)| i);
 
     let mut out = Recovered {
         from_snapshot: last_snap.is_some(),
-        committed_frames: prefix.len() as u64,
-        committed_bytes: prefix[last_commit].end,
+        committed_frames: prefix.frames,
+        committed_bytes: prefix.end,
         ..Recovered::default()
     };
     // One log numbers its records 1, 2, 3… and compaction only drops
@@ -119,8 +161,7 @@ pub fn recover(log: &[u8]) -> Result<Recovered, RecoverError> {
     // every sequence is its predecessor's plus one — a repeat, a swap
     // or a hole must not reach replay.
     let mut expected_seq = if last_snap.is_none() { Some(1) } else { None };
-    for (i, f) in prefix.iter().enumerate() {
-        let frame = i as u64;
+    for (frame, f) in (0u64..).zip(Frames::rewalk(log, prefix.end)) {
         let bad = |err| RecoverError::BadPayload { frame, err };
         let mut d = Dec::new(&log[f.body.0..f.body.1]);
         match f.kind {
@@ -135,14 +176,14 @@ pub fn recover(log: &[u8]) -> Result<Recovered, RecoverError> {
                 }
                 // Wraps to 0 after `u64::MAX`, which no record may carry.
                 expected_seq = Some(seq.wrapping_add(1));
-                if last_snap.is_none_or(|s| i > s) {
+                if last_snap.is_none_or(|s| frame > s) {
                     let change = StateChange::decode(&mut d).map_err(bad)?;
                     d.finish().map_err(bad)?;
                     out.tail.push(change);
                 }
             }
             FRAME_SNAPSHOT => {
-                if last_snap == Some(i) {
+                if last_snap == Some(frame) {
                     out.sections = Sections::decode(&mut d).map_err(bad)?;
                     d.finish().map_err(bad)?;
                 }
@@ -169,10 +210,9 @@ pub fn recover(log: &[u8]) -> Result<Recovered, RecoverError> {
 /// End offsets of the magic header and every structurally valid frame
 /// — the legal crash cut points a boundary-exhaustive test iterates.
 pub fn frame_ends(log: &[u8]) -> Result<Vec<usize>, RecoverError> {
-    let scan = frame::scan(log).map_err(|_| RecoverError::BadMagic)?;
-    let mut v = Vec::with_capacity(scan.frames.len() + 1);
-    v.push(frame::MAGIC.len().min(log.len()));
-    v.extend(scan.frames.iter().map(|f| f.end));
+    let walk = frame::frames(log).map_err(|_| RecoverError::BadMagic)?;
+    let mut v = vec![frame::MAGIC.len().min(log.len())];
+    v.extend(walk.map(|f| f.end));
     Ok(v)
 }
 

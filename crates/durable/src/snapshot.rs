@@ -6,6 +6,11 @@
 //! chosen by the writer and preserved, so an encoded snapshot is
 //! canonical: two equal server states produce byte-identical section
 //! dumps, which is what the recovery audit compares.
+//!
+//! The wire form (`count:u32 (name:str blob)*`) is written in one place,
+//! [`SectionWriter`]: the journal hands one to the engine so each owner
+//! encodes its section straight into the snapshot frame, and
+//! [`Sections::encode`] feeds it sections that already exist as bytes.
 
 use crate::wire::{Dec, Enc, WireError};
 
@@ -37,11 +42,23 @@ impl Sections {
 
     /// Append the wire form to `e`.
     pub fn encode(&self, e: &mut Enc) {
-        e.u32(self.entries.len() as u32);
+        self.write(&mut SectionWriter::new(e));
+    }
+
+    /// Appends every section to `w`, in order.
+    pub fn write(&self, w: &mut SectionWriter<'_>) {
         for (name, bytes) in &self.entries {
-            e.str(name);
-            e.bytes(bytes);
+            w.section(name, |e| e.raw(bytes));
         }
+    }
+
+    /// The sections `write` produces, as owned byte vectors — how the
+    /// audits and tests look at what a snapshot frame would hold.
+    pub fn collect(write: impl FnOnce(&mut SectionWriter<'_>)) -> Self {
+        let mut e = Enc::new();
+        write(&mut SectionWriter::new(&mut e));
+        let mut d = Dec::new(e.as_slice());
+        Sections::decode(&mut d).expect("a section writer's output decodes")
     }
 
     /// The wire form as a standalone byte vector.
@@ -65,6 +82,38 @@ impl Sections {
     }
 }
 
+/// Writes the wire form of [`Sections`] one section at a time, each
+/// body encoded in place behind its name.
+#[derive(Debug)]
+pub struct SectionWriter<'a> {
+    e: &'a mut Enc,
+    /// Offset of the section count, patched as sections arrive.
+    count_at: usize,
+    count: u32,
+}
+
+impl<'a> SectionWriter<'a> {
+    /// Starts an (as yet empty) section list at the end of `e`.
+    pub fn new(e: &'a mut Enc) -> Self {
+        let count_at = e.len();
+        e.u32(0);
+        SectionWriter {
+            e,
+            count_at,
+            count: 0,
+        }
+    }
+
+    /// Appends section `name`, whose bytes `body` encodes. Order is the
+    /// caller's and is preserved.
+    pub fn section(&mut self, name: &str, body: impl FnOnce(&mut Enc)) {
+        self.e.str(name);
+        self.e.nested(body);
+        self.count += 1;
+        self.e.patch_u32(self.count_at, self.count);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,6 +131,19 @@ mod tests {
         assert_eq!(back, s);
         assert_eq!(back.get("credit"), Some(&[][..]));
         assert_eq!(back.get("missing"), None);
+    }
+
+    #[test]
+    fn collected_writer_output_is_the_sections_it_wrote() {
+        let got = Sections::collect(|w| {
+            w.section("db", |e| e.u16(0x0102));
+            w.section("credit", |_| ());
+        });
+        let mut want = Sections::new();
+        want.push("db", vec![1, 2]);
+        want.push("credit", vec![]);
+        assert_eq!(got, want);
+        assert_eq!(Sections::collect(|_| ()), Sections::new());
     }
 
     #[test]

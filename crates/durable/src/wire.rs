@@ -1,6 +1,12 @@
 //! Minimal binary wire codec used by every durable payload.
 //!
-//! [`Enc`] appends big-endian primitives to a [`bytes::BytesMut`];
+//! [`Enc`] appends big-endian primitives to a [`bytes::BytesMut`] and is
+//! also what the journal keeps its log in: a frame's body is encoded at
+//! the end of the log itself, never into a scratch buffer that is then
+//! copied. The two lengths that are only known once their content is
+//! written — a frame's and a nested blob's — are reserved and patched
+//! ([`Enc::nested`]), so a blob-in-a-blob costs no intermediate vector
+//! either, and [`Enc::into_vec`] hands the buffer over without copying.
 //! [`Dec`] is a checked cursor over a byte slice that returns
 //! [`WireError`] instead of panicking, so a corrupt (but CRC-valid —
 //! i.e. buggy writer) record surfaces as a recovery error rather than
@@ -8,6 +14,12 @@
 //! as its IEEE-754 bit pattern so encode/decode round-trips are exact;
 //! `Option` is a one-byte presence tag. There is no schema evolution —
 //! the log format is versioned as a whole by the frame layer's magic.
+//!
+//! Every method here is `#[inline]`: each is a few instructions, a
+//! snapshot makes ~700 k such calls from other crates, and without the
+//! attribute each is a cross-crate call ending in a 4-byte `memcpy`
+//! (one `wal_cycle` snapshot encoded in 7.2 ms that way, 4.0 ms
+//! inlined).
 
 use bytes::{BufMut, BytesMut};
 
@@ -45,11 +57,13 @@ pub struct Enc {
 
 impl Enc {
     /// An empty encoder.
+    #[inline]
     pub fn new() -> Self {
         Enc::default()
     }
 
     /// An empty encoder with `cap` bytes preallocated.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         Enc {
             buf: BytesMut::with_capacity(cap),
@@ -57,48 +71,57 @@ impl Enc {
     }
 
     /// One byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.put_u8(v);
     }
 
     /// Big-endian `u16`.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.put_u16(v);
     }
 
     /// Big-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.put_u32(v);
     }
 
     /// Big-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.put_u64(v);
     }
 
     /// IEEE-754 bit pattern of an `f64` (exact round-trip, NaN included).
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.buf.put_u64(v.to_bits());
     }
 
     /// Boolean as one byte (0/1).
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.put_u8(v as u8);
     }
 
     /// `u32` length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self, s: &str) {
         self.buf.put_u32(s.len() as u32);
         self.buf.put_slice(s.as_bytes());
     }
 
     /// `u32` length-prefixed opaque blob.
+    #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
         self.buf.put_u32(b.len() as u32);
         self.buf.put_slice(b);
     }
 
     /// `Option<u32>`: presence byte then the value.
+    #[inline]
     pub fn opt_u32(&mut self, v: Option<u32>) {
         match v {
             None => self.buf.put_u8(0),
@@ -110,6 +133,7 @@ impl Enc {
     }
 
     /// `Option<u64>`: presence byte then the value.
+    #[inline]
     pub fn opt_u64(&mut self, v: Option<u64>) {
         match v {
             None => self.buf.put_u8(0),
@@ -121,6 +145,7 @@ impl Enc {
     }
 
     /// `u32` count-prefixed list of `u32`.
+    #[inline]
     pub fn vec_u32(&mut self, v: &[u32]) {
         self.buf.put_u32(v.len() as u32);
         for &x in v {
@@ -128,9 +153,66 @@ impl Enc {
         }
     }
 
-    /// The encoded bytes.
+    /// `u32` length-prefixed blob whose content `body` encodes in place:
+    /// the same bytes as `self.bytes(&inner)` for an `inner` encoder
+    /// `body` had filled, without the inner buffer.
+    #[inline]
+    pub fn nested(&mut self, body: impl FnOnce(&mut Enc)) {
+        let at = self.buf.len();
+        self.buf.put_u32(0);
+        body(self);
+        let len = self.buf.len() - at - 4;
+        self.patch_u32(at, len as u32);
+    }
+
+    /// Bytes as they are, no prefix.
+    #[inline]
+    pub fn raw(&mut self, b: &[u8]) {
+        self.buf.put_slice(b);
+    }
+
+    /// Overwrites the big-endian `u32` at offset `at`, which an earlier
+    /// call reserved.
+    #[inline]
+    pub(crate) fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
+    }
+
+    /// Bytes encoded so far.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True when nothing has been encoded.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// The bytes encoded so far.
+    #[inline]
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The encoded bytes (the buffer itself, not a copy).
+    #[inline]
     pub fn into_vec(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf.into()
+    }
+}
+
+impl From<BytesMut> for Enc {
+    /// Continues encoding at the end of `buf`.
+    fn from(buf: BytesMut) -> Self {
+        Enc { buf }
+    }
+}
+
+impl From<Enc> for BytesMut {
+    fn from(e: Enc) -> Self {
+        e.buf
     }
 }
 
@@ -143,10 +225,12 @@ pub struct Dec<'a> {
 
 impl<'a> Dec<'a> {
     /// A cursor at the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Dec { buf, pos: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.buf.len() - self.pos < n {
             return Err(WireError::UnexpectedEof);
@@ -156,32 +240,48 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let a = self.buf[self.pos..]
+            .first_chunk::<N>()
+            .ok_or(WireError::UnexpectedEof)?;
+        self.pos += N;
+        Ok(*a)
+    }
+
     /// One byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
     /// Big-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_be_bytes(self.array()?))
     }
 
     /// Big-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_be_bytes(self.array()?))
     }
 
     /// Big-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     /// `f64` from its IEEE-754 bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Boolean from a strict 0/1 byte.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, WireError> {
         match self.u8()? {
             0 => Ok(false),
@@ -191,6 +291,7 @@ impl<'a> Dec<'a> {
     }
 
     /// `u32` length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self) -> Result<String, WireError> {
         let n = self.u32()? as usize;
         let s = self.take(n)?;
@@ -198,12 +299,14 @@ impl<'a> Dec<'a> {
     }
 
     /// `u32` length-prefixed opaque blob.
+    #[inline]
     pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
         let n = self.u32()? as usize;
         Ok(self.take(n)?.to_vec())
     }
 
     /// `Option<u32>` from a presence byte.
+    #[inline]
     pub fn opt_u32(&mut self) -> Result<Option<u32>, WireError> {
         match self.u8()? {
             0 => Ok(None),
@@ -213,6 +316,7 @@ impl<'a> Dec<'a> {
     }
 
     /// `Option<u64>` from a presence byte.
+    #[inline]
     pub fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
         match self.u8()? {
             0 => Ok(None),
@@ -222,6 +326,7 @@ impl<'a> Dec<'a> {
     }
 
     /// `u32` count-prefixed list of `u32`.
+    #[inline]
     pub fn vec_u32(&mut self) -> Result<Vec<u32>, WireError> {
         let n = self.u32()? as usize;
         // Guard against a corrupt length claiming more than remains.
@@ -236,11 +341,13 @@ impl<'a> Dec<'a> {
     }
 
     /// Bytes left to decode.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Succeeds only when every byte was consumed.
+    #[inline]
     pub fn finish(self) -> Result<(), WireError> {
         if self.remaining() == 0 {
             Ok(())

@@ -311,9 +311,15 @@ impl TrustLedger {
     /// by id with the estimate as raw f64 bits — equal ledgers encode
     /// to byte-identical vectors.
     pub fn encode_state(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(64 + self.hosts.len() * 44);
+        self.encode_state_into(&mut e);
+        e.into_vec()
+    }
+
+    /// Appends [`TrustLedger::encode_state`]'s bytes to `e`.
+    pub fn encode_state_into(&self, e: &mut Enc) {
         let mut ids: Vec<u32> = self.hosts.keys().copied().collect();
         ids.sort_unstable();
-        let mut e = Enc::with_capacity(64 + ids.len() * 44);
         e.bool(self.cfg.enabled);
         e.f64(self.cfg.trust_threshold);
         e.f64(self.cfg.init_error_rate);
@@ -331,7 +337,6 @@ impl TrustLedger {
             e.u64(t.errors);
             e.u64(t.spot_checks);
         }
-        e.into_vec()
     }
 
     /// Rebuilds a ledger from an [`TrustLedger::encode_state`] snapshot

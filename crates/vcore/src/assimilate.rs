@@ -58,11 +58,14 @@ impl Assimilator {
     /// applied (the `WuValidated` record precedes it in the same
     /// committed event).
     pub fn assimilate(&mut self, rec: Assimilated) {
-        self.journal.append(&StateChange::Assimilated {
-            wu: rec.wu.0,
-            holders: rec.holders.iter().map(|c| c.0).collect(),
-            at_us: rec.at.as_micros(),
-        });
+        // The record owns its holder list: built only for a live log.
+        if self.journal.enabled() {
+            self.journal.append(&StateChange::Assimilated {
+                wu: rec.wu.0,
+                holders: rec.holders.iter().map(|c| c.0).collect(),
+                at_us: rec.at.as_micros(),
+            });
+        }
         self.raw_assimilate(rec);
     }
 
@@ -100,6 +103,12 @@ impl Assimilator {
     /// derived and rebuilt on decode).
     pub fn encode_state(&self) -> Vec<u8> {
         let mut e = Enc::with_capacity(16 + self.records.len() * 48);
+        self.encode_state_into(&mut e);
+        e.into_vec()
+    }
+
+    /// Appends [`Assimilator::encode_state`]'s bytes to `e`.
+    pub fn encode_state_into(&self, e: &mut Enc) {
         e.u32(self.records.len() as u32);
         for r in &self.records {
             e.u32(r.wu.0);
@@ -112,7 +121,6 @@ impl Assimilator {
             }
             e.u64(r.at.as_micros());
         }
-        e.into_vec()
     }
 
     /// Rebuilds an assimilator from an [`Assimilator::encode_state`]

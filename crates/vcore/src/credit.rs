@@ -83,11 +83,14 @@ impl CreditLedger {
     /// of the quorum — typically the median/min of the claims; with
     /// identical task sizes the claim itself).
     pub fn on_wu_validated(&mut self, agreeing: &[ClientId], dissenting: &[ClientId], flops: f64) {
-        self.journal.append(&StateChange::CreditGranted {
-            agreeing: agreeing.iter().map(|c| c.0).collect(),
-            dissenting: dissenting.iter().map(|c| c.0).collect(),
-            flops_bits: flops.to_bits(),
-        });
+        // The record owns its id lists: built only for a live log.
+        if self.journal.enabled() {
+            self.journal.append(&StateChange::CreditGranted {
+                agreeing: agreeing.iter().map(|c| c.0).collect(),
+                dissenting: dissenting.iter().map(|c| c.0).collect(),
+                flops_bits: flops.to_bits(),
+            });
+        }
         self.raw_on_wu_validated(agreeing, dissenting, flops);
     }
 
@@ -102,12 +105,14 @@ impl CreditLedger {
         flops: f64,
         scale: f64,
     ) {
-        self.journal.append(&StateChange::CreditGrantedScaled {
-            agreeing: agreeing.iter().map(|c| c.0).collect(),
-            dissenting: dissenting.iter().map(|c| c.0).collect(),
-            flops_bits: flops.to_bits(),
-            scale_bits: scale.to_bits(),
-        });
+        if self.journal.enabled() {
+            self.journal.append(&StateChange::CreditGrantedScaled {
+                agreeing: agreeing.iter().map(|c| c.0).collect(),
+                dissenting: dissenting.iter().map(|c| c.0).collect(),
+                flops_bits: flops.to_bits(),
+                scale_bits: scale.to_bits(),
+            });
+        }
         self.raw_on_wu_validated_scaled(agreeing, dissenting, flops, scale);
     }
 
@@ -189,9 +194,15 @@ impl CreditLedger {
     /// Canonical snapshot: accounts sorted by client id, credit as raw
     /// f64 bits, so equal ledgers encode to byte-identical vectors.
     pub fn encode_state(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(16 + self.accounts.len() * 40);
+        self.encode_state_into(&mut e);
+        e.into_vec()
+    }
+
+    /// Appends [`CreditLedger::encode_state`]'s bytes to `e`.
+    pub fn encode_state_into(&self, e: &mut Enc) {
         let mut ids: Vec<ClientId> = self.accounts.keys().copied().collect();
         ids.sort_unstable();
-        let mut e = Enc::with_capacity(16 + ids.len() * 40);
         e.u32(ids.len() as u32);
         for c in ids {
             let a = &self.accounts[&c];
@@ -201,7 +212,6 @@ impl CreditLedger {
             e.u64(a.invalid_results);
             e.u64(a.errors);
         }
-        e.into_vec()
     }
 
     /// Rebuilds a ledger from an [`CreditLedger::encode_state`]

@@ -66,11 +66,14 @@ impl Db {
     pub fn insert_workunit(&mut self, spec: WorkUnitSpec, now: SimTime) -> WuId {
         let id = WuId(self.wus.len() as u32);
         let target = spec.target_nresults;
-        self.journal.append(&StateChange::WuInserted {
-            wu: id.0,
-            at_us: now.as_micros(),
-            spec: spec.to_bytes(),
-        });
+        // The record owns an encoded spec: built only for a live log.
+        if self.journal.enabled() {
+            self.journal.append(&StateChange::WuInserted {
+                wu: id.0,
+                at_us: now.as_micros(),
+                spec: spec.to_bytes(),
+            });
+        }
         self.raw_insert_workunit(spec, now);
         for _ in 0..target {
             self.create_result(id);
@@ -409,9 +412,16 @@ impl Db {
     /// comparison).
     pub fn encode_state(&self) -> Vec<u8> {
         let mut e = Enc::with_capacity(64 + self.wus.len() * 64 + self.results.len() * 32);
+        self.encode_state_into(&mut e);
+        e.into_vec()
+    }
+
+    /// Appends [`Db::encode_state`]'s bytes to `e` (a snapshot frame
+    /// being written in place).
+    pub fn encode_state_into(&self, e: &mut Enc) {
         e.u32(self.wus.len() as u32);
         for w in &self.wus {
-            e.bytes(&w.spec.to_bytes());
+            e.nested(|e| w.spec.encode(e));
             e.u8(w.state.to_wire());
             e.opt_u64(w.canonical.map(|f| f.0));
             e.u32(w.results_created);
@@ -436,7 +446,6 @@ impl Db {
             }
             e.opt_u64(r.fingerprint.map(|f| f.0));
         }
-        e.into_vec()
     }
 
     /// Rebuilds a database from an [`Db::encode_state`] snapshot

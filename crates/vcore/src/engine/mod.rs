@@ -27,7 +27,7 @@ use crate::types::{ClientId, OutputFingerprint, ResultId, WuId};
 use crate::workunit::{ResultState, WorkUnitSpec};
 use std::collections::HashMap;
 use vmr_desim::{EventId, RngStream, SimDuration, SimTime, Simulation, Tally};
-use vmr_durable::{Journal, Sections};
+use vmr_durable::{Journal, SectionWriter, Sections};
 use vmr_netsim::{AggregateNetwork, FlowId, HostId, TraversalPolicy, TraversalStats};
 use vmr_obs::EventKind;
 use vmr_shuffle::{FetchObs, ShuffleStrategy, SwarmIndex, SwarmTransfer};
@@ -122,9 +122,11 @@ pub trait Policy {
     /// A custom event fired.
     fn on_custom(&mut self, eng: &mut Engine, tag: u64) {}
     /// Contribute extra named sections to a durability snapshot
-    /// (vmr-core serializes its JobTracker here). Sections must be
-    /// canonical: equal policy states must append equal bytes.
-    fn durable_sections(&self, out: &mut Vec<(String, Vec<u8>)>) {}
+    /// (vmr-core serializes its JobTracker here), encoded straight into
+    /// the snapshot frame — so no call back into the journal from here.
+    /// Sections must be canonical: equal policy states must append
+    /// equal bytes.
+    fn durable_sections(&self, out: &mut SectionWriter<'_>) {}
 }
 
 /// A no-op policy: plain BOINC with no project hooks.
@@ -380,18 +382,20 @@ impl Engine {
     /// the prefix [`Engine::live_sections`] emits before the policy and
     /// trust ledger add theirs.
     pub fn state_sections(&self) -> Vec<(String, Vec<u8>)> {
+        Sections::collect(|w| self.write_state_sections(w)).entries
+    }
+
+    fn write_state_sections(&self, w: &mut SectionWriter<'_>) {
         use vmr_durable::section;
-        vec![
-            (section::NAMES[section::DB].into(), self.db.encode_state()),
-            (
-                section::NAMES[section::CREDIT].into(),
-                self.credit.encode_state(),
-            ),
-            (
-                section::NAMES[section::ASSIM].into(),
-                self.assimilator.encode_state(),
-            ),
-        ]
+        w.section(section::NAMES[section::DB], |e| {
+            self.db.encode_state_into(e)
+        });
+        w.section(section::NAMES[section::CREDIT], |e| {
+            self.credit.encode_state_into(e)
+        });
+        w.section(section::NAMES[section::ASSIM], |e| {
+            self.assimilator.encode_state_into(e)
+        });
     }
 
     /// Every snapshot section in canonical order: the vcore-owned
@@ -400,14 +404,18 @@ impl Engine {
     /// config deterministically). The recovery audit compares these
     /// against a recovered image byte-for-byte.
     pub fn live_sections<P: Policy>(&self, policy: &P) -> Vec<(String, Vec<u8>)> {
+        Sections::collect(|w| self.write_live_sections(policy, w)).entries
+    }
+
+    /// [`Engine::live_sections`] as a snapshot frame takes them: each
+    /// section encoded in place.
+    fn write_live_sections<P: Policy>(&self, policy: &P, w: &mut SectionWriter<'_>) {
         use vmr_durable::section;
-        let mut entries = self.state_sections();
-        policy.durable_sections(&mut entries);
-        entries.push((
-            section::NAMES[section::TRUST].into(),
-            self.trust.encode_state(),
-        ));
-        entries
+        self.write_state_sections(w);
+        policy.durable_sections(w);
+        w.section(section::NAMES[section::TRUST], |e| {
+            self.trust.encode_state_into(e)
+        });
     }
 
     // ----- main loop --------------------------------------------------------
@@ -508,10 +516,10 @@ impl Engine {
         if self.durable.snapshot_due() {
             // Section order is fixed, so equal states produce
             // byte-identical snapshots.
-            let sections = Sections {
-                entries: self.live_sections(policy),
-            };
-            if let Some(bytes) = self.durable.write_snapshot(&sections) {
+            let written = self
+                .durable
+                .write_snapshot_with(|w| self.write_live_sections(policy, w));
+            if let Some(bytes) = written {
                 let records = self.durable.records();
                 self.obs
                     .journal
