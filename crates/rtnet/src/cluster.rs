@@ -458,8 +458,14 @@ fn worker_main<A: MapReduceApp<K = String>>(ctx: WorkerCtx<A>) {
                     }
                     let name = ctx.job.partition_file(m, r);
                     let data = Bytes::from(text);
-                    hashes.push(sha256(&data));
                     store.put(&name, data.clone());
+                    // The hash MapDone reports is the digest this file
+                    // is served under (§III.C): computed once, here,
+                    // and cached for every peer that fetches it.
+                    let (_, digest) = store
+                        .get_with_digest(&name)
+                        .expect("a file put without a window is served");
+                    hashes.push(digest);
                     if let Some(srv) = &ctx.server_store {
                         // "map outputs … always returned to the server"
                         // (fall-back copies). First honest copy wins.

@@ -100,6 +100,20 @@ struct Fetcher {
 /// every one lands in exactly one [`LoadReport`] bucket, or the run
 /// stops at the deadline with `completed() < total_requests`.
 pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
+    // The fetchers stand in for remote peers, so they run on a thread of
+    // their own and their receive buffers (a whole frame each, megabytes
+    // for a large file) come from that thread's allocator arena. Freed
+    // on the caller's heap next to the caller's own large buffers, they
+    // would push it past glibc's trim threshold, and the caller's next
+    // large allocation would pay a fresh page fault per 4 KiB.
+    std::thread::scope(|s| {
+        s.spawn(|| drive(addr, cfg))
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
+
+fn drive(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
     let start = Instant::now();
     let deadline = start + cfg.deadline;
     let mut report = LoadReport::default();

@@ -17,6 +17,10 @@
 //! * **backpressure** is explicit: responses queue per connection up to
 //!   [`PollServerConfig::write_queue_limit`] bytes, and a connection
 //!   over its limit is not read from until the queue drains;
+//! * a queued `Data` response is a `DataFrame`: its head, the stored
+//!   file's body shared with the store, and the store's cached digest,
+//!   flushed with vectored writes — no response body is ever copied
+//!   into the queue, and no request re-hashes the file;
 //! * the §III.C threshold is enforced either as post-accept `Busy`
 //!   replies (the threaded server's behaviour, kept for differential
 //!   testing) or as **accept gating** — beyond the threshold the
@@ -30,7 +34,7 @@
 //! suite replays identical request schedules against both and demands
 //! byte-identical responses and identical counter totals.
 
-use crate::proto::{decode_request, encode_response, FrameDecoder, Request, Response};
+use crate::proto::{decode_request, encode_response, DataFrame, FrameDecoder, Request, Response};
 use crate::server::{ServeObs, ServerStats};
 use crate::store::OutputStore;
 use bytes::BytesMut;
@@ -298,14 +302,83 @@ impl Drop for PollServer {
     }
 }
 
+/// A queued response's bytes.
+enum Wire {
+    /// A control frame or an HTTP reply.
+    Owned(Vec<u8>),
+    /// A `Data` frame; its body is the stored file's, shared.
+    Data(DataFrame),
+}
+
+impl Wire {
+    /// A control frame (`Pong`, `NotFound`, `Busy`).
+    fn control(resp: &Response) -> Wire {
+        let mut buf = BytesMut::new();
+        encode_response(resp, &mut buf);
+        Wire::Owned(buf.into())
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Wire::Owned(v) => v.len(),
+            Wire::Data(d) => d.len(),
+        }
+    }
+}
+
 /// One queued response and its accounting tail.
 struct Pending {
-    bytes: Vec<u8>,
+    wire: Wire,
+    /// Bytes of `wire` already written.
     off: usize,
-    /// Counts against the transfer threshold until fully flushed.
-    serving: bool,
-    /// Serve-latency clock, armed at request decode for `GET`s.
+    /// Armed at request decode for `GET`s past the gates: such a
+    /// response counts against the transfer threshold until fully
+    /// flushed, and its flush prices the serve latency.
     t0: Option<Instant>,
+}
+
+impl Pending {
+    /// One write of what is left; advances `off`.
+    fn write_to(&mut self, w: &mut impl Write) -> io::Result<usize> {
+        let n = match &self.wire {
+            Wire::Owned(v) => w.write(&v[self.off..])?,
+            Wire::Data(d) => d.write_at(w, self.off)?,
+        };
+        self.off += n;
+        Ok(n)
+    }
+}
+
+/// A connection's queued responses and their unwritten byte total, the
+/// quantity the backpressure bound is checked against.
+#[derive(Default)]
+struct WriteQueue {
+    q: VecDeque<Pending>,
+    bytes: usize,
+}
+
+impl WriteQueue {
+    fn push(&mut self, p: Pending) {
+        self.bytes += p.wire.len();
+        self.q.push_back(p);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.q.is_empty()
+    }
+
+    /// One write call on the oldest response (the queue must not be
+    /// empty). Returns the bytes written — 0 means the peer is gone —
+    /// and the response, popped, when that write finished it.
+    fn write_front(&mut self, w: &mut impl Write) -> io::Result<(usize, Option<Pending>)> {
+        let Some(front) = self.q.front_mut() else {
+            return Ok((0, None));
+        };
+        let n = front.write_to(w)?;
+        self.bytes -= n;
+        let done = front.off == front.wire.len();
+        Ok((n, if done { self.q.pop_front() } else { None }))
+    }
 }
 
 enum ConnKind {
@@ -318,8 +391,7 @@ enum ConnKind {
 struct Conn {
     stream: TcpStream,
     kind: ConnKind,
-    wq: VecDeque<Pending>,
-    wq_bytes: usize,
+    wq: WriteQueue,
     last_activity: Instant,
     close_after_flush: bool,
 }
@@ -375,7 +447,7 @@ impl Loop {
         }
         for (i, slot) in self.conns.iter().enumerate() {
             if let Some(c) = slot {
-                let backpressured = c.wq_bytes >= self.cfg.write_queue_limit;
+                let backpressured = c.wq.bytes >= self.cfg.write_queue_limit;
                 let readable = !backpressured && !c.close_after_flush;
                 let writable = !c.wq.is_empty();
                 self.set
@@ -426,8 +498,7 @@ impl Loop {
         let conn = Conn {
             stream,
             kind,
-            wq: VecDeque::new(),
-            wq_bytes: 0,
+            wq: WriteQueue::default(),
             last_activity: Instant::now(),
             close_after_flush: false,
         };
@@ -486,8 +557,8 @@ impl Loop {
     fn drop_conn(&mut self, i: usize) {
         if let Some(conn) = self.conns[i].take() {
             // Unflushed transfers no longer count against the threshold.
-            for p in &conn.wq {
-                if p.serving {
+            for p in &conn.wq.q {
+                if p.t0.is_some() {
                     self.serving -= 1;
                 }
             }
@@ -508,7 +579,7 @@ impl Loop {
             let Some(conn) = self.conns[i].as_mut() else {
                 return;
             };
-            if conn.wq_bytes >= self.cfg.write_queue_limit {
+            if conn.wq.bytes >= self.cfg.write_queue_limit {
                 self.pobs.backpressure_stalls.inc();
                 return;
             }
@@ -553,7 +624,7 @@ impl Loop {
             let Some(conn) = self.conns[i].as_mut() else {
                 return false;
             };
-            if conn.wq_bytes >= self.cfg.write_queue_limit {
+            if conn.wq.bytes >= self.cfg.write_queue_limit {
                 self.pobs.backpressure_stalls.inc();
                 return true;
             }
@@ -567,12 +638,11 @@ impl Loop {
                         let Some(conn) = self.conns[i].as_mut() else {
                             return false;
                         };
-                        if pending.serving {
+                        if pending.t0.is_some() {
                             self.serving += 1;
                             self.active.store(self.serving, Ordering::SeqCst);
                         }
-                        conn.wq_bytes += pending.bytes.len();
-                        conn.wq.push_back(pending);
+                        conn.wq.push(pending);
                         // Flush opportunistically: in the common
                         // request/response cadence this saves a tick.
                         self.drive_write(i);
@@ -599,63 +669,38 @@ impl Loop {
     /// The §III.C serving decision — deliberately the same rules, in
     /// the same order, as the threaded server's `handle_conn`.
     fn serve(&mut self, req: Request) -> Pending {
-        let mut buf = BytesMut::new();
-        match req {
-            Request::Ping => {
-                encode_response(&Response::Pong, &mut buf);
-                Pending {
-                    bytes: buf.to_vec(),
-                    off: 0,
-                    serving: false,
-                    t0: None,
-                }
-            }
+        let (wire, t0) = match req {
+            Request::Ping => (Wire::control(&Response::Pong), None),
             Request::Get(name) => {
                 let t0 = Instant::now();
                 if !self.accepting.load(Ordering::SeqCst) {
                     self.stats.not_found.fetch_add(1, Ordering::Relaxed);
                     self.sobs.not_found.inc();
                     self.sobs.gate_rejections.inc();
-                    encode_response(&Response::NotFound, &mut buf);
-                    Pending {
-                        bytes: buf.to_vec(),
-                        off: 0,
-                        serving: false,
-                        t0: None,
-                    }
+                    (Wire::control(&Response::NotFound), None)
                 } else if !self.cfg.accept_gating && self.serving >= self.cfg.max_connections {
                     self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
                     self.sobs.busy.inc();
-                    encode_response(&Response::Busy, &mut buf);
-                    Pending {
-                        bytes: buf.to_vec(),
-                        off: 0,
-                        serving: false,
-                        t0: None,
-                    }
+                    (Wire::control(&Response::Busy), None)
                 } else {
                     let _serve = self.sobs.serve_scope.enter();
-                    match self.store.get(&name) {
-                        Some(data) => {
+                    let wire = match self.store.get_with_digest(&name) {
+                        Some((data, digest)) => {
                             self.stats.served.fetch_add(1, Ordering::Relaxed);
                             self.sobs.served.inc();
-                            encode_response(&Response::Data(data), &mut buf);
+                            Wire::Data(DataFrame::new(data, digest))
                         }
                         None => {
                             self.stats.not_found.fetch_add(1, Ordering::Relaxed);
                             self.sobs.not_found.inc();
-                            encode_response(&Response::NotFound, &mut buf);
+                            Wire::control(&Response::NotFound)
                         }
-                    }
-                    Pending {
-                        bytes: buf.to_vec(),
-                        off: 0,
-                        serving: true,
-                        t0: Some(t0),
-                    }
+                    };
+                    (wire, Some(t0))
                 }
             }
-        }
+        };
+        Pending { wire, off: 0, t0 }
     }
 
     /// Flushes the write queue until `WouldBlock` or empty.
@@ -664,30 +709,23 @@ impl Loop {
             let Some(conn) = self.conns[i].as_mut() else {
                 return;
             };
-            let Some(front) = conn.wq.front_mut() else {
+            if conn.wq.is_empty() {
                 if conn.close_after_flush {
                     self.drop_conn(i);
                 }
                 return;
-            };
-            match conn.stream.write(&front.bytes[front.off..]) {
-                Ok(0) => {
+            }
+            match conn.wq.write_front(&mut conn.stream) {
+                Ok((0, _)) => {
                     self.drop_conn(i);
                     return;
                 }
-                Ok(n) => {
-                    front.off += n;
-                    conn.wq_bytes -= n;
+                Ok((_, done)) => {
                     conn.last_activity = Instant::now();
-                    if front.off == front.bytes.len() {
-                        let done = conn.wq.pop_front().expect("front exists");
-                        if done.serving {
-                            self.serving -= 1;
-                            self.active.store(self.serving, Ordering::SeqCst);
-                        }
-                        if let Some(t0) = done.t0 {
-                            self.pobs.serve_us.record(t0.elapsed().as_micros() as f64);
-                        }
+                    if let Some(t0) = done.and_then(|p| p.t0) {
+                        self.serving -= 1;
+                        self.active.store(self.serving, Ordering::SeqCst);
+                        self.pobs.serve_us.record(t0.elapsed().as_micros() as f64);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -737,11 +775,9 @@ impl Loop {
         let Some(conn) = self.conns[i].as_mut() else {
             return false;
         };
-        conn.wq_bytes += resp.len();
-        conn.wq.push_back(Pending {
-            bytes: resp.into_bytes(),
+        conn.wq.push(Pending {
+            wire: Wire::Owned(resp.into_bytes()),
             off: 0,
-            serving: false,
             t0: None,
         });
         conn.close_after_flush = true;
@@ -905,6 +941,120 @@ mod tests {
         ));
         store.reset_timeout("f", Some(Duration::from_secs(30)));
         assert!(fetch_once(srv.addr(), "f").is_ok());
+        srv.shutdown();
+    }
+
+    /// A writer that takes at most `k` bytes per call: across slices
+    /// when `vectored`, else from the first non-empty slice only (std's
+    /// default `write_vectored`, what a plain `Write` does).
+    struct Trickle {
+        out: Vec<u8>,
+        k: usize,
+        vectored: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.k);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            if !self.vectored {
+                return match bufs.iter().find(|b| !b.is_empty()) {
+                    Some(b) => self.write(b),
+                    None => Ok(0),
+                };
+            }
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.k - n);
+                self.out.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What `serve` queues for a stored file, drained through writers
+    /// that cut it anywhere (head, body, trailer and the frames around
+    /// it), is byte for byte the reference encoding, and the queue's
+    /// byte count returns to zero.
+    #[test]
+    fn queued_frames_drain_to_the_reference_encoding() {
+        let mut lens = vec![0, 1, 31, 32, 33, 8 << 10, 4 << 20];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..6 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lens.push((x >> 33) as usize % 100_000);
+        }
+        for len in lens {
+            let body: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let body = Bytes::from(body);
+            let store = OutputStore::new();
+            store.put("f", body.clone());
+            let (data, digest) = store.get_with_digest("f").unwrap();
+            let mut want = BytesMut::new();
+            encode_response(&Response::Pong, &mut want);
+            encode_response(&Response::Data(body), &mut want);
+            encode_response(&Response::Busy, &mut want);
+            for k in [1, 4, 5, 12, 13, 14, 18, 45, 46, 4096, 65_536, 70_000] {
+                if len > 1 << 20 && k < 4096 {
+                    continue; // a million-call drain proves nothing more
+                }
+                for vectored in [false, true] {
+                    let mut wq = WriteQueue::default();
+                    for wire in [
+                        Wire::control(&Response::Pong),
+                        Wire::Data(DataFrame::new(data.clone(), digest)),
+                        Wire::control(&Response::Busy),
+                    ] {
+                        wq.push(Pending {
+                            wire,
+                            off: 0,
+                            t0: None,
+                        });
+                    }
+                    assert_eq!(wq.bytes, want.len());
+                    let mut w = Trickle {
+                        out: Vec::new(),
+                        k,
+                        vectored,
+                    };
+                    let mut finished = 0;
+                    while !wq.is_empty() {
+                        let (n, done) = wq.write_front(&mut w).unwrap();
+                        assert!(n > 0 && n <= k, "wrote {n} with k = {k}");
+                        finished += usize::from(done.is_some());
+                        assert_eq!(wq.bytes, want.len() - w.out.len());
+                    }
+                    assert_eq!(finished, 3);
+                    assert_eq!(wq.bytes, 0, "len {len}, k {k}, vectored {vectored}");
+                    assert!(w.out == want[..], "len {len}, k {k}, vectored {vectored}");
+                }
+            }
+        }
+    }
+
+    /// A file re-put under the same name is served under its own digest
+    /// (`fetch_once` verifies the trailer, so A's would fail B's body).
+    #[test]
+    fn a_re_put_file_is_served_under_its_own_digest() {
+        let store = Arc::new(OutputStore::new());
+        store.put("f", Bytes::from_static(b"version A"));
+        let srv = PollServer::start(store.clone(), PollServerConfig::new(4)).unwrap();
+        assert_eq!(&fetch_once(srv.addr(), "f").unwrap()[..], b"version A");
+        store.put("f", Bytes::from_static(b"version B"));
+        assert_eq!(&fetch_once(srv.addr(), "f").unwrap()[..], b"version B");
+        store.put("f", Bytes::from_static(b"version A"));
+        assert_eq!(&fetch_once(srv.addr(), "f").unwrap()[..], b"version A");
         srv.shutdown();
     }
 

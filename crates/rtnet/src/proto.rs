@@ -15,9 +15,18 @@
 //!
 //! The SHA-256 trailer is the integrity check the paper proposes when it
 //! suggests reporting output hashes instead of whole files.
+//!
+//! A `Data` frame has one layout, `DataFrame`: a 13-byte head
+//! (`frame_len`, tag, `body_len`), the body, the 32-byte digest. Servers
+//! build it from the store's cached digest and send the three segments
+//! with vectored writes, so a stored file is hashed once and its body is
+//! never copied on the way out; [`encode_response`] hashes and lays the
+//! same frame into a buffer. The receiver always hashes: it freezes the
+//! frame once, verifies the trailer over every body byte, and returns
+//! the body as a slice of that frame. Nothing here panics on peer bytes.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use vmr_mapreduce::sha256;
 
 /// Maximum accepted frame (sanity bound against corrupt peers).
@@ -62,17 +71,85 @@ pub fn encode_request(req: &Request, out: &mut BytesMut) {
     }
 }
 
+/// Bytes of a `Data` frame before its body: `u32 frame_len | u8 tag |
+/// u64 body_len`.
+const DATA_HEAD_LEN: usize = 13;
+
+/// Bytes of a `Data` frame after its body: the SHA-256 trailer.
+const DIGEST_LEN: usize = 32;
+
+/// A `Data` response frame as its three wire segments: head, body (the
+/// stored file, shared, not copied) and digest trailer.
+#[derive(Debug)]
+pub(crate) struct DataFrame {
+    head: [u8; DATA_HEAD_LEN],
+    body: Bytes,
+    digest: [u8; DIGEST_LEN],
+}
+
+impl DataFrame {
+    /// Frames `body` under `digest`, which must be its SHA-256 — the
+    /// store's cached one on the serving path.
+    pub(crate) fn new(body: Bytes, digest: [u8; DIGEST_LEN]) -> DataFrame {
+        let payload_len = 1 + 8 + body.len() + DIGEST_LEN;
+        let mut head = [0u8; DATA_HEAD_LEN];
+        head[..4].copy_from_slice(&(payload_len as u32).to_be_bytes());
+        head[4] = 1;
+        head[5..].copy_from_slice(&(body.len() as u64).to_be_bytes());
+        DataFrame { head, body, digest }
+    }
+
+    /// Wire length, length prefix included.
+    pub(crate) fn len(&self) -> usize {
+        DATA_HEAD_LEN + self.body.len() + DIGEST_LEN
+    }
+
+    /// The three segments, in wire order.
+    pub(crate) fn segments(&self) -> [&[u8]; 3] {
+        [&self.head, &self.body, &self.digest]
+    }
+
+    /// One vectored write of what is left of the frame past byte `off`;
+    /// returns what the writer took.
+    pub(crate) fn write_at(&self, w: &mut impl Write, off: usize) -> io::Result<usize> {
+        let mut slices = [IoSlice::new(&[]); 3];
+        let mut n = 0;
+        let mut skip = off;
+        for seg in self.segments() {
+            if skip >= seg.len() {
+                skip -= seg.len();
+                continue;
+            }
+            slices[n] = IoSlice::new(&seg[skip..]);
+            skip = 0;
+            n += 1;
+        }
+        w.write_vectored(&slices[..n])
+    }
+
+    /// Writes the whole frame to a blocking stream and flushes it.
+    pub(crate) fn write_all(&self, w: &mut impl Write) -> io::Result<()> {
+        let mut off = 0;
+        while off < self.len() {
+            match self.write_at(w, off) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => off += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        w.flush()
+    }
+}
+
 /// Encodes a response frame (computing the digest for `Data`).
 pub fn encode_response(resp: &Response, out: &mut BytesMut) {
     match resp {
         Response::Data(body) => {
-            let digest = sha256(body);
-            let payload_len = 1 + 8 + body.len() + 32;
-            out.put_u32(payload_len as u32);
-            out.put_u8(1);
-            out.put_u64(body.len() as u64);
-            out.put_slice(body);
-            out.put_slice(&digest);
+            let frame = DataFrame::new(body.clone(), sha256(body));
+            for seg in frame.segments() {
+                out.put_slice(seg);
+            }
         }
         Response::NotFound => {
             out.put_u32(1);
@@ -101,7 +178,7 @@ fn read_exact_frame(stream: &mut impl Read) -> io::Result<BytesMut> {
     }
     let mut buf = vec![0u8; len];
     stream.read_exact(&mut buf)?;
-    Ok(BytesMut::from(&buf[..]))
+    Ok(BytesMut::from(buf))
 }
 
 /// Incremental length-prefix framing for nonblocking transports.
@@ -131,11 +208,14 @@ impl FrameDecoder {
     ///
     /// `Ok(None)` means "need more bytes"; an error means the stream is
     /// unrecoverable (length prefix of 0 or beyond [`MAX_FRAME`]).
+    ///
+    /// A frame that is the whole buffer is handed over without a copy;
+    /// the buffer keeps at most about twice what is still unread.
     pub fn next_frame(&mut self) -> io::Result<Option<BytesMut>> {
-        if self.buf.len() < 4 {
+        let [a, b, c, d, ..] = self.buf[..] else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes(self.buf[..4].try_into().expect("4-byte prefix")) as usize;
+        };
+        let len = u32::from_be_bytes([a, b, c, d]) as usize;
         if len == 0 || len > MAX_FRAME {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -145,7 +225,7 @@ impl FrameDecoder {
         if self.buf.len() < 4 + len {
             return Ok(None);
         }
-        let _prefix = self.buf.split_to(4);
+        self.buf.advance(4);
         Ok(Some(self.buf.split_to(len)))
     }
 
@@ -183,33 +263,36 @@ pub fn decode_request(mut frame: BytesMut) -> io::Result<Request> {
 }
 
 /// Decodes a response from one complete frame payload, verifying the
-/// SHA-256 trailer on `Data`.
-pub fn decode_response(mut frame: BytesMut) -> io::Result<Response> {
-    if frame.is_empty() {
+/// SHA-256 trailer on `Data`. The returned body is a slice of the
+/// frozen frame, not a copy.
+pub fn decode_response(frame: BytesMut) -> io::Result<Response> {
+    let frame = frame.freeze();
+    let [tag, rest @ ..] = &frame[..] else {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "empty frame"));
-    }
-    let tag = frame.get_u8();
+    };
     match tag {
         1 => {
-            if frame.remaining() < 8 {
+            let Some((body_len, rest)) = rest.split_first_chunk::<8>() else {
                 return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated DATA"));
-            }
-            let body_len = frame.get_u64() as usize;
-            if frame.remaining() != body_len.saturating_add(32) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "DATA length mismatch",
-                ));
-            }
-            let body = frame.split_to(body_len).freeze();
-            let digest: [u8; 32] = frame[..32].try_into().expect("32-byte trailer");
-            if sha256(&body) != digest {
+            };
+            let body_len = u64::from_be_bytes(*body_len);
+            let (body, digest) = match rest.split_last_chunk::<DIGEST_LEN>() {
+                Some((body, digest)) if body.len() as u64 == body_len => (body, digest),
+                _ => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "DATA length mismatch",
+                    ))
+                }
+            };
+            if sha256(body) != *digest {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "SHA-256 integrity check failed",
                 ));
             }
-            Ok(Response::Data(body))
+            let start = 1 + 8;
+            Ok(Response::Data(frame.slice(start..start + body.len())))
         }
         2 => Ok(Response::NotFound),
         3 => Ok(Response::Busy),
@@ -304,6 +387,74 @@ mod tests {
             roundtrip_response(Response::Data(Bytes::new())),
             Response::Data(Bytes::new())
         );
+    }
+
+    /// A persistent connection's decoder keeps only what is unread (plus
+    /// at most as much again), however many frames pass through it.
+    #[test]
+    fn decoder_releases_consumed_frames() {
+        const FRAMES: usize = 100_000;
+        const MAX_FRAGMENT: usize = 173;
+        let mut stream = BytesMut::new();
+        let mut largest = 0;
+        for i in 0..FRAMES {
+            let before = stream.len();
+            encode_request(
+                &Request::Get(format!("mr{}_m{}_p{i}", i % 7, i % 1000)),
+                &mut stream,
+            );
+            largest = largest.max(stream.len() - before);
+        }
+        let mut dec = FrameDecoder::new();
+        let (mut at, mut popped) = (0, 0);
+        for step in 1.. {
+            if at == stream.len() {
+                break;
+            }
+            // Uneven fragments of 1..=MAX_FRAGMENT bytes.
+            let end = (at + 1 + step * 7919 % MAX_FRAGMENT).min(stream.len());
+            dec.push(&stream[at..end]);
+            at = end;
+            assert!(
+                dec.buf.retained() < 2 * (largest + MAX_FRAGMENT),
+                "decoder retains {} B after {popped} frames",
+                dec.buf.retained()
+            );
+            while let Some(frame) = dec.next_frame().unwrap() {
+                assert!(matches!(decode_request(frame).unwrap(), Request::Get(_)));
+                popped += 1;
+            }
+        }
+        assert_eq!(popped, FRAMES);
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn data_frame_segments_are_the_encoding() {
+        for body in [&b""[..], b"x", &[7u8; 100]] {
+            let body = Bytes::copy_from_slice(body);
+            let mut want = BytesMut::new();
+            encode_response(&Response::Data(body.clone()), &mut want);
+            let frame = DataFrame::new(body.clone(), sha256(&body));
+            assert_eq!(frame.segments().concat(), want.to_vec());
+            assert_eq!(frame.len(), want.len());
+            let mut out = Vec::new();
+            frame.write_all(&mut out).unwrap();
+            assert_eq!(out, want.to_vec());
+        }
+    }
+
+    /// A `body_len` that overflows any length arithmetic is a clean
+    /// `InvalidData`, never a panic.
+    #[test]
+    fn overflowing_body_len_is_invalid_data() {
+        for body_len in [u64::MAX, u64::MAX - 31, u64::MAX / 2, 1 << 40] {
+            let mut payload = vec![1u8];
+            payload.extend_from_slice(&body_len.to_be_bytes());
+            payload.extend_from_slice(&[0u8; 32]);
+            let err = decode_response(BytesMut::from(payload)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! accepting connections when there are no more files available … We
 //! kept a threshold for a maximum number of inter-client connections,
 //! so as to not overload the network." (§III.C)
+//!
+//! This server is the executable spec the poll runtime is diffed
+//! against, and it serves `Data` the one way there is: a
+//! `DataFrame` over the store's cached digest, written in segments.
 
-use crate::proto::{encode_response, read_request, write_all, Request, Response};
+use crate::proto::{encode_response, read_request, write_all, DataFrame, Request, Response};
 use crate::store::OutputStore;
 use bytes::BytesMut;
 use std::io;
@@ -238,19 +242,19 @@ fn handle_conn(
                 encode_response(&Response::Busy, &mut buf)
             } else {
                 let _serve = sobs.serve_scope.enter();
-                match store.get(&name) {
-                    Some(data) => {
+                match store.get_with_digest(&name) {
+                    Some((data, digest)) => {
                         stats.served.fetch_add(1, Ordering::Relaxed);
                         sobs.served.inc();
-                        encode_response(&Response::Data(data), &mut buf)
+                        let _ = DataFrame::new(data, digest).write_all(&mut stream);
                     }
                     None => {
                         stats.not_found.fetch_add(1, Ordering::Relaxed);
                         sobs.not_found.inc();
-                        encode_response(&Response::NotFound, &mut buf)
+                        encode_response(&Response::NotFound, &mut buf);
+                        let _ = write_all(&mut stream, &buf);
                     }
                 }
-                let _ = write_all(&mut stream, &buf);
                 active.fetch_sub(1, Ordering::SeqCst);
                 return;
             }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate. Runs, in order: `cargo fmt --check`; the
 # hash-collection grep gate on crates/desim/src; the unwrap/expect grep
-# gate on the WAL byte path (durable's crc, frame, wire); clippy on the
+# gate on the byte paths that read peer or disk bytes (durable's crc,
+# frame, wire; rtnet's proto, store); clippy on the
 # workspace, all targets, warnings as errors; the examples build; the
 # workspace test suite; then the bench smokes — flow_churn (asserts its
 # `BENCH_netsim.json` line appeared), `table1 --quick` and `fig4`
@@ -57,13 +58,14 @@ if grep -rnE 'Hash(Map|Set)' crates/desim/src; then
     exit 1
 fi
 
-echo "==> panic gate: no unwrap()/expect( in the WAL byte path outside its tests"
-# ROADMAP item 6b, as far as it is done: everything these three files
-# run on untrusted bytes returns a typed error or a torn tail. Only the
-# part of each file above its `#[cfg(test)]` module is checked.
-for f in crc frame wire; do
-    if sed '/^#\[cfg(test)\]/,$d' "crates/durable/src/$f.rs" | grep -nE '\.unwrap\(\)|\.expect\('; then
-        echo "unwrap()/expect( in crates/durable/src/$f.rs (return the error)" >&2
+echo "==> panic gate: no unwrap()/expect( in the WAL and rtnet byte paths outside their tests"
+# ROADMAP item 6b, as far as it is done: everything these files run on
+# untrusted bytes (a torn log, a hostile peer) returns a typed error or
+# a torn tail. Only the part of each file above its `#[cfg(test)]`
+# module is checked.
+for f in crates/durable/src/{crc,frame,wire}.rs crates/rtnet/src/{proto,store}.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\.unwrap\(\)|\.expect\('; then
+        echo "unwrap()/expect( in $f (return the error)" >&2
         exit 1
     fi
 done
