@@ -213,16 +213,13 @@ impl MrPolicy {
             .inc();
     }
 
-    /// Stops all mapper serving for a finished job.
+    /// Stops all mapper serving for a finished job: every partition
+    /// file, from every client that registered it.
     fn stop_serving(&self, eng: &mut Engine, job_idx: usize) {
-        let job = &self.tracker.jobs[job_idx];
-        let cfg = &job.cfg;
-        for m in 0..cfg.job.n_maps {
-            for r in 0..cfg.job.n_reduces {
-                let name = cfg.job.partition_file(m, r);
-                for c in 0..eng.n_clients() {
-                    eng.unregister_served_file(ClientId(c as u32), &name);
-                }
+        let job = &self.tracker.jobs[job_idx].cfg.job;
+        for m in 0..job.n_maps {
+            for r in 0..job.n_reduces {
+                eng.stop_serving_file(&job.partition_file(m, r));
             }
         }
     }
@@ -275,13 +272,9 @@ impl Policy for MrPolicy {
         // whenever a map task has finished and its output(s) is
         // available" — register every partition file, with the serving
         // timeout from the project config.
-        let chunk = job.cfg.chunk_bytes();
-        let n_reduces = job.cfg.job.n_reduces;
         let until = eng.now() + SimDuration::from_secs_f64(eng.cfg.serving_timeout_s);
-        for r in 0..n_reduces {
-            let name = job.cfg.job.partition_file(m, r);
-            let bytes = job.cfg.sizing.partition_bytes(chunk, n_reduces);
-            eng.register_served_file(client, name, bytes, Some(until));
+        for r in 0..job.cfg.job.n_reduces {
+            eng.register_served_file(client, job.cfg.job.partition_file(m, r), Some(until));
         }
     }
 

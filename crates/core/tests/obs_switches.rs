@@ -22,6 +22,8 @@ struct Run {
     outcome: Outcome,
     journal_events: usize,
     prof_samples: u64,
+    /// Samples of the scope around the engine's `Policy` hook calls.
+    policy_samples: u64,
 }
 
 fn run(switches: impl FnOnce(&Obs)) -> Run {
@@ -42,21 +44,23 @@ fn run(switches: impl FnOnce(&Obs)) -> Run {
         e.db.all_wus_terminal()
     });
     assert!(pol.all_done(), "the job finishes");
-    let prof_samples = eng
-        .obs
-        .snapshot()
-        .entries
-        .iter()
-        .filter(|(name, _)| name.starts_with("prof."))
-        .map(|(_, v)| match v {
-            MetricValue::Histogram(h) => h.count,
-            _ => 0,
-        })
-        .sum();
+    let samples = |prefix: &str| -> u64 {
+        eng.obs
+            .snapshot()
+            .entries
+            .iter()
+            .filter(|(name, _)| name.starts_with(prefix))
+            .map(|(_, v)| match v {
+                MetricValue::Histogram(h) => h.count,
+                _ => 0,
+            })
+            .sum()
+    };
     Run {
         outcome: Outcome::of(&eng, events),
         journal_events: eng.obs.journal.len(),
-        prof_samples,
+        prof_samples: samples("prof."),
+        policy_samples: samples("prof.vcore.policy_us"),
     }
 }
 
@@ -87,4 +91,8 @@ fn journal_and_profiling_switches_leave_the_run_unchanged() {
     assert_eq!(defaults.prof_samples, 0);
     assert_eq!(journal_off.prof_samples, 0);
     assert!(profiling_on.prof_samples > 0);
+    // Policy hooks are priced on their own, not only inside the event
+    // that called them.
+    assert_eq!(defaults.policy_samples, 0);
+    assert!(profiling_on.policy_samples > 0);
 }

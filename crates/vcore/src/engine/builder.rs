@@ -6,7 +6,7 @@ use crate::config::ProjectConfig;
 use crate::db::Db;
 use crate::fault::{FaultIndex, FaultPlan};
 use crate::host::HostProfile;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use vmr_desim::{SimTime, Simulation};
 use vmr_durable::{DurabilityPlan, Journal};
 use vmr_netsim::{AggregateNetwork, HostId, HostLink, Topology, TraversalPolicy};
@@ -46,6 +46,7 @@ impl Engine {
             trust,
             server_host,
             clients: Vec::new(),
+            served: BTreeMap::new(),
             hot: Vec::new(),
             backoff,
             flows: HashMap::new(),
@@ -198,23 +199,27 @@ impl EngineBuilder {
         };
         let mut topo = Topology::new();
         let server_host = topo.add_host(self.server_link);
-        let mut placed: Vec<(HostProfile, HostId)> = Vec::new();
-        if let Some(spec) = &self.population {
-            for (host, g) in spec.generate_into(&mut topo) {
-                placed.push((g.profile, host));
-            }
-        }
-        for (profile, link) in self.clients {
-            let host = topo.add_host(link);
-            placed.push((profile, host));
-        }
+        let generated = match &self.population {
+            Some(spec) => spec.generate_into(&mut topo),
+            None => Vec::new(),
+        };
+        let added: Vec<(HostId, HostProfile)> = self
+            .clients
+            .into_iter()
+            .map(|(profile, link)| (topo.add_host(link), profile))
+            .collect();
         let mut eng = Engine::from_parts(self.seed, self.cfg, topo, server_host);
         // Attach before any work units exist so genesis records land in
         // the log; a disabled journal makes every hook a no-op branch.
         eng.set_durable(journal);
-        eng.reserve_clients(placed.len());
-        for (profile, host) in placed {
-            eng.push_client(profile, host);
+        eng.reserve_clients(generated.len() + added.len());
+        // Construction is O(hosts) and priced at 100 000 of them: the
+        // generated hosts are registered as they come, without a copy,
+        // and one rng-label buffer serves every client.
+        let placed = generated.into_iter().map(|(host, g)| (host, g.profile));
+        let mut label = String::new();
+        for (host, profile) in placed.chain(added) {
+            eng.push_client(profile, host, &mut label);
         }
         Ok(eng)
     }

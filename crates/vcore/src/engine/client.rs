@@ -4,13 +4,14 @@
 //! deadlines and permanent dropout.
 
 use super::transfer::InputSlot;
-use super::{clique_fingerprint, honest_fingerprint, Engine, Ev, Lane, Policy, ServedFile};
+use super::{clique_fingerprint, honest_fingerprint, Engine, Ev, Lane, Policy};
 use crate::fault::Corruption;
 use crate::host::{HostProfile, ValidationCounts};
 use crate::sched::{pick_results, WorkRequest};
 use crate::types::{ClientId, OutputFingerprint, ResultId};
 use crate::workunit::{ResultOutcome, ResultState};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::fmt::Write as _;
 use vmr_desim::{EventId, RngStream, SimDuration, SimTime};
 use vmr_netsim::HostId;
 use vmr_obs::EventKind;
@@ -73,7 +74,8 @@ pub(super) struct Client {
     pub(super) run_queue: VecDeque<ResultId>,
     pub(super) running: Vec<ResultId>,
     pub(super) ready_to_report: Vec<(ResultId, Option<OutputFingerprint>, bool)>, // (rid, fp, errored)
-    pub(super) served: HashMap<String, ServedFile>,
+    /// Peer downloads this client is serving right now. Which files it
+    /// serves is the engine's registry (`Engine::served`), not its own.
     pub(super) serving_now: u32,
 }
 
@@ -87,15 +89,6 @@ impl Client {
             .iter_mut()
             .find(|(r, _)| *r == rid)
             .map(|(_, t)| t)
-    }
-
-    /// Is this client serving `name` to peers at `now` — registered,
-    /// and inside its serving window (§III.C's mapper-side timeout)?
-    pub(super) fn serves(&self, name: &str, now: SimTime) -> bool {
-        self.served
-            .get(name)
-            .map(|f| f.until.map(|u| now <= u).unwrap_or(true))
-            .unwrap_or(false)
     }
 }
 
@@ -111,10 +104,18 @@ impl Engine {
 
     /// Registers a client over an already-placed network host (the
     /// builder path: hosts go into the topology before the network
-    /// engine exists, so no rebuild is needed).
-    pub(super) fn push_client(&mut self, profile: HostProfile, host: HostId) -> ClientId {
+    /// engine exists, so no rebuild is needed). `label` is scratch
+    /// space for the client's rng label, reused across calls.
+    pub(super) fn push_client(
+        &mut self,
+        profile: HostProfile,
+        host: HostId,
+        label: &mut String,
+    ) -> ClientId {
         let id = ClientId(self.clients.len() as u32);
-        let mut rng = self.rng.fork(&format!("client-{}", id.0));
+        label.clear();
+        write!(label, "client-{}", id.0).expect("writing to a String cannot fail");
+        let mut rng = self.rng.fork(label);
         // Stagger initial contact to avoid a lockstep thundering herd.
         let stagger = SimDuration::from_secs_f64(rng.uniform_f64(0.0, 3.0));
         let next_rpc_at = SimTime::ZERO + stagger;
@@ -135,7 +136,6 @@ impl Engine {
             run_queue: VecDeque::new(),
             running: Vec::new(),
             ready_to_report: Vec::new(),
-            served: HashMap::new(),
             serving_now: 0,
         });
         self.host_outcomes.push(ValidationCounts::default());
@@ -292,7 +292,7 @@ impl Engine {
                     .journal
                     .point(Lane(cid), "report", rid, now.as_micros());
                 reported_wus.push(self.db.result(rid).wu);
-                policy.on_result_reported(self, rid);
+                self.in_policy(|eng| policy.on_result_reported(eng, rid));
             }
             self.drop_task(cid, rid);
         }
@@ -325,7 +325,6 @@ impl Engine {
                 // Prefer results whose inputs this client already serves
                 // (it can read them from local disk instead of the
                 // network). Stable sort keeps FIFO order within ties.
-                let served = &self.clients[cid.0 as usize].served;
                 let mut scored: Vec<(usize, ResultId)> = self
                     .feeder
                     .candidates()
@@ -334,7 +333,7 @@ impl Engine {
                             .db
                             .inputs_of(rid)
                             .iter()
-                            .filter(|f| served.contains_key(&f.name))
+                            .filter(|f| self.holds_served_file(cid, &f.name))
                             .count();
                         (score, rid)
                     })
@@ -367,7 +366,7 @@ impl Engine {
                 self.sim.schedule_at(deadline, Ev::DeadlineCheck(rid));
                 self.adapt_replication(cid, rid);
                 self.grant_task(cid, rid);
-                policy.on_task_granted(self, cid, rid);
+                self.in_policy(|eng| policy.on_task_granted(eng, cid, rid));
             }
         }
 
@@ -581,7 +580,7 @@ impl Engine {
                 .journal
                 .span(Lane(cid), "exec", rid, start.as_micros(), now.as_micros());
         }
-        policy.on_task_executed(self, cid, rid);
+        self.in_policy(|eng| policy.on_task_executed(eng, cid, rid));
 
         // Upload outputs (or just queue the hash report).
         let spec = &self.db.wu(wu).spec;
@@ -622,8 +621,12 @@ impl Engine {
     }
 
     pub(super) fn on_dropout(&mut self, cid: ClientId) {
+        // It stops serving: O(files), not O(fleet).
+        self.served.retain(|_, holders| {
+            holders.retain(|(c, _)| *c != cid);
+            !holders.is_empty()
+        });
         let c = &mut self.clients[cid.0 as usize];
-        c.served.clear();
         c.run_queue.clear();
         c.running.clear();
         c.ready_to_report.clear();

@@ -53,7 +53,7 @@ impl Engine {
             self.start_server_download(slot, bytes, None, Some(name));
             return;
         }
-        if peers.contains(&cid) && self.clients[cid.0 as usize].serves(name, now) {
+        if peers.contains(&cid) && self.serves(cid, name, now) {
             self.start_local_read(slot, None);
             return;
         }
@@ -68,10 +68,9 @@ impl Engine {
         };
 
         // Peer alive and still serving the file?
-        let p = &self.clients[peer.0 as usize];
         let p_dropped = self.hot[peer.0 as usize].dropped;
-        if p_dropped || !p.serves(name, now) {
-            let window_expired = !p_dropped && p.served.contains_key(name);
+        if p_dropped || !self.serves(peer, name, now) {
+            let window_expired = !p_dropped && self.holds_served_file(peer, name);
             self.count_peer_failure();
             if window_expired {
                 self.obs
@@ -85,7 +84,7 @@ impl Engine {
             return;
         }
         // Serving-connection threshold on the mapper side.
-        if p.serving_now >= self.cfg.max_serving_connections {
+        if self.clients[peer.0 as usize].serving_now >= self.cfg.max_serving_connections {
             self.defer_busy(slot);
             return;
         }
@@ -154,10 +153,9 @@ impl Engine {
             let mut any_busy = false;
             for s in sources {
                 let scid = s.cid();
-                let p = &self.clients[scid as usize];
                 if scid == cid.0 {
                     // Self-holder: local read while the window is live.
-                    if p.serves(name, now) {
+                    if self.serves(cid, name, now) {
                         pick = Some(s);
                         break;
                     }
@@ -168,10 +166,10 @@ impl Engine {
                 }
                 // Holders must be inside their serving window; sibling
                 // seeds keep chunks for the life of the job.
-                if matches!(s, SwarmSource::Holder(_)) && !p.serves(name, now) {
+                if matches!(s, SwarmSource::Holder(_)) && !self.serves(ClientId(scid), name, now) {
                     continue;
                 }
-                if p.serving_now >= self.cfg.max_serving_connections
+                if self.clients[scid as usize].serving_now >= self.cfg.max_serving_connections
                     || !self.swarm[&key].source_has_room(scid, per_source_cap)
                 {
                     any_busy = true;

@@ -25,7 +25,7 @@ use crate::host::{HostProfile, ValidationCounts};
 use crate::transition::{transition_wu, Transition};
 use crate::types::{ClientId, OutputFingerprint, ResultId, WuId};
 use crate::workunit::{ResultState, WorkUnitSpec};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use vmr_desim::{EventId, RngStream, SimDuration, SimTime, Simulation, Tally};
 use vmr_durable::{Journal, SectionWriter, Sections};
 use vmr_netsim::{AggregateNetwork, FlowId, HostId, TraversalPolicy, TraversalStats};
@@ -67,15 +67,6 @@ pub enum Ev {
     Resume(ClientId),
     /// Policy-defined event.
     Custom(u64),
-}
-
-/// A file a client is willing to serve to peers (BOINC-MR map outputs).
-#[derive(Debug, Clone)]
-pub struct ServedFile {
-    /// Size served to each downloader.
-    pub bytes: u64,
-    /// Serving window end; `None` = no timeout.
-    pub until: Option<SimTime>,
 }
 
 /// Aggregate counters the experiment harness reads after a run.
@@ -164,6 +155,12 @@ pub struct Engine {
     pub trust: TrustLedger,
     server_host: HostId,
     clients: Vec<Client>,
+    /// Who serves which file to peers (BOINC-MR map outputs) and until
+    /// when: per file name, its holders, each with its serving window
+    /// end (`None` = no timeout). One entry per (file, client). Keyed
+    /// by file so a finished job stops serving through each file's few
+    /// holders, not through every client.
+    served: BTreeMap<String, Vec<(ClientId, Option<SimTime>)>>,
     /// `hot[i]` belongs to `clients[i]`.
     hot: Vec<ClientHot>,
     /// The project's back-off bounds (each client keeps only its count
@@ -221,6 +218,7 @@ struct EngineObs {
     feeder_occupancy: vmr_obs::TimeGauge,
     transitioner_scope: vmr_obs::Scope,
     client_wake_scope: vmr_obs::Scope,
+    policy_scope: vmr_obs::Scope,
     host_valid: vmr_obs::Counter,
     host_invalid: vmr_obs::Counter,
     host_error: vmr_obs::Counter,
@@ -247,6 +245,7 @@ impl EngineObs {
             feeder_occupancy: obs.time_gauge("vcore.feeder_occupancy"),
             transitioner_scope: obs.scope("vcore.transitioner_sweep"),
             client_wake_scope: obs.scope("vcore.client_wake"),
+            policy_scope: obs.scope("vcore.policy"),
             host_valid: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "valid")]),
             host_invalid: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "invalid")]),
             host_error: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "error")]),
@@ -331,34 +330,82 @@ impl Engine {
         self.sim.schedule_in(delay, Ev::Custom(tag));
     }
 
-    /// Marks `name` as served by `client` for peers to download
-    /// (BOINC-MR: a mapper starts serving its outputs after execution).
+    /// Marks `name` as served by `client` for peers to download until
+    /// `until` (`None` = no timeout) — BOINC-MR: a mapper starts
+    /// serving its outputs after execution. Registering a file the
+    /// client already holds replaces its window.
     pub fn register_served_file(
         &mut self,
         client: ClientId,
         name: impl Into<String>,
-        bytes: u64,
         until: Option<SimTime>,
     ) {
-        self.clients[client.0 as usize]
-            .served
-            .insert(name.into(), ServedFile { bytes, until });
+        let holders = self.served.entry(name.into()).or_default();
+        match holders.iter_mut().find(|(c, _)| *c == client) {
+            Some(holder) => holder.1 = until,
+            None => holders.push((client, until)),
+        }
     }
 
-    /// Stops serving `name` from `client` (job finished). Sibling
+    /// Stops serving `name` from every holder (job finished). Sibling
     /// seeds of the file are dropped with it: once the job stops
     /// serving a map output, nobody swarms its chunks any more.
-    pub fn unregister_served_file(&mut self, client: ClientId, name: &str) {
-        self.clients[client.0 as usize].served.remove(name);
+    pub fn stop_serving_file(&mut self, name: &str) {
+        self.served.remove(name);
         self.swarm_index.drop_file(name);
     }
 
-    /// Extends/reset the serving window of a file ("the map outputs'
-    /// timeout is reset … and the file becomes available for upload").
+    /// Extends/reset the serving window of a file on one holder ("the
+    /// map outputs' timeout is reset … and the file becomes available
+    /// for upload"). A no-op when `client` does not hold `name`.
     pub fn reset_serving_timeout(&mut self, client: ClientId, name: &str, until: Option<SimTime>) {
-        if let Some(f) = self.clients[client.0 as usize].served.get_mut(name) {
-            f.until = until;
+        let holder = self
+            .served
+            .get_mut(name)
+            .and_then(|holders| holders.iter_mut().find(|(c, _)| *c == client));
+        if let Some(holder) = holder {
+            holder.1 = until;
         }
+    }
+
+    /// `client`'s serving window for `name`: `None` when it does not
+    /// hold the file, `Some(None)` when the window never closes.
+    fn serving_window(&self, client: ClientId, name: &str) -> Option<Option<SimTime>> {
+        let holders = self.served.get(name)?;
+        holders
+            .iter()
+            .find(|(c, _)| *c == client)
+            .map(|&(_, until)| until)
+    }
+
+    /// Is `client` serving `name` to peers at `now` — registered, and
+    /// inside its serving window (§III.C's mapper-side timeout)?
+    pub fn serves(&self, client: ClientId, name: &str, now: SimTime) -> bool {
+        self.serving_window(client, name)
+            .is_some_and(|until| until.is_none_or(|u| now <= u))
+    }
+
+    /// Has `client` registered `name`, whether or not its serving
+    /// window is still open?
+    fn holds_served_file(&self, client: ClientId, name: &str) -> bool {
+        self.serving_window(client, name).is_some()
+    }
+
+    /// Runs one [`Policy`] hook under the `vcore.policy` profiling
+    /// scope, so job-phase work (reduce creation, teardown) is priced
+    /// apart from the event that triggered it.
+    fn in_policy(&mut self, hook: impl FnOnce(&mut Engine)) {
+        // Profiling off (the default) pays one atomic load, as a
+        // disarmed scope does, and not the handle clone below.
+        if !self.obs.prof.is_enabled() {
+            hook(self);
+            return;
+        }
+        // Cloned: a guard borrowed from `self.eobs` could not live
+        // across the `&mut self` the hook takes.
+        let scope = self.eobs.policy_scope.clone();
+        let _hook = scope.enter();
+        hook(self);
     }
 
     /// The engine's WAL handle (disabled unless the builder attached one).
@@ -482,7 +529,7 @@ impl Engine {
             Ev::Dropout(c) => self.on_dropout(c),
             Ev::Suspend(c) => self.on_suspend(c),
             Ev::Resume(c) => self.on_resume(c),
-            Ev::Custom(tag) => policy.on_custom(self, tag),
+            Ev::Custom(tag) => self.in_policy(|eng| policy.on_custom(eng, tag)),
         }
     }
 
@@ -624,12 +671,12 @@ impl Engine {
                 });
                 self.eobs.wu_validated.inc();
                 self.journal_wu_transition(wu, "validated", "validated");
-                policy.on_wu_validated(self, wu, &clients);
+                self.in_policy(|eng| policy.on_wu_validated(eng, wu, &clients));
             }
             Transition::Failed => {
                 self.eobs.wu_failed.inc();
                 self.journal_wu_transition(wu, "failed", "wu-failed");
-                policy.on_wu_failed(self, wu);
+                self.in_policy(|eng| policy.on_wu_failed(eng, wu));
             }
             // Retried: the new replicas become schedulable at the next
             // feeder pass; deadlines attach when they are sent.
@@ -897,7 +944,7 @@ mod tests {
     fn peer_download_via_served_file() {
         let mut eng = small_engine(2);
         // Client 1 serves a file; a WU downloads it from peers.
-        eng.register_served_file(ClientId(1), "part0", 1_000_000, None);
+        eng.register_served_file(ClientId(1), "part0", None);
         let mut spec = wu_spec("w0", 0, 0);
         spec.target_nresults = 1;
         spec.min_quorum = 1;
@@ -936,6 +983,138 @@ mod tests {
         assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
         assert!(eng.stats.peer_failures >= eng.cfg.peer_retry_limit as u64);
         assert_eq!(eng.stats.server_fallbacks, 1);
+    }
+
+    // ----- served-file registry ---------------------------------------------
+
+    #[test]
+    fn served_file_answers_for_each_holder_alone() {
+        let mut eng = small_engine(3);
+        let t = SimTime::from_secs;
+        eng.register_served_file(ClientId(0), "f", Some(t(100)));
+        eng.register_served_file(ClientId(1), "f", None);
+        assert!(eng.serves(ClientId(0), "f", t(50)));
+        assert!(eng.serves(ClientId(1), "f", t(50)));
+        assert!(!eng.serves(ClientId(2), "f", t(50)), "a non-holder");
+        assert!(!eng.serves(ClientId(0), "g", t(50)), "a file it never held");
+        // Client 0's window closes; client 1's never does.
+        assert!(!eng.serves(ClientId(0), "f", t(200)));
+        assert!(eng.serves(ClientId(1), "f", t(200)));
+    }
+
+    #[test]
+    fn a_closed_serving_window_is_not_served_but_stays_registered() {
+        let mut eng = small_engine(1);
+        let until = SimTime::from_secs(100);
+        eng.register_served_file(ClientId(0), "f", Some(until));
+        assert!(
+            eng.serves(ClientId(0), "f", until),
+            "served at its last instant"
+        );
+        let after = until + SimDuration::from_micros(1);
+        assert!(!eng.serves(ClientId(0), "f", after));
+        assert!(
+            eng.holds_served_file(ClientId(0), "f"),
+            "expired, not forgotten: a fetch from it journals ServingExpiry"
+        );
+    }
+
+    #[test]
+    fn fetch_from_a_closed_window_journals_serving_expiry() {
+        let mut eng = small_engine(2);
+        // Closed before anyone asks: every peer attempt finds it expired.
+        eng.register_served_file(ClientId(1), "part0", Some(SimTime::ZERO));
+        let mut spec = wu_spec("w0", 0, 0);
+        spec.target_nresults = 1;
+        spec.min_quorum = 1;
+        spec.inputs = vec![FileRef {
+            name: "part0".into(),
+            bytes: 500_000,
+            source: FileSource::Peers(vec![ClientId(1)]),
+        }];
+        let wu = eng.insert_workunit(spec);
+        let mut policy = NullPolicy;
+        eng.run_until(&mut policy, SimTime::from_secs(4000), |e| {
+            e.db.all_wus_terminal()
+        });
+        assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
+        assert_eq!(eng.stats.server_fallbacks, 1);
+        let expiries = eng
+            .obs
+            .journal
+            .events()
+            .into_iter()
+            .filter(|e| {
+                matches!(&e.kind, EventKind::ServingExpiry { client: 1, file } if file == "part0")
+            })
+            .count();
+        assert_eq!(expiries as u64, eng.stats.peer_failures);
+    }
+
+    #[test]
+    fn re_registering_replaces_the_window() {
+        let mut eng = small_engine(1);
+        let t = SimTime::from_secs;
+        eng.register_served_file(ClientId(0), "f", Some(t(10)));
+        eng.register_served_file(ClientId(0), "f", Some(t(100)));
+        assert!(eng.serves(ClientId(0), "f", t(50)));
+        assert_eq!(eng.served["f"], vec![(ClientId(0), Some(t(100)))]);
+    }
+
+    #[test]
+    fn reset_serving_timeout_moves_only_the_named_holder() {
+        let mut eng = small_engine(3);
+        let t = SimTime::from_secs;
+        eng.register_served_file(ClientId(0), "f", Some(t(10)));
+        eng.register_served_file(ClientId(1), "f", Some(t(10)));
+        eng.reset_serving_timeout(ClientId(0), "f", Some(t(100)));
+        assert!(eng.serves(ClientId(0), "f", t(50)));
+        assert!(!eng.serves(ClientId(1), "f", t(50)));
+        // A non-holder gains nothing: no entry, no file.
+        eng.reset_serving_timeout(ClientId(2), "f", Some(t(100)));
+        eng.reset_serving_timeout(ClientId(2), "g", Some(t(100)));
+        assert!(!eng.holds_served_file(ClientId(2), "f"));
+        assert_eq!(eng.served["f"].len(), 2);
+        assert!(!eng.served.contains_key("g"));
+    }
+
+    #[test]
+    fn dropout_forgets_only_that_client_in_every_file() {
+        let mut eng = small_engine(2);
+        for name in ["f", "g"] {
+            eng.register_served_file(ClientId(0), name, None);
+            eng.register_served_file(ClientId(1), name, None);
+        }
+        eng.register_served_file(ClientId(0), "h", None);
+        eng.on_dropout(ClientId(0));
+        let now = eng.now();
+        for name in ["f", "g", "h"] {
+            assert!(!eng.holds_served_file(ClientId(0), name), "{name}");
+        }
+        for name in ["f", "g"] {
+            assert!(eng.serves(ClientId(1), name, now), "{name}");
+        }
+    }
+
+    #[test]
+    fn stop_serving_file_drops_every_holder_and_its_swarm_seeds() {
+        let mut eng = small_engine(3);
+        for c in 0..3 {
+            eng.register_served_file(ClientId(c), "f", None);
+        }
+        eng.register_served_file(ClientId(0), "g", None);
+        eng.swarm_index.add_seed("f", 0, 2, 1);
+        eng.swarm_index.add_seed("g", 0, 2, 1);
+        eng.stop_serving_file("f");
+        let now = eng.now();
+        assert!((0..3).all(|c| !eng.holds_served_file(ClientId(c), "f")));
+        assert!(eng.swarm_index.seeds("f", 0).is_empty());
+        assert!(eng.serves(ClientId(0), "g", now), "other files untouched");
+        assert_eq!(eng.swarm_index.seeds("g", 0), &[1]);
+        // The name is free again, e.g. for a later job's file.
+        eng.register_served_file(ClientId(2), "f", None);
+        assert!(eng.serves(ClientId(2), "f", now));
+        assert!(!eng.serves(ClientId(0), "f", now));
     }
 
     #[test]
@@ -1092,7 +1271,7 @@ mod tests {
             let mut eng = small_engine(1);
             eng.cfg.locality_scheduling = locality;
             eng.cfg.client_buffer_slots = 1; // one grant per RPC
-            eng.register_served_file(ClientId(0), "partB", 2_000_000, None);
+            eng.register_served_file(ClientId(0), "partB", None);
             let mut a = wu_spec("wA", 0, 0);
             a.target_nresults = 1;
             a.min_quorum = 1;

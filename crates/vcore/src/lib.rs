@@ -44,7 +44,7 @@ pub use credit::{claimed_credit, CreditLedger, HostAccount};
 pub use db::Db;
 pub use engine::{
     clique_fingerprint, honest_fingerprint, Engine, EngineStats, Ev, NullPolicy, Policy,
-    RelayChoice, ServedFile,
+    RelayChoice,
 };
 pub use engine::{BuildError, EngineBuilder};
 pub use fault::{Corruption, FaultIndex, FaultPlan};

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate. Runs, in order: `cargo fmt --check`; the
-# hash-collection grep gate on crates/desim/src; the unwrap/expect grep
+# hash-collection grep gate on crates/desim/src and
+# crates/vcore/src/engine/client.rs; the unwrap/expect grep
 # gate on the byte paths that read peer or disk bytes (durable's crc,
 # frame, wire; rtnet's proto, store); clippy on the
 # workspace, all targets, warnings as errors; the examples build; the
@@ -49,12 +50,14 @@ expect_json_line() {
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> determinism gate: no std hash collections in crates/desim/src"
+echo "==> determinism gate: no std hash collections in crates/desim/src and vcore's engine/client.rs"
 # Iteration order of a std HashMap / HashSet differs per instance; the
-# kernel everything replays on has no use for one (ROADMAP item 3b: the
-# other deterministic crates join this list as they are converted).
-if grep -rnE 'Hash(Map|Set)' crates/desim/src; then
-    echo "std hash collection in crates/desim/src (use a Vec, slab or BTreeMap)" >&2
+# kernel everything replays on and the volunteer state machine have no
+# use for one (ROADMAP item 3b: the other deterministic crates and
+# modules join this list as they are converted).
+hash_free=(crates/desim/src crates/vcore/src/engine/client.rs)
+if grep -rnE 'Hash(Map|Set)' "${hash_free[@]}"; then
+    echo "std hash collection in ${hash_free[*]} (use a Vec, slab or BTreeMap)" >&2
     exit 1
 fi
 
