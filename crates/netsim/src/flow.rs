@@ -40,9 +40,16 @@
 //! * **An unchanged demand set is solved once.** Flow specs, paths and
 //!   the topology are immutable, so the allocation is a pure function
 //!   of the demand id list; when a wave finds the list it last solved
-//!   for (every `start_flow` of a flow still in its setup phase), the
-//!   retained rates are reused. Debug builds re-solve and assert the
-//!   rates are bit-equal.
+//!   for (an in-setup start at a new instant, say), the retained rates
+//!   are reused. Debug builds re-solve and assert the rates are
+//!   bit-equal.
+//! * **Same-instant starts share one wave.** A flow that does not join
+//!   the demand set (still in its setup phase, or zero bytes), started
+//!   at the instant of the last wave, costs no walk at all: nothing
+//!   since that wave can have changed the demand set, so the wave would
+//!   re-anchor nothing. The start only folds its `due` into `min_due`,
+//!   and k such starts at one instant cost the one wave before them.
+//!   Debug builds check that the skipped wave is a no-op.
 //!
 //! Call instants must be non-decreasing across `start_flow` /
 //! `abort_flow` / `advance` (event-driven callers do this naturally);
@@ -117,6 +124,12 @@ struct ActiveFlow {
 }
 
 impl ActiveFlow {
+    /// Whether a wave at `now` (clock settled to `anchor`) puts this
+    /// flow in the demand set: past its setup phase, bytes left.
+    fn demands(&self, now: SimTime, anchor: SimTime) -> bool {
+        self.starts_at <= now && self.bytes_left_at(anchor) > 0.0
+    }
+
     /// Bytes left at `t ≥ anchor` under the current rate.
     fn bytes_left_at(&self, t: SimTime) -> f64 {
         let active_from = self.starts_at.max(self.anchor);
@@ -183,6 +196,11 @@ pub struct Network {
     /// has one. Refreshed by every reallocation wave, which every
     /// mutation of `flows` ends in.
     min_due: SimTime,
+    /// `last_advance` as of the end of the last reallocation wave.
+    /// While it still equals `last_advance`, the demand set is the one
+    /// that wave solved: the clock has not moved, and aborts and
+    /// harvests run a wave of their own.
+    clean_at: Option<SimTime>,
     /// Min-heap of pending setup boundaries (starts_at, flow).
     setup_heap: BinaryHeap<Reverse<(SimTime, FlowId)>>,
     /// Reusable progressive-filling state.
@@ -221,6 +239,7 @@ impl Network {
             bg_durations: Tally::new(),
             bytes_delivered: 0.0,
             min_due: SimTime::MAX,
+            clean_at: None,
             setup_heap: BinaryHeap::new(),
             alloc: Allocator::new(),
             solved_ids: Vec::new(),
@@ -286,8 +305,16 @@ impl Network {
             self.setup_heap.push(Reverse((starts_at, id)));
         }
         let flow_bytes = flow.spec.bytes;
+        let (joins, due) = (flow.demands(now, self.last_advance), flow.due);
         self.flows.insert(id, flow);
-        self.reallocate(now);
+        if !joins && self.clean_at == Some(self.last_advance) {
+            // The demand set is the one the last wave solved, so that
+            // wave would keep every rate and re-anchor nothing.
+            debug_assert!(self.wave_is_noop(now), "skipped wave would change a rate");
+            self.min_due = self.min_due.min(due);
+        } else {
+            self.reallocate(now);
+        }
         self.prune_setup_heap();
         self.obs.started.inc();
         self.obs
@@ -454,7 +481,7 @@ impl Network {
         self.scratch_ids.clear();
         let mut demands: Vec<RouteDemand<'_>> = Vec::with_capacity(self.solved_ids.len() + 1);
         for (&id, f) in self.flows.iter() {
-            if f.starts_at <= now && f.bytes_left_at(anchor) > 0.0 {
+            if f.demands(now, anchor) {
                 self.scratch_ids.push(id);
                 demands.push(RouteDemand {
                     links: &f.links,
@@ -507,6 +534,22 @@ impl Network {
             min_due = min_due.min(f.due);
         }
         self.min_due = min_due;
+        self.clean_at = Some(anchor);
+    }
+
+    /// Whether a wave at `now` would be a no-op: the demand ids are the
+    /// ones last solved, each demand flow holds its solved rate and no
+    /// other flow holds one. Checks a skipped wave in debug builds
+    /// without counting as one.
+    fn wave_is_noop(&self, now: SimTime) -> bool {
+        let mut solved = self.solved_ids.iter().zip(&self.rates);
+        self.flows.iter().all(|(id, f)| {
+            if f.demands(now, self.last_advance) {
+                solved.next() == Some((id, &f.rate))
+            } else {
+                f.rate == 0.0
+            }
+        }) && solved.next().is_none()
     }
 
     /// Discards entries of aborted or completed flows from the top of
@@ -800,6 +843,79 @@ mod tests {
         let done = n.advance(before);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].at, before);
+    }
+
+    /// A network of `n` hosts and its `netsim.realloc_waves` counter.
+    fn counted_net(n: usize) -> (Network, vmr_obs::Counter) {
+        let obs = vmr_obs::Obs::detached();
+        let waves = obs.counter("netsim.realloc_waves");
+        (Network::with_obs(net(n).topo, &obs), waves)
+    }
+
+    fn in_setup(src: u32, dst: u32, bytes: u64, setup_s: f64) -> FlowSpec {
+        let mut spec = FlowSpec::simple(HostId(src), HostId(dst), bytes);
+        spec.setup_s = setup_s;
+        spec
+    }
+
+    #[test]
+    fn same_instant_setup_starts_cost_one_wave() {
+        let (mut n, waves) = counted_net(6);
+        let now = SimTime::from_secs(1);
+        for k in 0..5 {
+            n.start_flow(now, in_setup(k, 5, 1_250_000, 0.1 * (k + 1) as f64));
+        }
+        assert_eq!(waves.get(), 1, "k in-setup starts at one instant");
+        let done = drive_to_completion(&mut n);
+        assert_eq!(done.len(), 5);
+    }
+
+    #[test]
+    fn zero_setup_start_in_a_burst_pays_a_wave() {
+        let (mut n, waves) = counted_net(6);
+        let now = SimTime::from_secs(1);
+        n.start_flow(now, in_setup(0, 5, 1_250_000, 0.5));
+        n.start_flow(now, in_setup(1, 5, 1_250_000, 0.5));
+        assert_eq!(waves.get(), 1);
+        // Joins the demand set at once: it needs a rate now.
+        let id = n.start_flow(now, in_setup(2, 4, 1_250_000, 0.0));
+        assert_eq!(waves.get(), 2);
+        assert_eq!(n.flow_rate(id), Some(12_500_000.0));
+        n.start_flow(now, in_setup(3, 5, 1_250_000, 0.5));
+        assert_eq!(waves.get(), 2);
+        assert_eq!(drive_to_completion(&mut n).len(), 4);
+    }
+
+    #[test]
+    fn zero_byte_start_in_a_burst_is_due() {
+        let (mut n, waves) = counted_net(4);
+        let now = SimTime::from_secs(1);
+        n.start_flow(now, in_setup(0, 1, 1_250_000, 0.5));
+        assert_eq!(n.next_event_time(), Some(SimTime::from_millis(1500)));
+        // No setup, no bytes: never in the demand set, due right away.
+        let id = n.start_flow(now, in_setup(2, 3, 0, 0.0));
+        assert_eq!(waves.get(), 1);
+        assert_eq!(n.next_event_time(), Some(now));
+        let done = n.advance(now);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].id, id);
+        assert_eq!(n.next_event_time(), Some(SimTime::from_millis(1500)));
+    }
+
+    #[test]
+    fn start_when_an_unharvested_flow_runs_out_pays_a_wave() {
+        let (mut n, waves) = counted_net(3);
+        // 12.5 kB at 12.5 MB/s: out of bytes after ~1 ms.
+        let a = n.start_flow(SimTime::ZERO, in_setup(0, 1, 12_500, 0.0));
+        let out_at = n.next_event_time().unwrap();
+        assert_eq!(waves.get(), 1);
+        // An in-setup start at that instant, before `advance` harvested
+        // `a`: the wave it pays takes `a`'s rate away.
+        n.start_flow(out_at, in_setup(0, 2, 12_500, 1.0));
+        assert_eq!(waves.get(), 2);
+        assert_eq!(n.flow_rate(a), Some(0.0));
+        let done = drive_to_completion(&mut n);
+        assert_eq!((done[0].id, done[0].at), (a, out_at));
     }
 
     #[test]

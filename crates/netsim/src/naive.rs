@@ -222,8 +222,16 @@ impl NaiveNetwork {
         loop {
             let next = self.earliest_completion();
             match next {
-                Some((t, id)) if t <= now => {
+                Some((t, _)) if t <= now => {
+                    // Setup boundaries crossed by `t` reallocate, and a
+                    // flow they let in can be due at `t` with a lower id
+                    // (a loopback flow finishes the instant it starts), so
+                    // settle first and pick again.
                     self.settle(t);
+                    let id = match self.earliest_completion() {
+                        Some((due, id)) if due == t => id,
+                        _ => continue,
+                    };
                     let f = self.flows.remove(&id).expect("completing unknown flow");
                     // Infinite-rate flows (loopback: no constraining
                     // links) complete at their start instant with dt = 0,

@@ -733,6 +733,80 @@ proptest! {
     }
 }
 
+/// An `advance` that jumps over a loopback flow's set-up boundary to
+/// another flow's completion: the settle at that instant lets the
+/// loopback flow in, due at once, and it has the lower id. Both engines
+/// must report the pair in id order (the naive engine used to pick the
+/// flow it had found before settling, and reported it first).
+#[test]
+fn pinned_setup_crossing_tie_matches_naive() {
+    let hosts = [0u8, 0];
+    let flows: Vec<RawFlow> = vec![
+        // h0 -> h0, no links, set-up ends at 0.1 s.
+        ((0, 0, 1, 1_000, 100, 1), (1, 0, 1)),
+        // h1 -> h0, 4 MB at 100 Mbit/s from 0 s: done at 0.32 s.
+        ((1, 0, 1, 4_000_000, 0, 1), (1, 0, 1)),
+        // The next step, at 0.9 s, advances over both instants.
+        ((0, 1, 1, 1_000, 0, 1), (1, 900_000, 1)),
+    ];
+    let (inc, ..) = run_incremental(&hosts, &flows);
+    let (nai, ..) = run_naive(&hosts, &flows);
+    assert_eq!(stream_divergence(&inc, &nai), None);
+    let first_two: Vec<(u64, u64)> = inc[..2].iter().map(|c| (c.0, c.1)).collect();
+    assert_eq!(first_two, [(0, 320_000), (1, 320_000)]);
+}
+
+/// Turns generated flows into a script of same-instant bursts: every
+/// flow whose `shape` is not 0 starts at its predecessor's instant
+/// (`dt = 0`), shape 1 with no set-up phase (joins the demand set in the
+/// middle of the burst unless its path has latency), shape 2 with zero
+/// bytes (never joins it, due when its set-up ends).
+fn burst_script(raw: &[(RawFlow, u8)]) -> Vec<RawFlow> {
+    raw.iter()
+        .map(
+            |&(((src, dst, relay, bytes, setup_ms, prio), (cap, dt_us, abort)), shape)| {
+                let dt_us = if shape == 0 { dt_us } else { 0 };
+                let setup_ms = if shape == 1 { 0 } else { setup_ms };
+                let bytes = if shape == 2 { 0 } else { bytes };
+                (
+                    (src, dst, relay, bytes, setup_ms, prio),
+                    (cap, dt_us, abort),
+                )
+            },
+        )
+        .collect()
+}
+
+proptest! {
+    /// Same-instant bursts of starts — in-setup, zero-setup and
+    /// zero-byte flows mixed, with aborts and harvests inside a burst —
+    /// leave the completion stream bit-identical to the naive engine's,
+    /// although most of the burst's starts run no reallocation wave.
+    #[test]
+    fn same_instant_bursts_match_naive_engine(
+        hosts in proptest::collection::vec(0u8..4, 2usize..8),
+        raw in proptest::collection::vec(
+            (
+                (
+                    (0u32..8, 0u32..8, 0u32..12, 0u64..5_000_000, 0u16..2_000, 0u8..6),
+                    (0u8..8, 0u32..3_000_000, 0u8..15),
+                ),
+                0u8..6,
+            ),
+            1usize..40,
+        ),
+    ) {
+        let flows = burst_script(&raw);
+        let (inc, inc_bytes, inc_fg, inc_bg, inc_obs) = run_incremental(&hosts, &flows);
+        let (naive, naive_bytes, naive_fg, naive_bg, naive_obs) = run_naive(&hosts, &flows);
+        let diff = stream_divergence(&inc, &naive);
+        prop_assert!(diff.is_none(), "completion streams diverge: {}", diff.unwrap());
+        prop_assert_eq!(inc_bytes.to_bits(), naive_bytes.to_bits());
+        prop_assert_eq!((inc_fg, inc_bg), (naive_fg, naive_bg));
+        prop_assert_eq!(inc_obs, naive_obs);
+    }
+}
+
 /// Deterministic coalescing scenario: eight identical-path foreground
 /// transfers with a threshold of four. The engine must migrate on the
 /// fifth start, pool the class, and expand per-flow completions back

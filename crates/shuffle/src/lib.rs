@@ -34,13 +34,13 @@
 //! windows) stay in `vmr-vcore`; this crate is a leaf below it, so
 //! client ids travel as raw `u32` (the `ClientId` newtype lives
 //! upstream). Swarm bookkeeping ([`SwarmTransfer`], [`SwarmIndex`]) is
-//! deterministic by construction: vectors in event order, no map
-//! iteration on any decision path.
+//! deterministic by construction: vectors in event order and one
+//! `BTreeMap`, no hash collections.
 
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use vmr_obs::{Counter, Obs};
 
 // ---------------------------------------------------------------------------
@@ -363,16 +363,20 @@ pub fn coded_groups(n_reduces: usize, g: usize) -> usize {
 /// chunk serve it to later reducers, spreading load off the holders.
 #[derive(Debug, Default)]
 pub struct SwarmIndex {
-    files: HashMap<String, Vec<Vec<u32>>>,
+    files: BTreeMap<String, Vec<Vec<u32>>>,
 }
 
 impl SwarmIndex {
-    /// Registers `cid` as a seed for `name`'s chunk `chunk`.
+    /// Registers `cid` as a seed for `name`'s chunk `chunk`. The key is
+    /// allocated only for the file's first seed.
     pub fn add_seed(&mut self, name: &str, chunk: u32, n_chunks: u32, cid: u32) {
-        let per = self
-            .files
-            .entry(name.to_string())
-            .or_insert_with(|| vec![Vec::new(); n_chunks as usize]);
+        let per = match self.files.get_mut(name) {
+            Some(per) => per,
+            None => self
+                .files
+                .entry(name.to_string())
+                .or_insert_with(|| vec![Vec::new(); n_chunks as usize]),
+        };
         let list = &mut per[chunk as usize];
         if !list.contains(&cid) {
             list.push(cid);
@@ -381,11 +385,14 @@ impl SwarmIndex {
 
     /// Seeds of `name`'s chunk `chunk`, in registration order.
     pub fn seeds(&self, name: &str, chunk: u32) -> &[u32] {
-        self.files
-            .get(name)
-            .and_then(|per| per.get(chunk as usize))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.chunk_seeds(name)
+            .get(chunk as usize)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Every chunk's seed list of `name` (empty when nobody seeds it).
+    fn chunk_seeds(&self, name: &str) -> &[Vec<u32>] {
+        self.files.get(name).map_or(&[], Vec::as_slice)
     }
 
     /// Drops all seed entries of one file (job finished serving it).
@@ -433,7 +440,8 @@ pub struct SwarmTransfer {
     done: Vec<bool>,
     in_flight: Vec<bool>,
     attempts: Vec<u32>,
-    per_source: HashMap<u32, u32>,
+    /// `(source, chunk flows in flight)`, one entry per busy source.
+    per_source: Vec<(u32, u32)>,
     inflight_total: u32,
     remaining: u32,
 }
@@ -449,7 +457,7 @@ impl SwarmTransfer {
             done: vec![false; n],
             in_flight: vec![false; n],
             attempts: vec![0; n],
-            per_source: HashMap::new(),
+            per_source: Vec::new(),
             inflight_total: 0,
             remaining: plan.n_chunks,
         }
@@ -477,14 +485,16 @@ impl SwarmTransfer {
 
     /// Rarest-first piece selection: among chunks neither done nor in
     /// flight, pick the one with the fewest seeds in `index` (holders
-    /// count for every chunk), breaking ties by chunk order.
+    /// count for every chunk), breaking ties by chunk order. The file's
+    /// seed lists are looked up once per pick.
     pub fn choose_chunk(&self, index: &SwarmIndex) -> Option<u32> {
+        let seeds = index.chunk_seeds(&self.name);
         let mut best: Option<(usize, u32)> = None;
         for i in 0..self.plan.n_chunks {
             if self.done[i as usize] || self.in_flight[i as usize] {
                 continue;
             }
-            let avail = self.holders.len() + index.seeds(&self.name, i).len();
+            let avail = self.holders.len() + seeds.get(i as usize).map_or(0, Vec::len);
             if best.map(|(b, _)| avail < b).unwrap_or(true) {
                 best = Some((avail, i));
             }
@@ -516,7 +526,8 @@ impl SwarmTransfer {
 
     /// True while `source` is below the per-source in-flight cap.
     pub fn source_has_room(&self, source: u32, cap: u32) -> bool {
-        self.per_source.get(&source).copied().unwrap_or(0) < cap
+        let n = self.per_source.iter().find(|&&(s, _)| s == source);
+        n.map_or(0, |&(_, n)| n) < cap
     }
 
     /// Marks `chunk` in flight from `source`.
@@ -525,7 +536,10 @@ impl SwarmTransfer {
         debug_assert!(!self.done[i] && !self.in_flight[i]);
         self.in_flight[i] = true;
         self.inflight_total += 1;
-        *self.per_source.entry(source).or_insert(0) += 1;
+        match self.per_source.iter_mut().find(|(s, _)| *s == source) {
+            Some((_, n)) => *n += 1,
+            None => self.per_source.push((source, 1)),
+        }
     }
 
     /// Completes `chunk` from `source`; returns true when the whole
@@ -557,10 +571,10 @@ impl SwarmTransfer {
     }
 
     fn release_source(&mut self, source: u32) {
-        if let Some(n) = self.per_source.get_mut(&source) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                self.per_source.remove(&source);
+        if let Some(k) = self.per_source.iter().position(|&(s, _)| s == source) {
+            self.per_source[k].1 -= 1;
+            if self.per_source[k].1 == 0 {
+                self.per_source.swap_remove(k);
             }
         }
     }
@@ -735,6 +749,91 @@ mod tests {
         let mut sorted = holders.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 2, 3]);
+    }
+
+    /// `choose_chunk` as one `index.seeds(name, i)` look-up per chunk.
+    fn choose_chunk_per_chunk(t: &SwarmTransfer, index: &SwarmIndex) -> Option<u32> {
+        let mut best: Option<(usize, u32)> = None;
+        for i in 0..t.plan.n_chunks {
+            if t.done[i as usize] || t.in_flight[i as usize] {
+                continue;
+            }
+            let avail = t.holders.len() + index.seeds(&t.name, i).len();
+            if best.map(|(b, _)| avail < b).unwrap_or(true) {
+                best = Some((avail, i));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+
+    /// `sources_for` spelled out: chunk seeds, then rotated holders.
+    fn sources_per_chunk(
+        t: &SwarmTransfer,
+        chunk: u32,
+        index: &SwarmIndex,
+        requester: u32,
+    ) -> Vec<SwarmSource> {
+        let mut v: Vec<SwarmSource> = index
+            .seeds(&t.name, chunk)
+            .iter()
+            .map(|&s| SwarmSource::Sibling(s))
+            .collect();
+        let n = t.holders.len();
+        let start = chunk as usize + requester as usize + t.attempts(chunk) as usize;
+        v.extend((0..n).map(|k| SwarmSource::Holder(t.holders[(start + k) % n])));
+        v
+    }
+
+    #[test]
+    fn swarm_pick_matches_per_chunk_lookups() {
+        // Small generated cases: chunks with and without seeds, a file
+        // the index has never seen, seeds arriving while chunks are
+        // done or in flight, failed attempts rotating the holders.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |n: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as u32
+        };
+        for case in 0..300 {
+            let n_chunks = 1 + draw(6);
+            let plan = ChunkPlan::new(n_chunks as u64 * 100 - draw(100) as u64, 100);
+            let holders: Vec<u32> = (0..draw(4)).map(|_| draw(8)).collect();
+            let mut t = SwarmTransfer::new("f".into(), holders, plan);
+            let mut idx = SwarmIndex::default();
+            for _ in 0..24 {
+                let c = draw(n_chunks);
+                match draw(5) {
+                    // Seeds for this file, or only for another one.
+                    0 => idx.add_seed("f", c, n_chunks, draw(8)),
+                    1 => idx.add_seed("g", c, n_chunks, draw(8)),
+                    2 => {
+                        if let Some(c) = t.choose_chunk(&idx) {
+                            t.start(c, draw(8));
+                        }
+                    }
+                    3 if t.in_flight[c as usize] => {
+                        t.complete(c, None);
+                    }
+                    _ if t.in_flight[c as usize] => t.fail(c, None),
+                    _ => t.bump_attempt(c),
+                }
+                assert_eq!(
+                    t.choose_chunk(&idx),
+                    choose_chunk_per_chunk(&t, &idx),
+                    "case {case}"
+                );
+                for c in 0..n_chunks {
+                    let req = draw(8);
+                    assert_eq!(
+                        t.sources_for(c, &idx, req),
+                        sources_per_chunk(&t, c, &idx, req),
+                        "case {case} chunk {c}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

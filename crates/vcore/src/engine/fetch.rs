@@ -101,6 +101,8 @@ impl Engine {
     /// exhausted is seeded by the server — the seeder of last resort.
     /// Re-entered on every chunk completion and `PeerRetry` event.
     fn swarm_pump(&mut self, slot: InputSlot, name: &str, bytes: u64, peers: &[ClientId]) {
+        let scope = self.eobs.swarm_pump_scope.clone();
+        let _pump = scope.enter();
         let now = self.sim.now();
         let cid = slot.client;
         let key = slot.swarm_key();

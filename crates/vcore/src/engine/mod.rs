@@ -219,6 +219,7 @@ struct EngineObs {
     transitioner_scope: vmr_obs::Scope,
     client_wake_scope: vmr_obs::Scope,
     policy_scope: vmr_obs::Scope,
+    swarm_pump_scope: vmr_obs::Scope,
     host_valid: vmr_obs::Counter,
     host_invalid: vmr_obs::Counter,
     host_error: vmr_obs::Counter,
@@ -246,6 +247,7 @@ impl EngineObs {
             transitioner_scope: obs.scope("vcore.transitioner_sweep"),
             client_wake_scope: obs.scope("vcore.client_wake"),
             policy_scope: obs.scope("vcore.policy"),
+            swarm_pump_scope: obs.scope("vcore.swarm_pump"),
             host_valid: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "valid")]),
             host_invalid: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "invalid")]),
             host_error: obs.counter_labeled("vcore.host_outcomes", &[("outcome", "error")]),

@@ -50,12 +50,13 @@ expect_json_line() {
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> determinism gate: no std hash collections in crates/desim/src and vcore's engine/client.rs"
+echo "==> determinism gate: no std hash collections in crates/desim/src, crates/shuffle/src and vcore's engine/client.rs"
 # Iteration order of a std HashMap / HashSet differs per instance; the
-# kernel everything replays on and the volunteer state machine have no
-# use for one (ROADMAP item 3b: the other deterministic crates and
-# modules join this list as they are converted).
-hash_free=(crates/desim/src crates/vcore/src/engine/client.rs)
+# kernel everything replays on, the shuffle's decisions and the
+# volunteer state machine have no use for one (ROADMAP item 3b: the
+# other deterministic crates and modules join this list as they are
+# converted).
+hash_free=(crates/desim/src crates/shuffle/src crates/vcore/src/engine/client.rs)
 if grep -rnE 'Hash(Map|Set)' "${hash_free[@]}"; then
     echo "std hash collection in ${hash_free[*]} (use a Vec, slab or BTreeMap)" >&2
     exit 1
