@@ -126,15 +126,21 @@ pub fn table1_text(opts: &Table1Opts) -> Result<(String, Vec<String>), ConfigErr
     Ok((s, row_metrics))
 }
 
-/// Runs the Fig. 4 scenario (15 nodes, 15 map WUs, 30 map results) and
-/// renders the per-node report-delay table plus the ASCII timeline.
-pub fn fig4_text() -> Result<String, ConfigError> {
+/// The Fig. 4 scenario: 15 nodes, 15 map WUs (30 map results), the
+/// timeline recorded.
+pub fn fig4_config() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::table1(15, 15, 3, MrMode::ServerRelay);
     cfg.sizing = calibrated_sizing();
     cfg.record_timeline = true;
     // Seed chosen so a clear backoff straggler appears (several do).
     cfg.seed = 0xF164;
-    let out = run_experiment(&cfg)?;
+    cfg
+}
+
+/// Runs the Fig. 4 scenario ([`fig4_config`]) and renders the per-node
+/// report-delay table plus the ASCII timeline.
+pub fn fig4_text() -> Result<String, ConfigError> {
+    let out = run_experiment(&fig4_config())?;
     assert!(out.all_done);
     let r = &out.reports[0];
 

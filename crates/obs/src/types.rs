@@ -397,6 +397,111 @@ mod tests {
         assert!(f.to_json().contains("\"type\":\"flow_complete\""));
     }
 
+    /// One event of every kind, rendered to its exact JSON line.
+    #[test]
+    fn every_event_kind_renders_its_json_line() {
+        let cases: Vec<(EventKind, &str)> = vec![
+            (
+                EventKind::Span {
+                    actor: "node-03".into(),
+                    kind: "exec".into(),
+                    detail: "r12".into(),
+                    end_us: 9,
+                },
+                r#""type":"span","actor":"node-03","kind":"exec","detail":"r12","end_us":9"#,
+            ),
+            (
+                EventKind::Point {
+                    actor: "server".into(),
+                    kind: "phase".into(),
+                    detail: "reduce-start".into(),
+                },
+                r#""type":"point","actor":"server","kind":"phase","detail":"reduce-start""#,
+            ),
+            (
+                EventKind::Point {
+                    actor: "node-120".into(),
+                    kind: "dropout".into(),
+                    detail: "".into(),
+                },
+                r#""type":"point","actor":"node-120","kind":"dropout","detail":"""#,
+            ),
+            (
+                EventKind::RpcServed {
+                    client: 4,
+                    granted: 2,
+                    empty: false,
+                },
+                r#""type":"rpc_served","client":4,"granted":2,"empty":false"#,
+            ),
+            (
+                EventKind::WuTransition {
+                    wu: "wu5".into(),
+                    to: "validated".into(),
+                },
+                r#""type":"wu_transition","wu":"wu5","to":"validated""#,
+            ),
+            (
+                EventKind::WuTransition {
+                    wu: "wu6".into(),
+                    to: "failed".into(),
+                },
+                r#""type":"wu_transition","wu":"wu6","to":"failed""#,
+            ),
+            (
+                EventKind::FlowStart { id: 3, bytes: 10 },
+                r#""type":"flow_start","id":3,"bytes":10"#,
+            ),
+            (
+                EventKind::FlowComplete {
+                    id: 3,
+                    bytes: 10,
+                    dur_us: 4,
+                },
+                r#""type":"flow_complete","id":3,"bytes":10,"dur_us":4"#,
+            ),
+            (
+                EventKind::BackoffArmed {
+                    client: 2,
+                    delay_us: 600,
+                },
+                r#""type":"backoff_armed","client":2,"delay_us":600"#,
+            ),
+            (
+                EventKind::ServingExpiry {
+                    client: 1,
+                    file: "part\"0".into(),
+                },
+                r#""type":"serving_expiry","client":1,"file":"part\"0""#,
+            ),
+            (
+                EventKind::PeerFallback {
+                    client: 7,
+                    file: "map3.r1".into(),
+                },
+                r#""type":"peer_fallback","client":7,"file":"map3.r1""#,
+            ),
+            (
+                EventKind::SnapshotTaken {
+                    records: 40,
+                    bytes: 512,
+                },
+                r#""type":"snapshot_taken","records":40,"bytes":512"#,
+            ),
+            (
+                EventKind::Recovered {
+                    replayed: 11,
+                    from_snapshot: true,
+                },
+                r#""type":"recovered","replayed":11,"from_snapshot":true"#,
+            ),
+        ];
+        for (kind, body) in cases {
+            let ev = Event { t_us: 17, kind };
+            assert_eq!(ev.to_json(), format!("{{\"t_us\":17,{body}}}"));
+        }
+    }
+
     #[test]
     fn float_formatting_is_json_safe() {
         assert_eq!(fmt_f64(5.0), "5");

@@ -1,8 +1,9 @@
 //! Committed goldens of the paper's artefacts. Every deterministic
 //! output the repository promises to keep byte-identical is pinned here
 //! against files generated once and never regenerated casually:
-//! Table I (quick and full), Fig. 4, and the WAL byte stream of one
-//! journaled Table I row, raw and compacted. The text is built by the
+//! Table I (quick and full), Fig. 4, the WAL byte stream of one
+//! journaled Table I row, raw and compacted, and the obs event journal
+//! of the Fig. 4 run as JSON lines. The text is built by the
 //! same `vmr_bench::paper` calls the `table1` / `fig4` binaries print with
 //! (`scripts/check.sh` also diffs the binaries' stdout against the same
 //! files).
@@ -12,7 +13,7 @@
 //! `cargo run --release -p vmr-bench --bin table1 [-- --quick]` /
 //! `--bin fig4` and say why in the change description.
 
-use vmr_bench::paper::{fig4_text, table1_text, Table1Opts};
+use vmr_bench::paper::{fig4_config, fig4_text, table1_text, Table1Opts};
 use vmr_bench::{calibrated_sizing, row_config, table1_rows};
 use vmr_core::{run_experiment, MrMode};
 use vmr_durable::{compact, DurabilityPlan};
@@ -58,6 +59,24 @@ fn fig4_matches_golden() {
     let text = fig4_text().expect("valid config");
     assert_same_text(&text, include_str!("golden/fig4.txt"), "fig4");
 }
+
+/// The obs event journal of the Fig. 4 run, exported as JSON lines:
+/// every span, point and typed event the run recorded, in order.
+#[test]
+fn fig4_journal_matches_golden() {
+    let out = run_experiment(&fig4_config()).expect("valid config");
+    assert!(out.all_done);
+    assert_eq!(out.obs.journal.dropped(), 0, "the ring kept every event");
+    let jsonl = out.obs.journal.to_jsonl();
+    assert_eq!(
+        (jsonl.len(), to_hex(&sha256(jsonl.as_bytes())).as_str()),
+        (JOURNAL_LEN, JOURNAL_SHA256),
+        "JSON-lines export of the Fig. 4 journal moved"
+    );
+}
+
+const JOURNAL_LEN: usize = 51563;
+const JOURNAL_SHA256: &str = "eb8e2136f19db07748aaf0e83d5b07ddc497a39608432824caa766cdea50cdc6";
 
 /// The WAL byte stream of the BOINC-MR row journaled the way
 /// `table1 --durable` does (300 s snapshots): the row whose reduce
