@@ -9,6 +9,7 @@ use vmr_core::{
     format_row, run_experiment, ConfigError, ExperimentConfig, MrMode, NodeMix, ShuffleConfig,
 };
 use vmr_desim::SimTime;
+use vmr_obs::{Actor, Detail, Mark, PhaseMark};
 
 /// What the `table1` binary was asked to run (one field per flag).
 #[derive(Clone, Debug, Default)]
@@ -163,7 +164,7 @@ pub fn fig4_text() -> Result<String, ConfigError> {
         .timeline
         .points()
         .iter()
-        .find(|p| p.detail == "reduce-start")
+        .find(|p| p.detail == Detail::Phase(PhaseMark::ReduceStart))
         .map(|p| p.at);
     let _ = writeln!(
         s,
@@ -173,16 +174,16 @@ pub fn fig4_text() -> Result<String, ConfigError> {
     let in_map_phase = |t: &SimTime| reduce_start.map(|rs| *t <= rs).unwrap_or(true);
     let mut rows: Vec<(String, SimTime, SimTime)> = Vec::new();
     for actor in out.timeline.actors() {
-        if !actor.starts_with("node-") {
+        if actor == Actor::Server {
             continue;
         }
         // Last map exec span end + last report point on this lane during
         // the map phase.
         let map_end = out
             .timeline
-            .lane(&actor)
+            .lane(actor)
             .iter()
-            .filter(|s| s.kind == "exec" || s.kind == "upload")
+            .filter(|s| matches!(s.mark, Mark::Exec | Mark::Upload))
             .map(|s| s.end)
             .filter(in_map_phase)
             .max();
@@ -190,12 +191,12 @@ pub fn fig4_text() -> Result<String, ConfigError> {
             .timeline
             .points()
             .iter()
-            .filter(|p| p.actor == actor && p.kind == "report")
+            .filter(|p| p.actor == actor && p.mark == Mark::Report)
             .map(|p| p.at)
             .filter(in_map_phase)
             .max();
         if let (Some(e), Some(rep)) = (map_end, report) {
-            rows.push((actor, e, rep));
+            rows.push((actor.to_string(), e, rep));
         }
     }
     rows.sort_by_key(|(_, _, rep)| *rep);

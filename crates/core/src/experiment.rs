@@ -502,7 +502,7 @@ mod tests {
             .timeline
             .points()
             .iter()
-            .any(|p| p.detail == "reduce-start"));
+            .any(|p| p.detail == vmr_obs::Detail::Phase(vmr_obs::PhaseMark::ReduceStart)));
     }
 
     #[test]

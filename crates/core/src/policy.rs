@@ -18,6 +18,7 @@ use crate::config::{MrJobConfig, MrMode};
 use crate::jobtracker::{stamp, JobState, JobTracker, Phase, TaskKind};
 use vmr_desim::SimDuration;
 use vmr_durable::{SectionWriter, StateChange};
+use vmr_obs::{Actor, Detail, Mark, PhaseMark};
 use vmr_shuffle::coded_groups;
 use vmr_vcore::{
     ClientId, Engine, FileRef, FileSource, Policy, ResultId, StrategyKind, WorkUnitSpec, WuId,
@@ -204,12 +205,15 @@ impl MrPolicy {
 
     /// Marks a job phase transition: one timeline point on the server
     /// lane (Fig. 4) plus a labeled counter in the metrics registry.
-    fn mark_phase(eng: &mut Engine, phase: &str, now: vmr_desim::SimTime) {
+    fn mark_phase(eng: &mut Engine, phase: PhaseMark, now: vmr_desim::SimTime) {
+        eng.obs.journal.point(
+            Actor::Server,
+            Mark::Phase,
+            Detail::Phase(phase),
+            now.as_micros(),
+        );
         eng.obs
-            .journal
-            .point("server", "phase", phase, now.as_micros());
-        eng.obs
-            .counter_labeled("core.phase_marks", &[("phase", phase)])
+            .counter_labeled("core.phase_marks", &[("phase", phase.as_str())])
             .inc();
     }
 
@@ -242,7 +246,7 @@ impl Policy for MrPolicy {
                         at_us: now.as_micros(),
                     });
                     job.first_map_assign = Some(now);
-                    Self::mark_phase(eng, "map-start", now);
+                    Self::mark_phase(eng, PhaseMark::MapStart, now);
                 }
             }
             TaskKind::Reduce(_) => {
@@ -253,7 +257,7 @@ impl Policy for MrPolicy {
                         at_us: now.as_micros(),
                     });
                     job.first_reduce_assign = Some(now);
-                    Self::mark_phase(eng, "reduce-start", now);
+                    Self::mark_phase(eng, PhaseMark::ReduceStart, now);
                 }
             }
         }
@@ -351,7 +355,7 @@ impl Policy for MrPolicy {
                         at_us: now.as_micros(),
                     });
                     self.tracker.jobs[ji].map_phase_validated_at = Some(now);
-                    Self::mark_phase(eng, "maps-validated", now);
+                    Self::mark_phase(eng, PhaseMark::MapsValidated, now);
                     self.create_reduce_wus(eng, ji);
                 }
             }
@@ -369,7 +373,7 @@ impl Policy for MrPolicy {
                     let job = &mut self.tracker.jobs[ji];
                     job.phase = Phase::Done;
                     job.done_at = Some(now);
-                    Self::mark_phase(eng, "job-done", now);
+                    Self::mark_phase(eng, PhaseMark::JobDone, now);
                     self.stop_serving(eng, ji);
                 }
             }
@@ -384,7 +388,7 @@ impl Policy for MrPolicy {
                 at_us: eng.now().as_micros(),
             });
             self.tracker.jobs[ji].phase = Phase::Failed;
-            Self::mark_phase(eng, "job-failed", eng.now());
+            Self::mark_phase(eng, PhaseMark::JobFailed, eng.now());
         }
     }
 

@@ -8,7 +8,8 @@
 //! and shuffle bytes. What each switch does control is checked beside
 //! it: the journal is empty only when disabled, the `prof.*_us`
 //! histograms are fed only when profiling is on. The same holds under
-//! the swarm shuffle, whose chunk pump has a scope of its own.
+//! the swarm shuffle, whose chunk pump has a scope of its own. And the
+//! journal a default run keeps agrees with the registry's counters.
 
 mod common;
 
@@ -16,12 +17,16 @@ use common::Outcome;
 use vmr_core::{MrJobConfig, MrMode, MrPolicy, ShuffleConfig};
 use vmr_desim::SimTime;
 use vmr_netsim::HostLink;
-use vmr_obs::{MetricValue, Obs};
+use vmr_obs::{Actor, Detail, Event, EventKind, Mark, MetricValue, Obs, WuEnd};
 use vmr_vcore::{Engine, HostProfile, ProjectConfig};
 
 struct Run {
     outcome: Outcome,
     journal_events: usize,
+    /// What the journal retained, oldest first.
+    journal: Vec<Event>,
+    /// Events the journal's ring bound evicted.
+    journal_dropped: u64,
     prof_samples: u64,
     /// Samples of the scope around the engine's `Policy` hook calls.
     policy_samples: u64,
@@ -69,6 +74,8 @@ fn run(shuffle: ShuffleConfig, switches: impl FnOnce(&Obs)) -> Run {
     Run {
         outcome: Outcome::of(&eng, events),
         journal_events: eng.obs.journal.len(),
+        journal: eng.obs.journal.events(),
+        journal_dropped: eng.obs.journal.dropped(),
         prof_samples: samples("prof."),
         policy_samples: samples("prof.vcore.policy_us"),
         swarm_pump_samples: samples("prof.vcore.swarm_pump_us"),
@@ -108,6 +115,78 @@ fn journal_and_profiling_switches_leave_the_run_unchanged() {
     // that called them.
     assert_eq!(defaults.policy_samples, 0);
     assert!(profiling_on.policy_samples > 0);
+}
+
+/// The journal of the default run (its ring keeps every event) counts
+/// what the registry counts: one `RpcServed` per RPC, one report point
+/// per report, one `PeerFallback` per server fall-back, one
+/// `WuTransition` per work-unit outcome; and every reported result has
+/// exactly one exec span on its host's lane. (This run never falls back
+/// to the server; vcore's serving-expiry test checks a non-zero
+/// `PeerFallback` count.)
+#[test]
+fn journal_agrees_with_the_counters() {
+    let run = run(ShuffleConfig::default(), |_| {});
+    assert_eq!(run.journal_dropped, 0, "the ring kept every event");
+    let counter = |name: &str| {
+        let counters = &run.outcome.counters;
+        counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map_or(0, |(_, n)| *n)
+    };
+    let count =
+        |f: &dyn Fn(&EventKind) -> bool| run.journal.iter().filter(|e| f(&e.kind)).count() as u64;
+
+    let rpcs = count(&|k| matches!(k, EventKind::RpcServed { .. }));
+    assert!(rpcs > 0);
+    assert_eq!(rpcs, counter("vcore.rpcs"), "RpcServed events");
+
+    let reports: Vec<(Actor, Detail)> = run
+        .journal
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Point {
+                actor,
+                mark: Mark::Report,
+                detail,
+            } => Some((actor, detail)),
+            _ => None,
+        })
+        .collect();
+    assert!(!reports.is_empty());
+    assert_eq!(
+        reports.len() as u64,
+        counter("vcore.reports"),
+        "report points"
+    );
+
+    let fallbacks = count(&|k| matches!(k, EventKind::PeerFallback { .. }));
+    assert_eq!(
+        fallbacks,
+        counter("vcore.server_fallbacks"),
+        "PeerFallback events"
+    );
+
+    for (to, label) in [(WuEnd::Validated, "validated"), (WuEnd::Failed, "failed")] {
+        let moved = count(&|k| matches!(k, EventKind::WuTransition { to: t, .. } if *t == to));
+        let outcomes = counter(&format!("vcore.wu_outcomes{{outcome={label}}}"));
+        assert_eq!(moved, outcomes, "WuTransition events to {label}");
+    }
+    assert!(counter("vcore.wu_outcomes{outcome=validated}") > 0);
+
+    for (actor, result) in reports {
+        assert!(matches!(actor, Actor::Node(_)), "reports sit on node lanes");
+        assert!(
+            matches!(result, Detail::Result(_)),
+            "a report names its result"
+        );
+        let execs = count(&|k| {
+            matches!(k, EventKind::Span { actor: a, mark: Mark::Exec, detail, .. }
+                if *a == actor && *detail == result)
+        });
+        assert_eq!(execs, 1, "exec spans of {result} on {actor}'s lane");
+    }
 }
 
 #[test]

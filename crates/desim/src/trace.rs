@@ -1,38 +1,42 @@
 //! Timeline recording.
 //!
-//! Experiments record *spans* (named intervals attached to an actor, e.g.
-//! "node-7 executes map result 12") and *points* (instant markers, e.g.
-//! "reduce phase starts") through [`vmr_obs::Journal`]; a [`Timeline`]
-//! is the queryable view built from that journal. The Fig. 4
-//! reproduction renders one lane per node from these spans.
+//! Experiments record *spans* (typed intervals on an actor's lane, e.g.
+//! `node-07` executes result `r12`) and *points* (instant markers, e.g.
+//! the `server` lane's `reduce-start`) through [`vmr_obs::Journal`]; a
+//! [`Timeline`] is the queryable view built from that journal. Spans and
+//! points hold the journal's typed values; lane names are rendered only
+//! to order the lanes ([`Timeline::actors`]) and to draw them
+//! ([`Timeline::render_ascii`]). The Fig. 4 reproduction renders one
+//! lane per node from these spans.
 
 use crate::time::SimTime;
 use std::fmt::Write as _;
+use vmr_obs::{Actor, Detail, EventKind, Mark};
 
-/// A named interval on some actor's lane.
+/// A typed interval on some actor's lane.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Span {
-    /// Lane key, e.g. a node name.
-    pub actor: String,
-    /// What happened, e.g. `map:dl`, `map:exec`, `report`.
-    pub kind: String,
-    /// Free-form detail (task id etc.).
-    pub detail: String,
+    /// Lane owner.
+    pub actor: Actor,
+    /// What happened, e.g. [`Mark::Exec`].
+    pub mark: Mark,
+    /// What it happened to, e.g. a result id.
+    pub detail: Detail,
     /// Interval start.
     pub start: SimTime,
     /// Interval end.
     pub end: SimTime,
 }
 
-/// An instantaneous marker.
+/// An instantaneous marker on some actor's lane.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Point {
-    /// Lane key ("" for global markers).
-    pub actor: String,
-    /// Marker kind.
-    pub kind: String,
-    /// Free-form detail.
-    pub detail: String,
+    /// Lane owner.
+    pub actor: Actor,
+    /// Marker class.
+    pub mark: Mark,
+    /// What it is about, e.g. a job phase.
+    pub detail: Detail,
     /// When it happened.
     pub at: SimTime,
 }
@@ -54,25 +58,25 @@ impl Timeline {
         let mut tl = Timeline::default();
         for ev in journal.events() {
             match ev.kind {
-                vmr_obs::EventKind::Span {
+                EventKind::Span {
                     actor,
-                    kind,
+                    mark,
                     detail,
                     end_us,
                 } => tl.spans.push(Span {
                     actor,
-                    kind,
+                    mark,
                     detail,
                     start: SimTime::from_micros(ev.t_us),
                     end: SimTime::from_micros(end_us),
                 }),
-                vmr_obs::EventKind::Point {
+                EventKind::Point {
                     actor,
-                    kind,
+                    mark,
                     detail,
                 } => tl.points.push(Point {
                     actor,
-                    kind,
+                    mark,
                     detail,
                     at: SimTime::from_micros(ev.t_us),
                 }),
@@ -93,22 +97,22 @@ impl Timeline {
     }
 
     /// Spans on one actor's lane, sorted by start time.
-    pub fn lane(&self, actor: &str) -> Vec<&Span> {
+    pub fn lane(&self, actor: Actor) -> Vec<&Span> {
         let mut v: Vec<&Span> = self.spans.iter().filter(|s| s.actor == actor).collect();
         v.sort_by_key(|s| (s.start, s.end));
         v
     }
 
-    /// Distinct actor names, sorted.
-    pub fn actors(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
+    /// Distinct actors, sorted by their rendered names (`node-100`
+    /// sorts between `node-10` and `node-11`, `server` last).
+    pub fn actors(&self) -> Vec<Actor> {
+        let mut v: Vec<Actor> = self
             .spans
             .iter()
-            .map(|s| s.actor.clone())
-            .chain(self.points.iter().map(|p| p.actor.clone()))
-            .filter(|a| !a.is_empty())
+            .map(|s| s.actor)
+            .chain(self.points.iter().map(|p| p.actor))
             .collect();
-        v.sort();
+        v.sort_by_cached_key(Actor::to_string);
         v.dedup();
         v
     }
@@ -134,24 +138,25 @@ impl Timeline {
     /// this is how the Fig. 4 binary prints per-node map timelines.
     ///
     /// `width` is the number of character cells spanning `[0, end_time]`;
-    /// each span paints the first letter of its kind.
+    /// each span paints the first letter of its mark's name.
     pub fn render_ascii(&self, width: usize) -> String {
         let end = self.end_time();
         let total = end.as_secs_f64().max(1e-9);
         let mut out = String::new();
         let actors = self.actors();
-        let name_w = actors.iter().map(|a| a.len()).max().unwrap_or(4).max(4);
-        for actor in &actors {
+        let names: Vec<String> = actors.iter().map(Actor::to_string).collect();
+        let name_w = names.iter().map(String::len).max().unwrap_or(4).max(4);
+        for (&actor, name) in actors.iter().zip(&names) {
             let mut row = vec![b'.'; width];
             for s in self.lane(actor) {
                 let a = ((s.start.as_secs_f64() / total) * width as f64) as usize;
                 let b = ((s.end.as_secs_f64() / total) * width as f64).ceil() as usize;
-                let ch = s.kind.bytes().next().unwrap_or(b'#');
+                let ch = s.mark.as_str().as_bytes()[0];
                 for cell in row.iter_mut().take(b.min(width)).skip(a.min(width)) {
                     *cell = ch;
                 }
             }
-            let _ = writeln!(out, "{actor:<name_w$} |{}|", String::from_utf8_lossy(&row));
+            let _ = writeln!(out, "{name:<name_w$} |{}|", String::from_utf8_lossy(&row));
         }
         let _ = writeln!(
             out,
@@ -167,17 +172,24 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmr_obs::PhaseMark;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    /// A timeline over `spans` (actor, kind, start s, end s), recorded
+    /// A timeline over `spans` (node id, mark, start s, end s), recorded
     /// through a journal the way the engine does.
-    fn timeline(spans: &[(&str, &str, u64, u64)]) -> Timeline {
+    fn timeline(spans: &[(u32, Mark, u64, u64)]) -> Timeline {
         let journal = vmr_obs::Journal::new();
-        for &(actor, kind, start, end) in spans {
-            journal.span(actor, kind, "", t(start).as_micros(), t(end).as_micros());
+        for &(node, mark, start, end) in spans {
+            journal.span(
+                Actor::Node(node),
+                mark,
+                Detail::None,
+                t(start).as_micros(),
+                t(end).as_micros(),
+            );
         }
         Timeline::from_journal(&journal)
     }
@@ -185,16 +197,23 @@ mod tests {
     #[test]
     fn from_journal_keeps_spans_and_points_only() {
         let journal = vmr_obs::Journal::new();
-        journal.span("n1", "exec", "wu0", t(1).as_micros(), t(5).as_micros());
-        journal.point("", "phase", "reduce-start", t(6).as_micros());
+        journal.span(
+            Actor::Node(1),
+            Mark::Exec,
+            Detail::Wu(0),
+            t(1).as_micros(),
+            t(5).as_micros(),
+        );
+        let reduce_start = Detail::Phase(PhaseMark::ReduceStart);
+        journal.point(Actor::Server, Mark::Phase, reduce_start, t(6).as_micros());
         journal.record_with(7, || vmr_obs::EventKind::FlowStart { id: 1, bytes: 2 });
         let tl = Timeline::from_journal(&journal);
         assert_eq!(
             tl.spans(),
             [Span {
-                actor: "n1".into(),
-                kind: "exec".into(),
-                detail: "wu0".into(),
+                actor: Actor::Node(1),
+                mark: Mark::Exec,
+                detail: Detail::Wu(0),
                 start: t(1),
                 end: t(5),
             }]
@@ -202,9 +221,9 @@ mod tests {
         assert_eq!(
             tl.points(),
             [Point {
-                actor: "".into(),
-                kind: "phase".into(),
-                detail: "reduce-start".into(),
+                actor: Actor::Server,
+                mark: Mark::Phase,
+                detail: reduce_start,
                 at: t(6),
             }]
         );
@@ -215,8 +234,8 @@ mod tests {
     fn disabled_journal_yields_an_empty_timeline() {
         let journal = vmr_obs::Journal::new();
         journal.set_enabled(false);
-        journal.span("n1", "exec", "", 0, 1);
-        journal.point("n1", "x", "", 0);
+        journal.span(Actor::Node(1), Mark::Exec, Detail::None, 0, 1);
+        journal.point(Actor::Node(1), Mark::Report, Detail::None, 0);
         let tl = Timeline::from_journal(&journal);
         assert!(tl.spans().is_empty());
         assert!(tl.points().is_empty());
@@ -224,19 +243,41 @@ mod tests {
 
     #[test]
     fn lanes_are_sorted_and_filtered() {
-        let tl = timeline(&[("b", "x", 5, 6), ("a", "x", 3, 4), ("b", "y", 1, 2)]);
-        let lane_b = tl.lane("b");
-        assert_eq!(lane_b.len(), 2);
-        assert!(lane_b[0].start < lane_b[1].start);
-        assert_eq!(tl.actors(), vec!["a".to_string(), "b".to_string()]);
+        let tl = timeline(&[
+            (2, Mark::Exec, 5, 6),
+            (1, Mark::Exec, 3, 4),
+            (2, Mark::Upload, 1, 2),
+        ]);
+        let lane_2 = tl.lane(Actor::Node(2));
+        assert_eq!(lane_2.len(), 2);
+        assert!(lane_2[0].start < lane_2[1].start);
+        assert_eq!(tl.actors(), vec![Actor::Node(1), Actor::Node(2)]);
+    }
+
+    /// Lanes come in the order of their rendered names, as the string
+    /// journal sorted them: `node-100` between `node-10` and `node-11`,
+    /// the `server` lane after every node.
+    #[test]
+    fn actors_sort_by_rendered_name() {
+        let journal = vmr_obs::Journal::new();
+        journal.point(Actor::Server, Mark::Phase, Detail::None, 0);
+        for node in [11, 100, 10, 2] {
+            journal.point(Actor::Node(node), Mark::Report, Detail::None, 0);
+        }
+        let tl = Timeline::from_journal(&journal);
+        let names: Vec<String> = tl.actors().iter().map(Actor::to_string).collect();
+        assert_eq!(
+            names,
+            ["node-02", "node-10", "node-100", "node-11", "server"]
+        );
     }
 
     #[test]
     fn ascii_render_contains_lanes() {
-        let tl = timeline(&[("node-1", "exec", 0, 50), ("node-2", "download", 50, 100)]);
+        let tl = timeline(&[(1, Mark::Exec, 0, 50), (2, Mark::Download, 50, 100)]);
         let art = tl.render_ascii(40);
-        assert!(art.contains("node-1"));
-        assert!(art.contains("node-2"));
+        assert!(art.contains("node-01"));
+        assert!(art.contains("node-02"));
         assert!(art.contains('e'));
         assert!(art.contains('d'));
     }

@@ -1,9 +1,8 @@
-//! The structured event journal (record build): a bounded ring of
-//! typed, time-stamped events with JSON-lines export.
+//! The structured event journal: a bounded ring of typed, time-stamped
+//! events with JSON-lines export.
 
-use crate::types::{Event, EventKind};
+use crate::types::{Actor, Detail, Event, EventKind, Mark};
 use std::collections::VecDeque;
-use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -79,28 +78,21 @@ impl Journal {
     }
 
     /// Record a closed interval on an actor's lane.
-    pub fn span(
-        &self,
-        actor: impl Display,
-        kind: impl Display,
-        detail: impl Display,
-        start_us: u64,
-        end_us: u64,
-    ) {
+    pub fn span(&self, actor: Actor, mark: Mark, detail: Detail, start_us: u64, end_us: u64) {
         self.record_with(start_us, || EventKind::Span {
-            actor: actor.to_string(),
-            kind: kind.to_string(),
-            detail: detail.to_string(),
+            actor,
+            mark,
+            detail,
             end_us,
         });
     }
 
     /// Record an instantaneous mark on an actor's lane.
-    pub fn point(&self, actor: impl Display, kind: impl Display, detail: impl Display, t_us: u64) {
+    pub fn point(&self, actor: Actor, mark: Mark, detail: Detail, t_us: u64) {
         self.record_with(t_us, || EventKind::Point {
-            actor: actor.to_string(),
-            kind: kind.to_string(),
-            detail: detail.to_string(),
+            actor,
+            mark,
+            detail,
         });
     }
 
@@ -156,7 +148,7 @@ mod tests {
     #[test]
     fn jsonl_one_line_per_event() {
         let j = Journal::new();
-        j.span("n", "exec", "r1", 10, 20);
+        j.span(Actor::Node(1), Mark::Exec, Detail::Result(1), 10, 20);
         j.record_with(30, || EventKind::BackoffArmed {
             client: 2,
             delay_us: 600,

@@ -11,8 +11,10 @@
 //! * **Structured event journal** ([`Journal`]) — sim-time-stamped
 //!   typed events ([`EventKind`]: RPC served, WU transition, flow
 //!   start/complete, backoff armed, serving-window expiry, peer-fetch
-//!   fallback, plus generic spans/points) in a bounded ring buffer
-//!   with JSON-lines export.
+//!   fallback, plus spans/points on an [`Actor`]'s lane) in a bounded
+//!   ring buffer with JSON-lines export. Events carry ids and enums
+//!   ([`Actor`], [`Mark`], [`Detail`], [`WuEnd`]), so recording one
+//!   never allocates; names are rendered only when the journal is read.
 //! * **Profiling scopes** ([`Scope`]) — wall-clock RAII timers around
 //!   real hot paths (allocator waves, transitioner sweeps, rtnet
 //!   serving threads) feeding histograms in the same registry under
@@ -33,10 +35,11 @@
 //! `prof.netsim.realloc_wave_us`. See DESIGN.md §3.8.
 //!
 //! ```
+//! use vmr_obs::{Actor, Detail, Mark};
 //! let obs = vmr_obs::Obs::new();
 //! let flows = obs.counter("netsim.flows_started");
 //! flows.inc();
-//! obs.journal.point("node-00", "report", "r7", 1_500_000);
+//! obs.journal.point(Actor::Node(0), Mark::Report, Detail::Result(7), 1_500_000);
 //! assert_eq!(obs.snapshot().counter("netsim.flows_started"), flows.get());
 //! ```
 
@@ -51,7 +54,10 @@ pub use expose::{render_dashboard, render_prometheus, Dashboard};
 pub use journal::Journal;
 pub use metrics::{Counter, Gauge, Histo, Registry, TimeGauge};
 pub use prof::{Prof, Scope, ScopeGuard};
-pub use types::{Event, EventKind, HistogramSummary, MetricValue, Snapshot};
+pub use types::{
+    Actor, Detail, Event, EventKind, HistogramSummary, Mark, MetricValue, PhaseMark, Snapshot,
+    WuEnd,
+};
 
 /// The observability bundle one component hands around: a metrics
 /// registry, an event journal and a profiling switch. Cloning is cheap
@@ -146,8 +152,10 @@ mod tests {
         for v in [1.0, 10.0, 100.0, 1000.0] {
             h.record(v);
         }
-        obs.journal.point("a", "k", "d", 7);
-        obs.journal.span("a", "k", "d", 7, 9);
+        obs.journal
+            .point(Actor::Node(0), Mark::Report, Detail::Result(1), 7);
+        obs.journal
+            .span(Actor::Node(0), Mark::Exec, Detail::Result(1), 7, 9);
         let snap = obs.snapshot();
         let json = snap.to_json();
         assert_eq!(snap.counter("t.count"), 5);
@@ -159,7 +167,8 @@ mod tests {
     #[test]
     fn detached_journal_records_nothing() {
         let obs = Obs::detached();
-        obs.journal.point("a", "k", "", 1);
+        obs.journal
+            .point(Actor::Server, Mark::Phase, Detail::None, 1);
         obs.journal
             .record_with(2, || EventKind::FlowStart { id: 1, bytes: 8 });
         assert_eq!(obs.journal.len(), 0);
@@ -192,7 +201,7 @@ mod tests {
         let obs = Obs::new();
         let j = Journal::with_capacity(4);
         for i in 0..10u64 {
-            j.point("a", "k", "", i);
+            j.point(Actor::Server, Mark::Phase, Detail::None, i);
         }
         assert_eq!(j.len(), 4);
         assert_eq!(j.dropped(), 6);

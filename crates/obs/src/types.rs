@@ -1,6 +1,12 @@
-//! Plain-data types shared by the real recorder and the no-op build.
+//! Plain-data types of the recorder: metric snapshots and the journal's
+//! typed event vocabulary.
+//!
+//! A journal event holds ids and enums only, never text, so recording
+//! one never allocates. Names (`node-03`, `exec`, `r12`, `map-start`)
+//! are made at read time, by [`Event::to_json`] and by the `Display`
+//! impls below.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Quantile summary of one histogram — the single snapshot shape every
 /// consumer (bench binaries, EXPERIMENTS.md tables, JSON export) uses.
@@ -48,29 +54,169 @@ impl HistogramSummary {
     }
 }
 
-/// What a journal entry records. Spans/points carry free-form strings
-/// (they feed `desim::Timeline`); the rest are typed middleware events.
+/// Whose timeline lane a span or point sits on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Actor {
+    /// The project server (`server`).
+    Server,
+    /// A volunteer host by id (`node-03`).
+    Node(u32),
+}
+
+impl fmt::Display for Actor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Actor::Server => f.write_str("server"),
+            Actor::Node(id) => write!(f, "node-{id:02}"),
+        }
+    }
+}
+
+/// The class of a span or point.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Mark {
+    /// Span: a task's inputs arriving.
+    Download,
+    /// Span: a task executing.
+    Exec,
+    /// Span: a task's output going to the server.
+    Upload,
+    /// Point: a host going unavailable.
+    Suspend,
+    /// Point: a host coming back.
+    Resume,
+    /// Point: the server learning of a finished result.
+    Report,
+    /// Point: a host leaving the project for good.
+    Dropout,
+    /// Point: a work unit reaching its quorum.
+    Validated,
+    /// Point: a work unit failing for good.
+    WuFailed,
+    /// Point: a job phase boundary.
+    Phase,
+}
+
+impl Mark {
+    /// The class's name, e.g. `exec` or `wu-failed`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Mark::Download => "download",
+            Mark::Exec => "exec",
+            Mark::Upload => "upload",
+            Mark::Suspend => "suspend",
+            Mark::Resume => "resume",
+            Mark::Report => "report",
+            Mark::Dropout => "dropout",
+            Mark::Validated => "validated",
+            Mark::WuFailed => "wu-failed",
+            Mark::Phase => "phase",
+        }
+    }
+}
+
+impl fmt::Display for Mark {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// A MapReduce job's phase boundary, the payload of a [`Mark::Phase`]
+/// point.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum PhaseMark {
+    /// The job's map work units were submitted.
+    MapStart,
+    /// Every map work unit validated.
+    MapsValidated,
+    /// The reduce work units were submitted.
+    ReduceStart,
+    /// Every reduce work unit validated.
+    JobDone,
+    /// A work unit of the job failed for good.
+    JobFailed,
+}
+
+impl PhaseMark {
+    /// The phase's name, e.g. `reduce-start`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            PhaseMark::MapStart => "map-start",
+            PhaseMark::MapsValidated => "maps-validated",
+            PhaseMark::ReduceStart => "reduce-start",
+            PhaseMark::JobDone => "job-done",
+            PhaseMark::JobFailed => "job-failed",
+        }
+    }
+}
+
+/// What a span or point is about.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Detail {
+    /// Nothing (renders empty).
+    None,
+    /// A result by id (`r12`).
+    Result(u32),
+    /// A work unit by id (`wu5`).
+    Wu(u32),
+    /// A job phase (`map-start`).
+    Phase(PhaseMark),
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Detail::None => Ok(()),
+            Detail::Result(id) => write!(f, "r{id}"),
+            Detail::Wu(id) => write!(f, "wu{id}"),
+            Detail::Phase(p) => f.write_str(p.as_str()),
+        }
+    }
+}
+
+/// The terminal state a work unit moved to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum WuEnd {
+    /// Validated: a quorum agreed.
+    Validated,
+    /// Failed: too many errors or no agreement.
+    Failed,
+}
+
+impl WuEnd {
+    /// The state's name, `validated` or `failed`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            WuEnd::Validated => "validated",
+            WuEnd::Failed => "failed",
+        }
+    }
+}
+
+/// What a journal entry records. Spans and points feed
+/// `desim::Timeline`; the rest are typed middleware events. Only the
+/// two rare file-name events own heap data.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EventKind {
     /// A closed interval on some actor's lane (download/exec/upload…).
     Span {
-        /// Lane owner, e.g. `node-03` or `server`.
-        actor: String,
-        /// Span class, e.g. `exec`.
-        kind: String,
-        /// Free-form payload, e.g. the result id.
-        detail: String,
+        /// Lane owner.
+        actor: Actor,
+        /// Span class.
+        mark: Mark,
+        /// What the span is about, e.g. the result id.
+        detail: Detail,
         /// Interval end, microseconds (start is the event's `t_us`).
         end_us: u64,
     },
     /// An instantaneous mark on some actor's lane.
     Point {
         /// Lane owner.
-        actor: String,
-        /// Point class, e.g. `report`.
-        kind: String,
-        /// Free-form payload.
-        detail: String,
+        actor: Actor,
+        /// Point class.
+        mark: Mark,
+        /// What the point is about.
+        detail: Detail,
     },
     /// The scheduler answered one client RPC.
     RpcServed {
@@ -81,12 +227,12 @@ pub enum EventKind {
         /// True when the client asked for work and got none.
         empty: bool,
     },
-    /// A work unit changed lifecycle state (validated / failed / …).
+    /// A work unit reached a terminal state.
     WuTransition {
-        /// Work-unit id rendered as text.
-        wu: String,
-        /// Target state, e.g. `validated`.
-        to: String,
+        /// Work-unit id.
+        wu: u32,
+        /// Target state.
+        to: WuEnd,
     },
     /// A network flow was admitted.
     FlowStart {
@@ -116,14 +262,14 @@ pub enum EventKind {
         /// Serving client host id.
         client: u32,
         /// File name that was no longer served.
-        file: String,
+        file: Box<str>,
     },
     /// A peer fetch gave up and fell back to the project server.
     PeerFallback {
         /// Fetching client host id.
         client: u32,
         /// File being fetched.
-        file: String,
+        file: Box<str>,
     },
     /// The durability layer wrote a full-state snapshot to the WAL.
     SnapshotTaken {
@@ -158,30 +304,23 @@ impl Event {
         match &self.kind {
             EventKind::Span {
                 actor,
-                kind,
+                mark,
                 detail,
                 end_us,
             } => {
                 let _ = write!(
                     s,
-                    ",\"type\":\"span\",\"actor\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\",\"end_us\":{}",
-                    json_escape(actor),
-                    json_escape(kind),
-                    json_escape(detail),
-                    end_us
+                    ",\"type\":\"span\",\"actor\":\"{actor}\",\"kind\":\"{mark}\",\"detail\":\"{detail}\",\"end_us\":{end_us}"
                 );
             }
             EventKind::Point {
                 actor,
-                kind,
+                mark,
                 detail,
             } => {
                 let _ = write!(
                     s,
-                    ",\"type\":\"point\",\"actor\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\"",
-                    json_escape(actor),
-                    json_escape(kind),
-                    json_escape(detail)
+                    ",\"type\":\"point\",\"actor\":\"{actor}\",\"kind\":\"{mark}\",\"detail\":\"{detail}\""
                 );
             }
             EventKind::RpcServed {
@@ -197,9 +336,8 @@ impl Event {
             EventKind::WuTransition { wu, to } => {
                 let _ = write!(
                     s,
-                    ",\"type\":\"wu_transition\",\"wu\":\"{}\",\"to\":\"{}\"",
-                    json_escape(wu),
-                    json_escape(to)
+                    ",\"type\":\"wu_transition\",\"wu\":\"wu{wu}\",\"to\":\"{}\"",
+                    to.as_str()
                 );
             }
             EventKind::FlowStart { id, bytes } => {
@@ -376,15 +514,14 @@ mod tests {
     fn event_json_shapes() {
         let e = Event {
             t_us: 5,
-            kind: EventKind::Point {
-                actor: "a\"b".into(),
-                kind: "k".into(),
-                detail: "".into(),
+            kind: EventKind::PeerFallback {
+                client: 0,
+                file: "a\"b".into(),
             },
         };
         assert_eq!(
             e.to_json(),
-            "{\"t_us\":5,\"type\":\"point\",\"actor\":\"a\\\"b\",\"kind\":\"k\",\"detail\":\"\"}"
+            "{\"t_us\":5,\"type\":\"peer_fallback\",\"client\":0,\"file\":\"a\\\"b\"}"
         );
         let f = Event {
             t_us: 9,
@@ -403,26 +540,26 @@ mod tests {
         let cases: Vec<(EventKind, &str)> = vec![
             (
                 EventKind::Span {
-                    actor: "node-03".into(),
-                    kind: "exec".into(),
-                    detail: "r12".into(),
+                    actor: Actor::Node(3),
+                    mark: Mark::Exec,
+                    detail: Detail::Result(12),
                     end_us: 9,
                 },
                 r#""type":"span","actor":"node-03","kind":"exec","detail":"r12","end_us":9"#,
             ),
             (
                 EventKind::Point {
-                    actor: "server".into(),
-                    kind: "phase".into(),
-                    detail: "reduce-start".into(),
+                    actor: Actor::Server,
+                    mark: Mark::Phase,
+                    detail: Detail::Phase(PhaseMark::ReduceStart),
                 },
                 r#""type":"point","actor":"server","kind":"phase","detail":"reduce-start""#,
             ),
             (
                 EventKind::Point {
-                    actor: "node-120".into(),
-                    kind: "dropout".into(),
-                    detail: "".into(),
+                    actor: Actor::Node(120),
+                    mark: Mark::Dropout,
+                    detail: Detail::None,
                 },
                 r#""type":"point","actor":"node-120","kind":"dropout","detail":"""#,
             ),
@@ -436,15 +573,15 @@ mod tests {
             ),
             (
                 EventKind::WuTransition {
-                    wu: "wu5".into(),
-                    to: "validated".into(),
+                    wu: 5,
+                    to: WuEnd::Validated,
                 },
                 r#""type":"wu_transition","wu":"wu5","to":"validated""#,
             ),
             (
                 EventKind::WuTransition {
-                    wu: "wu6".into(),
-                    to: "failed".into(),
+                    wu: 6,
+                    to: WuEnd::Failed,
                 },
                 r#""type":"wu_transition","wu":"wu6","to":"failed""#,
             ),
@@ -500,6 +637,42 @@ mod tests {
             let ev = Event { t_us: 17, kind };
             assert_eq!(ev.to_json(), format!("{{\"t_us\":17,{body}}}"));
         }
+    }
+
+    /// Every span/point class and phase renders the name the old
+    /// string journal used, and an event stays small and inline.
+    #[test]
+    fn vocabulary_names_and_event_size() {
+        let marks = [
+            (Mark::Download, "download"),
+            (Mark::Exec, "exec"),
+            (Mark::Upload, "upload"),
+            (Mark::Suspend, "suspend"),
+            (Mark::Resume, "resume"),
+            (Mark::Report, "report"),
+            (Mark::Dropout, "dropout"),
+            (Mark::Validated, "validated"),
+            (Mark::WuFailed, "wu-failed"),
+            (Mark::Phase, "phase"),
+        ];
+        for (m, name) in marks {
+            assert_eq!(m.to_string(), name);
+        }
+        let phases = [
+            (PhaseMark::MapStart, "map-start"),
+            (PhaseMark::MapsValidated, "maps-validated"),
+            (PhaseMark::ReduceStart, "reduce-start"),
+            (PhaseMark::JobDone, "job-done"),
+            (PhaseMark::JobFailed, "job-failed"),
+        ];
+        for (p, name) in phases {
+            assert_eq!(Detail::Phase(p).to_string(), name);
+        }
+        assert_eq!(Actor::Node(0).to_string(), "node-00");
+        assert_eq!(Actor::Server.to_string(), "server");
+        assert_eq!(Detail::Wu(5).to_string(), "wu5");
+        assert_eq!(Detail::None.to_string(), "");
+        assert!(std::mem::size_of::<Event>() <= 40);
     }
 
     #[test]

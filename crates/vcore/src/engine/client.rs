@@ -4,7 +4,7 @@
 //! deadlines and permanent dropout.
 
 use super::transfer::InputSlot;
-use super::{clique_fingerprint, honest_fingerprint, Engine, Ev, Lane, Policy};
+use super::{clique_fingerprint, honest_fingerprint, Engine, Ev, Policy};
 use crate::fault::Corruption;
 use crate::host::HostProfile;
 use crate::sched::{pick_results, WorkRequest};
@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use vmr_desim::{EventId, RngStream, SimDuration, SimTime};
 use vmr_netsim::HostId;
-use vmr_obs::EventKind;
+use vmr_obs::{Actor, Detail, EventKind, Mark};
 
 /// Client-side task lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,9 +194,12 @@ impl Engine {
             let rng = &mut self.hot[cid.0 as usize].rng;
             SimDuration::from_secs_f64(rng.exponential(av.off_mean_s).max(1.0))
         };
-        self.obs
-            .journal
-            .point(Lane(cid), "suspend", "", now.as_micros());
+        self.obs.journal.point(
+            Actor::Node(cid.0),
+            Mark::Suspend,
+            Detail::None,
+            now.as_micros(),
+        );
         self.sim.schedule_in(off, Ev::Resume(cid));
     }
 
@@ -220,9 +223,12 @@ impl Engine {
                 t.exec_started = Some(now);
             }
         }
-        self.obs
-            .journal
-            .point(Lane(cid), "resume", "", now.as_micros());
+        self.obs.journal.point(
+            Actor::Node(cid.0),
+            Mark::Resume,
+            Detail::None,
+            now.as_micros(),
+        );
         let on = {
             let av = self.clients[cid.0 as usize].profile.availability.unwrap();
             let rng = &mut self.hot[cid.0 as usize].rng;
@@ -286,9 +292,12 @@ impl Engine {
                     self.stats.report_delay.record(delay_s);
                     self.eobs.report_delay_s.record(delay_s);
                 }
-                self.obs
-                    .journal
-                    .point(Lane(cid), "report", rid, now.as_micros());
+                self.obs.journal.point(
+                    Actor::Node(cid.0),
+                    Mark::Report,
+                    Detail::Result(rid.0),
+                    now.as_micros(),
+                );
                 reported_wus.push(self.db.result(rid).wu);
                 self.in_policy(|eng| policy.on_result_reported(eng, rid));
             }
@@ -574,9 +583,13 @@ impl Engine {
             t.exec_done_at = Some(now);
             t.fingerprint = fp;
             t.errored = errored;
-            self.obs
-                .journal
-                .span(Lane(cid), "exec", rid, start.as_micros(), now.as_micros());
+            self.obs.journal.span(
+                Actor::Node(cid.0),
+                Mark::Exec,
+                Detail::Result(rid.0),
+                start.as_micros(),
+                now.as_micros(),
+            );
         }
         self.in_policy(|eng| policy.on_task_executed(eng, cid, rid));
 
@@ -633,9 +646,12 @@ impl Engine {
         if let Some(ev) = h.wake.take() {
             self.sim.cancel(ev);
         }
-        self.obs
-            .journal
-            .point(Lane(cid), "dropout", "", self.sim.now().as_micros());
+        self.obs.journal.point(
+            Actor::Node(cid.0),
+            Mark::Dropout,
+            Detail::None,
+            self.sim.now().as_micros(),
+        );
         self.abort_flows_of(cid);
         // Swarm bookkeeping: the dropped host stops seeding, and its
         // own in-progress transfers die with it.

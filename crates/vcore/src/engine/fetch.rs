@@ -77,7 +77,7 @@ impl Engine {
                     .journal
                     .record_with(now.as_micros(), || EventKind::ServingExpiry {
                         client: peer.0,
-                        file: name.to_string(),
+                        file: name.into(),
                     });
             }
             bump_and_retry(self);

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use vmr_desim::{EventId, RngStream, SimDuration, SimTime, Simulation, Tally};
 use vmr_durable::{Journal, SectionWriter, Sections};
 use vmr_netsim::{AggregateNetwork, HostId, TraversalPolicy, TraversalStats};
-use vmr_obs::EventKind;
+use vmr_obs::{Actor, Detail, EventKind, Mark, WuEnd};
 use vmr_shuffle::{FetchObs, ShuffleStrategy, SwarmIndex, SwarmTransfer};
 use vmr_trust::{Outcome as TrustOutcome, ReplicationDecision, ReplicationPolicy, TrustLedger};
 
@@ -659,12 +659,12 @@ impl Engine {
                     at: now,
                 });
                 self.eobs.wu_validated.inc();
-                self.journal_wu_transition(wu, "validated", "validated");
+                self.journal_wu_transition(wu, WuEnd::Validated);
                 self.in_policy(|eng| policy.on_wu_validated(eng, wu, &clients));
             }
             Transition::Failed => {
                 self.eobs.wu_failed.inc();
-                self.journal_wu_transition(wu, "failed", "wu-failed");
+                self.journal_wu_transition(wu, WuEnd::Failed);
                 self.in_policy(|eng| policy.on_wu_failed(eng, wu));
             }
             // Retried: the new replicas become schedulable at the next
@@ -675,15 +675,15 @@ impl Engine {
 
     /// Journals a work unit's terminal transition, as the typed event
     /// and as the `server`-lane timeline point.
-    fn journal_wu_transition(&self, wu: WuId, to: &str, point_kind: &str) {
+    fn journal_wu_transition(&self, wu: WuId, to: WuEnd) {
         let now = self.sim.now().as_micros();
-        self.obs
-            .journal
-            .record_with(now, || EventKind::WuTransition {
-                wu: wu.to_string(),
-                to: to.into(),
-            });
-        self.obs.journal.point("server", point_kind, wu, now);
+        let journal = &self.obs.journal;
+        journal.record_with(now, || EventKind::WuTransition { wu: wu.0, to });
+        let mark = match to {
+            WuEnd::Validated => Mark::Validated,
+            WuEnd::Failed => Mark::WuFailed,
+        };
+        journal.point(Actor::Server, mark, Detail::Wu(wu.0), now);
     }
 
     /// A result of `c` errored or timed out: the credit ledger, the
@@ -762,16 +762,6 @@ impl Engine {
                 self.db.set_quorum_override(wu, None);
             }
         }
-    }
-}
-
-/// A client's timeline lane name (`node-07`), as a `Display` value so
-/// it is formatted only when an enabled journal records the event.
-struct Lane(ClientId);
-
-impl std::fmt::Display for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "node-{:02}", self.0 .0)
     }
 }
 
@@ -1033,10 +1023,20 @@ mod tests {
             .events()
             .into_iter()
             .filter(|e| {
-                matches!(&e.kind, EventKind::ServingExpiry { client: 1, file } if file == "part0")
+                matches!(&e.kind, EventKind::ServingExpiry { client: 1, file } if &**file == "part0")
             })
             .count();
         assert_eq!(expiries as u64, eng.stats.peer_failures);
+        let fallbacks = eng
+            .obs
+            .journal
+            .events()
+            .into_iter()
+            .filter(|e| {
+                matches!(&e.kind, EventKind::PeerFallback { client: 0, file } if &**file == "part0")
+            })
+            .count();
+        assert_eq!(fallbacks as u64, eng.stats.server_fallbacks);
     }
 
     #[test]

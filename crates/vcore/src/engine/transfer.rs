@@ -7,11 +7,11 @@
 
 use super::client::TaskState;
 use super::fetch::SERVER_SEED;
-use super::{Engine, Ev, Lane};
+use super::{Engine, Ev};
 use crate::types::{ClientId, FileSource, ResultId};
 use vmr_desim::SimDuration;
 use vmr_netsim::{connect, FlowId, FlowSpec, HostId, Path, Priority};
-use vmr_obs::EventKind;
+use vmr_obs::{Actor, Detail, EventKind, Mark};
 
 /// Why a network flow exists.
 #[derive(Debug, Clone)]
@@ -137,7 +137,7 @@ impl Engine {
                 .journal
                 .record_with(self.sim.now().as_micros(), || EventKind::PeerFallback {
                     client: slot.client.0,
-                    file: name.to_string(),
+                    file: name.into(),
                 });
         }
         let dst = self.clients[slot.client.0 as usize].host;
@@ -351,9 +351,9 @@ impl Engine {
             // task is finished.
             self.swarm.retain(|k, _| !(k.0 == client.0 && k.1 == rid.0));
             self.obs.journal.span(
-                Lane(client),
-                "download",
-                rid,
+                Actor::Node(client.0),
+                Mark::Download,
+                Detail::Result(rid.0),
                 assigned_at.as_micros(),
                 now.as_micros(),
             );
@@ -375,9 +375,9 @@ impl Engine {
             let start = t.exec_done_at.unwrap_or(now);
             c.ready_to_report.push((rid, fp, err));
             self.obs.journal.span(
-                Lane(client),
-                "upload",
-                rid,
+                Actor::Node(client.0),
+                Mark::Upload,
+                Detail::Result(rid.0),
                 start.as_micros(),
                 now.as_micros(),
             );
