@@ -28,7 +28,7 @@
 //!   `CreditGrantedScaled` change record applied by `vcore`'s ledger.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use vmr_durable::{Dec, Enc, Journal, StateChange, WireError};
 
 /// Tunables of the reputation estimator and the replication policy.
@@ -84,6 +84,12 @@ impl TrustConfig {
             enabled: true,
             ..TrustConfig::default()
         }
+    }
+
+    /// Whether a host with record `t` has served probation and sits at
+    /// or below the trust threshold.
+    fn trusts(&self, t: &HostTrust) -> bool {
+        t.validated >= self.probation_results && t.error_rate <= self.trust_threshold
     }
 }
 
@@ -153,6 +159,9 @@ impl HostTrust {
 pub struct TrustLedger {
     cfg: TrustConfig,
     hosts: BTreeMap<u32, HostTrust>,
+    /// How many of `hosts` `cfg` trusts: kept by every host update,
+    /// recounted when `cfg` changes.
+    trusted: u64,
     /// WAL handle (disabled by default).
     journal: Journal,
 }
@@ -163,6 +172,7 @@ impl TrustLedger {
         TrustLedger {
             cfg,
             hosts: BTreeMap::new(),
+            trusted: 0,
             journal: Journal::disabled(),
         }
     }
@@ -217,45 +227,51 @@ impl TrustLedger {
         self.raw_spot_check(h);
     }
 
-    fn entry(&mut self, h: u32) -> &mut HostTrust {
-        let init = self.cfg.init_error_rate;
-        self.hosts
-            .entry(h)
-            .or_insert_with(|| HostTrust::fresh(init))
+    /// Applies `f` to `h`'s record (a fresh prior when never observed)
+    /// and moves the trusted count by the change in `h`'s standing.
+    fn update(&mut self, h: u32, f: impl FnOnce(&TrustConfig, &mut HostTrust)) {
+        let cfg = &self.cfg;
+        let t = self.hosts.entry(h);
+        let (was, t) = match t {
+            Entry::Occupied(o) => (cfg.trusts(o.get()), o.into_mut()),
+            Entry::Vacant(v) => (false, v.insert(HostTrust::fresh(cfg.init_error_rate))),
+        };
+        f(cfg, t);
+        let now = cfg.trusts(t);
+        self.trusted = self.trusted + u64::from(now) - u64::from(was);
     }
 
     fn raw_observe(&mut self, h: u32, outcome: Outcome) {
-        let (decay, punish) = (self.cfg.decay, self.cfg.punish);
-        let t = self.entry(h);
-        match outcome {
+        self.update(h, |cfg, t| match outcome {
             Outcome::Agree => {
-                t.error_rate *= decay;
+                t.error_rate *= cfg.decay;
                 t.validated += 1;
             }
             Outcome::Mismatch => {
-                t.error_rate = 1.0 - punish * (1.0 - t.error_rate);
+                t.error_rate = 1.0 - cfg.punish * (1.0 - t.error_rate);
                 t.mismatches += 1;
             }
             Outcome::Error => {
-                t.error_rate = 1.0 - punish * (1.0 - t.error_rate);
+                t.error_rate = 1.0 - cfg.punish * (1.0 - t.error_rate);
                 t.errors += 1;
             }
-        }
+        });
     }
 
     fn raw_spot_check(&mut self, h: u32) {
-        self.entry(h).spot_checks += 1;
+        self.update(h, |_, t| t.spot_checks += 1);
+    }
+
+    /// Counts the trusted hosts from scratch, after `cfg` changed.
+    fn recount(&mut self) {
+        self.trusted = self.hosts.values().filter(|t| self.cfg.trusts(t)).count() as u64;
     }
 
     /// Whether `h` has served probation and sits at or below the trust
     /// threshold. Pure trust math — callers gate on
     /// [`TrustConfig::enabled`].
     pub fn is_trusted(&self, h: u32) -> bool {
-        self.hosts.get(&h).is_some_and(|t| self.trusts(t))
-    }
-
-    fn trusts(&self, t: &HostTrust) -> bool {
-        t.validated >= self.cfg.probation_results && t.error_rate <= self.cfg.trust_threshold
+        self.hosts.get(&h).is_some_and(|t| self.cfg.trusts(t))
     }
 
     /// Reliability of `h` (1 − error-rate estimate, clamped to [0, 1]) —
@@ -266,7 +282,7 @@ impl TrustLedger {
 
     /// Number of currently-trusted hosts.
     pub fn trusted_count(&self) -> u64 {
-        self.hosts.values().filter(|t| self.trusts(t)).count() as u64
+        self.trusted
     }
 
     /// Applies one replayed change record; `Ok(false)` when the record
@@ -298,6 +314,7 @@ impl TrustLedger {
                     probation_results: *probation,
                     spot_check_rate: f64::from_bits(*spot_bits),
                 };
+                self.recount();
             }
             _ => return Ok(false),
         }
@@ -363,11 +380,14 @@ impl TrustLedger {
             );
         }
         d.finish()?;
-        Ok(TrustLedger {
+        let mut ledger = TrustLedger {
             cfg,
             hosts,
+            trusted: 0,
             journal: Journal::disabled(),
-        })
+        };
+        ledger.recount();
+        Ok(ledger)
     }
 }
 
@@ -513,6 +533,68 @@ mod tests {
             live.host(0).error_rate.to_bits()
         );
         assert_eq!(replayed.host(0).spot_checks, 1);
+    }
+
+    /// A generated check: after any sequence of observations,
+    /// spot-checks, reconfigurations and snapshot round trips, the kept
+    /// trusted count equals a full scan of the ledger.
+    #[test]
+    fn trusted_count_matches_a_full_scan() {
+        // splitmix64: a fixed, dependency-free stream of test cases.
+        let mut state = 0x7ab3_0c11_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        for _case in 0..200 {
+            let mut l = TrustLedger::new(TrustConfig::enabled());
+            for _step in 0..60 {
+                let h = next(8) as u32;
+                match next(10) {
+                    0..=5 => {
+                        let outcome = [
+                            Outcome::Agree,
+                            Outcome::Agree,
+                            Outcome::Mismatch,
+                            Outcome::Error,
+                        ];
+                        l.raw_observe(h, outcome[next(4) as usize]);
+                    }
+                    6 => l.raw_spot_check(h),
+                    7 | 8 => {
+                        // Probation 0 with a low threshold trusts a
+                        // host the moment a spot-check creates it.
+                        let cfg = TrustConfig {
+                            trust_threshold: [0.01, 0.05, 0.2, 0.6][next(4) as usize],
+                            init_error_rate: [0.0, 0.1, 0.5][next(3) as usize],
+                            probation_results: next(4),
+                            ..TrustConfig::enabled()
+                        };
+                        let change = StateChange::TrustConfigured {
+                            enabled: true,
+                            threshold_bits: cfg.trust_threshold.to_bits(),
+                            init_bits: cfg.init_error_rate.to_bits(),
+                            decay_bits: cfg.decay.to_bits(),
+                            punish_bits: cfg.punish.to_bits(),
+                            probation: cfg.probation_results,
+                            spot_bits: cfg.spot_check_rate.to_bits(),
+                        };
+                        assert!(l.apply_change(&change).unwrap());
+                    }
+                    _ => l = TrustLedger::decode_state(&l.encode_state()).unwrap(),
+                }
+                let scan = l.hosts.values().filter(|t| l.cfg.trusts(t)).count() as u64;
+                assert_eq!(l.trusted_count(), scan);
+                assert_eq!(
+                    (0..8).filter(|&h| l.is_trusted(h)).count() as u64,
+                    scan,
+                    "every host lies in 0..8"
+                );
+            }
+        }
     }
 
     #[test]
