@@ -304,8 +304,15 @@ impl<'a> Dec<'a> {
     /// `u32` length-prefixed opaque blob.
     #[inline]
     pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        Ok(self.slice()?.to_vec())
+    }
+
+    /// `u32` length-prefixed opaque blob, borrowed from the input: the
+    /// same bytes as [`Dec::bytes`], without the copy.
+    #[inline]
+    pub fn slice(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     /// `Option<u32>` from a presence byte.
@@ -375,6 +382,7 @@ mod tests {
         e.bool(true);
         e.str("héllo");
         e.bytes(&[1, 2, 3]);
+        e.bytes(&[4, 5]);
         e.opt_u32(None);
         e.opt_u64(Some(42));
         e.vec_u32(&[9, 8, 7]);
@@ -388,6 +396,7 @@ mod tests {
         assert!(d.bool().unwrap());
         assert_eq!(d.str().unwrap(), "héllo");
         assert_eq!(d.bytes().unwrap(), vec![1, 2, 3]);
+        assert_eq!(d.slice().unwrap(), [4, 5]);
         assert_eq!(d.opt_u32().unwrap(), None);
         assert_eq!(d.opt_u64().unwrap(), Some(42));
         assert_eq!(d.vec_u32().unwrap(), vec![9, 8, 7]);
@@ -409,6 +418,7 @@ mod tests {
         e.u32(u32::MAX); // claims 4 G entries
         let v = e.into_vec();
         assert_eq!(Dec::new(&v).vec_u32(), Err(WireError::UnexpectedEof));
+        assert_eq!(Dec::new(&v).slice(), Err(WireError::UnexpectedEof));
     }
 
     #[test]

@@ -445,7 +445,7 @@ impl Db {
         let n_wus = d.u32()? as usize;
         let mut wus = Vec::with_capacity(n_wus.min(1 << 16));
         for i in 0..n_wus {
-            let spec = WorkUnitSpec::from_bytes(&d.bytes()?)?;
+            let spec = WorkUnitSpec::from_bytes(d.slice()?)?;
             wus.push(WorkUnit {
                 id: WuId(i as u32),
                 spec,
