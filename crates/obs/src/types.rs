@@ -55,7 +55,7 @@ impl HistogramSummary {
 }
 
 /// Whose timeline lane a span or point sits on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Actor {
     /// The project server (`server`).
     Server,
@@ -73,7 +73,7 @@ impl fmt::Display for Actor {
 }
 
 /// The class of a span or point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mark {
     /// Span: a task's inputs arriving.
     Download,
@@ -123,7 +123,7 @@ impl fmt::Display for Mark {
 
 /// A MapReduce job's phase boundary, the payload of a [`Mark::Phase`]
 /// point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PhaseMark {
     /// The job's map work units were submitted.
     MapStart,
@@ -151,7 +151,7 @@ impl PhaseMark {
 }
 
 /// What a span or point is about.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Detail {
     /// Nothing (renders empty).
     None,
@@ -175,7 +175,7 @@ impl fmt::Display for Detail {
 }
 
 /// The terminal state a work unit moved to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WuEnd {
     /// Validated: a quorum agreed.
     Validated,

@@ -231,8 +231,7 @@ impl TrustLedger {
     /// and moves the trusted count by the change in `h`'s standing.
     fn update(&mut self, h: u32, f: impl FnOnce(&TrustConfig, &mut HostTrust)) {
         let cfg = &self.cfg;
-        let t = self.hosts.entry(h);
-        let (was, t) = match t {
+        let (was, t) = match self.hosts.entry(h) {
             Entry::Occupied(o) => (cfg.trusts(o.get()), o.into_mut()),
             Entry::Vacant(v) => (false, v.insert(HostTrust::fresh(cfg.init_error_rate))),
         };
