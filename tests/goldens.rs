@@ -2,8 +2,9 @@
 //! output the repository promises to keep byte-identical is pinned here
 //! against files generated once and never regenerated casually:
 //! Table I (quick and full), Fig. 4, the WAL byte stream of one
-//! journaled Table I row, raw and compacted, and the obs event journal
-//! of the Fig. 4 run as JSON lines. The text is built by the
+//! journaled Table I row, raw and compacted, the obs event journal
+//! of the Fig. 4 run as JSON lines, and the calibrated sizing model
+//! every row runs on. The text is built by the
 //! same `vmr_bench::paper` calls the `table1` / `fig4` binaries print with
 //! (`scripts/check.sh` also diffs the binaries' stdout against the same
 //! files).
@@ -18,6 +19,7 @@ use vmr_bench::{calibrated_sizing, row_config, table1_rows};
 use vmr_core::{run_experiment, MrMode};
 use vmr_durable::{compact, DurabilityPlan};
 use vmr_mapreduce::hashes::{sha256, to_hex};
+use vmr_mapreduce::{CorpusGen, CorpusSpec};
 
 /// Points at the first differing line instead of dumping two tables.
 fn assert_same_text(got: &str, want: &str, what: &str) {
@@ -109,3 +111,28 @@ const WAL_LEN: usize = 35816;
 const WAL_SHA256: &str = "0290f1f38d0c59a256f9129529fc1c2fc99ff3159ce44f6c46c1e9946a9ca54e";
 const COMPACTED_LEN: usize = 13387;
 const COMPACTED_SHA256: &str = "00c8e6a8a5a9f5343a75195bb002a38952a363b2ac054c3beee74693f9c90557";
+
+/// The sizing model every Table I row and study bin runs on: the
+/// 2 MiB word-count sample it is calibrated against, and the two
+/// numbers calibration draws from it, to the bit.
+#[test]
+fn calibration_matches_golden() {
+    let sample = CorpusGen::new(&CorpusSpec::default()).generate(2 << 20);
+    assert_eq!(
+        (sample.len(), to_hex(&sha256(&sample)).as_str()),
+        (SAMPLE_LEN, SAMPLE_SHA256),
+        "calibration sample moved"
+    );
+    let sizing = calibrated_sizing();
+    assert_eq!(
+        (sizing.expansion.to_bits(), sizing.reduce_output_total_bytes),
+        (EXPANSION_BITS, REDUCE_OUTPUT_TOTAL_BYTES),
+        "calibrated sizing moved (expansion {})",
+        sizing.expansion
+    );
+}
+
+const SAMPLE_LEN: usize = 2_097_153;
+const SAMPLE_SHA256: &str = "74474eccf27ac9a3ae6be3e88d0619c433edac5f9c1ab5402cd4766bc9fae9f8";
+const EXPANSION_BITS: u64 = 0x3ff6_d3f7_c960_41b5;
+const REDUCE_OUTPUT_TOTAL_BYTES: u64 = 553_491;
