@@ -5,7 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 use vmr_durable::{Dec, Enc, WireError};
-use vmr_mapreduce::{run_map_task, HashPartitioner, JobSpec, MapReduceApp};
+use vmr_mapreduce::{map_grouped, JobSpec, MapReduceApp};
 pub use vmr_vcore::population::{GeneratedHost, HostPopulation, PopulationSpec, VolunteerClass};
 
 /// How reduce tasks obtain their map-output inputs (the two systems
@@ -88,23 +88,22 @@ impl SizingModel {
     where
         A: MapReduceApp<K = String>,
     {
-        let part = HashPartitioner::new(1);
-        let mo = run_map_task(app, sample, &part, |k| k.as_bytes().to_vec());
         // The paper's pipeline has no combiner (one line per word), so
-        // expansion is measured against the *uncombined* stream: re-emit
-        // raw pairs.
+        // expansion is measured against the *uncombined* stream, pair
+        // by pair as the one map pass emits it.
         let mut raw_bytes = 0usize;
         let mut line = String::new();
-        app.map(sample, &mut |k, v| {
-            line.clear();
-            app.encode(&k, &v, &mut line);
-            raw_bytes += line.len();
-        });
-        let reduced = vmr_mapreduce::run_reduce_task(app, vec![mo.partitions[0].clone()]);
-        let mut out_bytes = 0usize;
-        for (k, v) in &reduced {
+        let groups = map_grouped(app, &[sample], &mut |k, v| {
             line.clear();
             app.encode(k, v, &mut line);
+            raw_bytes += line.len();
+        });
+        // What one map task and one reduce task over a single partition
+        // would write: each key's combined values, reduced.
+        let mut out_bytes = 0usize;
+        for (k, vs) in &groups {
+            line.clear();
+            app.encode(k, &app.reduce(k, &app.combine(k, vs)), &mut line);
             out_bytes += line.len();
         }
         let n = sample.len().max(1) as f64;
@@ -260,7 +259,8 @@ impl MrJobConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmr_mapreduce::apps::WordCount;
+    use proptest::prelude::*;
+    use vmr_mapreduce::apps::{DistGrep, InvertedIndex, WordCount};
     use vmr_mapreduce::{CorpusGen, CorpusSpec};
 
     #[test]
@@ -338,5 +338,69 @@ mod tests {
         assert_eq!(back.delay_bound_s.to_bits(), c.delay_bound_s.to_bits());
         // Canonical: re-encoding reproduces the same bytes.
         assert_eq!(back.to_bytes(), c.to_bytes());
+    }
+
+    /// `calibrate` as it was before it shared the one group-by: a
+    /// second, uncombined map pass for the raw bytes, and a map task
+    /// over one partition whose output a reduce task groups again, both
+    /// through `BTreeMap`s. Returns (raw bytes, reduced-output bytes).
+    fn model_calibrate<A: MapReduceApp<K = String>>(app: &A, sample: &[u8]) -> (usize, usize) {
+        use std::collections::BTreeMap;
+        let mut line = String::new();
+        let mut raw_bytes = 0;
+        let mut grouped: BTreeMap<String, Vec<A::V>> = BTreeMap::new();
+        app.map(sample, &mut |k, v| {
+            line.clear();
+            app.encode(&k, &v, &mut line);
+            raw_bytes += line.len();
+            grouped.entry(k).or_default().push(v);
+        });
+        let mut regrouped: BTreeMap<String, Vec<A::V>> = BTreeMap::new();
+        for (k, vs) in grouped {
+            for v in app.combine(&k, &vs) {
+                regrouped.entry(k.clone()).or_default().push(v);
+            }
+        }
+        let mut out_bytes = 0;
+        for (k, vs) in &regrouped {
+            line.clear();
+            app.encode(k, &app.reduce(k, vs), &mut line);
+            out_bytes += line.len();
+        }
+        (raw_bytes, out_bytes)
+    }
+
+    /// `calibrate`'s two numbers, to the bit, equal the model's byte
+    /// counts put through the same arithmetic.
+    fn calibrate_equals_model<A: MapReduceApp<K = String>>(
+        app: &A,
+        sample: &[u8],
+    ) -> Result<(), TestCaseError> {
+        let (raw_bytes, out_bytes) = model_calibrate(app, sample);
+        let s = SizingModel::calibrate(app, sample);
+        let n = sample.len().max(1) as f64;
+        prop_assert_eq!(s.expansion.to_bits(), (raw_bytes as f64 / n).to_bits());
+        prop_assert_eq!(s.reduce_output_total_bytes, (out_bytes as f64 * 1.5) as u64);
+        Ok(())
+    }
+
+    proptest! {
+        /// On text with repeated keys, empty and malformed lines and
+        /// non-UTF-8 bytes, for a summing combiner (word count), the
+        /// default combiner (grep) and order-sensitive `String` values
+        /// (inverted index).
+        #[test]
+        fn calibrate_equals_btreemap_model(
+            pieces in proptest::collection::vec(0usize..11, 0..150),
+        ) {
+            const PIECES: [&[u8]; 11] = [
+                b"ab", b"ba", b"cab", b" ", b" ", b"\n", b"\t", b"d1\t", b"d2\t", b"\xff",
+                b"\xc3\xa9",
+            ];
+            let sample: Vec<u8> = pieces.iter().flat_map(|&i| PIECES[i]).copied().collect();
+            calibrate_equals_model(&WordCount, &sample)?;
+            calibrate_equals_model(&DistGrep::new("a"), &sample)?;
+            calibrate_equals_model(&InvertedIndex, &sample)?;
+        }
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::api::MapReduceApp;
 use crate::record::tokens;
+use std::fmt::Write;
 
 /// The canonical word-count application.
 #[derive(Clone, Copy, Debug, Default)]
@@ -39,8 +40,7 @@ impl MapReduceApp for WordCount {
     fn encode(&self, key: &String, value: &u64, out: &mut String) {
         out.push_str(key);
         out.push(' ');
-        out.push_str(&value.to_string());
-        out.push('\n');
+        let _ = writeln!(out, "{value}");
     }
 
     fn decode(&self, line: &str) -> Option<(String, u64)> {

@@ -29,7 +29,7 @@ pub use api::{InputFormat, JobSpec, MapReduceApp};
 pub use corpus::{CorpusGen, CorpusSpec};
 pub use hashes::{fnv1a, sha256, Sha256};
 pub use local::{
-    decode_partition, run_local_parallel, run_map_task, run_reduce_task, run_sequential,
-    split_input, MapOutput,
+    decode_partition, map_grouped, run_local_parallel, run_map_task, run_reduce_task,
+    run_sequential, split_input, MapOutput,
 };
 pub use partition::HashPartitioner;

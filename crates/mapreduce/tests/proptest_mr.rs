@@ -3,11 +3,159 @@
 //! primitives must hold their invariants.
 
 use proptest::prelude::*;
-use vmr_mapreduce::apps::{DistGrep, UrlVisits, WordCount};
+use std::fmt::Debug;
+use vmr_mapreduce::apps::{DistGrep, InvertedIndex, UrlVisits, WordCount};
 use vmr_mapreduce::{
-    run_local_parallel, run_map_task, run_reduce_task, run_sequential, HashPartitioner, JobSpec,
-    Sha256,
+    map_grouped, run_local_parallel, run_map_task, run_reduce_task, run_sequential,
+    HashPartitioner, JobSpec, MapReduceApp, Sha256,
 };
+
+/// The kernels as they were before they shared one hashed group-by:
+/// every pair inserted into a `BTreeMap`, a second `BTreeMap` on the
+/// reduce side. Kept here as the model the shared group-by must equal.
+mod model {
+    use std::collections::BTreeMap;
+    use vmr_mapreduce::{HashPartitioner, MapReduceApp};
+
+    pub fn run_sequential<A: MapReduceApp>(app: &A, chunks: &[&[u8]]) -> BTreeMap<A::K, A::V> {
+        let mut grouped: BTreeMap<A::K, Vec<A::V>> = BTreeMap::new();
+        for chunk in chunks {
+            app.map(chunk, &mut |k, v| grouped.entry(k).or_default().push(v));
+        }
+        grouped
+            .into_iter()
+            .map(|(k, vs)| {
+                let out = app.reduce(&k, &vs);
+                (k, out)
+            })
+            .collect()
+    }
+
+    pub fn run_map_task<A: MapReduceApp<K = String>>(
+        app: &A,
+        chunk: &[u8],
+        part: &HashPartitioner,
+    ) -> Vec<Vec<(A::K, A::V)>> {
+        let mut grouped: BTreeMap<A::K, Vec<A::V>> = BTreeMap::new();
+        app.map(chunk, &mut |k, v| grouped.entry(k).or_default().push(v));
+        let mut partitions: Vec<Vec<(A::K, A::V)>> =
+            (0..part.n_reduces()).map(|_| Vec::new()).collect();
+        for (k, vs) in grouped {
+            let p = part.partition_str(&k);
+            for v in app.combine(&k, &vs) {
+                partitions[p].push((k.clone(), v));
+            }
+        }
+        partitions
+    }
+
+    pub fn run_reduce_task<A: MapReduceApp>(
+        app: &A,
+        inputs: Vec<Vec<(A::K, A::V)>>,
+    ) -> BTreeMap<A::K, A::V> {
+        let mut grouped: BTreeMap<A::K, Vec<A::V>> = BTreeMap::new();
+        for part in inputs {
+            for (k, v) in part {
+                grouped.entry(k).or_default().push(v);
+            }
+        }
+        grouped
+            .into_iter()
+            .map(|(k, vs)| {
+                let out = app.reduce(&k, &vs);
+                (k, out)
+            })
+            .collect()
+    }
+
+    /// Each key's values, in emission order, over every chunk.
+    pub fn groups<A: MapReduceApp>(app: &A, chunks: &[&[u8]]) -> Vec<(A::K, Vec<A::V>)> {
+        let mut grouped: BTreeMap<A::K, Vec<A::V>> = BTreeMap::new();
+        for chunk in chunks {
+            app.map(chunk, &mut |k, v| grouped.entry(k).or_default().push(v));
+        }
+        grouped.into_iter().collect()
+    }
+}
+
+/// Text made of a few repeated words, separators, tab-led document ids
+/// and stray non-UTF-8 bytes, so keys repeat, lines are empty or
+/// malformed, and some tokens are not UTF-8.
+fn mixed_bytes_strategy() -> impl Strategy<Value = Vec<u8>> {
+    const PIECES: [&[u8]; 13] = [
+        b"ab",
+        b"ba",
+        b"cab",
+        b"a",
+        b" ",
+        b" ",
+        b"\n",
+        b"\t",
+        b"d1\t",
+        b"d2\t",
+        b"\xff",
+        b"\xc3",
+        b"\xc3\xa9",
+    ];
+    proptest::collection::vec(0..PIECES.len(), 0..120)
+        .prop_map(|ix| ix.iter().flat_map(|&i| PIECES[i]).copied().collect())
+}
+
+/// Cuts `data` at the given fractions: chunks may be empty and may
+/// split a token or a line (every kernel maps each chunk alone).
+fn cut<'a>(data: &'a [u8], fracs: &[f64]) -> Vec<&'a [u8]> {
+    let mut at: Vec<usize> = fracs
+        .iter()
+        .map(|f| (data.len() as f64 * f) as usize)
+        .collect();
+    at.sort_unstable();
+    let mut chunks = Vec::new();
+    let mut start = 0;
+    for end in at.into_iter().chain([data.len()]) {
+        chunks.push(&data[start..end]);
+        start = end;
+    }
+    chunks
+}
+
+/// Every kernel that groups by key equals its `BTreeMap` model on
+/// `chunks`: the grouped map output (values in emission order), the
+/// sequential oracle, each map task's partitions and each reduce
+/// task's output.
+fn kernels_equal_model<A>(app: &A, chunks: &[&[u8]], n_reduces: usize) -> Result<(), TestCaseError>
+where
+    A: MapReduceApp<K = String>,
+    A::V: PartialEq + Debug,
+{
+    let mut seen = Vec::new();
+    let groups = map_grouped(app, chunks, &mut |k, v| seen.push((k.clone(), v.clone())));
+    prop_assert_eq!(&groups, &model::groups(app, chunks));
+    let mut emitted = Vec::new();
+    for chunk in chunks {
+        app.map(chunk, &mut |k, v| emitted.push((k, v)));
+    }
+    prop_assert_eq!(seen, emitted, "seen sees every pair, in emission order");
+    prop_assert_eq!(
+        run_sequential(app, chunks),
+        model::run_sequential(app, chunks)
+    );
+
+    let part = HashPartitioner::new(n_reduces);
+    let mut maps = Vec::new();
+    for chunk in chunks {
+        let got = run_map_task(app, chunk, &part, |k| k.as_bytes().to_vec()).partitions;
+        prop_assert_eq!(&got, &model::run_map_task(app, chunk, &part));
+        maps.push(got);
+    }
+    for p in 0..n_reduces {
+        let inputs: Vec<_> = maps.iter().map(|m| m[p].clone()).collect();
+        prop_assert_eq!(
+            run_reduce_task(app, inputs.clone()),
+            model::run_reduce_task(app, inputs)
+        );
+    }
+    Ok(())
+}
 
 /// Arbitrary whitespace-y text.
 fn text_strategy() -> impl Strategy<Value = String> {
@@ -15,6 +163,22 @@ fn text_strategy() -> impl Strategy<Value = String> {
 }
 
 proptest! {
+    /// The shared group-by equals the `BTreeMap` kernels it replaced,
+    /// for an app with a summing combiner (word count), one with the
+    /// default combiner, so a key keeps many values (grep), and one
+    /// whose `String` values are order-sensitive (inverted index).
+    #[test]
+    fn grouped_kernels_equal_btreemap_model(
+        data in mixed_bytes_strategy(),
+        fracs in proptest::collection::vec(0.0f64..1.0, 0..4),
+        n_reduces in 1usize..4,
+    ) {
+        let chunks = cut(&data, &fracs);
+        kernels_equal_model(&WordCount, &chunks, n_reduces)?;
+        kernels_equal_model(&DistGrep::new("a"), &chunks, n_reduces)?;
+        kernels_equal_model(&InvertedIndex, &chunks, n_reduces)?;
+    }
+
     /// Word count through the partitioned task pipeline equals the
     /// oracle for any text and any geometry.
     #[test]
