@@ -6,12 +6,12 @@
 # frame, wire; rtnet's proto, store); clippy on the
 # workspace, all targets, warnings as errors; the examples build; the
 # workspace test suite; then the bench smokes — flow_churn (asserts its
-# `BENCH_netsim.json` line appeared), `table1 --quick` and `fig4`
-# diffed against tests/golden/, the crash-replay smoke, the durability
-# torture smoke, and the benchmark's own smoke (all six BENCHMARK.json
-# workloads at ~1/20 size, every check on). It writes nothing into the
-# tree: `git status --porcelain` must read the same at the end as at
-# the start. Run before sending a change.
+# `BENCH_netsim.json` line appeared), `table1 --quick`, `fig4` and
+# `supernode_relay` diffed against tests/golden/, the crash-replay
+# smoke, the durability torture smoke, and the benchmark's own smoke
+# (all six BENCHMARK.json workloads at ~1/20 size, every check on). It
+# writes nothing into the tree: `git status --porcelain` must read the
+# same at the end as at the start. Run before sending a change.
 #
 # Usage: scripts/check.sh [--no-test] [--no-bench] [--full]
 #
@@ -86,7 +86,8 @@ fi
 
 if [ "$NO_BENCH" -eq 0 ]; then
     echo "==> bench smoke: flow_churn"
-    cargo build --offline --release -p vmr-bench --bin flow_churn --bin table1 --bin fig4
+    cargo build --offline --release -p vmr-bench --bin flow_churn --bin table1 --bin fig4 \
+        --bin supernode_relay
     expect_json_line BENCH_netsim.json ./target/release/flow_churn
 
     if [ "$FULL" -eq 1 ]; then
@@ -94,13 +95,15 @@ if [ "$NO_BENCH" -eq 0 ]; then
         ./target/release/flow_churn --scale-smoke
     fi
 
-    echo "==> bench smoke: table1 --quick (with metrics dump) and fig4 vs the committed goldens"
+    echo "==> bench smoke: table1 --quick (with metrics dump), fig4 and supernode_relay vs the committed goldens"
     ./target/release/table1 --quick --metrics /tmp/table1_quick_metrics.json \
         | diff tests/golden/table1_quick.txt - \
         || { echo "table1 --quick diverged from tests/golden/table1_quick.txt" >&2; exit 1; }
     [ -s /tmp/table1_quick_metrics.json ] || { echo "table1 --metrics wrote nothing" >&2; exit 1; }
     ./target/release/fig4 | diff tests/golden/fig4.txt - \
         || { echo "fig4 diverged from tests/golden/fig4.txt" >&2; exit 1; }
+    ./target/release/supernode_relay | diff tests/golden/supernode_relay.txt - \
+        || { echo "supernode_relay diverged from tests/golden/supernode_relay.txt" >&2; exit 1; }
 
     echo "==> crash-replay smoke: crash mid-run, resume from the WAL mirror, byte-diff"
     echo "    (plain plan, then inline compaction resumed from the compacted mirror)"
