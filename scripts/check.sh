@@ -17,9 +17,12 @@
 #
 #   --no-test   skip the workspace test suite
 #   --no-bench  skip every bench smoke (overrides --full)
-#   --full      also run the slow smokes: the 20k-host netsim scale leg,
-#               the shuffle strategy ablation, the trust ablation, and
-#               the 10k rtnet soak with the threaded-vs-poll ladder
+#   --full      also run the netsim differential tests
+#               (crates/netsim/tests/equivalence.rs) at a fresh, printed
+#               PROPTEST_SEED with 10x the cases, and the slow smokes: the
+#               20k-host netsim scale leg, the shuffle strategy ablation,
+#               the trust ablation, and the 10k rtnet soak with the
+#               threaded-vs-poll ladder
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -82,6 +85,16 @@ cargo build --offline --examples
 if [ "$NO_TEST" -eq 0 ]; then
     echo "==> cargo test (workspace)"
     cargo test --offline --workspace --quiet
+fi
+
+if [ "$NO_TEST" -eq 0 ] && [ "$FULL" -eq 1 ]; then
+    # The default seed replays the same inputs on every run; a fresh one
+    # searches. A failure prints its seed and case: rerun with it.
+    seed="$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')"
+    echo "==> netsim differential tests at a fresh seed, 10x the cases (--full)"
+    echo "    PROPTEST_SEED=$seed PROPTEST_CASES=2560"
+    PROPTEST_SEED="$seed" PROPTEST_CASES=2560 \
+        cargo test --offline -p vmr-netsim --test equivalence --quiet
 fi
 
 if [ "$NO_BENCH" -eq 0 ]; then
