@@ -1,40 +1,35 @@
-//! Flow-churn scaling benchmark for the netsim engines.
+//! Flow-churn scaling benchmark for the netsim engine.
 //!
 //! Drives the shuffle-churn workload (see `vmr_bench::churn`) through
-//! four rungs of the scaling ladder:
+//! two rungs of the scaling ladder on the one network engine:
 //!
-//! * **40 hosts** (the paper's Emulab testbed) — incremental `Network`,
-//!   the scan-everything `NaiveNetwork` reference, and the
-//!   `AggregateNetwork` below its coalescing threshold; all three must
+//! * **40 hosts** (the paper's Emulab testbed) — incremental `Network`
+//!   against the scan-everything `NaiveNetwork` reference; both must
 //!   agree bit-identically on makespan and delivered bytes.
-//! * **2 000 hosts** — incremental vs aggregate (internet policy): the
-//!   aggregate engine must hold the asserted makespan tolerance while
-//!   delivering the events/s uplift the 100k legs depend on.
-//! * **20 000 and 100 000 hosts** — aggregate only, on the
-//!   Anderson-&-Fedak volunteer population (heavy-tailed access links,
-//!   oversubscribed ISP tiers, shared backbone).
+//! * **2 000 hosts** — incremental engine only.
 //!
-//! Emits one machine-readable line, `BENCH_netsim.json`, with the full
-//! scaling table.
+//! Emits one machine-readable line, `BENCH_netsim.json`, with the
+//! table.
 //!
 //! Usage: `cargo run -p vmr-bench --release --bin flow_churn`
-//! (`--scale-smoke` runs only a quick 20k-host leg, for
-//! `scripts/check.sh --full`).
+//! (`--scale-smoke` runs only a 20k-host leg on the Anderson-&-Fedak
+//! volunteer population — heavy-tailed access links, oversubscribed ISP
+//! tiers, shared backbone — for `scripts/check.sh --full`; two to three
+//! minutes on a 2-vCPU Xeon VM).
 
 use std::time::Instant;
 use vmr_bench::churn::{
-    churn_script, churn_topology, population_topology, run_churn, run_churn_engine, ChurnOutcome,
-    ChurnSpec, FlowEngine,
+    churn_script, churn_topology, population_topology, run_churn, ChurnOutcome, ChurnSpec,
+    FlowEngine,
 };
-use vmr_netsim::{AggregateNetwork, NaiveNetwork, Network, ScalePolicy, Topology};
+use vmr_netsim::{NaiveNetwork, Network, Topology};
 
 struct Measured {
     outcome: ChurnOutcome,
     wall_s: f64,
 }
 
-fn measure<E: FlowEngine>(spec: &ChurnSpec) -> Measured {
-    let topo = churn_topology(spec);
+fn measure_on<E: FlowEngine>(spec: &ChurnSpec, topo: Topology) -> Measured {
     let script = churn_script(spec);
     let t0 = Instant::now();
     let outcome = run_churn::<E>(topo, &script);
@@ -44,17 +39,8 @@ fn measure<E: FlowEngine>(spec: &ChurnSpec) -> Measured {
     }
 }
 
-fn measure_aggregate(spec: &ChurnSpec, topo: Topology, policy: ScalePolicy) -> Measured {
-    let script = churn_script(spec);
-    let t0 = Instant::now();
-    let outcome = run_churn_engine(
-        AggregateNetwork::with_policy(topo, &vmr_obs::Obs::detached(), policy),
-        &script,
-    );
-    Measured {
-        outcome,
-        wall_s: t0.elapsed().as_secs_f64(),
-    }
+fn measure<E: FlowEngine>(spec: &ChurnSpec) -> Measured {
+    measure_on::<E>(spec, churn_topology(spec))
 }
 
 fn events_per_sec(m: &Measured) -> f64 {
@@ -63,12 +49,11 @@ fn events_per_sec(m: &Measured) -> f64 {
 
 fn report(name: &str, m: &Measured) {
     eprintln!(
-        "{:<24} flows {:>7}  peak {:>6}  pools {:>5}  events {:>8}  wall {:>8.3} s  \
+        "{:<24} flows {:>7}  peak {:>6}  events {:>8}  wall {:>8.3} s  \
          {:>10.0} events/s  makespan {:>8.1} s",
         name,
         m.outcome.started,
         m.outcome.peak_concurrent,
-        m.outcome.peak_aggregates,
         m.outcome.events,
         m.wall_s,
         events_per_sec(m),
@@ -76,14 +61,8 @@ fn report(name: &str, m: &Measured) {
     );
 }
 
-/// The scale legs' engine policy: coalesce past 256 in-flight flows,
-/// publish shares in ~1.5 % buckets.
-fn internet_policy() -> ScalePolicy {
-    ScalePolicy::internet()
-}
-
 fn scale_smoke() {
-    // Quick 20k-host leg for the check.sh gate: one fetch per host, one
+    // The 20k-host leg for the check.sh --full gate: one fetch per host, one
     // wave, Anderson-&-Fedak population.
     let spec = ChurnSpec {
         hosts: 20_000,
@@ -91,16 +70,10 @@ fn scale_smoke() {
         waves: 1,
         seed: 0x51AB,
     };
-    eprintln!("scale smoke: 20k-host shuffle, aggregate engine…");
-    let m = measure_aggregate(&spec, population_topology(&spec), internet_policy());
-    report("20k-host aggregate", &m);
+    eprintln!("scale smoke: 20k-host shuffle, volunteer population…");
+    let m = measure_on::<Network>(&spec, population_topology(&spec));
+    report("20k-host incremental", &m);
     assert_eq!(m.outcome.completed, m.outcome.started, "lost flows");
-    // Peak pool occupancy depends on path collisions (random peer pairs
-    // rarely share one), so assert regime entry, not pool membership.
-    assert!(
-        m.outcome.scale_regime,
-        "scale leg never left the exact regime — threshold misconfigured?"
-    );
     eprintln!("scale smoke OK");
 }
 
@@ -126,19 +99,6 @@ fn main() {
         waves: 2,
         seed: 0x51AB,
     };
-    // Internet scale, on the volunteer population model.
-    let scale20k = ChurnSpec {
-        hosts: 20_000,
-        fetches_per_host: 2,
-        waves: 1,
-        seed: 0x51AB,
-    };
-    let scale100k = ChurnSpec {
-        hosts: 100_000,
-        fetches_per_host: 1,
-        waves: 1,
-        seed: 0x51AB,
-    };
 
     eprintln!("40-host shuffle, incremental engine…");
     let small_inc = measure::<Network>(&small);
@@ -153,92 +113,26 @@ fn main() {
         small_ref.outcome.bytes.to_bits(),
         "engines diverge on delivered bytes"
     );
-    eprintln!("40-host shuffle, aggregate engine (below threshold)…");
-    // Raised threshold: the testbed-scale run must stay in the exact
-    // regime and reproduce the incremental engine bit-identically.
-    let small_agg = measure_aggregate(
-        &small,
-        churn_topology(&small),
-        ScalePolicy {
-            coalesce_threshold: 10_000,
-            quantum_mantissa_bits: 6,
-        },
-    );
-    assert_eq!(
-        small_agg.outcome.makespan, small_inc.outcome.makespan,
-        "aggregate engine diverges at testbed scale"
-    );
-    assert_eq!(
-        small_agg.outcome.bytes.to_bits(),
-        small_inc.outcome.bytes.to_bits(),
-        "aggregate engine diverges on delivered bytes"
-    );
-    assert_eq!(small_agg.outcome.peak_aggregates, 0);
 
     eprintln!("2000-host shuffle, incremental engine…");
     let large_inc = measure::<Network>(&large);
-    eprintln!("2000-host shuffle, aggregate engine…");
-    let large_agg = measure_aggregate(&large, churn_topology(&large), internet_policy());
-    assert_eq!(
-        large_agg.outcome.completed, large_inc.outcome.completed,
-        "aggregate engine lost flows at 2000 hosts"
-    );
-    let tolerance = large_agg.outcome.makespan.as_secs_f64()
-        / large_inc.outcome.makespan.as_secs_f64().max(1e-9);
-    // Two-sided band: min-share pool rates lower-bound the exact
-    // max-min foreground rates (stretching fg completions), but that
-    // same underestimate leaves background scavengers *more* leftover
-    // than exact max-min would, so a bg-dominated tail can also finish
-    // early.
-    assert!(
-        (0.75..=1.35).contains(&tolerance),
-        "2000-host makespan tolerance violated: aggregate/exact = {tolerance}"
-    );
-
-    eprintln!("20k-host shuffle, aggregate engine (volunteer population)…");
-    let scale20k_agg =
-        measure_aggregate(&scale20k, population_topology(&scale20k), internet_policy());
-    eprintln!("100k-host shuffle, aggregate engine (volunteer population)…");
-    let scale100k_agg = measure_aggregate(
-        &scale100k,
-        population_topology(&scale100k),
-        internet_policy(),
-    );
 
     let speedup = small_ref.wall_s / small_inc.wall_s.max(1e-9);
-    let agg_speedup = events_per_sec(&large_agg) / events_per_sec(&large_inc).max(1e-9);
     report("40-host incremental", &small_inc);
     report("40-host reference", &small_ref);
-    report("40-host aggregate", &small_agg);
     report("2000-host incremental", &large_inc);
-    report("2000-host aggregate", &large_agg);
-    report("20k-host aggregate", &scale20k_agg);
-    report("100k-host aggregate", &scale100k_agg);
     eprintln!(
         "speedup over reference at 40 hosts / {} peak flows: {:.1}x",
         small_inc.outcome.peak_concurrent, speedup
-    );
-    eprintln!(
-        "aggregate-engine events/s uplift at 2000 hosts: {:.1}x (makespan ratio {:.4})",
-        agg_speedup, tolerance
     );
 
     println!(
         "BENCH_netsim.json {{\"small_hosts\": {}, \"small_flows\": {}, \"small_peak_concurrent\": {}, \
          \"small_events\": {}, \"small_wall_s\": {:.4}, \"small_events_per_s\": {:.0}, \
          \"small_ref_wall_s\": {:.4}, \"small_ref_events_per_s\": {:.0}, \"speedup_vs_reference\": {:.2}, \
-         \"small_agg_wall_s\": {:.4}, \"small_agg_events_per_s\": {:.0}, \"small_agg_bit_identical\": true, \
          \"large_hosts\": {}, \"large_flows\": {}, \"large_peak_concurrent\": {}, \
          \"large_events\": {}, \"large_wall_s\": {:.4}, \"large_events_per_s\": {:.0}, \
-         \"large_makespan_s\": {:.1}, \
-         \"large_agg_wall_s\": {:.4}, \"large_agg_events_per_s\": {:.0}, \"large_agg_makespan_s\": {:.1}, \
-         \"large_agg_peak_aggregates\": {}, \"large_agg_speedup\": {:.1}, \"large_agg_makespan_ratio\": {:.4}, \
-         \"scale20k_hosts\": {}, \"scale20k_flows\": {}, \"scale20k_events\": {}, \
-         \"scale20k_wall_s\": {:.4}, \"scale20k_events_per_s\": {:.0}, \"scale20k_makespan_s\": {:.1}, \
-         \"scale20k_peak_aggregates\": {}, \
-         \"scale100k_hosts\": {}, \"scale100k_flows\": {}, \"scale100k_events\": {}, \
-         \"scale100k_wall_s\": {:.4}, \"scale100k_events_per_s\": {:.0}, \"scale100k_makespan_s\": {:.1}, \
-         \"scale100k_peak_aggregates\": {}}}",
+         \"large_makespan_s\": {:.1}}}",
         small.hosts,
         small_inc.outcome.started,
         small_inc.outcome.peak_concurrent,
@@ -248,8 +142,6 @@ fn main() {
         small_ref.wall_s,
         events_per_sec(&small_ref),
         speedup,
-        small_agg.wall_s,
-        events_per_sec(&small_agg),
         large.hosts,
         large_inc.outcome.started,
         large_inc.outcome.peak_concurrent,
@@ -257,25 +149,5 @@ fn main() {
         large_inc.wall_s,
         events_per_sec(&large_inc),
         large_inc.outcome.makespan.as_secs_f64(),
-        large_agg.wall_s,
-        events_per_sec(&large_agg),
-        large_agg.outcome.makespan.as_secs_f64(),
-        large_agg.outcome.peak_aggregates,
-        agg_speedup,
-        tolerance,
-        scale20k.hosts,
-        scale20k_agg.outcome.started,
-        scale20k_agg.outcome.events,
-        scale20k_agg.wall_s,
-        events_per_sec(&scale20k_agg),
-        scale20k_agg.outcome.makespan.as_secs_f64(),
-        scale20k_agg.outcome.peak_aggregates,
-        scale100k.hosts,
-        scale100k_agg.outcome.started,
-        scale100k_agg.outcome.events,
-        scale100k_agg.wall_s,
-        events_per_sec(&scale100k_agg),
-        scale100k_agg.outcome.makespan.as_secs_f64(),
-        scale100k_agg.outcome.peak_aggregates,
     );
 }

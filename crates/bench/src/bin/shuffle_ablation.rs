@@ -1,19 +1,18 @@
 //! Shuffle-strategy ablation: {baseline, swarm, coded} word-count runs
 //! at three rungs of the scaling ladder —
 //!
-//! * **40 hosts** — the paper's Emulab-testbed scale, exact network
-//!   regime;
+//! * **40 hosts** — the paper's Emulab-testbed scale, flat testbed
+//!   topology;
 //! * **2 000 hosts** — an Anderson-&-Fedak volunteer population behind
-//!   ISP tiers, `Preset::Internet` (AggregateNetwork past the
-//!   coalescing threshold);
-//! * **100 000 hosts** — same population model, aggregate regime only.
+//!   ISP tiers, `Preset::Internet`;
+//! * **100 000 hosts** — same population model.
 //!
 //! Reports, per leg and strategy, the shuffle byte split
 //! (`shuffle.bytes_p2p` / `shuffle.bytes_server_fallback`), swarm chunk
 //! and coded send counts, the job makespan and the wall time; asserts
 //! the coded strategy's ≥25 % shuffle-byte cut at 2 000 hosts with the
-//! makespan inside the 0.75–1.35 band, and that the 100k-host
-//! aggregate legs complete. Emits one machine-readable
+//! makespan inside the 0.75–1.35 band, and that the 100k-host legs
+//! complete. Emits one machine-readable
 //! `BENCH_shuffle.json` line.
 //!
 //! Usage: `cargo run -p vmr-bench --release --bin shuffle_ablation`
@@ -32,7 +31,7 @@ struct Leg {
     n_maps: usize,
     n_reduces: usize,
     input_bytes: u64,
-    /// Internet population + aggregate network (vs the exact testbed).
+    /// Generated internet population (vs the flat testbed).
     internet: bool,
 }
 

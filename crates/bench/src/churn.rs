@@ -10,13 +10,11 @@
 use vmr_core::PopulationSpec;
 use vmr_desim::{SimDuration, SimTime};
 use vmr_netsim::{
-    AggregateNetwork, Completion, FlowId, FlowSpec, HostId, HostLink, NaiveNetwork, Network,
-    Priority, Topology,
+    Completion, FlowId, FlowSpec, HostId, HostLink, NaiveNetwork, Network, Priority, Topology,
 };
 
 /// The engine surface the churn driver needs; implemented by the
-/// incremental engine, the scan-everything reference engine and the
-/// internet-scale aggregate engine.
+/// incremental engine and the scan-everything reference engine.
 pub trait FlowEngine {
     /// Wraps a topology (metrics go to a detached sink).
     fn build(topo: Topology) -> Self
@@ -37,16 +35,6 @@ pub trait FlowEngine {
     fn active_flows(&self) -> usize;
     /// Total payload bytes delivered.
     fn bytes_delivered(&self) -> f64;
-    /// Peak simultaneously-coalescing flow-class pools (0 for the exact
-    /// engines, which never aggregate).
-    fn peak_aggregates(&self) -> usize {
-        0
-    }
-    /// Whether the engine left its exact regime during the run (always
-    /// false for the exact engines).
-    fn scale_regime(&self) -> bool {
-        false
-    }
 }
 
 macro_rules! impl_flow_engine {
@@ -76,36 +64,6 @@ macro_rules! impl_flow_engine {
 
 impl_flow_engine!(Network);
 impl_flow_engine!(NaiveNetwork);
-
-// The aggregate engine starts in its (bit-identical) exact regime under
-// `FlowEngine::build*`; callers wanting a scale policy construct it with
-// `AggregateNetwork::with_policy` and use [`run_churn_engine`].
-impl FlowEngine for AggregateNetwork {
-    fn build_with_obs(topo: Topology, obs: &vmr_obs::Obs) -> Self {
-        AggregateNetwork::with_obs(topo, obs)
-    }
-    fn start_flow(&mut self, now: SimTime, spec: FlowSpec) -> FlowId {
-        AggregateNetwork::start_flow(self, now, spec)
-    }
-    fn advance(&mut self, now: SimTime) -> Vec<Completion> {
-        AggregateNetwork::advance(self, now)
-    }
-    fn next_event_time(&self) -> Option<SimTime> {
-        AggregateNetwork::next_event_time(self)
-    }
-    fn active_flows(&self) -> usize {
-        AggregateNetwork::active_flows(self)
-    }
-    fn bytes_delivered(&self) -> f64 {
-        AggregateNetwork::bytes_delivered(self)
-    }
-    fn peak_aggregates(&self) -> usize {
-        AggregateNetwork::peak_aggregates(self)
-    }
-    fn scale_regime(&self) -> bool {
-        self.is_scale_regime()
-    }
-}
 
 /// splitmix64 — small deterministic generator, no external dependency.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -206,12 +164,6 @@ pub struct ChurnOutcome {
     pub makespan: SimTime,
     /// Total payload bytes delivered.
     pub bytes: f64,
-    /// Peak simultaneously-coalescing flow-class pools (aggregate
-    /// engine only; 0 for the exact engines).
-    pub peak_aggregates: usize,
-    /// Whether the engine left its exact regime during the run
-    /// (aggregate engine only).
-    pub scale_regime: bool,
 }
 
 /// Replays the script event-by-event (the same pattern the simulation's
@@ -231,12 +183,6 @@ pub fn run_churn_with_obs<E: FlowEngine>(
     run_churn_in(E::build_with_obs(topo, obs), script)
 }
 
-/// [`run_churn`] on a caller-built engine — the entry point for policy-
-/// parameterized [`AggregateNetwork`] runs.
-pub fn run_churn_engine<E: FlowEngine>(net: E, script: &[(SimTime, FlowSpec)]) -> ChurnOutcome {
-    run_churn_in(net, script)
-}
-
 fn run_churn_in<E: FlowEngine>(mut net: E, script: &[(SimTime, FlowSpec)]) -> ChurnOutcome {
     let mut out = ChurnOutcome {
         started: 0,
@@ -245,8 +191,6 @@ fn run_churn_in<E: FlowEngine>(mut net: E, script: &[(SimTime, FlowSpec)]) -> Ch
         peak_concurrent: 0,
         makespan: SimTime::ZERO,
         bytes: 0.0,
-        peak_aggregates: 0,
-        scale_regime: false,
     };
     let harvest = |done: Vec<Completion>, out: &mut ChurnOutcome| {
         for c in &done {
@@ -279,8 +223,6 @@ fn run_churn_in<E: FlowEngine>(mut net: E, script: &[(SimTime, FlowSpec)]) -> Ch
     }
     assert_eq!(out.completed, out.started, "lost flows");
     out.bytes = net.bytes_delivered();
-    out.peak_aggregates = net.peak_aggregates();
-    out.scale_regime = net.scale_regime();
     out
 }
 
@@ -304,51 +246,6 @@ mod tests {
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.bytes.to_bits(), b.bytes.to_bits());
         assert!(a.peak_concurrent > spec.hosts, "workload barely overlaps");
-    }
-
-    #[test]
-    fn aggregate_engine_runs_the_same_script() {
-        use vmr_netsim::ScalePolicy;
-        let spec = ChurnSpec {
-            hosts: 12,
-            fetches_per_host: 3,
-            waves: 2,
-            seed: 7,
-        };
-        let script = churn_script(&spec);
-        let exact = run_churn::<Network>(churn_topology(&spec), &script);
-        // Below threshold: the aggregate engine is the exact engine.
-        let below = run_churn_engine(
-            AggregateNetwork::with_policy(
-                churn_topology(&spec),
-                &vmr_obs::Obs::detached(),
-                ScalePolicy {
-                    coalesce_threshold: 10_000,
-                    quantum_mantissa_bits: 6,
-                },
-            ),
-            &script,
-        );
-        assert_eq!(below.makespan, exact.makespan);
-        assert_eq!(below.bytes.to_bits(), exact.bytes.to_bits());
-        assert_eq!(below.peak_aggregates, 0);
-        assert!(!below.scale_regime);
-        // Above threshold: all flows still complete, makespan close.
-        let above = run_churn_engine(
-            AggregateNetwork::with_policy(
-                churn_topology(&spec),
-                &vmr_obs::Obs::detached(),
-                ScalePolicy {
-                    coalesce_threshold: 4,
-                    quantum_mantissa_bits: 6,
-                },
-            ),
-            &script,
-        );
-        assert_eq!(above.completed, exact.completed);
-        assert!(above.scale_regime);
-        let ratio = above.makespan.as_secs_f64() / exact.makespan.as_secs_f64();
-        assert!((0.9..=1.5).contains(&ratio), "makespan ratio {ratio}");
     }
 
     #[test]

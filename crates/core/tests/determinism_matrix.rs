@@ -140,8 +140,8 @@ fn crash_resume(seed: u64) -> Run {
     )
 }
 
-/// The internet population at 2 000 hosts: generated ISP tiers, the
-/// aggregate network engine, owner suspend / resume on every host, run
+/// The internet population at 2 000 hosts: generated ISP tiers behind
+/// a shared backbone, owner suspend / resume on every host, run
 /// for half an hour or until the job's last work unit is over.
 fn internet(seed: u64) -> Run {
     let mut eng = Engine::builder(seed)

@@ -327,11 +327,6 @@ impl Allocator {
         links
     }
 
-    /// The path of the demand in `slot`.
-    pub(crate) fn path(&self, slot: u32) -> &[u32] {
-        &self.demands[slot as usize].links
-    }
-
     /// Whether a demand joined or left since the last solve.
     pub(crate) fn is_dirty(&self) -> bool {
         self.dirty

@@ -55,7 +55,8 @@
 //!   ran at `now`, nor while every cached `due` lies more than
 //!   `RUN_OUT_MARGIN` (2 µs) ahead. Then a start whose flow does not join
 //!   (still in setup, or zero bytes) and the abort of a flow outside the
-//!   demand set cost no walk at all: the start only folds its `due`
+//!   demand set, or of one already gone, cost no walk at all: the start
+//!   only folds its `due`
 //!   into `min_due`. Debug builds check that each skipped wave is a
 //!   no-op.
 //!
@@ -476,27 +477,30 @@ impl Network {
     /// was still active.
     pub fn abort_flow(&mut self, now: SimTime, id: FlowId) -> bool {
         self.settle(now);
-        let Some(pos) = self.flows.position(id) else {
-            self.prune_setup_heap();
-            return false;
-        };
-        let (_, f) = self.flows.take(pos);
-        self.flows.compact();
-        self.obs.aborted.inc();
-        if let Some(slot) = f.slot {
-            self.alloc.leave(slot);
-            self.reallocate(now);
-        } else if (f.due == SimTime::MAX || f.due > self.min_due) && self.demand_set_unchanged(now)
-        {
-            // Outside the demand set, and not the flow `min_due` came
-            // from: a wave would change nothing.
-            debug_assert!(self.wave_is_noop(now), "skipped wave would change a rate");
-            self.wave_at = now;
-        } else {
-            self.reallocate(now);
+        let gone = self.flows.position(id).map(|pos| {
+            let (_, f) = self.flows.take(pos);
+            self.flows.compact();
+            self.obs.aborted.inc();
+            (f.slot, f.due)
+        });
+        match gone {
+            Some((Some(slot), _)) => {
+                self.alloc.leave(slot);
+                self.reallocate(now);
+            }
+            // Outside the demand set or already gone, and not the flow
+            // `min_due` came from: a wave would change nothing, unless a
+            // flow ran out of bytes since the last one.
+            _ if gone.is_none_or(|(_, due)| due == SimTime::MAX || due > self.min_due)
+                && self.demand_set_unchanged(now) =>
+            {
+                debug_assert!(self.wave_is_noop(now), "skipped wave would change a rate");
+                self.wave_at = now;
+            }
+            _ => self.reallocate(now),
         }
         self.prune_setup_heap();
-        true
+        gone.is_some()
     }
 
     /// Advances the network to `now` and returns every flow that has
@@ -728,62 +732,6 @@ impl Network {
             self.setup_heap.pop();
         }
     }
-
-    /// Tears the engine down into the state another engine needs to take
-    /// over mid-run (see `AggregateNetwork`'s regime migration). Flows
-    /// come out in ascending id order with their remaining bytes settled
-    /// to `last_advance`.
-    pub(crate) fn dismantle(self) -> Dismantled {
-        let last = self.last_advance;
-        let alloc = &self.alloc;
-        let flows = self
-            .flows
-            .iter()
-            .map(|(id, f)| MigratedFlow {
-                id,
-                spec: f.spec.clone(),
-                links: f
-                    .slot
-                    .map_or(&f.links[..], |slot| alloc.path(slot))
-                    .to_vec(),
-                bytes_left: f.bytes_left_at(last),
-                starts_at: f.starts_at,
-                created_at: f.created_at,
-            })
-            .collect();
-        Dismantled {
-            topo: self.topo,
-            last_advance: last,
-            next_id: self.next_id,
-            fg_durations: self.fg_durations,
-            bg_durations: self.bg_durations,
-            bytes_delivered: self.bytes_delivered,
-            flows,
-        }
-    }
-}
-
-/// A still-active flow handed over during regime migration.
-#[derive(Clone, Debug)]
-pub(crate) struct MigratedFlow {
-    pub id: FlowId,
-    pub spec: FlowSpec,
-    pub links: Vec<u32>,
-    pub bytes_left: f64,
-    pub starts_at: SimTime,
-    pub created_at: SimTime,
-}
-
-/// Everything a successor engine needs to continue a run that started
-/// under the exact engine.
-pub(crate) struct Dismantled {
-    pub topo: Topology,
-    pub last_advance: SimTime,
-    pub next_id: u64,
-    pub fg_durations: Tally,
-    pub bg_durations: Tally,
-    pub bytes_delivered: f64,
-    pub flows: Vec<MigratedFlow>,
 }
 
 #[cfg(test)]

@@ -15,17 +15,13 @@
 //!   completion/setup heaps) so per-event cost is independent of the
 //!   in-flight flow population; [`naive`] keeps the original
 //!   scan-everything engine as an executable specification.
-//! * [`aggregate`] — internet-scale engine: bit-identical delegation to
-//!   [`flow`] below a flow-count threshold, then a one-way ratchet into
-//!   flow-class coalescing (processor-sharing pools) with quantized
-//!   per-link published shares for 10⁵⁺-host populations.
 //! * [`nat`] / [`traversal`] — NAT endpoint classes and the tiered
 //!   direct → reversal → hole-punch → relay escalation of §III.D.
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod bandwidth;
+mod compat;
 pub mod flow;
 pub mod naive;
 pub mod nat;
@@ -33,8 +29,9 @@ mod obs;
 pub mod topology;
 pub mod traversal;
 
-pub use aggregate::{AggregateNetwork, ScalePolicy};
 pub use bandwidth::{allocate, allocate_reference, Allocator, FlowDemand, Priority, RouteDemand};
+#[doc(hidden)]
+pub use compat::{AggregateNetwork, ScalePolicy};
 pub use flow::{Completion, FlowId, FlowSpec, Network};
 pub use naive::NaiveNetwork;
 pub use nat::{NatMix, NatType};

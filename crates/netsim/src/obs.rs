@@ -1,4 +1,5 @@
-//! Pre-resolved observability handles shared by both flow engines.
+//! Pre-resolved observability handles shared by the flow engine and its
+//! reference.
 
 /// Counters, journal and profiling scope one flow engine records into.
 /// Resolved once at engine construction; hot-path updates are atomic
@@ -15,13 +16,6 @@ pub(crate) struct NetObs {
     pub start_flow_scope: vmr_obs::Scope,
     pub advance_scope: vmr_obs::Scope,
     pub journal: vmr_obs::Journal,
-    /// Flow-class pools currently coalescing ≥ 2 flows (scale regime).
-    pub aggregates: vmr_obs::Gauge,
-    /// Flows that joined an already-populated pool instead of being
-    /// fair-shared individually.
-    pub coalesce_hits: vmr_obs::Counter,
-    /// Per-flow completions expanded back out of a multi-member pool.
-    pub splits: vmr_obs::Counter,
 }
 
 impl NetObs {
@@ -37,9 +31,6 @@ impl NetObs {
             start_flow_scope: obs.scope("netsim.start_flow"),
             advance_scope: obs.scope("netsim.advance"),
             journal: obs.journal.clone(),
-            aggregates: obs.gauge("net.aggregates_active"),
-            coalesce_hits: obs.counter("net.coalesce_hits"),
-            splits: obs.counter("net.splits"),
         }
     }
 }

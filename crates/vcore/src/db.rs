@@ -21,9 +21,9 @@
 //! moved by the three appliers that set a work unit's state and rebuilt
 //! from the rows on decode — derived data like the indexes above.
 
+use crate::idset::IdSet;
 use crate::types::{ClientId, FileRef, OutputFingerprint, ResultId, WuId};
 use crate::workunit::{ResultOutcome, ResultRec, ResultState, WorkUnit, WorkUnitSpec, WuState};
-use std::collections::BTreeSet;
 use vmr_desim::SimTime;
 use vmr_durable::{Dec, Enc, Journal, StateChange, WireError};
 
@@ -34,8 +34,9 @@ pub struct Db {
     wus: Vec<WorkUnit>,
     /// Results, indexed by `ResultId`.
     results: Vec<ResultRec>,
-    /// Unsent results, ordered by id.
-    unsent: BTreeSet<ResultId>,
+    /// Unsent results: a bitset over the dense result ids, walked in id
+    /// order.
+    unsent: IdSet,
     /// Results per WU, in creation order, indexed by `WuId`.
     by_wu: Vec<Vec<ResultId>>,
     /// Work units per [`WuState`] (indexed by `state as usize`). Derived
@@ -142,7 +143,7 @@ impl Db {
 
     /// Unsent results, in id order.
     pub fn unsent_results(&self) -> impl Iterator<Item = ResultId> + '_ {
-        self.unsent.iter().copied()
+        self.unsent.iter()
     }
 
     /// Number of unsent results.
@@ -290,7 +291,7 @@ impl Db {
         r.client = Some(client);
         r.sent_at = Some(now);
         r.report_deadline = Some(deadline);
-        self.unsent.remove(&rid);
+        self.unsent.remove(rid);
     }
 
     fn raw_mark_reported(
@@ -311,7 +312,7 @@ impl Db {
         let r = &mut self.results[rid.0 as usize];
         r.state = ResultState::Over;
         r.outcome = Some(ResultOutcome::WuDone);
-        self.unsent.remove(&rid);
+        self.unsent.remove(rid);
     }
 
     fn raw_mark_wu_validated(&mut self, wu: WuId, canonical: OutputFingerprint, now: SimTime) {

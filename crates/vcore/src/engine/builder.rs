@@ -9,7 +9,7 @@ use crate::host::HostProfile;
 use std::collections::BTreeMap;
 use vmr_desim::{SimTime, Simulation};
 use vmr_durable::{DurabilityPlan, Journal};
-use vmr_netsim::{AggregateNetwork, HostId, HostLink, Topology, TraversalPolicy};
+use vmr_netsim::{HostId, HostLink, Network, Topology, TraversalPolicy};
 use vmr_shuffle::{FetchObs, SwarmIndex};
 use vmr_trust::TrustLedger;
 
@@ -26,14 +26,13 @@ impl Engine {
         let obs = vmr_obs::Obs::new();
         sim.attach_obs(&obs);
         let eobs = EngineObs::attach(&obs);
-        let policy = cfg.scale_policy();
         let shuffle = cfg.shuffle.build();
         let fobs = FetchObs::attach(&obs);
         let (backoff_min, backoff_max) = cfg.backoff_bounds();
         let backoff = crate::backoff::Backoff::with_bounds(backoff_min, backoff_max);
         let mut eng = Engine {
             sim,
-            net: AggregateNetwork::with_policy(topo, &obs, policy),
+            net: Network::with_obs(topo, &obs),
             db: Db::new(),
             cfg,
             fault: FaultPlan::none(),

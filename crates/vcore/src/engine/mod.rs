@@ -28,7 +28,7 @@ use crate::workunit::{ResultState, WorkUnitSpec};
 use std::collections::BTreeMap;
 use vmr_desim::{EventId, RngStream, SimDuration, SimTime, Simulation, Tally};
 use vmr_durable::{Journal, SectionWriter, Sections};
-use vmr_netsim::{AggregateNetwork, HostId, TraversalPolicy, TraversalStats};
+use vmr_netsim::{HostId, Network, TraversalPolicy, TraversalStats};
 use vmr_obs::{Actor, Detail, EventKind, Mark, WuEnd};
 use vmr_shuffle::{FetchObs, ShuffleStrategy, SwarmIndex, SwarmTransfer};
 use vmr_trust::{Outcome as TrustOutcome, ReplicationDecision, ReplicationPolicy, TrustLedger};
@@ -127,7 +127,7 @@ impl Policy for NullPolicy {}
 /// The BOINC-like middleware simulation.
 pub struct Engine {
     sim: Simulation<Ev>,
-    net: AggregateNetwork,
+    net: Network,
     /// The project database (public: policies inspect it freely).
     pub db: Db,
     /// Configuration knobs.

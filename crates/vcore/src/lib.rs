@@ -30,6 +30,7 @@ pub mod db;
 pub mod engine;
 pub mod fault;
 pub mod host;
+mod idset;
 pub mod population;
 pub mod sched;
 pub mod transition;
@@ -39,7 +40,7 @@ pub mod workunit;
 
 pub use assimilate::{Assimilated, Assimilator};
 pub use backoff::Backoff;
-pub use config::{NetConfig, Preset, ProjectConfig};
+pub use config::{Preset, ProjectConfig};
 pub use credit::{claimed_credit, CreditLedger, HostAccount};
 pub use db::Db;
 pub use engine::{

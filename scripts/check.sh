@@ -104,7 +104,7 @@ if [ "$NO_BENCH" -eq 0 ]; then
     expect_json_line BENCH_netsim.json ./target/release/flow_churn
 
     if [ "$FULL" -eq 1 ]; then
-        echo "==> netsim scale smoke: 20k-host aggregate leg (--full)"
+        echo "==> netsim scale smoke: 20k-host exact leg on the volunteer population (--full, ~3 min)"
         ./target/release/flow_churn --scale-smoke
     fi
 
