@@ -3,8 +3,9 @@
 //! against files generated once and never regenerated casually:
 //! Table I (quick and full), Fig. 4, the WAL byte stream of one
 //! journaled Table I row, raw and compacted, the obs event journal
-//! of the Fig. 4 run as JSON lines, and the calibrated sizing model
-//! every row runs on. The text is built by the
+//! of the Fig. 4 run as JSON lines, the obs metrics registry of the
+//! Fig. 4 run and the `table1 --quick` rows, and the calibrated sizing
+//! model every row runs on. The text is built by the
 //! same `vmr_bench::paper` calls the `table1` / `fig4` binaries print with
 //! (`scripts/check.sh` also diffs the binaries' stdout against the same
 //! files).
@@ -75,6 +76,56 @@ fn fig4_journal_matches_golden() {
         (JOURNAL_LEN, JOURNAL_SHA256),
         "JSON-lines export of the Fig. 4 journal moved"
     );
+}
+
+/// The obs registry of the Fig. 4 run and of each `table1 --quick`
+/// row: every key outside the wall-clock `prof.` scopes, each counter's
+/// exact value, each histogram's count, mean (its exact sum over that
+/// count) and max, and each gauge's value. The key list is part of the
+/// pin, so a key added or lost fails here too.
+#[test]
+fn registry_matches_golden() {
+    use std::fmt::Write as _;
+    use vmr_obs::MetricValue;
+
+    let sizing = calibrated_sizing();
+    let mut runs = vec![("fig4".to_string(), fig4_config())];
+    let rows = table1_rows();
+    for mode in [MrMode::ServerRelay, MrMode::InterClient] {
+        let row = rows.iter().find(|r| r.mode == mode).expect("row per mode");
+        runs.push((
+            format!(
+                "table1 --quick {} nodes {}x{} {}",
+                row.nodes, row.n_maps, row.n_reduces, row.mode
+            ),
+            row_config(row, sizing),
+        ));
+    }
+    let mut text = String::new();
+    for (name, cfg) in runs {
+        let out = run_experiment(&cfg).expect("valid config");
+        assert!(out.all_done);
+        let _ = writeln!(text, "# {name}");
+        for (key, value) in out.obs.snapshot().entries {
+            if key.starts_with("prof.") {
+                continue;
+            }
+            let _ = match value {
+                MetricValue::Counter(v) => writeln!(text, "{key} counter {v}"),
+                MetricValue::Gauge(v) => writeln!(text, "{key} gauge {v:?}"),
+                MetricValue::TimeGauge { current, mean, max } => writeln!(
+                    text,
+                    "{key} time_gauge current={current:?} mean={mean:?} max={max:?}"
+                ),
+                MetricValue::Histogram(h) => writeln!(
+                    text,
+                    "{key} histogram count={} mean={:?} max={:?}",
+                    h.count, h.mean, h.max
+                ),
+            };
+        }
+    }
+    assert_same_text(&text, include_str!("golden/registry.txt"), "obs registry");
 }
 
 const JOURNAL_LEN: usize = 51563;
