@@ -39,7 +39,7 @@ fn main() {
             let d = report::report_delay(&out);
             delay += d.mean;
             p95 = p95.max(d.p95);
-            empties += out.stats.empty_replies;
+            empties += out.obs.snapshot().counter("vcore.empty_replies");
         }
         let n = SEEDS.len() as f64;
         println!(

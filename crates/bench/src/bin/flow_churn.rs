@@ -109,8 +109,7 @@ fn main() {
         "engines diverge"
     );
     assert_eq!(
-        small_inc.outcome.bytes.to_bits(),
-        small_ref.outcome.bytes.to_bits(),
+        small_inc.outcome.bytes, small_ref.outcome.bytes,
         "engines diverge on delivered bytes"
     );
 

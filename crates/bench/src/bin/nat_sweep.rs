@@ -52,7 +52,7 @@ fn main() {
                 mix_name,
                 pol_name,
                 out.reports[0].total_s,
-                out.stats.server_fallbacks,
+                out.obs.snapshot().counter("vcore.server_fallbacks"),
                 t.successes(),
                 t.direct,
                 t.reversal,

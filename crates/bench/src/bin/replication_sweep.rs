@@ -35,7 +35,11 @@ fn main() {
             let total = out.reports.first().map(|r| r.total_s).unwrap_or(f64::NAN);
             println!(
                 "{:>11} | {:>9} | {:>8} | {:>10.0} | {:>7}",
-                replication, n_byz, out.all_done, total, out.stats.grants
+                replication,
+                n_byz,
+                out.all_done,
+                total,
+                out.obs.snapshot().counter("vcore.grants")
             );
         }
     }

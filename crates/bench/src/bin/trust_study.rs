@@ -124,6 +124,7 @@ fn run_leg(hosts: u32, scenario: &Scenario, trust: TrustConfig, mode: &'static s
             escapes += 1;
         }
     }
+    let reports = eng.obs.counter("vcore.reports").get();
     Row {
         hosts,
         scenario: scenario.name,
@@ -131,8 +132,8 @@ fn run_leg(hosts: u32, scenario: &Scenario, trust: TrustConfig, mode: &'static s
         wus,
         validated,
         escapes,
-        reports: eng.stats.reports,
-        redundancy: eng.stats.reports as f64 / validated.max(1) as f64,
+        reports,
+        redundancy: reports as f64 / validated.max(1) as f64,
         trusted: eng.trust.trusted_count(),
         spot_checks: eng.obs.counter("trust.spot_checks").get(),
         saved: eng.obs.counter("trust.replication_saved").get(),

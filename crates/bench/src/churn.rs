@@ -16,13 +16,6 @@ use vmr_netsim::{
 /// The engine surface the churn driver needs; implemented by the
 /// incremental engine and the scan-everything reference engine.
 pub trait FlowEngine {
-    /// Wraps a topology (metrics go to a detached sink).
-    fn build(topo: Topology) -> Self
-    where
-        Self: Sized,
-    {
-        Self::build_with_obs(topo, &vmr_obs::Obs::detached())
-    }
     /// Wraps a topology, recording flow counters into `obs`.
     fn build_with_obs(topo: Topology, obs: &vmr_obs::Obs) -> Self;
     /// Starts a transfer at `now`.
@@ -33,8 +26,6 @@ pub trait FlowEngine {
     fn next_event_time(&self) -> Option<SimTime>;
     /// In-flight flow count.
     fn active_flows(&self) -> usize;
-    /// Total payload bytes delivered.
-    fn bytes_delivered(&self) -> f64;
 }
 
 macro_rules! impl_flow_engine {
@@ -54,9 +45,6 @@ macro_rules! impl_flow_engine {
             }
             fn active_flows(&self) -> usize {
                 <$t>::active_flows(self)
-            }
-            fn bytes_delivered(&self) -> f64 {
-                <$t>::bytes_delivered(self)
             }
         }
     };
@@ -162,15 +150,15 @@ pub struct ChurnOutcome {
     pub peak_concurrent: usize,
     /// Simulated instant the last flow finished.
     pub makespan: SimTime,
-    /// Total payload bytes delivered.
-    pub bytes: f64,
+    /// Total payload bytes delivered (`netsim.bytes_delivered`).
+    pub bytes: u64,
 }
 
 /// Replays the script event-by-event (the same pattern the simulation's
 /// world loop uses: advance to `next_event_time` or the next scripted
 /// start, whichever is sooner) until every flow has completed.
 pub fn run_churn<E: FlowEngine>(topo: Topology, script: &[(SimTime, FlowSpec)]) -> ChurnOutcome {
-    run_churn_in(E::build(topo), script)
+    run_churn_with_obs::<E>(topo, script, &vmr_obs::Obs::detached())
 }
 
 /// [`run_churn`] with the engine's flow counters recorded into `obs`
@@ -180,17 +168,14 @@ pub fn run_churn_with_obs<E: FlowEngine>(
     script: &[(SimTime, FlowSpec)],
     obs: &vmr_obs::Obs,
 ) -> ChurnOutcome {
-    run_churn_in(E::build_with_obs(topo, obs), script)
-}
-
-fn run_churn_in<E: FlowEngine>(mut net: E, script: &[(SimTime, FlowSpec)]) -> ChurnOutcome {
+    let mut net = E::build_with_obs(topo, obs);
     let mut out = ChurnOutcome {
         started: 0,
         completed: 0,
         events: 0,
         peak_concurrent: 0,
         makespan: SimTime::ZERO,
-        bytes: 0.0,
+        bytes: 0,
     };
     let harvest = |done: Vec<Completion>, out: &mut ChurnOutcome| {
         for c in &done {
@@ -222,7 +207,7 @@ fn run_churn_in<E: FlowEngine>(mut net: E, script: &[(SimTime, FlowSpec)]) -> Ch
         out.events += 1;
     }
     assert_eq!(out.completed, out.started, "lost flows");
-    out.bytes = net.bytes_delivered();
+    out.bytes = obs.counter("netsim.bytes_delivered").get();
     out
 }
 
@@ -244,7 +229,7 @@ mod tests {
         assert_eq!(a.started, b.started);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.bytes.to_bits(), b.bytes.to_bits());
+        assert_eq!(a.bytes, b.bytes);
         assert!(a.peak_concurrent > spec.hosts, "workload barely overlaps");
     }
 

@@ -1,10 +1,9 @@
 //! Shared reporting helpers for the bench binaries.
 //!
-//! The ablation binaries used to hand-roll their own stat plumbing
-//! (pulling tallies out of `EngineStats`, each formatting its own
-//! delay column). They now read the one obs snapshot an experiment
-//! returns: quantiles come from [`vmr_obs::Snapshot::histogram`], and
-//! full metric dumps from [`vmr_obs::Obs::to_json`].
+//! The bins read the one obs snapshot an experiment returns: counts
+//! from [`vmr_obs::Snapshot::counter`], quantiles from
+//! [`vmr_obs::Snapshot::histogram`], and full metric dumps from
+//! [`vmr_obs::Obs::to_json`].
 
 use std::path::Path;
 use vmr_core::ExperimentOutcome;

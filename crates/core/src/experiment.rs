@@ -210,12 +210,13 @@ pub struct PhaseReport {
 pub struct ExperimentOutcome {
     /// Per-job phase reports (one for the paper's runs).
     pub reports: Vec<PhaseReport>,
-    /// Engine counters (RPCs, backoff empties, fallbacks, traversal…).
+    /// NAT traversal outcomes and server-bound bytes.
     pub stats: EngineStats,
     /// Event timeline (populated when `record_timeline`), rebuilt from
     /// the engine's obs journal.
     pub timeline: Timeline,
-    /// Observability bundle: metrics snapshot source and raw journal.
+    /// Observability bundle: metrics snapshot source (every engine
+    /// count — `vcore.rpcs`, `vcore.report_delay_s`, …) and raw journal.
     pub obs: vmr_obs::Obs,
     /// Simulated end time.
     pub finished_at: SimTime,
@@ -453,7 +454,10 @@ mod tests {
         let a = run_experiment(&small(MrMode::InterClient)).expect("valid experiment config");
         let b = run_experiment(&small(MrMode::InterClient)).expect("valid experiment config");
         assert_eq!(a.reports[0].total_s, b.reports[0].total_s);
-        assert_eq!(a.stats.rpcs, b.stats.rpcs);
+        assert_eq!(
+            a.obs.snapshot().counter("vcore.rpcs"),
+            b.obs.snapshot().counter("vcore.rpcs")
+        );
     }
 
     #[test]

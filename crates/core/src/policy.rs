@@ -450,7 +450,7 @@ mod tests {
         assert!(job.reduce_time().unwrap() > 0.0);
         assert!(job.total_time().unwrap() >= job.map_time().unwrap());
         // Inter-client mode with everyone open: no server fallbacks.
-        assert_eq!(eng.stats.server_fallbacks, 0);
+        assert_eq!(eng.obs.snapshot().counter("vcore.server_fallbacks"), 0);
         // Holders recorded for every map.
         for h in &job.holders {
             assert_eq!(h.len(), 2, "quorum-2 leaves two holders");

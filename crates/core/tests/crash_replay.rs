@@ -45,7 +45,11 @@ fn assert_bit_identical(resumed: &ExperimentOutcome, base: &ExperimentOutcome, c
         base.reports[0].reduce_s.to_bits(),
         "{ctx}"
     );
-    assert_eq!(resumed.stats.rpcs, base.stats.rpcs, "{ctx}");
+    assert_eq!(
+        resumed.obs.snapshot().counter("vcore.rpcs"),
+        base.obs.snapshot().counter("vcore.rpcs"),
+        "{ctx}"
+    );
     assert_eq!(resumed.finished_at, base.finished_at, "{ctx}");
     // The resumed run's own WAL must re-derive the baseline's.
     assert_eq!(

@@ -17,18 +17,19 @@ use vmr_vcore::{ClientId, FaultPlan};
 
 /// What two runs of one configuration may not disagree on.
 fn fingerprint(out: &ExperimentOutcome) -> (u64, bool, [u64; 6], u64) {
-    let s = &out.stats;
+    let snap = out.obs.snapshot();
     (
         out.finished_at.as_micros(),
         out.all_done,
         [
-            s.rpcs,
-            s.empty_replies,
-            s.grants,
-            s.reports,
-            s.peer_failures,
-            s.server_fallbacks,
-        ],
+            "rpcs",
+            "empty_replies",
+            "grants",
+            "reports",
+            "peer_failures",
+            "server_fallbacks",
+        ]
+        .map(|k| snap.counter(&format!("vcore.{k}"))),
         out.reports.first().map_or(0, |r| r.total_s.to_bits()),
     )
 }

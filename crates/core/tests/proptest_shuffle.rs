@@ -14,12 +14,14 @@
 //!
 //! Full experiment runs are too slow for the default 256-case budget,
 //! so this drives the property runner directly with a small budget;
-//! the runner's seed is fixed, so the sampled configurations are the
-//! same on every run (each golden line carries its configuration, so a
-//! sampler change fails loudly instead of silently moving coverage).
+//! the runner's seed is fixed — `PROPTEST_SEED` and `PROPTEST_CASES`
+//! do not apply to a replay of recorded runs — so the sampled
+//! configurations are the same on every run (each golden line carries
+//! its configuration, so a sampler change fails loudly instead of
+//! silently moving coverage).
 
 use proptest::prelude::*;
-use proptest::test_runner::{Config, TestCaseError, TestRunner};
+use proptest::test_runner::{Config, TestCaseError, TestRunner, DEFAULT_SEED};
 use std::cell::Cell;
 use vmr_core::{format_row, run_experiment, ExperimentConfig, ExperimentOutcome, MrMode};
 use vmr_desim::SimDuration;
@@ -31,6 +33,7 @@ use vmr_vcore::{ClientId, FaultPlan};
 fn fingerprint(out: &ExperimentOutcome, nodes: usize) -> String {
     let r = &out.reports[0];
     let snap = out.obs.snapshot();
+    let vcore = |k: &str| snap.counter(&format!("vcore.{k}"));
     let wal = out.wal.as_ref().expect("durable run must carry a WAL");
     format!(
         "row={:?} map_bits={} reduce_bits={} total_bits={} rpcs={} empty_replies={} grants={} \
@@ -40,12 +43,12 @@ fn fingerprint(out: &ExperimentOutcome, nodes: usize) -> String {
         r.map_s.to_bits(),
         r.reduce_s.to_bits(),
         r.total_s.to_bits(),
-        out.stats.rpcs,
-        out.stats.empty_replies,
-        out.stats.grants,
-        out.stats.reports,
-        out.stats.peer_failures,
-        out.stats.server_fallbacks,
+        vcore("rpcs"),
+        vcore("empty_replies"),
+        vcore("grants"),
+        vcore("reports"),
+        vcore("peer_failures"),
+        vcore("server_fallbacks"),
         snap.counter("shuffle.bytes_p2p"),
         snap.counter("shuffle.bytes_server_fallback"),
         out.finished_at.as_micros(),
@@ -61,7 +64,7 @@ fn baseline_strategy_reproduces_recorded_legacy_runs() {
         .lines()
         .collect();
     let case = Cell::new(0usize);
-    let mut runner = TestRunner::new(Config { cases: 6 });
+    let mut runner = TestRunner::with_seed(Config { cases: 6 }, DEFAULT_SEED);
     let strat = (
         any::<u64>(),  // experiment seed
         4usize..7,     // volunteer nodes

@@ -23,13 +23,11 @@
 pub mod queue;
 pub mod rng;
 pub mod sim;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
 pub use queue::{EventId, EventQueue};
 pub use rng::RngStream;
 pub use sim::{Fired, Simulation};
-pub use stats::Tally;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Point, Span, Timeline};

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
-use vmr_desim::{EventId, EventQueue, SimDuration, SimTime, Simulation, Tally};
+use vmr_desim::{EventId, EventQueue, SimDuration, SimTime, Simulation};
 
 /// The queue `EventQueue` replaced, kept as the executable definition of
 /// its contract: a binary heap on `(at, seq)` — `seq` counts `schedule`
@@ -256,21 +256,6 @@ proptest! {
             log
         };
         prop_assert_eq!(run(seed), run(seed));
-    }
-
-    /// Welford tally mean/variance agree with the naive two-pass
-    /// formulas for any finite input.
-    #[test]
-    fn tally_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 2..200)) {
-        let mut t = Tally::new();
-        for &x in &xs {
-            t.record(x);
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        prop_assert!((t.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
-        prop_assert!((t.variance() - var).abs() < 1e-5 * var.abs().max(1.0));
     }
 
     /// Forked RNG streams with distinct labels do not produce identical

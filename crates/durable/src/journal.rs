@@ -105,9 +105,6 @@ impl CrashPlan {
 pub struct CompactionPolicy {
     /// Rewrite when the mirror file reaches this many bytes.
     pub max_mirror_bytes: Option<u64>,
-    /// Rewrite when this many superseded change records sit in the
-    /// mirror (records before the last committed snapshot).
-    pub max_superseded_records: Option<u64>,
 }
 
 impl CompactionPolicy {
@@ -115,28 +112,16 @@ impl CompactionPolicy {
     pub fn max_mirror_bytes(n: u64) -> Self {
         CompactionPolicy {
             max_mirror_bytes: Some(n),
-            max_superseded_records: None,
-        }
-    }
-
-    /// Compact when `n` superseded change records accumulate.
-    pub fn max_superseded_records(n: u64) -> Self {
-        CompactionPolicy {
-            max_mirror_bytes: None,
-            max_superseded_records: Some(n),
         }
     }
 
     /// True when no trigger is configured.
     pub fn is_never(&self) -> bool {
-        self.max_mirror_bytes.is_none() && self.max_superseded_records.is_none()
+        self.max_mirror_bytes.is_none()
     }
 
-    fn triggered(&self, mirror_bytes: u64, superseded_records: u64) -> bool {
+    fn triggered(&self, mirror_bytes: u64) -> bool {
         self.max_mirror_bytes.is_some_and(|n| mirror_bytes >= n)
-            || self
-                .max_superseded_records
-                .is_some_and(|n| superseded_records >= n)
     }
 }
 
@@ -224,8 +209,6 @@ struct Mirror {
     from: usize,
     /// Current file length.
     len: u64,
-    /// Superseded records already dropped by past compactions.
-    dropped: u64,
 }
 
 impl Mirror {
@@ -236,7 +219,6 @@ impl Mirror {
             pos: 0,
             from: frame::MAGIC.len(),
             len: 0,
-            dropped: 0,
         })
     }
 }
@@ -256,11 +238,8 @@ struct Log {
     /// Offset of the frame the committed log is self-contained from:
     /// the last committed snapshot, else the magic header.
     chain_start: usize,
-    /// Change records superseded by `chain_start`.
-    superseded: u64,
-    /// Snapshot written but not yet committed:
-    /// `(frame offset, records at write)`.
-    pending_snap: Option<(usize, u64)>,
+    /// Offset of the snapshot frame written but not yet committed.
+    pending_snap: Option<usize>,
     mirror: Option<Mirror>,
 }
 
@@ -309,16 +288,13 @@ impl Log {
         let Log {
             bytes,
             chain_start,
-            superseded,
             mirror: Some(m),
             ..
         } = self
         else {
             return;
         };
-        let due = *chain_start > m.from
-            && m.pos >= *chain_start
-            && policy.triggered(m.len, *superseded - m.dropped);
+        let due = *chain_start > m.from && m.pos >= *chain_start && policy.triggered(m.len);
         if !due {
             return;
         }
@@ -338,7 +314,6 @@ impl Log {
                 let reclaimed = m.len.saturating_sub(content.len() as u64);
                 m.len = content.len() as u64;
                 m.from = *chain_start;
-                m.dropped = *superseded;
                 m.file = f;
                 if let Some(o) = obs {
                     o.compactions.inc();
@@ -423,7 +398,6 @@ impl Journal {
                 next_snapshot_us: every_us,
                 committed: Watermark::default(),
                 chain_start: frame::MAGIC.len(),
-                superseded: 0,
                 pending_snap: None,
                 mirror,
             }),
@@ -509,9 +483,8 @@ impl Journal {
         if let Some(o) = core.obs.get() {
             o.wal_bytes.add(n as u64);
         }
-        if let Some((off, recs)) = log.pending_snap.take() {
+        if let Some(off) = log.pending_snap.take() {
             log.chain_start = off;
-            log.superseded = recs;
         }
         log.committed = Watermark {
             bytes: log.bytes.len(),
@@ -571,7 +544,7 @@ impl Journal {
         }
         let off = log.bytes.len();
         let n = log.write_frame(frame::FRAME_SNAPSHOT, |e| write(&mut SectionWriter::new(e)));
-        log.pending_snap = Some((off, log.records));
+        log.pending_snap = Some(off);
         drop(log);
         core.any_pending.store(true, Ordering::Release);
         if let Some(o) = core.obs.get() {
@@ -755,16 +728,19 @@ mod tests {
     fn compaction_shrinks_the_mirror_and_preserves_recovery() {
         let dir = temp_dir("compact");
         let path = dir.join("wal.bin");
+        const TRIGGER: u64 = 128;
         let plan = DurabilityPlan::new(0.0)
             .with_sink(&path)
-            .with_compaction(CompactionPolicy::max_superseded_records(4));
+            .with_compaction(CompactionPolicy::max_mirror_bytes(TRIGGER));
         let j = Journal::new(&plan).unwrap();
         for i in 0..6u32 {
             j.advance_to(i as u64 + 1);
             j.append(&change(i));
             j.commit();
         }
+        // Past the trigger, but no committed snapshot to compact to yet.
         let uncompacted = std::fs::read(&path).unwrap();
+        assert!(uncompacted.len() as u64 >= TRIGGER);
         assert_eq!(uncompacted.len(), j.log_len());
         // A committed snapshot supersedes the 6 records → compaction.
         j.write_snapshot(&all_sections(9)).unwrap();

@@ -74,7 +74,7 @@ use crate::obs::NetObs;
 use crate::topology::{HostId, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use vmr_desim::{SimDuration, SimTime, Tally};
+use vmr_desim::{SimDuration, SimTime};
 use vmr_obs::EventKind;
 
 /// Identifies a transfer within a [`Network`].
@@ -327,11 +327,6 @@ pub struct Network {
     flows: FlowTable,
     next_id: u64,
     last_advance: SimTime,
-    /// Completed-transfer duration statistics, by priority class.
-    pub fg_durations: Tally,
-    /// Completed-transfer duration statistics for background flows.
-    pub bg_durations: Tally,
-    bytes_delivered: f64,
     /// Earliest cached `due` over all flows, `SimTime::MAX` when no flow
     /// has one. Refreshed by every reallocation wave, which every
     /// mutation of `flows` ends in unless it provably changes nothing.
@@ -369,9 +364,6 @@ impl Network {
             flows: FlowTable::default(),
             next_id: 0,
             last_advance: SimTime::ZERO,
-            fg_durations: Tally::new(),
-            bg_durations: Tally::new(),
-            bytes_delivered: 0.0,
             min_due: SimTime::MAX,
             wave_at: SimTime::ZERO,
             long_demand: false,
@@ -389,11 +381,6 @@ impl Network {
     /// Number of in-flight flows.
     pub fn active_flows(&self) -> usize {
         self.flows.len()
-    }
-
-    /// Total payload bytes delivered so far.
-    pub fn bytes_delivered(&self) -> f64 {
-        self.bytes_delivered
     }
 
     /// Current rate of a flow, bytes/second (0 during setup).
@@ -539,11 +526,6 @@ impl Network {
                 // bytes are never integrated away.
                 debug_assert!(f.rate == f64::INFINITY || f.bytes_left_at(t) <= 1e-6);
                 let duration = t.saturating_since(f.created_at);
-                match f.spec.priority {
-                    Priority::Foreground => self.fg_durations.record_duration(duration),
-                    Priority::Background => self.bg_durations.record_duration(duration),
-                }
-                self.bytes_delivered += f.spec.bytes as f64;
                 self.obs.completed.inc();
                 self.obs.bytes.add(f.spec.bytes);
                 self.obs
@@ -739,12 +721,16 @@ mod tests {
     use super::*;
     use crate::topology::HostLink;
 
-    fn net(n: usize) -> Network {
+    fn topo(n: usize) -> Topology {
         let mut t = Topology::new();
         for _ in 0..n {
             t.add_host(HostLink::symmetric_mbit(100.0, 0.0));
         }
-        Network::new(t)
+        t
+    }
+
+    fn net(n: usize) -> Network {
+        Network::new(topo(n))
     }
 
     fn drive_to_completion(net: &mut Network) -> Vec<Completion> {
@@ -876,26 +862,26 @@ mod tests {
         let mut n = net(3);
         let mut bg = FlowSpec::simple(HostId(0), HostId(2), 12_500_000);
         bg.priority = Priority::Background;
-        n.start_flow(SimTime::ZERO, bg);
-        n.start_flow(
+        let bg = n.start_flow(SimTime::ZERO, bg);
+        let fg = n.start_flow(
             SimTime::ZERO,
             FlowSpec::simple(HostId(0), HostId(1), 12_500_000),
         );
         let done = drive_to_completion(&mut n);
         assert_eq!(done.len(), 2);
         // fg takes the link for 1 s; bg then runs 1 s more.
+        assert_eq!((done[0].id, done[1].id), (fg, bg));
         assert!((done[0].at.as_secs_f64() - 1.0).abs() < 1e-3);
         assert!((done[1].at.as_secs_f64() - 2.0).abs() < 1e-3);
-        assert_eq!(n.fg_durations.count(), 1);
-        assert_eq!(n.bg_durations.count(), 1);
     }
 
     #[test]
     fn bytes_delivered_accumulates() {
-        let mut n = net(2);
+        let obs = vmr_obs::Obs::new();
+        let mut n = Network::with_obs(topo(2), &obs);
         n.start_flow(SimTime::ZERO, FlowSpec::simple(HostId(0), HostId(1), 1000));
         drive_to_completion(&mut n);
-        assert_eq!(n.bytes_delivered(), 1000.0);
+        assert_eq!(obs.snapshot().counter("netsim.bytes_delivered"), 1000);
     }
 
     #[test]

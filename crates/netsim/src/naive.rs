@@ -27,12 +27,12 @@
 //!
 //! Do not use this in simulations; use [`crate::Network`].
 
-use crate::bandwidth::{allocate_reference, FlowDemand, Priority};
+use crate::bandwidth::{allocate_reference, FlowDemand};
 use crate::flow::{Completion, FlowId, FlowSpec};
 use crate::obs::NetObs;
 use crate::topology::{Direction, LinkRef, Topology};
 use std::collections::BTreeMap;
-use vmr_desim::{SimDuration, SimTime, Tally};
+use vmr_desim::{SimDuration, SimTime};
 use vmr_obs::EventKind;
 
 #[derive(Clone, Debug)]
@@ -92,11 +92,6 @@ pub struct NaiveNetwork {
     flows: BTreeMap<FlowId, ActiveFlow>,
     next_id: u64,
     last_advance: SimTime,
-    /// Completed-transfer duration statistics, by priority class.
-    pub fg_durations: Tally,
-    /// Completed-transfer duration statistics for background flows.
-    pub bg_durations: Tally,
-    bytes_delivered: f64,
     /// Pre-resolved observability handles (a detached sink by default).
     obs: NetObs,
 }
@@ -123,9 +118,6 @@ impl NaiveNetwork {
             flows: BTreeMap::new(),
             next_id: 0,
             last_advance: SimTime::ZERO,
-            fg_durations: Tally::new(),
-            bg_durations: Tally::new(),
-            bytes_delivered: 0.0,
             obs: NetObs::attach(obs),
         }
     }
@@ -138,11 +130,6 @@ impl NaiveNetwork {
     /// Number of in-flight flows.
     pub fn active_flows(&self) -> usize {
         self.flows.len()
-    }
-
-    /// Total payload bytes delivered so far.
-    pub fn bytes_delivered(&self) -> f64 {
-        self.bytes_delivered
     }
 
     /// Current rate of a flow, bytes/second (0 during setup).
@@ -238,11 +225,6 @@ impl NaiveNetwork {
                     // so their bytes are never integrated away.
                     debug_assert!(f.rate == f64::INFINITY || f.bytes_left_at(t) <= 1e-6);
                     let duration = t.saturating_since(f.created_at);
-                    match f.spec.priority {
-                        Priority::Foreground => self.fg_durations.record_duration(duration),
-                        Priority::Background => self.bg_durations.record_duration(duration),
-                    }
-                    self.bytes_delivered += f.spec.bytes as f64;
                     self.obs.completed.inc();
                     self.obs.bytes.add(f.spec.bytes);
                     self.obs
@@ -371,7 +353,8 @@ mod tests {
         for _ in 0..3 {
             t.add_host(HostLink::symmetric_mbit(100.0, 0.0));
         }
-        let mut n = NaiveNetwork::new(t);
+        let obs = vmr_obs::Obs::new();
+        let mut n = NaiveNetwork::with_obs(t, &obs);
         n.start_flow(
             SimTime::ZERO,
             FlowSpec::simple(HostId(0), HostId(1), 12_500_000),
@@ -389,6 +372,6 @@ mod tests {
         for c in &done {
             assert!((c.at.as_secs_f64() - 2.0).abs() < 1e-3, "{:?}", c.at);
         }
-        assert_eq!(n.bytes_delivered(), 25_000_000.0);
+        assert_eq!(obs.snapshot().counter("netsim.bytes_delivered"), 25_000_000);
     }
 }

@@ -6,7 +6,7 @@
 //!   demand sets, and never oversubscribe a link.
 //! * [`Network`] must produce the **bit-identical completion stream** of
 //!   [`NaiveNetwork`] — same flows, same order, same microsecond, same
-//!   durations, exact byte/tally accounting — for arbitrary monotone
+//!   durations, the same `netsim.*` counters — for arbitrary monotone
 //!   event scripts, and be deterministic across repeated runs.
 //! * On tiered topologies, which the reference cannot model, [`Network`]
 //!   must account for every flow and replay deterministically.
@@ -111,17 +111,11 @@ fn obs_counters(obs: &vmr_obs::Obs) -> [u64; 4] {
 /// comparison.
 macro_rules! script_runner {
     ($name:ident, $on_name:ident, $engine:ty) => {
-        fn $name(
-            hosts: &[u8],
-            flows: &[RawFlow],
-        ) -> (Vec<(u64, u64, u64)>, f64, u64, u64, [u64; 4]) {
+        fn $name(hosts: &[u8], flows: &[RawFlow]) -> (Vec<(u64, u64, u64)>, [u64; 4]) {
             $on_name(build_topology(hosts), flows)
         }
 
-        fn $on_name(
-            topo: Topology,
-            flows: &[RawFlow],
-        ) -> (Vec<(u64, u64, u64)>, f64, u64, u64, [u64; 4]) {
+        fn $on_name(topo: Topology, flows: &[RawFlow]) -> (Vec<(u64, u64, u64)>, [u64; 4]) {
             let n = topo.len() as u32;
             let obs = vmr_obs::Obs::new();
             let mut net = <$engine>::with_obs(topo, &obs);
@@ -163,13 +157,7 @@ macro_rules! script_runner {
                 assert!(guard < 100_000, "script did not converge");
                 out.extend(net.advance(t).into_iter().map(record));
             }
-            (
-                out,
-                net.bytes_delivered(),
-                net.fg_durations.count(),
-                net.bg_durations.count(),
-                obs_counters(&obs),
-            )
+            (out, obs_counters(&obs))
         }
     };
 }
@@ -252,10 +240,9 @@ fn pinned_mixed_script_matches_naive() {
         ((5, 5, 3, 4830722, 1271, 3), (3, 1510680, 5)),
         ((4, 5, 9, 1791366, 1471, 1), (5, 161319, 11)),
     ];
-    let (inc, inc_bytes, _, _, inc_obs) = run_incremental(&hosts, &flows);
-    let (nai, nai_bytes, _, _, nai_obs) = run_naive(&hosts, &flows);
+    let (inc, inc_obs) = run_incremental(&hosts, &flows);
+    let (nai, nai_obs) = run_naive(&hosts, &flows);
     assert_eq!(stream_divergence(&inc, &nai), None);
-    assert_eq!(inc_bytes.to_bits(), nai_bytes.to_bits());
     assert_eq!(inc_obs, nai_obs, "obs counters diverge");
     assert!(inc_obs[0] > 0, "script started no flows");
 }
@@ -346,7 +333,7 @@ fn star_script() -> Vec<(SimTime, StarStep)> {
 /// client's upload at the instant its download is reported.
 macro_rules! star_runner {
     ($name:ident, $engine:ty) => {
-        fn $name() -> (Vec<(u64, u64, u64)>, u64, [u64; 4]) {
+        fn $name() -> (Vec<(u64, u64, u64)>, [u64; 4]) {
             let mut topo = Topology::new();
             let server = topo.add_host(HostLink::symmetric_mbit(100.0, 0.0));
             for c in 0..STAR_CLIENTS {
@@ -401,7 +388,7 @@ macro_rules! star_runner {
                 }
                 assert!(out.len() < 10_000, "star script did not converge");
             }
-            (out, net.bytes_delivered().to_bits(), obs_counters(&obs))
+            (out, obs_counters(&obs))
         }
     };
 }
@@ -414,10 +401,9 @@ star_runner!(run_star_naive, NaiveNetwork);
 /// can get wrong (see [`star_script`]).
 #[test]
 fn pinned_star_script_matches_naive() {
-    let (inc, inc_bytes, inc_obs) = run_star_incremental();
-    let (nai, nai_bytes, nai_obs) = run_star_naive();
+    let (inc, inc_obs) = run_star_incremental();
+    let (nai, nai_obs) = run_star_naive();
     assert_eq!(stream_divergence(&inc, &nai), None);
-    assert_eq!(inc_bytes, nai_bytes);
     assert_eq!(inc_obs, nai_obs, "obs counters diverge");
     // 64 + 1 downloads and their uploads, the zero-byte flow, the
     // 1 kB flow and the closing three complete; the aborted download
@@ -488,7 +474,7 @@ proptest! {
 
     /// The incremental engine and the naive engine emit the same
     /// completion stream — same flows, same instants (exact, to the
-    /// microsecond), same durations, same tallies — for arbitrary
+    /// microsecond), same durations, same counters — for arbitrary
     /// monotone scripts of starts, aborts and advances.
     #[test]
     fn completion_stream_matches_naive_engine(
@@ -501,13 +487,10 @@ proptest! {
             1usize..25,
         ),
     ) {
-        let (inc, inc_bytes, inc_fg, inc_bg, inc_obs) = run_incremental(&hosts, &flows);
-        let (naive, naive_bytes, naive_fg, naive_bg, naive_obs) = run_naive(&hosts, &flows);
+        let (inc, inc_obs) = run_incremental(&hosts, &flows);
+        let (naive, naive_obs) = run_naive(&hosts, &flows);
         let diff = stream_divergence(&inc, &naive);
         prop_assert!(diff.is_none(), "completion streams diverge: {}", diff.unwrap());
-        prop_assert_eq!(inc_bytes.to_bits(), naive_bytes.to_bits());
-        prop_assert_eq!(inc_fg, naive_fg);
-        prop_assert_eq!(inc_bg, naive_bg);
         // Differential obs check: both engines must have recorded the
         // same started/completed/aborted/bytes counters.
         prop_assert_eq!(inc_obs, naive_obs);
@@ -530,13 +513,12 @@ proptest! {
     ) {
         let first = run_incremental(&hosts, &flows);
         let second = run_incremental(&hosts, &flows);
-        prop_assert_eq!(first.0, second.0);
-        prop_assert_eq!(first.1.to_bits(), second.1.to_bits());
+        prop_assert_eq!(first, second);
     }
 
     /// On a hierarchical topology every started flow is either
     /// completed or aborted, exactly once, and a replay reproduces the
-    /// completion stream and the byte count bit for bit.
+    /// completion stream and every counter.
     #[test]
     fn tiered_topology_accounts_for_every_flow(
         hosts in proptest::collection::vec(0u8..4, 3usize..8),
@@ -548,15 +530,13 @@ proptest! {
             1usize..25,
         ),
     ) {
-        let (first, bytes, fg, bg, obs) = run_incremental_on(tiered_topology(&hosts), &flows);
+        let (first, obs) = run_incremental_on(tiered_topology(&hosts), &flows);
         let [started, completed, aborted, _] = obs;
         prop_assert_eq!(started, flows.len() as u64);
         prop_assert_eq!(completed + aborted, started);
         prop_assert_eq!(first.len() as u64, completed);
-        prop_assert_eq!(fg + bg, completed);
-        let (again, again_bytes, ..) = run_incremental_on(tiered_topology(&hosts), &flows);
-        prop_assert_eq!(first, again);
-        prop_assert_eq!(bytes.to_bits(), again_bytes.to_bits());
+        let again = run_incremental_on(tiered_topology(&hosts), &flows);
+        prop_assert_eq!((first, obs), again);
     }
 }
 
@@ -624,12 +604,10 @@ proptest! {
         ),
     ) {
         let flows = burst_script(&raw);
-        let (inc, inc_bytes, inc_fg, inc_bg, inc_obs) = run_incremental(&hosts, &flows);
-        let (naive, naive_bytes, naive_fg, naive_bg, naive_obs) = run_naive(&hosts, &flows);
+        let (inc, inc_obs) = run_incremental(&hosts, &flows);
+        let (naive, naive_obs) = run_naive(&hosts, &flows);
         let diff = stream_divergence(&inc, &naive);
         prop_assert!(diff.is_none(), "completion streams diverge: {}", diff.unwrap());
-        prop_assert_eq!(inc_bytes.to_bits(), naive_bytes.to_bits());
-        prop_assert_eq!((inc_fg, inc_bg), (naive_fg, naive_bg));
         prop_assert_eq!(inc_obs, naive_obs);
     }
 }

@@ -16,9 +16,9 @@
 //!   over `poll(2)`.
 //! * [`pollserver`] — rtnet v2's runtime: every peer multiplexed on
 //!   one nonblocking event loop, with a connection pool, idle-timeout
-//!   reaping, per-connection write-queue backpressure, accept-gated
-//!   threshold enforcement, and a live `GET /metrics` + `GET /dash`
-//!   operations endpoint.
+//!   reaping, per-connection write-queue backpressure, the same
+//!   `Busy` threshold as the threaded server, and a live
+//!   `GET /metrics` + `GET /dash` operations endpoint.
 //! * [`fetch`] — reducer-side downloads: retry over holders, then fall
 //!   back to the project server.
 //! * [`load`] — nonblocking load generation: thousands of concurrent
@@ -42,7 +42,7 @@ pub mod server;
 pub mod store;
 pub mod wait;
 
-pub use cluster::{run_cluster, run_cluster_with_obs, ClusterConfig, ClusterReport, ClusterStats};
+pub use cluster::{run_cluster, run_cluster_with_obs, ClusterConfig, ClusterReport};
 pub use fetch::{fetch_once, fetch_with_fallback, http_get, FetchError, FetchPolicy, FetchSource};
 pub use load::{run_load, LoadConfig, LoadReport};
 pub use pollserver::{PollServer, PollServerConfig};

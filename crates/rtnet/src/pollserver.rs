@@ -3,10 +3,10 @@
 //! [`crate::server::PeerServer`] proves the §III.C protocol with one
 //! thread per connection; that caps a volunteer (and above all the
 //! project's fall-back data server) at a few hundred concurrent peers.
-//! [`PollServer`] keeps the exact same serving semantics — accept
-//! gating, the max-inter-client-connection threshold, serving windows,
-//! SHA-256-trailed frames — but multiplexes *every* connection on one
-//! event loop (BOINC's daemons scale the same way):
+//! [`PollServer`] keeps the exact same serving semantics — the
+//! serving switch, the max-inter-client-connection threshold, serving
+//! windows, SHA-256-trailed frames — but multiplexes *every* connection
+//! on one event loop (BOINC's daemons scale the same way):
 //!
 //! * per-connection read/write **state machines** drive the
 //!   [`crate::proto`] framing incrementally ([`crate::proto::FrameDecoder`]),
@@ -21,11 +21,10 @@
 //!   file's body shared with the store, and the store's cached digest,
 //!   flushed with vectored writes — no response body is ever copied
 //!   into the queue, and no request re-hashes the file;
-//! * the §III.C threshold is enforced either as post-accept `Busy`
-//!   replies (the threaded server's behaviour, kept for differential
-//!   testing) or as **accept gating** — beyond the threshold the
-//!   listener is simply not polled, so surplus peers wait in the
-//!   kernel backlog instead of burning a connection on a rejection;
+//! * the §III.C threshold is enforced as post-accept `Busy` replies,
+//!   the threaded server's behaviour: every connection is accepted, and
+//!   a request beyond `max_connections` in-flight transfers is told
+//!   `Busy`;
 //! * an optional **operations endpoint** on the same loop serves the
 //!   live metrics registry in plaintext exposition format
 //!   (`GET /metrics`) and a text dashboard (`GET /dash`).
@@ -51,15 +50,10 @@ use crate::poll::{fd_of, PollSet};
 /// Tuning knobs of the poll-loop runtime.
 #[derive(Clone, Debug)]
 pub struct PollServerConfig {
-    /// The §III.C max-inter-client-connection threshold.
+    /// The §III.C max-inter-client-connection threshold: a request
+    /// arriving while this many transfers are in flight is answered
+    /// `Busy`.
     pub max_connections: usize,
-    /// How the threshold is enforced. `false` (default): accept every
-    /// connection and answer `Busy` once `max_connections` transfers
-    /// are in flight — the threaded server's semantics. `true`: stop
-    /// polling the listener while `max_connections` connections are
-    /// open, so surplus peers queue in the kernel backlog and nobody
-    /// is ever told `Busy`.
-    pub accept_gating: bool,
     /// Connections idle longer than this are reaped.
     pub idle_timeout: Duration,
     /// Per-connection response-queue bound in bytes; a connection over
@@ -82,7 +76,6 @@ impl Default for PollServerConfig {
     fn default() -> Self {
         PollServerConfig {
             max_connections: 64,
-            accept_gating: false,
             idle_timeout: Duration::from_secs(30),
             write_queue_limit: 8 << 20,
             metrics_endpoint: false,
@@ -100,12 +93,6 @@ impl PollServerConfig {
             max_connections,
             ..PollServerConfig::default()
         }
-    }
-
-    /// Builder-style: enforce the threshold by accept gating.
-    pub fn with_accept_gating(mut self) -> Self {
-        self.accept_gating = true;
-        self
     }
 
     /// Builder-style: serve the operations endpoint.
@@ -434,13 +421,8 @@ impl Loop {
 
     fn tick(&mut self) {
         self.set.clear();
-        // The listener is polled unless accept gating says the pool is
-        // full — then surplus peers wait in the kernel backlog.
-        let gated = self.cfg.accept_gating && self.live >= self.cfg.max_connections;
-        if !gated {
-            self.set
-                .register(fd_of(&self.listener), TOK_DATA_LISTENER, true, false);
-        }
+        self.set
+            .register(fd_of(&self.listener), TOK_DATA_LISTENER, true, false);
         if let Some(ml) = &self.metrics_listener {
             self.set
                 .register(fd_of(ml), TOK_METRICS_LISTENER, true, false);
@@ -522,9 +504,6 @@ impl Loop {
 
     fn accept_data(&mut self) {
         loop {
-            if self.cfg.accept_gating && self.live >= self.cfg.max_connections {
-                return;
-            }
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(true);
@@ -678,7 +657,7 @@ impl Loop {
                     self.sobs.not_found.inc();
                     self.sobs.gate_rejections.inc();
                     (Wire::control(&Response::NotFound), None)
-                } else if !self.cfg.accept_gating && self.serving >= self.cfg.max_connections {
+                } else if self.serving >= self.cfg.max_connections {
                     self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
                     self.sobs.busy.inc();
                     (Wire::control(&Response::Busy), None)
@@ -889,28 +868,6 @@ mod tests {
         let srv = server_with(&[("f", b"x")], PollServerConfig::new(0));
         assert!(matches!(fetch_once(srv.addr(), "f"), Err(FetchError::Busy)));
         assert_eq!(srv.stats.busy_rejections.load(Ordering::Relaxed), 1);
-        srv.shutdown();
-    }
-
-    #[test]
-    fn accept_gating_never_says_busy() {
-        let cfg = PollServerConfig::new(1).with_accept_gating();
-        let srv = server_with(&[("f", b"x")], cfg);
-        // Hold one connection open so the pool is full.
-        let held = TcpStream::connect(srv.addr()).unwrap();
-        assert!(wait_until(
-            || srv.open_connections() == 1,
-            Duration::from_secs(5)
-        ));
-        // A second fetch queues in the backlog and succeeds once the
-        // held connection is reaped/closed — never a Busy reply.
-        let addr = srv.addr();
-        let fetcher = std::thread::spawn(move || fetch_once(addr, "f"));
-        std::thread::sleep(Duration::from_millis(30));
-        drop(held);
-        let got = fetcher.join().unwrap().unwrap();
-        assert_eq!(&got[..], b"x");
-        assert_eq!(srv.stats.busy_rejections.load(Ordering::Relaxed), 0);
         srv.shutdown();
     }
 

@@ -258,7 +258,6 @@ impl Engine {
             }
             h.busy
         };
-        self.stats.rpcs += 1;
         self.eobs.rpcs.inc();
 
         // 1. Deliver reports. A client holding no task has none (and
@@ -277,7 +276,6 @@ impl Engine {
                 ResultOutcome::Success
             };
             if self.db.mark_reported(rid, outcome, fp, now) {
-                self.stats.reports += 1;
                 self.eobs.reports.inc();
                 if errored {
                     self.note_host_error(cid);
@@ -288,9 +286,9 @@ impl Engine {
                     .task(rid)
                     .and_then(|t| t.exec_done_at)
                 {
-                    let delay_s = now.saturating_since(t).as_secs_f64();
-                    self.stats.report_delay.record(delay_s);
-                    self.eobs.report_delay_s.record(delay_s);
+                    self.eobs
+                        .report_delay_s
+                        .record(now.saturating_since(t).as_secs_f64());
                 }
                 self.obs.journal.point(
                     Actor::Node(cid.0),
@@ -368,7 +366,6 @@ impl Engine {
                 self.feeder.remove(rid);
                 let deadline = now + self.db.wu(self.db.result(rid).wu).spec.delay_bound;
                 self.db.mark_sent(rid, cid, now, deadline);
-                self.stats.grants += 1;
                 self.eobs.grants.inc();
                 self.sim.schedule_at(deadline, Ev::DeadlineCheck(rid));
                 self.adapt_replication(cid, rid);
@@ -388,7 +385,6 @@ impl Engine {
 
         // 3. Backoff bookkeeping.
         if slots_wanted > 0 && !got_work {
-            self.stats.empty_replies += 1;
             self.eobs.empty_replies.inc();
             let delay = {
                 let h = &mut self.hot[cid.0 as usize];

@@ -26,7 +26,7 @@ use crate::transition::{transition_wu, Transition};
 use crate::types::{ClientId, OutputFingerprint, ResultId, WuId};
 use crate::workunit::{ResultState, WorkUnitSpec};
 use std::collections::BTreeMap;
-use vmr_desim::{EventId, RngStream, SimDuration, SimTime, Simulation, Tally};
+use vmr_desim::{EventId, RngStream, SimDuration, SimTime, Simulation};
 use vmr_durable::{Journal, SectionWriter, Sections};
 use vmr_netsim::{HostId, Network, TraversalPolicy, TraversalStats};
 use vmr_obs::{Actor, Detail, EventKind, Mark, WuEnd};
@@ -69,26 +69,12 @@ pub enum Ev {
     Custom(u64),
 }
 
-/// Aggregate counters the experiment harness reads after a run.
+/// The two run totals the obs registry does not hold. Every other
+/// count (RPCs, empty replies, grants, reports, peer failures, server
+/// fall-backs, busy deferrals, the report delay) is read from
+/// [`Engine::obs`]: `vcore.*` in its snapshot.
 #[derive(Debug, Default, Clone)]
 pub struct EngineStats {
-    /// Scheduler RPCs served.
-    pub rpcs: u64,
-    /// RPCs that requested work and got none (trigger backoff).
-    pub empty_replies: u64,
-    /// Results granted to clients.
-    pub grants: u64,
-    /// Reports received.
-    pub reports: u64,
-    /// Upload-finished → report-accepted gap, seconds (the §IV.B delay).
-    pub report_delay: Tally,
-    /// Peer download attempts that failed (connection/fault).
-    pub peer_failures: u64,
-    /// Inputs that fell back to the data server after peer retries.
-    pub server_fallbacks: u64,
-    /// Peer download attempts deferred because the serving peer was at
-    /// its connection cap.
-    pub busy_deferrals: u64,
     /// NAT traversal outcomes for peer connections.
     pub traversal: TraversalStats,
     /// Bytes uploaded to the server (all flows into the server host).
@@ -140,7 +126,7 @@ pub struct Engine {
     /// Fig. 4 source — rebuild lanes with `Timeline::from_journal`),
     /// profiling scopes. Shared with the network engine and the sim.
     pub obs: vmr_obs::Obs,
-    /// Aggregate counters.
+    /// Traversal outcomes and server-bound bytes.
     pub stats: EngineStats,
     /// Credit / reliability ledger (BOINC's volunteer incentive).
     pub credit: crate::credit::CreditLedger,
@@ -199,10 +185,10 @@ pub struct Engine {
     fobs: FetchObs,
 }
 
-/// Pre-resolved metric handles for the scheduler hot paths. These
-/// mirror the cumulative [`EngineStats`] fields into the shared
-/// registry so one snapshot covers every crate; resolving them once at
-/// construction keeps per-event cost to an atomic bump.
+/// Pre-resolved metric handles for the scheduler hot paths: the
+/// engine's counts live in the shared registry, so one snapshot covers
+/// every crate; resolving them once at construction keeps per-event
+/// cost to an atomic bump.
 struct EngineObs {
     rpcs: vmr_obs::Counter,
     empty_replies: vmr_obs::Counter,
@@ -796,6 +782,11 @@ mod tests {
     use crate::types::{FileRef, FileSource};
     use vmr_netsim::HostLink;
 
+    /// `vcore.<name>` of `eng`'s registry.
+    fn count(eng: &Engine, name: &str) -> u64 {
+        eng.obs.snapshot().counter(&format!("vcore.{name}"))
+    }
+
     fn small_engine(n_clients: usize) -> Engine {
         Engine::builder(42)
             .clients((0..n_clients).map(|_| {
@@ -830,8 +821,8 @@ mod tests {
             Some(honest_fingerprint("w0")),
             "canonical fingerprint is the honest one"
         );
-        assert!(eng.stats.reports >= 2);
-        assert!(eng.stats.grants >= 2);
+        assert!(count(&eng, "reports") >= 2);
+        assert!(count(&eng, "grants") >= 2);
         // Replicas must have landed on distinct clients.
         let holders: Vec<_> = eng
             .db
@@ -912,10 +903,10 @@ mod tests {
         // No work at all: the lone client polls and backs off.
         let mut policy = NullPolicy;
         eng.run_until(&mut policy, SimTime::from_secs(3600), |_| false);
-        assert!(eng.stats.empty_replies >= 3);
+        assert!(count(&eng, "empty_replies") >= 3);
         // RPC count is bounded by backoff growth: within an hour with a
         // 600 s cap the client cannot poll more than ~20 times.
-        assert!(eng.stats.rpcs < 25, "rpcs={}", eng.stats.rpcs);
+        assert!(count(&eng, "rpcs") < 25, "rpcs={}", count(&eng, "rpcs"));
     }
 
     #[test]
@@ -937,8 +928,8 @@ mod tests {
             e.db.all_wus_terminal()
         });
         assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
-        assert_eq!(eng.stats.server_fallbacks, 0);
-        assert_eq!(eng.stats.peer_failures, 0);
+        assert_eq!(count(&eng, "server_fallbacks"), 0);
+        assert_eq!(count(&eng, "peer_failures"), 0);
     }
 
     #[test]
@@ -959,8 +950,8 @@ mod tests {
             e.db.all_wus_terminal()
         });
         assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
-        assert!(eng.stats.peer_failures >= eng.cfg.peer_retry_limit as u64);
-        assert_eq!(eng.stats.server_fallbacks, 1);
+        assert!(count(&eng, "peer_failures") >= eng.cfg.peer_retry_limit as u64);
+        assert_eq!(count(&eng, "server_fallbacks"), 1);
     }
 
     // ----- served-file registry ---------------------------------------------
@@ -1016,7 +1007,7 @@ mod tests {
             e.db.all_wus_terminal()
         });
         assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
-        assert_eq!(eng.stats.server_fallbacks, 1);
+        assert_eq!(count(&eng, "server_fallbacks"), 1);
         let expiries = eng
             .obs
             .journal
@@ -1026,7 +1017,7 @@ mod tests {
                 matches!(&e.kind, EventKind::ServingExpiry { client: 1, file } if &**file == "part0")
             })
             .count();
-        assert_eq!(expiries as u64, eng.stats.peer_failures);
+        assert_eq!(expiries as u64, count(&eng, "peer_failures"));
         let fallbacks = eng
             .obs
             .journal
@@ -1036,7 +1027,7 @@ mod tests {
                 matches!(&e.kind, EventKind::PeerFallback { client: 0, file } if &**file == "part0")
             })
             .count();
-        assert_eq!(fallbacks as u64, eng.stats.server_fallbacks);
+        assert_eq!(fallbacks as u64, count(&eng, "server_fallbacks"));
     }
 
     #[test]
@@ -1138,7 +1129,10 @@ mod tests {
         eng.run_until(&mut policy, SimTime::from_secs(4000), |e| {
             e.db.all_wus_terminal()
         });
-        assert_eq!(eng.stats.report_delay.count(), 1);
+        assert_eq!(
+            eng.obs.snapshot().histogram("vcore.report_delay_s").count,
+            1
+        );
     }
 
     #[test]
@@ -1276,7 +1270,7 @@ mod tests {
             let mut policy = NullPolicy;
             // Stop at the first grant.
             eng.run_until(&mut policy, SimTime::from_secs(4000), |e| {
-                e.stats.grants >= 1
+                count(e, "grants") >= 1
             });
             [wu_a, wu_b]
                 .into_iter()
@@ -1307,9 +1301,9 @@ mod tests {
             });
             (
                 eng.now(),
-                eng.stats.rpcs,
-                eng.stats.reports,
-                eng.stats.grants,
+                count(&eng, "rpcs"),
+                count(&eng, "reports"),
+                count(&eng, "grants"),
             )
         };
         assert_eq!(run(7), run(7));
@@ -1320,7 +1314,7 @@ mod tests {
     /// A built engine's run, pinned: the values were recorded through
     /// the `testbed` + `add_client` loop + `attach_durable` sequence
     /// the builder replaced, at the last commit that had it — same
-    /// stats, same canonical state encodings, same WAL bytes.
+    /// counters, same canonical state encodings, same WAL bytes.
     #[test]
     fn builder_reproduces_recorded_legacy_construction() {
         let link = || HostLink::symmetric_mbit(100.0, 0.000_5);
@@ -1340,9 +1334,9 @@ mod tests {
         assert_eq!(
             (
                 eng.now().as_micros(),
-                eng.stats.rpcs,
-                eng.stats.grants,
-                eng.stats.reports
+                count(&eng, "rpcs"),
+                count(&eng, "grants"),
+                count(&eng, "reports")
             ),
             (61_394_172, 12, 8, 8)
         );
@@ -1448,9 +1442,9 @@ mod tests {
         // Redundant work was actually saved: fewer reports than the
         // 2-per-WU fixed-quorum baseline.
         assert!(
-            eng.stats.reports < 20,
+            count(&eng, "reports") < 20,
             "reports={} should be below 2/WU",
-            eng.stats.reports
+            count(&eng, "reports")
         );
     }
 
@@ -1477,7 +1471,7 @@ mod tests {
         }
         let checks: u64 = (0..2).map(|c| eng.trust.host(c).spot_checks).sum();
         assert!(checks > 0, "spot-checks must be recorded in the ledger");
-        assert_eq!(eng.stats.reports, 16, "full 2-way replication kept");
+        assert_eq!(count(&eng, "reports"), 16, "full 2-way replication kept");
     }
 
     #[test]
@@ -1555,7 +1549,7 @@ mod tests {
     #[test]
     fn trust_disabled_knobs_do_not_change_behavior() {
         // With `enabled: false`, the other trust knobs must not leak
-        // into the run: stats and journaled state stay bit-identical
+        // into the run: counters and journaled state stay bit-identical
         // to the default config.
         let run = |trust: vmr_trust::TrustConfig| {
             let cfg = ProjectConfig {
@@ -1580,9 +1574,9 @@ mod tests {
             });
             (
                 eng.now(),
-                eng.stats.rpcs,
-                eng.stats.grants,
-                eng.stats.reports,
+                count(&eng, "rpcs"),
+                count(&eng, "grants"),
+                count(&eng, "reports"),
                 eng.db.encode_state(),
                 eng.credit.encode_state(),
             )

@@ -131,7 +131,6 @@ impl Engine {
         fallback_for: Option<&str>,
     ) {
         if let Some(name) = fallback_for {
-            self.stats.server_fallbacks += 1;
             self.eobs.server_fallbacks.inc();
             self.obs
                 .journal
@@ -226,7 +225,6 @@ impl Engine {
     }
 
     pub(super) fn count_peer_failure(&mut self) {
-        self.stats.peer_failures += 1;
         self.eobs.peer_failures.inc();
     }
 
@@ -241,7 +239,6 @@ impl Engine {
     /// The chosen source is at its serving-connection threshold. Busy
     /// is not a failure — retry without consuming budget.
     pub(super) fn defer_busy(&mut self, slot: InputSlot) {
-        self.stats.busy_deferrals += 1;
         self.eobs.busy_deferrals.inc();
         self.schedule_peer_retry(slot, self.cfg.serving_busy_retry_s);
     }

@@ -336,9 +336,8 @@ proptest! {
             });
             (
                 eng.now(),
-                eng.stats.rpcs,
-                eng.stats.grants,
-                eng.stats.reports,
+                ["vcore.rpcs", "vcore.grants", "vcore.reports"]
+                    .map(|k| eng.obs.snapshot().counter(k)),
                 eng.db.encode_state(),
                 eng.credit.encode_state(),
                 eng.assimilator.encode_state(),

@@ -7,10 +7,15 @@
 //! cargo run --release --example internet_volunteers
 //! ```
 
-use vmr_core::{run_experiment, ExperimentConfig, MrMode};
+use vmr_core::{run_experiment, ExperimentConfig, ExperimentOutcome, MrMode};
 use vmr_desim::SimDuration;
 use vmr_netsim::{NatMix, TraversalPolicy};
 use vmr_vcore::{ClientId, FaultPlan};
+
+/// `vcore.server_fallbacks` of a finished run.
+fn fallbacks(out: &ExperimentOutcome) -> u64 {
+    out.obs.snapshot().counter("vcore.server_fallbacks")
+}
 
 fn main() {
     let base = || {
@@ -23,7 +28,8 @@ fn main() {
     let lan = run_experiment(&base()).expect("valid experiment config");
     println!(
         "all-open volunteers      : total {:>6.0} s, fallbacks {}",
-        lan.reports[0].total_s, lan.stats.server_fallbacks
+        lan.reports[0].total_s,
+        fallbacks(&lan)
     );
 
     // ----- 2. Realistic NAT mix, prototype's direct-only connects -----
@@ -33,7 +39,8 @@ fn main() {
     let naive = run_experiment(&cfg).expect("valid experiment config");
     println!(
         "NAT mix, direct-only     : total {:>6.0} s, fallbacks {} (peer transfers mostly impossible)",
-        naive.reports[0].total_s, naive.stats.server_fallbacks
+        naive.reports[0].total_s,
+        fallbacks(&naive)
     );
 
     // ----- 3. Same mix with the paper's tiered traversal -----
@@ -44,7 +51,8 @@ fn main() {
     let t = &tiered.stats.traversal;
     println!(
         "NAT mix, tiered traversal: total {:>6.0} s, fallbacks {}",
-        tiered.reports[0].total_s, tiered.stats.server_fallbacks
+        tiered.reports[0].total_s,
+        fallbacks(&tiered)
     );
     println!(
         "  traversal outcomes: direct {} | reversal {} | hole-punch {} | relay {} (success rate {:.0}%)",
@@ -71,8 +79,8 @@ fn main() {
         "hostile (2 byzantine, churn): done={} total {:>6.0} s, peer failures {}, fallbacks {}",
         hostile.all_done,
         hostile.reports[0].total_s,
-        hostile.stats.peer_failures,
-        hostile.stats.server_fallbacks
+        hostile.obs.snapshot().counter("vcore.peer_failures"),
+        fallbacks(&hostile)
     );
     println!(
         "\nReplication+quorum absorbs byzantine outputs; retries and the \

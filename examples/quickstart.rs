@@ -15,7 +15,7 @@ use std::sync::Arc;
 use vmr_core::{run_experiment, ExperimentConfig, MrMode};
 use vmr_mapreduce::apps::WordCount;
 use vmr_mapreduce::{run_sequential, CorpusGen, CorpusSpec, JobSpec};
-use vmr_rtnet::{run_cluster, ClusterConfig};
+use vmr_rtnet::{run_cluster_with_obs, ClusterConfig};
 
 fn main() {
     // ----- a small synthetic corpus (the paper used a 1 GB text file;
@@ -35,26 +35,16 @@ fn main() {
 
     // ----- 2. real pull-model TCP cluster -----
     let cfg = ClusterConfig::new(6, JobSpec::new("wc", 8, 3));
-    let report = run_cluster(Arc::new(WordCount), data.clone(), &cfg);
+    let obs = vmr_obs::Obs::new();
+    let report = run_cluster_with_obs(Arc::new(WordCount), data.clone(), &cfg, &obs);
     assert_eq!(report.output, oracle, "TCP cluster must match the oracle");
+    let snap = obs.snapshot();
     println!(
         "real TCP cluster: OK ({} peer fetches, {} local reads, {} fallbacks, {} map execs)",
-        report
-            .stats
-            .peer_fetches
-            .load(std::sync::atomic::Ordering::Relaxed),
-        report
-            .stats
-            .local_reads
-            .load(std::sync::atomic::Ordering::Relaxed),
-        report
-            .stats
-            .fallback_fetches
-            .load(std::sync::atomic::Ordering::Relaxed),
-        report
-            .stats
-            .map_execs
-            .load(std::sync::atomic::Ordering::Relaxed),
+        snap.counter("rtnet.peer_fetches"),
+        snap.counter("rtnet.local_reads"),
+        snap.counter("rtnet.fallback_fetches"),
+        snap.counter("rtnet.map_execs"),
     );
 
     // ----- 3. simulated volunteer cloud (one Table I style cell) -----
@@ -65,7 +55,11 @@ fn main() {
     println!(
         "simulated BOINC-MR (10 nodes, 10 maps, 2 reducers, 256 MB):\n  \
          map {:.0} s | reduce {:.0} s | total {:.0} s | {} scheduler RPCs, {} empty replies",
-        r.map_s, r.reduce_s, r.total_s, out.stats.rpcs, out.stats.empty_replies
+        r.map_s,
+        r.reduce_s,
+        r.total_s,
+        out.obs.snapshot().counter("vcore.rpcs"),
+        out.obs.snapshot().counter("vcore.empty_replies")
     );
     println!("quickstart complete: all three runtimes agree on the job");
 }

@@ -24,11 +24,12 @@ fn main() {
         if let (Some(m), Some(t)) = (r.map_no_slowest_s, r.total_no_slowest_s) {
             println!("without the slowest node: map {m:.0} s, total {t:.0} s");
         }
+        let snap = out.obs.snapshot();
         println!(
             "scheduler RPCs {:>5}   empty replies {:>4}   mean report delay {:>5.1} s",
-            out.stats.rpcs,
-            out.stats.empty_replies,
-            out.stats.report_delay.mean()
+            snap.counter("vcore.rpcs"),
+            snap.counter("vcore.empty_replies"),
+            snap.histogram("vcore.report_delay_s").mean
         );
         println!(
             "bytes through server {:.2} GB   peer-transfer setups {}",

@@ -1,6 +1,8 @@
 //! Cross-crate integration: the simulated volunteer cloud end to end.
 
-use volunteer_mr::core::{run_experiment, ExperimentConfig, MitigationPlan, MrMode, NodeMix};
+use volunteer_mr::core::{
+    run_experiment, ExperimentConfig, ExperimentOutcome, MitigationPlan, MrMode, NodeMix,
+};
 
 fn small(mode: MrMode, seed: u64) -> ExperimentConfig {
     let mut c = ExperimentConfig::table1(10, 8, 3, mode);
@@ -65,14 +67,11 @@ fn report_delays_are_recorded_and_bounded_by_cap() {
     let mut c = small(MrMode::ServerRelay, 9);
     c.backoff_max_s = 300;
     let out = run_experiment(&c).expect("valid experiment config");
-    assert!(out.stats.report_delay.count() > 0);
+    let delay = out.obs.snapshot().histogram("vcore.report_delay_s");
+    assert!(delay.count > 0);
     // A report can never be delayed by more than one full backoff (plus
     // RPC scheduling slack).
-    assert!(
-        out.stats.report_delay.max().unwrap() <= 300.0 + 30.0,
-        "delay {} exceeds cap",
-        out.stats.report_delay.max().unwrap()
-    );
+    assert!(delay.max <= 300.0 + 30.0, "delay {} exceeds cap", delay.max);
 }
 
 #[test]
@@ -84,11 +83,13 @@ fn immediate_report_mitigation_cuts_delay() {
         ..Default::default()
     };
     let fixed = run_experiment(&c).expect("valid experiment config");
+    let mean_delay =
+        |out: &ExperimentOutcome| out.obs.snapshot().histogram("vcore.report_delay_s").mean;
     assert!(
-        fixed.stats.report_delay.mean() < base.stats.report_delay.mean(),
+        mean_delay(&fixed) < mean_delay(&base),
         "immediate reporting must cut the mean report delay: {} vs {}",
-        fixed.stats.report_delay.mean(),
-        base.stats.report_delay.mean()
+        mean_delay(&fixed),
+        mean_delay(&base)
     );
 }
 
@@ -111,8 +112,9 @@ fn experiments_are_bit_reproducible() {
     assert_eq!(a.reports[0].map_s, b.reports[0].map_s);
     assert_eq!(a.reports[0].reduce_s, b.reports[0].reduce_s);
     assert_eq!(a.reports[0].total_s, b.reports[0].total_s);
-    assert_eq!(a.stats.rpcs, b.stats.rpcs);
-    assert_eq!(a.stats.empty_replies, b.stats.empty_replies);
+    for key in ["vcore.rpcs", "vcore.empty_replies"] {
+        assert_eq!(a.obs.snapshot().counter(key), b.obs.snapshot().counter(key));
+    }
     assert_eq!(a.finished_at, b.finished_at);
 }
 

@@ -21,7 +21,8 @@ fn nat_mix_with_tiered_traversal_completes_p2p() {
     let out = run_experiment(&c).expect("valid experiment config");
     assert!(out.all_done);
     assert_eq!(
-        out.stats.server_fallbacks, 0,
+        out.obs.snapshot().counter("vcore.server_fallbacks"),
+        0,
         "tiered traversal keeps transfers p2p"
     );
     assert!(out.stats.traversal.successes() > 0);
@@ -36,7 +37,7 @@ fn nat_mix_direct_only_falls_back_to_server() {
     c.traversal = TraversalPolicy::direct_only();
     let out = run_experiment(&c).expect("valid experiment config");
     assert!(out.all_done, "fall-back must keep the job alive");
-    assert!(out.stats.server_fallbacks > 0);
+    assert!(out.obs.snapshot().counter("vcore.server_fallbacks") > 0);
     assert_eq!(out.stats.traversal.successes(), 0);
 }
 
@@ -80,7 +81,10 @@ fn transient_peer_faults_are_retried() {
     };
     let out = run_experiment(&c).expect("valid experiment config");
     assert!(out.all_done);
-    assert!(out.stats.peer_failures > 0, "faults must actually fire");
+    assert!(
+        out.obs.snapshot().counter("vcore.peer_failures") > 0,
+        "faults must actually fire"
+    );
 }
 
 #[test]
@@ -94,10 +98,10 @@ fn task_errors_trigger_reissue() {
     assert!(out.all_done);
     // Errors force extra grants beyond the 2×(maps+reduces) baseline.
     let baseline = 2 * (8 + 3) as u64;
+    let grants = out.obs.snapshot().counter("vcore.grants");
     assert!(
-        out.stats.grants > baseline,
-        "expected reissues: grants {} <= baseline {baseline}",
-        out.stats.grants
+        grants > baseline,
+        "expected reissues: grants {grants} <= baseline {baseline}"
     );
 }
 
