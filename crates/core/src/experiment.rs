@@ -243,15 +243,13 @@ pub(crate) fn horizon() -> SimTime {
 /// before work units are inserted so the genesis records land in the
 /// log.
 pub(crate) fn build_testbed(cfg: &ExperimentConfig, journal: Journal) -> (Engine, MrPolicy) {
-    let mut pc = ProjectConfig {
+    let pc = ProjectConfig {
         backoff_max_s: cfg.backoff_max_s,
         report_results_immediately: cfg.mitigation.immediate_report,
         locality_scheduling: cfg.locality_scheduling,
         trust: cfg.trust.clone(),
         shuffle: cfg.shuffle.clone(),
-        ..ProjectConfig::default()
     };
-    pc.backoff_min_s = pc.backoff_min_s.min(cfg.backoff_max_s);
 
     // Volunteers: the paper's 100 Mbit testbed links.
     let mut nat_rng = vmr_desim::RngStream::new(cfg.seed ^ 0x9a7);

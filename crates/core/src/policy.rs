@@ -20,6 +20,7 @@ use vmr_desim::SimDuration;
 use vmr_durable::{SectionWriter, StateChange};
 use vmr_obs::{Actor, Detail, Mark, PhaseMark};
 use vmr_shuffle::coded_groups;
+use vmr_vcore::config::SERVING_TIMEOUT_S;
 use vmr_vcore::{
     ClientId, Engine, FileRef, FileSource, Policy, ResultId, StrategyKind, WorkUnitSpec, WuId,
 };
@@ -217,8 +218,8 @@ impl MrPolicy {
             .inc();
     }
 
-    /// Stops all mapper serving for a finished job: every partition
-    /// file, from every client that registered it.
+    /// Stops all mapper serving for a done or failed job: every
+    /// partition file, from every client that registered it.
     fn stop_serving(&self, eng: &mut Engine, job_idx: usize) {
         let job = &self.tracker.jobs[job_idx].cfg.job;
         for m in 0..job.n_maps {
@@ -275,8 +276,8 @@ impl Policy for MrPolicy {
         // "We open a TCP [socket] for listening to incoming connections
         // whenever a map task has finished and its output(s) is
         // available" — register every partition file, with the serving
-        // timeout from the project config.
-        let until = eng.now() + SimDuration::from_secs_f64(eng.cfg.serving_timeout_s);
+        // timeout of the project.
+        let until = eng.now() + SimDuration::from_secs_f64(SERVING_TIMEOUT_S);
         for r in 0..job.cfg.job.n_reduces {
             eng.register_served_file(client, job.cfg.job.partition_file(m, r), Some(until));
         }
@@ -337,10 +338,7 @@ impl Policy for MrPolicy {
                     let names: Vec<String> = (0..job.cfg.job.n_reduces)
                         .map(|r| job.cfg.job.partition_file(m, r))
                         .collect();
-                    (
-                        names,
-                        now + SimDuration::from_secs_f64(eng.cfg.serving_timeout_s),
-                    )
+                    (names, now + SimDuration::from_secs_f64(SERVING_TIMEOUT_S))
                 };
                 for c in agreeing {
                     for name in &names {
@@ -389,6 +387,7 @@ impl Policy for MrPolicy {
             });
             self.tracker.jobs[ji].phase = Phase::Failed;
             Self::mark_phase(eng, PhaseMark::JobFailed, eng.now());
+            self.stop_serving(eng, ji);
         }
     }
 

@@ -4,24 +4,45 @@
 //! tasks (and so registers their partition files) without ever being a
 //! holder, and a host dropping out mid-map has its task re-run
 //! elsewhere; neither may leave a file served once the job is done.
+//! A job that fails stops serving the same way.
 
 use vmr_core::{MrJobConfig, MrMode, MrPolicy, Phase};
 use vmr_desim::{SimDuration, SimTime};
 use vmr_netsim::HostLink;
-use vmr_vcore::{ClientId, Engine, FaultPlan, HostProfile};
+use vmr_vcore::config::SERVING_TIMEOUT_S;
+use vmr_vcore::{ClientId, Engine, FaultPlan, HostProfile, WuId, WuState};
 
 const N_CLIENTS: u32 = 6;
 
-#[test]
-fn a_done_job_serves_no_partition_file_from_any_client() {
-    let mut eng = Engine::builder(3)
-        .clients((0..N_CLIENTS).map(|_| {
+fn testbed(n_clients: u32) -> Engine {
+    Engine::builder(3)
+        .clients((0..n_clients).map(|_| {
             (
                 HostProfile::pc3001(),
                 HostLink::symmetric_mbit(100.0, 0.000_5),
             )
         }))
-        .build();
+        .build()
+}
+
+/// Asserts that no client of `eng` serves any partition file of job
+/// `ji` at the current instant.
+fn assert_serves_nothing(eng: &Engine, pol: &MrPolicy, ji: usize, n_clients: u32) {
+    let job = &pol.tracker.jobs[ji].cfg.job;
+    let now = eng.now();
+    for m in 0..job.n_maps {
+        for r in 0..job.n_reduces {
+            let name = job.partition_file(m, r);
+            for c in (0..n_clients).map(ClientId) {
+                assert!(!eng.serves(c, &name, now), "{c:?} still serves {name}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_done_job_serves_no_partition_file_from_any_client() {
+    let mut eng = testbed(N_CLIENTS);
     eng.fault = FaultPlan {
         byzantine: vec![ClientId(0)],
         corruption_prob: 1.0,
@@ -56,19 +77,41 @@ fn a_done_job_serves_no_partition_file_from_any_client() {
     // Every window opened during the job is still open at its end, so
     // only the teardown can have closed them.
     let started = job.first_map_assign.expect("maps were assigned");
-    let serving = SimDuration::from_secs_f64(eng.cfg.serving_timeout_s);
+    let serving = SimDuration::from_secs_f64(SERVING_TIMEOUT_S);
     assert!(
         eng.now() <= started + serving,
         "the job outlived its windows"
     );
+    assert_serves_nothing(&eng, &pol, ji, N_CLIENTS);
+}
 
-    let now = eng.now();
-    for m in 0..job.cfg.job.n_maps {
-        for r in 0..job.cfg.job.n_reduces {
-            let name = job.cfg.job.partition_file(m, r);
-            for c in (0..N_CLIENTS).map(ClientId) {
-                assert!(!eng.serves(c, &name, now), "{c:?} still serves {name}");
-            }
-        }
-    }
+#[test]
+fn a_failed_job_serves_no_partition_file_from_any_client() {
+    // Every host corrupts every output, so no map ever reaches a
+    // quorum; ten hosts let a map's result budget (4 × replication)
+    // run out under the one-replica-per-host rule, and the job fails.
+    const N: u32 = 10;
+    let mut eng = testbed(N);
+    eng.fault = FaultPlan {
+        byzantine: (0..N).map(ClientId).collect(),
+        corruption_prob: 1.0,
+        ..FaultPlan::none()
+    };
+    let mut pol = MrPolicy::new();
+    let mut cfg = MrJobConfig::paper_wordcount(3, 2, MrMode::InterClient);
+    cfg.input_bytes = 6_000_000;
+    let ji = pol.submit_job(&mut eng, cfg);
+    eng.run_until(&mut pol, SimTime::from_secs(50_000), |e| {
+        (0..e.db.n_wus() as u32).any(|w| e.db.wu(WuId(w)).state == WuState::Failed)
+    });
+    let job = &pol.tracker.jobs[ji];
+    assert_eq!(job.phase, Phase::Failed);
+    // The failure comes inside the windows the maps opened, so only
+    // the teardown can have closed them.
+    let started = job.first_map_assign.expect("maps were assigned");
+    assert!(
+        eng.now() <= started + SimDuration::from_secs_f64(SERVING_TIMEOUT_S),
+        "the job outlived its windows"
+    );
+    assert_serves_nothing(&eng, &pol, ji, N);
 }

@@ -10,13 +10,9 @@
 //!   same state are byte-identical and the golden test can diff them.
 //! * [`render_dashboard`] — a human-oriented text panel grouping
 //!   counters, gauges and histogram summaries under a title.
-//!
-//! [`Dashboard`] adds the one piece of state a periodic panel wants:
-//! per-second rates for counters, computed against the previous render.
 
 use crate::types::{MetricValue, Snapshot};
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
 /// Splits a full registry key `name{k=v,k2=v2}` into the bare name and
 /// its label pairs.
@@ -149,129 +145,59 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
 }
 
 /// Renders a human-oriented text panel: counters, gauges and histogram
-/// summaries grouped under `title`. Stateless — for live rates use a
-/// [`Dashboard`].
+/// summaries grouped under `title`. Stateless: each call renders the
+/// snapshot it is given.
 pub fn render_dashboard(snap: &Snapshot, title: &str) -> String {
-    Dashboard::new(title, Duration::from_secs(1)).render(snap)
-}
+    let width = snap
+        .entries
+        .iter()
+        .map(|(k, _)| k.len())
+        .max()
+        .unwrap_or(0)
+        .max(8);
 
-/// A periodic text dashboard with per-second counter rates.
-///
-/// Owns the cadence ([`Dashboard::due`]) and the previous render's
-/// counter values so each [`Dashboard::render`] can show both the
-/// running total and the rate since the last panel.
-pub struct Dashboard {
-    title: String,
-    interval: Duration,
-    next: Option<Instant>,
-    prev: Option<(Instant, Vec<(String, u64)>)>,
-}
-
-impl Dashboard {
-    /// A dashboard rendering every `interval`.
-    pub fn new(title: &str, interval: Duration) -> Self {
-        Dashboard {
-            title: title.to_string(),
-            interval,
-            next: None,
-            prev: None,
+    let mut counters = String::new();
+    let mut gauges = String::new();
+    let mut histos = String::new();
+    for (key, value) in &snap.entries {
+        match value {
+            MetricValue::Counter(v) => {
+                let _ = writeln!(counters, "  {key:<width$} {v}");
+            }
+            MetricValue::Gauge(v) => {
+                let _ = writeln!(gauges, "  {key:<width$} {}", fmt_num(*v));
+            }
+            MetricValue::TimeGauge { current, mean, max } => {
+                let _ = writeln!(
+                    gauges,
+                    "  {key:<width$} {} (mean {}, max {})",
+                    fmt_num(*current),
+                    fmt_num(*mean),
+                    fmt_num(*max)
+                );
+            }
+            MetricValue::Histogram(h) => {
+                let _ = writeln!(histos, "  {key:<width$} {}", h.brief());
+            }
         }
     }
 
-    /// Adjusts the cadence (takes effect from the next due check).
-    pub fn set_interval(&mut self, interval: Duration) {
-        self.interval = interval;
-    }
-
-    /// True once per interval: the first call arms the timer, later
-    /// calls fire when `now` passes the deadline.
-    pub fn due(&mut self, now: Instant) -> bool {
-        match self.next {
-            None => {
-                self.next = Some(now + self.interval);
-                false
-            }
-            Some(at) if now >= at => {
-                self.next = Some(now + self.interval);
-                true
-            }
-            Some(_) => false,
+    let mut out = String::new();
+    let _ = writeln!(out, "== {title} ==");
+    for (header, body) in [
+        ("counters", counters),
+        ("gauges", gauges),
+        ("histograms", histos),
+    ] {
+        if !body.is_empty() {
+            let _ = writeln!(out, "{header}:");
+            out.push_str(&body);
         }
     }
-
-    /// Renders the panel and records counter values for the next
-    /// render's rate column.
-    pub fn render(&mut self, snap: &Snapshot) -> String {
-        let now = Instant::now();
-        let elapsed = self
-            .prev
-            .as_ref()
-            .map(|(t, _)| now.duration_since(*t).as_secs_f64());
-        let width = snap
-            .entries
-            .iter()
-            .map(|(k, _)| k.len())
-            .max()
-            .unwrap_or(0)
-            .max(8);
-
-        let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut histos = String::new();
-        let mut seen: Vec<(String, u64)> = Vec::new();
-        for (key, value) in &snap.entries {
-            match value {
-                MetricValue::Counter(v) => {
-                    seen.push((key.clone(), *v));
-                    let rate = match (&self.prev, elapsed) {
-                        (Some((_, prev)), Some(dt)) if dt > 0.0 => {
-                            let before = prev
-                                .iter()
-                                .find(|(k, _)| k == key)
-                                .map(|(_, v)| *v)
-                                .unwrap_or(0);
-                            format!("  ({:.1}/s)", v.saturating_sub(before) as f64 / dt)
-                        }
-                        _ => String::new(),
-                    };
-                    let _ = writeln!(counters, "  {key:<width$} {v}{rate}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(gauges, "  {key:<width$} {}", fmt_num(*v));
-                }
-                MetricValue::TimeGauge { current, mean, max } => {
-                    let _ = writeln!(
-                        gauges,
-                        "  {key:<width$} {} (mean {}, max {})",
-                        fmt_num(*current),
-                        fmt_num(*mean),
-                        fmt_num(*max)
-                    );
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = writeln!(histos, "  {key:<width$} {}", h.brief());
-                }
-            }
-        }
-        self.prev = Some((now, seen));
-
-        let mut out = String::new();
-        let _ = writeln!(out, "== {} ==", self.title);
-        for (header, body) in [
-            ("counters", counters),
-            ("gauges", gauges),
-            ("histograms", histos),
-        ] {
-            if !body.is_empty() {
-                let _ = writeln!(out, "{header}:");
-                out.push_str(&body);
-            }
-        }
-        if out.lines().count() == 1 {
-            let _ = writeln!(out, "(no metrics registered)");
-        }
-        out
+    if out.lines().count() == 1 {
+        let _ = writeln!(out, "(no metrics registered)");
     }
+    out
 }
 
 #[cfg(test)]
@@ -319,29 +245,19 @@ mod tests {
     }
 
     #[test]
-    fn dashboard_shows_rates_on_second_render() {
-        let mut dash = Dashboard::new("t", Duration::from_millis(1));
-        let first = dash.render(&sample());
-        assert!(first.starts_with("== t =="));
-        assert!(!first.contains("/s)"), "no rate before a baseline");
-        std::thread::sleep(Duration::from_millis(5));
-        let second = dash.render(&sample());
-        assert!(second.contains("/s)"), "got: {second}");
-    }
-
-    #[test]
-    fn due_fires_once_per_interval() {
-        let mut dash = Dashboard::new("t", Duration::from_millis(10));
-        let t0 = Instant::now();
-        assert!(!dash.due(t0), "first call arms");
-        assert!(!dash.due(t0 + Duration::from_millis(5)));
-        assert!(dash.due(t0 + Duration::from_millis(11)));
-        assert!(!dash.due(t0 + Duration::from_millis(12)));
-    }
-
-    #[test]
     fn empty_snapshot_renders_placeholder() {
         let text = render_dashboard(&Snapshot::default(), "empty");
         assert!(text.contains("(no metrics registered)"));
+        // A non-empty snapshot renders its title and one line per
+        // metric, grouped by kind.
+        let text = render_dashboard(&sample(), "t");
+        assert!(text.starts_with("== t =="), "got: {text}");
+        assert!(!text.contains("(no metrics registered)"));
+        let line = |key: &str| text.lines().find(|l| l.trim_start().starts_with(key));
+        assert_eq!(line("counters:"), Some("counters:"));
+        assert!(line("rtnet.served").is_some_and(|l| l.ends_with(" 3")));
+        assert!(line("vcore.load").is_some_and(|l| l.ends_with(" 0.5")));
+        assert!(line("rtnet.serve_us")
+            .is_some_and(|l| l.ends_with(" n=4 mean=2 p50=2 p95=4 p99=4 max=4.5")));
     }
 }

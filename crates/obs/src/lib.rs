@@ -20,10 +20,10 @@
 //!   serving threads) feeding histograms in the same registry under
 //!   `prof.*_us` names. Off by default; enabled at runtime with
 //!   [`Obs::set_profiling`].
-//! * **Text exposition** ([`render_prometheus`], [`render_dashboard`],
-//!   [`Dashboard`]) — pure functions of a [`Snapshot`], rendering the
-//!   plaintext scrape format and a periodic operator dashboard; the
-//!   rtnet poll server mounts both on its operations endpoint.
+//! * **Text exposition** ([`render_prometheus`], [`render_dashboard`])
+//!   — pure functions of a [`Snapshot`], rendering the plaintext scrape
+//!   format and an operator dashboard; the rtnet poll server mounts
+//!   both on its operations endpoint.
 //!
 //! The recorder is always compiled in. What a run pays for is chosen
 //! at runtime by two switches, [`Journal::set_enabled`] and
@@ -50,7 +50,7 @@ mod journal;
 mod metrics;
 mod prof;
 mod types;
-pub use expose::{render_dashboard, render_prometheus, Dashboard};
+pub use expose::{render_dashboard, render_prometheus};
 pub use journal::Journal;
 pub use metrics::{Counter, Gauge, Histo, Registry, TimeGauge};
 pub use prof::{Prof, Scope, ScopeGuard};

@@ -15,7 +15,7 @@
 //! * a **connection pool** with idle-timeout reaping bounds kernel
 //!   state held for silent peers;
 //! * **backpressure** is explicit: responses queue per connection up to
-//!   [`PollServerConfig::write_queue_limit`] bytes, and a connection
+//!   `WRITE_QUEUE_LIMIT` (8 MiB), and a connection
 //!   over its limit is not read from until the queue drains;
 //! * a queued `Data` response is a `DataFrame`: its head, the stored
 //!   file's body shared with the store, and the store's cached digest,
@@ -27,7 +27,8 @@
 //!   `Busy`;
 //! * an optional **operations endpoint** on the same loop serves the
 //!   live metrics registry in plaintext exposition format
-//!   (`GET /metrics`) and a text dashboard (`GET /dash`).
+//!   (`GET /metrics`) and a text dashboard (`GET /dash`), both
+//!   rendered from a fresh snapshot per request.
 //!
 //! The threaded server remains the executable spec: the differential
 //! suite replays identical request schedules against both and demands
@@ -41,11 +42,20 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::poll::{fd_of, PollSet};
+
+/// Per-connection response-queue bound in bytes; a connection over the
+/// bound is not read from until the queue drains below it.
+const WRITE_QUEUE_LIMIT: usize = 8 << 20;
+/// Upper bound one loop tick blocks in `poll(2)`.
+const POLL_TIMEOUT: Duration = Duration::from_millis(2);
+/// Kernel accept backlog hint (raised above std's 128 default so a
+/// soak-scale connect storm does not stall on SYN retransmits).
+const BACKLOG: i32 = 4096;
 
 /// Tuning knobs of the poll-loop runtime.
 #[derive(Clone, Debug)]
@@ -56,20 +66,9 @@ pub struct PollServerConfig {
     pub max_connections: usize,
     /// Connections idle longer than this are reaped.
     pub idle_timeout: Duration,
-    /// Per-connection response-queue bound in bytes; a connection over
-    /// the bound is not read from until the queue drains below it.
-    pub write_queue_limit: usize,
     /// Serve `GET /metrics` + `GET /dash` on a second loopback
     /// listener owned by the same loop.
     pub metrics_endpoint: bool,
-    /// Render the text dashboard every interval (readable through
-    /// [`PollServer::last_dashboard`] and `GET /dash`).
-    pub dashboard_every: Option<Duration>,
-    /// Upper bound one loop tick blocks in `poll(2)`.
-    pub poll_timeout: Duration,
-    /// Kernel accept backlog hint (raised above std's 128 default so a
-    /// soak-scale connect storm does not stall on SYN retransmits).
-    pub backlog: i32,
 }
 
 impl Default for PollServerConfig {
@@ -77,11 +76,7 @@ impl Default for PollServerConfig {
         PollServerConfig {
             max_connections: 64,
             idle_timeout: Duration::from_secs(30),
-            write_queue_limit: 8 << 20,
             metrics_endpoint: false,
-            dashboard_every: None,
-            poll_timeout: Duration::from_millis(2),
-            backlog: 4096,
         }
     }
 }
@@ -104,12 +99,6 @@ impl PollServerConfig {
     /// Builder-style: idle-reap timeout.
     pub fn with_idle_timeout(mut self, t: Duration) -> Self {
         self.idle_timeout = t;
-        self
-    }
-
-    /// Builder-style: periodic dashboard rendering.
-    pub fn with_dashboard_every(mut self, t: Duration) -> Self {
-        self.dashboard_every = Some(t);
         self
     }
 }
@@ -153,7 +142,6 @@ pub struct PollServer {
     open: Arc<AtomicUsize>,
     /// Request counters, same shape as the threaded server's.
     pub stats: Arc<ServerStats>,
-    dashboard: Arc<Mutex<String>>,
     loop_thread: Option<JoinHandle<()>>,
 }
 
@@ -172,7 +160,7 @@ impl PollServer {
         obs: &vmr_obs::Obs,
     ) -> io::Result<PollServer> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        crate::poll::boost_backlog(&listener, cfg.backlog);
+        crate::poll::boost_backlog(&listener, BACKLOG);
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let metrics_listener = if cfg.metrics_endpoint {
@@ -192,7 +180,6 @@ impl PollServer {
         let active = Arc::new(AtomicUsize::new(0));
         let open = Arc::new(AtomicUsize::new(0));
         let stats = Arc::new(ServerStats::default());
-        let dashboard = Arc::new(Mutex::new(String::new()));
 
         let mut lp = Loop {
             listener,
@@ -213,8 +200,6 @@ impl PollServer {
             serving: 0,
             set: PollSet::new(),
             next_reap: Instant::now(),
-            dash: vmr_obs::Dashboard::new("rtnet poll server", Duration::from_secs(1)),
-            dashboard: dashboard.clone(),
         };
         let loop_thread = std::thread::spawn(move || lp.run());
 
@@ -227,7 +212,6 @@ impl PollServer {
             active,
             open,
             stats,
-            dashboard,
             loop_thread: Some(loop_thread),
         })
     }
@@ -263,12 +247,6 @@ impl PollServer {
     /// Open peer connections in the pool.
     pub fn open_connections(&self) -> usize {
         self.open.load(Ordering::SeqCst)
-    }
-
-    /// The most recently rendered periodic dashboard (empty until the
-    /// first [`PollServerConfig::dashboard_every`] tick fires).
-    pub fn last_dashboard(&self) -> String {
-        self.dashboard.lock().unwrap().clone()
     }
 
     /// Stops the loop and joins it.
@@ -408,8 +386,6 @@ struct Loop {
     serving: usize,
     set: PollSet,
     next_reap: Instant,
-    dash: vmr_obs::Dashboard,
-    dashboard: Arc<Mutex<String>>,
 }
 
 impl Loop {
@@ -429,7 +405,7 @@ impl Loop {
         }
         for (i, slot) in self.conns.iter().enumerate() {
             if let Some(c) = slot {
-                let backpressured = c.wq.bytes >= self.cfg.write_queue_limit;
+                let backpressured = c.wq.bytes >= WRITE_QUEUE_LIMIT;
                 let readable = !backpressured && !c.close_after_flush;
                 let writable = !c.wq.is_empty();
                 self.set
@@ -437,7 +413,7 @@ impl Loop {
             }
         }
 
-        if self.set.wait(self.cfg.poll_timeout).is_err() {
+        if self.set.wait(POLL_TIMEOUT).is_err() {
             // EBADF etc. — a reaped fd raced registration; next tick
             // rebuilds the set from live connections only.
             return;
@@ -464,13 +440,6 @@ impl Loop {
         if now >= self.next_reap {
             self.reap_idle(now);
             self.next_reap = now + self.cfg.idle_timeout.min(Duration::from_millis(100)) / 4;
-        }
-        if let Some(every) = self.cfg.dashboard_every {
-            self.dash.set_interval(every);
-            if self.dash.due(now) {
-                let text = self.dash.render(&self.obs.snapshot());
-                *self.dashboard.lock().unwrap() = text;
-            }
         }
         self.pobs.active_conns.set(self.live as f64);
     }
@@ -558,7 +527,7 @@ impl Loop {
             let Some(conn) = self.conns[i].as_mut() else {
                 return;
             };
-            if conn.wq.bytes >= self.cfg.write_queue_limit {
+            if conn.wq.bytes >= WRITE_QUEUE_LIMIT {
                 self.pobs.backpressure_stalls.inc();
                 return;
             }
@@ -603,7 +572,7 @@ impl Loop {
             let Some(conn) = self.conns[i].as_mut() else {
                 return false;
             };
-            if conn.wq.bytes >= self.cfg.write_queue_limit {
+            if conn.wq.bytes >= WRITE_QUEUE_LIMIT {
                 self.pobs.backpressure_stalls.inc();
                 return true;
             }
@@ -734,15 +703,10 @@ impl Loop {
         self.pobs.http_requests.inc();
         let (status, body) = match path.as_deref() {
             Some("/metrics") => ("200 OK", vmr_obs::render_prometheus(&self.obs.snapshot())),
-            Some("/dash") => {
-                let last = self.dashboard.lock().unwrap().clone();
-                let body = if last.is_empty() {
-                    vmr_obs::render_dashboard(&self.obs.snapshot(), "rtnet poll server")
-                } else {
-                    last
-                };
-                ("200 OK", body)
-            }
+            Some("/dash") => (
+                "200 OK",
+                vmr_obs::render_dashboard(&self.obs.snapshot(), "rtnet poll server"),
+            ),
             Some(_) => ("404 Not Found", "not found\n".to_string()),
             None => ("400 Bad Request", "bad request\n".to_string()),
         };
@@ -1031,6 +995,15 @@ mod tests {
         );
         let dash = http_get(maddr, "/dash").unwrap();
         assert!(dash.contains("rtnet poll server"));
+        // `/dash` renders the live registry per request: a counter
+        // bumped after the server started shows in the next one.
+        obs.counter("test.bumped_after_start").add(7);
+        let dash = http_get(maddr, "/dash").unwrap();
+        assert!(
+            dash.lines()
+                .any(|l| l.contains("test.bumped_after_start") && l.ends_with(" 7")),
+            "dashboard must carry the new counter:\n{dash}"
+        );
         let missing = http_get(maddr, "/nope").unwrap_err();
         assert_eq!(missing.kind(), io::ErrorKind::NotFound);
         srv.shutdown();

@@ -14,7 +14,7 @@
 //!
 //! - [`Baseline`] — the paper's transfer path: whole-file pull from one
 //!   validated holder per attempt, server fallback after
-//!   `peer_retry_limit` failures. Decision-for-decision identical to
+//!   `PEER_RETRY_LIMIT` failures. Decision-for-decision identical to
 //!   the pre-strategy monolith (its recorded runs are pinned by
 //!   `proptest_shuffle.rs`).
 //! - [`SwarmStrategy`] — map outputs split into fixed-size chunks,
@@ -80,7 +80,17 @@ impl StrategyKind {
     }
 }
 
-/// Shuffle tunables, embedded in the project configuration.
+/// Swarm: fixed chunk size a map output is split into.
+pub const CHUNK_BYTES: u64 = 256 << 10;
+/// Swarm: max chunk flows in flight per transfer.
+pub const MAX_PARALLEL_CHUNKS: u32 = 4;
+/// Swarm: max chunk flows in flight per (transfer, source) pair.
+pub const PER_SOURCE_CHUNKS: u32 = 2;
+/// Swarm: failed attempts per chunk before the server seeds it.
+pub const CHUNK_RETRY_LIMIT: u32 = 3;
+
+/// Shuffle tunables, embedded in the project configuration. The swarm
+/// chunk geometry is fixed by the crate's constants.
 ///
 /// Defaults select [`StrategyKind::Baseline`], which is bit-identical
 /// to an engine built before this subsystem existed.
@@ -88,14 +98,6 @@ impl StrategyKind {
 pub struct ShuffleConfig {
     /// Strategy in effect for every job of the project.
     pub strategy: StrategyKind,
-    /// Swarm: fixed chunk size a map output is split into.
-    pub chunk_bytes: u64,
-    /// Swarm: max chunk flows in flight per transfer.
-    pub max_parallel_chunks: u32,
-    /// Swarm: max chunk flows in flight per (transfer, source) pair.
-    pub per_source_chunks: u32,
-    /// Swarm: failed attempts per chunk before the server seeds it.
-    pub chunk_retry_limit: u32,
     /// Coded: placement redundancy `r` (reducer group size). Map
     /// replication and quorum are raised to at least `r`, so `r = 2`
     /// rides for free on the default 2-way validation.
@@ -106,17 +108,13 @@ impl Default for ShuffleConfig {
     fn default() -> Self {
         ShuffleConfig {
             strategy: StrategyKind::Baseline,
-            chunk_bytes: 256 << 10,
-            max_parallel_chunks: 4,
-            per_source_chunks: 2,
-            chunk_retry_limit: 3,
             redundancy: 2,
         }
     }
 }
 
 impl ShuffleConfig {
-    /// Swarm distribution with the default chunk geometry.
+    /// Swarm distribution.
     pub fn swarm() -> Self {
         ShuffleConfig {
             strategy: StrategyKind::Swarm,
@@ -129,7 +127,6 @@ impl ShuffleConfig {
         ShuffleConfig {
             strategy: StrategyKind::Coded,
             redundancy: r.max(1),
-            ..ShuffleConfig::default()
         }
     }
 
@@ -137,9 +134,7 @@ impl ShuffleConfig {
     pub fn build(&self) -> Box<dyn ShuffleStrategy + Send + Sync> {
         match self.strategy {
             StrategyKind::Baseline => Box::new(Baseline),
-            StrategyKind::Swarm => Box::new(SwarmStrategy {
-                chunk_bytes: self.chunk_bytes.max(1),
-            }),
+            StrategyKind::Swarm => Box::new(SwarmStrategy),
             StrategyKind::Coded => Box::new(CodedStrategy {
                 redundancy: self.redundancy.max(1) as usize,
             }),
@@ -260,11 +255,9 @@ impl ShuffleStrategy for Baseline {
     }
 }
 
-/// Torrent-like chunked distribution (see crate docs).
-pub struct SwarmStrategy {
-    /// Fixed chunk size.
-    pub chunk_bytes: u64,
-}
+/// Torrent-like chunked distribution in [`CHUNK_BYTES`] chunks (see
+/// crate docs).
+pub struct SwarmStrategy;
 
 impl ShuffleStrategy for SwarmStrategy {
     fn kind(&self) -> StrategyKind {
@@ -276,7 +269,7 @@ impl ShuffleStrategy for SwarmStrategy {
     }
 
     fn chunking(&self, bytes: u64) -> Option<ChunkPlan> {
-        Some(ChunkPlan::new(bytes, self.chunk_bytes))
+        Some(ChunkPlan::new(bytes, CHUNK_BYTES))
     }
 }
 
@@ -866,7 +859,7 @@ mod tests {
 
     #[test]
     fn zero_byte_transfer_is_one_chunk() {
-        let p = ChunkPlan::new(0, 256 << 10);
+        let p = ChunkPlan::new(0, CHUNK_BYTES);
         assert_eq!(p.n_chunks, 1);
         assert_eq!(p.chunk_len(0), 0);
     }

@@ -1,4 +1,5 @@
-//! Project/client configuration knobs.
+//! Project/client configuration: the paper's fixed protocol parameters
+//! as constants, and the few knobs a study varies as [`ProjectConfig`].
 //!
 //! The config is grouped into nested sub-structs per subsystem
 //! ([`vmr_trust::TrustConfig`], [`vmr_shuffle::ShuffleConfig`]) so new
@@ -21,61 +22,63 @@ pub enum Preset {
     Internet,
 }
 
-/// Server- and client-side tunables of the middleware model.
+/// Scheduler RPC round-trip overhead (request parsing, DB queries),
+/// seconds. Applied between a client's request and its grant.
+pub const RPC_OVERHEAD_S: f64 = 0.5;
+/// First backoff delay after an empty reply, seconds (capped by
+/// [`ProjectConfig::backoff_max_s`], see [`ProjectConfig::backoff_bounds`]).
+pub const BACKOFF_MIN_S: u64 = 60;
+/// Maximum results handed out per work request.
+pub const MAX_RESULTS_PER_RPC: u32 = 4;
+/// How many tasks a client wants buffered (in BOINC terms, the work
+/// buffer expressed in task slots). The client requests work when it
+/// holds fewer live tasks than this.
+pub const CLIENT_BUFFER_SLOTS: u32 = 2;
+/// Feeder shared-memory cache capacity (ready-to-send results).
+pub const FEEDER_SLOTS: usize = 100;
+/// Transitioner/feeder pass period, seconds. Reduce WUs created by a
+/// policy become visible to the scheduler only after such a pass —
+/// part of the phase-transition gap the paper describes.
+pub const SERVER_DAEMON_PERIOD_S: f64 = 5.0;
+/// Relative compute-time jitter: a task's execution time is scaled
+/// by `uniform[1-jitter, 1+jitter]` per (client, task).
+pub const COMPUTE_JITTER: f64 = 0.05;
+/// Inter-client transfers: attempts per peer before falling back to
+/// the data server ("after n failed attempts, the user resorts to
+/// downloading the file from the server").
+pub const PEER_RETRY_LIMIT: u32 = 3;
+/// Delay between peer retry attempts, seconds.
+pub const PEER_RETRY_DELAY_S: f64 = 2.0;
+/// Maximum concurrent uploads a serving client accepts ("threshold
+/// for a maximum number of inter-client connections").
+pub const MAX_SERVING_CONNECTIONS: u32 = 6;
+/// When a serving slot is busy, the fetcher retries after this many
+/// seconds.
+pub const SERVING_BUSY_RETRY_S: f64 = 1.0;
+/// Map-output serving window: files stop being served this long
+/// after they were produced, unless the server resets the timeout
+/// ("if the files have been served for too long").
+pub const SERVING_TIMEOUT_S: f64 = 3600.0;
+
+/// The settable part of the middleware model: each field is a switch
+/// or value that a bench bin or ablation sets to something other than
+/// its default (DESIGN.md §3.3 maps each to its study). The paper's
+/// fixed protocol parameters are the module's constants above.
 ///
 /// Defaults follow the paper's setup (§IV.A): replication 2, quorum 2,
 /// backoff capped at 600 s, scheduler reachable over LAN latencies.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ProjectConfig {
-    /// Scheduler RPC round-trip overhead (request parsing, DB queries),
-    /// seconds. Applied between a client's request and its grant.
-    pub rpc_overhead_s: f64,
-    /// First backoff delay after an empty reply, seconds.
-    pub backoff_min_s: u64,
     /// Backoff cap, seconds (the paper's 600 s).
     pub backoff_max_s: u64,
-    /// Maximum results handed out per work request.
-    pub max_results_per_rpc: u32,
-    /// How many tasks a client wants buffered (in BOINC terms, the work
-    /// buffer expressed in task slots). The client requests work when it
-    /// holds fewer live tasks than this.
-    pub client_buffer_slots: u32,
     /// §IV.C mitigation: report completed results immediately (extra RPC
     /// right after upload) instead of waiting for the next work-fetch
     /// RPC. Off by default — the paper's observed behaviour.
     pub report_results_immediately: bool,
-    /// Feeder shared-memory cache capacity (ready-to-send results).
-    pub feeder_slots: usize,
-    /// Transitioner/feeder pass period, seconds. Reduce WUs created by a
-    /// policy become visible to the scheduler only after such a pass —
-    /// part of the phase-transition gap the paper describes.
-    pub server_daemon_period_s: f64,
-    /// Relative compute-time jitter: a task's execution time is scaled
-    /// by `uniform[1-jitter, 1+jitter]` per (client, task).
-    pub compute_jitter: f64,
-    /// Inter-client transfers: attempts per peer before falling back to
-    /// the data server ("after n failed attempts, the user resorts to
-    /// downloading the file from the server").
-    pub peer_retry_limit: u32,
-    /// Delay between peer retry attempts, seconds.
-    pub peer_retry_delay_s: f64,
-    /// Maximum concurrent uploads a serving client accepts ("threshold
-    /// for a maximum number of inter-client connections").
-    pub max_serving_connections: u32,
-    /// When a serving slot is busy, the fetcher retries after this many
-    /// seconds.
-    pub serving_busy_retry_s: f64,
-    /// Map-output serving window: files stop being served this long
-    /// after they were produced, unless the server resets the timeout
-    /// ("if the files have been served for too long").
-    pub serving_timeout_s: f64,
     /// Locality-aware matchmaking: prefer granting a result to a client
     /// that already *serves* some of its input files (a reducer that
     /// mapped part of the data downloads that part from itself).
     pub locality_scheduling: bool,
-    /// Quarantine: stop granting work to hosts whose error rate (from
-    /// the credit ledger) exceeds this; `None` disables.
-    pub max_host_error_rate: Option<f64>,
     /// Host reputation / adaptive replication knobs (`vmr-trust`).
     /// Disabled by default — the engine is then bit-identical to the
     /// fixed-quorum baseline.
@@ -91,22 +94,9 @@ pub struct ProjectConfig {
 impl Default for ProjectConfig {
     fn default() -> Self {
         ProjectConfig {
-            rpc_overhead_s: 0.5,
-            backoff_min_s: 60,
             backoff_max_s: 600,
-            max_results_per_rpc: 4,
-            client_buffer_slots: 2,
             report_results_immediately: false,
-            feeder_slots: 100,
-            server_daemon_period_s: 5.0,
-            compute_jitter: 0.05,
-            peer_retry_limit: 3,
-            peer_retry_delay_s: 2.0,
-            max_serving_connections: 6,
-            serving_busy_retry_s: 1.0,
-            serving_timeout_s: 3600.0,
             locality_scheduling: false,
-            max_host_error_rate: None,
             trust: vmr_trust::TrustConfig::default(),
             shuffle: vmr_shuffle::ShuffleConfig::default(),
         }
@@ -121,10 +111,11 @@ impl ProjectConfig {
         }
     }
 
-    /// Backoff bounds as durations.
+    /// Backoff bounds as durations: the first delay is
+    /// [`BACKOFF_MIN_S`], lowered to the cap when the cap is below it.
     pub fn backoff_bounds(&self) -> (SimDuration, SimDuration) {
         (
-            SimDuration::from_secs(self.backoff_min_s),
+            SimDuration::from_secs(BACKOFF_MIN_S.min(self.backoff_max_s)),
             SimDuration::from_secs(self.backoff_max_s),
         )
     }
@@ -139,7 +130,7 @@ mod tests {
         let c = ProjectConfig::default();
         assert_eq!(c.backoff_max_s, 600);
         assert!(!c.report_results_immediately);
-        assert_eq!(c.peer_retry_limit, 3);
+        assert_eq!(PEER_RETRY_LIMIT, 3);
         assert!(!c.trust.enabled, "trust is opt-in");
     }
 
@@ -149,6 +140,15 @@ mod tests {
         let (lo, hi) = c.backoff_bounds();
         assert_eq!(lo, SimDuration::from_secs(60));
         assert_eq!(hi, SimDuration::from_secs(600));
+        let low_cap = ProjectConfig {
+            backoff_max_s: 30,
+            ..ProjectConfig::default()
+        };
+        let (lo, hi) = low_cap.backoff_bounds();
+        assert_eq!(
+            (lo, hi),
+            (SimDuration::from_secs(30), SimDuration::from_secs(30))
+        );
     }
 
     /// One network engine, one regime: the two presets build the same

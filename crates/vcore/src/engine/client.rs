@@ -5,6 +5,7 @@
 
 use super::transfer::InputSlot;
 use super::{clique_fingerprint, honest_fingerprint, Engine, Ev, Policy};
+use crate::config::{CLIENT_BUFFER_SLOTS, COMPUTE_JITTER, MAX_RESULTS_PER_RPC};
 use crate::fault::Corruption;
 use crate::host::HostProfile;
 use crate::sched::{pick_results, WorkRequest};
@@ -68,7 +69,7 @@ pub(super) struct ClientHot {
 pub(super) struct Client {
     pub(super) host: HostId,
     pub(super) profile: HostProfile,
-    /// Tasks held, at most `client_buffer_slots` of them: looked up by
+    /// Tasks held, at most `CLIENT_BUFFER_SLOTS` of them: looked up by
     /// id, never iterated, so order carries no meaning.
     pub(super) tasks: Vec<(ResultId, TaskProgress)>,
     pub(super) run_queue: VecDeque<ResultId>,
@@ -311,14 +312,7 @@ impl Engine {
         } else {
             0
         };
-        let mut slots_wanted = self.cfg.client_buffer_slots.saturating_sub(live);
-        // Quarantine: unreliable hosts get no work (BOINC-style host
-        // punishment driven by the validation ledger).
-        if let Some(limit) = self.cfg.max_host_error_rate {
-            if self.credit.account(cid).error_rate() > limit {
-                slots_wanted = 0;
-            }
-        }
+        let slots_wanted = CLIENT_BUFFER_SLOTS.saturating_sub(live);
         let mut got_work = false;
         let mut n_granted = 0u32;
         if slots_wanted > 0 {
@@ -348,17 +342,12 @@ impl Engine {
                     &self.db,
                     scored.into_iter().map(|(_, rid)| rid),
                     req,
-                    self.cfg.max_results_per_rpc,
+                    MAX_RESULTS_PER_RPC,
                 )
             } else {
                 // The candidate stream is lazy: the grant fills after
                 // a handful of results and the rest is never scanned.
-                pick_results(
-                    &self.db,
-                    self.feeder.candidates(),
-                    req,
-                    self.cfg.max_results_per_rpc,
-                )
+                pick_results(&self.db, self.feeder.candidates(), req, MAX_RESULTS_PER_RPC)
             };
             got_work = !picked.is_empty();
             n_granted = picked.len() as u32;
@@ -429,8 +418,7 @@ impl Engine {
             return;
         }
         let c = &self.clients[cid.0 as usize];
-        let wants =
-            !c.ready_to_report.is_empty() || (c.tasks.len() as u32) < self.cfg.client_buffer_slots;
+        let wants = !c.ready_to_report.is_empty() || (c.tasks.len() as u32) < CLIENT_BUFFER_SLOTS;
         if wants {
             self.schedule_rpc_wake(cid);
         }
@@ -514,14 +502,9 @@ impl Engine {
             t.state = TaskState::Running;
             c.running.push(rid);
             let flops = self.db.wu(self.db.result(rid).wu).spec.flops;
-            let jitter = {
-                let j = self.cfg.compute_jitter;
-                if j > 0.0 {
-                    self.hot[cid.0 as usize].rng.uniform_f64(1.0 - j, 1.0 + j)
-                } else {
-                    1.0
-                }
-            };
+            let jitter = self.hot[cid.0 as usize]
+                .rng
+                .uniform_f64(1.0 - COMPUTE_JITTER, 1.0 + COMPUTE_JITTER);
             let secs = self.clients[cid.0 as usize].profile.compute_seconds(flops) * jitter;
             let dur = SimDuration::from_secs_f64(secs);
             if self.hot[cid.0 as usize].suspended {

@@ -6,9 +6,13 @@
 use super::client::TaskState;
 use super::transfer::InputSlot;
 use super::Engine;
+use crate::config::{MAX_SERVING_CONNECTIONS, PEER_RETRY_DELAY_S, PEER_RETRY_LIMIT};
 use crate::types::ClientId;
 use vmr_obs::EventKind;
-use vmr_shuffle::{StrategyKind, SwarmSource, SwarmTransfer};
+use vmr_shuffle::{
+    StrategyKind, SwarmSource, SwarmTransfer, CHUNK_RETRY_LIMIT, MAX_PARALLEL_CHUNKS,
+    PER_SOURCE_CHUNKS,
+};
 
 /// Sentinel "source id" for swarm chunks seeded by the data server
 /// (the server is not a client, so it has no `ClientId`).
@@ -49,7 +53,7 @@ impl Engine {
             .attempts[idx];
 
         // Fall back to the data server after the retry budget.
-        if peers.is_empty() || attempts >= self.cfg.peer_retry_limit {
+        if peers.is_empty() || attempts >= PEER_RETRY_LIMIT {
             self.start_server_download(slot, bytes, None, Some(name));
             return;
         }
@@ -64,7 +68,7 @@ impl Engine {
             if let Some(t) = eng.clients[cid.0 as usize].task_mut(rid) {
                 t.attempts[idx] += 1;
             }
-            eng.schedule_peer_retry(slot, eng.cfg.peer_retry_delay_s);
+            eng.schedule_peer_retry(slot, PEER_RETRY_DELAY_S);
         };
 
         // Peer alive and still serving the file?
@@ -84,7 +88,7 @@ impl Engine {
             return;
         }
         // Serving-connection threshold on the mapper side.
-        if self.clients[peer.0 as usize].serving_now >= self.cfg.max_serving_connections {
+        if self.clients[peer.0 as usize].serving_now >= MAX_SERVING_CONNECTIONS {
             self.defer_busy(slot);
             return;
         }
@@ -94,7 +98,7 @@ impl Engine {
     }
 
     /// Swarm transfer driver: splits the input into fixed-size chunks
-    /// and keeps up to `shuffle.max_parallel_chunks` chunk flows in
+    /// and keeps up to `MAX_PARALLEL_CHUNKS` chunk flows in
     /// flight, rarest-first, pulling from sibling seeds (reducers that
     /// already completed a chunk) and validated holders under
     /// per-source concurrency caps. A chunk whose retry budget is
@@ -119,14 +123,11 @@ impl Engine {
             self.swarm
                 .insert(key, SwarmTransfer::new(name.to_string(), holders, plan));
         }
-        let max_parallel = self.cfg.shuffle.max_parallel_chunks;
-        let per_source_cap = self.cfg.shuffle.per_source_chunks;
-        let retry_limit = self.cfg.shuffle.chunk_retry_limit;
         loop {
             // Rarest-first pick of the next chunk under the global cap.
             let (chunk, chunk_len, attempts, sources) = {
                 let t = &self.swarm[&key];
-                if t.remaining() == 0 || t.inflight() >= max_parallel {
+                if t.remaining() == 0 || t.inflight() >= MAX_PARALLEL_CHUNKS {
                     return;
                 }
                 let Some(c) = t.choose_chunk(&self.swarm_index) else {
@@ -142,7 +143,7 @@ impl Engine {
 
             // Retry budget exhausted (or nobody holds the file): the
             // server seeds this chunk.
-            if sources.is_empty() || attempts >= retry_limit {
+            if sources.is_empty() || attempts >= CHUNK_RETRY_LIMIT {
                 self.start_server_download(slot, chunk_len, Some(chunk), Some(name));
                 self.swarm.get_mut(&key).unwrap().start(chunk, SERVER_SEED);
                 continue;
@@ -171,8 +172,8 @@ impl Engine {
                 if matches!(s, SwarmSource::Holder(_)) && !self.serves(ClientId(scid), name, now) {
                     continue;
                 }
-                if self.clients[scid as usize].serving_now >= self.cfg.max_serving_connections
-                    || !self.swarm[&key].source_has_room(scid, per_source_cap)
+                if self.clients[scid as usize].serving_now >= MAX_SERVING_CONNECTIONS
+                    || !self.swarm[&key].source_has_room(scid, PER_SOURCE_CHUNKS)
                 {
                     any_busy = true;
                     continue;
@@ -210,6 +211,6 @@ impl Engine {
     fn fail_chunk_attempt(&mut self, slot: InputSlot, chunk: u32) {
         let transfer = self.swarm.get_mut(&slot.swarm_key());
         transfer.expect("pump owns it").bump_attempt(chunk);
-        self.schedule_peer_retry(slot, self.cfg.peer_retry_delay_s);
+        self.schedule_peer_retry(slot, PEER_RETRY_DELAY_S);
     }
 }

@@ -8,6 +8,7 @@
 use super::client::TaskState;
 use super::fetch::SERVER_SEED;
 use super::{Engine, Ev};
+use crate::config::{PEER_RETRY_DELAY_S, RPC_OVERHEAD_S, SERVING_BUSY_RETRY_S};
 use crate::types::{ClientId, FileSource, ResultId};
 use vmr_desim::SimDuration;
 use vmr_netsim::{connect, FlowId, FlowSpec, HostId, Path, Priority};
@@ -112,7 +113,7 @@ impl Engine {
             dst,
             via: vec![],
             bytes,
-            setup_s: self.cfg.rpc_overhead_s,
+            setup_s: RPC_OVERHEAD_S,
             priority: Priority::Foreground,
             rate_cap: None,
         }
@@ -240,7 +241,7 @@ impl Engine {
     /// is not a failure — retry without consuming budget.
     pub(super) fn defer_busy(&mut self, slot: InputSlot) {
         self.eobs.busy_deferrals.inc();
-        self.schedule_peer_retry(slot, self.cfg.serving_busy_retry_s);
+        self.schedule_peer_retry(slot, SERVING_BUSY_RETRY_S);
     }
 
     /// Chooses the relay host for a NAT-relayed transfer.
@@ -426,7 +427,7 @@ impl Engine {
                 } else if let Some(t) = self.clients[slot.client.0 as usize].task_mut(slot.rid) {
                     t.attempts[slot.idx] += 1;
                 }
-                self.schedule_peer_retry(slot, self.cfg.peer_retry_delay_s);
+                self.schedule_peer_retry(slot, PEER_RETRY_DELAY_S);
             }
         }
     }

@@ -61,7 +61,7 @@ pub enum FileSource {
     DataServer,
     /// Peer volunteers holding the file (BOINC-MR inter-client path).
     /// Ordered preference list; the client walks it with retries and
-    /// falls back to the data server after `peer_retry_limit` failures.
+    /// falls back to the data server after `PEER_RETRY_LIMIT` failures.
     Peers(Vec<ClientId>),
 }
 

@@ -20,8 +20,8 @@
 #   --full      also run every property test (each crates/*/tests/*.rs
 #               that uses proptest, and the library target of each crate
 #               whose src/ holds a proptest! block) at one fresh, printed
-#               PROPTEST_SEED with 10x the cases, timing each target, and
-#               the slow smokes: the
+#               PROPTEST_SEED with 10x the cases, timing each target
+#               (scripts/fences.sh), and the slow smokes: the
 #               20k-host netsim scale leg, the shuffle strategy ablation,
 #               the trust ablation, and the 10k rtnet soak with the
 #               threaded-vs-poll ladder
@@ -94,29 +94,7 @@ if [ "$NO_TEST" -eq 0 ] && [ "$FULL" -eq 1 ]; then
     # searches. A failure prints its seed and case: rerun with it.
     seed="$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')"
     echo "==> every property test at a fresh seed, 10x the cases (--full)"
-    echo "    PROPTEST_SEED=$seed PROPTEST_CASES=2560"
-    package_of() { sed -n 's/^name = "\(.*\)"/\1/p' "$1/Cargo.toml" | head -n 1; }
-    targets=()
-    for f in crates/*/tests/*.rs; do
-        if grep -q '^use proptest' "$f"; then
-            crate="${f%/tests/*}"
-            targets+=("$(package_of "$crate") --test $(basename "$f" .rs)")
-        fi
-    done
-    for crate in crates/*; do
-        if grep -rqF 'proptest!' "$crate/src"; then
-            targets+=("$(package_of "$crate") --lib")
-        fi
-    done
-    for t in "${targets[@]}"; do
-        read -r package kind name <<< "$t"
-        start="$(date +%s.%N)"
-        # shellcheck disable=SC2086 # `$kind $name` is `--lib` or `--test <file>`
-        out="$(PROPTEST_SEED="$seed" PROPTEST_CASES=2560 \
-            cargo test --offline -p "$package" $kind $name --quiet 2>&1)" \
-            || { echo "$out" >&2; echo "property tests failed: -p $t at PROPTEST_SEED=$seed" >&2; exit 1; }
-        awk -v t="$t" -v a="$start" -v b="$(date +%s.%N)" 'BEGIN { printf "    %-40s %8.1f s\n", t, b - a }'
-    done
+    scripts/fences.sh "$seed"
 fi
 
 if [ "$NO_BENCH" -eq 0 ]; then

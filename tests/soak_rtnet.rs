@@ -149,8 +149,7 @@ fn server_role() {
     let obs = volunteer_mr::obs::Obs::new();
     let cfg = PollServerConfig::new(threshold)
         .with_metrics_endpoint()
-        .with_idle_timeout(Duration::from_secs(300))
-        .with_dashboard_every(Duration::from_secs(1));
+        .with_idle_timeout(Duration::from_secs(300));
     let srv = PollServer::start_with_obs(store, cfg, &obs).expect("poll server");
 
     // Sample peak concurrent connections while serving.
