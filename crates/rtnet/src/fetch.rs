@@ -88,90 +88,32 @@ pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<String> {
     }
 }
 
-/// Fetch policy knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct FetchPolicy {
-    /// Failed attempts per file before falling back to the server.
-    pub peer_retry_limit: u32,
-    /// Pause between retries.
-    pub retry_delay: Duration,
-}
+/// Pause between two peer attempts.
+const RETRY_DELAY: Duration = Duration::from_millis(30);
 
-impl Default for FetchPolicy {
-    fn default() -> Self {
-        FetchPolicy {
-            peer_retry_limit: 3,
-            retry_delay: Duration::from_millis(30),
-        }
-    }
-}
-
-/// Where a file was eventually obtained.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FetchSource {
-    /// Directly from a serving peer (BOINC-MR's fast path).
-    Peer(usize),
-    /// From the fall-back (project data server).
-    Fallback,
-}
-
-/// Registry handles for the reducer-side download path.
-#[derive(Clone)]
-pub(crate) struct FetchObs {
-    pub retries: vmr_obs::Counter,
-    pub peer_fetches: vmr_obs::Counter,
-    pub fallback_fetches: vmr_obs::Counter,
-}
-
-impl FetchObs {
-    pub fn attach(obs: &vmr_obs::Obs) -> Self {
-        FetchObs {
-            retries: obs.counter("rtnet.fetch_retries"),
-            peer_fetches: obs.counter("rtnet.peer_fetches"),
-            fallback_fetches: obs.counter("rtnet.fallback_fetches"),
-        }
-    }
-}
-
-/// Walks `peers` round-robin with retries, then the fall-back address.
-/// Returns the bytes and where they came from.
+/// Walks `peers` round-robin for `attempts` tries (§III.C's *n*), then
+/// the fall-back address. Counts where the bytes came from, and each
+/// failed peer attempt, as `rtnet.{peer_fetches, fallback_fetches,
+/// fetch_retries}` in `obs`.
 pub fn fetch_with_fallback(
     name: &str,
     peers: &[SocketAddr],
+    attempts: u32,
     fallback: Option<SocketAddr>,
-    policy: &FetchPolicy,
-) -> Result<(Bytes, FetchSource), FetchError> {
-    fetch_with_fallback_obs(
-        name,
-        peers,
-        fallback,
-        policy,
-        &FetchObs::attach(&vmr_obs::Obs::detached()),
-    )
-}
-
-/// [`fetch_with_fallback`] with retry/fallback counters recorded into
-/// pre-resolved registry handles.
-pub(crate) fn fetch_with_fallback_obs(
-    name: &str,
-    peers: &[SocketAddr],
-    fallback: Option<SocketAddr>,
-    policy: &FetchPolicy,
-    fobs: &FetchObs,
-) -> Result<(Bytes, FetchSource), FetchError> {
+    obs: &vmr_obs::Obs,
+) -> Result<Bytes, FetchError> {
     let mut last_err: Option<FetchError> = None;
     if !peers.is_empty() {
-        for attempt in 0..policy.peer_retry_limit {
-            let idx = attempt as usize % peers.len();
-            match fetch_once(peers[idx], name) {
+        for attempt in 0..attempts {
+            match fetch_once(peers[attempt as usize % peers.len()], name) {
                 Ok(b) => {
-                    fobs.peer_fetches.inc();
-                    return Ok((b, FetchSource::Peer(idx)));
+                    obs.counter("rtnet.peer_fetches").inc();
+                    return Ok(b);
                 }
                 Err(e) => {
                     last_err = Some(e);
-                    fobs.retries.inc();
-                    std::thread::sleep(policy.retry_delay);
+                    obs.counter("rtnet.fetch_retries").inc();
+                    std::thread::sleep(RETRY_DELAY);
                 }
             }
         }
@@ -179,8 +121,8 @@ pub(crate) fn fetch_with_fallback_obs(
     if let Some(addr) = fallback {
         match fetch_once(addr, name) {
             Ok(b) => {
-                fobs.fallback_fetches.inc();
-                return Ok((b, FetchSource::Fallback));
+                obs.counter("rtnet.fallback_fetches").inc();
+                return Ok(b);
             }
             Err(e) => last_err = Some(e),
         }
@@ -194,6 +136,7 @@ mod tests {
     use crate::server::PeerServer;
     use crate::store::OutputStore;
     use std::sync::Arc;
+    use vmr_obs::Obs;
 
     fn dead_addr() -> SocketAddr {
         // Bind-then-drop: nothing listens here afterwards.
@@ -207,15 +150,23 @@ mod tests {
         PeerServer::start(store, 8).unwrap()
     }
 
+    /// Fetches `f` from `peers` with `fallback`; returns the bytes and
+    /// the `[peer_fetches, fallback_fetches, fetch_retries]` counts.
+    fn fetch(peers: &[SocketAddr], fallback: Option<SocketAddr>) -> (Bytes, [u64; 3]) {
+        let obs = Obs::new();
+        let data = fetch_with_fallback("f", peers, 3, fallback, &obs).unwrap();
+        let snap = obs.snapshot();
+        let counts = ["peer_fetches", "fallback_fetches", "fetch_retries"]
+            .map(|k| snap.counter(&format!("rtnet.{k}")));
+        (data, counts)
+    }
+
     #[test]
     fn falls_back_to_server_after_peer_failures() {
         let fallback = server_with("f", b"from-server");
-        let peers = vec![dead_addr()];
-        let (data, src) =
-            fetch_with_fallback("f", &peers, Some(fallback.addr()), &FetchPolicy::default())
-                .unwrap();
+        let (data, counts) = fetch(&[dead_addr()], Some(fallback.addr()));
         assert_eq!(&data[..], b"from-server");
-        assert_eq!(src, FetchSource::Fallback);
+        assert_eq!(counts, [0, 1, 3]);
         fallback.shutdown();
     }
 
@@ -223,15 +174,9 @@ mod tests {
     fn prefers_peer_when_alive() {
         let peer = server_with("f", b"from-peer");
         let fallback = server_with("f", b"from-server");
-        let (data, src) = fetch_with_fallback(
-            "f",
-            &[peer.addr()],
-            Some(fallback.addr()),
-            &FetchPolicy::default(),
-        )
-        .unwrap();
+        let (data, counts) = fetch(&[peer.addr()], Some(fallback.addr()));
         assert_eq!(&data[..], b"from-peer");
-        assert_eq!(src, FetchSource::Peer(0));
+        assert_eq!(counts, [1, 0, 0]);
         peer.shutdown();
         fallback.shutdown();
     }
@@ -239,29 +184,15 @@ mod tests {
     #[test]
     fn second_peer_used_when_first_dead() {
         let peer2 = server_with("f", b"replica");
-        let (data, src) = fetch_with_fallback(
-            "f",
-            &[dead_addr(), peer2.addr()],
-            None,
-            &FetchPolicy::default(),
-        )
-        .unwrap();
+        let (data, counts) = fetch(&[dead_addr(), peer2.addr()], None);
         assert_eq!(&data[..], b"replica");
-        assert_eq!(src, FetchSource::Peer(1));
+        assert_eq!(counts, [1, 0, 1]);
         peer2.shutdown();
     }
 
     #[test]
     fn total_failure_reports_error() {
-        let err = fetch_with_fallback(
-            "f",
-            &[dead_addr()],
-            None,
-            &FetchPolicy {
-                peer_retry_limit: 2,
-                retry_delay: Duration::from_millis(1),
-            },
-        );
+        let err = fetch_with_fallback("f", &[dead_addr()], 2, None, &Obs::detached());
         assert!(err.is_err());
     }
 }

@@ -233,7 +233,7 @@ fn drive(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
                 }
             }
             if let Some(outcome) = done {
-                let f = conns[i].take().expect("fetcher exists");
+                let Some(f) = conns[i].take() else { continue };
                 free.push(i);
                 open -= 1;
                 latencies.push(f.t0.elapsed().as_micros() as f64);
@@ -250,7 +250,7 @@ fn drive(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
         }
     }
 
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    latencies.sort_by(f64::total_cmp);
     let q = |p: f64| -> f64 {
         if latencies.is_empty() {
             return 0.0;

@@ -58,14 +58,17 @@ extern "C" {
 ///
 /// ```
 /// # use vmr_rtnet::poll::PollSet;
+/// # fn main() -> std::io::Result<()> {
 /// let mut set = PollSet::new();
 /// set.clear();
 /// // set.register(fd, token, readable, writable) for every conn…
-/// let _n = set.wait(std::time::Duration::from_millis(5)).unwrap();
+/// let _n = set.wait(std::time::Duration::from_millis(5))?;
 /// for (_token, r) in set.ready() {
 ///     // drive the matching connection's state machine
 ///     let _ = r.readable;
 /// }
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Default)]
 pub struct PollSet {

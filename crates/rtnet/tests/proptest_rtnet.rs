@@ -1,16 +1,14 @@
-//! Property tests for the wire protocol and real-cluster invariants.
+//! Property tests for the wire protocol, and the serving threshold
+//! under concurrency.
 
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use std::io::Cursor;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use vmr_mapreduce::apps::WordCount;
-use vmr_mapreduce::{run_sequential, JobSpec};
 use vmr_rtnet::proto::{
     encode_request, encode_response, read_request, read_response, Request, Response,
 };
-use vmr_rtnet::{run_cluster, ClusterConfig};
 
 proptest! {
     /// Any GET name round-trips through the frame codec.
@@ -58,34 +56,6 @@ proptest! {
         let _ = read_request(&mut Cursor::new(junk.clone()));
         let _ = read_response(&mut Cursor::new(junk));
     }
-}
-
-/// Real-cluster property: for random small corpora and geometries, the
-/// TCP cluster equals the oracle (fewer cases than a pure proptest —
-/// each case spins up real threads and sockets).
-#[test]
-fn cluster_equals_oracle_random_geometries() {
-    let mut runner =
-        proptest::test_runner::TestRunner::new(proptest::test_runner::Config { cases: 8 });
-    runner
-        .run(
-            &(
-                proptest::collection::vec("[a-e]{1,5}", 10..200),
-                2usize..6,
-                1usize..4,
-                2usize..5,
-            ),
-            |(words, n_maps, n_reduces, n_workers)| {
-                let data = Arc::new(words.join(" ").into_bytes());
-                let mut cfg = ClusterConfig::new(n_workers, JobSpec::new("wc", n_maps, n_reduces));
-                cfg.replication = if n_workers >= 2 { 2 } else { 1 };
-                let report = run_cluster(Arc::new(WordCount), data.clone(), &cfg);
-                let oracle = run_sequential(&WordCount, &[&data[..]]);
-                prop_assert_eq!(report.output, oracle);
-                Ok(())
-            },
-        )
-        .unwrap();
 }
 
 /// The serving-connection threshold really rejects concurrent GETs.

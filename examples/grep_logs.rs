@@ -8,9 +8,9 @@
 //! ```
 
 use std::sync::Arc;
+use vmr_cluster::{run_cluster, ClusterConfig};
 use vmr_mapreduce::apps::{pi_estimate, pi_input, synth_log, DistGrep, MonteCarloPi, UrlVisits};
 use vmr_mapreduce::{run_sequential, JobSpec};
-use vmr_rtnet::{run_cluster, ClusterConfig};
 
 fn main() {
     let log = Arc::new(synth_log(1 << 20, 400, 7));
@@ -19,7 +19,7 @@ fn main() {
     // ----- distributed grep -----
     let app = Arc::new(DistGrep::new("/page/3"));
     let cfg = ClusterConfig::new(5, JobSpec::new("grep", 6, 2));
-    let report = run_cluster(app.clone(), log.clone(), &cfg);
+    let report = run_cluster(app.clone(), log.clone(), &cfg).expect("the cluster job completes");
     let oracle = run_sequential(app.as_ref(), &[&log[..]]);
     assert_eq!(report.output, oracle);
     let matches: u64 = report.output.values().sum();
@@ -32,7 +32,7 @@ fn main() {
     // ----- per-URL byte aggregation -----
     let app = Arc::new(UrlVisits);
     let cfg = ClusterConfig::new(5, JobSpec::new("uv", 4, 2));
-    let report = run_cluster(app.clone(), log.clone(), &cfg);
+    let report = run_cluster(app.clone(), log.clone(), &cfg).expect("the cluster job completes");
     let oracle = run_sequential(app.as_ref(), &[&log[..]]);
     assert_eq!(report.output, oracle);
     let mut top: Vec<(&String, &u64)> = report.output.iter().collect();
@@ -49,7 +49,8 @@ fn main() {
     // ----- Monte-Carlo π: classic volunteer computing as MapReduce -----
     let input = Arc::new(pi_input(24, 100_000, 1));
     let cfg = ClusterConfig::new(5, JobSpec::new("pi", 6, 1));
-    let report = run_cluster(Arc::new(MonteCarloPi), input.clone(), &cfg);
+    let report = run_cluster(Arc::new(MonteCarloPi), input.clone(), &cfg)
+        .expect("the cluster job completes");
     let oracle = run_sequential(&MonteCarloPi, &[&input[..]]);
     assert_eq!(report.output, oracle);
     let pi = pi_estimate(&report.output).unwrap();

@@ -12,10 +12,10 @@
 //!    deterministic simulator, reporting phase makespans.
 
 use std::sync::Arc;
+use vmr_cluster::{run_cluster_with_obs, ClusterConfig};
 use vmr_core::{run_experiment, ExperimentConfig, MrMode};
 use vmr_mapreduce::apps::WordCount;
 use vmr_mapreduce::{run_sequential, CorpusGen, CorpusSpec, JobSpec};
-use vmr_rtnet::{run_cluster_with_obs, ClusterConfig};
 
 fn main() {
     // ----- a small synthetic corpus (the paper used a 1 GB text file;
@@ -36,7 +36,8 @@ fn main() {
     // ----- 2. real pull-model TCP cluster -----
     let cfg = ClusterConfig::new(6, JobSpec::new("wc", 8, 3));
     let obs = vmr_obs::Obs::new();
-    let report = run_cluster_with_obs(Arc::new(WordCount), data.clone(), &cfg, &obs);
+    let report = run_cluster_with_obs(Arc::new(WordCount), data.clone(), &cfg, &obs)
+        .expect("the cluster job completes");
     assert_eq!(report.output, oracle, "TCP cluster must match the oracle");
     let snap = obs.snapshot();
     println!(

@@ -3,7 +3,7 @@
 # hash-collection grep gate on the src/ of the six simulated-core
 # crates (desim, netsim, vcore, core, shuffle, trust); the unwrap/expect grep
 # gate on the byte paths that read peer or disk bytes (durable's crc,
-# frame, wire; rtnet's proto, store); clippy on the
+# frame, wire; all of rtnet's src/); clippy on the
 # workspace, all targets, warnings as errors; the examples build; the
 # workspace test suite; then the bench smokes — flow_churn (asserts its
 # `BENCH_netsim.json` line appeared), `table1 --quick`, `fig4` and
@@ -66,12 +66,12 @@ if grep -rnE 'Hash(Map|Set)|hash_(map|set)' "${hash_free[@]}"; then
     exit 1
 fi
 
-echo "==> panic gate: no unwrap()/expect( in the WAL and rtnet byte paths outside their tests"
-# ROADMAP item 6b, as far as it is done: everything these files run on
+echo "==> panic gate: no unwrap()/expect( in the WAL byte paths or in rtnet outside their tests"
+# ROADMAP items 6b and 9(c), as far as they are done: everything these files run on
 # untrusted bytes (a torn log, a hostile peer) returns a typed error or
 # a torn tail. Only the part of each file above its `#[cfg(test)]`
 # module is checked.
-for f in crates/durable/src/{crc,frame,wire}.rs crates/rtnet/src/{proto,store}.rs; do
+for f in crates/durable/src/{crc,frame,wire}.rs crates/rtnet/src/*.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\.unwrap\(\)|\.expect\('; then
         echo "unwrap()/expect( in $f (return the error)" >&2
         exit 1

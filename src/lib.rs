@@ -9,11 +9,14 @@
 //! * [`vcore`] — BOINC-like middleware (scheduler, validator, backoff…).
 //! * [`mapreduce`] — the MapReduce framework and applications.
 //! * [`core`] — BOINC-MR: JobTracker, phases, experiments.
-//! * [`rtnet`] — the real pull-model TCP runtime.
+//! * [`rtnet`] — the real pull-model TCP transport.
+//! * [`cluster`] — a whole MapReduce job over that transport, run by
+//!   [`vcore`]'s project server.
 //!
 //! See `examples/` for runnable entry points and DESIGN.md for the
 //! system inventory.
 
+pub use vmr_cluster as cluster;
 pub use vmr_core as core;
 pub use vmr_desim as desim;
 pub use vmr_mapreduce as mapreduce;

@@ -1,13 +1,16 @@
 //! Pins DESIGN.md §3.11.1's option table to the configuration structs.
 //!
 //! Every field that `{:?}` prints for `ProjectConfig::default()` (its
-//! nested groups included), `ShuffleConfig::default()` and
-//! `PollServerConfig::default()` must have a row, with its default as
-//! `{:?}` prints it (a nested group shows its type name) and a
-//! non-empty "set to another value by" cell; every row must name a
-//! field that still exists.
+//! nested groups included), `ShuffleConfig::default()`,
+//! `PollServerConfig::default()` and `ClusterConfig::new(..)` must have
+//! a row, with its default as `{:?}` prints it (a nested group shows
+//! its type name; a field `ClusterConfig::new` takes as an argument
+//! shows `argument`) and a non-empty "set to another value by" cell;
+//! every row must name a field that still exists.
 
 use std::collections::BTreeMap;
+use volunteer_mr::cluster::ClusterConfig;
+use volunteer_mr::mapreduce::JobSpec;
 use volunteer_mr::rtnet::PollServerConfig;
 use volunteer_mr::vcore::{ProjectConfig, ShuffleConfig};
 
@@ -64,8 +67,15 @@ fn options() -> Options {
         format!("{:?}", ProjectConfig::default()),
         format!("{:?}", ShuffleConfig::default()),
         format!("{:?}", PollServerConfig::default()),
+        format!("{:?}", ClusterConfig::new(1, JobSpec::new("j", 1, 1))),
     ] {
         assert_eq!(parse_struct(&debug, 0, &mut out), debug.len());
+    }
+    // The constructor's arguments have no default, and the job
+    // geometry inside one is not an option.
+    out.retain(|(strukt, _), _| strukt != "JobSpec");
+    for field in ["n_workers", "job"] {
+        out.insert(("ClusterConfig".into(), field.into()), "argument".into());
     }
     out
 }
