@@ -265,8 +265,11 @@ proptest! {
         }
     }
 
-    /// Backoff delays are always within [min(1s, …), max] and reset on
-    /// work, for any interleaving of empty replies and grants.
+    /// Backoff delays are always within [min(1s, …), max], at least the
+    /// jitter floor of the doubled nominal delay, and back to the first
+    /// delay after work, for any interleaving of empty replies and
+    /// grants. The test keeps the count of consecutive empty replies
+    /// itself, as every client does.
     #[test]
     fn backoff_bounds_hold(
         ops in proptest::collection::vec(any::<bool>(), 1..60),
@@ -274,23 +277,29 @@ proptest! {
         max_s in 120u64..2000,
         seed in any::<u64>(),
     ) {
-        let mut b = Backoff::with_bounds(
+        let b = Backoff::with_bounds(
             SimDuration::from_secs(min_s),
             SimDuration::from_secs(max_s),
         );
+        let nominal = |failures: u32| {
+            let doubled = min_s.saturating_mul(1 << failures.saturating_sub(1).min(32));
+            doubled.min(max_s) as f64
+        };
         let mut rng = RngStream::new(seed);
+        let mut failures = 0u32;
         for op in ops {
             if op {
-                let d = b.on_empty_reply(&mut rng);
+                failures += 1;
+                let d = b.delay_after(failures, &mut rng);
                 prop_assert!(d <= SimDuration::from_secs(max_s));
                 prop_assert!(d >= SimDuration::from_secs(1));
                 // Jitter floor: at least half the nominal.
-                let nominal = b.nominal_delay();
-                prop_assert!(d.as_secs_f64() >= 0.5 * nominal.as_secs_f64() - 1e-6);
+                prop_assert!(d.as_secs_f64() >= 0.5 * nominal(failures) - 1e-6);
+                prop_assert!(d.as_secs_f64() <= nominal(failures).max(1.0) + 1e-6);
             } else {
-                b.on_work_received();
-                prop_assert!(b.is_reset());
-                prop_assert_eq!(b.nominal_delay(), SimDuration::from_secs(min_s).max(SimDuration::from_secs(1)));
+                // Work: the count restarts, so the next empty reply's
+                // delay is checked against the first nominal, `min`.
+                failures = 0;
             }
         }
     }
