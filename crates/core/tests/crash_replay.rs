@@ -19,7 +19,10 @@ use vmr_core::MrPolicy;
 use vmr_desim::{SimDuration, SimTime};
 use vmr_durable::{frame_ends, CompactionPolicy, CrashPlan, DurabilityPlan, Journal};
 use vmr_netsim::HostLink;
-use vmr_vcore::{ClientId, Engine, FaultPlan, HostProfile, TrustConfig};
+use vmr_obs::{EventKind, MetricValue};
+use vmr_vcore::{
+    ClientId, Engine, FaultPlan, HostProfile, NullPolicy, TrustConfig, WorkUnitSpec, WuId,
+};
 
 /// Asserts a resumed outcome reproduces the uninterrupted baseline
 /// bit-for-bit: Table I row, phase-time f64 bits, counters, end time.
@@ -371,4 +374,82 @@ fn crash_on_a_fault_event_resumes_bit_identically() {
         let resumed = resume_experiment(&crashed_cfg, dead.wal.as_ref().unwrap()).unwrap();
         assert_bit_identical(&resumed, &base, &format!("{crash:?}"));
     }
+}
+
+/// A time crash inside a daemon interval with no work. Six volunteers,
+/// one work unit of two ~800 s replicas: once both are granted the
+/// feeder stays empty, and the four idle hosts' empty RPCs are all the
+/// fleet does. With the event journal off those are parked wakes, not
+/// events, and the first event at or after the crash instant is one of
+/// them. The journal-off run must die at that wake as its journal-on
+/// twin does: the same WAL bytes, end clock and counters.
+#[test]
+fn crash_inside_an_idle_interval_lands_on_the_parked_wake() {
+    let run = |journal: bool, crash: CrashPlan| {
+        let plan = DurabilityPlan::new(60.0).with_crash(crash);
+        let mut eng = Engine::builder(3)
+            .durability(plan)
+            .clients((0..6).map(|_| {
+                (
+                    HostProfile::pc3001(),
+                    HostLink::symmetric_mbit(100.0, 0.000_5),
+                )
+            }))
+            .build();
+        eng.obs.journal.set_enabled(journal);
+        eng.insert_workunit(WorkUnitSpec::basic("long", "app", 800.0 * 1.5e9));
+        eng.run_until(&mut NullPolicy, SimTime::from_secs(100_000), |e| {
+            e.db.all_wus_terminal()
+        });
+        eng
+    };
+    // The first empty RPC of a host holding no replica, past 300 s.
+    let whole = run(true, CrashPlan::none());
+    let holders: Vec<u32> = whole
+        .db
+        .results_of(WuId(0))
+        .iter()
+        .filter_map(|&r| whole.db.result(r).client.map(|c| c.0))
+        .collect();
+    let wake_us = whole
+        .obs
+        .journal
+        .events()
+        .into_iter()
+        .find_map(|e| match e.kind {
+            EventKind::RpcServed {
+                client,
+                empty: true,
+                ..
+            } if e.t_us > 300_000_000 && !holders.contains(&client) => Some(e.t_us),
+            _ => None,
+        })
+        .expect("an idle host polls past 300 s");
+
+    let counters = |eng: &Engine| -> Vec<(String, u64)> {
+        eng.obs
+            .snapshot()
+            .entries
+            .into_iter()
+            .filter_map(|(name, v)| match v {
+                MetricValue::Counter(n) if name != "desim.events_delivered" => Some((name, n)),
+                _ => None,
+            })
+            .collect()
+    };
+    let unparked = run(true, CrashPlan::at_us(wake_us));
+    let parked = run(false, CrashPlan::at_us(wake_us));
+    assert!(unparked.durable().crashed() && parked.durable().crashed());
+    assert_eq!(unparked.now().as_micros(), wake_us, "died at the wake");
+    assert_eq!(parked.now(), unparked.now(), "finished_at");
+    assert_eq!(counters(&parked), counters(&unparked));
+    assert!(
+        parked.durable().log_bytes() == unparked.durable().log_bytes(),
+        "the WALs differ"
+    );
+    assert!(
+        parked.obs.snapshot().counter("desim.events_delivered")
+            < unparked.obs.snapshot().counter("desim.events_delivered"),
+        "the idle hosts' RPCs parked"
+    );
 }

@@ -5,7 +5,9 @@
 //! computes: the same seeded 40-host BOINC-MR job under the defaults,
 //! with the journal off, and with the profiling scopes on must finish
 //! every work unit at the same instant and count the same RPCs, flows
-//! and shuffle bytes. What each switch does control is checked beside
+//! and shuffle bytes. The one count the journal switch does move is the
+//! kernel's: with the journal off, idle clients' empty RPCs in daemon
+//! intervals with no work run in bulk, not as events. What each switch does control is checked beside
 //! it: the journal is empty only when disabled, the `prof.*_us`
 //! histograms are fed only when profiling is on. The same holds under
 //! the swarm shuffle, whose chunk pump has a scope of its own. And the
@@ -101,8 +103,21 @@ fn journal_and_profiling_switches_leave_the_run_unchanged() {
     }
     // Completion instants, the makespan (`now`), the event count and
     // every counter in the registry.
-    assert_eq!(journal_off.outcome, defaults.outcome, "journal off");
     assert_eq!(profiling_on.outcome, defaults.outcome, "profiling on");
+    // With the journal off, idle clients' empty RPCs in intervals whose
+    // feeder pass found no work run in bulk rather than as events: all
+    // of the above holds except the kernel's event count, which drops.
+    assert_eq!(
+        journal_off.outcome.without_event_count(),
+        defaults.outcome.without_event_count(),
+        "journal off"
+    );
+    assert!(
+        journal_off.outcome.events < defaults.outcome.events,
+        "journal off: {} events, not fewer than {}",
+        journal_off.outcome.events,
+        defaults.outcome.events
+    );
 
     assert!(defaults.journal_events > 0);
     assert_eq!(journal_off.journal_events, 0);

@@ -61,7 +61,7 @@ impl Policy for Inserting {
     }
 }
 
-fn build(seed: u64) -> (Engine, Inserting) {
+fn build(seed: u64, journal: bool) -> (Engine, Inserting) {
     let volunteer = || {
         (
             HostProfile::pc3001(),
@@ -71,31 +71,37 @@ fn build(seed: u64) -> (Engine, Inserting) {
     let mut eng = Engine::builder(seed)
         .clients((0..40).map(|_| volunteer()))
         .build();
+    eng.obs.journal.set_enabled(journal);
     let mut pol = MrPolicy::new();
     let job = MrJobConfig::paper_wordcount(20, 5, MrMode::InterClient);
     pol.submit_job(&mut eng, job);
     (eng, Inserting(pol))
 }
 
-#[test]
-fn sliced_run_with_insertion_at_now_matches_continuous_run() {
-    let done = |e: &Engine| e.db.all_wus_terminal();
-    let far = SimTime::from_secs(180_000);
+fn done(e: &Engine) -> bool {
+    e.db.all_wus_terminal()
+}
 
-    let (mut eng, mut pol) = build(5);
+/// One `run_until` call, the insertion made from inside a handler.
+fn continuous_run(journal: bool) -> Outcome {
+    let (mut eng, mut pol) = build(5, journal);
     eng.schedule_custom(INSERT_AT.saturating_since(SimTime::ZERO), TAG_INSERT);
-    let events = eng.run_until(&mut pol, far, done);
-    let continuous = Outcome::of(&eng, events);
+    let events = eng.run_until(&mut pol, SimTime::from_secs(180_000), done);
     assert!(eng.db.all_wus_terminal() && pol.0.all_done());
     assert_eq!(eng.db.n_wus(), 26, "20 maps, 5 reduces, the late arrival");
+    Outcome::of(&eng, events)
+}
 
-    let (mut eng, mut pol) = build(5);
+/// Over a thousand slices, the insertion made between two of them: the
+/// outcome, and the clock after every slice.
+fn sliced_run(journal: bool) -> (Outcome, Vec<SimTime>) {
+    let (mut eng, mut pol) = build(5, journal);
     // Same event count as above: a custom event at the instant, inert.
     eng.schedule_custom(INSERT_AT.saturating_since(SimTime::ZERO), TAG_NOOP);
     let step = SimDuration::from_micros(731_003);
     let mut horizon = SimTime::ZERO;
     let mut events = 0;
-    let mut slices = 0;
+    let mut clocks = Vec::new();
     let mut inserted = false;
     while !done(&eng) {
         horizon += step;
@@ -110,9 +116,30 @@ fn sliced_run_with_insertion_at_now_matches_continuous_run() {
             inserted = true;
         }
         events += eng.run_until(&mut pol, horizon, done);
-        slices += 1;
-        assert!(slices < 100_000, "sliced run does not finish");
+        clocks.push(eng.now());
+        assert!(clocks.len() < 100_000, "sliced run does not finish");
     }
-    assert!(inserted && slices > 500, "{slices} slices");
-    assert_eq!(Outcome::of(&eng, events), continuous);
+    assert!(inserted && clocks.len() > 500, "{} slices", clocks.len());
+    (Outcome::of(&eng, events), clocks)
+}
+
+#[test]
+fn sliced_run_with_insertion_at_now_matches_continuous_run() {
+    assert_eq!(sliced_run(true).0, continuous_run(true));
+}
+
+/// The same two runs with the event journal off, so that idle clients'
+/// empty RPCs park off the event queue: every slice that ends on its
+/// horizon settles the parked wakes up to it. Slicing must not show —
+/// the sliced run is the continuous one — and neither may parking: the
+/// clock after every slice and the outcome, bar the kernel's event
+/// count, are those of the journaled runs.
+#[test]
+fn sliced_run_with_the_journal_off_matches_its_journaled_twin() {
+    let (parked, parked_clocks) = sliced_run(false);
+    assert_eq!(parked, continuous_run(false));
+    let (unparked, unparked_clocks) = sliced_run(true);
+    assert_eq!(parked_clocks, unparked_clocks, "the clock after each slice");
+    assert_eq!(parked.without_event_count(), unparked.without_event_count());
+    assert!(parked.events < unparked.events);
 }

@@ -171,6 +171,15 @@ impl<E> Simulation<E> {
         Some(Fired { at, id, payload })
     }
 
+    /// Moves the clock forward to `t`; a no-op when `t` is not later
+    /// than now. For a model that retires some of its own events in
+    /// bulk instead of scheduling each one: it accounts for them itself
+    /// and then brings the clock to the last of them, which must not be
+    /// later than any event still pending.
+    pub fn advance_clock(&mut self, t: SimTime) {
+        self.now = self.now.max(t);
+    }
+
     /// Runs `handler` for every event until the queue drains (or the
     /// horizon/`max_events` safety valve trips). Returns the number of
     /// events delivered by this call.

@@ -61,6 +61,7 @@ impl Engine {
             swarm_index: SwarmIndex::default(),
             swarm: BTreeMap::new(),
             fobs,
+            idle: Default::default(),
         };
         eng.sim.schedule_at(SimTime::ZERO, Ev::DaemonTick);
         eng
