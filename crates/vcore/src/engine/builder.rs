@@ -198,24 +198,27 @@ impl EngineBuilder {
         };
         let mut topo = Topology::new();
         let server_host = topo.add_host(self.server_link);
-        let generated = match &self.population {
-            Some(spec) => spec.generate_into(&mut topo),
-            None => Vec::new(),
-        };
-        let added: Vec<(HostId, HostProfile)> = self
-            .clients
-            .into_iter()
-            .map(|(profile, link)| (topo.add_host(link), profile))
-            .collect();
+        // The population goes into the topology now and streams its
+        // hosts' profiles below: no per-host copy of it is held.
+        let generated = (self.population.as_ref()).map(|spec| spec.generate_into(&mut topo));
+        let first_added = topo.len() as u32;
+        for (_, link) in &self.clients {
+            topo.add_host(link.clone());
+        }
         let mut eng = Engine::from_parts(self.seed, self.cfg, topo, server_host);
         // Attach before any work units exist so genesis records land in
         // the log; a disabled journal makes every hook a no-op branch.
         eng.set_durable(journal);
-        eng.reserve_clients(generated.len() + added.len());
-        // Construction is O(hosts) and priced at 100 000 of them: the
-        // generated hosts are registered as they come, without a copy,
-        // and one rng-label buffer serves every client.
-        let placed = generated.into_iter().map(|(host, g)| (host, g.profile));
+        let n_generated = generated.as_ref().map_or(0, ExactSizeIterator::len);
+        eng.reserve_clients(n_generated + self.clients.len());
+        // Construction is O(hosts) and priced at 100 000 of them: one
+        // rng-label buffer serves every client.
+        let placed = generated
+            .into_iter()
+            .flatten()
+            .map(|(host, g)| (host, g.profile));
+        let added = (self.clients.into_iter().zip(first_added..))
+            .map(|((profile, _), host)| (HostId(host), profile));
         let mut label = String::new();
         for (host, profile) in placed.chain(added) {
             eng.push_client(profile, host, &mut label);

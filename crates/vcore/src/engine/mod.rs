@@ -1426,6 +1426,57 @@ mod tests {
         assert!(eng.net.topology().is_hierarchical());
     }
 
+    /// The builder streams the population instead of holding a copy;
+    /// what it builds is still, bit for bit, what `generate` draws:
+    /// every client's profile and access link, every tier and the
+    /// backbone.
+    #[test]
+    fn builder_population_matches_generate_bit_for_bit() {
+        let bits = |l: &HostLink| {
+            let l = [l.up_bytes_per_sec, l.down_bytes_per_sec, l.latency_s];
+            l.map(f64::to_bits)
+        };
+        for seed in [2, 17, 90_001] {
+            let spec = crate::population::PopulationSpec::internet(1_000, seed);
+            let want = spec.generate();
+            let eng = Engine::builder(seed).population(spec).build();
+            let topo = eng.net.topology();
+            assert_eq!(eng.n_clients(), want.hosts.len());
+            for (i, w) in want.hosts.iter().enumerate() {
+                let c = ClientId(i as u32);
+                let (got, host) = (eng.client_profile(c), eng.client_host(c));
+                assert_eq!(got.model, w.profile.model);
+                assert_eq!(
+                    got.flops_per_sec.to_bits(),
+                    w.profile.flops_per_sec.to_bits()
+                );
+                assert_eq!((got.slots, got.nat), (w.profile.slots, w.profile.nat));
+                let av = |p: &HostProfile| {
+                    (p.availability).map(|a| (a.on_mean_s.to_bits(), a.off_mean_s.to_bits()))
+                };
+                assert_eq!(av(got), av(&w.profile));
+                assert_eq!(
+                    bits(topo.link(host)),
+                    bits(want.topo.link(HostId(i as u32)))
+                );
+                assert_eq!(topo.tier_of(host), Some(w.tier));
+            }
+            assert_eq!(topo.num_tiers(), want.topo.num_tiers());
+            for t in 0..topo.num_tiers() as u32 {
+                let (a, b) = (
+                    topo.tier_link(vmr_netsim::TierId(t)),
+                    want.topo.tier_link(vmr_netsim::TierId(t)),
+                );
+                let tier_bits = |l: &vmr_netsim::TierLink| {
+                    [l.up_bytes_per_sec, l.down_bytes_per_sec, l.latency_s].map(f64::to_bits)
+                };
+                assert_eq!(tier_bits(a), tier_bits(b));
+            }
+            let backbone = |t: &vmr_netsim::Topology| t.capacity_at(t.backbone_index()).to_bits();
+            assert_eq!(backbone(topo), backbone(&want.topo));
+        }
+    }
+
     // ----- trust / adaptive replication -------------------------------------
 
     /// A trust config that trusts quickly and never spot-checks, so the

@@ -7,8 +7,9 @@
 //! [`PopulationSpec::generate`] draws a standalone population (used by
 //! the netsim benches); [`PopulationSpec::generate_into`] draws the
 //! same population into an existing topology so an engine can place its
-//! server host on the core first (used by the engine builder's
-//! `.population(spec)`).
+//! server host on the core first, and streams the hosts it placed (used
+//! by the engine builder's `.population(spec)`). Both replay one
+//! per-host draw sequence from the spec's seed.
 
 use crate::host::{Availability, HostProfile};
 use vmr_netsim::{HostId, HostLink, NatType, TierId, TierLink, Topology};
@@ -166,38 +167,66 @@ impl PopulationSpec {
     /// yields bit-identical topologies and profiles.
     pub fn generate(&self) -> HostPopulation {
         let mut topo = Topology::new();
-        let hosts = self
-            .generate_into(&mut topo)
-            .into_iter()
-            .map(|(_, h)| h)
-            .collect();
+        let hosts = self.generate_into(&mut topo).map(|(_, h)| h).collect();
         HostPopulation { topo, hosts }
     }
 
-    /// Draws the population into an existing topology, returning each
-    /// generated host paired with the [`HostId`] it received. The draw
-    /// sequence is independent of whatever `topo` already contains, so
-    /// an engine can place its server host on the core first and still
-    /// get the exact hosts [`PopulationSpec::generate`] would produce.
+    /// Draws the population into an existing topology and returns each
+    /// generated host paired with the [`HostId`] it received, in host
+    /// order. The draw sequence is independent of whatever `topo`
+    /// already contains, so an engine can place its server host on the
+    /// core first and still get the exact hosts
+    /// [`PopulationSpec::generate`] would produce.
     ///
-    /// Two passes: classes/ISPs/jitters are sampled first so every tier
-    /// capacity can be sized from its actual subscriber load (sum of
-    /// member downlinks over the contention ratio), then the topology is
-    /// built tiers-first (tier ids must exist before `add_host_in`).
-    pub fn generate_into(&self, topo: &mut Topology) -> Vec<(HostId, GeneratedHost)> {
+    /// Nothing per host is stored: the per-host draws are replayed from
+    /// the seed once per pass. The first pass sizes every tier from its
+    /// actual subscriber load (the sum of member downlinks, in host
+    /// order, over the contention ratio); the tiers then go in before
+    /// any host (tier ids must exist before `add_host_in`), and the
+    /// second pass adds the access links. The returned iterator is the
+    /// third pass; it borrows the spec, not `topo`.
+    pub fn generate_into(
+        &self,
+        topo: &mut Topology,
+    ) -> impl ExactSizeIterator<Item = (HostId, GeneratedHost)> + '_ {
+        let mut isp_down_mbit = vec![0.0f64; self.isps.max(1)];
+        for d in self.draws() {
+            isp_down_mbit[d.isp] += self.classes[d.class].down_mbit * d.bw_jitter;
+        }
+        let first_tier = topo.num_tiers() as u32;
+        let mut total_gbit = 0.0;
+        for &down in &isp_down_mbit {
+            let gbit = (down / 1_000.0 / self.isp_oversubscription).max(0.001);
+            total_gbit += gbit;
+            topo.add_tier(TierLink::symmetric_gbit(gbit, self.isp_latency_s));
+        }
+        topo.set_backbone(
+            total_gbit / self.backbone_oversubscription * 1e9 / 8.0,
+            self.backbone_latency_s,
+        );
+        let first_host = topo.len() as u32;
+        let tier = move |d: &Draw| TierId(first_tier + d.isp as u32);
+        topo.reserve_hosts(self.hosts);
+        for d in self.draws() {
+            let h = self.host(&d, tier(&d));
+            let latency_s = self.classes[d.class].latency_s;
+            topo.add_host_in(
+                h.tier,
+                HostLink::asymmetric_mbit(h.down_mbit, h.up_mbit, latency_s),
+            );
+        }
+        (self.draws().enumerate())
+            .map(move |(i, d)| (HostId(first_host + i as u32), self.host(&d, tier(&d))))
+    }
+
+    /// The per-host draw sequence, replayed from the seed: each host's
+    /// class, ISP, bandwidth jitter and CPU jitter, in that order.
+    fn draws(&self) -> impl ExactSizeIterator<Item = Draw> + '_ {
         assert!(!self.classes.is_empty(), "population needs ≥ 1 class");
         let total_w: f64 = self.classes.iter().map(|c| c.weight).sum();
-        let isps = self.isps.max(1);
+        let isps = self.isps.max(1) as u64;
         let mut rng = self.seed ^ 0x5851_f42d_4c95_7f2d;
-        struct Draw {
-            class: usize,
-            isp: usize,
-            bw_jitter: f64,
-            cpu_jitter: f64,
-        }
-        let mut draws = Vec::with_capacity(self.hosts);
-        let mut isp_down_mbit = vec![0.0f64; isps];
-        for _ in 0..self.hosts {
+        (0..self.hosts).map(move |_| {
             let mut roll = unit_f64(&mut rng) * total_w;
             let mut class = self.classes.len() - 1;
             for (i, c) in self.classes.iter().enumerate() {
@@ -207,59 +236,46 @@ impl PopulationSpec {
                 }
                 roll -= c.weight;
             }
-            let isp = (splitmix64(&mut rng) % isps as u64) as usize;
+            let isp = (splitmix64(&mut rng) % isps) as usize;
             let bw_jitter = 0.75 + 0.5 * unit_f64(&mut rng);
             let cpu_jitter = 0.75 + 0.5 * unit_f64(&mut rng);
-            isp_down_mbit[isp] += self.classes[class].down_mbit * bw_jitter;
-            draws.push(Draw {
+            Draw {
                 class,
                 isp,
                 bw_jitter,
                 cpu_jitter,
-            });
-        }
-        let mut tiers = Vec::with_capacity(isps);
-        let mut total_gbit = 0.0;
-        for &down in &isp_down_mbit {
-            let gbit = (down / 1_000.0 / self.isp_oversubscription).max(0.001);
-            total_gbit += gbit;
-            tiers.push(topo.add_tier(TierLink::symmetric_gbit(gbit, self.isp_latency_s)));
-        }
-        topo.set_backbone(
-            total_gbit / self.backbone_oversubscription * 1e9 / 8.0,
-            self.backbone_latency_s,
-        );
-        let mut hosts = Vec::with_capacity(self.hosts);
-        for d in draws {
-            let c = &self.classes[d.class];
-            let down_mbit = c.down_mbit * d.bw_jitter;
-            let up_mbit = c.up_mbit * d.bw_jitter;
-            let id = topo.add_host_in(
-                tiers[d.isp],
-                HostLink::asymmetric_mbit(down_mbit, up_mbit, c.latency_s),
-            );
-            hosts.push((
-                id,
-                GeneratedHost {
-                    class: d.class,
-                    tier: tiers[d.isp],
-                    down_mbit,
-                    up_mbit,
-                    profile: HostProfile {
-                        model: c.name.into(),
-                        flops_per_sec: c.flops_per_sec * d.cpu_jitter,
-                        slots: 1,
-                        nat: NatType::Open,
-                        availability: c.availability.map(|(on_mean_s, off_mean_s)| Availability {
-                            on_mean_s,
-                            off_mean_s,
-                        }),
-                    },
-                },
-            ));
-        }
-        hosts
+            }
+        })
     }
+
+    /// The host one draw describes, behind `tier`.
+    fn host(&self, d: &Draw, tier: TierId) -> GeneratedHost {
+        let c = &self.classes[d.class];
+        GeneratedHost {
+            class: d.class,
+            tier,
+            down_mbit: c.down_mbit * d.bw_jitter,
+            up_mbit: c.up_mbit * d.bw_jitter,
+            profile: HostProfile {
+                model: c.name.into(),
+                flops_per_sec: c.flops_per_sec * d.cpu_jitter,
+                slots: 1,
+                nat: NatType::Open,
+                availability: c.availability.map(|(on_mean_s, off_mean_s)| Availability {
+                    on_mean_s,
+                    off_mean_s,
+                }),
+            },
+        }
+    }
+}
+
+/// One host's draws: the only randomness in a population.
+struct Draw {
+    class: usize,
+    isp: usize,
+    bw_jitter: f64,
+    cpu_jitter: f64,
 }
 
 impl HostPopulation {
@@ -309,7 +325,7 @@ mod tests {
         let mut topo = Topology::new();
         let server = topo.add_host(HostLink::symmetric_mbit(100.0, 0.000_5));
         assert_eq!(server, HostId(0));
-        let placed = spec.generate_into(&mut topo);
+        let placed: Vec<_> = spec.generate_into(&mut topo).collect();
         assert_eq!(placed.len(), standalone.hosts.len());
         for (i, ((id, got), want)) in placed.iter().zip(&standalone.hosts).enumerate() {
             // Ids are shifted by exactly the pre-existing host count.
