@@ -16,9 +16,9 @@
 //! This is the pure counterpart of the journal's mirror rewrite
 //! ([`crate::CompactionPolicy`]): `compact(log_bytes())` equals the
 //! mirror contents after an unconditional compaction at the last
-//! commit. The journal's *in-memory* log is never compacted — it stays
-//! the authoritative append-only image so a resumed run can reproduce
-//! it bit-for-bit.
+//! commit. A sinkless journal's log is never compacted — it stays the
+//! authoritative append-only image so a resumed run can reproduce it
+//! bit-for-bit.
 
 use crate::frame;
 use crate::recover::{committed_prefix, RecoverError};

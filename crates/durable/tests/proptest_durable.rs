@@ -3,7 +3,10 @@
 //! **Differential compaction**: for any scripted journal run,
 //! `compact(image)` recovers to exactly the same state as the
 //! uncompacted image — same sections, same replay tail, same commit
-//! boundary — and compaction is idempotent.
+//! boundary — and compaction is idempotent. Two mirrored twins of the
+//! run check the file mirror against the sinkless image: an
+//! append-only mirror holds its committed prefix byte for byte, and
+//! one compacted inline recovers to the same state.
 //!
 //! **Differential frame writer**: the journal encodes every frame in
 //! place at the end of its log; for any script of changes (every
@@ -12,10 +15,13 @@
 //! behind its header — which this file keeps as the model.
 
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use vmr_durable::crc::Crc32;
 use vmr_durable::frame::{FRAME_CHANGE, FRAME_COMMIT, FRAME_SNAPSHOT, MAGIC};
 use vmr_durable::{
-    compact, recover, section, DurabilityPlan, Enc, Journal, Recovered, Sections, StateChange,
+    compact, recover, section, CompactionPolicy, DurabilityPlan, Enc, Journal, Recovered, Sections,
+    StateChange,
 };
 
 /// One scripted journal operation.
@@ -106,9 +112,18 @@ fn digest(r: &Recovered) -> Digest {
     )
 }
 
+/// A mirror path no other case of this process uses.
+fn mirror_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("vmr-proptest-{tag}-{}-{n}.wal", std::process::id()))
+}
+
 proptest! {
     /// A compacted image recovers byte-identically to the original and
-    /// `compact` is a fixpoint.
+    /// `compact` is a fixpoint; an append-only mirror holds the
+    /// image's committed prefix and one compacted inline recovers to
+    /// the same state.
     #[test]
     fn compacted_image_recovers_identically(
         raw in proptest::collection::vec((0u8..10, 0u32..40, 0u32..40), 1..80),
@@ -125,6 +140,28 @@ proptest! {
         prop_assert_eq!(digest(&a), digest(&b));
         // Idempotence: compacting a compacted image changes nothing.
         prop_assert_eq!(&compact(&compacted).unwrap(), &compacted);
+
+        let (plain, inline) = (mirror_path("plain"), mirror_path("inline"));
+        let appending = Journal::new(&DurabilityPlan::new(0.0).with_sink(&plain)).unwrap();
+        let compacting = Journal::new(
+            &DurabilityPlan::new(0.0)
+                .with_sink(&inline)
+                .with_compaction(CompactionPolicy::max_mirror_bytes(256)),
+        )
+        .unwrap();
+        drive(&appending, &ops);
+        drive(&compacting, &ops);
+        let on_disk = std::fs::read(&plain);
+        let appended = appending.log_bytes();
+        let compacted_disk = std::fs::read(&inline);
+        std::fs::remove_file(&plain).ok();
+        std::fs::remove_file(&inline).ok();
+        prop_assert_eq!(&on_disk.unwrap()[..], &image[..a.committed_bytes]);
+        prop_assert_eq!(&appended, &image);
+        prop_assert_eq!(appending.log_len(), image.len());
+        prop_assert_eq!(compacting.log_len(), image.len());
+        let c = recover(&compacted_disk.unwrap()).unwrap();
+        prop_assert_eq!(digest(&c), digest(&a));
     }
 }
 

@@ -13,9 +13,17 @@
 #
 # Per workload it prints each pair's values, then for setup_s, wall_s
 # and peak_rss_mb each side's median [q1–q3], the change of the median
-# and in how many pairs the working tree read lower; the failed-operation
-# share of each side; and whether the two sides' `exact` blocks (the
-# simulated counts, which must repeat for a seed) are equal.
+# and in how many pairs the working tree read lower; each side's median
+# minor page faults per repeat; the failed-operation share of each side;
+# and whether the two sides' `exact` blocks (the simulated counts, which
+# must repeat for a seed) are equal.
+#
+# Faults per repeat are the benchmark process's minor faults
+# (getrusage(RUSAGE_CHILDREN) around the run) over the REPORT's
+# `repeats`. They tell glibc's heap changing mode (a different mmap
+# threshold faults in thousands more pages a repeat) from a cost in the
+# code. So that cargo's faults stay out, the timed runs start the binary
+# that run.sh builds and then execs, with run.sh's arguments.
 #
 # Why equal path lengths: the same source built at checkout paths of
 # different length can read a different heap layout (setup_s 13.7 vs
@@ -31,7 +39,7 @@ while [ $# -gt 0 ]; do
         --pairs) pairs="$2"; shift 2 ;;
         --seed) seed="$2"; shift 2 ;;
         --seconds) seconds="$2"; shift 2 ;;
-        -h | --help) sed -n '2,20p' "$0"; exit 0 ;;
+        -h | --help) sed -n '2,31p' "$0"; exit 0 ;;
         *) break ;;
     esac
 done
@@ -51,26 +59,42 @@ base="$work/parent"
 head="$work/change"
 mkdir -p "$base" "$head"
 git -C "$repo" archive "$commit" | tar -x -C "$base"
+# A tracked file deleted in the working tree is listed but not copied.
 (cd "$repo" && git ls-files -z --cached --others --exclude-standard |
-    xargs -0 tar -c --no-recursion) | tar -x -C "$head"
+    xargs -0 tar -c --no-recursion --ignore-failed-read) | tar -x -C "$head"
 unset CARGO_TARGET_DIR
 
-# One run: prints the REPORT line and the result line; on a failure,
-# what the run printed goes to stderr.
+# Runs its arguments, then prints `FAULTS <n>`: the minor page faults
+# of that one child (a fresh interpreter has waited for no other).
+count_faults='
+import resource, subprocess, sys
+code = subprocess.call(sys.argv[1:])
+sys.stdout.flush()
+print("FAULTS", resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
+sys.exit(code)'
+
+# One run of a side's built binary: prints the REPORT, result and FAULTS
+# lines; on a failure, what the run printed goes to stderr.
 run() {
-    if ! bash "$1/benchmark/run.sh" --workload "$2" --seed "$seed" --seconds "$3" --trace 0 \
+    if ! python3 -c "$count_faults" "$1/benchmark/target/release/vmr-bench-e2e" \
+        --out "$1/benchmark/out" --workload "$2" --seed "$seed" --seconds "$3" --trace 0 \
         >"$work/run.out" 2>&1; then
         cat "$work/run.out" >&2
         return 1
     fi
-    grep -E '^(REPORT |\{)' "$work/run.out"
+    grep -E '^(REPORT |\{|FAULTS )' "$work/run.out"
 }
 
 for workload in "$@"; do
     log="$work/$workload.log"
     : >"$log"
+    # One warm-up run per side through its run.sh, which builds it.
     for side in "$base" "$head"; do
-        run "$side" "$workload" 0.01 >/dev/null
+        if ! bash "$side/benchmark/run.sh" --workload "$workload" --seed "$seed" \
+            --seconds 0.01 --trace 0 >"$work/run.out" 2>&1; then
+            cat "$work/run.out" >&2
+            exit 1
+        fi
     done
     for ((i = 0; i < pairs; i++)); do
         if ((i % 2 == 0)); then order=("$base" "$head"); else order=("$head" "$base"); fi
@@ -87,7 +111,11 @@ for line in open(log):
     side, i, rest = line.split(" ", 2)
     rec = runs[side].setdefault(int(i), {})
     if rest.startswith("REPORT "):
-        rec["exact"] = json.loads(rest[len("REPORT "):])["exact"]
+        report = json.loads(rest[len("REPORT "):])
+        rec["exact"] = report["exact"]
+        rec["repeats"] = report["repeats"]
+    elif rest.startswith("FAULTS "):
+        rec["faults"] = int(rest.split()[1])
     else:
         rec["result"] = json.loads(rest)
 n = int(pairs)
@@ -114,6 +142,10 @@ for m in names:
     pct = (cm - pm) / pm * 100 if pm else float("nan")
     print(f"{m:<12} {f'{pm:.6g} [{p1:.6g}-{p3:.6g}]':<32} {f'{cm:.6g} [{c1:.6g}-{c3:.6g}]':<32} "
           f"{pct:+6.1f}%  {lower}/{n}")
+faults = {side: statistics.median(runs[side][i]["faults"] / runs[side][i]["repeats"]
+                                  for i in range(n)) for side in runs}
+print(f"minor faults per repeat (median): parent {faults['parent']:.0f}  "
+      f"change {faults['change']:.0f}")
 for side in ("parent", "change"):
     failed = sum(runs[side][i]["result"]["failed"] for i in range(n))
     attempted = sum(runs[side][i]["result"]["attempted"] for i in range(n))
