@@ -7,7 +7,8 @@
 # workspace, all targets, warnings as errors; the examples build; the
 # workspace test suite; then the bench smokes — flow_churn (asserts its
 # `BENCH_netsim.json` line appeared), `table1 --quick`, `fig4`,
-# `supernode_relay`, `backoff_sweep` and `availability_study` diffed
+# `supernode_relay`, `nat_sweep`, `interclient_ablation`,
+# `locality_ablation`, `backoff_sweep` and `availability_study` diffed
 # against tests/golden/, the crash-replay smoke, the durability torture
 # smoke, and the benchmark's own smoke (all six BENCHMARK.json
 # workloads at ~1/20 size, every check on). It
@@ -101,7 +102,8 @@ fi
 if [ "$NO_BENCH" -eq 0 ]; then
     echo "==> bench smoke: flow_churn"
     cargo build --offline --release -p vmr-bench --bin flow_churn --bin table1 --bin fig4 \
-        --bin supernode_relay --bin backoff_sweep --bin availability_study
+        --bin supernode_relay --bin nat_sweep --bin interclient_ablation --bin locality_ablation \
+        --bin backoff_sweep --bin availability_study
     expect_json_line BENCH_netsim.json ./target/release/flow_churn
 
     if [ "$FULL" -eq 1 ]; then
@@ -109,16 +111,21 @@ if [ "$NO_BENCH" -eq 0 ]; then
         ./target/release/flow_churn --scale-smoke
     fi
 
-    echo "==> bench smoke: table1 --quick (with metrics dump), fig4, supernode_relay and the"
-    echo "    back-off cap and availability studies vs the committed goldens"
+    echo "==> bench smoke: table1 --quick (with metrics dump), fig4, supernode_relay, the"
+    echo "    NAT / inter-client / locality studies and the back-off cap and availability"
+    echo "    studies vs the committed goldens"
     ./target/release/table1 --quick --metrics /tmp/table1_quick_metrics.json \
         | diff tests/golden/table1_quick.txt - \
         || { echo "table1 --quick diverged from tests/golden/table1_quick.txt" >&2; exit 1; }
     [ -s /tmp/table1_quick_metrics.json ] || { echo "table1 --metrics wrote nothing" >&2; exit 1; }
     ./target/release/fig4 | diff tests/golden/fig4.txt - \
         || { echo "fig4 diverged from tests/golden/fig4.txt" >&2; exit 1; }
-    ./target/release/supernode_relay | diff tests/golden/supernode_relay.txt - \
-        || { echo "supernode_relay diverged from tests/golden/supernode_relay.txt" >&2; exit 1; }
+    # supernode_relay and the three NAT / peer-transfer studies read the
+    # NAT traversal outcomes and the bytes sent through the server.
+    for study in supernode_relay nat_sweep interclient_ablation locality_ablation; do
+        ./target/release/$study | diff "tests/golden/$study.txt" - \
+            || { echo "$study diverged from tests/golden/$study.txt" >&2; exit 1; }
+    done
     # Both studies run with the event journal off, under back-off caps
     # of 60-2400 s and under owner suspend / resume.
     for study in backoff_sweep availability_study; do
