@@ -1,12 +1,10 @@
 //! Flow-churn scaling benchmark for the netsim engine.
 //!
 //! Drives the shuffle-churn workload (see `vmr_bench::churn`) through
-//! two rungs of the scaling ladder on the one network engine:
-//!
-//! * **40 hosts** (the paper's Emulab testbed) — incremental `Network`
-//!   against the scan-everything `NaiveNetwork` reference; both must
-//!   agree bit-identically on makespan and delivered bytes.
-//! * **2 000 hosts** — incremental engine only.
+//! two rungs of the scaling ladder on the one network engine: **40
+//! hosts** (the paper's Emulab testbed) and **2 000 hosts**. (netsim's
+//! differential tests diff the engine against its scan-everything
+//! reference.)
 //!
 //! Emits one machine-readable line, `BENCH_netsim.json`, with the
 //! table.
@@ -20,27 +18,26 @@
 use std::time::Instant;
 use vmr_bench::churn::{
     churn_script, churn_topology, population_topology, run_churn, ChurnOutcome, ChurnSpec,
-    FlowEngine,
 };
-use vmr_netsim::{NaiveNetwork, Network, Topology};
+use vmr_netsim::Topology;
 
 struct Measured {
     outcome: ChurnOutcome,
     wall_s: f64,
 }
 
-fn measure_on<E: FlowEngine>(spec: &ChurnSpec, topo: Topology) -> Measured {
+fn measure_on(spec: &ChurnSpec, topo: Topology) -> Measured {
     let script = churn_script(spec);
     let t0 = Instant::now();
-    let outcome = run_churn::<E>(topo, &script);
+    let outcome = run_churn(topo, &script);
     Measured {
         outcome,
         wall_s: t0.elapsed().as_secs_f64(),
     }
 }
 
-fn measure<E: FlowEngine>(spec: &ChurnSpec) -> Measured {
-    measure_on::<E>(spec, churn_topology(spec))
+fn measure(spec: &ChurnSpec) -> Measured {
+    measure_on(spec, churn_topology(spec))
 }
 
 fn events_per_sec(m: &Measured) -> f64 {
@@ -71,7 +68,7 @@ fn scale_smoke() {
         seed: 0x51AB,
     };
     eprintln!("scale smoke: 20k-host shuffle, volunteer population…");
-    let m = measure_on::<Network>(&spec, population_topology(&spec));
+    let m = measure_on(&spec, population_topology(&spec));
     report("20k-host incremental", &m);
     assert_eq!(m.outcome.completed, m.outcome.started, "lost flows");
     eprintln!("scale smoke OK");
@@ -100,35 +97,17 @@ fn main() {
         seed: 0x51AB,
     };
 
-    eprintln!("40-host shuffle, incremental engine…");
-    let small_inc = measure::<Network>(&small);
-    eprintln!("40-host shuffle, reference engine…");
-    let small_ref = measure::<NaiveNetwork>(&small);
-    assert_eq!(
-        small_inc.outcome.makespan, small_ref.outcome.makespan,
-        "engines diverge"
-    );
-    assert_eq!(
-        small_inc.outcome.bytes, small_ref.outcome.bytes,
-        "engines diverge on delivered bytes"
-    );
+    eprintln!("40-host shuffle…");
+    let small_inc = measure(&small);
+    eprintln!("2000-host shuffle…");
+    let large_inc = measure(&large);
 
-    eprintln!("2000-host shuffle, incremental engine…");
-    let large_inc = measure::<Network>(&large);
-
-    let speedup = small_ref.wall_s / small_inc.wall_s.max(1e-9);
     report("40-host incremental", &small_inc);
-    report("40-host reference", &small_ref);
     report("2000-host incremental", &large_inc);
-    eprintln!(
-        "speedup over reference at 40 hosts / {} peak flows: {:.1}x",
-        small_inc.outcome.peak_concurrent, speedup
-    );
 
     println!(
         "BENCH_netsim.json {{\"small_hosts\": {}, \"small_flows\": {}, \"small_peak_concurrent\": {}, \
          \"small_events\": {}, \"small_wall_s\": {:.4}, \"small_events_per_s\": {:.0}, \
-         \"small_ref_wall_s\": {:.4}, \"small_ref_events_per_s\": {:.0}, \"speedup_vs_reference\": {:.2}, \
          \"large_hosts\": {}, \"large_flows\": {}, \"large_peak_concurrent\": {}, \
          \"large_events\": {}, \"large_wall_s\": {:.4}, \"large_events_per_s\": {:.0}, \
          \"large_makespan_s\": {:.1}}}",
@@ -138,9 +117,6 @@ fn main() {
         small_inc.outcome.events,
         small_inc.wall_s,
         events_per_sec(&small_inc),
-        small_ref.wall_s,
-        events_per_sec(&small_ref),
-        speedup,
         large.hosts,
         large_inc.outcome.started,
         large_inc.outcome.peak_concurrent,

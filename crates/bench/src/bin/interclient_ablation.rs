@@ -8,6 +8,11 @@ use vmr_bench::calibrated_sizing;
 use vmr_bench::run_or_exit;
 use vmr_core::{ExperimentConfig, MrMode};
 
+/// `vcore.bytes_via_server` in GB.
+fn gb_via_server(obs: &vmr_obs::Obs) -> f64 {
+    obs.snapshot().counter("vcore.bytes_via_server") as f64 / 1e9
+}
+
 fn main() {
     let sizing = calibrated_sizing();
     println!("# A2 — inter-client vs server relay (20 nodes, 20 maps, 1 GB)");
@@ -25,7 +30,7 @@ fn main() {
             (
                 out.reports[0].reduce_s,
                 out.reports[0].total_s,
-                out.stats.bytes_via_server / 1e9,
+                gb_via_server(&out.obs),
             )
         };
         let (rr, rt, rb) = run(MrMode::ServerRelay);
@@ -72,14 +77,14 @@ fn main() {
         (
             job.map_time().unwrap_or(f64::NAN),
             job.total_time().unwrap_or(f64::NAN),
-            eng.stats.bytes_via_server / 1e9,
+            gb_via_server(&eng.obs),
         )
     };
     println!(
         "with upload    : map {:>5.0} s total {:>5.0} s, {:.2} GB via server",
         with_upload.reports[0].map_s,
         with_upload.reports[0].total_s,
-        with_upload.stats.bytes_via_server / 1e9
+        gb_via_server(&with_upload.obs)
     );
     println!(
         "hash-only maps : map {:>5.0} s total {:>5.0} s, {:.2} GB via server",

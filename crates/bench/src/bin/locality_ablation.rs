@@ -59,12 +59,17 @@ fn main() {
         assert!(out.all_done);
         let mean_red: f64 =
             out.reports.iter().map(|r| r.reduce_s).sum::<f64>() / out.reports.len() as f64;
+        let snap = out.obs.snapshot();
+        let p2p_connects: u64 = ["direct", "reversal", "hole_punch", "relay"]
+            .iter()
+            .map(|path| snap.counter(&format!("vcore.nat_connects{{outcome={path}}}")))
+            .sum();
         println!(
             "{:<9} | {:>14.0} | {:>14.0} | {:>12}",
             locality,
             mean_red,
             out.finished_at.as_secs_f64(),
-            out.stats.traversal.successes(),
+            p2p_connects,
         );
     }
     println!(

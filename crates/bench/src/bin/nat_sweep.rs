@@ -46,18 +46,21 @@ fn main() {
             cfg.seed = 0xAA7;
             let out = run_or_exit(&cfg);
             assert!(out.all_done);
-            let t = &out.stats.traversal;
+            let snap = out.obs.snapshot();
+            let [direct, reversal, hole_punch, relay] =
+                ["direct", "reversal", "hole_punch", "relay"]
+                    .map(|path| snap.counter(&format!("vcore.nat_connects{{outcome={path}}}")));
             println!(
                 "{:<26} | {:<24} | {:>8.0} | {:>9} | {:>10} | {:>6}/{}/{}/{}",
                 mix_name,
                 pol_name,
                 out.reports[0].total_s,
-                out.obs.snapshot().counter("vcore.server_fallbacks"),
-                t.successes(),
-                t.direct,
-                t.reversal,
-                t.hole_punch,
-                t.relay
+                snap.counter("vcore.server_fallbacks"),
+                direct + reversal + hole_punch + relay,
+                direct,
+                reversal,
+                hole_punch,
+                relay
             );
         }
     }

@@ -1,17 +1,16 @@
-//! Threaded-vs-poll serving-runtime comparison (EXPERIMENTS.md A13).
+//! Serving-runtime concurrency ladder (EXPERIMENTS.md A13).
 //!
 //! Drives the nonblocking load generator ([`vmr_rtnet::run_load`])
-//! against both serving runtimes — the thread-per-connection
-//! [`PeerServer`] (the §III.C executable spec) and the poll-loop
-//! [`PollServer`] — over a ladder of concurrency levels, and prints a
-//! side-by-side table: throughput, p50/p99/max latency, peak open
-//! connections. Every leg re-checks the soak invariant (zero lost
-//! requests) before its row is trusted.
+//! against the poll-loop [`PollServer`] over a ladder of concurrency
+//! levels, and prints a table: throughput, p50/p99/max latency, peak
+//! open connections. Every leg re-checks the soak invariant (every
+//! request served, no unexplained connection deaths) before its row is
+//! trusted.
 //!
 //! The whole run lives in one process, so the ladder tops out well
-//! below the container's 20 000-fd ceiling (client + server sockets
-//! both count); the two-process harness in `tests/soak_rtnet.rs` is
-//! where the full 10 000-at-once cohort runs.
+//! below a 20 000-fd ceiling (client + server sockets both count); the
+//! two-process harness in `tests/soak_rtnet.rs` is where the full
+//! 10 000-at-once cohort runs.
 //!
 //! Emits one machine-readable line, `BENCH_rtnet.json`, with the table.
 //!
@@ -21,9 +20,7 @@
 use bytes::Bytes;
 use std::sync::Arc;
 use std::time::Duration;
-use vmr_rtnet::{
-    run_load, LoadConfig, LoadReport, OutputStore, PeerServer, PollServer, PollServerConfig,
-};
+use vmr_rtnet::{run_load, LoadConfig, LoadReport, OutputStore, PollServer, PollServerConfig};
 
 const PAYLOAD: usize = 8 << 10;
 
@@ -39,36 +36,18 @@ fn load(n: usize) -> LoadConfig {
     cfg
 }
 
-/// One measured leg. Both runtimes must account for every request
-/// (each terminates in a client-side bucket); only the poll runtime is
-/// additionally required to *serve* them all — the thread-per-conn
-/// server genuinely sheds connections at the top rungs, and that
-/// collapse is the datum this table exists to show.
-fn leg(runtime: &str, n: usize) -> LoadReport {
-    let report = match runtime {
-        "threaded" => {
-            let srv = PeerServer::start(make_store(), n).expect("threaded server");
-            let r = run_load(srv.addr(), &load(n)).expect("load run");
-            srv.shutdown();
-            r
-        }
-        _ => {
-            let srv =
-                PollServer::start(make_store(), PollServerConfig::new(n)).expect("poll server");
-            let r = run_load(srv.addr(), &load(n)).expect("load run");
-            srv.shutdown();
-            r
-        }
-    };
+/// One measured leg: every request must be served.
+fn leg(n: usize) -> LoadReport {
+    let srv = PollServer::start(make_store(), PollServerConfig::new(n)).expect("poll server");
+    let report = run_load(srv.addr(), &load(n)).expect("load run");
+    srv.shutdown();
     assert_eq!(
         report.completed() as usize,
         n,
-        "{runtime}@{n}: zero lost requests"
+        "poll@{n}: zero lost requests"
     );
-    if runtime == "poll" {
-        assert_eq!(report.data as usize, n, "{runtime}@{n}: all served");
-        assert_eq!(report.io_errors, 0, "{runtime}@{n}: no unexplained deaths");
-    }
+    assert_eq!(report.data as usize, n, "poll@{n}: all served");
+    assert_eq!(report.io_errors, 0, "poll@{n}: no unexplained deaths");
     report
 }
 
@@ -81,33 +60,30 @@ fn main() {
     };
 
     eprintln!(
-        "{:<10} {:>6}  {:>10}  {:>9}  {:>9}  {:>9}  {:>6}  {:>9}",
-        "runtime", "conc", "req/s", "p50 ms", "p99 ms", "max ms", "peak", "served"
+        "{:>6}  {:>10}  {:>9}  {:>9}  {:>9}  {:>6}  {:>9}",
+        "conc", "req/s", "p50 ms", "p99 ms", "max ms", "peak", "served"
     );
     let mut rows = Vec::new();
     for &n in rungs {
-        for runtime in ["threaded", "poll"] {
-            let r = leg(runtime, n);
-            let rps = r.data as f64 / r.elapsed.as_secs_f64().max(1e-9);
-            eprintln!(
-                "{:<10} {:>6}  {:>10.0}  {:>9.2}  {:>9.2}  {:>9.2}  {:>6}  {:>4}/{:<4}",
-                runtime,
-                n,
-                rps,
-                r.p50_us / 1e3,
-                r.p99_us / 1e3,
-                r.max_us / 1e3,
-                r.peak_open,
-                r.data,
-                n,
-            );
-            rows.push(format!(
-                "{{\"runtime\":\"{runtime}\",\"concurrency\":{n},\"served\":{},\
-                 \"io_errors\":{},\"req_per_s\":{rps:.0},\
-                 \"p50_us\":{:.0},\"p99_us\":{:.0},\"max_us\":{:.0},\"peak_open\":{}}}",
-                r.data, r.io_errors, r.p50_us, r.p99_us, r.max_us, r.peak_open
-            ));
-        }
+        let r = leg(n);
+        let rps = r.data as f64 / r.elapsed.as_secs_f64().max(1e-9);
+        eprintln!(
+            "{:>6}  {:>10.0}  {:>9.2}  {:>9.2}  {:>9.2}  {:>6}  {:>4}/{:<4}",
+            n,
+            rps,
+            r.p50_us / 1e3,
+            r.p99_us / 1e3,
+            r.max_us / 1e3,
+            r.peak_open,
+            r.data,
+            n,
+        );
+        rows.push(format!(
+            "{{\"concurrency\":{n},\"served\":{},\
+             \"io_errors\":{},\"req_per_s\":{rps:.0},\
+             \"p50_us\":{:.0},\"p99_us\":{:.0},\"max_us\":{:.0},\"peak_open\":{}}}",
+            r.data, r.io_errors, r.p50_us, r.p99_us, r.max_us, r.peak_open
+        ));
     }
     println!(
         "BENCH_rtnet.json {{\"payload_bytes\":{PAYLOAD},\"legs\":[{}]}}",

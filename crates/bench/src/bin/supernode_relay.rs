@@ -35,6 +35,7 @@ fn main() {
         cfg.seed = 0x5003 + supernodes as u64;
         let out = run_or_exit(&cfg);
         assert!(out.all_done);
+        let snap = out.obs.snapshot();
         let label = if supernodes == 0 {
             "server (TURN)".to_string()
         } else {
@@ -45,8 +46,8 @@ fn main() {
             label,
             out.reports[0].total_s,
             out.reports[0].reduce_s,
-            out.stats.bytes_via_server / 1e9,
-            out.stats.traversal.relay,
+            snap.counter("vcore.bytes_via_server") as f64 / 1e9,
+            snap.counter("vcore.nat_connects{outcome=relay}"),
         );
     }
     println!(

@@ -4,54 +4,13 @@
 //! MapReduce shuffle where every reducer fetches partitions from many
 //! mappers at once — hundreds to thousands of short overlapping flows,
 //! with relay paths, rate caps and background (TCP-Nice) traffic mixed
-//! in. The same deterministic script drives both [`Network`] and
-//! [`NaiveNetwork`] so their throughput can be compared honestly.
+//! in. The script is deterministic, so every run replays the same flows.
+//! (netsim's `equivalence.rs` replays the 12-host script on the
+//! scan-everything reference engine too.)
 
 use vmr_core::PopulationSpec;
 use vmr_desim::{SimDuration, SimTime};
-use vmr_netsim::{
-    Completion, FlowId, FlowSpec, HostId, HostLink, NaiveNetwork, Network, Priority, Topology,
-};
-
-/// The engine surface the churn driver needs; implemented by the
-/// incremental engine and the scan-everything reference engine.
-pub trait FlowEngine {
-    /// Wraps a topology, recording flow counters into `obs`.
-    fn build_with_obs(topo: Topology, obs: &vmr_obs::Obs) -> Self;
-    /// Starts a transfer at `now`.
-    fn start_flow(&mut self, now: SimTime, spec: FlowSpec) -> FlowId;
-    /// Advances to `now`, returning completions.
-    fn advance(&mut self, now: SimTime) -> Vec<Completion>;
-    /// Next self-event instant, if any.
-    fn next_event_time(&self) -> Option<SimTime>;
-    /// In-flight flow count.
-    fn active_flows(&self) -> usize;
-}
-
-macro_rules! impl_flow_engine {
-    ($t:ty) => {
-        impl FlowEngine for $t {
-            fn build_with_obs(topo: Topology, obs: &vmr_obs::Obs) -> Self {
-                <$t>::with_obs(topo, obs)
-            }
-            fn start_flow(&mut self, now: SimTime, spec: FlowSpec) -> FlowId {
-                <$t>::start_flow(self, now, spec)
-            }
-            fn advance(&mut self, now: SimTime) -> Vec<Completion> {
-                <$t>::advance(self, now)
-            }
-            fn next_event_time(&self) -> Option<SimTime> {
-                <$t>::next_event_time(self)
-            }
-            fn active_flows(&self) -> usize {
-                <$t>::active_flows(self)
-            }
-        }
-    };
-}
-
-impl_flow_engine!(Network);
-impl_flow_engine!(NaiveNetwork);
+use vmr_netsim::{Completion, FlowSpec, HostId, HostLink, Network, Priority, Topology};
 
 /// splitmix64 — small deterministic generator, no external dependency.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -157,18 +116,9 @@ pub struct ChurnOutcome {
 /// Replays the script event-by-event (the same pattern the simulation's
 /// world loop uses: advance to `next_event_time` or the next scripted
 /// start, whichever is sooner) until every flow has completed.
-pub fn run_churn<E: FlowEngine>(topo: Topology, script: &[(SimTime, FlowSpec)]) -> ChurnOutcome {
-    run_churn_with_obs::<E>(topo, script, &vmr_obs::Obs::detached())
-}
-
-/// [`run_churn`] with the engine's flow counters recorded into `obs`
-/// (the workload of the `obs_overhead` benchmark).
-pub fn run_churn_with_obs<E: FlowEngine>(
-    topo: Topology,
-    script: &[(SimTime, FlowSpec)],
-    obs: &vmr_obs::Obs,
-) -> ChurnOutcome {
-    let mut net = E::build_with_obs(topo, obs);
+pub fn run_churn(topo: Topology, script: &[(SimTime, FlowSpec)]) -> ChurnOutcome {
+    let obs = vmr_obs::Obs::detached();
+    let mut net = Network::with_obs(topo, &obs);
     let mut out = ChurnOutcome {
         started: 0,
         completed: 0,
@@ -214,24 +164,6 @@ pub fn run_churn_with_obs<E: FlowEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_churn_runs_identically_on_both_engines() {
-        let spec = ChurnSpec {
-            hosts: 12,
-            fetches_per_host: 3,
-            waves: 2,
-            seed: 7,
-        };
-        let script = churn_script(&spec);
-        let a = run_churn::<Network>(churn_topology(&spec), &script);
-        let b = run_churn::<NaiveNetwork>(churn_topology(&spec), &script);
-        assert_eq!(a.started, b.started);
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.bytes, b.bytes);
-        assert!(a.peak_concurrent > spec.hosts, "workload barely overlaps");
-    }
 
     #[test]
     fn population_topology_is_hierarchical() {

@@ -13,8 +13,7 @@ use vmr_desim::{SimTime, Timeline};
 use vmr_durable::{DurabilityPlan, Journal};
 use vmr_netsim::{HostLink, NatMix, TraversalPolicy};
 use vmr_vcore::{
-    ClientId, Engine, EngineStats, FaultPlan, HostProfile, ProjectConfig, ResultState, TrustConfig,
-    WuId,
+    ClientId, Engine, FaultPlan, HostProfile, ProjectConfig, ResultState, TrustConfig, WuId,
 };
 
 /// How many of each testbed node type to instantiate (§IV.A's pc3001 /
@@ -210,13 +209,13 @@ pub struct PhaseReport {
 pub struct ExperimentOutcome {
     /// Per-job phase reports (one for the paper's runs).
     pub reports: Vec<PhaseReport>,
-    /// NAT traversal outcomes and server-bound bytes.
-    pub stats: EngineStats,
     /// Event timeline (populated when `record_timeline`), rebuilt from
     /// the engine's obs journal.
     pub timeline: Timeline,
     /// Observability bundle: metrics snapshot source (every engine
-    /// count — `vcore.rpcs`, `vcore.report_delay_s`, …) and raw journal.
+    /// count — `vcore.rpcs`, `vcore.nat_connects{outcome=relay}`,
+    /// `vcore.bytes_via_server`, `vcore.report_delay_s`, …) and raw
+    /// journal.
     pub obs: vmr_obs::Obs,
     /// Simulated end time.
     pub finished_at: SimTime,
@@ -328,7 +327,6 @@ pub(crate) fn finish(eng: Engine, pol: MrPolicy) -> ExperimentOutcome {
     ExperimentOutcome {
         reports,
         all_done: pol.all_done(),
-        stats: eng.stats.clone(),
         finished_at: eng.now(),
         timeline: Timeline::from_journal(&eng.obs.journal),
         obs: eng.obs.clone(),

@@ -466,7 +466,13 @@ mod tests {
         });
         assert_eq!(pol.tracker.jobs[ji].phase, Phase::Done);
         // Server-relay reduces download from the data server only.
-        assert_eq!(eng.stats.traversal.successes(), 0);
+        let snap = eng.obs.snapshot();
+        for path in ["direct", "reversal", "hole_punch", "relay"] {
+            assert_eq!(
+                snap.counter(&format!("vcore.nat_connects{{outcome={path}}}")),
+                0
+            );
+        }
     }
 
     #[test]
@@ -506,7 +512,7 @@ mod tests {
                 e.db.all_wus_terminal()
             });
             assert!(pol.all_done());
-            eng.stats.bytes_via_server
+            eng.obs.snapshot().counter("vcore.bytes_via_server") as f64
         };
         let relay = run(MrMode::ServerRelay);
         let p2p = run(MrMode::InterClient);

@@ -11,30 +11,28 @@
 //! foreground flows have been served, so volunteer-to-volunteer bulk
 //! transfers do not hurt interactive traffic.
 //!
-//! Two implementations compute *bit-identical* rates:
+//! [`Allocator`] keeps its demand set between solves: demands join and
+//! leave one at a time, each live link keeps its member list in
+//! ascending key order with a count per class, and the capped demands
+//! stay sorted by cap, so a solve rebuilds no membership. It resets
+//! per-link state for the links the set crosses, finds the first
+//! round's bottleneck with one scan (every share is current then, so the
+//! links within the tolerance of the minimum are exactly what a heap's
+//! first pops would return), freezes their members in ascending order,
+//! and only if flows remain builds a lazily-invalidated min-heap of
+//! shares: progressive filling only ever *raises* a link's per-flow
+//! share, so a stale heap entry is a lower bound and the first entry
+//! whose stored share matches its current share is the true minimum.
+//! [`allocate`] and [`Allocator::allocate_into`] are "drop every demand,
+//! join these, solve" over the same code.
 //!
-//! * [`Allocator`] — the production path, and the only one the flow
-//!   engine runs. It keeps its demand set between solves: demands join
-//!   and leave one at a time, each live link keeps its member list in
-//!   ascending key order with a count per class, and the capped demands
-//!   stay sorted by cap, so a solve rebuilds no membership. It resets per-link state
-//!   for the links the set crosses, finds the first round's bottleneck
-//!   with one scan (every share is current then, so the links within
-//!   the tolerance of the minimum are exactly what a heap's first pops
-//!   would return), freezes their members in ascending order, and only
-//!   if flows remain builds a lazily-invalidated min-heap of shares:
-//!   progressive filling only ever *raises* a link's per-flow share, so
-//!   a stale heap entry is a lower bound and the first entry whose
-//!   stored share matches its current share is the true minimum.
-//!   [`allocate`] and [`Allocator::allocate_into`] are "drop every
-//!   demand, join these, solve" over the same code.
-//! * [`allocate_reference`] — the original O(rounds · F·d) map-based
-//!   formulation, kept as the executable specification. Property tests
-//!   assert the two agree; benches measure the gap.
+//! The original O(rounds · F·d) map-based formulation is kept in the
+//! test tree (`tests/spec`) as the executable specification; the
+//! differential tests demand bit-identical rates from the two.
 
 use crate::topology::{LinkRef, Topology};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Scheduling class of a flow.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -201,9 +199,10 @@ impl Allocator {
     /// `rates` (cleared and resized to `demands.len()`), bytes/second:
     /// drops every held demand, joins `demands` in order and solves.
     ///
-    /// Produces bit-identical results to [`allocate_reference`]: same
-    /// bottleneck shares, same freeze order (ascending demand index
-    /// within a round), same floating-point operation sequence.
+    /// Produces bit-identical results to the map-based reference in the
+    /// test tree: same bottleneck shares, same freeze order (ascending
+    /// demand index within a round), same floating-point operation
+    /// sequence.
     pub fn allocate_into(
         &mut self,
         topo: &Topology,
@@ -571,121 +570,6 @@ impl Allocator {
     }
 }
 
-/// The original map-based progressive filling, kept as the executable
-/// specification of [`allocate`] / [`Allocator`]. Its bottleneck search
-/// takes a minimum, so the maps' walk order does not matter.
-///
-/// O(rounds · flows · path length) per call — fine for the paper's
-/// 40-host testbed, quadratic pain at thousands of concurrent flows.
-/// Property tests assert [`Allocator`] matches it bit-for-bit; the
-/// `flow_churn` bench measures the speedup.
-pub fn allocate_reference<K: Clone>(topo: &Topology, flows: &[FlowDemand<K>]) -> Vec<f64> {
-    let mut rates = vec![0.0; flows.len()];
-    let mut remaining: BTreeMap<LinkRef, f64> = BTreeMap::new();
-    for f in flows {
-        for &l in &f.links {
-            remaining.entry(l).or_insert_with(|| topo.capacity(l));
-        }
-    }
-    let fg: Vec<usize> = indices_of(flows, Priority::Foreground);
-    let bg: Vec<usize> = indices_of(flows, Priority::Background);
-    fill_class_reference(flows, &fg, &mut remaining, &mut rates);
-    fill_class_reference(flows, &bg, &mut remaining, &mut rates);
-    rates
-}
-
-fn indices_of<K>(flows: &[FlowDemand<K>], p: Priority) -> Vec<usize> {
-    flows
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.priority == p)
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Progressive filling for one priority class over the capacities left
-/// in `remaining`. Mutates `remaining` so a later class sees leftovers.
-fn fill_class_reference<K>(
-    flows: &[FlowDemand<K>],
-    class: &[usize],
-    remaining: &mut BTreeMap<LinkRef, f64>,
-    rates: &mut [f64],
-) {
-    let mut unfrozen: Vec<usize> = class
-        .iter()
-        .copied()
-        .filter(|&i| !flows[i].links.is_empty())
-        .collect();
-    // Flows traversing no links (loopback) are only bounded by their cap.
-    for &i in class {
-        if flows[i].links.is_empty() {
-            rates[i] = flows[i].rate_cap.unwrap_or(f64::INFINITY);
-        }
-    }
-
-    while !unfrozen.is_empty() {
-        // Count unfrozen flows per link and find the bottleneck share.
-        let mut counts: BTreeMap<LinkRef, u32> = BTreeMap::new();
-        for &i in &unfrozen {
-            for &l in &flows[i].links {
-                *counts.entry(l).or_insert(0) += 1;
-            }
-        }
-        let mut bottleneck_share = f64::INFINITY;
-        for (&l, &n) in &counts {
-            let cap = remaining.get(&l).copied().unwrap_or(0.0).max(0.0);
-            let share = cap / n as f64;
-            if share < bottleneck_share {
-                bottleneck_share = share;
-            }
-        }
-        // Rate-capped flows below the bottleneck share freeze at their cap.
-        let capped: Vec<usize> = unfrozen
-            .iter()
-            .copied()
-            .filter(|&i| flows[i].rate_cap.is_some_and(|c| c < bottleneck_share))
-            .collect();
-        let (freeze_set, share): (Vec<usize>, Option<f64>) = if !capped.is_empty() {
-            (capped, None)
-        } else {
-            // Freeze every flow on a bottleneck link.
-            let set: Vec<usize> = unfrozen
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    flows[i].links.iter().any(|l| {
-                        let cap = remaining.get(l).copied().unwrap_or(0.0).max(0.0);
-                        let n = counts[l] as f64;
-                        (cap / n - bottleneck_share).abs() <= 1e-9 * bottleneck_share.max(1.0)
-                    })
-                })
-                .collect();
-            (set, Some(bottleneck_share))
-        };
-        debug_assert!(!freeze_set.is_empty(), "progressive filling stalled");
-        for &i in &freeze_set {
-            let r = match share {
-                Some(s) => s.min(flows[i].rate_cap.unwrap_or(f64::INFINITY)),
-                None => flows[i].rate_cap.expect("capped freeze without cap"),
-            };
-            rates[i] = r;
-            for &l in &flows[i].links {
-                if let Some(c) = remaining.get_mut(&l) {
-                    *c = (*c - r).max(0.0);
-                }
-            }
-        }
-        unfrozen.retain(|i| !freeze_set.contains(i));
-        if share == Some(0.0) {
-            // No capacity left for this class: everyone remaining gets 0.
-            for &i in &unfrozen {
-                rates[i] = 0.0;
-            }
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,70 +765,6 @@ mod tests {
         assert!((sum - MBIT100).abs() < 1.0, "sum {sum}");
         for r in &rates {
             assert!((r - MBIT100 / 8.0).abs() < 1.0);
-        }
-    }
-
-    #[test]
-    fn matches_reference_on_mixed_workload() {
-        // Asymmetric links, caps, relays, both classes — the fast path
-        // must reproduce the reference bit-for-bit.
-        let mut t = Topology::new();
-        for i in 0..12 {
-            if i % 3 == 0 {
-                t.add_host(HostLink::asymmetric_mbit(16.0, 1.0, 0.02));
-            } else {
-                t.add_host(HostLink::symmetric_mbit(100.0, 0.001));
-            }
-        }
-        let mut flows = Vec::new();
-        for i in 0..40u32 {
-            let src = i % 12;
-            let dst = (i * 7 + 3) % 12;
-            if src == dst {
-                continue;
-            }
-            let mut d = demand(
-                src,
-                dst,
-                if i % 3 == 0 {
-                    Priority::Background
-                } else {
-                    Priority::Foreground
-                },
-            );
-            if i % 5 == 0 {
-                d.rate_cap = Some(1e5 + i as f64 * 1e4);
-            }
-            if i % 7 == 0 {
-                let relay = (i * 5 + 1) % 12;
-                if relay != src && relay != dst {
-                    d.links.insert(
-                        1,
-                        LinkRef {
-                            host: HostId(relay),
-                            dir: Direction::Up,
-                        },
-                    );
-                    d.links.insert(
-                        1,
-                        LinkRef {
-                            host: HostId(relay),
-                            dir: Direction::Down,
-                        },
-                    );
-                }
-            }
-            flows.push(d);
-        }
-        let fast = allocate(&t, &flows);
-        let slow = allocate_reference(&t, &flows);
-        assert_eq!(fast.len(), slow.len());
-        for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "flow {i}: fast {a} != reference {b}"
-            );
         }
     }
 

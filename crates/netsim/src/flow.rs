@@ -63,11 +63,10 @@
 //! Call instants must be non-decreasing across `start_flow` /
 //! `abort_flow` / `advance` (event-driven callers do this naturally);
 //! the engine then reproduces the completion stream of the scan-
-//! everything reference implementation, [`crate::NaiveNetwork`] — with
-//! one known exception: a call that lands in the µs or two between a
-//! flow running out of bytes and its rounded-up `due` makes the naive
-//! engine report the flow there, and this one at its `due`
-//! (`pinned_run_out_before_due_pays_a_wave` in the differential tests).
+//! everything reference implementation the differential tests keep
+//! (`tests/spec`), bit for bit. A flow whose bytes run out in the µs or
+//! two before its rounded-up `due` is reported at that `due` by both
+//! (`pinned_run_out_before_due_pays_a_wave`).
 
 use crate::bandwidth::{Allocator, Priority};
 use crate::obs::NetObs;

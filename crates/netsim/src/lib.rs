@@ -13,8 +13,9 @@
 //!   virtual time, collect completions; integrates with `vmr-desim`.
 //!   Built on incremental data structures (anchor-based progress, lazy
 //!   completion/setup heaps) so per-event cost is independent of the
-//!   in-flight flow population; [`naive`] keeps the original
-//!   scan-everything engine as an executable specification.
+//!   in-flight flow population. The original scan-everything engine and
+//!   map-based allocator are executable specifications in the test tree
+//!   (`tests/spec`), which the differential tests diff it against.
 //! * [`nat`] / [`traversal`] — NAT endpoint classes and the tiered
 //!   direct → reversal → hole-punch → relay escalation of §III.D.
 
@@ -23,17 +24,15 @@
 pub mod bandwidth;
 mod compat;
 pub mod flow;
-pub mod naive;
 pub mod nat;
 mod obs;
 pub mod topology;
 pub mod traversal;
 
-pub use bandwidth::{allocate, allocate_reference, Allocator, FlowDemand, Priority, RouteDemand};
+pub use bandwidth::{allocate, Allocator, FlowDemand, Priority, RouteDemand};
 #[doc(hidden)]
 pub use compat::{AggregateNetwork, ScalePolicy};
 pub use flow::{Completion, FlowId, FlowSpec, Network};
-pub use naive::NaiveNetwork;
 pub use nat::{NatMix, NatType};
 pub use topology::{Direction, HostId, HostLink, LinkRef, TierId, TierLink, Topology};
-pub use traversal::{connect, ConnectOutcome, Path, TraversalPolicy, TraversalStats};
+pub use traversal::{connect, ConnectOutcome, Path, TraversalPolicy};

@@ -1,9 +1,8 @@
-//! Pre-resolved observability handles shared by the flow engine and its
-//! reference.
+//! Pre-resolved observability handles of the flow engine.
 
-/// Counters, journal and profiling scope one flow engine records into.
+/// Counters, journal and profiling scopes the flow engine records into.
 /// Resolved once at engine construction; hot-path updates are atomic
-/// bumps (or nothing at all when `vmr-obs/record` is off).
+/// bumps.
 pub(crate) struct NetObs {
     pub started: vmr_obs::Counter,
     pub completed: vmr_obs::Counter,
@@ -11,8 +10,8 @@ pub(crate) struct NetObs {
     pub bytes: vmr_obs::Counter,
     pub realloc_waves: vmr_obs::Counter,
     pub realloc_scope: vmr_obs::Scope,
-    /// Whole `Network::start_flow` / `Network::advance` calls (exact
-    /// engine only); the reallocation waves they run nest inside.
+    /// Whole `Network::start_flow` / `Network::advance` calls; the
+    /// reallocation waves they run nest inside.
     pub start_flow_scope: vmr_obs::Scope,
     pub advance_scope: vmr_obs::Scope,
     pub journal: vmr_obs::Journal,

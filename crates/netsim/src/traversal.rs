@@ -179,56 +179,6 @@ pub fn connect(
     None
 }
 
-/// Aggregated traversal statistics for a sweep.
-#[derive(Clone, Debug, Default)]
-pub struct TraversalStats {
-    /// Successful connections per path.
-    pub direct: u64,
-    /// Connections established via reversal.
-    pub reversal: u64,
-    /// Connections established via hole punching.
-    pub hole_punch: u64,
-    /// Connections established via relay.
-    pub relay: u64,
-    /// Attempts where every enabled tier failed.
-    pub failed: u64,
-    /// Sum of setup seconds over successful attempts.
-    pub setup_total_s: f64,
-}
-
-impl TraversalStats {
-    /// Records one outcome.
-    pub fn record(&mut self, outcome: Option<ConnectOutcome>) {
-        match outcome {
-            Some(o) => {
-                match o.path {
-                    Path::Direct => self.direct += 1,
-                    Path::Reversal => self.reversal += 1,
-                    Path::HolePunch => self.hole_punch += 1,
-                    Path::Relay => self.relay += 1,
-                }
-                self.setup_total_s += o.setup_s;
-            }
-            None => self.failed += 1,
-        }
-    }
-
-    /// Total successful connections.
-    pub fn successes(&self) -> u64 {
-        self.direct + self.reversal + self.hole_punch + self.relay
-    }
-
-    /// Success ratio over all attempts.
-    pub fn success_rate(&self) -> f64 {
-        let total = self.successes() + self.failed;
-        if total == 0 {
-            0.0
-        } else {
-            self.successes() as f64 / total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,23 +272,5 @@ mod tests {
         assert_eq!(relayed.path, Path::Relay);
         assert!(relayed.setup_s > direct.setup_s + 2.0 * p.failed_tier_cost_s);
         assert_eq!(relayed.tiers_tried, 4);
-    }
-
-    #[test]
-    fn stats_aggregate() {
-        let mut s = TraversalStats::default();
-        s.record(Some(ConnectOutcome {
-            path: Path::Direct,
-            setup_s: 0.2,
-            tiers_tried: 1,
-        }));
-        s.record(Some(ConnectOutcome {
-            path: Path::Relay,
-            setup_s: 1.0,
-            tiers_tried: 4,
-        }));
-        s.record(None);
-        assert_eq!(s.successes(), 2);
-        assert!((s.success_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -1,5 +1,5 @@
 //! Differential tests: the incremental allocator/flow engine against
-//! the scan-everything reference implementations.
+//! the scan-everything reference implementations in [`spec`].
 //!
 //! * [`vmr_netsim::Allocator`] (behind [`allocate`]) must reproduce
 //!   [`allocate_reference`] bit-for-bit on arbitrary topologies and
@@ -11,11 +11,14 @@
 //! * On tiered topologies, which the reference cannot model, [`Network`]
 //!   must account for every flow and replay deterministically.
 
+mod spec;
+
 use proptest::prelude::*;
+use spec::{allocate_reference, NaiveNetwork};
 use vmr_desim::{SimDuration, SimTime};
 use vmr_netsim::{
-    allocate, allocate_reference, Direction, FlowDemand, FlowSpec, HostId, HostLink, LinkRef,
-    NaiveNetwork, Network, Priority, TierLink, Topology,
+    allocate, Direction, FlowDemand, FlowSpec, HostId, HostLink, LinkRef, Network, Priority,
+    TierLink, Topology,
 };
 
 fn host_link(sel: u8) -> HostLink {
@@ -747,9 +750,6 @@ type WaveStep = ((u8, u32, u32, u32), (u64, u16, u8), u32);
 /// * 7: advance to the current instant.
 ///
 /// Both engines wake at the incremental engine's next event instant.
-/// Off `near_due` their streams must agree. On it they may not: the
-/// naive engine re-anchors a flow that ran out at a µs short of its
-/// due and reports it then, the incremental engine at its due.
 fn run_lockstep(hosts: &[u8], steps: &[WaveStep], near_due: bool) -> Result<Lockstep, String> {
     let mut topo = Topology::new();
     for &h in hosts {
@@ -888,7 +888,7 @@ fn pinned_abort_of_a_gone_flow_pays_a_wave() {
 /// in-setup start at that µs: the start must pay the wave that takes
 /// the flow out of the demand set and hands its capacity on, so the
 /// rates audited there are the reference's for the set without it.
-/// The incremental engine still reports it at its due instant.
+/// Both engines still report it at its due instant.
 #[test]
 fn pinned_run_out_before_due_pays_a_wave() {
     let hosts = [0u8, 0, 0];
@@ -902,6 +902,7 @@ fn pinned_run_out_before_due_pays_a_wave() {
     let run = run_lockstep(&hosts, &steps, true).unwrap();
     assert_eq!(run.incremental[0], (0, 493, 493));
     assert_eq!(run.incremental.len(), 3);
+    assert_eq!(run.incremental, run.naive);
 }
 
 proptest! {
@@ -910,10 +911,10 @@ proptest! {
     /// puts it after every call — starts (zero-byte, in-setup, loopback,
     /// relayed, repeated-link, capped, background), aborts in and out of
     /// the demand set, wakes, and blind steps to just short of a due
-    /// instant — and, off those blind steps, the completion stream where
-    /// the naive engine puts it. Half the topologies have only 100 and
-    /// 10 Mbit/s links, half of them nudged off a tie, so that the first
-    /// round's bottleneck often has near-tie companions.
+    /// instant — and the completion stream where the naive engine puts
+    /// it. Half the topologies have only 100 and 10 Mbit/s links, half of
+    /// them nudged off a tie, so that the first round's bottleneck often
+    /// has near-tie companions.
     #[test]
     fn persistent_solver_matches_reference_after_every_wave(
         hosts in proptest::collection::vec(0u8..8, 2usize..8),
@@ -936,9 +937,214 @@ proptest! {
         let run = run_lockstep(&hosts, &steps, near_due);
         prop_assert!(run.is_ok(), "{}", run.err().unwrap_or_default());
         let run = run.unwrap();
-        if !near_due {
-            let diff = stream_divergence(&run.incremental, &run.naive);
-            prop_assert!(diff.is_none(), "completion streams diverge: {}", diff.unwrap());
+        let diff = stream_divergence(&run.incremental, &run.naive);
+        prop_assert!(diff.is_none(), "completion streams diverge: {}", diff.unwrap());
+    }
+}
+
+/// Asymmetric links, caps, relays, both classes — the allocator must
+/// reproduce the reference bit-for-bit.
+#[test]
+fn matches_reference_on_mixed_workload() {
+    let mut t = Topology::new();
+    for i in 0..12 {
+        if i % 3 == 0 {
+            t.add_host(HostLink::asymmetric_mbit(16.0, 1.0, 0.02));
+        } else {
+            t.add_host(HostLink::symmetric_mbit(100.0, 0.001));
         }
     }
+    let mut flows = Vec::new();
+    for i in 0..40u32 {
+        let src = i % 12;
+        let dst = (i * 7 + 3) % 12;
+        if src == dst {
+            continue;
+        }
+        let mut d = FlowDemand {
+            key: src * 1000 + dst,
+            links: vec![
+                LinkRef {
+                    host: HostId(src),
+                    dir: Direction::Up,
+                },
+                LinkRef {
+                    host: HostId(dst),
+                    dir: Direction::Down,
+                },
+            ],
+            priority: if i % 3 == 0 {
+                Priority::Background
+            } else {
+                Priority::Foreground
+            },
+            rate_cap: None,
+        };
+        if i % 5 == 0 {
+            d.rate_cap = Some(1e5 + i as f64 * 1e4);
+        }
+        if i % 7 == 0 {
+            let relay = (i * 5 + 1) % 12;
+            if relay != src && relay != dst {
+                d.links.insert(
+                    1,
+                    LinkRef {
+                        host: HostId(relay),
+                        dir: Direction::Up,
+                    },
+                );
+                d.links.insert(
+                    1,
+                    LinkRef {
+                        host: HostId(relay),
+                        dir: Direction::Down,
+                    },
+                );
+            }
+        }
+        flows.push(d);
+    }
+    let fast = allocate(&t, &flows);
+    let slow = allocate_reference(&t, &flows);
+    assert_eq!(fast.len(), slow.len());
+    for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "flow {i}: fast {a} != reference {b}"
+        );
+    }
+}
+
+#[test]
+fn naive_engine_still_works() {
+    let mut t = Topology::new();
+    for _ in 0..3 {
+        t.add_host(HostLink::symmetric_mbit(100.0, 0.0));
+    }
+    let obs = vmr_obs::Obs::new();
+    let mut n = NaiveNetwork::with_obs(t, &obs);
+    n.start_flow(
+        SimTime::ZERO,
+        FlowSpec::simple(HostId(0), HostId(1), 12_500_000),
+    );
+    n.start_flow(
+        SimTime::ZERO,
+        FlowSpec::simple(HostId(0), HostId(2), 12_500_000),
+    );
+    let mut done = Vec::new();
+    while let Some(t) = n.next_event_time() {
+        assert!(t < SimTime::MAX, "stalled flow");
+        done.extend(n.advance(t));
+    }
+    assert_eq!(done.len(), 2);
+    for c in &done {
+        assert!((c.at.as_secs_f64() - 2.0).abs() < 1e-3, "{:?}", c.at);
+    }
+    assert_eq!(obs.snapshot().counter("netsim.bytes_delivered"), 25_000_000);
+}
+
+/// splitmix64, as `vmr-bench`'s churn workload draws it.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `vmr-bench`'s `churn_topology` and `churn_script` at 12 hosts, three
+/// fetches per host, two waves, seed 7: the same draws in the same
+/// order. Returns the topology and the starts, ascending in time.
+fn small_churn() -> (Topology, Vec<(SimTime, FlowSpec)>) {
+    const HOSTS: u32 = 12;
+    const SEED: u64 = 7;
+    let mut rng = SEED ^ 0xC0FF_EE00;
+    let mut topo = Topology::new();
+    for _ in 0..HOSTS {
+        if splitmix64(&mut rng) % 100 < 75 {
+            topo.add_host(HostLink::symmetric_mbit(100.0, 0.001));
+        } else {
+            topo.add_host(HostLink::asymmetric_mbit(10.0, 1.0, 0.02));
+        }
+    }
+    let mut rng = SEED;
+    let n = HOSTS as u64;
+    let mut script = Vec::new();
+    for wave in 0..2 {
+        let wave_start = SimTime::from_secs(10 * wave);
+        for dst in 0..HOSTS {
+            for _ in 0..3 {
+                let at = wave_start + SimDuration::from_micros(splitmix64(&mut rng) % 2_000_000);
+                let src = HostId((splitmix64(&mut rng) % n) as u32);
+                let bytes = 200_000 + splitmix64(&mut rng) % 3_800_000;
+                let mut fs = FlowSpec::simple(src, HostId(dst), bytes);
+                fs.setup_s = 0.05 + (splitmix64(&mut rng) % 250) as f64 / 1_000.0;
+                let roll = splitmix64(&mut rng) % 100;
+                if roll < 20 {
+                    fs.priority = Priority::Background;
+                }
+                if roll < 5 {
+                    fs.via = vec![HostId((splitmix64(&mut rng) % n) as u32)];
+                }
+                if roll >= 90 {
+                    fs.rate_cap = Some(250_000.0);
+                }
+                script.push((at, fs));
+            }
+        }
+    }
+    script.sort_by_key(|(at, _)| *at);
+    (topo, script)
+}
+
+/// Replays a churn script the way the world loop does — advance to the
+/// next network event or the next scripted start, whichever is sooner —
+/// and returns `(makespan µs, completions, peak in-flight flows,
+/// netsim.bytes_delivered)`.
+macro_rules! churn_runner {
+    ($name:ident, $engine:ty) => {
+        fn $name(topo: Topology, script: &[(SimTime, FlowSpec)]) -> (u64, usize, usize, u64) {
+            let obs = vmr_obs::Obs::new();
+            let mut net = <$engine>::with_obs(topo, &obs);
+            let (mut makespan, mut completed, mut peak) = (SimTime::ZERO, 0, 0);
+            let mut harvest = |done: Vec<vmr_netsim::Completion>| {
+                for c in &done {
+                    makespan = makespan.max(c.at);
+                }
+                completed += done.len();
+            };
+            for (at, fs) in script {
+                while let Some(t) = net.next_event_time().filter(|t| t < at) {
+                    harvest(net.advance(t));
+                }
+                harvest(net.advance(*at));
+                net.start_flow(*at, fs.clone());
+                peak = peak.max(net.active_flows());
+            }
+            while let Some(t) = net.next_event_time() {
+                assert!(t < SimTime::MAX, "stalled churn flow");
+                harvest(net.advance(t));
+            }
+            let bytes = obs.snapshot().counter("netsim.bytes_delivered");
+            (makespan.as_micros(), completed, peak, bytes)
+        }
+    };
+}
+
+churn_runner!(run_churn_incremental, Network);
+churn_runner!(run_churn_naive, NaiveNetwork);
+
+/// The 12-host churn script on both engines. The pinned outcome is what
+/// `vmr-bench`'s `run_churn` reads on that script, so the copy above
+/// draws the same flows.
+#[test]
+fn small_churn_runs_identically_on_both_engines() {
+    let (topo, script) = small_churn();
+    let inc = run_churn_incremental(topo.clone(), &script);
+    let nai = run_churn_naive(topo, &script);
+    assert_eq!(inc, nai);
+    assert_eq!(inc.1, script.len(), "lost flows");
+    assert!(inc.2 > 12, "workload barely overlaps");
+    assert_eq!(inc, (101_456_651, 72, 25, 142_744_158));
 }

@@ -1,39 +1,128 @@
-//! The scan-everything flow engine, kept as an executable specification.
-//!
-//! [`NaiveNetwork`] implements the same flow semantics as
-//! [`crate::Network`] with none of its incremental machinery: completion
-//! prediction scans all flows, **every** settle reallocates, every
-//! reallocation clones the whole demand set and runs the map-based
-//! reference allocator. O(F) per event query and O(F² · d) per
-//! reallocation wave, which is fine for the paper's 40-host testbed and
-//! hopeless at thousands of concurrent flows.
-//!
-//! Byte progress uses the same anchor discipline as the incremental
-//! engine — a flow's remaining bytes are materialized only when its rate
-//! changes, in one multiply from the anchor instant. This makes the
-//! observable behaviour independent of *when* the caller happens to call
-//! `advance` (the pre-rewrite engine re-integrated bytes at every
-//! observation, so the `ceil` to whole microseconds could land one
-//! microsecond differently depending on the call pattern), and it is
-//! what lets the differential tests in `tests/equivalence.rs` demand the
-//! two engines produce **bit-identical completion streams**.
-//!
-//! The reference allocator speaks the flat [`LinkRef`] vocabulary
-//! (host access links only), so this engine models **flat topologies
-//! only** — construction rejects tiered/backbone hierarchies. That is
-//! deliberate: the spec engine pins down testbed-scale semantics, and
-//! the hierarchical regimes are validated against [`crate::Network`]
-//! (which shares the dense-index path code) instead.
-//!
-//! Do not use this in simulations; use [`crate::Network`].
+//! The executable specifications of the flow engine, kept as test
+//! oracles: the map-based max–min allocator and the scan-everything
+//! flow engine. `equivalence.rs` demands that [`vmr_netsim::Allocator`]
+//! and [`vmr_netsim::Network`] reproduce them bit for bit.
 
-use crate::bandwidth::{allocate_reference, FlowDemand};
-use crate::flow::{Completion, FlowId, FlowSpec};
-use crate::obs::NetObs;
-use crate::topology::{Direction, LinkRef, Topology};
 use std::collections::BTreeMap;
 use vmr_desim::{SimDuration, SimTime};
+use vmr_netsim::{
+    Completion, Direction, FlowDemand, FlowId, FlowSpec, LinkRef, Priority, Topology,
+};
 use vmr_obs::EventKind;
+
+/// The original map-based progressive filling, the executable
+/// specification of [`vmr_netsim::allocate`] / [`vmr_netsim::Allocator`].
+/// Its bottleneck search takes a minimum, so the maps' walk order does
+/// not matter.
+///
+/// O(rounds · flows · path length) per call — fine for the paper's
+/// 40-host testbed, quadratic pain at thousands of concurrent flows.
+pub fn allocate_reference<K: Clone>(topo: &Topology, flows: &[FlowDemand<K>]) -> Vec<f64> {
+    let mut rates = vec![0.0; flows.len()];
+    let mut remaining: BTreeMap<LinkRef, f64> = BTreeMap::new();
+    for f in flows {
+        for &l in &f.links {
+            remaining.entry(l).or_insert_with(|| topo.capacity(l));
+        }
+    }
+    let fg: Vec<usize> = indices_of(flows, Priority::Foreground);
+    let bg: Vec<usize> = indices_of(flows, Priority::Background);
+    fill_class_reference(flows, &fg, &mut remaining, &mut rates);
+    fill_class_reference(flows, &bg, &mut remaining, &mut rates);
+    rates
+}
+
+fn indices_of<K>(flows: &[FlowDemand<K>], p: Priority) -> Vec<usize> {
+    flows
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.priority == p)
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// Progressive filling for one priority class over the capacities left
+/// in `remaining`. Mutates `remaining` so a later class sees leftovers.
+fn fill_class_reference<K>(
+    flows: &[FlowDemand<K>],
+    class: &[usize],
+    remaining: &mut BTreeMap<LinkRef, f64>,
+    rates: &mut [f64],
+) {
+    let mut unfrozen: Vec<usize> = class
+        .iter()
+        .copied()
+        .filter(|&i| !flows[i].links.is_empty())
+        .collect();
+    // Flows traversing no links (loopback) are only bounded by their cap.
+    for &i in class {
+        if flows[i].links.is_empty() {
+            rates[i] = flows[i].rate_cap.unwrap_or(f64::INFINITY);
+        }
+    }
+
+    while !unfrozen.is_empty() {
+        // Count unfrozen flows per link and find the bottleneck share.
+        let mut counts: BTreeMap<LinkRef, u32> = BTreeMap::new();
+        for &i in &unfrozen {
+            for &l in &flows[i].links {
+                *counts.entry(l).or_insert(0) += 1;
+            }
+        }
+        let mut bottleneck_share = f64::INFINITY;
+        for (&l, &n) in &counts {
+            let cap = remaining.get(&l).copied().unwrap_or(0.0).max(0.0);
+            let share = cap / n as f64;
+            if share < bottleneck_share {
+                bottleneck_share = share;
+            }
+        }
+        // Rate-capped flows below the bottleneck share freeze at their cap.
+        let capped: Vec<usize> = unfrozen
+            .iter()
+            .copied()
+            .filter(|&i| flows[i].rate_cap.is_some_and(|c| c < bottleneck_share))
+            .collect();
+        let (freeze_set, share): (Vec<usize>, Option<f64>) = if !capped.is_empty() {
+            (capped, None)
+        } else {
+            // Freeze every flow on a bottleneck link.
+            let set: Vec<usize> = unfrozen
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    flows[i].links.iter().any(|l| {
+                        let cap = remaining.get(l).copied().unwrap_or(0.0).max(0.0);
+                        let n = counts[l] as f64;
+                        (cap / n - bottleneck_share).abs() <= 1e-9 * bottleneck_share.max(1.0)
+                    })
+                })
+                .collect();
+            (set, Some(bottleneck_share))
+        };
+        debug_assert!(!freeze_set.is_empty(), "progressive filling stalled");
+        for &i in &freeze_set {
+            let r = match share {
+                Some(s) => s.min(flows[i].rate_cap.unwrap_or(f64::INFINITY)),
+                None => flows[i].rate_cap.expect("capped freeze without cap"),
+            };
+            rates[i] = r;
+            for &l in &flows[i].links {
+                if let Some(c) = remaining.get_mut(&l) {
+                    *c = (*c - r).max(0.0);
+                }
+            }
+        }
+        unfrozen.retain(|i| !freeze_set.contains(i));
+        if share == Some(0.0) {
+            // No capacity left for this class: everyone remaining gets 0.
+            for &i in &unfrozen {
+                rates[i] = 0.0;
+            }
+            break;
+        }
+    }
+}
 
 #[derive(Clone, Debug)]
 struct ActiveFlow {
@@ -46,6 +135,11 @@ struct ActiveFlow {
     starts_at: SimTime,
     created_at: SimTime,
     rate: f64,
+    /// Set when the flow leaves the demand set with its bytes run out:
+    /// the due instant its last rate gave it, where it is reported, as
+    /// in `Network`. The `ceil` to whole microseconds can put that
+    /// instant a µs or two after the bytes ran out.
+    ran_out_due: Option<SimTime>,
 }
 
 impl ActiveFlow {
@@ -65,6 +159,9 @@ impl ActiveFlow {
     /// arithmetic to the incremental engine's
     /// `ActiveFlow::completion_at_anchor`.
     fn completion_at_anchor(&self) -> SimTime {
+        if let Some(due) = self.ran_out_due {
+            return due;
+        }
         let start = self.starts_at.max(self.anchor);
         if self.bytes_at_anchor <= 1e-9 {
             return start;
@@ -86,14 +183,60 @@ impl ActiveFlow {
     }
 }
 
-/// The original scan-everything flow engine (see module docs).
+/// The counters, scope and journal the engine records into, resolved
+/// by name under the same `netsim.*` keys as `Network`'s.
+struct SpecObs {
+    started: vmr_obs::Counter,
+    completed: vmr_obs::Counter,
+    aborted: vmr_obs::Counter,
+    bytes: vmr_obs::Counter,
+    realloc_waves: vmr_obs::Counter,
+    realloc_scope: vmr_obs::Scope,
+    journal: vmr_obs::Journal,
+}
+
+impl SpecObs {
+    fn attach(obs: &vmr_obs::Obs) -> Self {
+        SpecObs {
+            started: obs.counter("netsim.flows_started"),
+            completed: obs.counter("netsim.flows_completed"),
+            aborted: obs.counter("netsim.flows_aborted"),
+            bytes: obs.counter("netsim.bytes_delivered"),
+            realloc_waves: obs.counter("netsim.realloc_waves"),
+            realloc_scope: obs.scope("netsim.realloc_wave"),
+            journal: obs.journal.clone(),
+        }
+    }
+}
+
+/// The scan-everything flow engine, the executable specification of
+/// [`vmr_netsim::Network`].
+///
+/// It implements the same flow semantics with none of the incremental
+/// machinery: completion prediction scans all flows, **every** settle
+/// reallocates, every reallocation clones the whole demand set and runs
+/// [`allocate_reference`]. O(F) per event query and O(F² · d) per
+/// reallocation wave, which is fine for the paper's 40-host testbed and
+/// hopeless at thousands of concurrent flows.
+///
+/// Byte progress uses the same anchor discipline as the incremental
+/// engine — a flow's remaining bytes are materialized only when its rate
+/// changes, in one multiply from the anchor instant. This makes the
+/// observable behaviour independent of *when* the caller happens to call
+/// `advance`, and it is what lets the differential tests demand the two
+/// engines produce **bit-identical completion streams**.
+///
+/// The reference allocator speaks the flat [`LinkRef`] vocabulary
+/// (host access links only), so this engine models **flat topologies
+/// only** — construction rejects tiered/backbone hierarchies. The
+/// hierarchical regimes are validated against `Network` (which shares
+/// the dense-index path code) instead.
 pub struct NaiveNetwork {
     topo: Topology,
     flows: BTreeMap<FlowId, ActiveFlow>,
     next_id: u64,
     last_advance: SimTime,
-    /// Pre-resolved observability handles (a detached sink by default).
-    obs: NetObs,
+    obs: SpecObs,
 }
 
 impl NaiveNetwork {
@@ -111,30 +254,20 @@ impl NaiveNetwork {
     pub fn with_obs(topo: Topology, obs: &vmr_obs::Obs) -> Self {
         assert!(
             !topo.is_hierarchical(),
-            "NaiveNetwork models flat topologies only (see module docs)"
+            "NaiveNetwork models flat topologies only"
         );
         NaiveNetwork {
             topo,
             flows: BTreeMap::new(),
             next_id: 0,
             last_advance: SimTime::ZERO,
-            obs: NetObs::attach(obs),
+            obs: SpecObs::attach(obs),
         }
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 
     /// Number of in-flight flows.
     pub fn active_flows(&self) -> usize {
         self.flows.len()
-    }
-
-    /// Current rate of a flow, bytes/second (0 during setup).
-    pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.rate)
     }
 
     /// Starts a transfer at `now`. Returns its id; completions are later
@@ -173,6 +306,7 @@ impl NaiveNetwork {
             starts_at: now + setup,
             created_at: now,
             rate: 0.0,
+            ran_out_due: None,
             spec,
         };
         let flow_bytes = flow.spec.bytes;
@@ -270,27 +404,6 @@ impl NaiveNetwork {
         })
     }
 
-    /// Projected completion instant of a specific flow under current
-    /// rates (changes whenever other flows arrive or depart).
-    pub fn projected_completion(&self, id: FlowId) -> Option<SimTime> {
-        let f = self.flows.get(&id)?;
-        let start = f.starts_at.max(self.last_advance);
-        let bytes = f.bytes_left_at(self.last_advance);
-        if bytes <= 1e-9 {
-            return Some(start);
-        }
-        if f.rate <= 1e-12 {
-            return Some(SimTime::MAX);
-        }
-        let us = (bytes / f.rate * 1e6).ceil();
-        let us = if us >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            us as u64
-        };
-        Some(start + SimDuration::from_micros(us))
-    }
-
     fn earliest_completion(&self) -> Option<(SimTime, FlowId)> {
         self.flows
             .iter()
@@ -334,44 +447,13 @@ impl NaiveNetwork {
         for (id, f) in self.flows.iter_mut() {
             let r = in_demand.get(id).copied().unwrap_or(0.0);
             if r != f.rate {
+                if f.bytes_left_at(anchor) <= 0.0 {
+                    f.ran_out_due = Some(f.completion_at_anchor());
+                }
                 f.bytes_at_anchor = f.bytes_left_at(anchor);
                 f.anchor = anchor;
                 f.rate = r;
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::topology::{HostId, HostLink};
-
-    #[test]
-    fn naive_engine_still_works() {
-        let mut t = Topology::new();
-        for _ in 0..3 {
-            t.add_host(HostLink::symmetric_mbit(100.0, 0.0));
-        }
-        let obs = vmr_obs::Obs::new();
-        let mut n = NaiveNetwork::with_obs(t, &obs);
-        n.start_flow(
-            SimTime::ZERO,
-            FlowSpec::simple(HostId(0), HostId(1), 12_500_000),
-        );
-        n.start_flow(
-            SimTime::ZERO,
-            FlowSpec::simple(HostId(0), HostId(2), 12_500_000),
-        );
-        let mut done = Vec::new();
-        while let Some(t) = n.next_event_time() {
-            assert!(t < SimTime::MAX, "stalled flow");
-            done.extend(n.advance(t));
-        }
-        assert_eq!(done.len(), 2);
-        for c in &done {
-            assert!((c.at.as_secs_f64() - 2.0).abs() < 1e-3, "{:?}", c.at);
-        }
-        assert_eq!(obs.snapshot().counter("netsim.bytes_delivered"), 25_000_000);
     }
 }

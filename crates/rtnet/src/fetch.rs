@@ -133,7 +133,7 @@ pub fn fetch_with_fallback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::PeerServer;
+    use crate::pollserver::{PollServer, PollServerConfig};
     use crate::store::OutputStore;
     use std::sync::Arc;
     use vmr_obs::Obs;
@@ -144,10 +144,10 @@ mod tests {
         l.local_addr().unwrap()
     }
 
-    fn server_with(name: &str, data: &[u8]) -> PeerServer {
+    fn server_with(name: &str, data: &[u8]) -> PollServer {
         let store = Arc::new(OutputStore::new());
         store.put(name, Bytes::copy_from_slice(data));
-        PeerServer::start(store, 8).unwrap()
+        PollServer::start(store, PollServerConfig::new(8)).unwrap()
     }
 
     /// Fetches `f` from `peers` with `fallback`; returns the bytes and

@@ -1,12 +1,18 @@
-//! The nonblocking poll-loop file server — rtnet v2's runtime.
+//! The volunteer-side file server.
 //!
-//! [`crate::server::PeerServer`] proves the §III.C protocol with one
-//! thread per connection; that caps a volunteer (and above all the
-//! project's fall-back data server) at a few hundred concurrent peers.
-//! [`PollServer`] keeps the exact same serving semantics — the
-//! serving switch, the max-inter-client-connection threshold, serving
-//! windows, SHA-256-trailed frames — but multiplexes *every* connection
-//! on one event loop (BOINC's daemons scale the same way):
+//! "We open a TCP \[socket\] for listening to incoming connections
+//! whenever a map task has finished and its output(s) is available. We
+//! dynamically adapt to the number of files being served, and stop
+//! accepting connections when there are no more files available … We
+//! kept a threshold for a maximum number of inter-client connections,
+//! so as to not overload the network." (§III.C)
+//!
+//! [`PollServer`] implements those serving semantics — the serving
+//! switch, the max-inter-client-connection threshold, serving windows,
+//! SHA-256-trailed frames — and multiplexes *every* connection on one
+//! event loop (BOINC's daemons scale the same way), so neither a
+//! volunteer nor the project's fall-back data server is capped at the
+//! few hundred peers a thread per connection would allow:
 //!
 //! * per-connection read/write **state machines** drive the
 //!   [`crate::proto`] framing incrementally ([`crate::proto::FrameDecoder`]),
@@ -21,27 +27,27 @@
 //!   file's body shared with the store, and the store's cached digest,
 //!   flushed with vectored writes — no response body is ever copied
 //!   into the queue, and no request re-hashes the file;
-//! * the §III.C threshold is enforced as post-accept `Busy` replies,
-//!   the threaded server's behaviour: every connection is accepted, and
-//!   a request beyond `max_connections` in-flight transfers is told
-//!   `Busy`;
+//! * the §III.C threshold is enforced as post-accept `Busy` replies:
+//!   every connection is accepted, and a request beyond
+//!   `max_connections` in-flight transfers is told `Busy`;
 //! * an optional **operations endpoint** on the same loop serves the
 //!   live metrics registry in plaintext exposition format
 //!   (`GET /metrics`) and a text dashboard (`GET /dash`), both
 //!   rendered from a fresh snapshot per request.
 //!
-//! The threaded server remains the executable spec: the differential
-//! suite replays identical request schedules against both and demands
-//! byte-identical responses and identical counter totals.
+//! A thread-per-connection server, small enough to audit by eye, is
+//! kept in the test tree as the executable spec: the differential suite
+//! (`differential_server.rs`) replays identical request schedules
+//! against both and demands byte-identical responses and identical
+//! counter totals.
 
 use crate::proto::{decode_request, encode_response, DataFrame, FrameDecoder, Request, Response};
-use crate::server::{ServeObs, ServerStats};
 use crate::store::OutputStore;
 use bytes::BytesMut;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -103,11 +109,25 @@ impl PollServerConfig {
     }
 }
 
-/// Pre-resolved registry handles specific to the poll loop (the
-/// request counters reuse [`ServeObs`], so both runtimes share the
-/// same `rtnet.*` keys).
-#[derive(Clone)]
+/// Counters exposed by a running server.
+#[derive(Debug, Default)]
+pub struct ServerStats {
+    /// GET requests answered with data.
+    pub served: AtomicU64,
+    /// GETs refused: file unknown or outside its serving window.
+    pub not_found: AtomicU64,
+    /// GETs refused: connection threshold reached.
+    pub busy_rejections: AtomicU64,
+}
+
+/// Registry handles, resolved once at server start so the per-request
+/// cost stays at an atomic add.
 struct PollObs {
+    served: vmr_obs::Counter,
+    not_found: vmr_obs::Counter,
+    busy: vmr_obs::Counter,
+    gate_rejections: vmr_obs::Counter,
+    serve_scope: vmr_obs::Scope,
     accepted: vmr_obs::Counter,
     reaped_idle: vmr_obs::Counter,
     backpressure_stalls: vmr_obs::Counter,
@@ -120,6 +140,11 @@ struct PollObs {
 impl PollObs {
     fn attach(obs: &vmr_obs::Obs) -> Self {
         PollObs {
+            served: obs.counter("rtnet.served"),
+            not_found: obs.counter("rtnet.not_found"),
+            busy: obs.counter("rtnet.busy_rejections"),
+            gate_rejections: obs.counter("rtnet.gate_rejections"),
+            serve_scope: obs.scope("rtnet.serve"),
             accepted: obs.counter("rtnet.poll.accepted"),
             reaped_idle: obs.counter("rtnet.poll.reaped_idle"),
             backpressure_stalls: obs.counter("rtnet.poll.backpressure_stalls"),
@@ -138,9 +163,8 @@ pub struct PollServer {
     store: Arc<OutputStore>,
     stop: Arc<AtomicBool>,
     accepting: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
     open: Arc<AtomicUsize>,
-    /// Request counters, same shape as the threaded server's.
+    /// Request counters.
     pub stats: Arc<ServerStats>,
     loop_thread: Option<JoinHandle<()>>,
 }
@@ -177,7 +201,6 @@ impl PollServer {
 
         let stop = Arc::new(AtomicBool::new(false));
         let accepting = Arc::new(AtomicBool::new(true));
-        let active = Arc::new(AtomicUsize::new(0));
         let open = Arc::new(AtomicUsize::new(0));
         let stats = Arc::new(ServerStats::default());
 
@@ -188,10 +211,8 @@ impl PollServer {
             cfg,
             stop: stop.clone(),
             accepting: accepting.clone(),
-            active: active.clone(),
             open: open.clone(),
             stats: stats.clone(),
-            sobs: ServeObs::attach(obs),
             pobs: PollObs::attach(obs),
             obs: obs.clone(),
             conns: Vec::new(),
@@ -209,7 +230,6 @@ impl PollServer {
             store,
             stop,
             accepting,
-            active,
             open,
             stats,
             loop_thread: Some(loop_thread),
@@ -233,15 +253,9 @@ impl PollServer {
 
     /// Gate accepting on/off ("stop accepting connections when there
     /// are no more files available for upload"). Gated `GET`s are
-    /// answered `NotFound`, exactly like the threaded server.
+    /// answered `NotFound`.
     pub fn set_accepting(&self, on: bool) {
         self.accepting.store(on, Ordering::SeqCst);
-    }
-
-    /// Transfers currently in flight (responses queued but not yet
-    /// fully flushed) — the quantity the §III.C threshold bounds.
-    pub fn active_transfers(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
     }
 
     /// Open peer connections in the pool.
@@ -371,10 +385,8 @@ struct Loop {
     cfg: PollServerConfig,
     stop: Arc<AtomicBool>,
     accepting: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
     open: Arc<AtomicUsize>,
     stats: Arc<ServerStats>,
-    sobs: ServeObs,
     pobs: PollObs,
     obs: vmr_obs::Obs,
     /// Slab of connections; freed slots are recycled via `free`.
@@ -510,7 +522,6 @@ impl Loop {
                     self.serving -= 1;
                 }
             }
-            self.active.store(self.serving, Ordering::SeqCst);
             if matches!(conn.kind, ConnKind::Data(_)) {
                 self.live -= 1;
                 self.open.store(self.live, Ordering::SeqCst);
@@ -588,7 +599,6 @@ impl Loop {
                         };
                         if pending.t0.is_some() {
                             self.serving += 1;
-                            self.active.store(self.serving, Ordering::SeqCst);
                         }
                         conn.wq.push(pending);
                         // Flush opportunistically: in the common
@@ -614,8 +624,8 @@ impl Loop {
         }
     }
 
-    /// The §III.C serving decision — deliberately the same rules, in
-    /// the same order, as the threaded server's `handle_conn`.
+    /// The §III.C serving decision — the same rules, in the same order,
+    /// as the threaded spec's in the test tree.
     fn serve(&mut self, req: Request) -> Pending {
         let (wire, t0) = match req {
             Request::Ping => (Wire::control(&Response::Pong), None),
@@ -623,24 +633,24 @@ impl Loop {
                 let t0 = Instant::now();
                 if !self.accepting.load(Ordering::SeqCst) {
                     self.stats.not_found.fetch_add(1, Ordering::Relaxed);
-                    self.sobs.not_found.inc();
-                    self.sobs.gate_rejections.inc();
+                    self.pobs.not_found.inc();
+                    self.pobs.gate_rejections.inc();
                     (Wire::control(&Response::NotFound), None)
                 } else if self.serving >= self.cfg.max_connections {
                     self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    self.sobs.busy.inc();
+                    self.pobs.busy.inc();
                     (Wire::control(&Response::Busy), None)
                 } else {
-                    let _serve = self.sobs.serve_scope.enter();
+                    let _serve = self.pobs.serve_scope.enter();
                     let wire = match self.store.get_with_digest(&name) {
                         Some((data, digest)) => {
                             self.stats.served.fetch_add(1, Ordering::Relaxed);
-                            self.sobs.served.inc();
+                            self.pobs.served.inc();
                             Wire::Data(DataFrame::new(data, digest))
                         }
                         None => {
                             self.stats.not_found.fetch_add(1, Ordering::Relaxed);
-                            self.sobs.not_found.inc();
+                            self.pobs.not_found.inc();
                             Wire::control(&Response::NotFound)
                         }
                     };
@@ -672,7 +682,6 @@ impl Loop {
                     conn.last_activity = Instant::now();
                     if let Some(t0) = done.and_then(|p| p.t0) {
                         self.serving -= 1;
-                        self.active.store(self.serving, Ordering::SeqCst);
                         self.pobs.serve_us.record(t0.elapsed().as_micros() as f64);
                     }
                 }

@@ -1,13 +1,15 @@
 //! Differential test: the poll-loop runtime against its executable
-//! spec, the thread-per-connection server.
+//! spec, the thread-per-connection server in [`peer_server`].
 //!
 //! [`PeerServer`] *is* the §III.C semantics — small enough to audit by
-//! eye. [`PollServer`] reimplements those semantics on a nonblocking
+//! eye. [`PollServer`] implements those semantics on a nonblocking
 //! event loop. This suite replays identical request schedules against
 //! both, backed by identical stores, and demands:
 //!
 //! * **byte-identical wire responses** — every raw response frame
-//!   (length prefix, tag, body, SHA-256 trailer) matches;
+//!   (length prefix, tag, body, SHA-256 trailer) matches; the spec lays
+//!   `Data` out with the public `encode_response`, so this also checks
+//!   the poll runtime's segment writer against the reference encoder;
 //! * **identical accounting** — `served` / `not_found` /
 //!   `busy_rejections` totals and the shared `rtnet.*` registry
 //!   counters agree.
@@ -15,14 +17,17 @@
 //! Schedules are generated from a seeded linear congruential generator,
 //! so every run replays the same cases.
 
+mod peer_server;
+
 use bytes::{Bytes, BytesMut};
+use peer_server::PeerServer;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 use vmr_rtnet::proto::{encode_request, Request};
-use vmr_rtnet::{OutputStore, PeerServer, PollServer, PollServerConfig};
+use vmr_rtnet::{OutputStore, PollServer, PollServerConfig};
 
 /// One step of a replayable schedule.
 #[derive(Clone, Debug)]

@@ -61,11 +61,11 @@ proptest! {
 /// The serving-connection threshold really rejects concurrent GETs.
 #[test]
 fn busy_threshold_enforced_under_concurrency() {
-    use vmr_rtnet::{fetch_once, FetchError, OutputStore, PeerServer};
+    use vmr_rtnet::{fetch_once, FetchError, OutputStore, PollServer, PollServerConfig};
     let store = Arc::new(OutputStore::new());
     // A large file so transfers overlap.
     store.put("big", Bytes::from(vec![7u8; 8 << 20]));
-    let srv = PeerServer::start(store, 1).unwrap(); // threshold: 1
+    let srv = PollServer::start(store, PollServerConfig::new(1)).unwrap(); // threshold: 1
     let addr = srv.addr();
     let mut handles = Vec::new();
     for _ in 0..6 {

@@ -1,7 +1,7 @@
 //! Engine construction: the fluent [`EngineBuilder`] and the assembly
 //! steps behind it.
 
-use super::{Engine, EngineObs, EngineStats, Ev, RelayChoice};
+use super::{Engine, EngineObs, Ev, RelayChoice};
 use crate::config::ProjectConfig;
 use crate::db::Db;
 use crate::fault::{FaultIndex, FaultPlan};
@@ -38,7 +38,6 @@ impl Engine {
             fault: FaultPlan::none(),
             traversal: TraversalPolicy::direct_only(),
             obs,
-            stats: EngineStats::default(),
             credit: crate::credit::CreditLedger::new(),
             assimilator: crate::assimilate::Assimilator::new(),
             relay: RelayChoice::default(),

@@ -28,7 +28,7 @@ use crate::workunit::{ResultState, WorkUnitSpec};
 use std::collections::BTreeMap;
 use vmr_desim::{EventId, Fired, RngStream, SimDuration, SimTime, Simulation};
 use vmr_durable::{Journal, SectionWriter, Sections};
-use vmr_netsim::{HostId, Network, TraversalPolicy, TraversalStats};
+use vmr_netsim::{HostId, Network, TraversalPolicy};
 use vmr_obs::{Actor, Detail, EventKind, Mark, WuEnd};
 use vmr_shuffle::{FetchObs, ShuffleStrategy, SwarmIndex, SwarmTransfer};
 use vmr_trust::{Outcome as TrustOutcome, ReplicationDecision, ReplicationPolicy, TrustLedger};
@@ -67,18 +67,6 @@ pub enum Ev {
     Resume(ClientId),
     /// Policy-defined event.
     Custom(u64),
-}
-
-/// The two run totals the obs registry does not hold. Every other
-/// count (RPCs, empty replies, grants, reports, peer failures, server
-/// fall-backs, busy deferrals, the report delay) is read from
-/// [`Engine::obs`]: `vcore.*` in its snapshot.
-#[derive(Debug, Default, Clone)]
-pub struct EngineStats {
-    /// NAT traversal outcomes for peer connections.
-    pub traversal: TraversalStats,
-    /// Bytes uploaded to the server (all flows into the server host).
-    pub bytes_via_server: f64,
 }
 
 /// Project-specific orchestration hooks (implemented by vmr-core).
@@ -125,9 +113,8 @@ pub struct Engine {
     /// Observability bundle: metrics registry, event journal (the
     /// Fig. 4 source — rebuild lanes with `Timeline::from_journal`),
     /// profiling scopes. Shared with the network engine and the sim.
+    /// Every run count lives here: `vcore.*` in its snapshot.
     pub obs: vmr_obs::Obs,
-    /// Traversal outcomes and server-bound bytes.
-    pub stats: EngineStats,
     /// Credit / reliability ledger (BOINC's volunteer incentive).
     pub credit: crate::credit::CreditLedger,
     /// Assimilator: ordered sink of validated canonical results.
@@ -200,6 +187,15 @@ struct EngineObs {
     peer_failures: vmr_obs::Counter,
     server_fallbacks: vmr_obs::Counter,
     busy_deferrals: vmr_obs::Counter,
+    /// Peer connect attempts by NAT traversal outcome.
+    nat_direct: vmr_obs::Counter,
+    nat_reversal: vmr_obs::Counter,
+    nat_hole_punch: vmr_obs::Counter,
+    nat_relay: vmr_obs::Counter,
+    nat_failed: vmr_obs::Counter,
+    /// Bytes of every flow into the server host (input fall-backs and
+    /// output uploads).
+    bytes_via_server: vmr_obs::Counter,
     wu_validated: vmr_obs::Counter,
     wu_failed: vmr_obs::Counter,
     report_delay_s: vmr_obs::Histo,
@@ -228,6 +224,12 @@ impl EngineObs {
             peer_failures: obs.counter("vcore.peer_failures"),
             server_fallbacks: obs.counter("vcore.server_fallbacks"),
             busy_deferrals: obs.counter("vcore.busy_deferrals"),
+            nat_direct: obs.counter_labeled("vcore.nat_connects", &[("outcome", "direct")]),
+            nat_reversal: obs.counter_labeled("vcore.nat_connects", &[("outcome", "reversal")]),
+            nat_hole_punch: obs.counter_labeled("vcore.nat_connects", &[("outcome", "hole_punch")]),
+            nat_relay: obs.counter_labeled("vcore.nat_connects", &[("outcome", "relay")]),
+            nat_failed: obs.counter_labeled("vcore.nat_connects", &[("outcome", "failed")]),
+            bytes_via_server: obs.counter("vcore.bytes_via_server"),
             wu_validated: obs.counter_labeled("vcore.wu_outcomes", &[("outcome", "validated")]),
             wu_failed: obs.counter_labeled("vcore.wu_outcomes", &[("outcome", "failed")]),
             report_delay_s: obs.histogram("vcore.report_delay_s"),

@@ -195,7 +195,14 @@ impl Engine {
         );
         let rng = &mut self.hot[cid.0 as usize].rng;
         let outcome = connect(req_nat, srv_nat, &self.traversal, rng);
-        self.stats.traversal.record(outcome);
+        match outcome.map(|o| o.path) {
+            Some(Path::Direct) => &self.eobs.nat_direct,
+            Some(Path::Reversal) => &self.eobs.nat_reversal,
+            Some(Path::HolePunch) => &self.eobs.nat_hole_punch,
+            Some(Path::Relay) => &self.eobs.nat_relay,
+            None => &self.eobs.nat_failed,
+        }
+        .inc();
         let Some(outcome) = outcome else {
             self.count_peer_failure();
             return false;
@@ -300,7 +307,7 @@ impl Engine {
             let p = &mut self.clients[peer.0 as usize];
             p.serving_now = p.serving_now.saturating_sub(1);
         } else {
-            self.stats.bytes_via_server += bytes as f64;
+            self.eobs.bytes_via_server.add(bytes);
         }
         // Shuffle byte accounting (obs only): peer-sourced
         // transfers and post-failure server fallbacks.
@@ -362,7 +369,7 @@ impl Engine {
 
     fn finish_output_upload(&mut self, client: ClientId, rid: ResultId, bytes: u64) {
         let now = self.sim.now();
-        self.stats.bytes_via_server += bytes as f64;
+        self.eobs.bytes_via_server.add(bytes);
         if self.hot[client.0 as usize].dropped {
             return;
         }

@@ -44,8 +44,7 @@ pub use config::{Preset, ProjectConfig};
 pub use credit::{claimed_credit, CreditLedger, HostAccount};
 pub use db::Db;
 pub use engine::{
-    clique_fingerprint, honest_fingerprint, Engine, EngineStats, Ev, NullPolicy, Policy,
-    RelayChoice,
+    clique_fingerprint, honest_fingerprint, Engine, Ev, NullPolicy, Policy, RelayChoice,
 };
 pub use engine::{BuildError, EngineBuilder};
 pub use fault::{Corruption, FaultIndex, FaultPlan};

@@ -48,7 +48,11 @@ fn main() {
     cfg.nat_mix = Some(NatMix::internet_2011());
     cfg.traversal = TraversalPolicy::default();
     let tiered = run_experiment(&cfg).expect("valid experiment config");
-    let t = &tiered.stats.traversal;
+    let snap = tiered.obs.snapshot();
+    let [direct, reversal, hole_punch, relay, failed] =
+        ["direct", "reversal", "hole_punch", "relay", "failed"]
+            .map(|o| snap.counter(&format!("vcore.nat_connects{{outcome={o}}}")));
+    let connects = direct + reversal + hole_punch + relay;
     println!(
         "NAT mix, tiered traversal: total {:>6.0} s, fallbacks {}",
         tiered.reports[0].total_s,
@@ -56,11 +60,11 @@ fn main() {
     );
     println!(
         "  traversal outcomes: direct {} | reversal {} | hole-punch {} | relay {} (success rate {:.0}%)",
-        t.direct,
-        t.reversal,
-        t.hole_punch,
-        t.relay,
-        t.success_rate() * 100.0
+        direct,
+        reversal,
+        hole_punch,
+        relay,
+        connects as f64 / (connects + failed).max(1) as f64 * 100.0
     );
 
     // ----- 4. Byzantine volunteers + churn under replication-2 -----

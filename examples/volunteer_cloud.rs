@@ -31,10 +31,14 @@ fn main() {
             snap.counter("vcore.empty_replies"),
             snap.histogram("vcore.report_delay_s").mean
         );
+        let setups: u64 = ["direct", "reversal", "hole_punch", "relay"]
+            .iter()
+            .map(|path| snap.counter(&format!("vcore.nat_connects{{outcome={path}}}")))
+            .sum();
         println!(
             "bytes through server {:.2} GB   peer-transfer setups {}",
-            out.stats.bytes_via_server / 1e9,
-            out.stats.traversal.successes(),
+            snap.counter("vcore.bytes_via_server") as f64 / 1e9,
+            setups,
         );
         // A condensed per-node view of the run (d=download, e=exec,
         // u=upload; lanes are volunteers).

@@ -26,7 +26,7 @@
 #               (scripts/fences.sh), and the slow smokes: the
 #               20k-host netsim scale leg, the shuffle strategy ablation,
 #               the trust ablation, and the 10k rtnet soak with the
-#               threaded-vs-poll ladder
+#               poll runtime's concurrency ladder
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -160,7 +160,7 @@ if [ "$NO_BENCH" -eq 0 ]; then
         SOAK_SMOKE=1 cargo test --offline --release -p volunteer-mr \
             --test soak_rtnet soak_10k_volunteers -- --nocapture
 
-        echo "==> rtnet soak smoke: threaded-vs-poll ladder"
+        echo "==> rtnet soak smoke: the poll runtime's concurrency ladder"
         cargo build --offline --release -p vmr-bench --bin rtnet_soak
         expect_json_line BENCH_rtnet.json ./target/release/rtnet_soak --smoke
     fi

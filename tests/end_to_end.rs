@@ -25,7 +25,8 @@ fn both_modes_complete_and_order_holds() {
         relay.reports[0].reduce_s
     );
     // And BOINC-MR moves less data through the project server.
-    assert!(p2p.stats.bytes_via_server < relay.stats.bytes_via_server);
+    let via_server = |out: &ExperimentOutcome| out.obs.snapshot().counter("vcore.bytes_via_server");
+    assert!(via_server(&p2p) < via_server(&relay));
 }
 
 #[test]
