@@ -5,7 +5,6 @@
 //! [`vmr_obs::Snapshot::histogram`], and full metric dumps from
 //! [`vmr_obs::Obs::to_json`].
 
-use std::path::Path;
 use vmr_core::ExperimentOutcome;
 use vmr_obs::HistogramSummary;
 
@@ -20,13 +19,6 @@ pub fn report_delay(out: &ExperimentOutcome) -> HistogramSummary {
 /// power of two.
 pub fn delay_cell(s: &HistogramSummary) -> String {
     format!("{:.1} (p95 {:.0})", s.mean, s.p95)
-}
-
-/// Write one run's full metrics snapshot to `path` as a single JSON
-/// object keyed by metric name (the `--metrics` flag of the bench
-/// binaries).
-pub fn write_metrics_json(path: &Path, obs: &vmr_obs::Obs) -> std::io::Result<()> {
-    std::fs::write(path, format!("{}\n", obs.to_json()))
 }
 
 #[cfg(test)]
@@ -44,19 +36,5 @@ mod tests {
             max: 14.0,
         };
         assert_eq!(delay_cell(&s), "12.2 (p95 16)");
-    }
-
-    #[test]
-    fn metrics_json_round_trip() {
-        let obs = vmr_obs::Obs::new();
-        obs.counter("t.count").add(3);
-        let dir = std::env::temp_dir().join("vmr_bench_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("metrics.json");
-        write_metrics_json(&path, &obs).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.starts_with('{') && body.ends_with("}\n"));
-        assert!(body.contains("\"t.count\":3"));
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -85,21 +85,6 @@ impl RngStream {
         -mean * (1.0 - self.uniform()).ln()
     }
 
-    /// Draw from a truncated normal via rejection (mean, std, min bound).
-    pub fn normal_min(&mut self, mean: f64, std: f64, min: f64) -> f64 {
-        for _ in 0..64 {
-            // Box–Muller.
-            let u1: f64 = 1.0 - self.uniform();
-            let u2: f64 = self.uniform();
-            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            let x = mean + std * z;
-            if x >= min {
-                return x;
-            }
-        }
-        min.max(mean)
-    }
-
     /// Picks a uniformly random element index from a non-empty slice len.
     pub fn pick(&mut self, len: usize) -> usize {
         assert!(len > 0, "pick from empty collection");
@@ -176,14 +161,6 @@ mod tests {
         );
         assert_eq!(r.exponential(0.0), 0.0);
         assert_eq!(r.exponential(-3.0), 0.0);
-    }
-
-    #[test]
-    fn normal_min_respects_floor() {
-        let mut r = RngStream::new(9);
-        for _ in 0..1000 {
-            assert!(r.normal_min(5.0, 10.0, 1.0) >= 1.0);
-        }
     }
 
     #[test]

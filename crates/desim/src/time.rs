@@ -52,11 +52,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -257,14 +252,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(1.5).as_micros(), 1_500_000);
         assert_eq!(SimDuration::from_secs_f64(1e300), SimDuration::MAX);
-    }
-
-    #[test]
-    fn checked_since() {
-        let a = SimTime::from_secs(2);
-        let b = SimTime::from_secs(5);
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_secs(3)));
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]

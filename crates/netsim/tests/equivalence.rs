@@ -729,6 +729,23 @@ fn near_tie_link(sel: u8) -> HostLink {
     }
 }
 
+/// The first byte count at or above `from` (below 64 KiB) whose
+/// run-out at `rate` lands within float error of a whole µs: its due,
+/// rounded up, is a µs after the instant where the engines' arithmetic
+/// already finds no bytes left (3 075 B at 6.25 MB/s is one). `None`
+/// unless `rate` is a whole multiple of 62.5 kB/s, as every un-nudged
+/// [`near_tie_link`] is; each of those has such a count within 64 KiB
+/// of any start below 64 KiB.
+fn run_out_corner(from: u64, rate: f64) -> Option<u64> {
+    if rate.is_infinite() || (rate / 62_500.0).fract() != 0.0 {
+        return None;
+    }
+    (from..from + 65_536).find(|&b| {
+        let us = (b as f64 / rate * 1e6).ceil();
+        b as f64 - rate * ((us - 1.0) / 1e6) <= 0.0
+    })
+}
+
 /// One step of a differential script: `(op, a, b, c)`, then the flow's
 /// `(bytes, setup_ms, flags)`, then the time step in µs.
 type WaveStep = ((u8, u32, u32, u32), (u64, u16, u8), u32);
@@ -740,7 +757,8 @@ type WaveStep = ((u8, u32, u32, u32), (u64, u16, u8), u32);
 /// * 0–3: start a flow (`flags`: bit 0 background, bit 1 capped, bit 2
 ///   zero bytes, bit 3 loopback, bit 4 one relay, bit 5 a relay chain
 ///   through the destination, which crosses its downlink twice, bit 6
-///   advance to the instant first); `setup_ms % 4 == 0` means no set-up
+///   advance to the instant first, bit 7 a [`run_out_corner`] byte count
+///   at its narrowest link's rate); `setup_ms % 4 == 0` means no set-up
 ///   phase beyond the path latency;
 /// * 4: abort an earlier flow, in or out of the demand set;
 /// * 5: wake at the next event instant, as the engine's loop does;
@@ -787,6 +805,16 @@ fn run_lockstep(hosts: &[u8], steps: &[WaveStep], near_due: bool) -> Result<Lock
                     spec.via = vec![spec.dst, back];
                 } else if flags & 16 != 0 {
                     spec.via = vec![HostId(c % n)];
+                }
+                if flags & 128 != 0 {
+                    let topo = run.inc.topology();
+                    let narrowest = link_path(&spec)
+                        .iter()
+                        .map(|l| topo.link(l.host).capacity(l.dir))
+                        .fold(f64::INFINITY, f64::min);
+                    if let Some(b) = run_out_corner(spec.bytes % 65_536, narrowest) {
+                        spec.bytes = b;
+                    }
                 }
                 if flags & 4 != 0 {
                     spec.bytes = 0;
@@ -922,7 +950,7 @@ proptest! {
         steps in proptest::collection::vec(
             (
                 (0u8..8, 0u32..64, 0u32..64, 0u32..1_000),
-                (0u64..3_000_000, 0u16..2_000, 0u8..128),
+                (0u64..3_000_000, 0u16..2_000, any::<u8>()),
                 0u32..3_000_000,
             ),
             1usize..40,

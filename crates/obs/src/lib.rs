@@ -20,10 +20,9 @@
 //!   serving threads) feeding histograms in the same registry under
 //!   `prof.*_us` names. Off by default; enabled at runtime with
 //!   [`Obs::set_profiling`].
-//! * **Text exposition** ([`render_prometheus`], [`render_dashboard`])
-//!   — pure functions of a [`Snapshot`], rendering the plaintext scrape
-//!   format and an operator dashboard; the rtnet poll server mounts
-//!   both on its operations endpoint.
+//!
+//! A run, simulated or real, is read through [`Obs::snapshot`] (or its
+//! JSON form, [`Obs::to_json`]): one vocabulary of keys for both.
 //!
 //! The recorder is always compiled in. What a run pays for is chosen
 //! at runtime by two switches, [`Journal::set_enabled`] and
@@ -45,12 +44,10 @@
 
 #![warn(missing_docs)]
 
-mod expose;
 mod journal;
 mod metrics;
 mod prof;
 mod types;
-pub use expose::{render_dashboard, render_prometheus};
 pub use journal::Journal;
 pub use metrics::{Counter, Gauge, Histo, Registry, TimeGauge};
 pub use prof::{Prof, Scope, ScopeGuard};

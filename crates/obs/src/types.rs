@@ -27,19 +27,6 @@ pub struct HistogramSummary {
 }
 
 impl HistogramSummary {
-    /// One-line human form: `n=5 mean=2.0 p50=2 p95=4 p99=4 max=4.0`.
-    pub fn brief(&self) -> String {
-        format!(
-            "n={} mean={} p50={} p95={} p99={} max={}",
-            self.count,
-            fmt_f64(self.mean),
-            fmt_f64(self.p50),
-            fmt_f64(self.p95),
-            fmt_f64(self.p99),
-            fmt_f64(self.max)
-        )
-    }
-
     /// JSON object form.
     pub fn to_json(&self) -> String {
         format!(

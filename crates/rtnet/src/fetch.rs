@@ -60,34 +60,6 @@ fn fetch_on_stream(mut stream: TcpStream, name: &str) -> Result<Bytes, FetchErro
     }
 }
 
-/// One-shot plaintext HTTP GET against an operations endpoint (the
-/// poll server's `/metrics` and `/dash` routes). Tiny on purpose — a
-/// scrape client, not an HTTP library. Returns the body; a non-2xx
-/// status surfaces as an error (`NotFound` for 404).
-pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<String> {
-    use std::io::{Read, Write};
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_nodelay(true)?;
-    write!(stream, "GET {path} HTTP/1.0\r\nHost: localhost\r\n\r\n")?;
-    stream.flush()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| invalid("no header terminator"))?;
-    let status = head
-        .lines()
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .ok_or_else(|| invalid("bad status line"))?;
-    match status {
-        s if s.starts_with('2') => Ok(body.to_string()),
-        "404" => Err(io::Error::new(io::ErrorKind::NotFound, "404")),
-        s => Err(io::Error::other(format!("http status {s}"))),
-    }
-}
-
 /// Pause between two peer attempts.
 const RETRY_DELAY: Duration = Duration::from_millis(30);
 

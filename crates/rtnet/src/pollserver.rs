@@ -30,10 +30,10 @@
 //! * the §III.C threshold is enforced as post-accept `Busy` replies:
 //!   every connection is accepted, and a request beyond
 //!   `max_connections` in-flight transfers is told `Busy`;
-//! * an optional **operations endpoint** on the same loop serves the
-//!   live metrics registry in plaintext exposition format
-//!   (`GET /metrics`) and a text dashboard (`GET /dash`), both
-//!   rendered from a fresh snapshot per request.
+//! * the loop speaks only the wire protocol: bytes that do not decode
+//!   as a request frame close their connection and count as
+//!   `rtnet.poll.proto_errors`. What the server measured is read from
+//!   the [`vmr_obs::Obs`] it records into.
 //!
 //! A thread-per-connection server, small enough to audit by eye, is
 //! kept in the test tree as the executable spec: the differential suite
@@ -72,9 +72,6 @@ pub struct PollServerConfig {
     pub max_connections: usize,
     /// Connections idle longer than this are reaped.
     pub idle_timeout: Duration,
-    /// Serve `GET /metrics` + `GET /dash` on a second loopback
-    /// listener owned by the same loop.
-    pub metrics_endpoint: bool,
 }
 
 impl Default for PollServerConfig {
@@ -82,7 +79,6 @@ impl Default for PollServerConfig {
         PollServerConfig {
             max_connections: 64,
             idle_timeout: Duration::from_secs(30),
-            metrics_endpoint: false,
         }
     }
 }
@@ -94,12 +90,6 @@ impl PollServerConfig {
             max_connections,
             ..PollServerConfig::default()
         }
-    }
-
-    /// Builder-style: serve the operations endpoint.
-    pub fn with_metrics_endpoint(mut self) -> Self {
-        self.metrics_endpoint = true;
-        self
     }
 
     /// Builder-style: idle-reap timeout.
@@ -132,7 +122,6 @@ struct PollObs {
     reaped_idle: vmr_obs::Counter,
     backpressure_stalls: vmr_obs::Counter,
     proto_errors: vmr_obs::Counter,
-    http_requests: vmr_obs::Counter,
     active_conns: vmr_obs::Gauge,
     serve_us: vmr_obs::Histo,
 }
@@ -149,7 +138,6 @@ impl PollObs {
             reaped_idle: obs.counter("rtnet.poll.reaped_idle"),
             backpressure_stalls: obs.counter("rtnet.poll.backpressure_stalls"),
             proto_errors: obs.counter("rtnet.poll.proto_errors"),
-            http_requests: obs.counter("rtnet.poll.http_requests"),
             active_conns: obs.gauge("rtnet.poll.active_conns"),
             serve_us: obs.histogram("rtnet.poll.serve_us"),
         }
@@ -159,7 +147,6 @@ impl PollObs {
 /// A serving endpoint multiplexing every peer on one poll loop.
 pub struct PollServer {
     addr: SocketAddr,
-    metrics_addr: Option<SocketAddr>,
     store: Arc<OutputStore>,
     stop: Arc<AtomicBool>,
     accepting: Arc<AtomicBool>,
@@ -176,8 +163,7 @@ impl PollServer {
         PollServer::start_with_obs(store, cfg, &vmr_obs::Obs::detached())
     }
 
-    /// Like [`PollServer::start`], recording into a shared registry
-    /// (which is also what `GET /metrics` exposes).
+    /// Like [`PollServer::start`], recording into a shared registry.
     pub fn start_with_obs(
         store: Arc<OutputStore>,
         cfg: PollServerConfig,
@@ -187,17 +173,6 @@ impl PollServer {
         crate::poll::boost_backlog(&listener, BACKLOG);
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let metrics_listener = if cfg.metrics_endpoint {
-            let l = TcpListener::bind(("127.0.0.1", 0))?;
-            l.set_nonblocking(true)?;
-            Some(l)
-        } else {
-            None
-        };
-        let metrics_addr = match &metrics_listener {
-            Some(l) => Some(l.local_addr()?),
-            None => None,
-        };
 
         let stop = Arc::new(AtomicBool::new(false));
         let accepting = Arc::new(AtomicBool::new(true));
@@ -206,7 +181,6 @@ impl PollServer {
 
         let mut lp = Loop {
             listener,
-            metrics_listener,
             store: store.clone(),
             cfg,
             stop: stop.clone(),
@@ -214,7 +188,6 @@ impl PollServer {
             open: open.clone(),
             stats: stats.clone(),
             pobs: PollObs::attach(obs),
-            obs: obs.clone(),
             conns: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -226,7 +199,6 @@ impl PollServer {
 
         Ok(PollServer {
             addr,
-            metrics_addr,
             store,
             stop,
             accepting,
@@ -239,11 +211,6 @@ impl PollServer {
     /// Address peers connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Address of the operations endpoint, when enabled.
-    pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
     }
 
     /// The backing store.
@@ -283,7 +250,7 @@ impl Drop for PollServer {
 
 /// A queued response's bytes.
 enum Wire {
-    /// A control frame or an HTTP reply.
+    /// A control frame.
     Owned(Vec<u8>),
     /// A `Data` frame; its body is the stored file's, shared.
     Data(DataFrame),
@@ -360,27 +327,18 @@ impl WriteQueue {
     }
 }
 
-enum ConnKind {
-    /// Wire-protocol peer connection.
-    Data(FrameDecoder),
-    /// Operations-endpoint HTTP connection (request head accumulator).
-    Http(Vec<u8>),
-}
-
 struct Conn {
     stream: TcpStream,
-    kind: ConnKind,
+    dec: FrameDecoder,
     wq: WriteQueue,
     last_activity: Instant,
     close_after_flush: bool,
 }
 
-const TOK_DATA_LISTENER: u64 = u64::MAX;
-const TOK_METRICS_LISTENER: u64 = u64::MAX - 1;
+const TOK_LISTENER: u64 = u64::MAX;
 
 struct Loop {
     listener: TcpListener,
-    metrics_listener: Option<TcpListener>,
     store: Arc<OutputStore>,
     cfg: PollServerConfig,
     stop: Arc<AtomicBool>,
@@ -388,11 +346,10 @@ struct Loop {
     open: Arc<AtomicUsize>,
     stats: Arc<ServerStats>,
     pobs: PollObs,
-    obs: vmr_obs::Obs,
     /// Slab of connections; freed slots are recycled via `free`.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Live data-plane connections (excludes HTTP).
+    /// Live connections.
     live: usize,
     /// Transfers in flight (queued, unflushed `GET` responses).
     serving: usize,
@@ -410,11 +367,7 @@ impl Loop {
     fn tick(&mut self) {
         self.set.clear();
         self.set
-            .register(fd_of(&self.listener), TOK_DATA_LISTENER, true, false);
-        if let Some(ml) = &self.metrics_listener {
-            self.set
-                .register(fd_of(ml), TOK_METRICS_LISTENER, true, false);
-        }
+            .register(fd_of(&self.listener), TOK_LISTENER, true, false);
         for (i, slot) in self.conns.iter().enumerate() {
             if let Some(c) = slot {
                 let backpressured = c.wq.bytes >= WRITE_QUEUE_LIMIT;
@@ -434,8 +387,7 @@ impl Loop {
         let ready: Vec<(u64, crate::poll::Readiness)> = self.set.ready().collect();
         for (token, r) in ready {
             match token {
-                TOK_DATA_LISTENER => self.accept_data(),
-                TOK_METRICS_LISTENER => self.accept_metrics(),
+                TOK_LISTENER => self.accept(),
                 i => {
                     let i = i as usize;
                     if r.writable || r.closed {
@@ -456,11 +408,10 @@ impl Loop {
         self.pobs.active_conns.set(self.live as f64);
     }
 
-    fn insert_conn(&mut self, stream: TcpStream, kind: ConnKind) {
-        let is_data = matches!(kind, ConnKind::Data(_));
+    fn insert_conn(&mut self, stream: TcpStream) {
         let conn = Conn {
             stream,
-            kind,
+            dec: FrameDecoder::new(),
             wq: WriteQueue::default(),
             last_activity: Instant::now(),
             close_after_flush: false,
@@ -476,37 +427,18 @@ impl Loop {
             }
         };
         debug_assert!(self.conns[idx].is_some());
-        if is_data {
-            self.live += 1;
-            self.open.store(self.live, Ordering::SeqCst);
-        }
+        self.live += 1;
+        self.open.store(self.live, Ordering::SeqCst);
         self.pobs.accepted.inc();
     }
 
-    fn accept_data(&mut self) {
+    fn accept(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    self.insert_conn(stream, ConnKind::Data(FrameDecoder::new()));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn accept_metrics(&mut self) {
-        loop {
-            let Some(ml) = &self.metrics_listener else {
-                return;
-            };
-            match ml.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    self.insert_conn(stream, ConnKind::Http(Vec::new()));
+                    self.insert_conn(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => return,
@@ -522,10 +454,8 @@ impl Loop {
                     self.serving -= 1;
                 }
             }
-            if matches!(conn.kind, ConnKind::Data(_)) {
-                self.live -= 1;
-                self.open.store(self.live, Ordering::SeqCst);
-            }
+            self.live -= 1;
+            self.open.store(self.live, Ordering::SeqCst);
             self.free.push(i);
         }
     }
@@ -552,19 +482,9 @@ impl Loop {
                 }
                 Ok(n) => {
                     conn.last_activity = Instant::now();
-                    match &mut conn.kind {
-                        ConnKind::Data(dec) => {
-                            dec.push(&buf[..n]);
-                            if !self.drain_frames(i) {
-                                return;
-                            }
-                        }
-                        ConnKind::Http(head) => {
-                            head.extend_from_slice(&buf[..n]);
-                            if !self.maybe_answer_http(i) {
-                                return;
-                            }
-                        }
+                    conn.dec.push(&buf[..n]);
+                    if !self.drain_frames(i) {
+                        return;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -587,10 +507,7 @@ impl Loop {
                 self.pobs.backpressure_stalls.inc();
                 return true;
             }
-            let ConnKind::Data(dec) = &mut conn.kind else {
-                return true;
-            };
-            match dec.next_frame() {
+            match conn.dec.next_frame() {
                 Ok(Some(frame)) => match decode_request(frame) {
                     Ok(req) => {
                         let pending = self.serve(req);
@@ -695,48 +612,6 @@ impl Loop {
         }
     }
 
-    /// Answers a buffered HTTP request head once complete. Returns
-    /// false when the connection died.
-    fn maybe_answer_http(&mut self, i: usize) -> bool {
-        let Some(conn) = self.conns[i].as_mut() else {
-            return false;
-        };
-        let ConnKind::Http(head) = &conn.kind else {
-            return true;
-        };
-        let complete = head.windows(4).any(|w| w == b"\r\n\r\n");
-        if !complete && head.len() <= 8192 {
-            return true;
-        }
-        let path = parse_http_path(head);
-        self.pobs.http_requests.inc();
-        let (status, body) = match path.as_deref() {
-            Some("/metrics") => ("200 OK", vmr_obs::render_prometheus(&self.obs.snapshot())),
-            Some("/dash") => (
-                "200 OK",
-                vmr_obs::render_dashboard(&self.obs.snapshot(), "rtnet poll server"),
-            ),
-            Some(_) => ("404 Not Found", "not found\n".to_string()),
-            None => ("400 Bad Request", "bad request\n".to_string()),
-        };
-        let resp = format!(
-            "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            body.len(),
-            body
-        );
-        let Some(conn) = self.conns[i].as_mut() else {
-            return false;
-        };
-        conn.wq.push(Pending {
-            wire: Wire::Owned(resp.into_bytes()),
-            off: 0,
-            t0: None,
-        });
-        conn.close_after_flush = true;
-        self.drive_write(i);
-        self.conns[i].is_some()
-    }
-
     fn reap_idle(&mut self, now: Instant) {
         let timeout = self.cfg.idle_timeout;
         for i in 0..self.conns.len() {
@@ -752,23 +627,10 @@ impl Loop {
     }
 }
 
-/// Extracts the request path from an HTTP/1.x request head.
-fn parse_http_path(head: &[u8]) -> Option<String> {
-    let text = std::str::from_utf8(head).ok()?;
-    let line = text.lines().next()?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?;
-    if method != "GET" {
-        return None;
-    }
-    let path = parts.next()?;
-    Some(path.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fetch::{fetch_once, http_get, FetchError};
+    use crate::fetch::{fetch_once, FetchError};
     use crate::wait::wait_until;
     use bytes::Bytes;
 
@@ -973,6 +835,46 @@ mod tests {
         }
     }
 
+    /// Bytes that are not a request frame close their connection, each
+    /// counted once as a protocol error, and the loop goes on serving:
+    /// a stale scraper's `GET /metrics` line (its prefix "GET " reads as
+    /// a length past `MAX_FRAME`), a well-sized frame with request tag 9,
+    /// and a zero length prefix.
+    #[test]
+    fn hostile_bytes_close_their_connection_and_count() {
+        let obs = vmr_obs::Obs::new();
+        let store = Arc::new(OutputStore::new());
+        store.put("f", Bytes::from_static(b"still served"));
+        let srv = PollServer::start_with_obs(store, PollServerConfig::new(4), &obs).unwrap();
+        let errors = || obs.snapshot().counter("rtnet.poll.proto_errors");
+        assert!(u32::from_be_bytes(*b"GET ") as usize > crate::proto::MAX_FRAME);
+        let hostile: [&[u8]; 3] = [
+            b"GET /metrics HTTP/1.0\r\n\r\n",
+            &[0, 0, 0, 4, 9, 0, 1, b'f'],
+            &[0, 0, 0, 0],
+        ];
+        for bytes in hostile {
+            let mut s = TcpStream::connect(srv.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(bytes).unwrap();
+            // No reply: the server closes (EOF, or a reset when it
+            // closed over bytes it had not read yet).
+            let mut reply = Vec::new();
+            match s.read_to_end(&mut reply) {
+                Ok(_) => assert!(reply.is_empty(), "answered {reply:?}"),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
+            }
+        }
+        assert!(wait_until(
+            || srv.open_connections() == 0,
+            Duration::from_secs(10)
+        ));
+        assert_eq!(&fetch_once(srv.addr(), "f").unwrap()[..], b"still served");
+        assert_eq!(errors(), 3);
+        assert_eq!(srv.stats.served.load(Ordering::Relaxed), 1);
+        srv.shutdown();
+    }
+
     /// A file re-put under the same name is served under its own digest
     /// (`fetch_once` verifies the trailer, so A's would fail B's body).
     #[test]
@@ -985,36 +887,6 @@ mod tests {
         assert_eq!(&fetch_once(srv.addr(), "f").unwrap()[..], b"version B");
         store.put("f", Bytes::from_static(b"version A"));
         assert_eq!(&fetch_once(srv.addr(), "f").unwrap()[..], b"version A");
-        srv.shutdown();
-    }
-
-    #[test]
-    fn metrics_endpoint_scrapes() {
-        let obs = vmr_obs::Obs::new();
-        let store = Arc::new(OutputStore::new());
-        store.put("f", Bytes::from_static(b"x"));
-        let cfg = PollServerConfig::new(4).with_metrics_endpoint();
-        let srv = PollServer::start_with_obs(store, cfg, &obs).unwrap();
-        let maddr = srv.metrics_addr().expect("metrics endpoint enabled");
-        fetch_once(srv.addr(), "f").unwrap();
-        let text = http_get(maddr, "/metrics").unwrap();
-        assert!(
-            text.contains("rtnet_served 1"),
-            "exposition must carry the served counter:\n{text}"
-        );
-        let dash = http_get(maddr, "/dash").unwrap();
-        assert!(dash.contains("rtnet poll server"));
-        // `/dash` renders the live registry per request: a counter
-        // bumped after the server started shows in the next one.
-        obs.counter("test.bumped_after_start").add(7);
-        let dash = http_get(maddr, "/dash").unwrap();
-        assert!(
-            dash.lines()
-                .any(|l| l.contains("test.bumped_after_start") && l.ends_with(" 7")),
-            "dashboard must carry the new counter:\n{dash}"
-        );
-        let missing = http_get(maddr, "/nope").unwrap_err();
-        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
         srv.shutdown();
     }
 }

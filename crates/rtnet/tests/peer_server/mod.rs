@@ -19,11 +19,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vmr_rtnet::proto::{
     encode_request, encode_response, read_request, read_response, write_all, Request, Response,
 };
-use vmr_rtnet::{fetch_once, wait_until, FetchError, OutputStore, ServerStats};
+use vmr_rtnet::{fetch_once, FetchError, OutputStore, ServerStats};
 
 /// The request-outcome counters, resolved by name under the same
 /// `rtnet.*` keys as the poll runtime's.
@@ -252,10 +252,11 @@ fn timed_out_file_not_served() {
     let store = Arc::new(OutputStore::new());
     store.put_with_timeout("f", Bytes::from_static(b"x"), Duration::from_millis(1));
     let srv = PeerServer::start_with_obs(store.clone(), 4, &vmr_obs::Obs::detached()).unwrap();
-    assert!(wait_until(
-        || matches!(fetch_once(srv.addr(), "f"), Err(FetchError::NotFound)),
-        Duration::from_secs(10)
-    ));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !matches!(fetch_once(srv.addr(), "f"), Err(FetchError::NotFound)) {
+        assert!(Instant::now() < deadline, "serving window never closed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // Reset revives it — the reschedule path of §III.C.
     store.reset_timeout("f", Some(Duration::from_secs(30)));
     assert!(fetch_once(srv.addr(), "f").is_ok());

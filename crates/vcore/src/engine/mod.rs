@@ -21,7 +21,6 @@
 use crate::config::{ProjectConfig, FEEDER_SLOTS, SERVER_DAEMON_PERIOD_S};
 use crate::db::Db;
 use crate::fault::{FaultIndex, FaultPlan};
-use crate::host::HostProfile;
 use crate::transition::{transition_wu, Transition};
 use crate::types::{ClientId, OutputFingerprint, ResultId, WuId};
 use crate::workunit::{ResultState, WorkUnitSpec};
@@ -258,20 +257,6 @@ impl Engine {
         EngineBuilder::new(seed)
     }
 
-    /// The engine's metric registry rendered in Prometheus exposition
-    /// format — the same text the rtnet poll runtime serves on its
-    /// `GET /metrics` endpoint, so simulated and real runs are scraped
-    /// identically.
-    pub fn metrics_text(&self) -> String {
-        vmr_obs::render_prometheus(&self.obs.snapshot())
-    }
-
-    /// A one-shot human-readable dashboard of the engine's registry
-    /// (counters, gauges, latency summaries).
-    pub fn dashboard_text(&self) -> String {
-        vmr_obs::render_dashboard(&self.obs.snapshot(), "vcore engine")
-    }
-
     /// Inserts a work unit; it becomes schedulable at the next daemon
     /// tick (feeder pass).
     pub fn insert_workunit(&mut self, spec: WorkUnitSpec) -> WuId {
@@ -293,16 +278,6 @@ impl Engine {
     /// Number of clients.
     pub fn n_clients(&self) -> usize {
         self.clients.len()
-    }
-
-    /// The network host of a client.
-    pub fn client_host(&self, c: ClientId) -> HostId {
-        self.clients[c.0 as usize].host
-    }
-
-    /// The profile of a client.
-    pub fn client_profile(&self, c: ClientId) -> &HostProfile {
-        &self.clients[c.0 as usize].profile
     }
 
     /// Has this client dropped out?
@@ -835,6 +810,7 @@ mod tests {
     use super::*;
     use crate::config::{CLIENT_BUFFER_SLOTS, PEER_RETRY_LIMIT};
     use crate::fault::Corruption;
+    use crate::host::HostProfile;
     use crate::types::{FileRef, FileSource};
     use vmr_netsim::HostLink;
 
@@ -890,24 +866,6 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(holders.len(), dedup.len());
-    }
-
-    #[test]
-    fn ops_surface_renders_engine_registry() {
-        let mut eng = small_engine(2);
-        eng.insert_workunit(wu_spec("w0", 0, 1_000));
-        let mut policy = NullPolicy;
-        eng.run_until(&mut policy, SimTime::from_secs(4000), |e| {
-            e.db.all_wus_terminal()
-        });
-        let text = eng.metrics_text();
-        let dash = eng.dashboard_text();
-        assert!(dash.contains("vcore engine"), "dashboard carries its title");
-        assert!(
-            text.contains("vcore_rpcs"),
-            "scrape must expose the engine counters:\n{text}"
-        );
-        assert!(text.contains("# TYPE vcore_rpcs counter"));
     }
 
     #[test]
@@ -1413,16 +1371,13 @@ mod tests {
         assert_eq!(eng.db.wu(wu).state, crate::workunit::WuState::Validated);
         // Generated profiles carried over verbatim, tiers preserved.
         for (i, want) in standalone.hosts.iter().enumerate() {
-            let c = ClientId(i as u32);
-            assert_eq!(eng.client_profile(c).model, want.profile.model);
+            let client = &eng.clients[i];
+            assert_eq!(client.profile.model, want.profile.model);
             assert_eq!(
-                eng.client_profile(c).flops_per_sec.to_bits(),
+                client.profile.flops_per_sec.to_bits(),
                 want.profile.flops_per_sec.to_bits()
             );
-            assert_eq!(
-                eng.net.topology().tier_of(eng.client_host(c)),
-                Some(want.tier)
-            );
+            assert_eq!(eng.net.topology().tier_of(client.host), Some(want.tier));
         }
         assert_eq!(eng.net.topology().tier_of(eng.server_host()), None);
         assert!(eng.net.topology().is_hierarchical());
@@ -1445,8 +1400,7 @@ mod tests {
             let topo = eng.net.topology();
             assert_eq!(eng.n_clients(), want.hosts.len());
             for (i, w) in want.hosts.iter().enumerate() {
-                let c = ClientId(i as u32);
-                let (got, host) = (eng.client_profile(c), eng.client_host(c));
+                let (got, host) = (&eng.clients[i].profile, eng.clients[i].host);
                 assert_eq!(got.model, w.profile.model);
                 assert_eq!(
                     got.flops_per_sec.to_bits(),

@@ -90,12 +90,6 @@ impl HostProfile {
         flops / self.flops_per_sec
     }
 
-    /// Returns a copy with a different NAT class (for §III.D ablations).
-    pub fn with_nat(mut self, nat: NatType) -> Self {
-        self.nat = nat;
-        self
-    }
-
     /// Returns a copy with an owner-usage availability pattern.
     pub fn with_availability(mut self, on_mean_s: f64, off_mean_s: f64) -> Self {
         self.availability = Some(Availability {
@@ -138,11 +132,5 @@ mod tests {
         let h = HostProfile::pc3001().with_availability(600.0, 300.0);
         assert!((h.availability.unwrap().duty_cycle() - 2.0 / 3.0).abs() < 1e-12);
         assert!(HostProfile::pc3001().availability.is_none());
-    }
-
-    #[test]
-    fn with_nat_override() {
-        let h = HostProfile::pc3001().with_nat(NatType::Symmetric);
-        assert_eq!(h.nat, NatType::Symmetric);
     }
 }

@@ -278,17 +278,6 @@ struct Draw {
     cpu_jitter: f64,
 }
 
-impl HostPopulation {
-    /// Host count per class index.
-    pub fn class_counts(&self, n_classes: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; n_classes];
-        for h in &self.hosts {
-            counts[h.class] += 1;
-        }
-        counts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,7 +339,10 @@ mod tests {
         let spec = PopulationSpec::internet(10_000, 7);
         let pop = spec.generate();
         let total_w: f64 = spec.classes.iter().map(|c| c.weight).sum();
-        let counts = pop.class_counts(spec.classes.len());
+        let mut counts = vec![0usize; spec.classes.len()];
+        for h in &pop.hosts {
+            counts[h.class] += 1;
+        }
         for (c, &n) in spec.classes.iter().zip(&counts) {
             let expect = c.weight / total_w;
             let got = n as f64 / 10_000.0;

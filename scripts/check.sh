@@ -25,7 +25,8 @@
 #               PROPTEST_SEED with 10x the cases, timing each target
 #               (scripts/fences.sh), and the slow smokes: the
 #               20k-host netsim scale leg, the shuffle strategy ablation,
-#               the trust ablation, and the 10k rtnet soak with the
+#               the trust ablation, and the 10k rtnet soak (its p99
+#               comes from the server child's `STATS` line) with the
 #               poll runtime's concurrency ladder
 
 set -euo pipefail
@@ -156,7 +157,7 @@ if [ "$NO_BENCH" -eq 0 ]; then
         expect_json_line BENCH_trust.json ./target/release/trust_study --smoke
 
         echo "==> rtnet soak smoke: 10k concurrent volunteers vs the poll runtime (--full)"
-        echo "    (two-process harness; zero lost requests, exact busy accounting, bounded p99)"
+        echo "    (two-process harness; zero lost requests, exact busy accounting, bounded p99 from the child's STATS line)"
         SOAK_SMOKE=1 cargo test --offline --release -p volunteer-mr \
             --test soak_rtnet soak_10k_volunteers -- --nocapture
 

@@ -4,7 +4,8 @@
 //! fetcher connections, with exhaustive accounting: every request ends
 //! in exactly one client-side bucket, the client's and the server's
 //! counters agree to the digit, and tail latency stays bounded (read
-//! live off the `/metrics` endpoint, like an operator would).
+//! from the server's own registry, which the child reports on its
+//! `STATS` line).
 //!
 //! The container caps open files at 20 000 (soft *and* hard), so a
 //! single process cannot hold 10 000 server sockets plus 10 000 client
@@ -24,7 +25,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Duration;
-use volunteer_mr::rtnet::{http_get, run_load, LoadConfig};
+use volunteer_mr::rtnet::{run_load, LoadConfig};
 
 /// Scans child stdout for a line carrying `marker` and returns what
 /// follows it. The marker may appear mid-line: the child's libtest
@@ -47,7 +48,6 @@ struct ServerProc {
     child: Child,
     out: BufReader<ChildStdout>,
     addr: SocketAddr,
-    metrics_addr: SocketAddr,
 }
 
 /// Spawns this test binary as the serving process.
@@ -63,20 +63,8 @@ fn spawn_server(threshold: usize, payload: usize) -> ServerProc {
         .spawn()
         .expect("spawn server child");
     let mut out = BufReader::new(child.stdout.take().expect("child stdout"));
-    let addr_line = await_line(&mut out, "ADDR ");
-    let mut parts = addr_line.split_whitespace();
-    let addr: SocketAddr = parts.next().expect("data addr").parse().expect("addr");
-    let metrics_addr: SocketAddr = parts
-        .next()
-        .expect("metrics addr")
-        .parse()
-        .expect("metrics addr");
-    ServerProc {
-        child,
-        out,
-        addr,
-        metrics_addr,
-    }
+    let addr: SocketAddr = await_line(&mut out, "ADDR ").parse().expect("addr");
+    ServerProc { child, out, addr }
 }
 
 /// Parsed `STATS` line the server prints on shutdown.
@@ -86,6 +74,12 @@ struct ServerTotals {
     not_found: u64,
     busy: u64,
     peak_open: usize,
+    /// `rtnet.served` in the server's registry.
+    served_registry: u64,
+    /// Samples in the `rtnet.poll.serve_us` histogram.
+    serve_count: u64,
+    /// That histogram's p99, µs.
+    p99_us: f64,
 }
 
 impl ServerProc {
@@ -97,28 +91,23 @@ impl ServerProc {
         let stats = await_line(&mut self.out, "STATS ");
         let status = self.child.wait().expect("child exit");
         assert!(status.success(), "server child failed: {status:?}");
-        let field = |name: &str| -> u64 {
+        let field = |name: &str| -> &str {
             stats
                 .split_whitespace()
                 .find_map(|kv| kv.strip_prefix(&format!("{name}=")))
                 .unwrap_or_else(|| panic!("no {name} in STATS line {stats:?}"))
-                .parse()
-                .expect("numeric field")
         };
+        let count = |name: &str| -> u64 { field(name).parse().expect("numeric field") };
         ServerTotals {
-            served: field("served"),
-            not_found: field("not_found"),
-            busy: field("busy"),
-            peak_open: field("peak") as usize,
+            served: count("served"),
+            not_found: count("not_found"),
+            busy: count("busy"),
+            peak_open: count("peak") as usize,
+            served_registry: count("served_registry"),
+            serve_count: count("serve_count"),
+            p99_us: field("p99_us").parse().expect("numeric p99"),
         }
     }
-}
-
-/// Pulls one sample value out of an exposition-format scrape.
-fn metric(text: &str, series: &str) -> Option<f64> {
-    text.lines()
-        .find_map(|l| l.strip_prefix(series))
-        .and_then(|rest| rest.trim().parse().ok())
 }
 
 /// The serving half of the harness. A no-op under plain `cargo test`;
@@ -147,9 +136,7 @@ fn server_role() {
     let store = Arc::new(OutputStore::new());
     store.put("blob", bytes::Bytes::from(vec![0x5au8; payload]));
     let obs = volunteer_mr::obs::Obs::new();
-    let cfg = PollServerConfig::new(threshold)
-        .with_metrics_endpoint()
-        .with_idle_timeout(Duration::from_secs(300));
+    let cfg = PollServerConfig::new(threshold).with_idle_timeout(Duration::from_secs(300));
     let srv = PollServer::start_with_obs(store, cfg, &obs).expect("poll server");
 
     // Sample peak concurrent connections while serving.
@@ -163,11 +150,7 @@ fn server_role() {
             }
         });
 
-        println!(
-            "ADDR {} {}",
-            srv.addr(),
-            srv.metrics_addr().expect("metrics endpoint on")
-        );
+        println!("ADDR {}", srv.addr());
 
         // Serve until the driver says stop (or closes our stdin).
         let mut line = String::new();
@@ -175,18 +158,23 @@ fn server_role() {
         done.store(true, Ordering::Relaxed);
     });
     let stats = &srv.stats;
+    let snap = obs.snapshot();
+    let serve_us = snap.histogram("rtnet.poll.serve_us");
     println!(
-        "STATS served={} not_found={} busy={} peak={}",
+        "STATS served={} not_found={} busy={} peak={} served_registry={} serve_count={} p99_us={}",
         stats.served.load(Ordering::Relaxed),
         stats.not_found.load(Ordering::Relaxed),
         stats.busy_rejections.load(Ordering::Relaxed),
         peak.load(Ordering::Relaxed),
+        snap.counter("rtnet.served"),
+        serve_us.count,
+        serve_us.p99,
     );
     srv.shutdown();
 }
 
 /// The driver: 10 000 concurrent fetchers, zero lost requests, exact
-/// rejection accounting, bounded p99 via the metrics endpoint.
+/// rejection accounting, bounded p99 from the server's registry.
 #[test]
 fn soak_10k_volunteers() {
     if std::env::var("SOAK_SMOKE").is_err() {
@@ -204,9 +192,6 @@ fn soak_10k_volunteers() {
     let mut cfg = LoadConfig::concurrent(n, "blob");
     cfg.deadline = Duration::from_secs(300);
     let report = run_load(server.addr, &cfg).expect("load run");
-
-    // Operator's view, scraped live before shutdown.
-    let scrape = http_get(server.metrics_addr, "/metrics").expect("scrape");
     let totals = server.stop();
 
     assert_eq!(
@@ -227,14 +212,12 @@ fn soak_10k_volunteers() {
         totals.peak_open
     );
     assert_eq!(
-        metric(&scrape, "rtnet_served "),
-        Some(n as f64),
-        "scrape must carry the served total:\n{scrape}"
+        totals.served_registry as usize, n,
+        "the registry must carry the served total"
     );
-    let p99 =
-        metric(&scrape, "rtnet_poll_serve_us{quantile=\"0.99\"} ").expect("p99 series in scrape");
-    let count = metric(&scrape, "rtnet_poll_serve_us_count ").expect("count series");
-    assert_eq!(count as usize, n);
+    assert_eq!(totals.serve_count as usize, n);
+    let p99 = totals.p99_us;
+    eprintln!("soak_10k_volunteers: n={n} serve p99 {p99} µs");
     assert!(
         p99.is_finite() && p99 > 0.0 && p99 < 60_000_000.0,
         "p99 serve latency must be bounded, got {p99}µs"
