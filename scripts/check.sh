@@ -8,8 +8,10 @@
 # workspace test suite; then the bench smokes — flow_churn (asserts its
 # `BENCH_netsim.json` line appeared), `table1 --quick`, `fig4`,
 # `supernode_relay`, `nat_sweep`, `interclient_ablation`,
-# `locality_ablation`, `backoff_sweep` and `availability_study` diffed
-# against tests/golden/, the crash-replay smoke, the durability torture
+# `locality_ablation`, `backoff_sweep`, `availability_study`,
+# `mitigation_study`, `replication_sweep` and `trust_study --smoke`
+# (its simulated columns: no `wall s`, no `BENCH_trust.json` line)
+# diffed against tests/golden/, the crash-replay smoke, the durability torture
 # smoke, and the benchmark's own smoke (all six BENCHMARK.json
 # workloads at ~1/20 size, every check on). It
 # writes nothing into the tree: `git status --porcelain` must read the
@@ -104,7 +106,8 @@ if [ "$NO_BENCH" -eq 0 ]; then
     echo "==> bench smoke: flow_churn"
     cargo build --offline --release -p vmr-bench --bin flow_churn --bin table1 --bin fig4 \
         --bin supernode_relay --bin nat_sweep --bin interclient_ablation --bin locality_ablation \
-        --bin backoff_sweep --bin availability_study
+        --bin backoff_sweep --bin availability_study --bin mitigation_study --bin replication_sweep \
+        --bin trust_study
     expect_json_line BENCH_netsim.json ./target/release/flow_churn
 
     if [ "$FULL" -eq 1 ]; then
@@ -113,8 +116,8 @@ if [ "$NO_BENCH" -eq 0 ]; then
     fi
 
     echo "==> bench smoke: table1 --quick (with metrics dump), fig4, supernode_relay, the"
-    echo "    NAT / inter-client / locality studies and the back-off cap and availability"
-    echo "    studies vs the committed goldens"
+    echo "    NAT / inter-client / locality studies, the back-off cap and availability"
+    echo "    studies and the mitigation, replication and trust studies vs the committed goldens"
     ./target/release/table1 --quick --metrics /tmp/table1_quick_metrics.json \
         | diff tests/golden/table1_quick.txt - \
         || { echo "table1 --quick diverged from tests/golden/table1_quick.txt" >&2; exit 1; }
@@ -127,12 +130,19 @@ if [ "$NO_BENCH" -eq 0 ]; then
         ./target/release/$study | diff "tests/golden/$study.txt" - \
             || { echo "$study diverged from tests/golden/$study.txt" >&2; exit 1; }
     done
-    # Both studies run with the event journal off, under back-off caps
-    # of 60-2400 s and under owner suspend / resume.
-    for study in backoff_sweep availability_study; do
+    # The back-off and availability studies run with the event journal
+    # off, under back-off caps of 60-2400 s and under owner suspend /
+    # resume. The mitigation and replication studies fence the job
+    # config (report switch, intermediate downloads, quorum).
+    for study in backoff_sweep availability_study mitigation_study replication_sweep; do
         ./target/release/$study | diff "tests/golden/$study.txt" - \
             || { echo "$study diverged from tests/golden/$study.txt" >&2; exit 1; }
     done
+    # The trust estimator and replication policy at their constants:
+    # every simulated column, without the wall-clock one and the JSON line.
+    ./target/release/trust_study --smoke | grep -v '^BENCH_trust.json ' | sed -E 's/ \| [^|]*$//' \
+        | diff tests/golden/trust_study_smoke.txt - \
+        || { echo "trust_study --smoke diverged from tests/golden/trust_study_smoke.txt" >&2; exit 1; }
 
     echo "==> crash-replay smoke: crash mid-run, resume from the WAL mirror, byte-diff"
     echo "    (plain plan, then inline compaction resumed from the compacted mirror)"
