@@ -24,7 +24,6 @@ fn main() {
             cfg.sizing = sizing;
             cfg.input_bytes = 256 << 20;
             cfg.replication = replication;
-            cfg.quorum = replication.max(1);
             cfg.seed = 1000 + replication as u64 * 10 + n_byz as u64;
             cfg.fault = FaultPlan {
                 byzantine: (0..n_byz).map(|i| ClientId(i as u32)).collect(),

@@ -30,14 +30,6 @@ use vmr_vcore::{
 /// that adaptive replication can amortize the 2-way probation phase.
 const TASKS_PER_HOST: u32 = 25;
 
-/// Estimator knobs used for every trust-enabled leg.
-fn trust_cfg() -> TrustConfig {
-    let mut t = TrustConfig::enabled();
-    t.probation_results = 3;
-    t.spot_check_rate = 0.05;
-    t
-}
-
 struct Scenario {
     name: &'static str,
     plan: fn(u32) -> FaultPlan,
@@ -165,7 +157,10 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for &hosts in host_counts {
         for sc in SCENARIOS {
-            for (mode, trust) in [("fixed", TrustConfig::default()), ("trust", trust_cfg())] {
+            for (mode, trust) in [
+                ("fixed", TrustConfig::default()),
+                ("trust", TrustConfig::enabled()),
+            ] {
                 let r = run_leg(hosts, sc, trust, mode);
                 println!(
                     "{:>6} | {:>8} | {:>8} | {:>6} | {:>9} | {:>10.3} | {:>8} | {:>7} | {:>6} | {:>9.1} | {:>7.2}",

@@ -30,25 +30,21 @@ impl std::fmt::Display for MrMode {
     }
 }
 
-/// §IV.C's proposed fixes for the slow-node/backoff problem, togglable
-/// for the mitigation ablation.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct MitigationPlan {
-    /// Report map results as soon as their upload completes (extra RPC,
-    /// bypassing the backoff gate).
-    pub immediate_report: bool,
-    /// Intermediate data downloads: reducers prefetch map outputs while
-    /// the map phase still runs, so at reduce start only the partitions
-    /// of the *last-validated* map remain to fetch. (Approximation: the
-    /// shuffle overlap leaves only the critical-path tail.)
-    pub intermediate_downloads: bool,
-}
+// The paper's prototype parses text word by word through BOINC's C
+// API; ~1.5 MB/s on the P4 Xeon reproduces its phase lengths (map:
+// tokenize + hash + write ~1.4× output; reduce: parse + accumulate,
+// roughly 3× cheaper).
+/// FLOPs charged per input byte mapped (text scanning + hashing).
+pub const MAP_FLOPS_PER_BYTE: f64 = 1000.0;
+/// FLOPs charged per intermediate byte reduced.
+pub const REDUCE_FLOPS_PER_BYTE: f64 = 150.0;
 
 /// Byte-size model of a MapReduce job on a given application, used to
 /// parameterize the timing simulation. Calibrated by actually running
 /// the app's map function on a corpus sample (see
 /// [`SizingModel::calibrate`]), so the simulated transfer volumes track
-/// the real data volumes.
+/// the real data volumes. The compute cost per byte is the paper's
+/// word count's ([`MAP_FLOPS_PER_BYTE`], [`REDUCE_FLOPS_PER_BYTE`]).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SizingModel {
     /// map_output_bytes ≈ input_bytes × expansion.
@@ -57,10 +53,6 @@ pub struct SizingModel {
     /// is *vocabulary*-bound, not input-bound, so this is an absolute
     /// size rather than an input fraction.
     pub reduce_output_total_bytes: u64,
-    /// FLOPs charged per input byte mapped (text scanning + hashing).
-    pub map_flops_per_byte: f64,
-    /// FLOPs charged per intermediate byte reduced.
-    pub reduce_flops_per_byte: f64,
 }
 
 impl Default for SizingModel {
@@ -69,21 +61,14 @@ impl Default for SizingModel {
         SizingModel {
             expansion: 1.3,
             reduce_output_total_bytes: 800 << 10,
-            // The paper's prototype parses text word by word through
-            // BOINC's C API; ~1.5 MB/s on the P4 Xeon reproduces its
-            // phase lengths (map: tokenize + hash + write ~1.4× output;
-            // reduce: parse + accumulate, roughly 3× cheaper).
-            map_flops_per_byte: 1000.0,
-            reduce_flops_per_byte: 150.0,
         }
     }
 }
 
 impl SizingModel {
-    /// Measures `expansion` and `reduce_output_frac` by running the
-    /// app's real map/reduce over `sample`, keeping the default FLOP
-    /// costs. This ties the simulator's transfer volumes to the actual
-    /// application data.
+    /// Measures `expansion` and `reduce_output_total_bytes` by running
+    /// the app's real map/reduce over `sample`. This ties the
+    /// simulator's transfer volumes to the actual application data.
     pub fn calibrate<A>(app: &A, sample: &[u8]) -> Self
     where
         A: MapReduceApp<K = String>,
@@ -112,7 +97,6 @@ impl SizingModel {
             // The sample sees most of the vocabulary (Zipf); pad for
             // the unseen tail.
             reduce_output_total_bytes: (out_bytes as f64 * 1.5) as u64,
-            ..SizingModel::default()
         }
     }
 
@@ -133,12 +117,12 @@ impl SizingModel {
 
     /// FLOPs of a map task over `chunk` bytes.
     pub fn map_flops(&self, chunk: u64) -> f64 {
-        chunk as f64 * self.map_flops_per_byte
+        chunk as f64 * MAP_FLOPS_PER_BYTE
     }
 
     /// FLOPs of a reduce task over `bytes` of intermediate data.
     pub fn reduce_flops(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.reduce_flops_per_byte
+        bytes as f64 * REDUCE_FLOPS_PER_BYTE
     }
 }
 
@@ -160,8 +144,12 @@ pub struct MrJobConfig {
     /// Whether BOINC-MR mappers also return outputs to the server (v1
     /// prototype behaviour: required for the server fall-back path).
     pub map_outputs_to_server: bool,
-    /// §IV.C mitigation toggles.
-    pub mitigation: MitigationPlan,
+    /// §IV.C intermediate data downloads: reducers prefetch map
+    /// outputs while the map phase still runs, so at reduce start only
+    /// the partitions of the *last-validated* map remain to fetch.
+    /// (Approximation: the shuffle overlap leaves only the
+    /// critical-path tail.)
+    pub intermediate_downloads: bool,
     /// Report deadline per result, seconds (BOINC `delay_bound`).
     pub delay_bound_s: f64,
 }
@@ -177,7 +165,7 @@ impl MrJobConfig {
             mode,
             sizing: SizingModel::default(),
             map_outputs_to_server: true,
-            mitigation: MitigationPlan::default(),
+            intermediate_downloads: false,
             delay_bound_s: 6.0 * 3600.0,
         }
     }
@@ -202,11 +190,8 @@ impl MrJobConfig {
         });
         e.f64(self.sizing.expansion);
         e.u64(self.sizing.reduce_output_total_bytes);
-        e.f64(self.sizing.map_flops_per_byte);
-        e.f64(self.sizing.reduce_flops_per_byte);
         e.bool(self.map_outputs_to_server);
-        e.bool(self.mitigation.immediate_report);
-        e.bool(self.mitigation.intermediate_downloads);
+        e.bool(self.intermediate_downloads);
         e.f64(self.delay_bound_s);
     }
 
@@ -217,11 +202,15 @@ impl MrJobConfig {
         e.into_vec()
     }
 
-    /// Decodes a config written by [`MrJobConfig::encode`].
+    /// Decodes a config written by [`MrJobConfig::encode`]. A job with
+    /// no map or no reduce task is a [`WireError::BadValue`].
     pub fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
         let name = d.str()?;
         let n_maps = d.u32()? as usize;
         let n_reduces = d.u32()? as usize;
+        if n_maps == 0 || n_reduces == 0 {
+            return Err(WireError::BadValue);
+        }
         Ok(MrJobConfig {
             job: JobSpec::new(name, n_maps, n_reduces),
             input_bytes: d.u64()?,
@@ -235,14 +224,9 @@ impl MrJobConfig {
             sizing: SizingModel {
                 expansion: d.f64()?,
                 reduce_output_total_bytes: d.u64()?,
-                map_flops_per_byte: d.f64()?,
-                reduce_flops_per_byte: d.f64()?,
             },
             map_outputs_to_server: d.bool()?,
-            mitigation: MitigationPlan {
-                immediate_report: d.bool()?,
-                intermediate_downloads: d.bool()?,
-            },
+            intermediate_downloads: d.bool()?,
             delay_bound_s: d.f64()?,
         })
     }
@@ -298,14 +282,12 @@ mod tests {
         let s = SizingModel {
             expansion: 1.5,
             reduce_output_total_bytes: 1000,
-            map_flops_per_byte: 10.0,
-            reduce_flops_per_byte: 5.0,
         };
         assert_eq!(s.map_output_bytes(1000), 1500);
         assert_eq!(s.partition_bytes(1000, 3), 500);
         assert_eq!(s.reduce_output_bytes(100_000, 2), 500);
-        assert_eq!(s.map_flops(100), 1000.0);
-        assert_eq!(s.reduce_flops(100), 500.0);
+        assert_eq!(s.map_flops(100), 100_000.0);
+        assert_eq!(s.reduce_flops(100), 15_000.0);
     }
 
     #[test]
@@ -319,7 +301,7 @@ mod tests {
         let mut c = MrJobConfig::paper_wordcount(20, 5, MrMode::InterClient);
         c.input_bytes = 123_456_789;
         c.map_outputs_to_server = false;
-        c.mitigation.intermediate_downloads = true;
+        c.intermediate_downloads = true;
         c.delay_bound_s = 1234.5;
         c.sizing.expansion = 1.375;
         let back = MrJobConfig::from_bytes(&c.to_bytes()).unwrap();
@@ -333,11 +315,25 @@ mod tests {
             c.sizing.expansion.to_bits()
         );
         assert!(!back.map_outputs_to_server);
-        assert!(back.mitigation.intermediate_downloads);
-        assert!(!back.mitigation.immediate_report);
+        assert!(back.intermediate_downloads);
         assert_eq!(back.delay_bound_s.to_bits(), c.delay_bound_s.to_bits());
         // Canonical: re-encoding reproduces the same bytes.
         assert_eq!(back.to_bytes(), c.to_bytes());
+    }
+
+    #[test]
+    fn job_config_without_maps_or_reduces_is_a_wire_error() {
+        let good = MrJobConfig::paper_wordcount(2, 1, MrMode::InterClient).to_bytes();
+        // The name's u32 length and bytes, then n_maps, then n_reduces.
+        let at = 4 + "mr0".len();
+        for field in [at, at + 4] {
+            let mut bad = good.clone();
+            bad[field..field + 4].copy_from_slice(&0u32.to_be_bytes());
+            assert_eq!(
+                MrJobConfig::from_bytes(&bad).unwrap_err(),
+                WireError::BadValue
+            );
+        }
     }
 
     /// `calibrate` as it was before it shared the one group-by: a

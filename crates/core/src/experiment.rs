@@ -7,7 +7,7 @@
 //! the paper derives ("by examining the results obtained, it was not
 //! unusual for a single node to hold up the entire computation").
 
-use crate::config::{MitigationPlan, MrJobConfig, MrMode, SizingModel};
+use crate::config::{MrJobConfig, MrMode, SizingModel};
 use crate::policy::MrPolicy;
 use vmr_desim::{SimTime, Timeline};
 use vmr_durable::{DurabilityPlan, Journal};
@@ -41,6 +41,19 @@ impl NodeMix {
     }
 }
 
+/// §IV.C's proposed fixes for the slow-node/backoff problem, togglable
+/// for the mitigation ablation.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MitigationPlan {
+    /// Report map results as soon as their upload completes (extra RPC,
+    /// bypassing the backoff gate): the project's
+    /// `report_results_immediately`.
+    pub immediate_report: bool,
+    /// Intermediate data downloads: the job's
+    /// [`MrJobConfig::intermediate_downloads`].
+    pub intermediate_downloads: bool,
+}
+
 /// One experiment = one Table I cell (or ablation point).
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
@@ -56,10 +69,9 @@ pub struct ExperimentConfig {
     pub mode: MrMode,
     /// Initial input size (paper: 1 GB).
     pub input_bytes: u64,
-    /// Replication factor (paper: 2).
+    /// Replication factor (paper: 2), which is also the validation
+    /// quorum: every replica must agree.
     pub replication: u32,
-    /// Validation quorum (paper: 2).
-    pub quorum: u32,
     /// Backoff cap in seconds (paper: 600; swept by ablation A1).
     pub backoff_max_s: u64,
     /// §IV.C mitigations.
@@ -105,6 +117,10 @@ pub struct ExperimentConfig {
 pub enum ConfigError {
     /// The volunteer population is empty — nothing can run.
     NoNodes,
+    /// The job has no map work unit.
+    NoMaps,
+    /// The job has no reduce work unit.
+    NoReduces,
     /// More reduce work units than map work units: the partition model
     /// hands each reducer at least one map output, so this geometry is
     /// unsatisfiable.
@@ -122,6 +138,8 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NoNodes => write!(f, "experiment has zero volunteer nodes"),
+            ConfigError::NoMaps => write!(f, "job has zero map tasks"),
+            ConfigError::NoReduces => write!(f, "job has zero reduce tasks"),
             ConfigError::ReducesExceedMaps { maps, reduces } => write!(
                 f,
                 "n_reduces ({reduces}) exceeds n_maps ({maps}): every reducer needs map output"
@@ -152,7 +170,6 @@ impl ExperimentConfig {
             mode,
             input_bytes: 1 << 30,
             replication: 2,
-            quorum: 2,
             backoff_max_s: 600,
             mitigation: MitigationPlan::default(),
             concurrent_jobs: 1,
@@ -176,6 +193,12 @@ impl ExperimentConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes.total() == 0 {
             return Err(ConfigError::NoNodes);
+        }
+        if self.n_maps == 0 {
+            return Err(ConfigError::NoMaps);
+        }
+        if self.n_reduces == 0 {
+            return Err(ConfigError::NoReduces);
         }
         if self.n_reduces > self.n_maps {
             return Err(ConfigError::ReducesExceedMaps {
@@ -250,7 +273,7 @@ pub(crate) fn build_testbed(cfg: &ExperimentConfig, journal: Journal) -> (Engine
         backoff_max_s: cfg.backoff_max_s,
         report_results_immediately: cfg.mitigation.immediate_report,
         locality_scheduling: cfg.locality_scheduling,
-        trust: cfg.trust.clone(),
+        trust: cfg.trust,
         shuffle: cfg.shuffle.clone(),
     };
 
@@ -294,9 +317,9 @@ pub(crate) fn build_testbed(cfg: &ExperimentConfig, journal: Journal) -> (Engine
         let mut jc = MrJobConfig::paper_wordcount(cfg.n_maps, cfg.n_reduces, cfg.mode);
         jc.input_bytes = cfg.input_bytes;
         jc.replication = cfg.replication;
-        jc.quorum = cfg.quorum;
+        jc.quorum = cfg.replication;
         jc.sizing = cfg.sizing;
-        jc.mitigation = cfg.mitigation;
+        jc.intermediate_downloads = cfg.mitigation.intermediate_downloads;
         jc.delay_bound_s = cfg.delay_bound_s;
         pol.submit_job(&mut eng, jc);
     }
@@ -523,5 +546,19 @@ mod tests {
         assert!(s.contains("484"));
         assert!(s.contains("[ 396]"));
         assert!(s.contains("1121"));
+    }
+
+    #[test]
+    fn zero_maps_is_a_config_error() {
+        let cfg = ExperimentConfig::table1(10, 0, 0, MrMode::InterClient);
+        assert!(matches!(cfg.validate(), Err(ConfigError::NoMaps)));
+        assert!(matches!(run_experiment(&cfg), Err(ConfigError::NoMaps)));
+    }
+
+    #[test]
+    fn zero_reduces_is_a_config_error() {
+        let cfg = ExperimentConfig::table1(10, 4, 0, MrMode::InterClient);
+        assert!(matches!(cfg.validate(), Err(ConfigError::NoReduces)));
+        assert!(matches!(run_experiment(&cfg), Err(ConfigError::NoReduces)));
     }
 }

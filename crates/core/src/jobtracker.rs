@@ -210,15 +210,25 @@ impl JobTracker {
             .all(|j| matches!(j.phase, Phase::Done | Phase::Failed))
     }
 
+    /// The job `job` names, or [`WireError::BadId`] when no such job
+    /// was submitted.
+    fn job_mut(&mut self, job: u32) -> Result<&mut JobState, WireError> {
+        self.jobs.get_mut(job as usize).ok_or(WireError::BadId(job))
+    }
+
     /// Applies one replayed WAL record; `Ok(false)` when the record
     /// belongs to another subsystem. Records arrive in emission order,
     /// so a job always exists before its WUs are indexed and holders
-    /// land before the phase flips.
+    /// land before the phase flips; a record that breaks this order, or
+    /// names a map task the job does not have, is a
+    /// [`WireError::BadId`].
     pub fn apply_change(&mut self, c: &StateChange) -> Result<bool, WireError> {
         let t = |us: u64| SimTime::from_micros(us);
         match c {
             StateChange::MrJobSubmitted { job, cfg } => {
-                debug_assert_eq!(*job as usize, self.jobs.len());
+                if *job as usize != self.jobs.len() {
+                    return Err(WireError::BadId(*job));
+                }
                 let cfg = MrJobConfig::from_bytes(cfg)?;
                 self.add_job(JobState::new(cfg));
             }
@@ -228,15 +238,16 @@ impl JobTracker {
                 reduce,
                 idx,
             } => {
-                let (ji, idx) = (*job as usize, *idx as usize);
+                let j = self.job_mut(*job)?;
+                let idx = *idx as usize;
                 let task = if *reduce {
-                    self.jobs[ji].reduce_wus.push(WuId(*wu));
+                    j.reduce_wus.push(WuId(*wu));
                     TaskKind::Reduce(idx)
                 } else {
-                    self.jobs[ji].map_wus.push(WuId(*wu));
+                    j.map_wus.push(WuId(*wu));
                     TaskKind::Map(idx)
                 };
-                self.index_wu(WuId(*wu), ji, task);
+                self.index_wu(WuId(*wu), *job as usize, task);
             }
             StateChange::MrMapValidated {
                 job,
@@ -244,32 +255,33 @@ impl JobTracker {
                 holders,
                 at_us: _,
             } => {
-                let j = &mut self.jobs[*job as usize];
-                j.holders[*m as usize] = holders.iter().copied().map(ClientId).collect();
+                let j = self.job_mut(*job)?;
+                *j.holders.get_mut(*m as usize).ok_or(WireError::BadId(*m))? =
+                    holders.iter().copied().map(ClientId).collect();
                 j.maps_validated += 1;
                 j.last_validated_map = Some(*m as usize);
             }
             StateChange::MrReduceValidated { job } => {
-                self.jobs[*job as usize].reduces_validated += 1;
+                self.job_mut(*job)?.reduces_validated += 1;
             }
             StateChange::MrShufflePlanned {
                 job,
                 strategy,
                 group,
             } => {
-                let j = &mut self.jobs[*job as usize];
+                let j = self.job_mut(*job)?;
                 j.shuffle_strategy = *strategy;
                 j.shuffle_group = *group;
             }
             StateChange::MrPhase { job, phase, at_us } => {
-                let j = &mut self.jobs[*job as usize];
+                let j = self.job_mut(*job)?;
                 j.phase = Phase::from_wire(*phase)?;
                 if j.phase == Phase::Done {
                     j.done_at = Some(t(*at_us));
                 }
             }
             StateChange::MrStamp { job, which, at_us } => {
-                let j = &mut self.jobs[*job as usize];
+                let j = self.job_mut(*job)?;
                 let now = t(*at_us);
                 match *which {
                     stamp::FIRST_MAP_ASSIGN => {

@@ -5,7 +5,7 @@
 //!
 //! * [`config`] — `mr_jobtracker.xml` equivalents: job geometry,
 //!   replication/quorum, transfer mode, data sizing calibrated against
-//!   the real word-count application, §IV.C mitigation toggles.
+//!   the real word-count application, §IV.C intermediate downloads.
 //! * [`jobtracker`] — the paper's new server module: WU ↔ (job, task)
 //!   index, validated map-output holders, phase state and timestamps.
 //! * [`policy`] — the orchestration: map WUs scheduled as ordinary
@@ -27,12 +27,11 @@ pub mod recover;
 pub mod workflow;
 
 pub use config::{
-    GeneratedHost, HostPopulation, MitigationPlan, MrJobConfig, MrMode, PopulationSpec,
-    SizingModel, VolunteerClass,
+    GeneratedHost, HostPopulation, MrJobConfig, MrMode, PopulationSpec, SizingModel, VolunteerClass,
 };
 pub use experiment::{
-    format_row, run_experiment, ConfigError, ExperimentConfig, ExperimentOutcome, NodeMix,
-    PhaseReport,
+    format_row, run_experiment, ConfigError, ExperimentConfig, ExperimentOutcome, MitigationPlan,
+    NodeMix, PhaseReport,
 };
 pub use jobtracker::{JobState, JobTracker, Phase, TaskKind};
 pub use policy::MrPolicy;

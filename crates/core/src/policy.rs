@@ -124,7 +124,7 @@ impl MrPolicy {
                 // §IV.C "intermediate data downloads": everything except
                 // the last-validated map was prefetched during the map
                 // phase; only the tail remains to fetch.
-                if cfg.mitigation.intermediate_downloads && job.last_validated_map != Some(m) {
+                if cfg.intermediate_downloads && job.last_validated_map != Some(m) {
                     bytes = 0;
                 }
                 let holders: Vec<u32> = job.holders[m].iter().map(|c| c.0).collect();
@@ -527,7 +527,7 @@ mod tests {
         let mut eng = engine(5);
         let mut pol = MrPolicy::new();
         let mut cfg = tiny_job(MrMode::InterClient);
-        cfg.mitigation.intermediate_downloads = true;
+        cfg.intermediate_downloads = true;
         let ji = pol.submit_job(&mut eng, cfg);
         eng.run_until(&mut pol, SimTime::from_secs(50_000), |e| e.db.n_wus() > 3);
         let job = &pol.tracker.jobs[ji];

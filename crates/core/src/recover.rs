@@ -239,3 +239,68 @@ pub fn resume_experiment(
     eng.run_until(&mut pol, horizon(), |e| e.db.all_wus_terminal());
     Ok(finish(eng, pol))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{MrJobConfig, MrMode};
+    use vmr_durable::{DurabilityPlan, StateChange};
+
+    /// A committed log holding `changes` and nothing else.
+    fn log_of(changes: &[StateChange]) -> Vec<u8> {
+        let j = Journal::new(&DurabilityPlan::new(0.0)).unwrap();
+        for c in changes {
+            j.append(c);
+        }
+        j.commit();
+        j.log_bytes()
+    }
+
+    fn submitted(job: u32, n_maps: usize, n_reduces: usize) -> StateChange {
+        let mut cfg = MrJobConfig::paper_wordcount(1, 1, MrMode::InterClient);
+        cfg.job.n_maps = n_maps;
+        cfg.job.n_reduces = n_reduces;
+        StateChange::MrJobSubmitted {
+            job,
+            cfg: cfg.to_bytes(),
+        }
+    }
+
+    /// CRC-valid MapReduce records that no writer emits recover to a
+    /// typed error, not a panic.
+    #[test]
+    fn impossible_mapreduce_records_are_wire_errors() {
+        let cases = [
+            (vec![submitted(0, 0, 1)], WireError::BadValue),
+            (vec![submitted(0, 2, 0)], WireError::BadValue),
+            (vec![submitted(1, 2, 1)], WireError::BadId(1)),
+            (
+                vec![submitted(0, 2, 1), submitted(0, 2, 1)],
+                WireError::BadId(0),
+            ),
+            (
+                vec![StateChange::MrReduceValidated { job: 0 }],
+                WireError::BadId(0),
+            ),
+            (
+                vec![
+                    submitted(0, 2, 1),
+                    StateChange::MrMapValidated {
+                        job: 0,
+                        m: 2,
+                        holders: vec![1],
+                        at_us: 5,
+                    },
+                ],
+                WireError::BadId(2),
+            ),
+        ];
+        for (changes, want) in cases {
+            match RecoveredServerState::from_log(&log_of(&changes)) {
+                Err(RecoveryError::Wire(e)) => assert_eq!(e, want, "{changes:?}"),
+                Err(e) => panic!("{changes:?}: {e}"),
+                Ok(_) => panic!("{changes:?} recovered"),
+            }
+        }
+    }
+}

@@ -279,21 +279,25 @@ fn resume_bit_identical_from_the_compacted_mirror() {
 /// f64 bits, counters, and the resumed WAL itself).
 #[test]
 fn trust_enabled_crash_resumes_bit_identically() {
-    let mut cfg = ExperimentConfig::table1(5, 3, 2, MrMode::InterClient);
+    let mut cfg = ExperimentConfig::table1(5, 60, 2, MrMode::InterClient);
     cfg.input_bytes = 32 << 20;
     cfg.durable = DurabilityPlan::new(120.0);
-    cfg.trust = {
-        let mut t = TrustConfig::enabled();
-        t.probation_results = 2;
-        t.spot_check_rate = 0.2;
-        t
-    };
+    cfg.trust = TrustConfig::enabled();
 
     let base = run_experiment(&cfg).expect("valid experiment config");
     assert!(base.all_done && !base.crashed);
     let full = RecoveredServerState::from_log(base.wal.as_ref().unwrap()).unwrap();
     let observed: u64 = (0..5).map(|h| full.trust.host(h).validated).sum();
     assert!(observed > 0, "the recovered ledger must show activity");
+    // Sixty maps give the five hosts enough grants after probation for
+    // the 5 % spot-check draw to fire.
+    assert!(full.trust.trusted_count() > 0, "hosts earn trust");
+    let spot_checks: u64 = (0..5).map(|h| full.trust.host(h).spot_checks).sum();
+    assert!(spot_checks > 0, "a trusted host is spot-checked");
+    assert!(
+        base.obs.snapshot().counter("trust.replication_saved") > 0,
+        "work units run unreplicated"
+    );
     assert!(
         full.trust.config().enabled,
         "the snapshot-embedded config survives recovery"

@@ -74,15 +74,29 @@ fn testbed(
 /// hosts that earned it run unreplicated, audited by spot-checks.
 fn trust_clique(seed: u64) -> Run {
     let cfg = ProjectConfig {
-        trust: TrustConfig {
-            probation_results: 1,
-            spot_check_rate: 0.2,
-            ..TrustConfig::enabled()
-        },
+        trust: TrustConfig::enabled(),
         ..ProjectConfig::default()
     };
     let fault = FaultPlan::colluding_clique(10, 0.3, 7, seed);
-    testbed(seed, cfg, HostProfile::pc3001(), fault, 12, 3)
+    // A hundred maps give the hosts enough grants after probation for
+    // the 5 % spot-check draw to fire under both seeds.
+    let run = testbed(seed, cfg, HostProfile::pc3001(), fault, 100, 3);
+    let counter = |name: &str| {
+        run.0
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    assert!(
+        counter("trust.replication_saved") > 0,
+        "trusted hosts run singly"
+    );
+    assert!(
+        counter("trust.spot_checks") > 0,
+        "a trusted host is spot-checked"
+    );
+    run
 }
 
 /// Swarmed chunks from several seeds, one peer transfer in five failing,

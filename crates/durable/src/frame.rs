@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! log      := MAGIC frame*
-//! MAGIC    := "VMRWAL02"                     (8 bytes, format version)
+//! MAGIC    := "VMRWAL03"                     (8 bytes, format version)
 //! frame    := len:u32 crc:u32 payload        (len = |payload|, BE)
 //! payload  := kind:u8 body                   (crc = CRC-32(payload))
 //! ```
@@ -34,8 +34,10 @@ use bytes::BytesMut;
 
 /// Log format magic + version. Bump the trailing digits on any layout
 /// change — there is no in-place migration. `02` added the record /
-/// commit sequence numbers.
-pub const MAGIC: &[u8; 8] = b"VMRWAL02";
+/// commit sequence numbers; `03` dropped the trust estimator's
+/// constants from `TrustConfigured` and the trust section, and the
+/// compute costs and report switch from the MapReduce job config.
+pub const MAGIC: &[u8; 8] = b"VMRWAL03";
 
 /// Frame kind: one encoded [`crate::StateChange`], prefixed by its
 /// record sequence number (`u64` BE), which recovery checks is

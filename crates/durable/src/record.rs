@@ -194,24 +194,11 @@ pub enum StateChange {
     },
     /// An enabled trust configuration attached to the WAL
     /// (`TrustLedger::set_journal`). Written once at startup so a
-    /// pre-snapshot crash replays trust records from genesis with the
-    /// run's estimator constants, not the defaults. Real-valued knobs
-    /// travel as `f64` bits.
+    /// ledger recovered before the first snapshot knows the subsystem
+    /// was on; the estimator's constants are not journaled.
     TrustConfigured {
         /// `TrustConfig::enabled`.
         enabled: bool,
-        /// `trust_threshold` bits.
-        threshold_bits: u64,
-        /// `init_error_rate` bits.
-        init_bits: u64,
-        /// `decay` bits.
-        decay_bits: u64,
-        /// `punish` bits.
-        punish_bits: u64,
-        /// `probation_results`.
-        probation: u64,
-        /// `spot_check_rate` bits.
-        spot_bits: u64,
     },
     /// The shuffle plan of a job was fixed at the map→reduce
     /// transition (`MrPolicy::create_reduce_wus`): which strategy
@@ -402,23 +389,9 @@ impl StateChange {
                 e.u64(*flops_bits);
                 e.u64(*scale_bits);
             }
-            StateChange::TrustConfigured {
-                enabled,
-                threshold_bits,
-                init_bits,
-                decay_bits,
-                punish_bits,
-                probation,
-                spot_bits,
-            } => {
+            StateChange::TrustConfigured { enabled } => {
                 e.u8(T_TRUST_CONFIGURED);
                 e.bool(*enabled);
-                e.u64(*threshold_bits);
-                e.u64(*init_bits);
-                e.u64(*decay_bits);
-                e.u64(*punish_bits);
-                e.u64(*probation);
-                e.u64(*spot_bits);
             }
             StateChange::MrShufflePlanned {
                 job,
@@ -528,15 +501,7 @@ impl StateChange {
                 flops_bits: d.u64()?,
                 scale_bits: d.u64()?,
             },
-            T_TRUST_CONFIGURED => StateChange::TrustConfigured {
-                enabled: d.bool()?,
-                threshold_bits: d.u64()?,
-                init_bits: d.u64()?,
-                decay_bits: d.u64()?,
-                punish_bits: d.u64()?,
-                probation: d.u64()?,
-                spot_bits: d.u64()?,
-            },
+            T_TRUST_CONFIGURED => StateChange::TrustConfigured { enabled: d.bool()? },
             T_MR_SHUFFLE_PLANNED => StateChange::MrShufflePlanned {
                 job: d.u32()?,
                 strategy: d.u8()?,
@@ -631,15 +596,7 @@ mod tests {
                 flops_bits: 1e9f64.to_bits(),
                 scale_bits: 0.75f64.to_bits(),
             },
-            StateChange::TrustConfigured {
-                enabled: true,
-                threshold_bits: 0.05f64.to_bits(),
-                init_bits: 0.1f64.to_bits(),
-                decay_bits: 0.5f64.to_bits(),
-                punish_bits: 0.5f64.to_bits(),
-                probation: 3,
-                spot_bits: 0.05f64.to_bits(),
-            },
+            StateChange::TrustConfigured { enabled: true },
             StateChange::MrShufflePlanned {
                 job: 0,
                 strategy: 2,

@@ -1,6 +1,6 @@
 //! Recovery: load-latest-snapshot + replay-tail.
 //!
-//! [`recover`] turns a (possibly torn) `VMRWAL02` log image back into
+//! [`recover`] turns a (possibly torn) log image back into
 //! the inputs a server needs to rebuild its state:
 //!
 //! 1. Walk the frames, checking each checksum and dropping the torn
@@ -366,7 +366,7 @@ mod tests {
     }
 
     /// A CRC-valid frame of the retired incremental-snapshot kind (3)
-    /// inside a committed `VMRWAL02` prefix is typed, never skipped and
+    /// inside a committed prefix is typed, never skipped and
     /// never rewritten into a compacted image.
     #[test]
     fn retired_incremental_frame_is_an_unknown_kind() {

@@ -36,6 +36,9 @@ pub enum WireError {
     TrailingBytes,
     /// A row referenced an id the decoded table does not hold.
     BadId(u32),
+    /// A field held a value outside its domain (a MapReduce job with
+    /// no map or no reduce task).
+    BadValue,
 }
 
 impl std::fmt::Display for WireError {
@@ -46,6 +49,7 @@ impl std::fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "length-prefixed string is not UTF-8"),
             WireError::TrailingBytes => write!(f, "trailing bytes after decoded value"),
             WireError::BadId(id) => write!(f, "reference to missing row {id}"),
+            WireError::BadValue => write!(f, "field value outside its domain"),
         }
     }
 }

@@ -320,13 +320,7 @@ fn any_change(tag: u8, a: u32, b: u32, t: u64, ids: &[u32], blob: &[u8]) -> Stat
             scale_bits: u64::from(b),
         },
         20 => StateChange::TrustConfigured {
-            enabled: a & 1 == 0,
-            threshold_bits: t,
-            init_bits: u64::from(a),
-            decay_bits: u64::from(b),
-            punish_bits: !t,
-            probation: u64::from(a ^ b),
-            spot_bits: t.rotate_left(7),
+            enabled: (a ^ b) & 1 == 0,
         },
         _ => StateChange::MrShufflePlanned {
             job: a,

@@ -249,7 +249,7 @@ fn retired_corpus() -> Vec<(&'static str, Vec<u8>, RecoverError)> {
     bundle.extend_from_slice(b"db");
     bundle.extend_from_slice(&(single.len() as u32).to_be_bytes());
     bundle.extend_from_slice(single);
-    // A `VMRWAL02` log whose committed prefix holds a kind-3
+    // A log whose committed prefix holds a kind-3
     // (incremental snapshot) frame.
     let intact = recover(single).expect("intact image recovers");
     let mut inc = bytes::BytesMut::from(&single[..intact.committed_bytes]);

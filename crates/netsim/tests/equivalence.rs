@@ -672,24 +672,56 @@ impl Lockstep {
         self.live.insert(id.0);
     }
 
+    /// Steps to `before` short of the incremental engine's next event
+    /// instant (or stays, past it) and starts an in-setup flow there,
+    /// so only a wave that had to run would move a rate.
+    fn near_due_wake(&mut self, now: SimTime, before: SimDuration, a: u32, b: u32) -> SimTime {
+        let now = match self.inc.next_event_time().filter(|&t| t < SimTime::MAX) {
+            Some(t) => now.max(t - before),
+            None => now,
+        };
+        self.advance(now);
+        let n = self.inc.topology().len() as u32;
+        let mut spec = FlowSpec::simple(HostId(a % n), HostId(b % n), 1_000);
+        spec.setup_s = 0.5;
+        self.start(now, spec);
+        now
+    }
+
+    /// What `allocate_reference` is given for `spec` as flow `key`.
+    fn demand(key: u64, spec: &FlowSpec) -> FlowDemand<u64> {
+        FlowDemand {
+            key,
+            links: link_path(spec),
+            priority: spec.priority,
+            rate_cap: spec.rate_cap,
+        }
+    }
+
+    /// The incremental engine's demand set, as `allocate_reference`
+    /// takes it.
+    fn demands(&self, held: &[(vmr_netsim::FlowId, f64)]) -> Vec<FlowDemand<u64>> {
+        held.iter()
+            .map(|&(id, _)| Self::demand(id.0, &self.specs[id.0 as usize]))
+            .collect()
+    }
+
+    /// The rate `allocate_reference` gives `spec` once it joins the
+    /// incremental engine's current demand set.
+    fn joining_rate(&self, spec: &FlowSpec) -> f64 {
+        let mut demands = self.demands(&self.inc.demand_rates());
+        demands.push(Self::demand(u64::MAX, spec));
+        let rates = allocate_reference(self.inc.topology(), &demands);
+        rates.last().copied().unwrap_or(0.0)
+    }
+
     /// Checks the state the last wave left in the incremental engine:
     /// the rates of the flows in its demand set are, bit for bit, what
     /// `allocate_reference` computes for that set, and every other
     /// in-flight flow holds rate 0.
     fn audit(&self) -> Result<(), String> {
         let held = self.inc.demand_rates();
-        let demands: Vec<FlowDemand<u64>> = held
-            .iter()
-            .map(|&(id, _)| {
-                let spec = &self.specs[id.0 as usize];
-                FlowDemand {
-                    key: id.0,
-                    links: link_path(spec),
-                    priority: spec.priority,
-                    rate_cap: spec.rate_cap,
-                }
-            })
-            .collect();
+        let demands = self.demands(&held);
         let reference = allocate_reference(self.inc.topology(), &demands);
         for (&(id, rate), want) in held.iter().zip(&reference) {
             if rate.to_bits() != want.to_bits() {
@@ -757,9 +789,13 @@ type WaveStep = ((u8, u32, u32, u32), (u64, u16, u8), u32);
 /// * 0–3: start a flow (`flags`: bit 0 background, bit 1 capped, bit 2
 ///   zero bytes, bit 3 loopback, bit 4 one relay, bit 5 a relay chain
 ///   through the destination, which crosses its downlink twice, bit 6
-///   advance to the instant first, bit 7 a [`run_out_corner`] byte count
-///   at its narrowest link's rate); `setup_ms % 4 == 0` means no set-up
-///   phase beyond the path latency;
+///   advance to the instant first, bit 7 advance first and a
+///   [`run_out_corner`] byte count at the rate the flow joins at);
+///   `setup_ms % 4 == 0` means no set-up phase beyond the path
+///   latency. With `near_due`, a bit-7 flow is followed in the same step
+///   by the engine's wakes until it holds a rate, then, with no time
+///   step, by the near-due wake of op 6 one µs short: a flow that keeps
+///   its first rate until it runs out is caught a µs before its due;
 /// * 4: abort an earlier flow, in or out of the demand set;
 /// * 5: wake at the next event instant, as the engine's loop does;
 /// * 6: with `near_due`, step to one or two µs before the next event
@@ -789,7 +825,8 @@ fn run_lockstep(hosts: &[u8], steps: &[WaveStep], near_due: bool) -> Result<Lock
         }
         match op % 8 {
             0..=3 => {
-                if flags & 64 != 0 {
+                let corner = flags & 128 != 0;
+                if flags & 64 != 0 || corner {
                     run.advance(now);
                 }
                 let src = HostId(a % n);
@@ -806,19 +843,6 @@ fn run_lockstep(hosts: &[u8], steps: &[WaveStep], near_due: bool) -> Result<Lock
                 } else if flags & 16 != 0 {
                     spec.via = vec![HostId(c % n)];
                 }
-                if flags & 128 != 0 {
-                    let topo = run.inc.topology();
-                    let narrowest = link_path(&spec)
-                        .iter()
-                        .map(|l| topo.link(l.host).capacity(l.dir))
-                        .fold(f64::INFINITY, f64::min);
-                    if let Some(b) = run_out_corner(spec.bytes % 65_536, narrowest) {
-                        spec.bytes = b;
-                    }
-                }
-                if flags & 4 != 0 {
-                    spec.bytes = 0;
-                }
                 if setup_ms % 4 != 0 {
                     spec.setup_s = (setup_ms % 700) as f64 / 1_000.0;
                 }
@@ -828,7 +852,33 @@ fn run_lockstep(hosts: &[u8], steps: &[WaveStep], near_due: bool) -> Result<Lock
                 if flags & 2 != 0 {
                     spec.rate_cap = Some(2_000.0 + (c % 500) as f64 * 1_013.0);
                 }
+                if corner {
+                    if let Some(b) = run_out_corner(spec.bytes % 65_536, run.joining_rate(&spec)) {
+                        spec.bytes = b;
+                    }
+                }
+                if flags & 4 != 0 {
+                    spec.bytes = 0;
+                }
                 run.start(now, spec);
+                let id = vmr_netsim::FlowId(run.specs.len() as u64 - 1);
+                if near_due && corner {
+                    // Through the flow's set-up, as the engine's loop would.
+                    for _ in 0..8 {
+                        let active = run.inc.flow_rate(id).is_some_and(|r| r > 0.0);
+                        match run.inc.next_event_time().filter(|&t| t < SimTime::MAX) {
+                            Some(t) if !active => {
+                                now = now.max(t);
+                                run.advance(now);
+                                run.audit().map_err(|e| format!("step {k}: {e}"))?;
+                            }
+                            _ => break,
+                        }
+                    }
+                    if run.live.contains(&id.0) {
+                        now = run.near_due_wake(now, SimDuration::from_micros(1), a, b);
+                    }
+                }
             }
             4 => {
                 // Any flow started so far; aborting a finished one is a
@@ -839,24 +889,17 @@ fn run_lockstep(hosts: &[u8], steps: &[WaveStep], near_due: bool) -> Result<Lock
                     return Err(format!("step {k}: abort of flow {} disagrees", victim.0));
                 }
             }
+            6 if near_due => {
+                let before = SimDuration::from_micros(1 + (b % 2) as u64);
+                now = run.near_due_wake(now, before, a, b);
+            }
             op => {
-                let near = near_due && op == 6;
                 if let Some(t) = run.inc.next_event_time().filter(|&t| t < SimTime::MAX) {
-                    let before = SimDuration::from_micros(1 + (b % 2) as u64);
-                    now = match op {
-                        7 => now,
-                        _ if near => now.max(t - before),
-                        _ => now.max(t),
-                    };
+                    if op != 7 {
+                        now = now.max(t);
+                    }
                 }
                 run.advance(now);
-                if near {
-                    // In its set-up phase, so only a wave that had to
-                    // run would move a rate.
-                    let mut spec = FlowSpec::simple(HostId(a % n), HostId(b % n), 1_000);
-                    spec.setup_s = 0.5;
-                    run.start(now, spec);
-                }
             }
         }
         run.audit().map_err(|e| format!("step {k}: {e}"))?;
@@ -938,11 +981,12 @@ proptest! {
     /// no-op wave skips leave every rate bit where `allocate_reference`
     /// puts it after every call — starts (zero-byte, in-setup, loopback,
     /// relayed, repeated-link, capped, background), aborts in and out of
-    /// the demand set, wakes, and blind steps to just short of a due
-    /// instant — and the completion stream where the naive engine puts
-    /// it. Half the topologies have only 100 and 10 Mbit/s links, half of
-    /// them nudged off a tie, so that the first round's bottleneck often
-    /// has near-tie companions.
+    /// the demand set, wakes, blind steps to just short of a due instant
+    /// and, paired with a flow whose bytes run out a µs before its
+    /// rounded-up due, the step to that µs — and the completion stream
+    /// where the naive engine puts it. Half the topologies have only
+    /// 100 and 10 Mbit/s links, half of them nudged off a tie, so that
+    /// the first round's bottleneck often has near-tie companions.
     #[test]
     fn persistent_solver_matches_reference_after_every_wave(
         hosts in proptest::collection::vec(0u8..8, 2usize..8),

@@ -26,70 +26,55 @@
 //!   is granted pro-rata to the host's reliability
 //!   ([`TrustLedger::reliability`]); the scale travels in the
 //!   `CreditGrantedScaled` change record applied by `vcore`'s ledger.
+//!
+//! The estimator and the policy run on fixed constants —
+//! [`TRUST_THRESHOLD`], [`INIT_ERROR_RATE`], [`DECAY`], [`PUNISH`],
+//! [`PROBATION_RESULTS`] and [`SPOT_CHECK_RATE`] — as BOINC's adaptive
+//! replication does: its parameters are project-wide, not per run, so
+//! the only setting is whether the mechanism is on ([`TrustConfig`]),
+//! and neither the WAL nor a snapshot carries the constants.
 
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::{BTreeMap, Entry};
 use vmr_durable::{Dec, Enc, Journal, StateChange, WireError};
 
-/// Tunables of the reputation estimator and the replication policy.
+/// A host is trusted once its error-rate estimate falls to this value
+/// or below (and probation is served).
+pub const TRUST_THRESHOLD: f64 = 0.05;
+/// Error-rate estimate assigned to a host before any observation
+/// (BOINC's mildly-distrusting prior).
+pub const INIT_ERROR_RATE: f64 = 0.1;
+/// Multiplier applied to the estimate on each agreement (exponential
+/// decay toward 0).
+pub const DECAY: f64 = 0.5;
+/// Punishment weight on mismatch/error: the estimate jumps to
+/// `1 - PUNISH * (1 - err)` — reliability is multiplied by `PUNISH`, so
+/// a single bad result from a trusted host instantly exceeds the
+/// threshold.
+pub const PUNISH: f64 = 0.5;
+/// Agreements a host must accumulate before it is eligible for trust
+/// (probation for new hosts).
+pub const PROBATION_RESULTS: u64 = 3;
+/// Probability that a grant to a trusted host keeps full replication
+/// anyway, as a randomized audit of its honesty.
+pub const SPOT_CHECK_RATE: f64 = 0.05;
+
+/// Whether the reputation estimator and the replication policy run.
 ///
-/// Defaults keep the subsystem *disabled*: the engine then behaves
+/// The default keeps the subsystem *disabled*: the engine then behaves
 /// bit-identically to the fixed-quorum baseline (no ledger mutations,
 /// no WAL records, no rng draws).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct TrustConfig {
     /// Master switch. Off = fixed-quorum behaviour, bit-identical to an
     /// engine built before this subsystem existed.
     pub enabled: bool,
-    /// A host is trusted once its error-rate estimate falls to this
-    /// value or below (and probation is served).
-    pub trust_threshold: f64,
-    /// Error-rate estimate assigned to a host before any observation
-    /// (BOINC's mildly-distrusting prior).
-    pub init_error_rate: f64,
-    /// Multiplier applied to the estimate on each agreement
-    /// (exponential decay toward 0).
-    pub decay: f64,
-    /// Punishment weight on mismatch/error: the estimate jumps to
-    /// `1 - punish * (1 - err)` — reliability is multiplied by
-    /// `punish`, so a single bad result from a trusted host instantly
-    /// exceeds any reasonable threshold.
-    pub punish: f64,
-    /// Validated results a host must accumulate before it is eligible
-    /// for trust (probation for new hosts).
-    pub probation_results: u64,
-    /// Probability that a grant to a trusted host keeps full
-    /// replication anyway, as a randomized audit of its honesty.
-    pub spot_check_rate: f64,
-}
-
-impl Default for TrustConfig {
-    fn default() -> Self {
-        TrustConfig {
-            enabled: false,
-            trust_threshold: 0.05,
-            init_error_rate: 0.1,
-            decay: 0.5,
-            punish: 0.5,
-            probation_results: 3,
-            spot_check_rate: 0.05,
-        }
-    }
 }
 
 impl TrustConfig {
-    /// An enabled config with the default estimator constants.
+    /// The enabled config.
     pub fn enabled() -> Self {
-        TrustConfig {
-            enabled: true,
-            ..TrustConfig::default()
-        }
-    }
-
-    /// Whether a host with record `t` has served probation and sits at
-    /// or below the trust threshold.
-    fn trusts(&self, t: &HostTrust) -> bool {
-        t.validated >= self.probation_results && t.error_rate <= self.trust_threshold
+        TrustConfig { enabled: true }
     }
 }
 
@@ -141,14 +126,20 @@ pub struct HostTrust {
 }
 
 impl HostTrust {
-    fn fresh(init_error_rate: f64) -> Self {
+    fn fresh() -> Self {
         HostTrust {
-            error_rate: init_error_rate,
+            error_rate: INIT_ERROR_RATE,
             validated: 0,
             mismatches: 0,
             errors: 0,
             spot_checks: 0,
         }
+    }
+
+    /// Whether this record has served probation and sits at or below
+    /// the trust threshold.
+    fn trusted(&self) -> bool {
+        self.validated >= PROBATION_RESULTS && self.error_rate <= TRUST_THRESHOLD
     }
 }
 
@@ -159,8 +150,7 @@ impl HostTrust {
 pub struct TrustLedger {
     cfg: TrustConfig,
     hosts: BTreeMap<u32, HostTrust>,
-    /// How many of `hosts` `cfg` trusts: kept by every host update,
-    /// recounted when `cfg` changes.
+    /// How many of `hosts` are trusted, kept by every host update.
     trusted: u64,
     /// WAL handle (disabled by default).
     journal: Journal,
@@ -177,38 +167,27 @@ impl TrustLedger {
         }
     }
 
-    /// The estimator/policy configuration.
+    /// Whether the subsystem is on.
     pub fn config(&self) -> &TrustConfig {
         &self.cfg
     }
 
     /// Attaches the engine's WAL handle; subsequent observations append
     /// change records. An *enabled* config is itself journaled first,
-    /// so a crash before the first snapshot still replays the ledger
-    /// from genesis with this run's estimator constants (a disabled
-    /// config appends nothing — the WAL stays byte-identical to the
-    /// fixed-quorum baseline).
+    /// so a ledger recovered before the first snapshot knows the
+    /// subsystem was on (a disabled config appends nothing — the WAL
+    /// stays byte-identical to the fixed-quorum baseline).
     pub fn set_journal(&mut self, journal: Journal) {
         self.journal = journal;
         if self.cfg.enabled {
-            self.journal.append(&StateChange::TrustConfigured {
-                enabled: self.cfg.enabled,
-                threshold_bits: self.cfg.trust_threshold.to_bits(),
-                init_bits: self.cfg.init_error_rate.to_bits(),
-                decay_bits: self.cfg.decay.to_bits(),
-                punish_bits: self.cfg.punish.to_bits(),
-                probation: self.cfg.probation_results,
-                spot_bits: self.cfg.spot_check_rate.to_bits(),
-            });
+            self.journal
+                .append(&StateChange::TrustConfigured { enabled: true });
         }
     }
 
     /// The record of `h` (a fresh prior when never observed).
     pub fn host(&self, h: u32) -> HostTrust {
-        self.hosts
-            .get(&h)
-            .cloned()
-            .unwrap_or_else(|| HostTrust::fresh(self.cfg.init_error_rate))
+        self.hosts.get(&h).cloned().unwrap_or_else(HostTrust::fresh)
     }
 
     /// Feeds one validation outcome into the estimator.
@@ -229,48 +208,42 @@ impl TrustLedger {
 
     /// Applies `f` to `h`'s record (a fresh prior when never observed)
     /// and moves the trusted count by the change in `h`'s standing.
-    fn update(&mut self, h: u32, f: impl FnOnce(&TrustConfig, &mut HostTrust)) {
-        let cfg = &self.cfg;
+    fn update(&mut self, h: u32, f: impl FnOnce(&mut HostTrust)) {
         let (was, t) = match self.hosts.entry(h) {
-            Entry::Occupied(o) => (cfg.trusts(o.get()), o.into_mut()),
-            Entry::Vacant(v) => (false, v.insert(HostTrust::fresh(cfg.init_error_rate))),
+            Entry::Occupied(o) => (o.get().trusted(), o.into_mut()),
+            Entry::Vacant(v) => (false, v.insert(HostTrust::fresh())),
         };
-        f(cfg, t);
-        let now = cfg.trusts(t);
+        f(t);
+        let now = t.trusted();
         self.trusted = self.trusted + u64::from(now) - u64::from(was);
     }
 
     fn raw_observe(&mut self, h: u32, outcome: Outcome) {
-        self.update(h, |cfg, t| match outcome {
+        self.update(h, |t| match outcome {
             Outcome::Agree => {
-                t.error_rate *= cfg.decay;
+                t.error_rate *= DECAY;
                 t.validated += 1;
             }
             Outcome::Mismatch => {
-                t.error_rate = 1.0 - cfg.punish * (1.0 - t.error_rate);
+                t.error_rate = 1.0 - PUNISH * (1.0 - t.error_rate);
                 t.mismatches += 1;
             }
             Outcome::Error => {
-                t.error_rate = 1.0 - cfg.punish * (1.0 - t.error_rate);
+                t.error_rate = 1.0 - PUNISH * (1.0 - t.error_rate);
                 t.errors += 1;
             }
         });
     }
 
     fn raw_spot_check(&mut self, h: u32) {
-        self.update(h, |_, t| t.spot_checks += 1);
-    }
-
-    /// Counts the trusted hosts from scratch, after `cfg` changed.
-    fn recount(&mut self) {
-        self.trusted = self.hosts.values().filter(|t| self.cfg.trusts(t)).count() as u64;
+        self.update(h, |t| t.spot_checks += 1);
     }
 
     /// Whether `h` has served probation and sits at or below the trust
     /// threshold. Pure trust math — callers gate on
     /// [`TrustConfig::enabled`].
     pub fn is_trusted(&self, h: u32) -> bool {
-        self.hosts.get(&h).is_some_and(|t| self.cfg.trusts(t))
+        self.hosts.get(&h).is_some_and(HostTrust::trusted)
     }
 
     /// Reliability of `h` (1 − error-rate estimate, clamped to [0, 1]) —
@@ -295,37 +268,19 @@ impl TrustLedger {
             StateChange::TrustSpotCheck { client } => {
                 self.raw_spot_check(*client);
             }
-            StateChange::TrustConfigured {
-                enabled,
-                threshold_bits,
-                init_bits,
-                decay_bits,
-                punish_bits,
-                probation,
-                spot_bits,
-            } => {
-                self.cfg = TrustConfig {
-                    enabled: *enabled,
-                    trust_threshold: f64::from_bits(*threshold_bits),
-                    init_error_rate: f64::from_bits(*init_bits),
-                    decay: f64::from_bits(*decay_bits),
-                    punish: f64::from_bits(*punish_bits),
-                    probation_results: *probation,
-                    spot_check_rate: f64::from_bits(*spot_bits),
-                };
-                self.recount();
+            StateChange::TrustConfigured { enabled } => {
+                self.cfg.enabled = *enabled;
             }
             _ => return Ok(false),
         }
         Ok(true)
     }
 
-    /// Canonical snapshot: the config constants first (so a recovered
-    /// ledger replays with identical estimator math), then hosts sorted
+    /// Canonical snapshot: the `enabled` switch first, then hosts sorted
     /// by id with the estimate as raw f64 bits — equal ledgers encode
     /// to byte-identical vectors.
     pub fn encode_state(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(64 + self.hosts.len() * 44);
+        let mut e = Enc::with_capacity(8 + self.hosts.len() * 44);
         self.encode_state_into(&mut e);
         e.into_vec()
     }
@@ -333,12 +288,6 @@ impl TrustLedger {
     /// Appends [`TrustLedger::encode_state`]'s bytes to `e`.
     pub fn encode_state_into(&self, e: &mut Enc) {
         e.bool(self.cfg.enabled);
-        e.f64(self.cfg.trust_threshold);
-        e.f64(self.cfg.init_error_rate);
-        e.f64(self.cfg.decay);
-        e.f64(self.cfg.punish);
-        e.u64(self.cfg.probation_results);
-        e.f64(self.cfg.spot_check_rate);
         e.u32(self.hosts.len() as u32);
         for (&h, t) in &self.hosts {
             e.u32(h);
@@ -354,15 +303,7 @@ impl TrustLedger {
     /// section. The journal handle starts disabled.
     pub fn decode_state(b: &[u8]) -> Result<TrustLedger, WireError> {
         let mut d = Dec::new(b);
-        let cfg = TrustConfig {
-            enabled: d.bool()?,
-            trust_threshold: d.f64()?,
-            init_error_rate: d.f64()?,
-            decay: d.f64()?,
-            punish: d.f64()?,
-            probation_results: d.u64()?,
-            spot_check_rate: d.f64()?,
-        };
+        let cfg = TrustConfig { enabled: d.bool()? };
         let n = d.u32()? as usize;
         let mut hosts = BTreeMap::new();
         for _ in 0..n {
@@ -379,14 +320,12 @@ impl TrustLedger {
             );
         }
         d.finish()?;
-        let mut ledger = TrustLedger {
+        Ok(TrustLedger {
             cfg,
+            trusted: hosts.values().filter(|t| t.trusted()).count() as u64,
             hosts,
-            trusted: 0,
             journal: Journal::disabled(),
-        };
-        ledger.recount();
-        Ok(ledger)
+        })
     }
 }
 
@@ -417,15 +356,15 @@ impl ReplicationPolicy {
     }
 
     /// Decides replication for a grant to a host whose trust standing
-    /// is `trusted`. `draw` is called with the spot-check probability
-    /// only when the host is trusted, so untrusted grants consume no
+    /// is `trusted`. `draw` is called with [`SPOT_CHECK_RATE`] only
+    /// when the host is trusted, so untrusted grants consume no
     /// randomness (a determinism guarantee the disabled path relies
     /// on).
     pub fn decide(&self, trusted: bool, draw: impl FnOnce(f64) -> bool) -> ReplicationDecision {
         if !self.cfg.enabled || !trusted {
             return ReplicationDecision::Full;
         }
-        if draw(self.cfg.spot_check_rate) {
+        if draw(SPOT_CHECK_RATE) {
             ReplicationDecision::SpotCheck
         } else {
             ReplicationDecision::Single
@@ -454,7 +393,7 @@ mod tests {
     fn new_hosts_are_on_probation() {
         let l = TrustLedger::new(TrustConfig::enabled());
         assert!(!l.is_trusted(0));
-        assert!((l.host(0).error_rate - 0.1).abs() < 1e-12);
+        assert_eq!(l.host(0).error_rate, INIT_ERROR_RATE);
         assert!((l.reliability(0) - 0.9).abs() < 1e-12);
     }
 
@@ -505,8 +444,14 @@ mod tests {
             pol.decide(false, |_| panic!("untrusted must not draw")),
             ReplicationDecision::Full
         );
-        assert_eq!(pol.decide(true, |_| true), ReplicationDecision::SpotCheck);
-        assert_eq!(pol.decide(true, |_| false), ReplicationDecision::Single);
+        let draw = |fire: bool| {
+            move |p: f64| {
+                assert_eq!(p, SPOT_CHECK_RATE, "drawn at the spot-check rate");
+                fire
+            }
+        };
+        assert_eq!(pol.decide(true, draw(true)), ReplicationDecision::SpotCheck);
+        assert_eq!(pol.decide(true, draw(false)), ReplicationDecision::Single);
     }
 
     #[test]
@@ -535,7 +480,7 @@ mod tests {
     }
 
     /// A generated check: after any sequence of observations,
-    /// spot-checks, reconfigurations and snapshot round trips, the kept
+    /// spot-checks, switch records and snapshot round trips, the kept
     /// trusted count equals a full scan of the ledger.
     #[test]
     fn trusted_count_matches_a_full_scan() {
@@ -564,28 +509,15 @@ mod tests {
                     }
                     6 => l.raw_spot_check(h),
                     7 | 8 => {
-                        // Probation 0 with a low threshold trusts a
-                        // host the moment a spot-check creates it.
-                        let cfg = TrustConfig {
-                            trust_threshold: [0.01, 0.05, 0.2, 0.6][next(4) as usize],
-                            init_error_rate: [0.0, 0.1, 0.5][next(3) as usize],
-                            probation_results: next(4),
-                            ..TrustConfig::enabled()
-                        };
+                        // The switch record leaves every standing alone.
                         let change = StateChange::TrustConfigured {
-                            enabled: true,
-                            threshold_bits: cfg.trust_threshold.to_bits(),
-                            init_bits: cfg.init_error_rate.to_bits(),
-                            decay_bits: cfg.decay.to_bits(),
-                            punish_bits: cfg.punish.to_bits(),
-                            probation: cfg.probation_results,
-                            spot_bits: cfg.spot_check_rate.to_bits(),
+                            enabled: next(2) == 0,
                         };
                         assert!(l.apply_change(&change).unwrap());
                     }
                     _ => l = TrustLedger::decode_state(&l.encode_state()).unwrap(),
                 }
-                let scan = l.hosts.values().filter(|t| l.cfg.trusts(t)).count() as u64;
+                let scan = l.hosts.values().filter(|t| t.trusted()).count() as u64;
                 assert_eq!(l.trusted_count(), scan);
                 assert_eq!(
                     (0..8).filter(|&h| l.is_trusted(h)).count() as u64,

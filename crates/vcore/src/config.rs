@@ -79,7 +79,7 @@ pub struct ProjectConfig {
     /// that already *serves* some of its input files (a reducer that
     /// mapped part of the data downloads that part from itself).
     pub locality_scheduling: bool,
-    /// Host reputation / adaptive replication knobs (`vmr-trust`).
+    /// Host reputation / adaptive replication switch (`vmr-trust`).
     /// Disabled by default — the engine is then bit-identical to the
     /// fixed-quorum baseline.
     #[serde(default)]

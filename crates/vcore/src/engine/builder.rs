@@ -22,7 +22,7 @@ impl Engine {
         let mut sim = Simulation::new(seed);
         let rng = sim.fork_rng("engine");
         let trust_rng = sim.fork_rng("trust");
-        let trust = TrustLedger::new(cfg.trust.clone());
+        let trust = TrustLedger::new(cfg.trust);
         let obs = vmr_obs::Obs::new();
         sim.attach_obs(&obs);
         let eobs = EngineObs::attach(&obs);

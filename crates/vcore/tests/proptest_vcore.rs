@@ -304,66 +304,6 @@ proptest! {
         }
     }
 
-    /// With `enabled: false`, every other trust knob must be inert:
-    /// for any knob values and seed, a full engine run is bit-identical
-    /// (stats, end time, and the canonical encodings of the journaled
-    /// server state) to the fixed-quorum baseline under the default
-    /// config. This is the guarantee that lets the trust subsystem ride
-    /// in the engine unconditionally.
-    #[test]
-    fn trust_disabled_is_bit_identical_to_fixed_quorum(
-        seed in any::<u64>(),
-        threshold in 0.0f64..1.0,
-        decay in 0.01f64..0.99,
-        punish in 0.01f64..0.99,
-        probation in 0u64..6,
-        spot in 0.0f64..1.0,
-    ) {
-        let run = |trust: vmr_vcore::TrustConfig| {
-            let cfg = vmr_vcore::ProjectConfig {
-                trust,
-                ..Default::default()
-            };
-            let mut eng = vmr_vcore::Engine::builder(seed)
-                .config(cfg)
-                .clients((0..3).map(|_| {
-                    (
-                        vmr_vcore::HostProfile::pc3001(),
-                        vmr_netsim::HostLink::symmetric_mbit(100.0, 0.000_5),
-                    )
-                }))
-                .build();
-            for i in 0..3 {
-                let mut spec = WorkUnitSpec::basic(format!("w{i}"), "app", 2e9);
-                spec.target_nresults = 2;
-                spec.min_quorum = 2;
-                eng.insert_workunit(spec);
-            }
-            let mut pol = vmr_vcore::NullPolicy;
-            eng.run_until(&mut pol, SimTime::from_secs(40_000), |e| {
-                e.db.all_wus_terminal()
-            });
-            (
-                eng.now(),
-                ["vcore.rpcs", "vcore.grants", "vcore.reports"]
-                    .map(|k| eng.obs.snapshot().counter(k)),
-                eng.db.encode_state(),
-                eng.credit.encode_state(),
-                eng.assimilator.encode_state(),
-            )
-        };
-        let t = vmr_vcore::TrustConfig {
-            trust_threshold: threshold,
-            decay,
-            punish,
-            probation_results: probation,
-            spot_check_rate: spot,
-            ..Default::default()
-        };
-        prop_assert!(!t.enabled, "default config must be disabled");
-        prop_assert_eq!(run(t), run(vmr_vcore::TrustConfig::default()));
-    }
-
     /// Scheduler matchmaking never hands two replicas of a WU to the
     /// same client, for arbitrary request orders.
     #[test]

@@ -158,10 +158,10 @@ fn durable_row_wal_matches_golden() {
     );
 }
 
-const WAL_LEN: usize = 35816;
-const WAL_SHA256: &str = "0290f1f38d0c59a256f9129529fc1c2fc99ff3159ce44f6c46c1e9946a9ca54e";
-const COMPACTED_LEN: usize = 13387;
-const COMPACTED_SHA256: &str = "00c8e6a8a5a9f5343a75195bb002a38952a363b2ac054c3beee74693f9c90557";
+const WAL_LEN: usize = 35669;
+const WAL_SHA256: &str = "7cc9054832bc0f1c564ff7187510b5c824da6830556bdc1ed7e8f67376934120";
+const COMPACTED_LEN: usize = 13322;
+const COMPACTED_SHA256: &str = "3cb62fd29d05305aa19f57382807cc0216aef03a4bb08450386cc9f4ba8bad19";
 
 /// The sizing model every Table I row and study bin runs on: the
 /// 2 MiB word-count sample it is calibrated against, and the two

@@ -2,14 +2,16 @@
 //!
 //! Every field that `{:?}` prints for `ProjectConfig::default()` (its
 //! nested groups included), `ShuffleConfig::default()`,
-//! `PollServerConfig::default()` and `ClusterConfig::new(..)` must have
-//! a row, with its default as `{:?}` prints it (a nested group shows
-//! its type name; a field `ClusterConfig::new` takes as an argument
+//! `PollServerConfig::default()`, `ClusterConfig::new(..)` and
+//! `MrJobConfig::paper_wordcount(..)` (its `SizingModel` included) must
+//! have a row, with its default as `{:?}` prints it (a nested group
+//! shows its type name; a field the constructor takes as an argument
 //! shows `argument`) and a non-empty "set to another value by" cell;
 //! every row must name a field that still exists.
 
 use std::collections::BTreeMap;
 use volunteer_mr::cluster::ClusterConfig;
+use volunteer_mr::core::{MrJobConfig, MrMode};
 use volunteer_mr::mapreduce::JobSpec;
 use volunteer_mr::rtnet::PollServerConfig;
 use volunteer_mr::vcore::{ProjectConfig, ShuffleConfig};
@@ -68,14 +70,23 @@ fn options() -> Options {
         format!("{:?}", ShuffleConfig::default()),
         format!("{:?}", PollServerConfig::default()),
         format!("{:?}", ClusterConfig::new(1, JobSpec::new("j", 1, 1))),
+        format!(
+            "{:?}",
+            MrJobConfig::paper_wordcount(1, 1, MrMode::InterClient)
+        ),
     ] {
         assert_eq!(parse_struct(&debug, 0, &mut out), debug.len());
     }
-    // The constructor's arguments have no default, and the job
+    // The constructors' arguments have no default, and the job
     // geometry inside one is not an option.
     out.retain(|(strukt, _), _| strukt != "JobSpec");
-    for field in ["n_workers", "job"] {
-        out.insert(("ClusterConfig".into(), field.into()), "argument".into());
+    for (strukt, field) in [
+        ("ClusterConfig", "n_workers"),
+        ("ClusterConfig", "job"),
+        ("MrJobConfig", "job"),
+        ("MrJobConfig", "mode"),
+    ] {
+        out.insert((strukt.into(), field.into()), "argument".into());
     }
     out
 }
