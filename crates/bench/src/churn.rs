@@ -3,14 +3,14 @@
 //! Models the hot phase the incremental flow engine was built for: a
 //! MapReduce shuffle where every reducer fetches partitions from many
 //! mappers at once — hundreds to thousands of short overlapping flows,
-//! with relay paths, rate caps and background (TCP-Nice) traffic mixed
-//! in. The script is deterministic, so every run replays the same flows.
+//! with relay paths mixed in. The script is deterministic, so every run
+//! replays the same flows.
 //! (netsim's `equivalence.rs` replays the 12-host script on the
 //! scan-everything reference engine too.)
 
 use vmr_core::PopulationSpec;
 use vmr_desim::{SimDuration, SimTime};
-use vmr_netsim::{Completion, FlowSpec, HostId, HostLink, Network, Priority, Topology};
+use vmr_netsim::{Completion, FlowSpec, HostId, HostLink, Network, Topology};
 
 /// splitmix64 — small deterministic generator, no external dependency.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -76,16 +76,9 @@ pub fn churn_script(spec: &ChurnSpec) -> Vec<(SimTime, FlowSpec)> {
                 let bytes = 200_000 + splitmix64(&mut rng) % 3_800_000;
                 let mut fs = FlowSpec::simple(src, dst, bytes);
                 fs.setup_s = 0.05 + (splitmix64(&mut rng) % 250) as f64 / 1_000.0;
-                let roll = splitmix64(&mut rng) % 100;
-                if roll < 20 {
-                    fs.priority = Priority::Background;
-                }
-                if roll < 5 {
+                if splitmix64(&mut rng) % 100 < 5 {
                     // NAT-relayed path through a supernode (§III.D).
                     fs.via = vec![HostId((splitmix64(&mut rng) % n) as u32)];
-                }
-                if roll >= 90 {
-                    fs.rate_cap = Some(250_000.0);
                 }
                 script.push((at, fs));
             }
@@ -176,5 +169,30 @@ mod tests {
         let topo = population_topology(&spec);
         assert_eq!(topo.len(), 300);
         assert!(topo.is_hierarchical());
+    }
+
+    /// `flow_churn`'s 40-host leg: every outcome field, the makespan in
+    /// µs. The script and the engine are deterministic, so any move
+    /// here is a change of either.
+    #[test]
+    fn flow_churn_small_leg_is_pinned() {
+        let spec = ChurnSpec {
+            hosts: 40,
+            fetches_per_host: 10,
+            waves: 2,
+            seed: 0x51AB,
+        };
+        let out = run_churn(churn_topology(&spec), &churn_script(&spec));
+        assert_eq!(
+            (
+                out.started,
+                out.completed,
+                out.events,
+                out.peak_concurrent,
+                out.makespan.as_micros(),
+                out.bytes,
+            ),
+            (800, 800, 2_400, 502, 557_734_576, 1_676_511_961)
+        );
     }
 }
