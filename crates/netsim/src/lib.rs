@@ -6,9 +6,7 @@
 //! * [`topology`] — hosts with up/down access links; unconstrained core
 //!   (the non-blocking switch) or, beyond testbed scale, a hierarchy of
 //!   ISP/AS aggregation tiers and an optional shared backbone.
-//! * [`bandwidth`] — max–min fair rate allocation (progressive filling)
-//!   with a two-priority TCP-Nice mode where background flows only use
-//!   leftover capacity.
+//! * [`bandwidth`] — max–min fair rate allocation (progressive filling).
 //! * [`flow`] — event-driven transfer manager: start flows, advance
 //!   virtual time, collect completions; integrates with `vmr-desim`.
 //!   Built on incremental data structures (anchor-based progress, lazy
@@ -29,7 +27,7 @@ mod obs;
 pub mod topology;
 pub mod traversal;
 
-pub use bandwidth::{allocate, Allocator, FlowDemand, Priority, RouteDemand};
+pub use bandwidth::{allocate, FlowDemand};
 #[doc(hidden)]
 pub use compat::{AggregateNetwork, ScalePolicy};
 pub use flow::{Completion, FlowId, FlowSpec, Network};

@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use vmr_desim::SimTime;
 use vmr_netsim::{
-    allocate, Direction, FlowDemand, FlowSpec, HostId, HostLink, LinkRef, Network, Priority,
-    Topology,
+    allocate, Direction, FlowDemand, FlowSpec, HostId, HostLink, LinkRef, Network, Topology,
 };
 
 fn random_topology(n_hosts: usize, caps: &[f64]) -> Topology {
@@ -21,23 +20,21 @@ proptest! {
     fn allocation_never_oversubscribes(
         n_hosts in 2usize..12,
         caps in proptest::collection::vec(1.0f64..1000.0, 1..4),
-        pairs in proptest::collection::vec((0u32..12, 0u32..12, any::<bool>()), 1..40),
+        pairs in proptest::collection::vec((0u32..12, 0u32..12), 1..40),
     ) {
         let topo = random_topology(n_hosts, &caps);
         let flows: Vec<FlowDemand<usize>> = pairs
             .iter()
             .enumerate()
-            .filter(|(_, (s, d, _))| {
+            .filter(|(_, (s, d))| {
                 (*s as usize) < n_hosts && (*d as usize) < n_hosts && s != d
             })
-            .map(|(i, (s, d, bg))| FlowDemand {
+            .map(|(i, (s, d))| FlowDemand {
                 key: i,
                 links: vec![
                     LinkRef { host: HostId(*s), dir: Direction::Up },
                     LinkRef { host: HostId(*d), dir: Direction::Down },
                 ],
-                priority: if *bg { Priority::Background } else { Priority::Foreground },
-                rate_cap: None,
             })
             .collect();
         let rates = allocate(&topo, &flows);
@@ -58,8 +55,8 @@ proptest! {
     }
 
     /// All rates are non-negative and every flow with at least one link
-    /// of positive capacity gets a positive foreground rate when it is
-    /// alone on its links.
+    /// of positive capacity gets a positive rate when it is alone on its
+    /// links.
     #[test]
     fn lone_flow_gets_positive_rate(
         cap in 1.0f64..1000.0,
@@ -101,8 +98,6 @@ proptest! {
                     LinkRef { host: HostId(*s), dir: Direction::Up },
                     LinkRef { host: HostId(*d), dir: Direction::Down },
                 ],
-                priority: Priority::Foreground,
-                rate_cap: None,
             })
             .collect();
         prop_assume!(!flows.is_empty());

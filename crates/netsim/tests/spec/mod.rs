@@ -1,23 +1,21 @@
 //! The executable specifications of the flow engine, kept as test
 //! oracles: the map-based max–min allocator and the scan-everything
-//! flow engine. `equivalence.rs` demands that [`vmr_netsim::Allocator`]
+//! flow engine. `equivalence.rs` demands that [`vmr_netsim::allocate`]
 //! and [`vmr_netsim::Network`] reproduce them bit for bit.
 
 use std::collections::BTreeMap;
 use vmr_desim::{SimDuration, SimTime};
-use vmr_netsim::{
-    Completion, Direction, FlowDemand, FlowId, FlowSpec, LinkRef, Priority, Topology,
-};
+use vmr_netsim::{Completion, Direction, FlowDemand, FlowId, FlowSpec, LinkRef, Topology};
 use vmr_obs::EventKind;
 
 /// The original map-based progressive filling, the executable
-/// specification of [`vmr_netsim::allocate`] / [`vmr_netsim::Allocator`].
-/// Its bottleneck search takes a minimum, so the maps' walk order does
-/// not matter.
+/// specification of [`vmr_netsim::allocate`] and of the engine's
+/// persistent allocator. Its bottleneck search takes a minimum, so the
+/// maps' walk order does not matter.
 ///
 /// O(rounds · flows · path length) per call — fine for the paper's
 /// 40-host testbed, quadratic pain at thousands of concurrent flows.
-pub fn allocate_reference<K: Clone>(topo: &Topology, flows: &[FlowDemand<K>]) -> Vec<f64> {
+pub fn fill_reference<K>(topo: &Topology, flows: &[FlowDemand<K>]) -> Vec<f64> {
     let mut rates = vec![0.0; flows.len()];
     let mut remaining: BTreeMap<LinkRef, f64> = BTreeMap::new();
     for f in flows {
@@ -25,39 +23,13 @@ pub fn allocate_reference<K: Clone>(topo: &Topology, flows: &[FlowDemand<K>]) ->
             remaining.entry(l).or_insert_with(|| topo.capacity(l));
         }
     }
-    let fg: Vec<usize> = indices_of(flows, Priority::Foreground);
-    let bg: Vec<usize> = indices_of(flows, Priority::Background);
-    fill_class_reference(flows, &fg, &mut remaining, &mut rates);
-    fill_class_reference(flows, &bg, &mut remaining, &mut rates);
-    rates
-}
-
-fn indices_of<K>(flows: &[FlowDemand<K>], p: Priority) -> Vec<usize> {
-    flows
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.priority == p)
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Progressive filling for one priority class over the capacities left
-/// in `remaining`. Mutates `remaining` so a later class sees leftovers.
-fn fill_class_reference<K>(
-    flows: &[FlowDemand<K>],
-    class: &[usize],
-    remaining: &mut BTreeMap<LinkRef, f64>,
-    rates: &mut [f64],
-) {
-    let mut unfrozen: Vec<usize> = class
-        .iter()
-        .copied()
-        .filter(|&i| !flows[i].links.is_empty())
-        .collect();
-    // Flows traversing no links (loopback) are only bounded by their cap.
-    for &i in class {
-        if flows[i].links.is_empty() {
-            rates[i] = flows[i].rate_cap.unwrap_or(f64::INFINITY);
+    // Flows traversing no links (loopback) are unbounded.
+    let mut unfrozen: Vec<usize> = Vec::new();
+    for (i, f) in flows.iter().enumerate() {
+        if f.links.is_empty() {
+            rates[i] = f64::INFINITY;
+        } else {
+            unfrozen.push(i);
         }
     }
 
@@ -77,51 +49,37 @@ fn fill_class_reference<K>(
                 bottleneck_share = share;
             }
         }
-        // Rate-capped flows below the bottleneck share freeze at their cap.
-        let capped: Vec<usize> = unfrozen
+        // Freeze every flow on a bottleneck link.
+        let freeze_set: Vec<usize> = unfrozen
             .iter()
             .copied()
-            .filter(|&i| flows[i].rate_cap.is_some_and(|c| c < bottleneck_share))
-            .collect();
-        let (freeze_set, share): (Vec<usize>, Option<f64>) = if !capped.is_empty() {
-            (capped, None)
-        } else {
-            // Freeze every flow on a bottleneck link.
-            let set: Vec<usize> = unfrozen
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    flows[i].links.iter().any(|l| {
-                        let cap = remaining.get(l).copied().unwrap_or(0.0).max(0.0);
-                        let n = counts[l] as f64;
-                        (cap / n - bottleneck_share).abs() <= 1e-9 * bottleneck_share.max(1.0)
-                    })
+            .filter(|&i| {
+                flows[i].links.iter().any(|l| {
+                    let cap = remaining.get(l).copied().unwrap_or(0.0).max(0.0);
+                    let n = counts[l] as f64;
+                    (cap / n - bottleneck_share).abs() <= 1e-9 * bottleneck_share.max(1.0)
                 })
-                .collect();
-            (set, Some(bottleneck_share))
-        };
+            })
+            .collect();
         debug_assert!(!freeze_set.is_empty(), "progressive filling stalled");
         for &i in &freeze_set {
-            let r = match share {
-                Some(s) => s.min(flows[i].rate_cap.unwrap_or(f64::INFINITY)),
-                None => flows[i].rate_cap.expect("capped freeze without cap"),
-            };
-            rates[i] = r;
+            rates[i] = bottleneck_share;
             for &l in &flows[i].links {
                 if let Some(c) = remaining.get_mut(&l) {
-                    *c = (*c - r).max(0.0);
+                    *c = (*c - bottleneck_share).max(0.0);
                 }
             }
         }
         unfrozen.retain(|i| !freeze_set.contains(i));
-        if share == Some(0.0) {
-            // No capacity left for this class: everyone remaining gets 0.
+        if bottleneck_share == 0.0 {
+            // No capacity left: everyone remaining gets 0.
             for &i in &unfrozen {
                 rates[i] = 0.0;
             }
             break;
         }
     }
+    rates
 }
 
 #[derive(Clone, Debug)]
@@ -215,7 +173,7 @@ impl SpecObs {
 /// It implements the same flow semantics with none of the incremental
 /// machinery: completion prediction scans all flows, **every** settle
 /// reallocates, every reallocation clones the whole demand set and runs
-/// [`allocate_reference`]. O(F) per event query and O(F² · d) per
+/// [`fill_reference`]. O(F) per event query and O(F² · d) per
 /// reallocation wave, which is fine for the paper's 40-host testbed and
 /// hopeless at thousands of concurrent flows.
 ///
@@ -438,11 +396,9 @@ impl NaiveNetwork {
             .map(|(&id, f)| FlowDemand {
                 key: id,
                 links: f.links.clone(),
-                priority: f.spec.priority,
-                rate_cap: f.spec.rate_cap,
             })
             .collect();
-        let rates = allocate_reference(&self.topo, &demands);
+        let rates = fill_reference(&self.topo, &demands);
         let in_demand: BTreeMap<FlowId, f64> = demands.iter().map(|d| d.key).zip(rates).collect();
         for (id, f) in self.flows.iter_mut() {
             let r = in_demand.get(id).copied().unwrap_or(0.0);

@@ -11,7 +11,7 @@ use super::{Engine, Ev};
 use crate::config::{PEER_RETRY_DELAY_S, RPC_OVERHEAD_S, SERVING_BUSY_RETRY_S};
 use crate::types::{ClientId, FileSource, ResultId};
 use vmr_desim::SimDuration;
-use vmr_netsim::{connect, FlowId, FlowSpec, HostId, Path, Priority};
+use vmr_netsim::{connect, FlowId, FlowSpec, HostId, Path};
 use vmr_obs::{Actor, Detail, EventKind, Mark};
 
 /// Why a network flow exists.
@@ -114,8 +114,6 @@ impl Engine {
             via: vec![],
             bytes,
             setup_s: RPC_OVERHEAD_S,
-            priority: Priority::Foreground,
-            rate_cap: None,
         }
     }
 
@@ -218,8 +216,6 @@ impl Engine {
             via,
             bytes,
             setup_s: outcome.setup_s,
-            priority: Priority::Foreground,
-            rate_cap: None,
         };
         let flow = InputFlow {
             slot,
