@@ -296,11 +296,64 @@ mod tests {
             ),
         ];
         for (changes, want) in cases {
-            match RecoveredServerState::from_log(&log_of(&changes)) {
-                Err(RecoveryError::Wire(e)) => assert_eq!(e, want, "{changes:?}"),
-                Err(e) => panic!("{changes:?}: {e}"),
-                Ok(_) => panic!("{changes:?} recovered"),
-            }
+            assert_wire_error(&changes, want);
+        }
+    }
+
+    fn assert_wire_error(changes: &[StateChange], want: WireError) {
+        match RecoveredServerState::from_log(&log_of(changes)) {
+            Err(RecoveryError::Wire(e)) => assert_eq!(e, want, "{changes:?}"),
+            Err(e) => panic!("{changes:?}: {e}"),
+            Ok(_) => panic!("{changes:?} recovered"),
+        }
+    }
+
+    /// CRC-valid `Db` records that name a row an empty table does not
+    /// hold, or a new row other than the next one, recover to a typed
+    /// error, not a panic.
+    #[test]
+    fn impossible_db_records_are_wire_errors() {
+        let wu_inserted = |wu| StateChange::WuInserted {
+            wu,
+            at_us: 0,
+            spec: vmr_vcore::WorkUnitSpec::basic("wu", "app", 1.0).to_bytes(),
+        };
+        let cases = [
+            (vec![StateChange::ResultCreated { rid: 0, wu: 5 }], 5),
+            (
+                vec![StateChange::ResultSent {
+                    rid: 3,
+                    client: 0,
+                    at_us: 0,
+                    deadline_us: 0,
+                }],
+                3,
+            ),
+            (vec![StateChange::ResultCancelled { rid: 7 }], 7),
+            (
+                vec![StateChange::WuValidated {
+                    wu: 2,
+                    canonical: 0,
+                    at_us: 0,
+                }],
+                2,
+            ),
+            (vec![StateChange::WuFailed { wu: 4, at_us: 0 }], 4),
+            (
+                vec![StateChange::WuQuorumOverride {
+                    wu: 6,
+                    quorum: Some(1),
+                }],
+                6,
+            ),
+            (vec![wu_inserted(1)], 1),
+            (
+                vec![wu_inserted(0), StateChange::ResultCreated { rid: 1, wu: 0 }],
+                1,
+            ),
+        ];
+        for (changes, id) in cases {
+            assert_wire_error(&changes, WireError::BadId(id));
         }
     }
 }

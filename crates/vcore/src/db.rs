@@ -332,17 +332,39 @@ impl Db {
 
     // ----- WAL replay + snapshots -----------------------------------------
 
+    /// `wu` as the id of a work unit row this table holds.
+    fn held_wu(&self, wu: u32) -> Result<WuId, WireError> {
+        ((wu as usize) < self.wus.len())
+            .then_some(WuId(wu))
+            .ok_or(WireError::BadId(wu))
+    }
+
+    /// `rid` as the id of a result row this table holds.
+    fn held_result(&self, rid: u32) -> Result<ResultId, WireError> {
+        ((rid as usize) < self.results.len())
+            .then_some(ResultId(rid))
+            .ok_or(WireError::BadId(rid))
+    }
+
     /// Applies one replayed change record. Returns `Ok(true)` when the
     /// record belongs to this table and was applied, `Ok(false)` when
     /// it belongs to another subsystem (credit, assimilator, tracker).
+    /// A record naming a row the table does not hold, or a new row
+    /// other than the next one, is [`WireError::BadId`].
     pub fn apply_change(&mut self, c: &StateChange) -> Result<bool, WireError> {
         match c {
-            StateChange::WuInserted { at_us, spec, .. } => {
+            StateChange::WuInserted { wu, at_us, spec } => {
+                if *wu as usize != self.wus.len() {
+                    return Err(WireError::BadId(*wu));
+                }
                 let spec = WorkUnitSpec::from_bytes(spec)?;
                 self.raw_insert_workunit(spec, SimTime::from_micros(*at_us));
             }
-            StateChange::ResultCreated { wu, .. } => {
-                self.raw_create_result(WuId(*wu));
+            StateChange::ResultCreated { rid, wu } => {
+                if *rid as usize != self.results.len() {
+                    return Err(WireError::BadId(*rid));
+                }
+                self.raw_create_result(self.held_wu(*wu)?);
             }
             StateChange::ResultSent {
                 rid,
@@ -351,7 +373,7 @@ impl Db {
                 deadline_us,
             } => {
                 self.raw_mark_sent(
-                    ResultId(*rid),
+                    self.held_result(*rid)?,
                     ClientId(*client),
                     SimTime::from_micros(*at_us),
                     SimTime::from_micros(*deadline_us),
@@ -364,14 +386,14 @@ impl Db {
                 at_us,
             } => {
                 self.raw_mark_reported(
-                    ResultId(*rid),
+                    self.held_result(*rid)?,
                     ResultOutcome::from_wire(*outcome)?,
                     fingerprint.map(OutputFingerprint),
                     SimTime::from_micros(*at_us),
                 );
             }
             StateChange::ResultCancelled { rid } => {
-                self.raw_cancel_unsent(ResultId(*rid));
+                self.raw_cancel_unsent(self.held_result(*rid)?);
             }
             StateChange::WuValidated {
                 wu,
@@ -379,16 +401,16 @@ impl Db {
                 at_us,
             } => {
                 self.raw_mark_wu_validated(
-                    WuId(*wu),
+                    self.held_wu(*wu)?,
                     OutputFingerprint(*canonical),
                     SimTime::from_micros(*at_us),
                 );
             }
             StateChange::WuFailed { wu, at_us } => {
-                self.raw_mark_wu_failed(WuId(*wu), SimTime::from_micros(*at_us));
+                self.raw_mark_wu_failed(self.held_wu(*wu)?, SimTime::from_micros(*at_us));
             }
             StateChange::WuQuorumOverride { wu, quorum } => {
-                self.raw_set_quorum_override(WuId(*wu), *quorum);
+                self.raw_set_quorum_override(self.held_wu(*wu)?, *quorum);
             }
             _ => return Ok(false),
         }
