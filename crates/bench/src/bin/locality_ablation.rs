@@ -79,7 +79,9 @@ fn main() {
         }
     }
 
-    println!("\n# A9b — 3 concurrent jobs (asymmetric coverage): locality steers grants");
+    println!(
+        "\n# A9b — 3 concurrent jobs, no churn: coverage stays symmetric, locality is a no-op"
+    );
     println!(
         "{:<9} | {:>14} | {:>14} | {:>12}",
         "locality", "mean reduce s", "fleet done s", "peer setups"

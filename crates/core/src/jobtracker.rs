@@ -10,7 +10,7 @@ use crate::config::MrJobConfig;
 use std::collections::BTreeMap;
 use vmr_desim::SimTime;
 use vmr_durable::{Dec, Enc, StateChange, WireError};
-use vmr_vcore::{ClientId, WuId};
+use vmr_vcore::{ClientId, StrategyKind, WuId};
 
 /// Which MapReduce task a work unit implements.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -79,11 +79,10 @@ pub struct JobState {
     /// Index of the map task that validated last (its partitions are the
     /// only ones a prefetching reducer still needs).
     pub last_validated_map: Option<usize>,
-    /// Shuffle strategy the reduce fetch plan was derived with
-    /// (`vmr_shuffle::StrategyKind::wire_tag`). Stays 0 (baseline)
-    /// until a non-baseline plan is fixed at the map→reduce
+    /// Shuffle strategy the reduce fetch plan was derived with. Stays
+    /// baseline until a non-baseline plan is fixed at the map→reduce
     /// transition and journaled as `MrShufflePlanned`.
-    pub shuffle_strategy: u8,
+    pub shuffle_strategy: StrategyKind,
     /// Coded reducer group size of the plan (1 = no grouping).
     pub shuffle_group: u32,
 
@@ -132,7 +131,7 @@ impl JobState {
             maps_validated: 0,
             reduces_validated: 0,
             last_validated_map: None,
-            shuffle_strategy: 0,
+            shuffle_strategy: StrategyKind::Baseline,
             shuffle_group: 1,
             first_map_assign: None,
             last_map_report: None,
@@ -270,7 +269,8 @@ impl JobTracker {
                 group,
             } => {
                 let j = self.job_mut(*job)?;
-                j.shuffle_strategy = *strategy;
+                j.shuffle_strategy =
+                    StrategyKind::from_wire_tag(*strategy).ok_or(WireError::BadValue)?;
                 j.shuffle_group = *group;
             }
             StateChange::MrPhase { job, phase, at_us } => {
@@ -330,7 +330,7 @@ impl JobTracker {
             e.u32(j.maps_validated as u32);
             e.u32(j.reduces_validated as u32);
             e.opt_u32(j.last_validated_map.map(|m| m as u32));
-            e.u8(j.shuffle_strategy);
+            e.u8(j.shuffle_strategy.wire_tag());
             e.u32(j.shuffle_group);
             ot(e, j.first_map_assign);
             ot(e, j.last_map_report);
@@ -362,7 +362,7 @@ impl JobTracker {
             j.maps_validated = d.u32()? as usize;
             j.reduces_validated = d.u32()? as usize;
             j.last_validated_map = d.opt_u32()?.map(|m| m as usize);
-            j.shuffle_strategy = d.u8()?;
+            j.shuffle_strategy = StrategyKind::from_wire_tag(d.u8()?).ok_or(WireError::BadValue)?;
             j.shuffle_group = d.u32()?;
             let mut ot = || -> Result<Option<SimTime>, WireError> {
                 Ok(d.opt_u64()?.map(SimTime::from_micros))

@@ -190,7 +190,7 @@ impl MrPolicy {
         job.reduce_wus = new_wus.clone();
         job.phase = Phase::Reduce;
         if kind != StrategyKind::Baseline {
-            job.shuffle_strategy = kind.wire_tag();
+            job.shuffle_strategy = kind;
             job.shuffle_group = group as u32;
         }
         for (r, wu) in new_wus.into_iter().enumerate() {

@@ -294,6 +294,17 @@ mod tests {
                 ],
                 WireError::BadId(2),
             ),
+            (
+                vec![
+                    submitted(0, 2, 1),
+                    StateChange::MrShufflePlanned {
+                        job: 0,
+                        strategy: 9,
+                        group: 1,
+                    },
+                ],
+                WireError::BadValue,
+            ),
         ];
         for (changes, want) in cases {
             assert_wire_error(&changes, want);
@@ -345,6 +356,14 @@ mod tests {
                     quorum: Some(1),
                 }],
                 6,
+            ),
+            (
+                vec![StateChange::Assimilated {
+                    wu: 5,
+                    holders: vec![],
+                    at_us: 0,
+                }],
+                5,
             ),
             (vec![wu_inserted(1)], 1),
             (

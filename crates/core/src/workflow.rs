@@ -59,11 +59,6 @@ impl Workflow {
         &self.inner
     }
 
-    /// Stages submitted so far.
-    pub fn stages_submitted(&self) -> usize {
-        self.submitted.len()
-    }
-
     /// True when the final stage is done (or any stage failed).
     pub fn finished(&self) -> bool {
         let all_submitted = self.submitted.len() == self.stages.len();
@@ -173,13 +168,13 @@ mod tests {
             stage(2, 1, 0), // input comes from stage 1's output
         ]);
         wf.start(&mut eng);
-        assert_eq!(wf.stages_submitted(), 1);
+        assert_eq!(wf.policy().tracker.jobs.len(), 1);
         eng.run_until(&mut wf, SimTime::from_secs(100_000), |e| {
             e.db.all_wus_terminal()
         });
         assert!(wf.finished());
         assert!(wf.succeeded());
-        assert_eq!(wf.stages_submitted(), 2);
+        assert_eq!(wf.policy().tracker.jobs.len(), 2);
         let jobs = &wf.policy().tracker.jobs;
         // Stage 2 starts only after stage 1 is fully done.
         assert!(jobs[1].first_map_assign.unwrap() >= jobs[0].done_at.unwrap());
@@ -206,7 +201,7 @@ mod tests {
                 .map(|j| j.phase)
                 .collect::<Vec<_>>()
         );
-        assert_eq!(wf.stages_submitted(), 3);
+        assert_eq!(wf.policy().tracker.jobs.len(), 3);
     }
 
     #[test]

@@ -338,7 +338,8 @@ fn swarm_shuffle_crash_resumes_bit_identically() {
     );
     let full = RecoveredServerState::from_log(base.wal.as_ref().unwrap()).unwrap();
     assert_eq!(
-        full.tracker.jobs[0].shuffle_strategy, 1,
+        full.tracker.jobs[0].shuffle_strategy,
+        vmr_vcore::StrategyKind::Swarm,
         "the recovered tracker must carry the swarm plan"
     );
 

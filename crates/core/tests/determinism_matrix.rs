@@ -22,7 +22,8 @@ use vmr_desim::{SimDuration, SimTime};
 use vmr_durable::{CrashPlan, DurabilityPlan};
 use vmr_netsim::HostLink;
 use vmr_vcore::{
-    ClientId, Engine, FaultPlan, HostProfile, PopulationSpec, Preset, ProjectConfig, TrustConfig,
+    Availability, ClientId, Engine, FaultPlan, HostProfile, PopulationSpec, Preset, ProjectConfig,
+    TrustConfig,
 };
 
 /// Runs per seed, all in this process.
@@ -126,7 +127,13 @@ fn coded(seed: u64) -> Run {
 
 /// Every host's owner takes it back for a minute in every three.
 fn suspend_resume(seed: u64) -> Run {
-    let profile = HostProfile::pc3001().with_availability(120.0, 60.0);
+    let profile = HostProfile {
+        availability: Some(Availability {
+            on_mean_s: 120.0,
+            off_mean_s: 60.0,
+        }),
+        ..HostProfile::pc3001()
+    };
     let cfg = ProjectConfig::default();
     testbed(seed, cfg, profile, FaultPlan::none(), 8, 2)
 }

@@ -22,7 +22,9 @@ use vmr_core::{MrJobConfig, MrMode, MrPolicy};
 use vmr_desim::{SimDuration, SimTime};
 use vmr_durable::DurabilityPlan;
 use vmr_netsim::HostLink;
-use vmr_vcore::{ClientId, Engine, FaultPlan, HostProfile, PopulationSpec, Preset, ProjectConfig};
+use vmr_vcore::{
+    Availability, ClientId, Engine, FaultPlan, HostProfile, PopulationSpec, Preset, ProjectConfig,
+};
 
 mod common;
 
@@ -94,7 +96,10 @@ fn run(case: &Case, journal: bool) -> (Outcome, Option<Vec<u8>>) {
     } else {
         let mut profile = HostProfile::pc3001();
         if case.availability {
-            profile = profile.with_availability(600.0, 300.0);
+            profile.availability = Some(Availability {
+                on_mean_s: 600.0,
+                off_mean_s: 300.0,
+            });
         }
         let link = HostLink::symmetric_mbit(100.0, 0.000_5);
         builder = builder.clients((0..case.hosts).map(|_| (profile.clone(), link.clone())));

@@ -5,7 +5,7 @@
 //! outside this type, in the downstream crates; the canonical loop is:
 //!
 //! ```
-//! use vmr_desim::{Simulation, SimDuration};
+//! use vmr_desim::{SimDuration, SimTime, Simulation};
 //!
 //! #[derive(Debug)]
 //! enum Ev { Tick(u32) }
@@ -13,7 +13,7 @@
 //! let mut sim = Simulation::new(1);
 //! sim.schedule_in(SimDuration::from_secs(1), Ev::Tick(0));
 //! let mut fired = 0;
-//! while let Some(ev) = sim.next_event() {
+//! while let Some(ev) = sim.next_event_before(SimTime::MAX) {
 //!     match ev.payload {
 //!         Ev::Tick(n) if n < 9 => {
 //!             sim.schedule_in(SimDuration::from_secs(1), Ev::Tick(n + 1));
@@ -58,7 +58,6 @@ pub struct Simulation<E> {
     queue: EventQueue<E>,
     rng: RngStream,
     delivered: u64,
-    horizon: SimTime,
     obs: Option<SimObs>,
 }
 
@@ -70,7 +69,6 @@ impl<E> Simulation<E> {
             queue: EventQueue::new(),
             rng: RngStream::new(seed),
             delivered: 0,
-            horizon: SimTime::MAX,
             obs: None,
         }
     }
@@ -102,20 +100,9 @@ impl<E> Simulation<E> {
         self.queue.len()
     }
 
-    /// Sets a hard stop time: events scheduled later than this are kept
-    /// but never delivered by `next_event`.
-    pub fn set_horizon(&mut self, horizon: SimTime) {
-        self.horizon = horizon;
-    }
-
-    /// The master RNG stream (deterministic per seed). Prefer
-    /// [`Simulation::fork_rng`] for per-component streams so that adding a
-    /// random draw in one component cannot perturb another.
-    pub fn rng(&mut self) -> &mut RngStream {
-        &mut self.rng
-    }
-
-    /// Derives an independent, reproducible RNG stream for a component.
+    /// Derives an independent, reproducible RNG stream for a component
+    /// from the seeded master stream, so that adding a random draw in one
+    /// component cannot perturb another.
     pub fn fork_rng(&mut self, label: &str) -> RngStream {
         self.rng.fork(label)
     }
@@ -145,20 +132,14 @@ impl<E> Simulation<E> {
         self.queue.is_pending(id)
     }
 
-    /// Advances the clock to the next event and returns it, or `None`
-    /// when the queue is exhausted or the next event lies beyond the
-    /// horizon.
-    pub fn next_event(&mut self) -> Option<Fired<E>> {
-        self.next_event_before(SimTime::MAX)
-    }
-
-    /// [`Simulation::next_event`] with a per-call limit on top of the
-    /// horizon: an event later than `limit` stays queued. One settling
-    /// of the queue head per delivered event.
+    /// Advances the clock to the next event no later than `limit` and
+    /// returns it, or `None` when the queue is exhausted or its head lies
+    /// beyond `limit` (that event stays queued). One settling of the
+    /// queue head per delivered event.
     pub fn next_event_before(&mut self, limit: SimTime) -> Option<Fired<E>> {
         let popped = {
             let _t = self.obs.as_ref().map(|o| o.next_event_scope.enter());
-            self.queue.pop_due(limit.min(self.horizon))
+            self.queue.pop_due(limit)
         };
         let (at, id, payload) = popped?;
         debug_assert!(at >= self.now, "event queue went backwards");
@@ -179,25 +160,6 @@ impl<E> Simulation<E> {
     pub fn advance_clock(&mut self, t: SimTime) {
         self.now = self.now.max(t);
     }
-
-    /// Runs `handler` for every event until the queue drains (or the
-    /// horizon/`max_events` safety valve trips). Returns the number of
-    /// events delivered by this call.
-    pub fn run<W>(
-        &mut self,
-        world: &mut W,
-        max_events: u64,
-        mut handler: impl FnMut(&mut Self, &mut W, Fired<E>),
-    ) -> u64 {
-        let start = self.delivered;
-        while self.delivered - start < max_events {
-            match self.next_event() {
-                Some(ev) => handler(self, world, ev),
-                None => break,
-            }
-        }
-        self.delivered - start
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +174,7 @@ mod tests {
         sim.schedule_in(SimDuration::from_secs(9), 3);
         let mut last = SimTime::ZERO;
         let mut seen = vec![];
-        while let Some(ev) = sim.next_event() {
+        while let Some(ev) = sim.next_event_before(SimTime::MAX) {
             assert!(ev.at >= last);
             last = ev.at;
             seen.push(ev.payload);
@@ -222,60 +184,21 @@ mod tests {
     }
 
     #[test]
-    fn horizon_stops_delivery() {
-        let mut sim: Simulation<&str> = Simulation::new(7);
-        sim.schedule_at(SimTime::from_secs(1), "early");
-        sim.schedule_at(SimTime::from_secs(100), "late");
-        sim.set_horizon(SimTime::from_secs(10));
-        assert_eq!(sim.next_event().unwrap().payload, "early");
-        assert!(sim.next_event().is_none());
-        assert_eq!(sim.pending(), 1, "late event is retained, not dropped");
-    }
-
-    #[test]
     fn cancel_through_sim() {
         let mut sim: Simulation<&str> = Simulation::new(7);
         let id = sim.schedule_at(SimTime::from_secs(1), "x");
         assert!(sim.is_pending(id));
         assert!(sim.cancel(id));
-        assert!(sim.next_event().is_none());
-    }
-
-    #[test]
-    fn run_loop_with_respawning_events() {
-        let mut sim: Simulation<u32> = Simulation::new(7);
-        sim.schedule_in(SimDuration::from_secs(1), 0);
-        let mut world = 0u32; // counts handled events
-        let n = sim.run(&mut world, 1_000, |sim, world, ev| {
-            *world += 1;
-            if ev.payload < 4 {
-                sim.schedule_in(SimDuration::from_secs(1), ev.payload + 1);
-            }
-        });
-        assert_eq!(n, 5);
-        assert_eq!(world, 5);
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn max_events_safety_valve() {
-        let mut sim: Simulation<()> = Simulation::new(7);
-        sim.schedule_in(SimDuration::from_secs(1), ());
-        let mut world = ();
-        // Self-perpetuating event stream, bounded by max_events.
-        let n = sim.run(&mut world, 50, |sim, _, _| {
-            sim.schedule_in(SimDuration::from_secs(1), ());
-        });
-        assert_eq!(n, 50);
-        assert_eq!(sim.pending(), 1);
+        assert!(sim.next_event_before(SimTime::MAX).is_none());
     }
 
     #[test]
     fn identical_seeds_identical_draws() {
         let mut a: Simulation<()> = Simulation::new(99);
         let mut b: Simulation<()> = Simulation::new(99);
-        let xa: Vec<u64> = (0..32).map(|_| a.rng().next_u64()).collect();
-        let xb: Vec<u64> = (0..32).map(|_| b.rng().next_u64()).collect();
+        let (mut ra, mut rb) = (a.fork_rng("draws"), b.fork_rng("draws"));
+        let xa: Vec<u64> = (0..32).map(|_| ra.next_u64()).collect();
+        let xb: Vec<u64> = (0..32).map(|_| rb.next_u64()).collect();
         assert_eq!(xa, xb);
     }
 }

@@ -249,9 +249,10 @@ proptest! {
             for (i, &d) in delays.iter().enumerate() {
                 sim.schedule_in(SimDuration::from_millis(d), i);
             }
+            let mut rng = sim.fork_rng("draws");
             let mut log = vec![];
-            while let Some(ev) = sim.next_event() {
-                log.push((ev.at, ev.payload, sim.rng().next_u64()));
+            while let Some(ev) = sim.next_event_before(SimTime::MAX) {
+                log.push((ev.at, ev.payload, rng.next_u64()));
             }
             log
         };

@@ -103,13 +103,13 @@ impl MapReduceApp for MonteCarloPi {
 mod tests {
     use super::*;
     use crate::api::JobSpec;
-    use crate::local::{run_local_parallel, run_sequential};
+    use crate::local::{run_pipeline, run_sequential};
 
     #[test]
     fn estimates_pi_reasonably() {
         let input = pi_input(20, 50_000, 7);
         let job = JobSpec::new("pi", 5, 1);
-        let out = run_local_parallel(&MonteCarloPi, &input, &job, 4);
+        let out = run_pipeline(&MonteCarloPi, &input, &job);
         let pi = pi_estimate(&out).unwrap();
         assert!(
             (pi - std::f64::consts::PI).abs() < 0.01,
@@ -133,7 +133,7 @@ mod tests {
         let input = pi_input(12, 5_000, 3);
         let job = JobSpec::new("pi", 4, 2);
         assert_eq!(
-            run_local_parallel(&MonteCarloPi, &input, &job, 3),
+            run_pipeline(&MonteCarloPi, &input, &job),
             run_sequential(&MonteCarloPi, &[&input[..]])
         );
     }

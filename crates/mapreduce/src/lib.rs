@@ -8,8 +8,8 @@
 //! * [`partition::HashPartitioner`] — hash(key) mod R (§III.C);
 //! * [`record`] — boundary-respecting input splitting (§IV.A's 1 GB /
 //!   #maps chunks);
-//! * [`local`] — the sequential oracle, the task-level building blocks
-//!   shared by all runtimes, and a threaded in-process executor;
+//! * [`local`] — the sequential oracle and the task-level building
+//!   blocks shared by all runtimes;
 //! * [`apps`] — word count (the paper's app), distributed grep,
 //!   inverted index, URL-visit aggregation;
 //! * [`corpus`] — deterministic Zipf text generation (the 1 GB input);
@@ -29,7 +29,7 @@ pub use api::{InputFormat, JobSpec, MapReduceApp};
 pub use corpus::{CorpusGen, CorpusSpec};
 pub use hashes::{fnv1a, sha256, Sha256};
 pub use local::{
-    decode_partition, map_grouped, run_local_parallel, run_map_task, run_reduce_task,
-    run_sequential, split_input, MapOutput,
+    decode_partition, map_grouped, run_map_task, run_reduce_task, run_sequential, split_input,
+    MapOutput,
 };
 pub use partition::HashPartitioner;

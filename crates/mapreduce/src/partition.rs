@@ -31,11 +31,6 @@ impl HashPartitioner {
     pub fn partition_bytes(&self, key: &[u8]) -> usize {
         (fnv1a(key) % self.n_reduces as u64) as usize
     }
-
-    /// Partition of a string key (the common case: words, URLs, terms).
-    pub fn partition_str(&self, key: &str) -> usize {
-        self.partition_bytes(key.as_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -47,20 +42,23 @@ mod tests {
         let p = HashPartitioner::new(5);
         for i in 0..1000 {
             let k = format!("key{i}");
-            assert!(p.partition_str(&k) < 5);
+            assert!(p.partition_bytes(k.as_bytes()) < 5);
         }
     }
 
     #[test]
     fn deterministic() {
         let p = HashPartitioner::new(7);
-        assert_eq!(p.partition_str("hello"), p.partition_str("hello"));
+        assert_eq!(
+            p.partition_bytes("hello".as_bytes()),
+            p.partition_bytes("hello".as_bytes())
+        );
     }
 
     #[test]
     fn single_partition_takes_all() {
         let p = HashPartitioner::new(1);
-        assert_eq!(p.partition_str("anything"), 0);
+        assert_eq!(p.partition_bytes("anything".as_bytes()), 0);
     }
 
     #[test]
@@ -68,7 +66,7 @@ mod tests {
         let p = HashPartitioner::new(4);
         let mut counts = [0usize; 4];
         for i in 0..40_000 {
-            counts[p.partition_str(&format!("word-{i}"))] += 1;
+            counts[p.partition_bytes(format!("word-{i}").as_bytes())] += 1;
         }
         for &c in &counts {
             assert!(

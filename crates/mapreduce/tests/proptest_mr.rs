@@ -3,12 +3,33 @@
 //! primitives must hold their invariants.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use vmr_mapreduce::apps::{DistGrep, InvertedIndex, UrlVisits, WordCount};
 use vmr_mapreduce::{
-    map_grouped, run_local_parallel, run_map_task, run_reduce_task, run_sequential,
-    HashPartitioner, JobSpec, MapReduceApp, Sha256,
+    map_grouped, run_map_task, run_reduce_task, run_sequential, split_input, HashPartitioner,
+    JobSpec, MapReduceApp, Sha256,
 };
+
+/// The partitioned pipeline, one task after another: split the input,
+/// map each chunk, reduce each partition over every map's slice, merge.
+fn pipeline<A: MapReduceApp<K = String>>(
+    app: &A,
+    data: &[u8],
+    job: &JobSpec,
+) -> BTreeMap<String, A::V> {
+    let part = HashPartitioner::new(job.n_reduces);
+    let maps: Vec<_> = split_input(app, data, job.n_maps)
+        .into_iter()
+        .map(|r| run_map_task(app, &data[r], &part, |k| k.as_bytes().to_vec()))
+        .collect();
+    let mut merged = BTreeMap::new();
+    for p in 0..job.n_reduces {
+        let inputs = maps.iter().map(|m| m.partitions[p].clone()).collect();
+        merged.extend(run_reduce_task(app, inputs));
+    }
+    merged
+}
 
 /// The kernels as they were before they shared one hashed group-by:
 /// every pair inserted into a `BTreeMap`, a second `BTreeMap` on the
@@ -41,7 +62,7 @@ mod model {
         let mut partitions: Vec<Vec<(A::K, A::V)>> =
             (0..part.n_reduces()).map(|_| Vec::new()).collect();
         for (k, vs) in grouped {
-            let p = part.partition_str(&k);
+            let p = part.partition_bytes(k.as_bytes());
             for v in app.combine(&k, &vs) {
                 partitions[p].push((k.clone(), v));
             }
@@ -186,13 +207,11 @@ proptest! {
         text in text_strategy(),
         n_maps in 1usize..8,
         n_reduces in 1usize..6,
-        threads in 1usize..5,
     ) {
         let data = text.as_bytes().to_vec();
         let job = JobSpec::new("wc", n_maps, n_reduces);
-        let par = run_local_parallel(&WordCount, &data, &job, threads);
-        let seq = run_sequential(&WordCount, &[&data[..]]);
-        prop_assert_eq!(par, seq);
+        let out = pipeline(&WordCount, &data, &job);
+        prop_assert_eq!(out, run_sequential(&WordCount, &[&data[..]]));
     }
 
     /// Total count conservation: the sum of all word counts equals the
@@ -205,7 +224,7 @@ proptest! {
     ) {
         let data = text.as_bytes().to_vec();
         let job = JobSpec::new("wc", n_maps, n_reduces);
-        let out = run_local_parallel(&WordCount, &data, &job, 2);
+        let out = pipeline(&WordCount, &data, &job);
         let total: u64 = out.values().sum();
         let tokens = vmr_mapreduce::record::tokens(&data).count() as u64;
         prop_assert_eq!(total, tokens);
@@ -224,7 +243,7 @@ proptest! {
         prop_assert_eq!(mo.partitions.len(), n_reduces);
         for (p, pairs) in mo.partitions.iter().enumerate() {
             for (k, _) in pairs {
-                prop_assert_eq!(part.partition_str(k), p);
+                prop_assert_eq!(part.partition_bytes(k.as_bytes()), p);
             }
         }
     }
@@ -261,7 +280,7 @@ proptest! {
             .map(|(u, b)| format!("/{u} {b}\n"))
             .collect();
         let job = JobSpec::new("uv", n_maps, n_reduces);
-        let out = run_local_parallel(&UrlVisits, data.as_bytes(), &job, 2);
+        let out = pipeline(&UrlVisits, data.as_bytes(), &job);
         let expected: u64 = entries.iter().map(|(_, b)| b).sum();
         let got: u64 = out.values().sum();
         prop_assert_eq!(got, expected);

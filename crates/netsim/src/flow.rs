@@ -559,27 +559,6 @@ impl Network {
         Some(completion.min(setup_end))
     }
 
-    /// Projected completion instant of a specific flow under current
-    /// rates (changes whenever other flows arrive or depart).
-    pub fn projected_completion(&self, id: FlowId) -> Option<SimTime> {
-        let f = self.flows.get(id)?;
-        let start = f.starts_at.max(self.last_advance);
-        let bytes = f.bytes_left_at(self.last_advance);
-        if bytes <= 1e-9 {
-            return Some(start);
-        }
-        if f.rate <= 1e-12 {
-            return Some(SimTime::MAX);
-        }
-        let us = (bytes / f.rate * 1e6).ceil();
-        let us = if us >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            us as u64
-        };
-        Some(start + SimDuration::from_micros(us))
-    }
-
     /// Moves the clock to `t` and reallocates iff a setup boundary was
     /// crossed in `(last_advance, t]`. Byte progress needs no per-flow
     /// work: each flow's anchor carries it (rates are constant between
@@ -907,17 +886,16 @@ mod tests {
             SimTime::ZERO,
             FlowSpec::simple(HostId(0), HostId(1), 12_500_000),
         );
-        let before = n.projected_completion(id).unwrap();
+        let before = n.next_event_time().unwrap();
         // Settles with no setup boundary crossed: no reallocation, and
-        // the projected completion (and next event) must not move.
+        // the projected completion (the next event) must not move.
         for ms in [1u64, 5, 9, 400] {
             n.advance(SimTime::from_millis(ms));
             assert_eq!(n.next_event_time(), Some(before));
         }
-        assert_eq!(n.projected_completion(id), Some(before));
         let done = n.advance(before);
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].at, before);
+        assert_eq!((done[0].id, done[0].at), (id, before));
     }
 
     /// A network of `n` hosts and its `netsim.realloc_waves` counter.

@@ -91,12 +91,6 @@ impl PollServerConfig {
             ..PollServerConfig::default()
         }
     }
-
-    /// Builder-style: idle-reap timeout.
-    pub fn with_idle_timeout(mut self, t: Duration) -> Self {
-        self.idle_timeout = t;
-        self
-    }
 }
 
 /// Counters exposed by a running server.
@@ -708,7 +702,10 @@ mod tests {
 
     #[test]
     fn idle_connections_are_reaped() {
-        let cfg = PollServerConfig::new(4).with_idle_timeout(Duration::from_millis(50));
+        let cfg = PollServerConfig {
+            max_connections: 4,
+            idle_timeout: Duration::from_millis(50),
+        };
         let srv = server_with(&[], cfg);
         let _conn = TcpStream::connect(srv.addr()).unwrap();
         assert!(wait_until(

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 /// Polls `pred` every millisecond until it returns true or `timeout`
 /// elapses. Returns whether the predicate ever held. The predicate is
 /// always tried at least once, even with a zero timeout.
-pub fn wait_until(mut pred: impl FnMut() -> bool, timeout: Duration) -> bool {
+pub(crate) fn wait_until(mut pred: impl FnMut() -> bool, timeout: Duration) -> bool {
     let deadline = Instant::now() + timeout;
     loop {
         if pred() {

@@ -69,13 +69,15 @@ impl Assimilator {
 
     /// Applies one replayed change record, re-deriving the denormalized
     /// fields from `db`; `Ok(false)` when the record belongs to another
-    /// subsystem.
+    /// subsystem, [`WireError::BadId`] when it names a work unit `db`
+    /// does not hold.
     pub fn apply_change(&mut self, c: &StateChange, db: &Db) -> Result<bool, WireError> {
         match c {
             StateChange::Assimilated { wu, holders, at_us } => {
-                let w = db.wu(WuId(*wu));
+                let wu = db.held_wu(*wu)?;
+                let w = db.wu(wu);
                 let rec = Assimilated {
-                    wu: WuId(*wu),
+                    wu,
                     wu_name: w.spec.name.clone(),
                     app: w.spec.app.clone(),
                     canonical: w.canonical.unwrap_or(OutputFingerprint(0)),
@@ -147,12 +149,6 @@ impl Assimilator {
         &self.records
     }
 
-    /// Records of one application, in validation order (the per-job
-    /// merge input).
-    pub fn of_app(&self, app: &str) -> Vec<&Assimilated> {
-        self.records.iter().filter(|r| r.app == app).collect()
-    }
-
     /// Number of assimilated work units.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -167,6 +163,11 @@ impl Assimilator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The records of one application, in validation order.
+    fn records_of<'a>(a: &'a Assimilator, app: &str) -> Vec<&'a Assimilated> {
+        a.all().iter().filter(|r| r.app == app).collect()
+    }
 
     fn rec(wu: u32, app: &str, t: u64) -> Assimilated {
         Assimilated {
@@ -186,12 +187,12 @@ mod tests {
         a.assimilate(rec(0, "map", 7));
         a.assimilate(rec(1, "red", 9));
         assert_eq!(a.len(), 3);
-        let maps = a.of_app("map");
+        let maps = records_of(&a, "map");
         assert_eq!(maps.len(), 2);
         assert_eq!(maps[0].wu, WuId(2));
         assert_eq!(maps[1].wu, WuId(0));
-        assert_eq!(a.of_app("red").len(), 1);
-        assert!(a.of_app("ghost").is_empty());
+        assert_eq!(records_of(&a, "red").len(), 1);
+        assert!(records_of(&a, "ghost").is_empty());
     }
 
     #[test]
@@ -211,7 +212,7 @@ mod tests {
         let back = Assimilator::decode_state(&enc).unwrap();
         assert_eq!(back.encode_state(), enc);
         assert_eq!(back.all(), a.all());
-        assert_eq!(back.of_app("map").len(), 2);
+        assert_eq!(records_of(&back, "map").len(), 2);
     }
 
     #[test]

@@ -333,7 +333,7 @@ impl Db {
     // ----- WAL replay + snapshots -----------------------------------------
 
     /// `wu` as the id of a work unit row this table holds.
-    fn held_wu(&self, wu: u32) -> Result<WuId, WireError> {
+    pub(crate) fn held_wu(&self, wu: u32) -> Result<WuId, WireError> {
         ((wu as usize) < self.wus.len())
             .then_some(WuId(wu))
             .ok_or(WireError::BadId(wu))

@@ -1077,7 +1077,7 @@ mod tests {
             parked.push(Parked::new(ClientId(c), SimTime::from_secs(armed_s), at));
         }
         eng.release(parked);
-        let fired: Vec<ClientId> = std::iter::from_fn(|| eng.sim.next_event())
+        let fired: Vec<ClientId> = std::iter::from_fn(|| eng.sim.next_event_before(SimTime::MAX))
             .filter_map(|ev| match ev.payload {
                 Ev::ClientWake(c) => Some(c),
                 _ => None,

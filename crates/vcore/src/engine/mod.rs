@@ -1190,7 +1190,10 @@ mod tests {
         let run = |avail: bool| {
             let mut prof = HostProfile::pc3001();
             if avail {
-                prof = prof.with_availability(60.0, 60.0);
+                prof.availability = Some(crate::host::Availability {
+                    on_mean_s: 60.0,
+                    off_mean_s: 60.0,
+                });
             }
             let mut eng = Engine::builder(123)
                 .client(prof, HostLink::symmetric_mbit(100.0, 0.000_5))

@@ -89,15 +89,6 @@ impl HostProfile {
     pub fn compute_seconds(&self, flops: f64) -> f64 {
         flops / self.flops_per_sec
     }
-
-    /// Returns a copy with an owner-usage availability pattern.
-    pub fn with_availability(mut self, on_mean_s: f64, off_mean_s: f64) -> Self {
-        self.availability = Some(Availability {
-            on_mean_s,
-            off_mean_s,
-        });
-        self
-    }
 }
 
 #[cfg(test)]
@@ -129,8 +120,11 @@ mod tests {
             off_mean_s: 1.0,
         };
         assert!((a.duty_cycle() - 0.75).abs() < 1e-12);
-        let h = HostProfile::pc3001().with_availability(600.0, 300.0);
-        assert!((h.availability.unwrap().duty_cycle() - 2.0 / 3.0).abs() < 1e-12);
+        let h = Availability {
+            on_mean_s: 600.0,
+            off_mean_s: 300.0,
+        };
+        assert!((h.duty_cycle() - 2.0 / 3.0).abs() < 1e-12);
         assert!(HostProfile::pc3001().availability.is_none());
     }
 }

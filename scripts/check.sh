@@ -3,7 +3,9 @@
 # hash-collection grep gate on the src/ of the six simulated-core
 # crates (desim, netsim, vcore, core, shuffle, trust); the unwrap/expect grep
 # gate on the byte paths that read peer or disk bytes (durable's crc,
-# frame, wire; all of rtnet's src/); clippy on the
+# frame, wire; all of rtnet's src/); the test-only API gate
+# (scripts/test_only_api.sh: no library `pub fn` that only tests call,
+# outside DESIGN.md's keep list); clippy on the
 # workspace, all targets, warnings as errors; the examples build; the
 # workspace test suite; then the bench smokes — flow_churn (asserts its
 # `BENCH_netsim.json` line appeared), `table1 --quick`, `fig4`,
@@ -82,6 +84,9 @@ for f in crates/durable/src/{crc,frame,wire}.rs crates/rtnet/src/*.rs; do
         exit 1
     fi
 done
+
+echo "==> test-only API gate: every library pub fn has a non-test caller or a DESIGN.md keep-list entry"
+scripts/test_only_api.sh
 
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -8,8 +8,7 @@ use volunteer_mr::cluster::{run_cluster, ClusterConfig};
 use volunteer_mr::core::SizingModel;
 use volunteer_mr::mapreduce::apps::{synth_log, DistGrep, InvertedIndex, UrlVisits, WordCount};
 use volunteer_mr::mapreduce::{
-    run_local_parallel, run_sequential, split_input, CorpusGen, CorpusSpec, HashPartitioner,
-    JobSpec, MapReduceApp,
+    run_sequential, split_input, CorpusGen, CorpusSpec, HashPartitioner, JobSpec, MapReduceApp,
 };
 
 fn corpus(bytes: usize) -> Vec<u8> {
@@ -57,26 +56,6 @@ fn tcp_cluster_equals_oracle_invindex() {
     assert_eq!(report.output, run_sequential(&InvertedIndex, &[&data[..]]));
 }
 
-#[test]
-fn threaded_executor_equals_oracle_all_apps() {
-    let data = corpus(250_000);
-    let job = JobSpec::new("x", 7, 4);
-    assert_eq!(
-        run_local_parallel(&WordCount, &data, &job, 4),
-        run_sequential(&WordCount, &[&data[..]])
-    );
-    let log = synth_log(250_000, 100, 11);
-    assert_eq!(
-        run_local_parallel(&UrlVisits, &log, &job, 4),
-        run_sequential(&UrlVisits, &[&log[..]])
-    );
-    let g = DistGrep::new("/page/2");
-    assert_eq!(
-        run_local_parallel(&g, &log, &job, 4),
-        run_sequential(&g, &[&log[..]])
-    );
-}
-
 /// The sizing model the simulator uses is *calibrated* from the real
 /// application; verify the calibrated volumes predict the real per-map
 /// partition sizes within a reasonable tolerance.
@@ -99,7 +78,7 @@ fn sizing_model_tracks_real_partition_sizes() {
             let mut raw = 0usize;
             let mut line = String::new();
             WordCount.map(&data[r.clone()], &mut |k, v| {
-                if part.partition_str(&k) == p {
+                if part.partition_bytes(k.as_bytes()) == p {
                     line.clear();
                     WordCount.encode(&k, &v, &mut line);
                     raw += line.len();

@@ -136,7 +136,10 @@ fn server_role() {
     let store = Arc::new(OutputStore::new());
     store.put("blob", bytes::Bytes::from(vec![0x5au8; payload]));
     let obs = volunteer_mr::obs::Obs::new();
-    let cfg = PollServerConfig::new(threshold).with_idle_timeout(Duration::from_secs(300));
+    let cfg = PollServerConfig {
+        max_connections: threshold,
+        idle_timeout: Duration::from_secs(300),
+    };
     let srv = PollServer::start_with_obs(store, cfg, &obs).expect("poll server");
 
     // Sample peak concurrent connections while serving.
